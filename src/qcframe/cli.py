@@ -30,6 +30,13 @@ def _parse_signature(text, n):
     return (p, q)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class Runner:
     def __init__(self, args, command):
         self.report = {
@@ -53,9 +60,9 @@ class Runner:
             self.failed = True
 
     def timed(self, name, fn):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn()
-        self.report["timing_ms"][name] = int((time.time() - t0) * 1000)
+        self.report["timing_ms"][name] = int((time.perf_counter() - t0) * 1000)
         return out
 
     def finish(self, json_path=None):
@@ -144,17 +151,17 @@ def cmd_verify_normality(args):
     consts = r.timed("codiff_constants", lambda: codiff_closed_constants(model))
     r.report["codiff_constants"] = {k: str(v) for k, v in consts.items() if k != "printed"}
     r.report["codiff_constants_printed"] = consts["printed"]
-    t0 = time.time()
+    t0 = time.perf_counter()
     good = 0
     for _ in range(args.trials):
         compo = random_components(rng, model.consts)
         rep = check_normality(compo, model, consts)
         if rep["normal"] and rep["direct_equals_closed"]:
             good += 1
-    r.report["timing_ms"]["normality_trials"] = int((time.time() - t0) * 1000)
+    r.report["timing_ms"]["normality_trials"] = int((time.perf_counter() - t0) * 1000)
     r.check(f"dstar(kappa) == 0 and trace conditions, {args.trials} random component sets",
             good == args.trials, passed=good, trials=args.trials)
-    t0 = time.time()
+    t0 = time.perf_counter()
     agree = 0
     pairs = args.trials
     for _ in range(pairs):
@@ -163,7 +170,7 @@ def cmd_verify_normality(args):
         db = kostant_codiff_closed(K, model, consts)
         if all((da[k] - db[k]).is_zero() for k in da):
             agree += 1
-    r.report["timing_ms"]["codiff_agreement"] = int((time.time() - t0) * 1000)
+    r.report["timing_ms"]["codiff_agreement"] = int((time.perf_counter() - t0) * 1000)
     r.check(f"direct == closed codifferential, {pairs} random lemma cochains",
             agree == pairs, passed=agree, trials=pairs)
     compo = broken_components(rng, model.consts)
@@ -183,13 +190,13 @@ def cmd_lie_jacobi(args):
     r.report["signature"] = list(sig)
     model = SpModel(args.n, sig)
     rng = random.Random(args.seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = 0
     for _ in range(args.trials):
         a, b, c = (random_coord(rng, model) for _ in range(3))
         if not jacobi_residual(model, a, b, c).is_zero():
             bad += 1
-    r.report["timing_ms"]["jacobi"] = int((time.time() - t0) * 1000)
+    r.report["timing_ms"]["jacobi"] = int((time.perf_counter() - t0) * 1000)
     r.check(f"Jacobi identity, {args.trials} random triples", bad == 0,
             failures=bad)
     r.check("grading [g_i, g_j] in g_(i+j) on all basis pairs",
@@ -233,7 +240,7 @@ def cmd_lie_g1(args):
         return [[sum((A[i][k] * B[k][j] for k in range(size)), gr(0))
                  for j in range(size)] for i in range(size)]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok_prod = ok_inv = ok_assoc = 0
     ident = G1Element.identity(args.n)
     for _ in range(args.trials):
@@ -246,7 +253,7 @@ def cmd_lie_g1(args):
             ok_inv += 1
         if g1_compose(g1_compose(x, y, c), z, c) == g1_compose(x, g1_compose(y, z, c), c):
             ok_assoc += 1
-    r.report["timing_ms"]["g1"] = int((time.time() - t0) * 1000)
+    r.report["timing_ms"]["g1"] = int((time.perf_counter() - t0) * 1000)
     r.check(f"composition matches matrix product, {args.trials} trials",
             ok_prod == args.trials, passed=ok_prod)
     r.check("inverse formula", ok_inv == args.trials, passed=ok_inv)
@@ -375,7 +382,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_verify_bianchi)
     sp = vsub.add_parser("normality")
     common(sp)
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_positive_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_verify_normality)
 
@@ -383,7 +390,7 @@ def build_parser():
     lsub = pl.add_subparsers(dest="what", required=True)
     sp = lsub.add_parser("jacobi")
     common(sp)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_lie_jacobi)
     sp = lsub.add_parser("killing")
@@ -391,7 +398,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_lie_killing)
     sp = lsub.add_parser("g1")
     common(sp)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_lie_g1)
 

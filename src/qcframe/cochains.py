@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .gauss import GaussRational, gr
-from .tensors import (IndexedTensor, StandardConstants, jmap, j_average,
-                      random_tensor, slots, symmetrize)
+from .tensors import (IndexedTensor, StandardConstants, is_symmetric, jmap,
+                      j_average, random_tensor, slots, symmetrize)
 from .forms import Form, Sym
 from .model import LieCoord, SpModel
 from . import coframe
@@ -52,7 +52,7 @@ class CurvatureComponents:
                                (self.l, "L", 2), (self.m, "M", 2)):
             if len(t.slots) != arity:
                 raise ValueError(f"{name} must have {arity} lower slots")
-            if symmetrize(t) != t:
+            if not is_symmetric(t):
                 raise ValueError(f"{name} is not totally symmetric")
         for t, name in ((self.s, "S"), (self.l, "L")):
             if jmap(t, consts) != t:
@@ -124,8 +124,10 @@ def broken_components(rng: random.Random, consts: StandardConstants) -> Curvatur
     """Negative control: valid components except that the total symmetry
     of S is deliberately destroyed."""
     out = random_components(rng, consts)
-    dim = 2 * consts.n
-    idx = (1, 1, 1, min(2, dim))
+    # S_{1 1 1 p}, p the pi-partner of 1 ((1, 1, 1, 2) at n = 1).  The
+    # residuals are linear in the perturbation; at n = 2 one at
+    # (1, 1, 1, 2) leaves dstar(kappa) and every trace condition zero.
+    idx = (1, 1, 1, consts.partner(1))
     out.s.set(idx, out.s.get(*idx) + gr(1))
     return out
 
@@ -205,7 +207,7 @@ class Cochain2:
         if i == j:
             raise ValueError("cochain argument pair must be distinct")
         if i > j:
-            i, j, value = j, i, value.scale(gr(-1))
+            i, j, value = j, i, -value
         if value.is_zero():
             self.vals.pop((i, j), None)
         else:
@@ -217,7 +219,7 @@ class Cochain2:
             return LieCoord(self.n)
         if i < j:
             return self.vals.get((i, j), LieCoord(self.n))
-        return self.vals.get((j, i), LieCoord(self.n)).scale(gr(-1))
+        return -self.vals.get((j, i), LieCoord(self.n))
 
     def get_lin(self, a: LieCoord, b: LieCoord) -> LieCoord:
         """Bilinear extension to arbitrary g_- elements (coordinates of

@@ -69,8 +69,13 @@ class LieCoord:
             out.add_to(k, v)
         return out
 
+    def __neg__(self) -> "LieCoord":
+        out = LieCoord(self.n)
+        out.c = {k: -v for k, v in self.c.items()}
+        return out
+
     def __sub__(self, other: "LieCoord") -> "LieCoord":
-        return self + other.scale(gr(-1))
+        return self + -other
 
     def scale(self, c) -> "LieCoord":
         c = GaussRational.of(c)

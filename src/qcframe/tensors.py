@@ -264,16 +264,16 @@ def conj(t: IndexedTensor) -> IndexedTensor:
 def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     """The antilinear endomorphism j: contract each slot of the
     conjugated array with the matching mixed pi.  Slot types are
-    preserved; applying j twice gives (-1)^slots."""
-    conj_t = conj(t)
-    out = IndexedTensor(t.n, t.slots)
-    for idx, val in conj_t.entries.items():
-        # idx indexes the conjugated array; produce contributions to out
-        coeff = val
-        target = []
-        for pos, s in enumerate(t.slots):
-            b = idx[pos]
-            a = c.partner(b)  # pi couples b only to its partner
+    preserved; applying j twice gives (-1)^slots.
+
+    pi couples each index b only to its partner, so every slot has a
+    table b -> (partner, pi factor), built once per call; an entry is
+    then mapped with one conjugation and the product of its factors."""
+    tables = []
+    for s in t.slots:
+        row = {}
+        for b in range(1, t.dim + 1):
+            a = c.partner(b)
             if s.variance == LOWER and not s.barred:
                 m = c.pi_ubar_l(b, a)     # pi^{b̄}_{a}
             elif s.variance == LOWER and s.barred:
@@ -282,30 +282,69 @@ def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
                 m = c.pi_u_lbar(a, b)     # pi^{a}_{b̄}
             else:
                 m = c.pi_ubar_l(a, b)     # pi^{ā}_{b}
-            if m.is_zero():
-                coeff = gr(0)
-                break
+            row[b] = (a, m)
+        tables.append(row)
+    out = IndexedTensor(t.n, t.slots)
+    for idx, val in t.entries.items():
+        coeff = val.conj()
+        target = []
+        for b, row in zip(idx, tables):
+            a, m = row[b]
             coeff = coeff * m
             target.append(a)
-        if not coeff.is_zero():
-            tgt = tuple(target)
-            out.set(tgt, out.entries.get(tgt, gr(0)) + coeff)
+        # partner is a bijection, so every target index is hit once
+        out.set(tuple(target), coeff)
     return out
+
+
+def _orbit(key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The distinct arrangements of the multiset of index values key."""
+    return tuple(sorted(set(itertools.permutations(key))))
+
+
+def _check_homogeneous(t: IndexedTensor) -> None:
+    if len(set(t.slots)) > 1:
+        raise ValueError("symmetrize needs homogeneous slots")
 
 
 def symmetrize(t: IndexedTensor) -> IndexedTensor:
-    """Total symmetrization over all slots (slots must be of one type)."""
-    if len(set(t.slots)) > 1:
-        raise ValueError("symmetrize needs homogeneous slots")
-    k = len(t.slots)
-    perms = list(itertools.permutations(range(k)))
-    out = IndexedTensor(t.n, t.slots)
-    w = Fraction(1, len(perms))
+    """Total symmetrization over all slots (slots must be of one type).
+
+    The mean over all k! permutations of an entry's slots equals, for
+    each orbit (the arrangements of one multiset of index values), the
+    sum of the orbit's stored entries over the orbit's size, written to
+    every member; each orbit is summed once."""
+    _check_homogeneous(t)
+    sums: Dict[Tuple[int, ...], GaussRational] = {}
     for idx, val in t.entries.items():
-        for p in perms:
-            tgt = tuple(idx[p[i]] for i in range(k))
-            out.set(tgt, out.entries.get(tgt, gr(0)) + gr(w) * val)
+        key = tuple(sorted(idx))
+        cur = sums.get(key)
+        sums[key] = val if cur is None else cur + val
+    out = IndexedTensor(t.n, t.slots)
+    for key, total in sums.items():
+        members = _orbit(key)
+        mean = total * gr(Fraction(1, len(members)))
+        if not mean.is_zero():
+            for idx in members:
+                out.entries[idx] = mean
     return out
+
+
+def is_symmetric(t: IndexedTensor) -> bool:
+    """True iff t is totally symmetric (slots must be of one type): every
+    orbit holding a stored entry holds all of its members, all equal.
+    Equivalent to ``symmetrize(t) == t``, by comparisons alone."""
+    _check_homogeneous(t)
+    seen = set()
+    for idx, val in t.entries.items():
+        key = tuple(sorted(idx))
+        if key in seen:
+            continue
+        seen.add(key)
+        for member in _orbit(key):
+            if t.entries.get(member) != val:
+                return False
+    return True
 
 
 def j_average(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:

@@ -56,6 +56,24 @@ def test_normality_small(tmp_path, capsys):
     assert doc["codiff_constants"]["c_gam"] == "-2"
 
 
+def test_normality_n2_negative_control_detected(tmp_path, capsys):
+    out = tmp_path / "n2.json"
+    assert run(["verify", "normality", "--n", "2", "--trials", "1",
+                "--seed", "7", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    control = [c for c in doc["checks"] if c["name"].startswith("negative control")]
+    assert len(control) == 1 and control[0]["status"] == "pass"
+    assert control[0]["report"]["normal"] is False
+
+
+@pytest.mark.parametrize("command", [["verify", "normality"], ["lie", "jacobi"],
+                                     ["lie", "g1"]])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_exit_2(command, trials, capsys):
+    assert run(command + ["--n", "1", "--trials", trials]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_report_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -137,19 +137,20 @@ def test_normality_random_components(model_for, n):
 
 
 def test_normality_negative_control(model_for):
-    m = model_for(1)
-    rng = random.Random(2)
-    compo = broken_components(rng, m.consts)
-    with pytest.raises(ValueError):
-        compo.validate(m.consts)
-    rep = check_normality(compo, m, validate=False, tamper="unsym-S")
-    assert not rep["normal"]
-    assert not all(rep["trace_conditions"].values())
-    # a valid set through the same tampered pipeline still passes,
-    # pinning the failure on the broken symmetry itself
-    good = random_components(rng, m.consts)
-    rep2 = check_normality(good, m, validate=False, tamper="unsym-S")
-    assert rep2["normal"]
+    for n in (1, 2):
+        m = model_for(n)
+        rng = random.Random(2)
+        compo = broken_components(rng, m.consts)
+        with pytest.raises(ValueError):
+            compo.validate(m.consts)
+        rep = check_normality(compo, m, validate=False, tamper="unsym-S")
+        assert not rep["normal"], f"broken S passes normality at n={n}"
+        assert not all(rep["trace_conditions"].values())
+        # a valid set through the same tampered pipeline still passes,
+        # pinning the failure on the broken symmetry itself
+        good = random_components(rng, m.consts)
+        rep2 = check_normality(good, m, validate=False, tamper="unsym-S")
+        assert rep2["normal"]
 
 
 def test_trace_conditions_zero_components(model_for):
@@ -219,6 +220,23 @@ def test_component_reader_rejects_bad_symmetry():
     # S without its j-partner entries fails the j-invariance validation
     with pytest.raises(ValueError):
         components_from_json(doc)
+
+
+def test_cochain_antisymmetry():
+    rng = random.Random(6)
+    for n in (1, 2):
+        K = random_lemma_cochain(rng, n)
+        ks = gminus_keys(n)
+        for ki in ks:
+            assert K.get(ki, ki).is_zero()
+            for kj in ks:
+                assert K.get(kj, ki) == -K.get(ki, kj)
+                assert (K.get(kj, ki) + K.get(ki, kj)).is_zero()
+        assert not K.get(ks[1], ks[0]).is_zero()
+        # storing a pair in reverse order stores its negative
+        val = K.get(ks[0], ks[1])
+        K.set_pair(ks[1], ks[0], val)
+        assert K.get(ks[0], ks[1]) == -val
 
 
 def test_lemma_space_detection():

@@ -23,6 +23,18 @@ def _matmul(A, B):
              for j in range(size)] for i in range(size)]
 
 
+def test_liecoord_negation(model_for):
+    m = model_for(1)
+    rng = random.Random(12)
+    for _ in range(20):
+        a, b = random_coord(rng, m), random_coord(rng, m)
+        assert -a == a.scale(gr(-1))
+        assert (a + -a).is_zero()
+        assert a - b == a + b.scale(gr(-1))
+        assert -(-a) == a
+    assert (-LieCoord(1)).is_zero()
+
+
 def test_template_eta1_entry(model_for):
     m = model_for(1)
     M = m.to_matrix(LieCoord(1, {("eta", 1): gr(2)}))

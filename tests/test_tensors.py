@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from qcframe.gauss import gr
-from qcframe.tensors import (IndexedTensor, StandardConstants, conj, is_spn,
-                             j_average, jmap, lower_slot, make_constants,
-                             raise_slot, random_tensor, slots, spn_from_y,
-                             symmetrize, y_from_spn)
+from qcframe.tensors import (LOWER, UPPER, IndexedTensor, StandardConstants,
+                             conj, is_spn, is_symmetric, j_average, jmap,
+                             lower_slot, make_constants, raise_slot,
+                             random_tensor, slots, spn_from_y, symmetrize,
+                             y_from_spn)
 
 
 @pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
@@ -156,6 +158,121 @@ def test_jmap_fixes_spn_members():
     y = j_average(symmetrize(random_tensor(rng, 2, slots("ll"))), c)
     x = spn_from_y(y, c)
     assert jmap(x, c) == x
+
+
+def _sparse(rng, t, keep):
+    """t with each entry kept with probability keep."""
+    return IndexedTensor(t.n, t.slots,
+                         {i: v for i, v in t.entries.items() if rng.random() < keep})
+
+
+def _symmetrize_reference(t):
+    """The mean over all k! slot permutations, entry by entry."""
+    k = len(t.slots)
+    perms = list(itertools.permutations(range(k)))
+    w = gr(Fraction(1, len(perms)))
+    out = {}
+    for idx, val in t.entries.items():
+        for p in perms:
+            tgt = tuple(idx[p[i]] for i in range(k))
+            out[tgt] = out.get(tgt, gr(0)) + w * val
+    return {i: v for i, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("spec", ["l", "ll", "lll", "llll", "UU"])
+@pytest.mark.parametrize("keep", [1.0, 0.3])
+def test_symmetrize_matches_all_permutations(n, spec, keep):
+    rng = random.Random(f"{n}-{spec}-{keep}")
+    for _ in range(3):
+        t = _sparse(rng, random_tensor(rng, n, slots(spec), span=3), keep)
+        sym = symmetrize(t)
+        assert sym.slots == t.slots
+        assert sym.entries == _symmetrize_reference(t)
+        assert is_symmetric(sym)
+        assert symmetrize(sym) == sym
+
+
+def test_symmetrize_cancelling_orbit_is_dropped():
+    t = IndexedTensor(1, slots("lll"))
+    t.set((1, 1, 2), gr(2, 1))
+    t.set((2, 1, 1), gr(-2, -1))
+    t.set((2, 2, 2), gr(3))
+    assert symmetrize(t).entries == {(2, 2, 2): gr(3)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("spec", ["ll", "lll", "llll"])
+def test_is_symmetric_agrees_with_symmetrize(n, spec):
+    rng = random.Random(17 * n + len(spec))
+    for keep in (1.0, 0.2):
+        t = _sparse(rng, random_tensor(rng, n, slots(spec), span=2), keep)
+        assert is_symmetric(t) == (symmetrize(t) == t)
+        assert is_symmetric(symmetrize(t))
+
+
+def test_is_symmetric_rejects_perturbed_entry():
+    rng = random.Random(4)
+    t = symmetrize(random_tensor(rng, 2, slots("llll"), span=3))
+    assert is_symmetric(t)
+    bad = t.copy()
+    bad.set((1, 2, 3, 4), t.get(1, 2, 3, 4) + gr(0, 1))
+    assert not is_symmetric(bad)
+
+
+def test_is_symmetric_rejects_missing_orbit_member():
+    t = IndexedTensor(2, slots("lll"))
+    for idx in ((1, 2, 2), (2, 1, 2)):
+        t.set(idx, gr(5, -1))
+    assert not is_symmetric(t)   # (2, 2, 1) is missing
+    t.set((2, 2, 1), gr(5, -1))
+    assert is_symmetric(t)
+    assert is_symmetric(IndexedTensor(2, slots("lll")))
+
+
+def test_symmetry_needs_homogeneous_slots():
+    t = IndexedTensor(1, slots("lL"))
+    with pytest.raises(ValueError):
+        symmetrize(t)
+    with pytest.raises(ValueError):
+        is_symmetric(t)
+
+
+def _jmap_reference(t, c):
+    """j written slot by slot: conjugate, then contract each slot with its
+    mixed pi over every index value (not only the partner)."""
+    factor = {
+        (LOWER, False): lambda b, a: c.pi_ubar_l(b, a),   # pi^{b̄}_{a}
+        (LOWER, True): lambda b, a: c.pi_u_lbar(b, a),    # pi^{b}_{ā}
+        (UPPER, False): lambda b, a: c.pi_u_lbar(a, b),   # pi^{a}_{b̄}
+        (UPPER, True): lambda b, a: c.pi_ubar_l(a, b),    # pi^{ā}_{b}
+    }
+    out = {}
+    for idx, val in t.entries.items():
+        per_slot = []
+        for s, b in zip(t.slots, idx):
+            f = factor[(s.variance, s.barred)]
+            per_slot.append([(a, f(b, a)) for a in range(1, t.dim + 1)
+                             if not f(b, a).is_zero()])
+        for choice in itertools.product(*per_slot):
+            coeff = val.conj()
+            for _, m in choice:
+                coeff = coeff * m
+            tgt = tuple(a for a, _ in choice)
+            out[tgt] = out.get(tgt, gr(0)) + coeff
+    return {i: v for i, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (2, (1, 1))])
+@pytest.mark.parametrize("spec", ["l", "L", "u", "U", "lL", "ul", "llll"])
+def test_jmap_matches_slot_transcription(n, signature, spec):
+    rng = random.Random(len(spec) + 10 * n + signature[1])
+    c = make_constants(n, signature)
+    for keep in (1.0, 0.4):
+        t = _sparse(rng, random_tensor(rng, n, slots(spec), span=3), keep)
+        jt = jmap(t, c)
+        assert jt.slots == t.slots
+        assert jt.entries == _jmap_reference(t, c)
 
 
 def test_index_out_of_range():
