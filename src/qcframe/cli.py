@@ -1,9 +1,11 @@
 """Batch command-line interface: every certificate as a command.
 
 Exit codes: 0 all checks pass, 1 at least one certificate failed,
-2 usage or input error.  With --json PATH the machine-readable report
-is written out; for a fixed seed the report is byte-identical across
-runs except for the "timing_ms" section.
+2 usage or input error, 3 internal defect (a basis matrix commutator off
+the sp(n+1,1) template while the structure-constant table is certified).
+With --json PATH the machine-readable report is written out; for a fixed
+seed the report is byte-identical across runs except for the "timing_ms"
+section.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .gauss import gr
+from .model import TemplateError
 
 SCHEMA = "qcframe-report/1"
 
@@ -433,6 +436,9 @@ def run(argv=None) -> int:
         return 2 if ex.code not in (0,) else 0
     try:
         return args.fn(args)
+    except TemplateError as ex:  # a ValueError, but never bad input
+        print(f"internal error: {ex}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

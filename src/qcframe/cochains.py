@@ -388,8 +388,8 @@ def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
         a = model.basis(ka)
         tot = LieCoord(n)
         for hat, kb in pairs:
-            tot = tot + model.bracket_fast(hat, K.get(ka, kb)).scale(2)
-            lowered = model.bracket_fast(hat, a)
+            tot = tot + model.bracket(hat, K.get(ka, kb)).scale(2)
+            lowered = model.bracket(hat, a)
             minus = LieCoord(n, {k: v for k, v in lowered.c.items()
                                  if coframe.grade(k) < 0})
             tot = tot - k_of(minus, kb)

@@ -7,14 +7,19 @@ Matrices act on the 2n+4 dimensional space with basis ordered
 matrix or by its coordinates (a LieCoord); the two are related by a
 fixed block template, and ``from_matrix`` refuses anything off the
 template so that closure failures surface immediately.
+
+Every bracket goes through one structure-constant table, built on first
+use from the commutators of the basis matrices; each basis pair is
+certified once against the template when the table is built.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .gauss import GaussRational, gr
+from .gauss import ONE, ZERO, GaussRational, gr
 from .tensors import StandardConstants, IndexedTensor, slots
 from . import coframe
 from .coframe import Key
@@ -147,7 +152,9 @@ class SpModel:
         # row/col layout of the template
         self.v1, self.v2 = 0, 1
         self.w1, self.w2 = 2 * n + 2, 2 * n + 3
-        self._ad = None
+        self._mats = None
+        self._dec = None
+        self._sc = None
         self._gram = None
         self._frames = None
 
@@ -225,13 +232,11 @@ class SpModel:
                         sum((c.pi_up(a, s) * x.get(("Gam", s, b)) for s in rng1), gr(0)))
         return {k: v for k, v in M.items() if not v.is_zero()}
 
-    def from_matrix(self, M: SparseMat) -> LieCoord:
+    def _read_template(self, at) -> LieCoord:
+        """Coordinates read off the matrix entries ``at(row, col)`` by the
+        template formulas, unchecked; linear in the entries."""
         n, c = self.n, self.consts
         v1, v2, w1, w2 = self.v1, self.v2, self.w1, self.w2
-
-        def at(r, co):
-            return M.get((r, co), gr(0))
-
         x = LieCoord(n)
         a11, b11 = at(v1, v1), at(w1, w1)
         x.set(("phi0",), b11 - a11)
@@ -250,81 +255,140 @@ class SpModel:
             x.set(("theta", a, True), -I * gr(c.diag[a - 1]) * at(w1, ea))
             x.set(("phiU", a, False), -HALF * I * at(ea, w1))
             x.set(("phiU", a, True), -HALF * I * gr(c.diag[a - 1]) * at(v1, ea))
-        # Gamma_{t b} = - sum_a pi_{t a} M[e_a][e_b]
-        gam = {}
-        for t in range(1, 2 * n + 1):
-            for b in range(1, 2 * n + 1):
-                val = sum((-c.pi(t, a) * at(self.e(a), self.e(b))
-                           for a in range(1, 2 * n + 1)), gr(0))
-                gam[(t, b)] = val
-        for t in range(1, 2 * n + 1):
-            for b in range(t, 2 * n + 1):
-                if gam[(t, b)] != gam[(b, t)]:
-                    raise TemplateError("Gamma block extraction not symmetric")
-                x.set(("Gam", t, b), gam[(t, b)])
-        if self.to_matrix(x) != M:
+        # Gamma_{t b} = - sum_a pi_{t a} M[e_a][e_b]; the lower triangle
+        # is left to the re-encoding check
+        for b in range(1, 2 * n + 1):
+            col = [(a, at(self.e(a), self.e(b))) for a in range(1, 2 * n + 1)]
+            col = [(a, v) for a, v in col if not v.is_zero()]
+            for t in range(1, b + 1):
+                x.set(("Gam", t, b), sum((-c.pi(t, a) * v for a, v in col), gr(0)))
+        return x
+
+    def _basis_matrices(self) -> List[SparseMat]:
+        if self._mats is None:
+            self._mats = [self.to_matrix(self.basis(k)) for k in self.keys]
+        return self._mats
+
+    def _decoder(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, GaussRational], ...]]:
+        """The left inverse of ``to_matrix``: matrix position -> the
+        coordinates (index, coefficient) of its unit matrix."""
+        if self._dec is None:
+            dec = {}
+            for pos in ((r, co) for r in range(self.m) for co in range(self.m)):
+                x = self._read_template(lambda r, co: ONE if (r, co) == pos else ZERO)
+                if x.c:
+                    dec[pos] = tuple((self.key_index[k], v) for k, v in x.c.items())
+            self._dec = dec
+        return self._dec
+
+    def _decode(self, M: SparseMat) -> Dict[int, GaussRational]:
+        """Coordinates (index -> value) of a template matrix, certified by
+        re-encoding through the basis matrices."""
+        dec = self._decoder()
+        x: Dict[int, GaussRational] = {}
+        for pos, v in M.items():
+            for k, coeff in dec.get(pos, ()):
+                x[k] = x[k] + v * coeff if k in x else v * coeff
+        x = {k: x[k] for k in sorted(x) if not x[k].is_zero()}
+        mats = self._basis_matrices()
+        back: SparseMat = {}
+        for k, v in x.items():
+            for pos, e in mats[k].items():
+                back[pos] = back[pos] + v * e if pos in back else v * e
+        if {p: v for p, v in back.items() if not v.is_zero()} != M:
             raise TemplateError("matrix is off the sp(n+1,1) block template")
         return x
 
-    # -- bracket and grading -------------------------------------------------
+    def from_matrix(self, M: SparseMat) -> LieCoord:
+        """The coordinates of M; ``TemplateError`` if M is off the template."""
+        x = LieCoord(self.n)
+        x.c = {self.keys[k]: v for k, v in self._decode(M).items()}
+        return x
+
+    # -- structure constants, bracket and grading ------------------------------
+
+    def structure_constants(self):
+        """The table ``rows[i][j] = ((k, re, im), ...)`` with
+        [B_i, B_j] = sum_k ((re + i im) / scale) B_k, and the scale.
+
+        Built on first use from the basis matrix commutators: each pair
+        i < j is decoded and certified by re-encoding (``TemplateError``
+        if the commutator is off the template); (j, i) is the negation.
+        The entries are Gaussian integers over one common denominator."""
+        if self._sc is None:
+            mats = self._basis_matrices()
+            exact = {}
+            for i in range(self.dim):
+                for j in range(i + 1, self.dim):
+                    comm = smat_sub(smat_mul(mats[i], mats[j]), smat_mul(mats[j], mats[i]))
+                    if comm:
+                        exact[(i, j)] = self._decode(comm)
+            scale = lcm(*(d for x in exact.values() for v in x.values()
+                          for d in (v.re.denominator, v.im.denominator)))
+            rows = [[()] * self.dim for _ in range(self.dim)]
+            for (i, j), x in exact.items():
+                ints = tuple((k, v.re.numerator * (scale // v.re.denominator),
+                              v.im.numerator * (scale // v.im.denominator))
+                             for k, v in x.items())
+                rows[i][j] = ints
+                rows[j][i] = tuple((k, -re, -im) for k, re, im in ints)
+            self._sc = (rows, scale)
+        return self._sc
+
+    def _cleared(self, x: LieCoord):
+        """x as Gaussian integers (index, re, im) over its lcm denominator."""
+        d = lcm(*(q for v in x.c.values() for q in (v.re.denominator, v.im.denominator)))
+        return d, [(self.key_index[k], v.re.numerator * (d // v.re.denominator),
+                    v.im.numerator * (d // v.im.denominator)) for k, v in x.c.items()]
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
-        ma, mb = self.to_matrix(a), self.to_matrix(b)
-        return self.from_matrix(smat_sub(smat_mul(ma, mb), smat_mul(mb, ma)))
-
-    def bracket_fast(self, a: LieCoord, b: LieCoord) -> LieCoord:
-        """Bracket through the cached structure-constant table; agrees
-        with the matrix route (certified by the Maurer-Cartan and
-        closure tests) and is much faster for repeated use."""
-        if getattr(self, "_sc_exact", None) is None:
-            table: Dict[Tuple[int, int], Dict[int, GaussRational]] = {}
-            for i, col in enumerate(self._ad_table()):
-                for (k, j), v in col.items():
-                    table.setdefault((i, j), {})[k] = v
-            self._sc_exact = table
+        """[a, b] through the structure-constant table, summed in
+        Gaussian integers and divided once by the common denominator."""
+        rows, scale = self.structure_constants()
+        da, xa = self._cleared(a)
+        db, xb = self._cleared(b)
+        acc_re, acc_im = [0] * self.dim, [0] * self.dim
+        for i, ar, ai in xa:
+            row = rows[i]
+            for j, br, bi in xb:
+                targets = row[j]
+                if targets:
+                    pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                    for k, cr, ci in targets:
+                        acc_re[k] += pr * cr - pi * ci
+                        acc_im[k] += pr * ci + pi * cr
+        den = da * db * scale
         out = LieCoord(self.n)
-        for ka, va in a.c.items():
-            i = self.key_index[ka]
-            for kb, vb in b.c.items():
-                targets = self._sc_exact.get((i, self.key_index[kb]))
-                if not targets:
-                    continue
-                f = va * vb
-                for k, v in targets.items():
-                    out.add_to(self.keys[k], f * v)
+        out.c = {self.keys[k]: GaussRational(Fraction(re, den), Fraction(im, den))
+                 for k, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
         return out
+
+    # the old name, kept while bench/tracing.py wraps it
+    bracket_fast = bracket
 
     # -- Killing form ----------------------------------------------------------
 
-    def _ad_table(self):
-        if self._ad is None:
-            mats = [self.to_matrix(self.basis(k)) for k in self.keys]
-            ad = []
-            for i, mi in enumerate(mats):
-                col: SparseMat = {}
-                for j, mj in enumerate(mats):
-                    br = self.from_matrix(smat_sub(smat_mul(mi, mj), smat_mul(mj, mi)))
-                    for k, v in br.c.items():
-                        col[(self.key_index[k], j)] = v
-                ad.append(col)
-            self._ad = ad
-        return self._ad
-
     def killing_gram(self) -> Dict[Tuple[int, int], GaussRational]:
-        """Exact Gram matrix B(e_i, e_j) = trace(ad e_i . ad e_j)."""
+        """Exact Gram matrix B(e_i, e_j) = trace(ad e_i . ad e_j), summed
+        over the integer structure constants and divided by scale^2."""
         if self._gram is None:
-            ad = self._ad_table()
+            rows, scale = self.structure_constants()
+            # ad[i][(k, l)]: coefficient of e_k in [e_i, e_l], times scale
+            ad = [{(k, l): (cr, ci) for l, targets in enumerate(row)
+                   for k, cr, ci in targets} for row in rows]
+            den = scale * scale
             gram: Dict[Tuple[int, int], GaussRational] = {}
             for i in range(self.dim):
                 for j in range(i, self.dim):
-                    tot = gr(0)
-                    for (k, l), v in ad[i].items():
+                    re = im = 0
+                    for (k, l), (vr, vi) in ad[i].items():
                         w = ad[j].get((l, k))
                         if w is not None:
-                            tot = tot + v * w
-                    if not tot.is_zero():
-                        gram[(i, j)] = tot
-                        gram[(j, i)] = tot
+                            re += vr * w[0] - vi * w[1]
+                            im += vr * w[1] + vi * w[0]
+                    if re or im:
+                        gram[(i, j)] = gram[(j, i)] = GaussRational(Fraction(re, den),
+                                                                    Fraction(im, den))
             self._gram = gram
         return self._gram
 
@@ -523,15 +587,13 @@ def jacobi_residual(model: SpModel, a: LieCoord, b: LieCoord, c: LieCoord) -> Li
 
 
 def grading_check(model: SpModel) -> bool:
-    """[g_i, g_j] lies in g_{i+j} for every pair of basis elements."""
-    for ki in model.keys:
-        for kj in model.keys:
-            br = model.bracket(model.basis(ki), model.basis(kj))
-            want = coframe.grade(ki) + coframe.grade(kj)
-            for k in br.c:
-                if coframe.grade(k) != want:
-                    return False
-    return True
+    """[g_i, g_j] lies in g_{i+j} for every pair of basis elements: a scan
+    of the structure-constant table."""
+    grades = [coframe.grade(k) for k in model.keys]
+    rows, _ = model.structure_constants()
+    return all(grades[k] == grades[i] + grades[j]
+               for i, row in enumerate(rows) for j, targets in enumerate(row)
+               for k, _, _ in targets)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,71 +1106,3 @@ def maurer_cartan_check(n: int, signature: Tuple[int, int] = None) -> dict:
                 if want.get(key, gr(0)) != -br.get(key):
                     mismatches += 1
     return {"n": n, "basis_pairs": pairs, "mismatches": mismatches}
-
-
-def _int_structure_constants(model: SpModel):
-    """The structure-constant table scaled to Gaussian integers:
-    (i, j) -> {k: (re, im)} with a fixed global scale factor, derived
-    from the cached ad table."""
-    if getattr(model, "_int_sc", None) is not None:
-        return model._int_sc
-    ad = model._ad_table()
-    denom = 1
-    for col in ad:
-        for v in col.values():
-            denom = denom * v.re.denominator // __import__("math").gcd(
-                denom, v.re.denominator)
-            denom = denom * v.im.denominator // __import__("math").gcd(
-                denom, v.im.denominator)
-    table = {}
-    for i, col in enumerate(ad):
-        for (k, j), v in col.items():
-            re = int(v.re * denom)
-            im = int(v.im * denom)
-            table.setdefault((i, j), {})[k] = (re, im)
-    model._int_sc = table
-    return table
-
-
-def fast_jacobi_trial(model: SpModel, rng: random.Random, span: int = 6) -> bool:
-    """One exact Jacobi check on random integer coordinate triples,
-    evaluated through the structure constants."""
-    sc = _int_structure_constants(model)
-    d = model.dim
-
-    def rand_vec():
-        return [(rng.randint(-span, span), rng.randint(-span, span))
-                for _ in range(d)]
-
-    def bracket(x, y):
-        out = {}
-        for i in range(d):
-            xr, xi = x[i]
-            if xr == 0 and xi == 0:
-                continue
-            for j in range(d):
-                yr, yi = y[j]
-                if yr == 0 and yi == 0:
-                    continue
-                targets = sc.get((i, j))
-                if not targets:
-                    continue
-                pr = xr * yr - xi * yi
-                pi = xr * yi + xi * yr
-                for k, (cr, ci) in targets.items():
-                    rr, ri = out.get(k, (0, 0))
-                    out[k] = (rr + pr * cr - pi * ci, ri + pr * ci + pi * cr)
-        vec = [(0, 0)] * d
-        for k, v in out.items():
-            vec[k] = v
-        return vec
-
-    a, b, c = rand_vec(), rand_vec(), rand_vec()
-    total = {}
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        res = bracket(bracket(x, y), z)
-        for k in range(d):
-            rr, ri = total.get(k, (0, 0))
-            vr, vi = res[k]
-            total[k] = (rr + vr, ri + vi)
-    return all(v == (0, 0) for v in total.values())

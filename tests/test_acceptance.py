@@ -21,15 +21,16 @@ def _ok(msg):
 
 
 def test_criterion_1_jacobi(model_for):
-    from qcframe.model import fast_jacobi_trial, _int_structure_constants
+    from qcframe.model import jacobi_residual, random_coord
     models = {n: model_for(n) for n in (1, 2, 3)}
     for m in models.values():
-        _int_structure_constants(m)  # one-time setup, outside the timed sweep
+        m.structure_constants()  # one-time setup, outside the timed sweep
     t0 = time.perf_counter()
     for n in (1, 2, 3):
-        rng = random.Random(n)
+        m, rng = models[n], random.Random(n)
         for _ in range(100):
-            assert fast_jacobi_trial(models[n], rng), f"Jacobi failed at n={n}"
+            a, b, c = (random_coord(rng, m) for _ in range(3))
+            assert jacobi_residual(m, a, b, c).is_zero(), f"Jacobi failed at n={n}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"Jacobi sweep took {elapsed:.2f}s (budget 5s)"
     _ok(f"criterion 1: Jacobi, 100 random triples per n in {{1,2,3}}, "

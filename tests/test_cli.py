@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qcframe.cli import run
+from qcframe.gauss import gr
 
 
 def _strip_timing(doc):
@@ -109,3 +110,19 @@ def test_classify_with_component_file(tmp_path, capsys):
 
 def test_signature_flag(capsys):
     assert run(["verify", "flat", "--n", "2", "--signature", "1,1"]) == 0
+
+
+def test_off_template_product_exit_3(monkeypatch, capsys):
+    """A commutator off the sp(n+1,1) template is an internal defect,
+    not a usage error."""
+    from qcframe import model
+    difference = model.smat_sub
+
+    def off_template(a, b):
+        out = difference(a, b)
+        out[(0, 0)] = out.get((0, 0), gr(0)) + gr(7)
+        return out
+
+    monkeypatch.setattr(model, "smat_sub", off_template)
+    assert run(["lie", "jacobi", "--n", "1", "--trials", "1"]) == 3
+    assert "internal error" in capsys.readouterr().err

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qcframe.gauss import gr
-from qcframe.model import (Dual, G1Element, LieCoord, TemplateError,
+from qcframe.model import (Dual, G1Element, LieCoord, SpModel, TemplateError,
                            commutes_with_j2, g1_compose, g1_inverse,
                            g1_lie_matrix, g1_to_matrix, grading_check,
                            jacobi_residual, maurer_cartan_check,
                            parabolic_member, preserves_pairing, random_coord,
-                           random_g1, random_spn, validate_spn)
+                           random_g1, random_spn, smat_mul, smat_sub,
+                           validate_spn)
 from qcframe.tensors import (IndexedTensor, StandardConstants, j_average,
                              random_tensor, slots, symmetrize)
 from qcframe import coframe
@@ -293,3 +294,93 @@ def test_maurer_cartan_consistency(n):
     rep = maurer_cartan_check(n)
     assert rep["mismatches"] == 0
     assert rep["basis_pairs"] > 0
+
+
+# -- the structure-constant table -----------------------------------------------
+
+
+def _coord_357(rng, m):
+    """Random coordinates with denominators 3, 5 and 7."""
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice((3, 5, 7)))
+    return LieCoord(m.n, {k: gr(q(), q()) for k in m.keys})
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_bracket_is_decoded_matrix_commutator(model_for, n, signature):
+    m = model_for(n, signature)
+    rng = random.Random(30 + n)
+    for _ in range(4):
+        a, b = _coord_357(rng, m), _coord_357(rng, m)
+        ma, mb = m.to_matrix(a), m.to_matrix(b)
+        comm = smat_sub(smat_mul(ma, mb), smat_mul(mb, ma))
+        br = m.bracket(a, b)
+        assert br == m.from_matrix(comm)
+        assert m.to_matrix(br) == comm
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bracket_antisymmetric_without_zero_entries(model_for, n):
+    m = model_for(n)
+    rng = random.Random(40 + n)
+    for _ in range(4):
+        a, b = _coord_357(rng, m), _coord_357(rng, m)
+        ab = m.bracket(a, b)
+        assert m.bracket(b, a) == -ab
+        assert ab.c and all(not v.is_zero() for v in ab.c.values())
+        assert m.bracket(a, a).c == {}
+        # [a, b + a] = [a, b]: the [a, a] part cancels entry by entry
+        assert m.bracket(a, b + a).c == ab.c
+
+
+def test_table_is_built_lazily():
+    m = SpModel(1)
+    assert m._sc is None and m._mats is None
+    rows, scale = m.structure_constants()
+    assert len(rows) == m.dim and scale >= 1
+
+
+def _first_entry(m):
+    rows, _ = m.structure_constants()
+    return next((i, j) for i in range(m.dim) for j in range(i + 1, m.dim) if rows[i][j])
+
+
+def test_perturbed_table_entry_breaks_jacobi():
+    m = SpModel(1)
+    rng = random.Random(50)
+    triples = [[random_coord(rng, m) for _ in range(3)] for _ in range(3)]
+    assert all(jacobi_residual(m, *t).is_zero() for t in triples)
+    rows, scale = m.structure_constants()
+    i, j = _first_entry(m)
+    (k, re, im), *rest = rows[i][j]
+    rows[i][j] = ((k, re + scale, im), *rest)
+    rows[j][i] = tuple((k2, -r2, -i2) for k2, r2, i2 in rows[i][j])
+    assert m.bracket(m.basis(m.keys[j]), m.basis(m.keys[i])) == \
+        -m.bracket(m.basis(m.keys[i]), m.basis(m.keys[j]))
+    assert any(not jacobi_residual(m, *t).is_zero() for t in triples)
+
+
+def test_wrong_grade_target_fails_grading():
+    m = SpModel(1)
+    assert grading_check(m)
+    rows, _ = m.structure_constants()
+    i, j = _first_entry(m)
+    (k, re, im), *rest = rows[i][j]
+    want = coframe.grade(m.keys[i]) + coframe.grade(m.keys[j])
+    wrong = next(x for x, key in enumerate(m.keys) if coframe.grade(key) != want)
+    rows[i][j] = ((wrong, re, im), *rest)
+    assert not grading_check(m)
+
+
+def test_off_template_commutator_raises(monkeypatch):
+    from qcframe import model
+    difference = model.smat_sub
+
+    def off_template(a, b):
+        out = difference(a, b)
+        out[(0, 0)] = out.get((0, 0), gr(0)) + gr(7)
+        return out
+
+    monkeypatch.setattr(model, "smat_sub", off_template)
+    with pytest.raises(TemplateError):
+        SpModel(1).structure_constants()
