@@ -110,7 +110,9 @@ class Poly:
         return res
 
     def __neg__(self) -> "Poly":
-        return self.scale(gr(-1))
+        res = Poly()
+        res.terms = {m: -c for m, c in self.terms.items()}
+        return res
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -292,7 +294,9 @@ class Form:
         return out
 
     def __neg__(self) -> "Form":
-        return self.scale(gr(-1))
+        out = Form(self.ext)
+        out.terms = {m: -p for m, p in self.terms.items()}
+        return out
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -320,9 +324,7 @@ class Form:
                     continue
                 sign, mono = merged
                 p = p1 * p2
-                if sign < 0:
-                    p = p.scale(gr(-1))
-                out._put(mono, p)
+                out._put(mono, -p if sign < 0 else p)
         return out
 
     def __xor__(self, other: "Form") -> "Form":  # a ^ b reads as a wedge b
@@ -448,8 +450,7 @@ def differential(x: Form, rules: DRuleSet) -> Form:
             out = out + dp.wedge(Form(ext, {mono: unit}))
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
-            sign = gr(-1 if i % 2 else 1)
-            lead = Form(ext, {mono[:i]: p.scale(sign)})
+            lead = Form(ext, {mono[:i]: -p if i % 2 else p})
             tail = Form(ext, {mono[i + 1:]: unit})
             out = out + lead.wedge(rules.gen_rule(g)).wedge(tail)
     return out

@@ -4,25 +4,74 @@ Every computation in this package is carried out over Q(i): complex
 numbers whose real and imaginary parts are exact rationals.  There is
 deliberately no floating-point fallback; identities are certified by
 comparing against exact zero.
+
+A value is stored as one integer triple ``(a, b, d)``, meaning
+``(a + b i) / d``, always reduced: ``d > 0``, ``gcd(a, b, d) == 1``, and
+zero is ``(0, 0, 1)``.  The form is canonical, so equality compares the
+triples, and the ring operations are plain ``int`` arithmetic with one
+``gcd`` per result.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
+from numbers import Rational
 from typing import Union
 
 Rat = Union[int, Fraction]
 
+_HASH_MODULUS = sys.hash_info.modulus
+_new = object.__new__
+
+
+def _rat_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, without building the Fraction."""
+    if d % _HASH_MODULUS == 0:
+        return hash(Fraction(n, d))
+    h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussRational":
+    """The triple (a, b, d), d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    r = _new(GaussRational)
+    r.a, r.b, r.d = a // g, b // g, d // g
+    return r
+
 
 class GaussRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts,
+    stored as the reduced triple ``(a + b i) / d``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if re.__class__ is int and im.__class__ is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        if not (isinstance(re, Rational) and isinstance(im, Rational)):
+            raise TypeError(f"cannot build GaussRational from {re!r}, {im!r}")
+        # both parts in lowest terms over their lcm: the triple is reduced
+        rd, idn = re.denominator, im.denominator
+        d = rd // gcd(rd, idn) * idn
+        self.a = re.numerator * (d // rd)
+        self.b = im.numerator * (d // idn)
+        self.d = d
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def from_ints(a: int, b: int, d: int = 1) -> "GaussRational":
+        """(a + b i) / d for any ints with d != 0, reduced."""
+        if d < 0:
+            a, b, d = -a, -b, -d
+        elif d == 0:
+            raise ZeroDivisionError("GaussRational with denominator 0")
+        return _reduced(a, b, d)
 
     @staticmethod
     def of(value) -> "GaussRational":
@@ -40,36 +89,75 @@ class GaussRational:
             return GaussRational(value)
         return None
 
+    # -- parts ----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = GaussRational._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRational:
+            other = GaussRational._coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d != other.d:
+            od = other.d
+            return _reduced(self.a * od + other.a * d, self.b * od + other.b * d, d * od)
+        if d != 1:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        r = _new(GaussRational)
+        r.a, r.b, r.d = self.a + other.a, self.b + other.b, 1
+        return r
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        r = _new(GaussRational)
+        r.a, r.b, r.d = -self.a, -self.b, self.d
+        return r
 
     def __sub__(self, other):
+        if other.__class__ is not GaussRational:
+            other = GaussRational._coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d != other.d:
+            od = other.d
+            return _reduced(self.a * od - other.a * d, self.b * od - other.b * d, d * od)
+        if d != 1:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        r = _new(GaussRational)
+        r.a, r.b, r.d = self.a - other.a, self.b - other.b, 1
+        return r
+
+    def __rsub__(self, other):
         other = GaussRational._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussRational":
-        return GaussRational.of(other) - self
+        return other - self
 
     def __mul__(self, other):
-        other = GaussRational._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRational:
+            other = GaussRational._coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = self.d * other.d
+        if d != 1:
+            return _reduced(a, b, d)
+        r = _new(GaussRational)
+        r.a, r.b, r.d = a, b, 1
+        return r
 
     __rmul__ = __mul__
 
@@ -77,48 +165,64 @@ class GaussRational:
         other = GaussRational._coerce(other)
         if other is None:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        norm = a2 * a2 + b2 * b2
+        if not norm:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # ((a1 + b1 i) / d1) / ((a2 + b2 i) / d2)
+        #   = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        d2 = other.d
+        a = (a1 * a2 + b1 * b2) * d2
+        b = (b1 * a2 - a1 * b2) * d2
+        return _reduced(a, b, self.d * norm)
 
-    def __rtruediv__(self, other) -> "GaussRational":
-        return GaussRational.of(other) / self
+    def __rtruediv__(self, other):
+        other = GaussRational._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     # -- structure ------------------------------------------------------
 
     def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        r = _new(GaussRational)
+        r.a, r.b, r.d = self.a, -self.b, self.d
+        return r
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
         if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # hash((re, im)) of the two Fraction parts
+        a, b, d = self.a, self.b, self.d
+        if d == 1:
+            return hash((a, b))
+        return hash((_rat_hash(a, d), _rat_hash(b, d)))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
 
 
 ZERO = GaussRational(0)

@@ -63,7 +63,9 @@ class Poly7:
         return res
 
     def __neg__(self):
-        return self.scale(gr(-1))
+        res = Poly7()
+        res.terms = {e: -c for e, c in self.terms.items()}
+        return res
 
     def __sub__(self, other):
         return self + (-other)
@@ -160,7 +162,9 @@ class ChartForm:
         return out
 
     def __neg__(self):
-        return self.scale(gr(-1))
+        out = ChartForm()
+        out.terms = {m: -p for m, p in self.terms.items()}
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -193,9 +197,7 @@ class ChartForm:
                         if seq[a] > seq[b]:
                             sign = -sign
                 p = p1 * p2
-                if sign < 0:
-                    p = p.scale(gr(-1))
-                out._put(merged, p)
+                out._put(merged, -p if sign < 0 else p)
         return out
 
     def __xor__(self, other):
@@ -216,7 +218,7 @@ class ChartForm:
                     for b in range(a + 1, len(lst)):
                         if lst[a] > lst[b]:
                             sign = -sign
-                out._put(merged, dp.scale(gr(sign)) if sign < 0 else dp)
+                out._put(merged, -dp if sign < 0 else dp)
         return out
 
     def interior(self, v: VectorField) -> "ChartForm":
@@ -228,8 +230,8 @@ class ChartForm:
                 if comp is None or comp.is_zero():
                     continue
                 rest = m[:pos] + m[pos + 1:]
-                sign = gr(-1 if pos % 2 else 1)
-                out._put(rest, (p * comp).scale(sign))
+                prod = p * comp
+                out._put(rest, -prod if pos % 2 else prod)
         return out
 
     def eval_fields(self, *fields: VectorField) -> Poly7:

@@ -323,12 +323,10 @@ class SpModel:
                     comm = smat_sub(smat_mul(mats[i], mats[j]), smat_mul(mats[j], mats[i]))
                     if comm:
                         exact[(i, j)] = self._decode(comm)
-            scale = lcm(*(d for x in exact.values() for v in x.values()
-                          for d in (v.re.denominator, v.im.denominator)))
+            scale = lcm(*(v.d for x in exact.values() for v in x.values()))
             rows = [[()] * self.dim for _ in range(self.dim)]
             for (i, j), x in exact.items():
-                ints = tuple((k, v.re.numerator * (scale // v.re.denominator),
-                              v.im.numerator * (scale // v.im.denominator))
+                ints = tuple((k, v.a * (scale // v.d), v.b * (scale // v.d))
                              for k, v in x.items())
                 rows[i][j] = ints
                 rows[j][i] = tuple((k, -re, -im) for k, re, im in ints)
@@ -337,9 +335,9 @@ class SpModel:
 
     def _cleared(self, x: LieCoord):
         """x as Gaussian integers (index, re, im) over its lcm denominator."""
-        d = lcm(*(q for v in x.c.values() for q in (v.re.denominator, v.im.denominator)))
-        return d, [(self.key_index[k], v.re.numerator * (d // v.re.denominator),
-                    v.im.numerator * (d // v.im.denominator)) for k, v in x.c.items()]
+        d = lcm(*(v.d for v in x.c.values()))
+        return d, [(self.key_index[k], v.a * (d // v.d), v.b * (d // v.d))
+                   for k, v in x.c.items()]
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
         """[a, b] through the structure-constant table, summed in
@@ -359,7 +357,7 @@ class SpModel:
                         acc_im[k] += pr * ci + pi * cr
         den = da * db * scale
         out = LieCoord(self.n)
-        out.c = {self.keys[k]: GaussRational(Fraction(re, den), Fraction(im, den))
+        out.c = {self.keys[k]: GaussRational.from_ints(re, im, den)
                  for k, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
         return out
 
@@ -387,8 +385,7 @@ class SpModel:
                             re += vr * w[0] - vi * w[1]
                             im += vr * w[1] + vi * w[0]
                     if re or im:
-                        gram[(i, j)] = gram[(j, i)] = GaussRational(Fraction(re, den),
-                                                                    Fraction(im, den))
+                        gram[(i, j)] = gram[(j, i)] = GaussRational.from_ints(re, im, den)
             self._gram = gram
         return self._gram
 

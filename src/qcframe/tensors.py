@@ -106,8 +106,13 @@ class IndexedTensor:
             out.set(idx, out.entries.get(idx, gr(0)) + val)
         return out
 
+    def __neg__(self) -> "IndexedTensor":
+        out = IndexedTensor(self.n, self.slots)
+        out.entries = {idx: -v for idx, v in self.entries.items()}
+        return out
+
     def __sub__(self, other: "IndexedTensor") -> "IndexedTensor":
-        return self + other.scale(gr(-1))
+        return self + -other
 
     def scale(self, c) -> "IndexedTensor":
         c = GaussRational.of(c)

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from qcframe.model import SpModel
+
+# property tests: a fixed example sequence, no wall-clock deadline and no
+# example database, so they cannot flake on a slow machine
+settings.register_profile("qcframe", derandomize=True, deadline=None,
+                          max_examples=150, database=None)
+settings.load_profile("qcframe")
 
 _MODELS = {}
 

@@ -1,7 +1,12 @@
+import ast
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import qcframe.gauss
 from qcframe.gauss import GaussRational, gr
 
 
@@ -37,3 +42,126 @@ def test_repr_roundtrip_shapes():
     assert repr(gr(3)) == "3"
     assert repr(gr(0, 1)) == "1*i"
     assert "i" in repr(gr(1, -2))
+
+
+# -- properties against a reference pair of Fractions -------------------------
+
+rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+nonzero_rats = rats.filter(bool)
+ints = st.integers(-30, 30)
+scalars = st.one_of(ints, rats)
+pairs = st.tuples(rats, rats)
+nonzero_pairs = pairs.filter(any)
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm
+
+
+def ref_repr(re, im):
+    """The expected repr: the nonzero parts as Fractions, i marking im."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def assert_matches(z, ref):
+    """z is the canonical triple of the value ref = (re, im)."""
+    assert isinstance(z, GaussRational)
+    assert z.d > 0
+    assert gcd(z.a, z.b, z.d) == 1
+    if ref == (0, 0):
+        assert (z.a, z.b, z.d) == (0, 0, 1)
+    assert (z.re, z.im) == ref
+    for part in (z.re, z.im):
+        assert type(part) is Fraction
+        assert gcd(part.numerator, part.denominator) == 1
+
+
+@given(pairs, pairs)
+def test_ring_operations_match_reference(x, y):
+    gx, gy = gr(*x), gr(*y)
+    assert_matches(gx, x)
+    assert_matches(gx + gy, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(gx - gy, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(gx * gy, ref_mul(x, y))
+    assert_matches(-gx, (-x[0], -x[1]))
+    if any(y):
+        assert_matches(gx / gy, ref_div(x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+
+
+@given(pairs, scalars)
+def test_int_and_fraction_coercion_on_both_sides(x, k):
+    g = gr(*x)
+    assert_matches(g + k, (x[0] + k, x[1]))
+    assert_matches(k + g, (x[0] + k, x[1]))
+    assert_matches(g - k, (x[0] - k, x[1]))
+    assert_matches(k - g, (k - x[0], -x[1]))
+    assert_matches(g * k, (x[0] * k, x[1] * k))
+    assert_matches(k * g, (x[0] * k, x[1] * k))
+    if k:
+        assert_matches(g / k, (x[0] / k, x[1] / k))
+    if any(x):
+        assert_matches(k / g, ref_div((Fraction(k), Fraction(0)), x))
+
+
+@given(pairs, scalars)
+def test_conj_equality_hash_and_repr(x, k):
+    g = gr(*x)
+    assert_matches(g.conj(), (x[0], -x[1]))
+    assert repr(g) == ref_repr(*x)
+    assert hash(g) == hash(x)
+    assert (g == k) == (x == (k, 0))
+    assert (g == x[0]) == (x[1] == 0)
+    assert (g == x[0].numerator) == (x[1] == 0 and x[0].denominator == 1)
+    assert (g == gr(k)) == (x == (k, 0))
+    assert g.is_zero() == (x == (0, 0)) == (not g)
+    assert g.is_real() == (x[1] == 0)
+
+
+@given(pairs, nonzero_pairs, nonzero_rats)
+def test_one_representation_per_value(x, y, s):
+    """Values reached by different routes are the same triple."""
+    g, h = gr(*x), gr(*y)
+    for z in ((g * h) / h, (g + h) - h, g.conj().conj(), -(-g),
+              gr(x[0] * s, x[1] * s) / s):
+        assert (z.a, z.b, z.d) == (g.a, g.b, g.d)
+        assert z == g and hash(z) == hash(g)
+    assert (g - g).is_zero() and (g - g) == 0
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6).filter(bool))
+def test_from_ints_reduces(a, b, d):
+    assert_matches(GaussRational.from_ints(a, b, d), (Fraction(a, d), Fraction(b, d)))
+
+
+def test_from_ints_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        GaussRational.from_ints(1, 0, 0)
+
+
+def test_parts_are_read_only():
+    g = gr(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        g.re = Fraction(1)
+    assert (g.a, g.b, g.d) == (1, 6, 2)
+
+
+def test_no_float_in_scalar_layer():
+    tree = ast.parse(Path(qcframe.gauss.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        assert not (isinstance(node, ast.Name) and node.id == "float")
+    with pytest.raises(TypeError):
+        gr(0.5)

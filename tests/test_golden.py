@@ -18,6 +18,11 @@ def _without_timing(text):
     (["lie", "jacobi", "--n", "1", "--trials", "5", "--seed", "7"],
      "lie_jacobi_n1_trials5_seed7.json"),
     (["lie", "killing", "--n", "1"], "lie_killing_n1.json"),
+    (["verify", "flat", "--n", "1"], "verify_flat_n1.json"),
+    (["example", "heisenberg"], "example_heisenberg.json"),
+    (["verify", "normality", "--n", "1", "--trials", "3", "--seed", "7"],
+     "verify_normality_n1_trials3_seed7.json"),
+    (["classify", "homogeneity", "--n", "1"], "classify_homogeneity_n1.json"),
 ])
 def test_report_matches_golden(argv, name, tmp_path, capsys):
     out = tmp_path / "report.json"
