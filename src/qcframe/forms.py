@@ -1,19 +1,30 @@
-"""Canonical-form exterior algebra over the coframe generators.
+"""Canonical-form exterior algebra: the one sparse graded-algebra kernel.
 
-A FormExpr is a sum of wedge monomials in the coframe generators with
-coefficients that are polynomials in named scalar symbols (curvature
-components and their first-derivative families) over the Gaussian
-rationals.  Everything is kept in a canonical shape at all times:
+A Form is a sum of wedge monomials in the generators of an alphabet
+with coefficients that are polynomials (Poly) in named scalar symbols
+over the Gaussian rationals.  Two alphabets use it:
 
-* wedge monomials are strictly increasing in the fixed generator order
-  of :mod:`qcframe.coframe`, with the sign of the sorting permutation
-  absorbed into the coefficient;
+* the coframe generators of :mod:`qcframe.coframe` (an Exterior), with
+  curvature components and their first-derivative families as symbols;
+* the seven coordinate differentials of the flat chart in
+  :mod:`qcframe.heisenberg`, with the coordinates as symbols (a power
+  is a repeated symbol).
+
+Everything is kept in a canonical shape at all times:
+
+* wedge monomials are strictly increasing in the alphabet's generator
+  order, with the sign of the sorting permutation absorbed into the
+  coefficient;
+* symbol monomials are sorted tuples of symbols;
 * symbols of totally symmetric families store sorted index tuples;
 * conjugates of j-real families (S, L) and of the real scalar R are
   rewritten into unconjugated symbols at construction, so each scalar
   function has exactly one name.
 
 Zero detection is therefore trivial: a form is zero iff it has no terms.
+Sums of many pieces grow one fresh local accumulator in place
+(``Poly._add_in_place``, ``Form._addmul``); ``+`` always returns a new
+object, because rule-table forms are shared and cached.
 """
 from __future__ import annotations
 
@@ -96,8 +107,9 @@ class Poly:
         c = GaussRational.of(c)
         return Poly({(): c}) if not c.is_zero() else Poly()
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
+    def _add_in_place(self, other: "Poly") -> None:
+        """self += other, for an accumulator that no other object shares."""
+        out = self.terms
         for m, c in other.terms.items():
             cur = out.get(m)
             nc = c if cur is None else cur + c
@@ -105,8 +117,11 @@ class Poly:
                 out.pop(m, None)
             else:
                 out[m] = nc
+
+    def __add__(self, other: "Poly") -> "Poly":
         res = Poly()
-        res.terms = out
+        res.terms = dict(self.terms)
+        res._add_in_place(other)
         return res
 
     def __neg__(self) -> "Poly":
@@ -157,13 +172,21 @@ class Poly:
         return " + ".join(bits)
 
 
-class Exterior:
+class Alphabet:
+    """The generators of an exterior algebra, labelled in wedge order."""
+
+    def __init__(self, labels: Iterable[str]):
+        self.labels: Tuple[str, ...] = tuple(labels)
+
+
+class Exterior(Alphabet):
     """The exterior algebra on the coframe generators for fixed n."""
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         self.n = n
         self.consts = StandardConstants(n, signature)
         self.keys = coframe.coord_keys(n)
+        super().__init__(coframe.label(k) for k in self.keys)
         self.gid = {k: i for i, k in enumerate(self.keys)}
         # conjugation action on generators: gid -> (coefficient, gid)
         self._conj_gen = {}
@@ -217,7 +240,7 @@ class Exterior:
                 else:
                     piece = self.sym(s.family, s.idx, conj=True)
                 factor = factor * piece
-            out = out + factor
+            out._add_in_place(factor)
         return out
 
     # -- forms -------------------------------------------------------------
@@ -266,12 +289,16 @@ def _merge_sign(m1: Tuple[int, ...], m2: Tuple[int, ...]):
     return sign, tuple(out)
 
 
+Vector = Dict[int, Poly]  # generator index -> coefficient of its dual vector
+
+
 class Form:
-    """Canonical graded sum of wedge monomials with Poly coefficients."""
+    """Canonical graded sum of wedge monomials with Poly coefficients
+    over the generators of ``ext`` (an Alphabet)."""
 
     __slots__ = ("ext", "terms")
 
-    def __init__(self, ext: Exterior, terms: Optional[Dict[Tuple[int, ...], Poly]] = None):
+    def __init__(self, ext: Alphabet, terms: Optional[Dict[Tuple[int, ...], Poly]] = None):
         self.ext = ext
         self.terms: Dict[Tuple[int, ...], Poly] = {}
         if terms:
@@ -287,10 +314,21 @@ class Form:
         else:
             self.terms[mono] = np
 
+    def _addmul(self, other: "Form", c: Optional[Poly] = None) -> None:
+        """self += other * c (c = 1 if omitted), for an accumulator that no
+        other object shares.  Coefficients are combined by ``_put``, which
+        never mutates a Poly, so other's terms may be stored as they are."""
+        if c is None:
+            for m, p in other.terms.items():
+                self._put(m, p)
+        else:
+            for m, p in other.terms.items():
+                self._put(m, p * c)
+
     def __add__(self, other: "Form") -> "Form":
-        out = Form(self.ext, dict(self.terms))
-        for m, p in other.terms.items():
-            out._put(m, p)
+        out = Form(self.ext)
+        out.terms = dict(self.terms)
+        out._addmul(other)
         return out
 
     def __neg__(self) -> "Form":
@@ -304,8 +342,7 @@ class Form:
     def scale(self, c) -> "Form":
         if isinstance(c, Poly):
             out = Form(self.ext)
-            for m, p in self.terms.items():
-                out._put(m, p * c)
+            out._addmul(self, c)
             return out
         c = GaussRational.of(c)
         out = Form(self.ext)
@@ -360,7 +397,7 @@ class Form:
             piece = Form(ext, {(): ext.conj_poly(p).scale(coeff)})
             for g in gens:
                 piece = piece.wedge(Form(ext, {(g,): Poly.const(1)}))
-            out = out + piece
+            out._addmul(piece)
         return out
 
     def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":
@@ -380,9 +417,31 @@ class Form:
                     else:
                         val = Poly({(s,): gr(1)})
                     factor = factor * val
-                newp = newp + factor
+                newp._add_in_place(factor)
             out._put(mono, newp)
         return out
+
+    def interior(self, v: Vector) -> "Form":
+        """Contraction with a vector in the first slot; v maps a generator
+        index to the coefficient of its dual vector."""
+        out = Form(self.ext)
+        for m, p in self.terms.items():
+            for pos, g in enumerate(m):
+                comp = v.get(g)
+                if comp is None or comp.is_zero():
+                    continue
+                prod = p * comp
+                out._put(m[:pos] + m[pos + 1:], -prod if pos % 2 else prod)
+        return out
+
+    def eval_fields(self, *fields: Vector) -> Poly:
+        """Full contraction of a k-form with k vectors, using the pairing
+        (a^b)(X,Y) = a(X) b(Y) - a(Y) b(X)."""
+        cur = self
+        for v in fields:
+            cur = cur.interior(v)
+        p = cur.terms.get(())
+        return p if p is not None else Poly()
 
     def to_text(self) -> str:
         """Deterministic textual serialization in canonical order."""
@@ -390,7 +449,7 @@ class Form:
             return "0"
         lines = []
         for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            gens = "^".join(coframe.label(self.ext.keys[g]) for g in mono) or "1"
+            gens = "^".join(self.ext.labels[g] for g in mono) or "1"
             lines.append(f"({self.terms[mono]!r}) {gens}")
         return "\n".join(lines)
 
@@ -399,16 +458,13 @@ class Form:
 
 
 class DRuleSet:
-    """Exterior-derivative rules: one 2-form per generator, one 1-form
-    per scalar symbol family (curved mode only)."""
+    """Exterior-derivative rules: the derivative of every generator, and
+    a rule giving the 1-form derivative of a scalar symbol (None when no
+    symbol may be differentiated)."""
 
-    def __init__(self, ext: Exterior, mode: str,
-                 gen_rules: Dict[int, Form],
+    def __init__(self, ext: Alphabet, gen_rules: Dict[int, Form],
                  sym_rules: Optional[Callable[[Sym], Form]] = None):
-        if mode not in ("flat", "curved"):
-            raise ValueError(f"mode must be flat or curved, not {mode!r}")
         self.ext = ext
-        self.mode = mode
         self.gen_rules = gen_rules
         self._sym_rules = sym_rules
         self._sym_cache: Dict[Sym, Form] = {}
@@ -418,7 +474,7 @@ class DRuleSet:
             return self.gen_rules[g]
         except KeyError:
             raise KeyError(
-                f"no differential rule for generator {coframe.label(self.ext.keys[g])}")
+                f"no differential rule for generator {self.ext.labels[g]}")
 
     def sym_rule(self, s: Sym) -> Form:
         if s in self._sym_cache:
@@ -445,12 +501,12 @@ def differential(x: Form, rules: DRuleSet) -> Form:
         for smono, c in p.terms.items():
             for k, s in enumerate(smono):
                 rest = Poly({smono[:k] + smono[k + 1:]: c})
-                dp = dp + rules.sym_rule(s).scale(rest)
+                dp._addmul(rules.sym_rule(s), rest)
         if dp.terms:
-            out = out + dp.wedge(Form(ext, {mono: unit}))
+            out._addmul(dp.wedge(Form(ext, {mono: unit})))
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
             lead = Form(ext, {mono[:i]: -p if i % 2 else p})
             tail = Form(ext, {mono[i + 1:]: unit})
-            out = out + lead.wedge(rules.gen_rule(g)).wedge(tail)
+            out._addmul(lead.wedge(rules.gen_rule(g)).wedge(tail))
     return out

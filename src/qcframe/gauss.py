@@ -206,8 +206,11 @@ class GaussRational:
         return NotImplemented
 
     def __hash__(self):
-        # hash((re, im)) of the two Fraction parts
+        # a real value hashes like the equal int or Fraction (as complex
+        # does), any other like the pair (re, im) of its Fraction parts
         a, b, d = self.a, self.b, self.d
+        if not b:
+            return _rat_hash(a, d)
         if d == 1:
             return hash((a, b))
         return hash((_rat_hash(a, d), _rat_hash(b, d)))

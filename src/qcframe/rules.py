@@ -868,7 +868,7 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
     put(("psi", 3), (d23 - d23c).scale(-H * I))
 
     sym_rules = None if mode == "flat" else b.symbol_rule
-    rs = DRuleSet(ext, mode, rules, sym_rules)
+    rs = DRuleSet(ext, rules, sym_rules)
     # barred theta/phiU rules by conjugation (phiU-bar is primary in
     # curved mode, phiU following by conjugation there)
     for a in b.R:

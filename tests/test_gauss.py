@@ -120,13 +120,22 @@ def test_conj_equality_hash_and_repr(x, k):
     g = gr(*x)
     assert_matches(g.conj(), (x[0], -x[1]))
     assert repr(g) == ref_repr(*x)
-    assert hash(g) == hash(x)
+    # a real value hashes like the equal Fraction, any other like (re, im)
+    assert hash(g) == (hash(x[0]) if x[1] == 0 else hash(x))
     assert (g == k) == (x == (k, 0))
     assert (g == x[0]) == (x[1] == 0)
     assert (g == x[0].numerator) == (x[1] == 0 and x[0].denominator == 1)
     assert (g == gr(k)) == (x == (k, 0))
     assert g.is_zero() == (x == (0, 0)) == (not g)
     assert g.is_real() == (x[1] == 0)
+
+
+
+@pytest.mark.parametrize("value", [3, Fraction(1, 3), -1, Fraction(-7, 2), 0])
+def test_real_values_hash_like_int_and_fraction(value):
+    """== with int and Fraction agrees with hash, so a set keeps one."""
+    assert len({gr(value), value, Fraction(value)}) == 1
+    assert {gr(value): "g"}[value] == "g"
 
 
 @given(pairs, nonzero_pairs, nonzero_rats)

@@ -1,13 +1,22 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qcframe.heisenberg
+from qcframe.cli import run
+from qcframe.forms import Form, Poly, differential
 from qcframe.gauss import gr
-from qcframe.heisenberg import (ChartForm, Poly7, alpha_forms,
-                                chart_certificates, chart_from_json,
+from qcframe.heisenberg import (CHART, CHART_RULES, COORDS, alpha_forms,
+                                chart_certificates, chart_from_json, coord, dx,
                                 heisenberg_qc, integrability_residuals,
-                                lex_coframe, reeb_fields)
+                                lex_coframe, monomial, reeb_fields)
+
+
+def d(form):
+    return differential(form, CHART_RULES)
 
 
 @pytest.fixture(scope="module")
@@ -18,17 +27,48 @@ def qc():
 
 
 def test_chart_form_d_squared_zero():
-    x1, x2 = Poly7.coord(0), Poly7.coord(1)
-    f = ChartForm.func(x1 * x1 * x2)
-    assert f.d().d().is_zero()
-    w = ChartForm.dx(0).scale(x2) + ChartForm.dx(3).scale(x1 * x2)
-    assert w.d().d().is_zero()
+    x1, x2 = coord(0), coord(1)
+    f = Form(CHART, {(): x1 * x1 * x2})
+    assert d(d(f)).is_zero()
+    w = dx(0).scale(x2) + dx(3).scale(x1 * x2)
+    assert d(d(w)).is_zero()
+
+
+def test_chart_d_values():
+    """d(x1^2 x2) = 2 x1 x2 dx1 + x1^2 dx2, and d(x2 dx1) = -dx1^dx2."""
+    x1, x2 = coord(0), coord(1)
+    f = Form(CHART, {(): x1 * x1 * x2})
+    assert d(f) == dx(0).scale(x1 * x2).scale(2) + dx(1).scale(x1 * x1)
+    assert d(dx(0).scale(x2)) == -(dx(0) ^ dx(1))
+    assert d(dx(4)).is_zero()
+
+
+def test_chart_monomials_and_labels():
+    assert monomial([2, 1, 0, 0, 0, 0, 1]) == (coord(0) * coord(0) * coord(1)
+                                              * coord(6)).terms.popitem()[0]
+    for bad in ([1] * 6, [0, 0, 0, 0, 0, 0, -1]):
+        with pytest.raises(ValueError):
+            monomial(bad)
+    assert CHART.labels == tuple("d" + c for c in COORDS)
+    assert (dx(4) ^ dx(0)).scale(coord(0)).to_text() == "(-1*x1) dx1^dt1"
 
 
 def test_chart_wedge_antisymmetry():
-    a, b = ChartForm.dx(0), ChartForm.dx(5)
+    a, b = dx(0), dx(5)
     assert ((a ^ b) + (b ^ a)).is_zero()
     assert (a ^ a).is_zero()
+
+
+def test_heisenberg_defines_no_algebra_of_its_own():
+    """The chart runs on forms.Poly/Form: no class in heisenberg.py
+    implements polynomial or form arithmetic."""
+    arithmetic = {"__add__", "__sub__", "__mul__", "__neg__", "__xor__",
+                  "scale", "wedge", "diff", "d", "interior", "eval_fields"}
+    tree = ast.parse(Path(qcframe.heisenberg.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            assert not methods & arithmetic, (node.name, methods & arithmetic)
 
 
 def test_common_kernel_rank4(qc):
@@ -47,15 +87,15 @@ def test_contact_compatibility(qc):
 def test_reeb_fields_are_t_derivatives(qc):
     for t, xi in enumerate(qc.reeb):
         assert set(xi) == {4 + t}
-        assert xi[4 + t] == Poly7.const(1)
+        assert xi[4 + t] == Poly.const(1)
 
 
 def test_reeb_duality_and_antisymmetry(qc):
-    detas = [eta.d() for eta in qc.etas]
+    detas = [d(eta) for eta in qc.etas]
     for s in range(3):
         for t in range(3):
             val = qc.etas[s].eval_fields(qc.reeb[t])
-            assert val == Poly7.const(1 if s == t else 0)
+            assert val == Poly.const(1 if s == t else 0)
             for X in qc.frame:
                 anti = (detas[s].eval_fields(qc.reeb[t], X)
                         + detas[t].eval_fields(qc.reeb[s], X))
@@ -86,13 +126,13 @@ def test_lex_theta_reproduces_deta1(qc):
     lex = lex_coframe(qc)
     th = lex["theta"]
     thb = [
-        ChartForm.dx(0) - ChartForm.dx(1).scale(gr(0, 1)),
-        ChartForm.dx(2) - ChartForm.dx(3).scale(gr(0, 1)),
+        dx(0) - dx(1).scale(gr(0, 1)),
+        dx(2) - dx(3).scale(gr(0, 1)),
     ]
-    acc = ChartForm()
+    acc = Form(CHART)
     for a in range(2):
         acc = acc + (th[a] ^ thb[a]).scale(gr(0, 2))
-    assert (qc.etas[0].d() - acc).is_zero()
+    assert (d(qc.etas[0]) - acc).is_zero()
 
 
 def test_lex_gauge_rescaling(qc):
@@ -116,32 +156,40 @@ def test_full_certificate_pipeline():
     }
 
 
-def test_chart_json_round_trip(qc):
-    """Serialize the Heisenberg chart through the input format and run
-    the pipeline on the parsed copy."""
+def _chart_doc(qc):
+    """The chart qc in the chart-input format."""
+    def expo(mono):
+        return [sum(1 for s in mono if s.family == c) for c in COORDS]
+
     def form_entries(form):
         out = []
-        for mono, poly in form.terms.items():
-            assert len(mono) == 1
-            for expo, c in poly.terms.items():
-                out.append([mono[0], str(c.re), str(c.im), list(expo)])
+        for gens, poly in form.terms.items():
+            assert len(gens) == 1
+            for mono, c in poly.terms.items():
+                out.append([gens[0], str(c.re), str(c.im), expo(mono)])
         return out
 
     def field_entries(v):
         out = []
         for ci, poly in v.items():
-            for expo, c in poly.terms.items():
-                out.append([ci, str(c.re), str(c.im), list(expo)])
+            for mono, c in poly.terms.items():
+                out.append([ci, str(c.re), str(c.im), expo(mono)])
         return out
 
-    doc = {
+    return {
         "name": "heisenberg-copy",
         "etas": [form_entries(eta) for eta in qc.etas],
         "frame": [field_entries(X) for X in qc.frame],
         "g": [[str(v) for v in row] for row in qc.g],
         "I": qc.I_mats,
     }
-    qc2 = chart_from_json(json.loads(json.dumps(doc)))
+
+
+def test_chart_json_round_trip(qc):
+    """Serialize the Heisenberg chart through the input format and run
+    the pipeline on the parsed copy."""
+    qc2 = chart_from_json(json.loads(json.dumps(_chart_doc(qc))))
+    assert qc2.etas == qc.etas and qc2.frame == qc.frame
     cert = chart_certificates(qc2)
     assert cert["common_kernel"] and cert["compatibility"]
     assert cert["alpha_all_zero"] and cert["integrability_residual_zero"]
@@ -152,3 +200,64 @@ def test_lex_rejects_non_flat_chart(qc):
     other.name = "custom"
     with pytest.raises(ValueError):
         lex_coframe(other)
+
+
+def test_singular_frame_pairing_raises(qc):
+    """omega_forms inverts the 4x4 pairing dx_i(X_k); a frame that does
+    not span H makes it singular."""
+    other = heisenberg_qc()
+    other.frame = [other.frame[0]] * 4
+    other.reeb = qc.reeb
+    with pytest.raises(ValueError, match="singular"):
+        other.omega_forms()
+
+
+def test_sheared_frame_certificates_and_omegas():
+    """The pipeline on the Heisenberg chart with the frame X' = X T for a
+    non-symmetric unimodular T (g' = T^t g T, I'_s = T^-1 I_s T): the
+    pairing dx_i(X'_k) is no longer the identity, and each omega_s still
+    restricts to g'(I'_s ., .) on the new frame and kills the Reeb fields."""
+    T = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 3, 1]]
+    Tinv = [[1, -2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -3, 1]]
+
+    def mul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)]
+
+    qc = heisenberg_qc()
+    frame = []
+    for k in range(4):
+        X = {}
+        for j in range(4):
+            for ci, p in qc.frame[j].items():
+                X[ci] = X.get(ci, Poly()) + p.scale(T[j][k])
+        frame.append({ci: p for ci, p in X.items() if not p.is_zero()})
+    qc.frame = frame
+    qc.g = mul(mul([list(r) for r in zip(*T)], qc.g), T)
+    qc.I_mats = [mul(mul(Tinv, I_s), T) for I_s in qc.I_mats]
+    cert = chart_certificates(qc)
+    assert all(v for k, v in cert.items() if k != "name"), cert
+    omegas = qc.omega_forms()
+    for s in range(3):
+        for k in range(4):
+            for l in range(4):
+                want = sum(qc.I_mats[s][m][k] * qc.g[m][l] for m in range(4))
+                assert omegas[s].eval_fields(frame[k], frame[l]) == Poly.const(want)
+        for xi in qc.reeb:
+            assert omegas[s].interior(xi).is_zero()
+
+
+@pytest.mark.parametrize("part, entry", [
+    ("etas", [7, "1", "0", [0] * 7]),           # no eighth differential
+    ("frame", [-1, "1", "0", [0] * 7]),
+    ("etas", [0, "1", "0", [0] * 6]),           # six exponents
+    ("frame", [0, "1", "0", [0, 0, 0, 0, 0, 0, -1]]),
+])
+def test_chart_file_rejects_malformed_entries(qc, part, entry, tmp_path):
+    doc = _chart_doc(qc)
+    doc[part][0].append(entry)
+    with pytest.raises(ValueError):
+        chart_from_json(doc)
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    assert run(["example", "heisenberg", "--chart", str(path)]) == 2
