@@ -29,7 +29,7 @@ def _parse_signature(text, n):
     try:
         p, q = (int(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"--signature expects p,q, got {text!r}") from None
     return (p, q)
 
 
@@ -231,25 +231,21 @@ def cmd_lie_killing(args):
 
 def cmd_lie_g1(args):
     from .tensors import StandardConstants
-    from .model import (G1Element, random_g1, g1_to_matrix, g1_compose, g1_inverse)
+    from .model import (G1Element, random_g1, g1_to_matrix, g1_compose, g1_inverse,
+                        smat, smat_mul)
     r = Runner(args, "lie g1")
     sig = _parse_signature(args.signature, args.n)
     r.report["signature"] = list(sig)
     c = StandardConstants(args.n, sig)
     rng = random.Random(args.seed)
 
-    def matmul(A, B):
-        size = len(A)
-        return [[sum((A[i][k] * B[k][j] for k in range(size)), gr(0))
-                 for j in range(size)] for i in range(size)]
-
     t0 = time.perf_counter()
     ok_prod = ok_inv = ok_assoc = 0
     ident = G1Element.identity(args.n)
     for _ in range(args.trials):
         x, y, z = (random_g1(rng, c) for _ in range(3))
-        if g1_to_matrix(g1_compose(x, y, c), c) == matmul(g1_to_matrix(x, c),
-                                                          g1_to_matrix(y, c)):
+        if smat(g1_to_matrix(g1_compose(x, y, c), c)) == smat_mul(
+                smat(g1_to_matrix(x, c)), smat(g1_to_matrix(y, c))):
             ok_prod += 1
         if (g1_compose(x, g1_inverse(x, c), c) == ident
                 and g1_compose(g1_inverse(x, c), x, c) == ident):

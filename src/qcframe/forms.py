@@ -473,8 +473,10 @@ class DRuleSet:
         try:
             return self.gen_rules[g]
         except KeyError:
+            if not 0 <= g < len(self.ext.labels):
+                raise KeyError(f"generator index {g} is outside the alphabet") from None
             raise KeyError(
-                f"no differential rule for generator {self.ext.labels[g]}")
+                f"no differential rule for generator {self.ext.labels[g]}") from None
 
     def sym_rule(self, s: Sym) -> Form:
         if s in self._sym_cache:
@@ -506,7 +508,10 @@ def differential(x: Form, rules: DRuleSet) -> Form:
             out._addmul(dp.wedge(Form(ext, {mono: unit})))
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
+            rule = rules.gen_rule(g)
+            if not rule.terms:  # lead ^ 0 ^ tail is empty
+                continue
             lead = Form(ext, {mono[:i]: -p if i % 2 else p})
             tail = Form(ext, {mono[i + 1:]: unit})
-            out._addmul(lead.wedge(rules.gen_rule(g)).wedge(tail))
+            out._addmul(lead.wedge(rule).wedge(tail))
     return out

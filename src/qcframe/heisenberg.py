@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forms import Alphabet, DRuleSet, Form, Mono, Poly, Sym, Vector, differential
-from .gauss import GaussRational, gr
-from .model import _solve_linear
+from .gauss import ZERO, GaussRational, gr
+from .model import SparseMat, smat, smat_mul, solve_sparse, solve_square
 from .tensors import StandardConstants
 
 NCOORD = 7
@@ -84,32 +84,26 @@ class QcData:
                    for eta in self.etas for X in self.frame)
 
     def check_quaternion_relations(self) -> bool:
-        def matmul(A, B):
-            return [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
-                    for i in range(4)]
+        I1, I2, I3 = (smat(m) for m in self.I_mats)
+        minus_one = {(i, i): gr(-1) for i in range(4)}
+        return (all(smat_mul(A, A) == minus_one for A in (I1, I2, I3))
+                and smat_mul(I1, I2) == I3
+                and smat_mul(I2, I1) == {k: -v for k, v in I3.items()})
 
-        I1, I2, I3 = self.I_mats
-        ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        neg = [[-v for v in row] for row in ident]
-        if matmul(I1, I1) != neg or matmul(I2, I2) != neg or matmul(I3, I3) != neg:
-            return False
-        if matmul(I1, I2) != I3:
-            return False
-        if matmul(I2, I1) != [[-v for v in row] for row in I3]:
-            return False
-        return True
+    def _omega_matrix(self, s: int) -> SparseMat:
+        """g(I_s X_k, X_l) on the H-frame: the matrix I_s^T g."""
+        transposed = {(j, i): v for (i, j), v in smat(self.I_mats[s]).items()}
+        return smat_mul(transposed, smat(self.g))
 
     def check_compatibility(self) -> bool:
         """d eta_s (X, Y) = 2 g(I_s X, Y) on the H-frame, exactly."""
         for s in range(3):
             de = differential(self.etas[s], CHART_RULES)
+            gI = self._omega_matrix(s)
             for i in range(4):
                 for j in range(4):
                     lhs = de.eval_fields(self.frame[i], self.frame[j])
-                    rhs = Fraction(0)
-                    for k in range(4):
-                        rhs += Fraction(self.I_mats[s][k][i]) * self.g[k][j]
-                    if lhs != Poly.const(2 * rhs):
+                    if lhs != Poly.const(2 * gI.get((i, j), ZERO)):
                         return False
         return True
 
@@ -129,27 +123,25 @@ class QcData:
             q.append(qi)
         amat = [[_constant_value(dx(i).eval_fields(self.frame[k]))
                  for k in range(4)] for i in range(4)]
-        # column i of the inverse solves amat . v = e_i; a singular
-        # matrix raises ValueError
-        ainv_cols = [_solve_linear(amat, [gr(1 if j == i else 0) for j in range(4)])
-                     for i in range(4)]
+        # a singular matrix raises ValueError
+        ainv = solve_square(amat, [[gr(1 if j == i else 0) for j in range(4)]
+                                   for i in range(4)])
         rho = []
         for k in range(4):
             acc = Form(CHART)
             for i in range(4):
-                if not ainv_cols[i][k].is_zero():
-                    acc = acc + q[i].scale(ainv_cols[i][k])
+                if not ainv[k][i].is_zero():
+                    acc = acc + q[i].scale(ainv[k][i])
             rho.append(acc)
         out = []
         for s in range(3):
+            gI = self._omega_matrix(s)
             acc = Form(CHART)
             for k in range(4):
                 for l in range(k + 1, 4):
-                    c = Fraction(0)
-                    for m in range(4):
-                        c += Fraction(self.I_mats[s][m][k]) * self.g[m][l]
-                    if c:
-                        acc = acc + (rho[k] ^ rho[l]).scale(gr(c))
+                    c = gI.get((k, l))
+                    if c is not None:
+                        acc = acc + (rho[k] ^ rho[l]).scale(c)
             out.append(acc)
         return out
 
@@ -223,9 +215,8 @@ def reeb_fields(qc: QcData, ansatz_degree: Optional[int] = None) -> List[VectorF
                              for m in p.terms), default=0)
     monos = _monomials(ansatz_degree)
     nmono = len(monos)
-    nun = 3 * NCOORD * nmono  # xi_t = sum c[t,i,m] x^m d/dx_i
 
-    def unknown(t, i, m):
+    def unknown(t, i, m):  # xi_t = sum c[t,i,m] x^m d/dx_i
         return (t * NCOORD + i) * nmono + m
 
     rows = []
@@ -246,13 +237,13 @@ def reeb_fields(qc: QcData, ansatz_degree: Optional[int] = None) -> List[VectorF
                         row = eqs.setdefault(tuple(sorted(e1 + e2)), {})
                         cur = row.get(u)
                         row[u] = c if cur is None else cur + c
-        # in monomial order, never set order: the pivots of _solve_sparse
+        # in monomial order, never set order: the pivots of solve_sparse
         # then depend on the system alone
         for target in sorted(eqs):
             row = {u: v for u, v in eqs[target].items() if not v.is_zero()}
             rc = rhs.terms.get(target, gr(0))
             if row or not rc.is_zero():
-                rows.append((row, rc))
+                rows.append((row, -rc))
 
     for s in range(3):
         for t in range(3):
@@ -265,7 +256,7 @@ def reeb_fields(qc: QcData, ansatz_degree: Optional[int] = None) -> List[VectorF
                 add_equation([(-detas[s].interior(X), t),
                               (-detas[t].interior(X), s)], Poly())
 
-    sol = _solve_sparse(rows, nun)
+    sol, _ = solve_sparse(rows)
     fields = []
     for t in range(3):
         v: VectorField = {}
@@ -289,50 +280,6 @@ def reeb_fields(qc: QcData, ansatz_degree: Optional[int] = None) -> List[VectorF
                     raise ValueError("Reeb solve failed the antisymmetry condition")
     qc.reeb = fields
     return fields
-
-
-def _solve_sparse(rows, nun) -> Dict[int, GaussRational]:
-    """Gaussian elimination for a sparse exact linear system given as
-    constraints sum(coeff * c) + rhs = 0; returns a particular solution
-    (free unknowns at zero)."""
-    pivots: Dict[int, Dict[int, GaussRational]] = {}
-    rhs_map: Dict[int, GaussRational] = {}
-    for row, rhs in rows:
-        row = dict(row)
-        rhs = -GaussRational.of(rhs)
-        while row:
-            col = min(row)
-            if col in pivots:
-                f = row.pop(col)
-                prow = pivots[col]
-                for c2, v2 in prow.items():
-                    if c2 == col:
-                        continue
-                    nv = row.get(c2, gr(0)) - f * v2
-                    if nv.is_zero():
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = nv
-                rhs = rhs - f * rhs_map[col]
-            else:
-                inv = gr(1) / row[col]
-                prow = {c2: inv * v2 for c2, v2 in row.items()}
-                pivots[col] = prow
-                rhs_map[col] = inv * rhs
-                row = {}
-                rhs = gr(0)
-        if not rhs.is_zero():
-            raise ValueError("inconsistent linear system (no Reeb solution)")
-    # back substitution with free unknowns at zero
-    sol: Dict[int, GaussRational] = {}
-    for col in sorted(pivots, reverse=True):
-        val = rhs_map[col]
-        for c2, v2 in pivots[col].items():
-            if c2 != col and c2 in sol:
-                val = val - v2 * sol[c2]
-        if not val.is_zero():
-            sol[col] = val
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +414,16 @@ def chart_from_json(doc: dict) -> QcData:
         for ci, re, im, expo in ent_list:
             v[index(ci)] = v.get(index(ci), Poly()) + poly_entry(re, im, expo)
         frame.append(v)
-    gmat = [[Fraction(x) for x in row] for row in doc["g"]]
-    imats = [[[int(x) for x in row] for row in m] for m in doc["I"]]
+    def matrix(rows, entry):
+        m = [[entry(x) for x in row] for row in rows]
+        if len(m) != 4 or any(len(row) != 4 for row in m):
+            raise ValueError("expected a 4x4 matrix")
+        return m
+
+    gmat = matrix(doc["g"], Fraction)
+    if len(doc["I"]) != 3:
+        raise ValueError("expected three matrices in \"I\"")
+    imats = [matrix(m, int) for m in doc["I"]]
     return QcData(etas, frame, gmat, imats, name=doc.get("name", "chart"))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gauss import ONE, ZERO, GaussRational, gr
 from .tensors import StandardConstants, IndexedTensor, slots
@@ -94,10 +94,6 @@ class LieCoord:
     def is_zero(self) -> bool:
         return not self.c
 
-    def grade_part(self, g: int) -> "LieCoord":
-        return LieCoord(self.n,
-                        {k: v for k, v in self.c.items() if coframe.grade(k) == g})
-
     def decompose(self) -> Dict[int, "LieCoord"]:
         out = {g: LieCoord(self.n) for g in (-2, -1, 0, 1, 2)}
         for k, v in self.c.items():
@@ -111,7 +107,18 @@ class LieCoord:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrix helpers
+# sparse matrix helpers and the one exact linear solver
+
+
+def smat(dense) -> SparseMat:
+    """The sparse form of a dense matrix given as a list of rows."""
+    out: SparseMat = {}
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            v = GaussRational.of(v)
+            if not v.is_zero():
+                out[i, j] = v
+    return out
 
 
 def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
@@ -137,6 +144,71 @@ def smat_sub(a: SparseMat, b: SparseMat) -> SparseMat:
         else:
             out[k] = nv
     return out
+
+
+def solve_sparse(rows: Iterable[Tuple[Dict[int, GaussRational], GaussRational]]
+                 ) -> Tuple[Dict[int, GaussRational], int]:
+    """Solve the exact linear system whose rows ``(coeffs, rhs)`` say
+    ``sum(coeffs[j] * x_j) = rhs``, by sparse row reduction over the
+    Gaussian rationals.  Each row is reduced, in the given order, against
+    the pivots found so far and then pivots on its smallest unknown.
+
+    Returns a particular solution (free unknowns at zero, zero values
+    omitted) and the rank, the number of pivots.  Raises ValueError when
+    a row reduces to 0 = nonzero."""
+    pivots: Dict[int, Dict[int, GaussRational]] = {}
+    rhs_map: Dict[int, GaussRational] = {}
+    for row, rhs in rows:
+        row = dict(row)
+        rhs = GaussRational.of(rhs)
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = ONE / row[col]
+                pivots[col] = {c2: inv * v2 for c2, v2 in row.items()}
+                rhs_map[col] = inv * rhs
+                break
+            f = row.pop(col)
+            for c2, v2 in pivots[col].items():
+                if c2 == col:
+                    continue
+                nv = row.get(c2, ZERO) - f * v2
+                if nv.is_zero():
+                    row.pop(c2, None)
+                else:
+                    row[c2] = nv
+            rhs = rhs - f * rhs_map[col]
+        else:
+            if not rhs.is_zero():
+                raise ValueError("inconsistent linear system")
+    # back substitution with free unknowns at zero
+    sol: Dict[int, GaussRational] = {}
+    for col in sorted(pivots, reverse=True):
+        val = rhs_map[col]
+        for c2, v2 in pivots[col].items():
+            if c2 != col and c2 in sol:
+                val = val - v2 * sol[c2]
+        if not val.is_zero():
+            sol[col] = val
+    return sol, len(pivots)
+
+
+def solve_square(A: List[List[GaussRational]],
+                 B: List[List[GaussRational]]) -> List[List[GaussRational]]:
+    """The X with A X = B for a square A, one ``solve_sparse`` per column
+    of B.  Raises ValueError naming the matrix singular when A is."""
+    k = len(A)
+    rows = [{j: v for j, v in enumerate(r) if not v.is_zero()} for r in A]
+    cols = []
+    for j in range(len(B[0])):
+        try:
+            sol, rank = solve_sparse(zip(rows, (b[j] for b in B)))
+        except ValueError:  # only a singular A leaves a column of B out of range
+            rank = -1
+        if rank < k:
+            raise ValueError(f"singular {k}x{k} matrix")
+        cols.append(sol)
+    return [[col.get(i, ZERO) for col in cols] for i in range(k)]
 
 
 class SpModel:
@@ -497,15 +569,14 @@ class SpModel:
         n = self.n
 
         def solve(dual_of: List[Key], inside: List[Key]) -> List[LieCoord]:
+            # column t of the inverse pairing matrix holds the dual of dual_of[t]
             k = len(dual_of)
             rows = [[pairing(self.basis(kb), self.basis(kd)) for kb in inside]
                     for kd in dual_of]
-            sols = []
-            for t in range(k):
-                rhs = [gr(1 if u == t else 0) for u in range(k)]
-                coeffs = _solve_linear(rows, rhs)
-                sols.append(LieCoord(n, dict(zip(inside, coeffs))))
-            return sols
+            ident = [[ONE if u == t else ZERO for t in range(k)] for u in range(k)]
+            inv = solve_square(rows, ident)
+            return [LieCoord(n, {kb: inv[i][t] for i, kb in enumerate(inside)})
+                    for t in range(k)]
 
         e_basis = [("eta", s) for s in (1, 2, 3)]
         z_basis = [("theta", a, False) for a in range(1, 2 * n + 1)]
@@ -544,24 +615,6 @@ class SpModel:
         literal coefficients; a calibration artifact only.  These frames
         reproduce the quoted pairings -1/(4n+6) and -1/(4(2n+7))."""
         return self._frames_for(self.killing_closed)
-
-
-def _solve_linear(rows: List[List[GaussRational]], rhs: List[GaussRational]) -> List[GaussRational]:
-    """Solve a small dense exact linear system by Gaussian elimination."""
-    k = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular pairing matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = gr(1) / aug[col][col]
-        aug[col] = [inv * v for v in aug[col]]
-        for r in range(k):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [aug[r][i] - f * aug[col][i] for i in range(k + 1)]
-    return [aug[r][k] for r in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -702,23 +755,14 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
                 coeff = c.pi_up(a, s)
                 if not coeff.is_zero():
                     x[a - 1][b - 1] = x[a - 1][b - 1] + coeff * val
-        # U = (I - X)^{-1} (I + X)
-        m = [[(gr(1 if i == j else 0) - x[i][j]) for j in range(dim)]
-             + [(gr(1 if i == j else 0) + x[i][j]) for j in range(dim)]
-             for i in range(dim)]
+        # U = (I - X)^{-1} (I + X); draw again when I - X is singular
         try:
-            for col in range(dim):
-                piv = next(r2 for r2 in range(col, dim) if not m[r2][col].is_zero())
-                m[col], m[piv] = m[piv], m[col]
-                inv = gr(1) / m[col][col]
-                m[col] = [inv * v for v in m[col]]
-                for r2 in range(dim):
-                    if r2 != col and not m[r2][col].is_zero():
-                        f = m[r2][col]
-                        m[r2] = [m[r2][k] - f * m[col][k] for k in range(2 * dim)]
-        except StopIteration:
+            U = solve_square([[gr(1 if i == j else 0) - x[i][j] for j in range(dim)]
+                              for i in range(dim)],
+                             [[gr(1 if i == j else 0) + x[i][j] for j in range(dim)]
+                              for i in range(dim)])
+        except ValueError:
             continue
-        U = [row[dim:] for row in m]
         if validate_spn(U, c):
             return U
         raise AssertionError("Cayley transform left Sp(n); algebra element invalid")
@@ -1042,33 +1086,18 @@ def j2_matrix(c: StandardConstants):
 
 def preserves_pairing(M, c: StandardConstants) -> bool:
     """M^T H conj(M) = H, i.e. <Mu, conj(Mv)> = <u, conj(v)>."""
-    H = pairing_matrix(c)
-    size = len(M)
-    for i in range(size):
-        for j in range(size):
-            acc = gr(0)
-            for k in range(size):
-                if M[k][i].is_zero():
-                    continue
-                for l in range(size):
-                    if not H[k][l].is_zero() and not M[l][j].is_zero():
-                        acc = acc + M[k][i] * H[k][l] * M[l][j].conj()
-            if acc != H[i][j]:
-                return False
-    return True
+    H = smat(pairing_matrix(c))
+    Ms = smat(M)
+    Mt = {(j, i): v for (i, j), v in Ms.items()}
+    Mbar = {k: v.conj() for k, v in Ms.items()}
+    return smat_mul(smat_mul(Mt, H), Mbar) == H
 
 
 def commutes_with_j2(M, c: StandardConstants) -> bool:
     """J M = conj(M) J."""
-    J = j2_matrix(c)
-    size = len(M)
-    for i in range(size):
-        for j in range(size):
-            lhs = sum((J[i][k] * M[k][j] for k in range(size)), gr(0))
-            rhs = sum((M[i][k].conj() * J[k][j] for k in range(size)), gr(0))
-            if lhs != rhs:
-                return False
-    return True
+    J = smat(j2_matrix(c))
+    Ms = smat(M)
+    return smat_mul(J, Ms) == smat_mul({k: v.conj() for k, v in Ms.items()}, J)
 
 
 # ---------------------------------------------------------------------------

@@ -230,25 +230,22 @@ def make_constants(n: int, signature: Tuple[int, int] = None) -> StandardConstan
 
 def raise_slot(t: IndexedTensor, slot: int, c: StandardConstants) -> IndexedTensor:
     """Contract slot with g^; the slot's bar and variance both flip."""
-    if not (0 <= slot < len(t.slots)):
-        raise ValueError(f"slot {slot} out of range")
-    if t.slots[slot].variance != LOWER:
-        raise ValueError("raise_slot expects a lower slot")
-    new_slots = list(t.slots)
-    new_slots[slot] = t.slots[slot].flipped()
-    out = IndexedTensor(t.n, new_slots)
-    for idx, val in t.entries.items():
-        a = idx[slot]
-        out.set(idx, out.entries.get(idx, gr(0)) + gr(c.diag[a - 1]) * val)
-    return out
+    return _contract_metric(t, slot, c, LOWER, "raise_slot expects a lower slot")
 
 
 def lower_slot(t: IndexedTensor, slot: int, c: StandardConstants) -> IndexedTensor:
     """Contract slot with g; the slot's bar and variance both flip."""
+    return _contract_metric(t, slot, c, UPPER, "lower_slot expects an upper slot")
+
+
+def _contract_metric(t: IndexedTensor, slot: int, c: StandardConstants,
+                     variance, mismatch: str) -> IndexedTensor:
+    """Contract a slot of the given variance with the diagonal metric (g
+    and g^ have the same entries); otherwise raise ValueError(mismatch)."""
     if not (0 <= slot < len(t.slots)):
         raise ValueError(f"slot {slot} out of range")
-    if t.slots[slot].variance != UPPER:
-        raise ValueError("lower_slot expects an upper slot")
+    if t.slots[slot].variance != variance:
+        raise ValueError(mismatch)
     new_slots = list(t.slots)
     new_slots[slot] = t.slots[slot].flipped()
     out = IndexedTensor(t.n, new_slots)

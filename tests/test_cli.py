@@ -112,6 +112,12 @@ def test_signature_flag(capsys):
     assert run(["verify", "flat", "--n", "2", "--signature", "1,1"]) == 0
 
 
+@pytest.mark.parametrize("signature", ["x", "1"])
+def test_malformed_signature_exit_2(signature, capsys):
+    assert run(["verify", "flat", "--n", "1", "--signature", signature]) == 2
+    assert "--signature" in capsys.readouterr().err
+
+
 def test_off_template_product_exit_3(monkeypatch, capsys):
     """A commutator off the sp(n+1,1) template is an internal defect,
     not a usage error."""

@@ -200,6 +200,12 @@ def test_missing_rule_errors(flat_rules):
         differential(f, flat_rules)
 
 
+def test_generator_outside_alphabet_is_key_error(flat_rules):
+    for g in (len(flat_rules.ext.labels), -1):
+        with pytest.raises(KeyError, match=f"generator index {g} "):
+            flat_rules.gen_rule(g)
+
+
 def test_serialization_deterministic(curved_rules):
     ext = curved_rules.ext
     rng = random.Random(5)

@@ -29,6 +29,8 @@ CASES = [
     (["verify", "curved", "--n", "1", "--negative-control"],
      "verify_curved_n1_negative_control.json", 1),
     (["verify", "bianchi", "--n", "1"], "verify_bianchi_n1.json", 0),
+    (["lie", "g1", "--n", "1", "--trials", "5", "--seed", "7"],
+     "lie_g1_n1_trials5_seed7.json", 0),
 ]
 
 

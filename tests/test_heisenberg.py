@@ -71,6 +71,17 @@ def test_heisenberg_defines_no_algebra_of_its_own():
             assert not methods & arithmetic, (node.name, methods & arithmetic)
 
 
+def test_chart_d_wedges_nothing_for_zero_rules(monkeypatch):
+    """Every CHART_RULES generator rule is zero, so d of a constant chart
+    form is zero without a single wedge product."""
+    two_form = dx(0) ^ dx(1)
+    wedges = []
+    wedge = Form.wedge
+    monkeypatch.setattr(Form, "wedge", lambda a, b: wedges.append(1) or wedge(a, b))
+    assert differential(two_form, CHART_RULES).is_zero()
+    assert wedges == []
+
+
 def test_common_kernel_rank4(qc):
     assert qc.check_kernel()
     assert len(qc.frame) == 4
@@ -256,6 +267,21 @@ def test_sheared_frame_certificates_and_omegas():
 def test_chart_file_rejects_malformed_entries(qc, part, entry, tmp_path):
     doc = _chart_doc(qc)
     doc[part][0].append(entry)
+    with pytest.raises(ValueError):
+        chart_from_json(doc)
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    assert run(["example", "heisenberg", "--chart", str(path)]) == 2
+
+
+@pytest.mark.parametrize("part, change", [
+    ("I", lambda ms: [[row[:3] for row in m[:3]] for m in ms]),  # 3x3 matrices
+    ("I", lambda ms: ms[:2]),                                     # two matrices
+    ("g", lambda g: g + [g[0]]),                                  # five rows
+], ids=["I-3x3", "I-two", "g-five-rows"])
+def test_chart_file_rejects_misshapen_matrices(qc, part, change, tmp_path):
+    doc = _chart_doc(qc)
+    doc[part] = change(doc[part])
     with pytest.raises(ValueError):
         chart_from_json(doc)
     path = tmp_path / "chart.json"

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,10 @@ from qcframe.model import (Dual, G1Element, LieCoord, SpModel, TemplateError,
                            jacobi_residual, maurer_cartan_check,
                            parabolic_member, preserves_pairing, random_coord,
                            random_g1, random_spn, smat_mul, smat_sub,
-                           validate_spn)
+                           solve_sparse, solve_square, validate_spn)
 from qcframe.tensors import (IndexedTensor, StandardConstants, j_average,
                              random_tensor, slots, symmetrize)
+import qcframe
 from qcframe import coframe
 
 I = gr(0, 1)
@@ -278,6 +281,10 @@ def test_parabolic_stabilizes_and_preserves(c1):
         assert all(M[i][j].is_zero() for i in range(2, len(M)))
     assert preserves_pairing(M, c1)
     assert commutes_with_j2(M, c1)
+    # a changed U entry breaks both identities
+    M[2][2] = M[2][2] + gr(1)
+    assert not preserves_pairing(M, c1)
+    assert not commutes_with_j2(M, c1)
 
 
 def test_parabolic_rejects_singular_block(c1):
@@ -384,3 +391,114 @@ def test_off_template_commutator_raises(monkeypatch):
     monkeypatch.setattr(model, "smat_sub", off_template)
     with pytest.raises(TemplateError):
         SpModel(1).structure_constants()
+
+
+# -- the one exact solver --------------------------------------------------------
+
+
+def _gauss(rng, span=4):
+    return gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)),
+              Fraction(rng.randint(-span, span), rng.randint(1, 3)))
+
+
+def _nonsingular(rng, k):
+    """L U with unit lower triangular L and an upper triangular U whose
+    diagonal has no zero, so the product is nonsingular."""
+    L = [[gr(1) if i == j else _gauss(rng) if i > j else gr(0) for j in range(k)]
+         for i in range(k)]
+    U = [[_gauss(rng) if i < j else gr(0) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        while U[i][i].is_zero():
+            U[i][i] = _gauss(rng)
+    return _matmul(L, U)
+
+
+def _rows(A, b):
+    return [({j: v for j, v in enumerate(row) if not v.is_zero()}, rhs)
+            for row, rhs in zip(A, b)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_solver_nonsingular_systems_by_substitution(k):
+    rng = random.Random(500 + k)
+    for _ in range(3):
+        A = _nonsingular(rng, k)
+        b = [_gauss(rng) for _ in range(k)]
+        sol, rank = solve_sparse(_rows(A, b))
+        assert rank == k
+        x = [sol.get(j, gr(0)) for j in range(k)]
+        assert [sum((A[i][j] * x[j] for j in range(k)), gr(0)) for i in range(k)] == b
+        B = [[_gauss(rng) for _ in range(2)] for _ in range(k)]
+        X = solve_square(A, B)
+        assert [[sum((A[i][j] * X[j][t] for j in range(k)), gr(0)) for t in range(2)]
+                for i in range(k)] == B
+
+
+@pytest.mark.parametrize("rhs", ["zero", "identity"])
+def test_solver_singular_square_matrix_raises(rhs):
+    """The third row is the sum of the first two: consistent against a
+    zero right-hand side, inconsistent against the identity; singular
+    either way."""
+    A = [[gr(1), gr(2), gr(0)], [gr(0, 1), gr(1), gr(3)], [gr(1, 1), gr(3), gr(3)]]
+    B = [[gr(1 if rhs == "identity" and i == j else 0) for j in range(3)]
+         for i in range(3)]
+    assert solve_sparse(_rows(A, [gr(0)] * 3))[1] == 2
+    with pytest.raises(ValueError, match="singular"):
+        solve_square(A, B)
+
+
+def test_solver_inconsistent_system_raises():
+    rows = [({0: gr(1), 1: gr(1)}, gr(1)), ({0: gr(2), 1: gr(2)}, gr(3))]
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_sparse(rows)
+
+
+def test_solver_underdetermined_particular_solution():
+    # x0 + x2 = 2, x1 - x2 = 3: x2 is free and stays at zero
+    sol, rank = solve_sparse([({0: gr(1), 2: gr(1)}, gr(2)),
+                              ({1: gr(1), 2: gr(-1)}, gr(3))])
+    assert (sol, rank) == ({0: gr(2), 1: gr(3)}, 2)
+    rng = random.Random(77)
+    for k, m in ((2, 5), (3, 7), (5, 8)):
+        A = [[_gauss(rng) for _ in range(m)] for _ in range(k)]
+        b = [_gauss(rng) for _ in range(k)]
+        sol, rank = solve_sparse(_rows(A, b))
+        x = [sol.get(j, gr(0)) for j in range(m)]
+        assert [sum((A[i][j] * x[j] for j in range(m)), gr(0)) for i in range(k)] == b
+        # one nonzero unknown per pivot at most: every free unknown is zero
+        assert len(sol) <= rank <= k
+
+
+def test_random_spn_draws_again_when_i_minus_x_is_singular(monkeypatch):
+    """A first draw with X[0][0] = 1 makes I - X singular; random_spn
+    discards it and returns the element of the next draw."""
+    from qcframe import tensors
+    c = StandardConstants(1)
+    clean = random.Random(3)
+    random_spn(clean, c)
+    want = random_spn(clean, c)
+
+    average = tensors.j_average
+    calls = []
+
+    def singular_first(t, consts):
+        calls.append(t)
+        if len(calls) > 1:
+            return average(t, consts)
+        y = IndexedTensor(1, slots("ll"))
+        y.set((2, 1), gr(1) / c.pi_up(1, 2))  # X[0][0] = pi^{12} y_{21} = 1
+        return y
+
+    monkeypatch.setattr(tensors, "j_average", singular_first)
+    assert random_spn(random.Random(3), c) == want
+    assert len(calls) == 2
+
+
+def test_one_solver_and_one_product():
+    """No module defines its own matrix product or a private solver:
+    model.smat_mul and model.solve_sparse are the only ones."""
+    for path in Path(qcframe.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "matmul" and not node.name.startswith("_solve_"), \
+                    (path.name, node.name)
