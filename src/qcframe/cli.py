@@ -84,6 +84,15 @@ class Runner:
         return 1 if self.failed else 0
 
 
+def _residual(form):
+    """Check details of a residual form: its term count, plus its text
+    when it is nonzero."""
+    detail = {"residual_terms": form.term_count()}
+    if not form.is_zero():
+        detail["residual"] = form.to_text()
+    return detail
+
+
 def cmd_verify_flat(args):
     from .rules import build_rules, d_square_report
     from . import coframe
@@ -93,8 +102,7 @@ def cmd_verify_flat(args):
     rules = build_rules(args.n, "flat", sig)
     rep = r.timed("d_square", lambda: d_square_report(rules))
     for key, form in rep.items():
-        r.check(f"d2[{coframe.label(key)}] == 0", form.is_zero(),
-                residual_terms=form.term_count())
+        r.check(f"d2[{coframe.label(key)}] == 0", form.is_zero(), **_residual(form))
     return r.finish(args.json)
 
 
@@ -109,10 +117,7 @@ def cmd_verify_curved(args):
                         published=args.published)
     rep = r.timed("d_square", lambda: d_square_report(rules))
     for key, form in rep.items():
-        detail = {"residual_terms": form.term_count()}
-        if not form.is_zero():
-            detail["residual"] = form.to_text()
-        r.check(f"d2[{coframe.label(key)}] == 0", form.is_zero(), **detail)
+        r.check(f"d2[{coframe.label(key)}] == 0", form.is_zero(), **_residual(form))
     r.report["note"] = ("the dpsi2/dpsi3 rules are the real/imaginary split of "
                         "the combined displayed derivative of psi2 + i psi3; "
                         "the split is validated by exact re-summation")
@@ -131,8 +136,7 @@ def cmd_verify_bianchi(args):
     r.report["signature"] = list(sig)
     res = r.timed("bianchi", lambda: bianchi_residuals(args.n, sig))
     for name, form in res.items():
-        r.check(f"{name} combination == 0", form.is_zero(),
-                residual_terms=form.term_count())
+        r.check(f"{name} combination == 0", form.is_zero(), **_residual(form))
     r.check("starred forms: rule-table path == semibasic expansion",
             r.timed("star_two_path", lambda: star_two_path_check(args.n, sig)))
     r.check("starred S: total symmetry and j-reality",

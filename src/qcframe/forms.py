@@ -22,16 +22,23 @@ Everything is kept in a canonical shape at all times:
   function has exactly one name.
 
 Zero detection is therefore trivial: a form is zero iff it has no terms.
-Sums of many pieces grow one fresh local accumulator in place
-(``Poly._add_in_place``, ``Form._addmul``); ``+`` always returns a new
-object, because rule-table forms are shared and cached.
+
+Every product and every sum of many pieces is written into one fresh
+local accumulator, a dict keyed by generator monomial and then by symbol
+monomial that holds the GaussRational coefficient (``Acc``).  Two
+functions fill it in place: ``_add_into`` adds a coefficient dict and
+``_mul_into`` adds the product of two; ``_form`` wraps the finished
+accumulator, empty buckets dropped, as a Form.  ``Poly.__mul__``,
+``Form.wedge``, ``Form.interior``, ``Form.conj`` and ``differential`` all
+run on them.  ``+`` always returns a new object that shares the untouched
+coefficients, because rule-table forms are shared and cached.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .gauss import GaussRational, gr
+from .gauss import ONE, GaussRational, gr
 from .tensors import StandardConstants
 from . import coframe
 
@@ -88,6 +95,62 @@ class Sym(NamedTuple):
 
 
 Mono = Tuple[Sym, ...]
+Terms = Dict[Mono, GaussRational]  # the coefficients of one Poly
+Acc = Dict[Tuple[int, ...], Terms]  # generator monomial -> its coefficients
+
+
+def _add_into(out: Terms, terms: Terms, neg: bool = False) -> None:
+    """out += terms (-terms if neg) in place, dropping what cancels."""
+    for m, c in terms.items():
+        if neg:
+            c = -c
+        cur = out.get(m)
+        if cur is None:
+            out[m] = c
+        else:
+            c = cur + c
+            if c.is_zero():
+                del out[m]
+            else:
+                out[m] = c
+
+
+def _mul_into(out: Terms, t1: Terms, t2: Terms, neg: bool = False) -> None:
+    """out += t1 * t2 (-t1 * t2 if neg) in place, dropping what cancels.
+    The product of two nonzero coefficients is nonzero, so a new entry
+    never needs a zero test."""
+    for m1, c1 in t1.items():
+        if neg:
+            c1 = -c1
+        for m2, c2 in t2.items():
+            # a sorted monomial times the empty one is already sorted
+            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 + m2
+            c = c1 * c2
+            cur = out.get(m)
+            if cur is None:
+                out[m] = c
+            else:
+                c = cur + c
+                if c.is_zero():
+                    del out[m]
+                else:
+                    out[m] = c
+
+
+def _bucket(acc: Acc, mono: Tuple[int, ...]) -> Terms:
+    """The coefficient dict of ``mono`` in ``acc``, made on first use."""
+    b = acc.get(mono)
+    if b is None:
+        b = acc[mono] = {}
+    return b
+
+
+def _form(ext: "Alphabet", acc: Acc) -> "Form":
+    """The finished accumulator as a Form, empty buckets dropped; the
+    Form takes over the buckets."""
+    out = Form(ext)
+    out.terms = {m: Poly._wrap(t) for m, t in acc.items() if t}
+    return out
 
 
 class Poly:
@@ -107,27 +170,20 @@ class Poly:
         c = GaussRational.of(c)
         return Poly({(): c}) if not c.is_zero() else Poly()
 
-    def _add_in_place(self, other: "Poly") -> None:
-        """self += other, for an accumulator that no other object shares."""
-        out = self.terms
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            nc = c if cur is None else cur + c
-            if nc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = nc
+    @staticmethod
+    def _wrap(terms: Terms) -> "Poly":
+        """A Poly that takes over ``terms``, which hold no zero."""
+        res = Poly.__new__(Poly)
+        res.terms = terms
+        return res
 
     def __add__(self, other: "Poly") -> "Poly":
-        res = Poly()
-        res.terms = dict(self.terms)
-        res._add_in_place(other)
-        return res
+        out = dict(self.terms)
+        _add_into(out, other.terms)
+        return Poly._wrap(out)
 
     def __neg__(self) -> "Poly":
-        res = Poly()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return Poly._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -136,25 +192,12 @@ class Poly:
         c = GaussRational.of(c)
         if c.is_zero():
             return Poly()
-        res = Poly()
-        res.terms = {m: c * v for m, v in self.terms.items()}
-        return res
+        return Poly._wrap({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: Dict[Mono, GaussRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                c = c1 * c2
-                cur = out.get(m)
-                nc = c if cur is None else cur + c
-                if nc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-        res = Poly()
-        res.terms = out
-        return res
+        out: Terms = {}
+        _mul_into(out, self.terms, other.terms)
+        return Poly._wrap(out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -240,7 +283,7 @@ class Exterior(Alphabet):
                 else:
                     piece = self.sym(s.family, s.idx, conj=True)
                 factor = factor * piece
-            out._add_in_place(factor)
+            _add_into(out.terms, factor.terms)
         return out
 
     # -- forms -------------------------------------------------------------
@@ -306,29 +349,21 @@ class Form:
                 if not p.is_zero():
                     self.terms[m] = p
 
-    def _put(self, mono: Tuple[int, ...], p: Poly) -> None:
-        cur = self.terms.get(mono)
-        np = p if cur is None else cur + p
-        if np.is_zero():
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = np
-
-    def _addmul(self, other: "Form", c: Optional[Poly] = None) -> None:
-        """self += other * c (c = 1 if omitted), for an accumulator that no
-        other object shares.  Coefficients are combined by ``_put``, which
-        never mutates a Poly, so other's terms may be stored as they are."""
-        if c is None:
-            for m, p in other.terms.items():
-                self._put(m, p)
-        else:
-            for m, p in other.terms.items():
-                self._put(m, p * c)
-
     def __add__(self, other: "Form") -> "Form":
+        """A new Form; a coefficient both sides touch is summed into a
+        new Poly, every other one is shared."""
         out = Form(self.ext)
-        out.terms = dict(self.terms)
-        out._addmul(other)
+        terms = out.terms = dict(self.terms)
+        for m, p in other.terms.items():
+            cur = terms.get(m)
+            if cur is None:
+                terms[m] = p
+            else:
+                p = cur + p
+                if p.is_zero():
+                    del terms[m]
+                else:
+                    terms[m] = p
         return out
 
     def __neg__(self) -> "Form":
@@ -341,9 +376,7 @@ class Form:
 
     def scale(self, c) -> "Form":
         if isinstance(c, Poly):
-            out = Form(self.ext)
-            out._addmul(self, c)
-            return out
+            return Form(self.ext, {m: p * c for m, p in self.terms.items()})
         c = GaussRational.of(c)
         out = Form(self.ext)
         if c.is_zero():
@@ -353,16 +386,16 @@ class Form:
         return out
 
     def wedge(self, other: "Form") -> "Form":
-        out = Form(self.ext)
+        acc: Acc = {}
         for m1, p1 in self.terms.items():
+            t1 = p1.terms
             for m2, p2 in other.terms.items():
                 merged = _merge_sign(m1, m2)
                 if merged is None:
                     continue
                 sign, mono = merged
-                p = p1 * p2
-                out._put(mono, -p if sign < 0 else p)
-        return out
+                _mul_into(_bucket(acc, mono), t1, p2.terms, sign < 0)
+        return _form(self.ext, acc)
 
     def __xor__(self, other: "Form") -> "Form":  # a ^ b reads as a wedge b
         return self.wedge(other)
@@ -385,20 +418,19 @@ class Form:
 
     def conj(self) -> "Form":
         ext = self.ext
-        out = Form(ext)
+        acc: Acc = {}
         for mono, p in self.terms.items():
-            coeff = gr(1)
-            gens: List[int] = []
+            coeff = ONE
+            sign, key = 1, ()
             for g in mono:
                 c, g2 = ext._conj_gen[g]
                 coeff = coeff * c
-                gens.append(g2)
-            # re-sort the (possibly unordered) conjugated generators
-            piece = Form(ext, {(): ext.conj_poly(p).scale(coeff)})
-            for g in gens:
-                piece = piece.wedge(Form(ext, {(g,): Poly.const(1)}))
-            out._addmul(piece)
-        return out
+                # re-sort the conjugated generators (a permutation of
+                # the alphabet, so none repeats)
+                s, key = _merge_sign(key, (g2,))
+                sign *= s
+            _add_into(_bucket(acc, key), ext.conj_poly(p).scale(coeff).terms, sign < 0)
+        return _form(ext, acc)
 
     def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":
         """Homomorphic replacement of symbols.  Conjugated symbols pick
@@ -417,22 +449,22 @@ class Form:
                     else:
                         val = Poly({(s,): gr(1)})
                     factor = factor * val
-                newp._add_in_place(factor)
-            out._put(mono, newp)
+                _add_into(newp.terms, factor.terms)
+            if not newp.is_zero():  # each mono occurs once in self
+                out.terms[mono] = newp
         return out
 
     def interior(self, v: Vector) -> "Form":
         """Contraction with a vector in the first slot; v maps a generator
         index to the coefficient of its dual vector."""
-        out = Form(self.ext)
+        acc: Acc = {}
         for m, p in self.terms.items():
             for pos, g in enumerate(m):
                 comp = v.get(g)
-                if comp is None or comp.is_zero():
+                if comp is None:
                     continue
-                prod = p * comp
-                out._put(m[:pos] + m[pos + 1:], -prod if pos % 2 else prod)
-        return out
+                _mul_into(_bucket(acc, m[:pos] + m[pos + 1:]), p.terms, comp.terms, pos % 2)
+        return _form(self.ext, acc)
 
     def eval_fields(self, *fields: Vector) -> Poly:
         """Full contraction of a k-form with k vectors, using the pairing
@@ -493,25 +525,33 @@ class DRuleSet:
 
 
 def differential(x: Form, rules: DRuleSet) -> Form:
-    """Graded-Leibniz exterior derivative of a canonical form."""
-    ext = x.ext
-    out = Form(ext)
-    unit = Poly.const(1)
+    """Graded-Leibniz exterior derivative of a canonical form.
+
+    Every product goes straight into one accumulator.  The i-th generator
+    g of a monomial lead ^ g ^ tail contributes (-1)^i lead ^ d(g) ^ tail,
+    and for a term r of d(g), lead ^ r ^ tail = (-1)^(i |r|) r ^ (lead tail):
+    one sign merge per rule term."""
+    if x.ext is not rules.ext:
+        raise ValueError("the form and the rule set are over different alphabets")
+    acc: Acc = {}
     for mono, p in x.terms.items():
-        # derivative of the coefficient polynomial
-        dp = Form(ext)
-        for smono, c in p.terms.items():
+        pt = p.terms
+        # d(coefficient) ^ mono
+        for smono, c in pt.items():
             for k, s in enumerate(smono):
-                rest = Poly({smono[:k] + smono[k + 1:]: c})
-                dp._addmul(rules.sym_rule(s), rest)
-        if dp.terms:
-            out._addmul(dp.wedge(Form(ext, {mono: unit})))
+                rest = {smono[:k] + smono[k + 1:]: c}
+                for rm, rp in rules.sym_rule(s).terms.items():
+                    merged = _merge_sign(rm, mono)
+                    if merged is not None:
+                        sign, key = merged
+                        _mul_into(_bucket(acc, key), rest, rp.terms, sign < 0)
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
-            rule = rules.gen_rule(g)
-            if not rule.terms:  # lead ^ 0 ^ tail is empty
-                continue
-            lead = Form(ext, {mono[:i]: -p if i % 2 else p})
-            tail = Form(ext, {mono[i + 1:]: unit})
-            out._addmul(lead.wedge(rule).wedge(tail))
-    return out
+            others = mono[:i] + mono[i + 1:]
+            for rm, rp in rules.gen_rule(g).terms.items():
+                merged = _merge_sign(rm, others)
+                if merged is not None:
+                    sign, key = merged
+                    odd = i * (1 + len(rm)) % 2 == 1
+                    _mul_into(_bucket(acc, key), pt, rp.terms, (sign < 0) != odd)
+    return _form(x.ext, acc)

@@ -896,17 +896,11 @@ def d_square_report(rules: DRuleSet) -> Dict[Tuple, Form]:
 
 def substitute_flat(form: Form) -> Form:
     """Set every curvature symbol to zero (the flat reduction)."""
-    out = Form(form.ext)
-    for mono, p in form.terms.items():
-        keep = Poly()
-        for smono, c in p.terms.items():
-            if not any(s.family in ("S", "V", "L", "M", "C", "H", "P", "Q", "R",
-                                    "Vns", "Sns")
-                       for s in smono):
-                keep = keep + Poly({smono: c})
-        if not keep.is_zero():
-            out.terms[mono] = keep
-    return out
+    curvature = ("S", "V", "L", "M", "C", "H", "P", "Q", "R", "Vns", "Sns")
+    return Form(form.ext, {
+        mono: Poly({smono: c for smono, c in p.terms.items()
+                    if not any(s.family in curvature for s in smono)})
+        for mono, p in form.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,34 @@ def test_off_template_product_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(model, "smat_sub", off_template)
     assert run(["lie", "jacobi", "--n", "1", "--trials", "1"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def _nonzero_residual():
+    from qcframe.forms import Exterior
+    ext = Exterior(1)
+    return (ext.gen(("eta", 1)) ^ ext.gen(("theta", 1, False))).scale(ext.sym("P"))
+
+
+@pytest.mark.parametrize("command, target, name", [
+    ("flat", "d_square_report", "d2[eta1] == 0"),
+    ("bianchi", "bianchi_residuals", "Gamma combination == 0"),
+])
+def test_failing_residual_reports_its_text(command, target, name, monkeypatch, tmp_path,
+                                           capsys):
+    """verify flat and verify bianchi print a nonzero residual's to_text
+    next to its term count, as verify curved does."""
+    from qcframe import rules
+    from qcframe.forms import Form
+    bad = _nonzero_residual()
+    if target == "d_square_report":
+        fake = lambda table: {("eta", 1): bad, ("eta", 2): Form(bad.ext)}
+    else:
+        fake = lambda n, sig=None: {"Gamma": bad, "R": Form(bad.ext)}
+    monkeypatch.setattr(rules, target, fake)
+    out = tmp_path / "r.json"
+    assert run(["verify", command, "--n", "1", "--json", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert failed == [{"name": name, "status": "fail", "residual_terms": 1,
+                       "residual": bad.to_text()}]
+    assert all("residual" not in c for c in checks if c["status"] == "pass")

@@ -73,13 +73,22 @@ def test_heisenberg_defines_no_algebra_of_its_own():
 
 def test_chart_d_wedges_nothing_for_zero_rules(monkeypatch):
     """Every CHART_RULES generator rule is zero, so d of a constant chart
-    form is zero without a single wedge product."""
+    form is zero without a single wedge, sign merge or coefficient
+    product."""
+    from qcframe import forms
     two_form = dx(0) ^ dx(1)
-    wedges = []
+    calls = []
+    for name in ("_merge_sign", "_mul_into"):
+        fn = getattr(forms, name)
+        monkeypatch.setattr(forms, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     wedge = Form.wedge
-    monkeypatch.setattr(Form, "wedge", lambda a, b: wedges.append(1) or wedge(a, b))
+    monkeypatch.setattr(Form, "wedge", lambda a, b: calls.append("wedge") or wedge(a, b))
     assert differential(two_form, CHART_RULES).is_zero()
-    assert wedges == []
+    assert calls == []
+    # the counters see the work of a nonconstant form
+    assert not differential(two_form.scale(coord(2)), CHART_RULES).is_zero()
+    assert "_mul_into" in calls
 
 
 def test_common_kernel_rank4(qc):

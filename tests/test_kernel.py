@@ -1,13 +1,17 @@
 """Properties of the one graded-algebra kernel (forms.Poly/Form and
 forms.differential) on both of its alphabets: the coframe generators
 with curvature symbols (n = 1, curved rules) and the seven chart
-differentials with coordinate monomials."""
+differentials with coordinate monomials.  A small synthetic alphabet,
+whose generator rules mix degree-1 and degree-3 terms, covers the signs
+that the real rule sets (all of even degree) never exercise."""
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcframe.forms import Form, Poly, differential
+from qcframe.forms import Alphabet, DRuleSet, Form, Poly, Sym, differential
 from qcframe.gauss import gr
-from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, monomial
+from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, dx, monomial
 from qcframe.rules import build_rules
 
 small = st.integers(-3, 3)
@@ -26,7 +30,39 @@ def kernels():
                ext.sym("S", (1, 2, 2, 2), conj=True)]
     coframe_coeffs = st.builds(lambda re, im, s: s.scale(gr(re, im)),
                                small, small, st.sampled_from(symbols))
-    return {"coframe": (curved, coframe_coeffs), "chart": (CHART_RULES, chart_coeffs)}
+    return {"coframe": (curved, coframe_coeffs), "chart": (CHART_RULES, chart_coeffs),
+            "synthetic": synthetic_kernel()}
+
+
+SYNTHETIC_SYMBOLS = [Sym(f, (), False) for f in ("P", "Q", "R")]
+
+
+def synthetic_kernel():
+    """Six generators a0..a5 and three scalar symbols.  Every generator
+    rule has terms of degree 1 and 3, the symbol rules terms of degree 1
+    and 2; all coefficients are fixed pseudo-random polynomials."""
+    rng = random.Random(11)
+    ext = Alphabet(f"a{g}" for g in range(6))
+
+    def poly():
+        out = Poly()
+        for _ in range(2):
+            mono = tuple(sorted(rng.sample(SYNTHETIC_SYMBOLS, rng.randint(0, 2))))
+            out = out + Poly({mono: gr(rng.randint(-3, 3), rng.randint(-3, 3))})
+        return out
+
+    def form(degrees):
+        out = Form(ext)
+        for k in degrees:
+            out = out + Form(ext, {tuple(sorted(rng.sample(range(6), k))): poly()})
+        return out
+
+    gen_rules = {g: form((1, 3, 1, 3)) for g in range(6)}
+    sym_rules = {s: form((1, 2)) for s in SYNTHETIC_SYMBOLS}
+    rules = DRuleSet(ext, gen_rules, sym_rules.__getitem__)
+    coeffs = st.builds(lambda re, im, mono: Poly({tuple(sorted(mono)): gr(re, im)}),
+                       small, small, st.lists(st.sampled_from(SYNTHETIC_SYMBOLS), max_size=2))
+    return rules, coeffs
 
 
 def homogeneous(ext, coeffs, max_degree=3):
@@ -46,6 +82,48 @@ def homogeneous(ext, coeffs, max_degree=3):
 
 
 ALPHABETS = pytest.mark.parametrize("alphabet", ["coframe", "chart"])
+
+
+def literal_d(x, rules):
+    """The exterior derivative as written: for each term p mono with
+    mono = lead ^ g ^ tail (g the i-th generator), the sum of
+    (-1)^i lead ^ d(g) ^ tail times p, plus d(p) ^ mono, all through the
+    public wedge."""
+    ext = x.ext
+    out = Form(ext)
+    for mono, p in x.terms.items():
+        unit_mono = Form(ext, {mono: Poly.const(1)})
+        for smono, c in p.terms.items():
+            for k, s in enumerate(smono):
+                rest = Poly({smono[:k] + smono[k + 1:]: c})
+                out = out + (rules.sym_rule(s).scale(rest) ^ unit_mono)
+        for i, g in enumerate(mono):
+            lead = Form(ext, {mono[:i]: p})
+            tail = Form(ext, {mono[i + 1:]: Poly.const(1)})
+            out = out + (lead ^ rules.gen_rule(g) ^ tail).scale(gr((-1) ** i))
+    return out
+
+
+@pytest.mark.parametrize("alphabet", ["coframe", "chart", "synthetic"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_differential_matches_literal_leibniz(kernels, alphabet, data):
+    """The fused derivative equals the literal one; on the synthetic
+    alphabet this fails if the factor (-1)^(i |r|) is dropped."""
+    rules, coeffs = kernels[alphabet]
+    _, x = data.draw(homogeneous(rules.ext, coeffs))
+    assert differential(x, rules) == literal_d(x, rules)
+
+
+def test_differential_rejects_rules_of_another_alphabet(kernels):
+    curved, _ = kernels["coframe"]
+    with pytest.raises(ValueError, match="different alphabets"):
+        differential(dx(0), curved)
+    with pytest.raises(ValueError, match="different alphabets"):
+        differential(curved.ext.gen(("eta", 1)), CHART_RULES)
+    # an equal but distinct alphabet is another alphabet too
+    with pytest.raises(ValueError, match="different alphabets"):
+        differential(build_rules(1, "curved").ext.gen(("eta", 1)), curved)
 
 
 @ALPHABETS
