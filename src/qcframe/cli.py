@@ -312,9 +312,8 @@ def cmd_classify(args):
     expected = {"s": [2], "v": [3], "l": [4], "m": [4], "c": [5], "h": [5],
                 "p": [6], "q": [6], "r": [6]}
     table = {}
-    from .gauss import gr as _gr
     src = random_components(rng, model.consts)
-    for scalar, val in (("p", _gr(1, 1)), ("q", _gr(2, -1)), ("r", _gr(3))):
+    for scalar, val in (("p", gr(1, 1)), ("q", gr(2, -1)), ("r", gr(3))):
         if getattr(src, scalar).is_zero():
             setattr(src, scalar, val)
     for fam, want in expected.items():

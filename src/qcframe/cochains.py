@@ -221,15 +221,6 @@ class Cochain2:
             return self.vals.get((i, j), LieCoord(self.n))
         return -self.vals.get((j, i), LieCoord(self.n))
 
-    def get_lin(self, a: LieCoord, b: LieCoord) -> LieCoord:
-        """Bilinear extension to arbitrary g_- elements (coordinates of
-        grade >= 0 must vanish)."""
-        out = LieCoord(self.n)
-        for ka, va in a.c.items():
-            for kb, vb in b.c.items():
-                out = out + self.get(ka, kb).scale(va * vb)
-        return out
-
     def __add__(self, other: "Cochain2") -> "Cochain2":
         out = Cochain2(self.n)
         for (i, j), v in self.vals.items():

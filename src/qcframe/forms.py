@@ -407,9 +407,6 @@ class Form:
         return (isinstance(other, Form) and self.ext is other.ext
                 and self.terms == other.terms)
 
-    def degree_part(self, d: int) -> "Form":
-        return Form(self.ext, {m: p for m, p in self.terms.items() if len(m) == d})
-
     def degrees(self):
         return sorted({len(m) for m in self.terms})
 

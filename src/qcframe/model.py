@@ -5,12 +5,15 @@ Matrices act on the 2n+4 dimensional space with basis ordered
 (v1, v2, e_1..e_{2n}, w1, w2) and are stored sparsely as dicts
 {(row, col): GaussRational}.  An element is described either by such a
 matrix or by its coordinates (a LieCoord); the two are related by a
-fixed block template, and ``from_matrix`` refuses anything off the
-template so that closure failures surface immediately.
+fixed block template, written once in ``to_matrix``.  Decoding is the
+left inverse of the basis matrices, and ``from_matrix`` refuses anything
+off the template so that closure failures surface immediately.
 
 Every bracket goes through one structure-constant table, built on first
 use from the commutators of the basis matrices; each basis pair is
-certified once against the template when the table is built.
+certified once against the template when the table is built.  The
+Killing form is held as two sparse Gram matrices: the ad-trace one and
+the closed form with its printed coefficients.
 """
 from __future__ import annotations
 
@@ -228,6 +231,7 @@ class SpModel:
         self._dec = None
         self._sc = None
         self._gram = None
+        self._closed = None
         self._frames = None
 
     def e(self, a: int) -> int:
@@ -304,53 +308,32 @@ class SpModel:
                         sum((c.pi_up(a, s) * x.get(("Gam", s, b)) for s in rng1), gr(0)))
         return {k: v for k, v in M.items() if not v.is_zero()}
 
-    def _read_template(self, at) -> LieCoord:
-        """Coordinates read off the matrix entries ``at(row, col)`` by the
-        template formulas, unchecked; linear in the entries."""
-        n, c = self.n, self.consts
-        v1, v2, w1, w2 = self.v1, self.v2, self.w1, self.w2
-        x = LieCoord(n)
-        a11, b11 = at(v1, v1), at(w1, w1)
-        x.set(("phi0",), b11 - a11)
-        x.set(("phi", 1), I * (a11 + b11))
-        x.set(("phi", 2), at(v2, v1) - at(w1, w2))
-        x.set(("phi", 3), -I * (at(v2, v1) + at(w1, w2)))
-        x.set(("psi", 1), -I * at(v1, w1))
-        x.set(("psi", 2), HALF * (at(v1, w2) - at(v2, w1)))
-        x.set(("psi", 3), HALF * I * (at(v1, w2) + at(v2, w1)))
-        x.set(("eta", 1), -2 * I * at(w1, v1))
-        x.set(("eta", 2), at(w1, v2) - at(w2, v1))
-        x.set(("eta", 3), I * (at(w1, v2) + at(w2, v1)))
-        for a in range(1, 2 * n + 1):
-            ea = self.e(a)
-            x.set(("theta", a, False), -I * at(ea, v1))
-            x.set(("theta", a, True), -I * gr(c.diag[a - 1]) * at(w1, ea))
-            x.set(("phiU", a, False), -HALF * I * at(ea, w1))
-            x.set(("phiU", a, True), -HALF * I * gr(c.diag[a - 1]) * at(v1, ea))
-        # Gamma_{t b} = - sum_a pi_{t a} M[e_a][e_b]; the lower triangle
-        # is left to the re-encoding check
-        for b in range(1, 2 * n + 1):
-            col = [(a, at(self.e(a), self.e(b))) for a in range(1, 2 * n + 1)]
-            col = [(a, v) for a, v in col if not v.is_zero()]
-            for t in range(1, b + 1):
-                x.set(("Gam", t, b), sum((-c.pi(t, a) * v for a, v in col), gr(0)))
-        return x
-
     def _basis_matrices(self) -> List[SparseMat]:
         if self._mats is None:
             self._mats = [self.to_matrix(self.basis(k)) for k in self.keys]
         return self._mats
 
     def _decoder(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, GaussRational], ...]]:
-        """The left inverse of ``to_matrix``: matrix position -> the
-        coordinates (index, coefficient) of its unit matrix."""
+        """The left inverse of the basis matrices: matrix position -> the
+        coordinates (index, coefficient) that read that entry.  Row k of
+        the inverse solves <B_j, L_k> = delta_jk over the positions;
+        ``TemplateError`` if the basis matrices are linearly dependent."""
         if self._dec is None:
-            dec = {}
-            for pos in ((r, co) for r in range(self.m) for co in range(self.m)):
-                x = self._read_template(lambda r, co: ONE if (r, co) == pos else ZERO)
-                if x.c:
-                    dec[pos] = tuple((self.key_index[k], v) for k, v in x.c.items())
-            self._dec = dec
+            m = self.m
+            rows = [{r * m + co: v for (r, co), v in mat.items()}
+                    for mat in self._basis_matrices()]
+            dec: Dict[Tuple[int, int], List[Tuple[int, GaussRational]]] = {}
+            for k in range(self.dim):
+                try:
+                    sol, rank = solve_sparse(
+                        (row, ONE if j == k else ZERO) for j, row in enumerate(rows))
+                except ValueError:
+                    rank = -1
+                if rank < self.dim:
+                    raise TemplateError("the sp(n+1,1) basis matrices are linearly dependent")
+                for p, v in sol.items():
+                    dec.setdefault(divmod(p, m), []).append((k, v))
+            self._dec = {pos: tuple(coeffs) for pos, coeffs in dec.items()}
         return self._dec
 
     def _decode(self, M: SparseMat) -> Dict[int, GaussRational]:
@@ -461,9 +444,41 @@ class SpModel:
             self._gram = gram
         return self._gram
 
-    def killing_trace(self, a: LieCoord, b: LieCoord) -> GaussRational:
-        gram = self.killing_gram()
-        tot = gr(0)
+    def killing_closed_gram(self) -> Dict[Tuple[int, int], GaussRational]:
+        """The closed-form Killing expression with its literal printed
+        coefficients, as a Gram matrix B(e_i, e_j); compare with
+        killing_gram via calibration()."""
+        if self._closed is None:
+            n, c, ix = self.n, self.consts, self.key_index
+            gram: Dict[Tuple[int, int], GaussRational] = {}
+
+            def add(v, *pairs):  # the term v * (a_ka b_kb + ...) of B(a, b)
+                for ka, kb in pairs:
+                    p = ix[ka], ix[kb]
+                    gram[p] = gram.get(p, ZERO) + v
+
+            for s in (1, 2, 3):
+                eta, psi, phi = ("eta", s), ("psi", s), ("phi", s)
+                add(gr(-(4 * n + 6)), (eta, psi), (psi, eta))
+                add(gr(-(2 * n + 4)), (phi, phi))
+            add(gr(2 * n + 6), (("phi0",), ("phi0",)))
+            for al in range(1, 2 * n + 1):
+                # theta_alpha = g_{s̄ alpha} theta^{s̄}, theta_ᾱ = g_{s ᾱ} theta^s
+                th, thb = ("theta", al, False), ("theta", al, True)
+                fu, fub = ("phiU", al, False), ("phiU", al, True)
+                add(gr(-4 * (2 * n + 7) * c.diag[al - 1]),
+                    (thb, fu), (fu, thb), (th, fub), (fub, th))
+                for be in range(1, 2 * n + 1):
+                    # Gamma^{a b}(B) = g^{a s̄} g^{b t̄} Gamma_{s̄ t̄}(B)
+                    coeff, key = coframe.gamma_bar(c, al, be)
+                    add(gr(-7 * c.diag[al - 1] * c.diag[be - 1]) * coeff,
+                        (coframe.gam_key(al, be), key))
+            self._closed = {p: v for p, v in gram.items() if not v.is_zero()}
+        return self._closed
+
+    def _pair(self, gram, a: LieCoord, b: LieCoord) -> GaussRational:
+        """sum a_i b_j gram[i, j], the bilinear form of a Gram matrix."""
+        tot = ZERO
         for ka, va in a.c.items():
             ia = self.key_index[ka]
             for kb, vb in b.c.items():
@@ -472,38 +487,11 @@ class SpModel:
                     tot = tot + va * vb * g
         return tot
 
+    def killing_trace(self, a: LieCoord, b: LieCoord) -> GaussRational:
+        return self._pair(self.killing_gram(), a, b)
+
     def killing_closed(self, a: LieCoord, b: LieCoord) -> GaussRational:
-        """The closed-form Killing expression with its literal printed
-        coefficients; compare with killing_trace via calibration()."""
-        n, c = self.n, self.consts
-
-        def theta_lo(x, al):  # theta_alpha = g_{s̄ alpha} theta^{s̄}
-            return gr(c.diag[al - 1]) * x.get(("theta", al, True))
-
-        def theta_lo_bar(x, al):  # theta_ᾱ = g_{s ᾱ} theta^s
-            return gr(c.diag[al - 1]) * x.get(("theta", al, False))
-
-        tot = gr(0)
-        for s in (1, 2, 3):
-            tot = tot - (4 * n + 6) * (a.get(("eta", s)) * b.get(("psi", s))
-                                       + a.get(("psi", s)) * b.get(("eta", s)))
-            tot = tot - (2 * n + 4) * a.get(("phi", s)) * b.get(("phi", s))
-        tot = tot + (2 * n + 6) * a.get(("phi0",)) * b.get(("phi0",))
-        for al in range(1, 2 * n + 1):
-            tot = tot - 4 * (2 * n + 7) * (
-                theta_lo(a, al) * b.get(("phiU", al, False))
-                + a.get(("phiU", al, False)) * theta_lo(b, al)
-                + theta_lo_bar(a, al) * b.get(("phiU", al, True))
-                + a.get(("phiU", al, True)) * theta_lo_bar(b, al))
-        gam_sum = gr(0)
-        for al in range(1, 2 * n + 1):
-            for be in range(1, 2 * n + 1):
-                # Gamma^{a b}(B) = g^{a s̄} g^{b t̄} Gamma_{s̄ t̄}(B)
-                up = (gr(c.diag[al - 1] * c.diag[be - 1])
-                      * b.gam_bar(c, al, be))
-                gam_sum = gam_sum + a.get(("Gam", al, be)) * up
-        tot = tot - 7 * gam_sum
-        return tot
+        return self._pair(self.killing_closed_gram(), a, b)
 
     def calibration(self) -> dict:
         """Compare the ad-trace Gram matrix against the closed-form
@@ -542,12 +530,8 @@ class SpModel:
             if not match:
                 out["full_match"] = False
         # full-Gram consistency: closed form vs trace on every basis pair
-        mismatches = 0
-        for i, ki in enumerate(self.keys):
-            for j, kj in enumerate(self.keys):
-                if self.killing_closed(self.basis(ki), self.basis(kj)) != \
-                        self.killing_gram().get((i, j), gr(0)):
-                    mismatches += 1
+        closed, trace = self.killing_closed_gram(), self.killing_gram()
+        mismatches = sum(closed.get(p) != trace.get(p) for p in closed.keys() | trace.keys())
         out["gram_entry_mismatches"] = mismatches
         out["gram_entries"] = self.dim * self.dim
         if mismatches:
@@ -565,14 +549,14 @@ class SpModel:
 
     # -- dual frames -------------------------------------------------------------
 
-    def _frames_for(self, pairing) -> dict:
+    def _frames_for(self, gram) -> dict:
         n = self.n
 
         def solve(dual_of: List[Key], inside: List[Key]) -> List[LieCoord]:
             # column t of the inverse pairing matrix holds the dual of dual_of[t]
             k = len(dual_of)
-            rows = [[pairing(self.basis(kb), self.basis(kd)) for kb in inside]
-                    for kd in dual_of]
+            rows = [[gram.get((self.key_index[kb], self.key_index[kd]), ZERO)
+                     for kb in inside] for kd in dual_of]
             ident = [[ONE if u == t else ZERO for t in range(k)] for u in range(k)]
             inv = solve_square(rows, ident)
             return [LieCoord(n, {kb: inv[i][t] for i, kb in enumerate(inside)})
@@ -607,14 +591,14 @@ class SpModel:
         Zhat^a, Zhat^ā in g_1, computed from the ad-trace Gram.  This is
         the authoritative version used by the codifferential."""
         if self._frames is None:
-            self._frames = self._frames_for(self.killing_trace)
+            self._frames = self._frames_for(self.killing_gram())
         return self._frames
 
     def dual_frames_published(self) -> dict:
         """Dual frames taken against the closed-form expression with its
         literal coefficients; a calibration artifact only.  These frames
         reproduce the quoted pairings -1/(4n+6) and -1/(4(2n+7))."""
-        return self._frames_for(self.killing_closed)
+        return self._frames_for(self.killing_closed_gram())
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +728,11 @@ def validate_spn(U, c: StandardConstants) -> bool:
 def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
     """Exact random Sp(n) element via the Cayley transform of a random
     algebra element built from a symmetric j-invariant array."""
-    from .tensors import random_tensor, symmetrize, j_average, slots as _slots
+    from .tensors import random_tensor, symmetrize, j_average
     n = c.n
     dim = 2 * n
     while True:
-        y = j_average(symmetrize(random_tensor(rng, n, _slots("ll"), span)), c)
+        y = j_average(symmetrize(random_tensor(rng, n, slots("ll"), span)), c)
         x = [[gr(0)] * dim for _ in range(dim)]
         for (s, b), val in y.entries.items():
             for a in range(1, dim + 1):
@@ -777,6 +761,16 @@ def random_g1(rng: random.Random, c: StandardConstants, span: int = 3) -> G1Elem
     return G1Element(random_spn(rng, c, span), r, lam)
 
 
+def _u_low(c: StandardConstants, U, b: int, s: int):
+    """U_{b s̄} = g_{a s̄} U^a_b: one term, because g is diagonal."""
+    return gr(c.diag[s]) * U[s][b]
+
+
+def _norm2(c: StandardConstants, r):
+    """r_s r^s = g_{t̄ s} conj(r^t) r^s."""
+    return sum((gr(c.diag[s]) * r[s].conj() * r[s] for s in range(len(r))), ZERO)
+
+
 def g1_to_matrix(x: G1Element, c: StandardConstants, check: bool = True,
                  ring=None):
     """The (4n+7)-square matrix of the coframe transformation, rows and
@@ -800,18 +794,7 @@ def g1_to_matrix(x: G1Element, c: StandardConstants, check: bool = True,
         M[ph0 + s][ph0 + s] = lift(gr(1))
     iI = gr(0, 1)
 
-    def u_low(bq, s):
-        # U_{b s̄} = g_{a s̄} U^a_b
-        acc = lift(gr(0))
-        for a in range(dim):
-            cg = c.g(a + 1, s + 1)
-            if not cg.is_zero():
-                acc = acc + cg * U[a][bq]
-        return acc
-
-    rr = lift(gr(0))  # r_s r^s = g_{t̄ s} conj(r^t) r^s
-    for s in range(dim):
-        rr = rr + gr(c.diag[s]) * r[s].conj() * r[s]
+    rr = _norm2(c, r)
     for a in range(dim):
         # theta^a row
         M[th0 + a][0] = iI * r[a]
@@ -842,9 +825,7 @@ def g1_to_matrix(x: G1Element, c: StandardConstants, check: bool = True,
     M[ph0 + 3][1] = lam[0]
     M[ph0 + 3][2] = 2 * rr
     for bq in range(dim):
-        ub = lift(gr(0))
-        for s in range(dim):
-            ub = ub + u_low(bq, s) * r[s].conj()
+        ub = sum((_u_low(c, U, bq, s) * r[s].conj() for s in range(dim)), ZERO)
         # 2 U_{b s̄} r^s̄ and friends
         M[ph0][th0 + bq] = 2 * ub
         M[ph0][thb0 + bq] = (2 * ub).conj()
@@ -872,19 +853,10 @@ def g1_compose(x: G1Element, y: G1Element, c: StandardConstants) -> G1Element:
     r = [sum((x.U[a][s] * y.r[s] for s in range(dim)), gr(0)) + x.r[a]
          for a in range(dim)]
 
-    def u_low(al, be):
-        # U_{a b̄} = g_{t b̄} U^t_a   (x's U)
-        acc = gr(0)
-        for t in range(dim):
-            cg = c.g(t + 1, be + 1)
-            if not cg.is_zero():
-                acc = acc + cg * x.U[t][al]
-        return acc
-
     t1 = gr(0)  # U_{a b̄} ŷr^a conj(r^b)
     for al in range(dim):
         for be in range(dim):
-            ul = u_low(al, be)
+            ul = _u_low(c, x.U, al, be)
             if not ul.is_zero():
                 t1 = t1 + ul * y.r[al] * x.r[be].conj()
     t2 = gr(0)  # pi^{s̄}_a conj(U_{s b̄}) ŷr^a r^b
@@ -894,7 +866,7 @@ def g1_compose(x: G1Element, y: G1Element, c: StandardConstants) -> G1Element:
             if cp.is_zero():
                 continue
             for be in range(dim):
-                ul = u_low(s, be)
+                ul = _u_low(c, x.U, s, be)
                 if not ul.is_zero():
                     t2 = t2 + cp * ul.conj() * y.r[al] * x.r[be]
     i2 = gr(0, 2)
@@ -1007,20 +979,12 @@ def parabolic_member(a1: GaussRational, a2: GaussRational, U, r,
             M[i][j] = A[i][j]
             M[dim + 2 + i][dim + 2 + j] = A[i][j] / det
 
-    def u_low(bq, s):
-        acc = gr(0)
-        for a in range(dim):
-            cg = c.g(a + 1, s + 1)
-            if not cg.is_zero():
-                acc = acc + cg * U[a][bq]
-        return acc
-
     # top-middle: -A (rows) x (U_{b s̄} r^s̄ ; U_{b t̄} pi^t̄_s r^s)
     for bq in range(dim):
-        v1 = sum((u_low(bq, s) * r[s].conj() for s in range(dim)), gr(0))
+        v1 = sum((_u_low(c, U, bq, s) * r[s].conj() for s in range(dim)), ZERO)
         v2 = gr(0)
         for t in range(dim):
-            ul = u_low(bq, t)
+            ul = _u_low(c, U, bq, t)
             if ul.is_zero():
                 continue
             for s in range(dim):
@@ -1029,9 +993,7 @@ def parabolic_member(a1: GaussRational, a2: GaussRational, U, r,
                     v2 = v2 + ul * cp * r[s]
         for i in range(2):
             M[i][2 + bq] = -(A[i][0] * v1 + A[i][1] * v2)
-    rr = gr(0)
-    for s in range(dim):
-        rr = rr + gr(c.diag[s]) * r[s].conj() * r[s]
+    rr = _norm2(c, r)
     blk = [[-(rr / 2) + gr(0, 1) * lam[0], -lam[1] + gr(0, 1) * lam[2]],
            [lam[1] + gr(0, 1) * lam[2], -(rr / 2) - gr(0, 1) * lam[0]]]
     for i in range(2):

@@ -149,7 +149,7 @@ class StandardConstants:
     of pi, and the two contraction identities checked in the tests.
     """
 
-    __slots__ = ("n", "signature", "diag", "g_lower", "g_upper", "pi_lower")
+    __slots__ = ("n", "signature", "diag", "pi_lower")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -167,12 +167,7 @@ class StandardConstants:
             diag.append(Fraction(-1 if base > p else 1))
         self.diag = tuple(diag)
 
-        self.g_lower = IndexedTensor(n, slots("lL"))
-        self.g_upper = IndexedTensor(n, slots("uU"))
         self.pi_lower = IndexedTensor(n, slots("ll"))
-        for a in range(1, 2 * n + 1):
-            self.g_lower.set((a, a), self.diag[a - 1])
-            self.g_upper.set((a, a), self.diag[a - 1])
         for a in range(1, n + 1):
             self.pi_lower.set((a, a + n), 1)
             self.pi_lower.set((a + n, a), -1)

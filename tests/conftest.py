@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from qcframe.gauss import gr
 from qcframe.model import SpModel
 
 # property tests: a fixed example sequence, no wall-clock deadline and no
@@ -21,3 +22,16 @@ def model_for():
             _MODELS[key] = SpModel(n, signature)
         return _MODELS[key]
     return get
+
+
+@pytest.fixture
+def dependent_basis(monkeypatch):
+    """Encode eta_1 as eta_2, so two basis matrices of every model coincide."""
+    encode = SpModel.to_matrix
+
+    def to_matrix(self, x):
+        if x.c == {("eta", 1): gr(1)}:
+            x = self.basis(("eta", 2))
+        return encode(self, x)
+
+    monkeypatch.setattr(SpModel, "to_matrix", to_matrix)

@@ -134,6 +134,12 @@ def test_off_template_product_exit_3(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_dependent_basis_matrices_exit_3(dependent_basis, capsys):
+    assert run(["lie", "jacobi", "--n", "1"]) == 3
+    assert "internal error: the sp(n+1,1) basis matrices are linearly dependent" \
+        in capsys.readouterr().err
+
+
 def _nonzero_residual():
     from qcframe.forms import Exterior
     ext = Exterior(1)

@@ -31,6 +31,7 @@ CASES = [
     (["verify", "bianchi", "--n", "1"], "verify_bianchi_n1.json", 0),
     (["lie", "g1", "--n", "1", "--trials", "5", "--seed", "7"],
      "lie_g1_n1_trials5_seed7.json", 0),
+    (["lie", "killing", "--n", "2"], "lie_killing_n2.json", 0),
 ]
 
 

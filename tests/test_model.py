@@ -134,6 +134,62 @@ def test_calibration_documents_discrepancies(model_for):
     assert cal["gram_entry_mismatches"] > 0
 
 
+@pytest.mark.parametrize("n, signature, mismatches, entries", [
+    (1, None, 20, 441), (2, None, 35, 1296), (2, (1, 1), 35, 1296), (3, None, 54, 3025)])
+def test_calibration_gram_mismatch_counts(model_for, n, signature, mismatches, entries):
+    """The closed-form and ad-trace Grams differ on exactly these many
+    basis pairs (the values of the per-pair comparison they replace)."""
+    cal = model_for(n, signature).calibration()
+    assert (cal["gram_entry_mismatches"], cal["gram_entries"]) == (mismatches, entries)
+
+
+def test_calibration_counts_entries_of_either_gram():
+    """An entry stored in only one of the two Grams is a mismatch."""
+    m = SpModel(1)
+    closed = dict(m.killing_closed_gram())
+    phi0, eta1 = m.key_index[("phi0",)], m.key_index[("eta", 1)]
+    assert closed[phi0, phi0] == m.killing_gram()[phi0, phi0]
+    assert (eta1, eta1) not in m.killing_gram()
+    del closed[phi0, phi0]
+    closed[eta1, eta1] = gr(1)
+    m._closed = closed
+    assert m.calibration()["gram_entry_mismatches"] == 20 + 2
+
+
+def _printed_killing(m, a, b):
+    """The printed closed-form Killing expression, term by term."""
+    n, c = m.n, m.consts
+    tot = gr(0)
+    for s in (1, 2, 3):
+        tot = tot - (4 * n + 6) * (a.get(("eta", s)) * b.get(("psi", s))
+                                   + a.get(("psi", s)) * b.get(("eta", s)))
+        tot = tot - (2 * n + 4) * a.get(("phi", s)) * b.get(("phi", s))
+    tot = tot + (2 * n + 6) * a.get(("phi0",)) * b.get(("phi0",))
+    for al in range(1, 2 * n + 1):
+        d = gr(c.diag[al - 1])
+        # theta_alpha = g_{s̄ alpha} theta^{s̄}, theta_ᾱ = g_{s ᾱ} theta^s
+        tot = tot - 4 * (2 * n + 7) * (
+            d * a.get(("theta", al, True)) * b.get(("phiU", al, False))
+            + a.get(("phiU", al, False)) * d * b.get(("theta", al, True))
+            + d * a.get(("theta", al, False)) * b.get(("phiU", al, True))
+            + a.get(("phiU", al, True)) * d * b.get(("theta", al, False)))
+    for al in range(1, 2 * n + 1):
+        for be in range(1, 2 * n + 1):
+            # Gamma^{a b}(B) = g^{a s̄} g^{b t̄} Gamma_{s̄ t̄}(B)
+            up = gr(c.diag[al - 1] * c.diag[be - 1]) * b.gam_bar(c, al, be)
+            tot = tot - 7 * a.get(("Gam", al, be)) * up
+    return tot
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_killing_closed_is_the_printed_expression(model_for, n, signature):
+    m = model_for(n, signature)
+    rng = random.Random(30 + n)
+    for _ in range(20):
+        a, b = random_coord(rng, m), random_coord(rng, m)
+        assert m.killing_closed(a, b) == _printed_killing(m, a, b)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_trace_killing_uniform_coefficients(model_for, n):
     """The true Killing form has every block proportional to 2n+6."""
@@ -390,6 +446,11 @@ def test_off_template_commutator_raises(monkeypatch):
 
     monkeypatch.setattr(model, "smat_sub", off_template)
     with pytest.raises(TemplateError):
+        SpModel(1).structure_constants()
+
+
+def test_dependent_basis_matrices_raise(dependent_basis):
+    with pytest.raises(TemplateError, match="linearly dependent"):
         SpModel(1).structure_constants()
 
 
