@@ -27,14 +27,18 @@ Every product and every sum of many pieces is written into one fresh
 local accumulator, a dict keyed by generator monomial and then by symbol
 monomial that holds the GaussRational coefficient (``Acc``).  Two
 functions fill it in place: ``_add_into`` adds a coefficient dict and
-``_mul_into`` adds the product of two; ``_form`` wraps the finished
+``_mul_into`` adds the product of two; ``from_acc`` wraps the finished
 accumulator, empty buckets dropped, as a Form.  ``Poly.__mul__``,
 ``Form.wedge``, ``Form.interior``, ``Form.conj`` and ``differential`` all
-run on them.  ``+`` always returns a new object that shares the untouched
-coefficients, because rule-table forms are shared and cached.
+run on them, and the rule builders of :mod:`qcframe.rules` sum through
+``addmul`` (add form * polynomial * scalar).  ``+`` always returns a new
+object that shares the untouched coefficients, because rule-table forms,
+generator forms and one-symbol polynomials are shared: an Exterior
+interns the last two, so none of them is ever modified in place.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -145,7 +149,19 @@ def _bucket(acc: Acc, mono: Tuple[int, ...]) -> Terms:
     return b
 
 
-def _form(ext: "Alphabet", acc: Acc) -> "Form":
+def addmul(acc: Acc, x: "Form", p: Optional["Poly"] = None,
+           c: GaussRational = ONE) -> None:
+    """acc += x * p * c in place, p None reading as 1: how a sum of many
+    products is built.  Neither x nor p is touched, so interned and shared
+    forms and polynomials may be passed."""
+    if c.is_zero():
+        return
+    pc = {(): c} if p is None else {m: v * c for m, v in p.terms.items()}
+    for mono, q in x.terms.items():
+        _mul_into(_bucket(acc, mono), q.terms, pc)
+
+
+def from_acc(ext: "Alphabet", acc: Acc) -> "Form":
     """The finished accumulator as a Form, empty buckets dropped; the
     Form takes over the buckets."""
     out = Form(ext)
@@ -223,7 +239,11 @@ class Alphabet:
 
 
 class Exterior(Alphabet):
-    """The exterior algebra on the coframe generators for fixed n."""
+    """The exterior algebra on the coframe generators for fixed n.
+
+    Generator forms (``gen``) and one-symbol polynomials (``sym``) are
+    interned per instance: asking twice gives the same shared object,
+    which no operation of this module modifies."""
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         self.n = n
@@ -236,12 +256,20 @@ class Exterior(Alphabet):
         for k in self.keys:
             coeff, k2 = coframe.conj_key(self.consts, k)
             self._conj_gen[self.gid[k]] = (coeff, self.gid[k2])
+        self._gens: Dict[coframe.Key, Form] = {}
+        self._syms: Dict[Tuple[str, Tuple[int, ...], bool], Poly] = {}
 
     # -- symbols -----------------------------------------------------------
 
     def sym(self, family: str, idx: Iterable[int] = (), conj: bool = False) -> Poly:
         """Canonicalized one-symbol polynomial (may fold in a sign)."""
         idx = tuple(idx)
+        p = self._syms.get((family, idx, conj))
+        if p is None:
+            p = self._syms[family, idx, conj] = self._canonical_sym(family, idx, conj)
+        return p
+
+    def _canonical_sym(self, family: str, idx: Tuple[int, ...], conj: bool) -> Poly:
         if family not in FAMILIES:
             raise KeyError(f"unknown symbol family {family!r}")
         arity, symmetric, jreal, real = FAMILIES[family]
@@ -297,10 +325,12 @@ class Exterior(Alphabet):
         return Form(self, {(): p} if not p.is_zero() else {})
 
     def gen(self, key: coframe.Key) -> "Form":
-        """Degree-1 generator as a form."""
-        if key[0] == "Gam":
-            key = coframe.gam_key(key[1], key[2])
-        return Form(self, {(self.gid[key],): Poly.const(1)})
+        """Degree-1 generator as a form (a Gamma pair in either order)."""
+        f = self._gens.get(key)
+        if f is None:
+            k = coframe.gam_key(key[1], key[2]) if key[0] == "Gam" else key
+            f = self._gens[key] = Form(self, {(self.gid[k],): Poly.const(1)})
+        return f
 
     def gam_bar_gen(self, s: int, t: int) -> "Form":
         """The dependent generator Gamma_{s̄ t̄} as a signed unbarred one."""
@@ -311,6 +341,20 @@ class Exterior(Alphabet):
 def _merge_sign(m1: Tuple[int, ...], m2: Tuple[int, ...]):
     """Merge two strictly increasing tuples; return (sign, merged) or
     None if a generator repeats."""
+    if len(m2) == 1:
+        # one generator: bisect for its place; it jumps over the rest of m1
+        g = m2[0]
+        i = bisect_left(m1, g)
+        if i < len(m1) and m1[i] == g:
+            return None
+        return (-1 if (len(m1) - i) % 2 else 1), m1[:i] + m2 + m1[i:]
+    if len(m1) == 1:
+        # one generator: it jumps over the first i generators of m2
+        g = m1[0]
+        i = bisect_left(m2, g)
+        if i < len(m2) and m2[i] == g:
+            return None
+        return (-1 if i % 2 else 1), m2[:i] + m1 + m2[i:]
     out: List[int] = []
     sign = 1
     i = j = 0
@@ -395,7 +439,7 @@ class Form:
                     continue
                 sign, mono = merged
                 _mul_into(_bucket(acc, mono), t1, p2.terms, sign < 0)
-        return _form(self.ext, acc)
+        return from_acc(self.ext, acc)
 
     def __xor__(self, other: "Form") -> "Form":  # a ^ b reads as a wedge b
         return self.wedge(other)
@@ -427,7 +471,7 @@ class Form:
                 s, key = _merge_sign(key, (g2,))
                 sign *= s
             _add_into(_bucket(acc, key), ext.conj_poly(p).scale(coeff).terms, sign < 0)
-        return _form(ext, acc)
+        return from_acc(ext, acc)
 
     def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":
         """Homomorphic replacement of symbols.  Conjugated symbols pick
@@ -461,7 +505,7 @@ class Form:
                 if comp is None:
                     continue
                 _mul_into(_bucket(acc, m[:pos] + m[pos + 1:]), p.terms, comp.terms, pos % 2)
-        return _form(self.ext, acc)
+        return from_acc(self.ext, acc)
 
     def eval_fields(self, *fields: Vector) -> Poly:
         """Full contraction of a k-form with k vectors, using the pairing
@@ -551,4 +595,4 @@ def differential(x: Form, rules: DRuleSet) -> Form:
                     sign, key = merged
                     odd = i * (1 + len(rm)) % 2 == 1
                     _mul_into(_bucket(acc, key), pt, rp.terms, (sign < 0) != odd)
-    return _form(x.ext, acc)
+    return from_acc(x.ext, acc)

@@ -17,9 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .gauss import GaussRational, gr
+from .gauss import ONE, GaussRational, gr
 from . import coframe
-from .forms import DRuleSet, Exterior, Form, Poly, Sym, differential
+from .forms import (Acc, DRuleSet, Exterior, Form, Poly, Sym, addmul, differential,
+                    from_acc)
 
 I = gr(0, 1)
 H = gr(Fraction(1, 2))
@@ -67,6 +68,12 @@ class RuleBuilder:
     every tagged display term is its calibrated value (CORRECTIONS),
     falling back to 1.  Passing ``published=True`` forces every
     multiplier to 1, i.e. the displays exactly as printed.
+
+    Every rule method writes its sum into an accumulator ``acc`` (one
+    ``addmul`` per display term) and returns nothing; ``form`` runs one on
+    a fresh accumulator and returns the finished Form.  Methods that
+    share ``acc`` add up, as ``symbol_rule`` does with the tilde and
+    semibasic parts.
     """
 
     def __init__(self, n: int, signature: Tuple[int, int] = None,
@@ -78,13 +85,27 @@ class RuleBuilder:
         self.n = n
         self.tweaks = dict(tweaks or {})
         self.published = published
+        self._t: Dict[Tuple[str, object], GaussRational] = {}
+        eta2, eta3 = self.eta(2), self.eta(3).scale(I)
+        self._eta23 = (eta2 + eta3, eta2 - eta3)
 
     def t(self, tag: str, default=1) -> GaussRational:
-        if tag in self.tweaks:
-            return GaussRational.of(self.tweaks[tag])
-        if self.published:
-            return GaussRational.of(default)
-        return GaussRational.of(CORRECTIONS.get(tag, default))
+        v = self._t.get((tag, default))
+        if v is None:
+            if tag in self.tweaks:
+                v = GaussRational.of(self.tweaks[tag])
+            elif self.published:
+                v = GaussRational.of(default)
+            else:
+                v = GaussRational.of(CORRECTIONS.get(tag, default))
+            self._t[tag, default] = v
+        return v
+
+    def form(self, fill, *args) -> Form:
+        """The Form that the rule method ``fill(acc, *args)`` writes."""
+        acc: Acc = {}
+        fill(acc, *args)
+        return from_acc(self.ext, acc)
 
     # generator shorthands -------------------------------------------------
 
@@ -120,31 +141,25 @@ class RuleBuilder:
 
     # lowered one-forms ------------------------------------------------------
 
+    def _lowered(self, gen, coeff) -> Form:
+        acc: Acc = {}
+        for s in self.R:
+            addmul(acc, gen(s), None, coeff(s))
+        return from_acc(self.ext, acc)
+
     def th_lo(self, a):
         """theta_a = g_{s̄ a} theta^{s̄}"""
-        out = self.ext.zero()
-        for s in self.R:
-            out = out + self.thb(s).scale(self.c.g(a, s))
-        return out
+        return self._lowered(self.thb, lambda s: self.c.g(a, s))
 
     def th_lo_bar(self, a):
         """theta_ā = g_{s ā} theta^{s}"""
-        out = self.ext.zero()
-        for s in self.R:
-            out = out + self.th(s).scale(self.c.g(s, a))
-        return out
+        return self._lowered(self.th, lambda s: self.c.g(s, a))
 
     def fu_lo(self, a):
-        out = self.ext.zero()
-        for s in self.R:
-            out = out + self.fub(s).scale(self.c.g(a, s))
-        return out
+        return self._lowered(self.fub, lambda s: self.c.g(a, s))
 
     def fu_lo_bar(self, a):
-        out = self.ext.zero()
-        for s in self.R:
-            out = out + self.fu(s).scale(self.c.g(s, a))
-        return out
+        return self._lowered(self.fu, lambda s: self.c.g(s, a))
 
     # symbol shorthands ------------------------------------------------------
 
@@ -158,480 +173,420 @@ class RuleBuilder:
         return self.ext.jsym(fam, idx)
 
     def eta23p(self):
-        return self.eta(2) + self.eta(3).scale(I)
+        return self._eta23[0]
 
     def eta23m(self):
-        return self.eta(2) - self.eta(3).scale(I)
+        return self._eta23[1]
 
     # ----------------------------------------------------------------------
     # flat structure equations (Maurer-Cartan transcription)
 
-    def d_eta(self, s) -> Form:
+    def d_eta(self, acc: Acc, s) -> None:
         b = self
         if s == 1:
-            out = (-(b.phi0() ^ b.eta(1)) - (b.f(2) ^ b.eta(3)) + (b.f(3) ^ b.eta(2)))
+            addmul(acc, -(b.phi0() ^ b.eta(1)) - (b.f(2) ^ b.eta(3)) + (b.f(3) ^ b.eta(2)))
             for al in b.R:
                 for be in b.R:
-                    out = out + (b.th(al) ^ b.thb(be)).scale(2 * I * b.c.g(al, be))
-            return out
-        if s == 2:
-            out = (-(b.phi0() ^ b.eta(2)) - (b.f(3) ^ b.eta(1)) + (b.f(1) ^ b.eta(3)))
+                    addmul(acc, b.th(al) ^ b.thb(be), None, 2 * I * b.c.g(al, be))
+        elif s == 2:
+            addmul(acc, -(b.phi0() ^ b.eta(2)) - (b.f(3) ^ b.eta(1)) + (b.f(1) ^ b.eta(3)))
             for al in b.R:
                 for be in b.R:
-                    out = out + (b.th(al) ^ b.th(be)).scale(b.c.pi(al, be))
-                    out = out + (b.thb(al) ^ b.thb(be)).scale(b.c.pi_bar(al, be))
-            return out
-        if s == 3:
-            out = (-(b.phi0() ^ b.eta(3)) - (b.f(1) ^ b.eta(2)) + (b.f(2) ^ b.eta(1)))
+                    addmul(acc, b.th(al) ^ b.th(be), None, b.c.pi(al, be))
+                    addmul(acc, b.thb(al) ^ b.thb(be), None, b.c.pi_bar(al, be))
+        elif s == 3:
+            addmul(acc, -(b.phi0() ^ b.eta(3)) - (b.f(1) ^ b.eta(2)) + (b.f(2) ^ b.eta(1)))
             for al in b.R:
                 for be in b.R:
-                    out = out - (b.th(al) ^ b.th(be)).scale(I * b.c.pi(al, be))
-                    out = out + (b.thb(al) ^ b.thb(be)).scale(I * b.c.pi_bar(al, be))
-            return out
-        raise ValueError(s)
+                    addmul(acc, b.th(al) ^ b.th(be), None, -I * b.c.pi(al, be))
+                    addmul(acc, b.thb(al) ^ b.thb(be), None, I * b.c.pi_bar(al, be))
+        else:
+            raise ValueError(s)
 
-    def d_theta(self, a) -> Form:
+    def d_theta(self, acc: Acc, a) -> None:
         b = self
-        out = -(b.fu(a) ^ b.eta(1)).scale(I)
+        addmul(acc, b.fu(a) ^ b.eta(1), None, -I)
         for s in b.R:
-            out = out - (b.fub(s) ^ b.eta23p()).scale(b.c.pi_u_lbar(a, s))
+            addmul(acc, b.fub(s) ^ b.eta23p(), None, -b.c.pi_u_lbar(a, s))
         for s in b.R:
-            for be in b.R:
-                out = out - (b.gam(s, be) ^ b.th(be)).scale(b.c.pi_up(a, s))
-        out = out - ((b.phi0() + b.f(1).scale(I)) ^ b.th(a)).scale(H)
+            coeff = b.c.pi_up(a, s)
+            if not coeff.is_zero():
+                for be in b.R:
+                    addmul(acc, b.gam(s, be) ^ b.th(be), None, -coeff)
+        addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.th(a), None, -H)
         for be in b.R:
-            out = out - ((b.f(2) + b.f(3).scale(I)) ^ b.thb(be)).scale(H * b.c.pi_u_lbar(a, be))
-        return out
+            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.thb(be), None, -H * b.c.pi_u_lbar(a, be))
 
-    def d_phi0(self) -> Form:
+    def d_phi0(self, acc: Acc) -> None:
         b = self
-        out = (-(b.psi(1) ^ b.eta(1)) - (b.psi(2) ^ b.eta(2)) - (b.psi(3) ^ b.eta(3)))
+        addmul(acc, -(b.psi(1) ^ b.eta(1)) - (b.psi(2) ^ b.eta(2)) - (b.psi(3) ^ b.eta(3)))
         for be in b.R:
-            out = out - (b.fu_lo(be) ^ b.th(be)).scale(2)
-            out = out - (b.fu_lo_bar(be) ^ b.thb(be)).scale(2)
-        return out
+            addmul(acc, b.fu_lo(be) ^ b.th(be), None, gr(-2))
+            addmul(acc, b.fu_lo_bar(be) ^ b.thb(be), None, gr(-2))
 
-    def d_phi(self, s) -> Form:
+    def d_phi(self, acc: Acc, s) -> None:
         b = self
         if s == 1:
-            out = (-(b.f(2) ^ b.f(3)) - (b.psi(2) ^ b.eta(3)) + (b.psi(3) ^ b.eta(2)))
+            addmul(acc, -(b.f(2) ^ b.f(3)) - (b.psi(2) ^ b.eta(3)) + (b.psi(3) ^ b.eta(2)))
             for be in b.R:
-                out = out + (b.fu_lo(be) ^ b.th(be)).scale(2 * I)
-                out = out - (b.fu_lo_bar(be) ^ b.thb(be)).scale(2 * I)
-            return out
-        if s == 2:
-            out = (-(b.f(3) ^ b.f(1)) - (b.psi(3) ^ b.eta(1)) + (b.psi(1) ^ b.eta(3)))
+                addmul(acc, b.fu_lo(be) ^ b.th(be), None, 2 * I)
+                addmul(acc, b.fu_lo_bar(be) ^ b.thb(be), None, -2 * I)
+        elif s == 2:
+            addmul(acc, -(b.f(3) ^ b.f(1)) - (b.psi(3) ^ b.eta(1)) + (b.psi(1) ^ b.eta(3)))
             for si in b.R:
                 for be in b.R:
-                    out = out - (b.fu(si) ^ b.th(be)).scale(2 * b.c.pi(si, be))
-                    out = out - (b.fub(si) ^ b.thb(be)).scale(2 * b.c.pi_bar(si, be))
-            return out
-        if s == 3:
-            out = (-(b.f(1) ^ b.f(2)) - (b.psi(1) ^ b.eta(2)) + (b.psi(2) ^ b.eta(1)))
+                    addmul(acc, b.fu(si) ^ b.th(be), None, -2 * b.c.pi(si, be))
+                    addmul(acc, b.fub(si) ^ b.thb(be), None, -2 * b.c.pi_bar(si, be))
+        elif s == 3:
+            addmul(acc, -(b.f(1) ^ b.f(2)) - (b.psi(1) ^ b.eta(2)) + (b.psi(2) ^ b.eta(1)))
             for si in b.R:
                 for be in b.R:
-                    out = out + (b.fu(si) ^ b.th(be)).scale(2 * I * b.c.pi(si, be))
-                    out = out - (b.fub(si) ^ b.thb(be)).scale(2 * I * b.c.pi_bar(si, be))
-            return out
-        raise ValueError(s)
+                    addmul(acc, b.fu(si) ^ b.th(be), None, 2 * I * b.c.pi(si, be))
+                    addmul(acc, b.fub(si) ^ b.thb(be), None, -2 * I * b.c.pi_bar(si, be))
+        else:
+            raise ValueError(s)
 
-    def d_gamma_flat(self, a, bq) -> Form:
+    def d_gamma_flat(self, acc: Acc, a, bq) -> None:
         b = self
-        out = b.ext.zero()
         for s in b.R:
             for t in b.R:
-                out = out - (b.gam(a, s) ^ b.gam(t, bq)).scale(b.c.pi_up(s, t))
+                coeff = b.c.pi_up(s, t)
+                if not coeff.is_zero():
+                    addmul(acc, b.gam(a, s) ^ b.gam(t, bq), None, -coeff)
         for s in b.R:
             m_a = b.c.pi_ubar_l(s, a)
             if not m_a.is_zero():
-                out = out + ((b.fu_lo(bq) ^ b.th_lo_bar(s))
-                             - (b.fu_lo_bar(s) ^ b.th_lo(bq))).scale(2 * m_a)
+                addmul(acc, (b.fu_lo(bq) ^ b.th_lo_bar(s)) - (b.fu_lo_bar(s) ^ b.th_lo(bq)),
+                       None, 2 * m_a)
             m_b = b.c.pi_ubar_l(s, bq)
             if not m_b.is_zero():
-                out = out + ((b.fu_lo(a) ^ b.th_lo_bar(s))
-                             - (b.fu_lo_bar(s) ^ b.th_lo(a))).scale(2 * m_b)
-        return out
+                addmul(acc, (b.fu_lo(a) ^ b.th_lo_bar(s)) - (b.fu_lo_bar(s) ^ b.th_lo(a)),
+                       None, 2 * m_b)
 
-    def d_phiu_flat(self, a) -> Form:
+    def d_phiu_flat(self, acc: Acc, a) -> None:
         """d phi^a from the flat model display (not used in curved mode)."""
         b = self
-        out = ((b.phi0() - b.f(1).scale(I)) ^ b.fu(a)).scale(H)
+        addmul(acc, (b.phi0() - b.f(1).scale(I)) ^ b.fu(a), None, H)
         for g in b.R:
-            out = out - ((b.f(2) + b.f(3).scale(I)) ^ b.fub(g)).scale(H * b.c.pi_u_lbar(a, g))
+            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.fub(g), None, -H * b.c.pi_u_lbar(a, g))
         for s in b.R:
-            for g in b.R:
-                out = out - (b.gam(s, g) ^ b.fu(g)).scale(b.c.pi_up(a, s))
-        out = out + (b.psi(1) ^ b.th(a)).scale(H * I)
+            coeff = b.c.pi_up(a, s)
+            if not coeff.is_zero():
+                for g in b.R:
+                    addmul(acc, b.gam(s, g) ^ b.fu(g), None, -coeff)
+        addmul(acc, b.psi(1) ^ b.th(a), None, H * I)
         for g in b.R:
-            out = out + ((b.psi(2) + b.psi(3).scale(I)) ^ b.thb(g)).scale(H * b.c.pi_u_lbar(a, g))
-        return out
+            addmul(acc, (b.psi(2) + b.psi(3).scale(I)) ^ b.thb(g), None, H * b.c.pi_u_lbar(a, g))
 
-    def d_psi1_flat(self) -> Form:
+    def d_psi1_flat(self, acc: Acc) -> None:
         b = self
-        out = ((b.phi0() ^ b.psi(1)) - (b.f(2) ^ b.psi(3)) + (b.f(3) ^ b.psi(2)))
+        addmul(acc, (b.phi0() ^ b.psi(1)) - (b.f(2) ^ b.psi(3)) + (b.f(3) ^ b.psi(2)))
         for g in b.R:
-            out = out - (b.fu_lo(g) ^ b.fu(g)).scale(4 * I)
-        return out
+            addmul(acc, b.fu_lo(g) ^ b.fu(g), None, -4 * I)
 
-    def d_psi23_flat(self) -> Form:
+    def d_psi23_flat(self, acc: Acc) -> None:
         b = self
-        psi23 = b.psi(2) + b.psi(3).scale(I)
-        out = ((b.phi0() - b.f(1).scale(I)) ^ psi23)
-        out = out + ((b.f(2) + b.f(3).scale(I)) ^ b.psi(1)).scale(I)
+        addmul(acc, (b.phi0() - b.f(1).scale(I)) ^ (b.psi(2) + b.psi(3).scale(I)))
+        addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.psi(1), None, I)
         for g in b.R:
             for d in b.R:
-                out = out + (b.fu(g) ^ b.fu(d)).scale(4 * b.c.pi(g, d))
-        return out
+                coeff = b.c.pi(g, d)
+                if not coeff.is_zero():
+                    addmul(acc, b.fu(g) ^ b.fu(d), None, 4 * coeff)
 
     # ----------------------------------------------------------------------
     # curvature additions
 
-    def gamma_curvature(self, a, bq, vfam: str = "V", sfam: str = "S") -> Form:
+    def gamma_curvature(self, acc: Acc, a, bq, vfam: str = "V", sfam: str = "S") -> None:
         b = self
-        out = b.ext.zero()
         for g in b.R:
             for d in b.R:
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, d)
                     if not coeff.is_zero():
-                        out = out + (b.th(g) ^ b.thb(d)).scale(
-                            b.sy(sfam, a, bq, g, s).scale(coeff * b.t("gam_S")))
+                        addmul(acc, b.th(g) ^ b.thb(d), b.sy(sfam, a, bq, g, s),
+                               coeff * b.t("gam_S"))
         for g in b.R:
-            term = b.sy(vfam, a, bq, g).scale(b.t("gam_V1"))
-            out = out + (b.th(g) ^ b.eta(1)).scale(term)
-            barred = Poly()
+            addmul(acc, b.th(g) ^ b.eta(1), b.sy(vfam, a, bq, g), b.t("gam_V1"))
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi_ubar_l(s, a) * b.c.pi_ubar_l(t, bq)
                     if not coeff.is_zero():
-                        barred = barred + b.ext.sym(vfam, (s, t, g), conj=True).scale(coeff)
-            out = out + (b.thb(g) ^ b.eta(1)).scale(barred.scale(b.t("gam_V1b")))
+                        addmul(acc, b.thb(g) ^ b.eta(1), b.ext.sym(vfam, (s, t, g), conj=True),
+                               coeff * b.t("gam_V1b"))
         for g in b.R:
-            pol = Poly()
             for s in b.R:
                 coeff = b.c.pi_u_lbar(s, g)
                 if not coeff.is_zero():
-                    pol = pol + b.sy(vfam, a, bq, s).scale(coeff)
-            out = out - (b.thb(g) ^ b.eta23p()).scale(pol.scale(I * b.t("gam_V2")))
-            out = out + (b.th(g) ^ b.eta23m()).scale(
-                b.ext.jsym(vfam, (a, bq, g)).scale(I * b.t("gam_V3")))
-        out = out - (b.eta23p() ^ b.eta23m()).scale(b.sy("L", a, bq).scale(I * b.t("gam_L")))
-        out = out + (b.eta(1) ^ b.eta23p()).scale(b.sy("M", a, bq).scale(b.t("gam_M1")))
-        out = out + (b.eta(1) ^ b.eta23m()).scale(b.jsy("M", a, bq).scale(b.t("gam_M2")))
-        return out
+                    addmul(acc, b.thb(g) ^ b.eta23p(), b.sy(vfam, a, bq, s),
+                           -I * coeff * b.t("gam_V2"))
+            addmul(acc, b.th(g) ^ b.eta23m(), b.ext.jsym(vfam, (a, bq, g)), I * b.t("gam_V3"))
+        addmul(acc, b.eta23p() ^ b.eta23m(), b.sy("L", a, bq), -I * b.t("gam_L"))
+        addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("M", a, bq), b.t("gam_M1"))
+        addmul(acc, b.eta(1) ^ b.eta23m(), b.jsy("M", a, bq), b.t("gam_M2"))
 
-    def d_gamma_curved(self, a, bq, vfam: str = "V", sfam: str = "S") -> Form:
-        return self.d_gamma_flat(a, bq) + self.gamma_curvature(a, bq, vfam, sfam)
+    def d_gamma_curved(self, acc: Acc, a, bq, vfam: str = "V", sfam: str = "S") -> None:
+        self.d_gamma_flat(acc, a, bq)
+        self.gamma_curvature(acc, a, bq, vfam, sfam)
 
-    def d_phi_lo_curved(self, a) -> Form:
+    def d_phi_lo_curved(self, acc: Acc, a) -> None:
         """d phi_a, the lowered-index display with curvature terms."""
         b = self
-        out = ((b.phi0() + b.f(1).scale(I)) ^ b.fu_lo(a)).scale(H)
+        addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.fu_lo(a), None, H)
         for g in b.R:
-            out = out + ((b.f(2) - b.f(3).scale(I)) ^ b.fu(g)).scale(H * b.c.pi(a, g))
+            addmul(acc, (b.f(2) - b.f(3).scale(I)) ^ b.fu(g), None, H * b.c.pi(a, g))
         for s in b.R:
             coeff = b.c.pi_ubar_l(s, a)
             if not coeff.is_zero():
                 for g in b.R:
-                    out = out - (b.gamb(s, g) ^ b.fub(g)).scale(coeff)
-        out = out - (b.psi(1) ^ b.th_lo(a)).scale(H * I)
+                    addmul(acc, b.gamb(s, g) ^ b.fub(g), None, -coeff)
+        addmul(acc, b.psi(1) ^ b.th_lo(a), None, -H * I)
         for g in b.R:
-            out = out - ((b.psi(2) - b.psi(3).scale(I)) ^ b.th(g)).scale(H * b.c.pi(a, g))
+            addmul(acc, (b.psi(2) - b.psi(3).scale(I)) ^ b.th(g), None, -H * b.c.pi(a, g))
         # curvature terms
         for g in b.R:
             for d in b.R:
-                pol = Poly()
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, d)
                     if not coeff.is_zero():
-                        pol = pol + b.sy("V", a, g, s).scale(coeff)
-                out = out - (b.th(g) ^ b.thb(d)).scale(pol.scale(I * b.t("phi_V")))
+                        addmul(acc, b.th(g) ^ b.thb(d), b.sy("V", a, g, s),
+                               -I * coeff * b.t("phi_V"))
         for g in b.R:
-            out = out + (b.th(g) ^ b.eta(1)).scale(b.sy("M", a, g).scale(b.t("phi_M1")))
-            pol = Poly()
+            addmul(acc, b.th(g) ^ b.eta(1), b.sy("M", a, g), b.t("phi_M1"))
             for s in b.R:
                 coeff = b.c.pi_ubar_l(s, a)
                 if not coeff.is_zero():
-                    pol = pol + b.ext.sym("L", (s, g), conj=True).scale(coeff)
-            out = out + (b.thb(g) ^ b.eta(1)).scale(pol.scale(b.t("phi_L1")))
-            out = out + (b.th(g) ^ b.eta23m()).scale(b.sy("L", a, g).scale(I * b.t("phi_L2")))
-            pol2 = Poly()
+                    addmul(acc, b.thb(g) ^ b.eta(1), b.ext.sym("L", (s, g), conj=True),
+                           coeff * b.t("phi_L1"))
+            addmul(acc, b.th(g) ^ b.eta23m(), b.sy("L", a, g), I * b.t("phi_L2"))
             for s in b.R:
                 coeff = b.c.pi_u_lbar(s, g)
                 if not coeff.is_zero():
-                    pol2 = pol2 + b.sy("M", a, s).scale(coeff)
-            out = out - (b.thb(g) ^ b.eta23p()).scale(pol2.scale(I * b.t("phi_M2")))
-        out = out - (b.eta23p() ^ b.eta23m()).scale(b.sy("C", a).scale(b.t("phi_C")))
-        out = out + (b.eta(1) ^ b.eta23p()).scale(b.sy("H", a).scale(b.t("phi_H")))
-        c_up = Poly()
+                    addmul(acc, b.thb(g) ^ b.eta23p(), b.sy("M", a, s),
+                           -I * coeff * b.t("phi_M2"))
+        addmul(acc, b.eta23p() ^ b.eta23m(), b.sy("C", a), -b.t("phi_C"))
+        addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("H", a), b.t("phi_H"))
         for s in b.R:
             for t in b.R:
                 coeff = b.c.pi(a, s) * b.c.g_up(s, t)
                 if not coeff.is_zero():
-                    c_up = c_up + b.ext.sym("C", (t,), conj=True).scale(coeff)
-        out = out + (b.eta(1) ^ b.eta23m()).scale(c_up.scale(I * b.t("phi_Cup")))
-        return out
+                    addmul(acc, b.eta(1) ^ b.eta23m(), b.ext.sym("C", (t,), conj=True),
+                           I * coeff * b.t("phi_Cup"))
 
-    def d_phiu_bar_curved(self, a) -> Form:
+    def d_phiu_bar_curved(self, acc: Acc, a) -> None:
         """d phi^{ā} by raising the lowered display with g."""
-        b = self
-        out = b.ext.zero()
-        for s in b.R:
-            coeff = b.c.g_up(s, a)
+        for s in self.R:
+            coeff = self.c.g_up(s, a)
             if not coeff.is_zero():
-                out = out + self.d_phi_lo_curved(s).scale(coeff)
-        return out
+                addmul(acc, self.form(self.d_phi_lo_curved, s), None, coeff)
 
-    def d_psi1_curved(self) -> Form:
+    def d_psi1_curved(self, acc: Acc) -> None:
         b = self
-        out = self.d_psi1_flat()
+        self.d_psi1_flat(acc)
         for g in b.R:
             for d in b.R:
-                pol = Poly()
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, d)
                     if not coeff.is_zero():
-                        pol = pol + b.sy("L", g, s).scale(coeff)
-                out = out + (b.th(g) ^ b.thb(d)).scale(pol.scale(4 * b.t("psi1_L")))
+                        addmul(acc, b.th(g) ^ b.thb(d), b.sy("L", g, s),
+                               4 * coeff * b.t("psi1_L"))
         for g in b.R:
-            out = out + (b.th(g) ^ b.eta(1)).scale(b.sy("C", g).scale(4 * b.t("psi1_C1")))
-            out = out + (b.thb(g) ^ b.eta(1)).scale(b.syc("C", g).scale(4 * b.t("psi1_C2")))
+            addmul(acc, b.th(g) ^ b.eta(1), b.sy("C", g), 4 * b.t("psi1_C1"))
+            addmul(acc, b.thb(g) ^ b.eta(1), b.syc("C", g), 4 * b.t("psi1_C2"))
             # -4i pi_{ḡ s̄} C^{s̄} theta^{ḡ} (eta2+i eta3)
-            polb = Poly()
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi_bar(g, s) * b.c.g_up(t, s)
                     if not coeff.is_zero():
-                        polb = polb + b.sy("C", t).scale(coeff)
-            out = out - (b.thb(g) ^ b.eta23p()).scale(polb.scale(4 * I * b.t("psi1_C3")))
-            pol = Poly()
+                        addmul(acc, b.thb(g) ^ b.eta23p(), b.sy("C", t),
+                               -4 * I * coeff * b.t("psi1_C3"))
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi(g, s) * b.c.g_up(s, t)
                     if not coeff.is_zero():
-                        pol = pol + b.ext.sym("C", (t,), conj=True).scale(coeff)
-            out = out + (b.th(g) ^ b.eta23m()).scale(pol.scale(4 * I * b.t("psi1_C4")))
-        out = out + (b.eta(1) ^ b.eta23p()).scale(b.sy("P").scale(b.t("psi1_P1")))
-        out = out + (b.eta(1) ^ b.eta23m()).scale(b.syc("P").scale(b.t("psi1_P2")))
-        out = out + (b.eta23p() ^ b.eta23m()).scale(b.sy("R").scale(I * b.t("psi1_R")))
-        return out
+                        addmul(acc, b.th(g) ^ b.eta23m(), b.ext.sym("C", (t,), conj=True),
+                               4 * I * coeff * b.t("psi1_C4"))
+        addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("P"), b.t("psi1_P1"))
+        addmul(acc, b.eta(1) ^ b.eta23m(), b.syc("P"), b.t("psi1_P2"))
+        addmul(acc, b.eta23p() ^ b.eta23m(), b.sy("R"), I * b.t("psi1_R"))
 
-    def d_psi23_curved(self) -> Form:
+    def d_psi23_curved(self, acc: Acc) -> None:
         b = self
-        out = self.d_psi23_flat()
+        self.d_psi23_flat(acc)
         for g in b.R:
             for d in b.R:
-                pol = Poly()
                 for s in b.R:
                     coeff = b.c.pi_ubar_l(s, g)
                     if not coeff.is_zero():
-                        pol = pol + b.ext.sym("M", (s, d), conj=True).scale(coeff)
-                out = out + (b.th(g) ^ b.thb(d)).scale(pol.scale(4 * I * b.t("psi23_M")))
+                        addmul(acc, b.th(g) ^ b.thb(d), b.ext.sym("M", (s, d), conj=True),
+                               4 * I * coeff * b.t("psi23_M"))
         for g in b.R:
-            pol = Poly()
             for s in b.R:
                 coeff = b.c.pi_ubar_l(s, g)
                 if not coeff.is_zero():
-                    pol = pol + b.syc("C", s).scale(coeff)
-            out = out + (b.th(g) ^ b.eta(1)).scale(pol.scale(4 * I * b.t("psi23_C1")))
-            out = out - (b.thb(g) ^ b.eta(1)).scale(b.syc("H", g).scale(4 * b.t("psi23_H1")))
-            out = out - (b.thb(g) ^ b.eta23p()).scale(b.syc("C", g).scale(4 * I * b.t("psi23_C2")))
-            polh = Poly()
+                    addmul(acc, b.th(g) ^ b.eta(1), b.syc("C", s),
+                           4 * I * coeff * b.t("psi23_C1"))
+            addmul(acc, b.thb(g) ^ b.eta(1), b.syc("H", g), -4 * b.t("psi23_H1"))
+            addmul(acc, b.thb(g) ^ b.eta23p(), b.syc("C", g), -4 * I * b.t("psi23_C2"))
             for s in b.R:
                 coeff = b.c.pi_ubar_l(s, g)
                 if not coeff.is_zero():
-                    polh = polh + b.syc("H", s).scale(coeff)
-            out = out - (b.th(g) ^ b.eta23m()).scale(polh.scale(4 * I * b.t("psi23_H2")))
-        out = out - (b.eta(1) ^ b.eta23p()).scale(b.sy("R").scale(I * b.t("psi23_R")))
-        out = out + (b.eta(1) ^ b.eta23m()).scale(b.syc("Q").scale(b.t("psi23_Q")))
-        out = out - (b.eta23p() ^ b.eta23m()).scale(b.syc("P").scale(b.t("psi23_P")))
-        return out
+                    addmul(acc, b.th(g) ^ b.eta23m(), b.syc("H", s),
+                           -4 * I * coeff * b.t("psi23_H2"))
+        addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("R"), -I * b.t("psi23_R"))
+        addmul(acc, b.eta(1) ^ b.eta23m(), b.syc("Q"), b.t("psi23_Q"))
+        addmul(acc, b.eta23p() ^ b.eta23m(), b.syc("P"), -b.t("psi23_P"))
 
     # ----------------------------------------------------------------------
     # starred one-forms: tilde parts and semibasic first-derivative parts
 
-    def gamma_action(self, fam: str, idx: Tuple[int, ...]) -> Form:
-        """sum over slots of pi^{t v} Gamma_{v idx_k} F_{idx with t at k}"""
+    def gamma_action(self, acc: Acc, fam: str, idx: Tuple[int, ...], c: GaussRational) -> None:
+        """c times the sum over slots of pi^{t v} Gamma_{v idx_k} F_{idx with t at k}"""
         b = self
-        out = b.ext.zero()
         for k, a in enumerate(idx):
             for t in b.R:
                 for v in b.R:
                     coeff = b.c.pi_up(t, v)
                     if not coeff.is_zero():
                         jdx = idx[:k] + (t,) + idx[k + 1:]
-                        out = out + b.gam(v, a).scale(b.ext.sym(fam, jdx).scale(coeff))
-        return out
+                        addmul(acc, b.gam(v, a), b.ext.sym(fam, jdx), coeff * c)
 
-    def tilde_star(self, fam: str, idx: Tuple[int, ...]) -> Form:
+    def tilde_star(self, acc: Acc, fam: str, idx: Tuple[int, ...]) -> None:
         b = self
         if fam == "S":
             a1, a2, a3, a4 = idx
-            out = self.gamma_action("S", idx).scale(b.t("tS_Gam"))
-            out = out + b.phi0().scale(b.sy("S", *idx).scale(b.t("tS_phi0")))
+            self.gamma_action(acc, "S", idx, b.t("tS_Gam"))
+            addmul(acc, b.phi0(), b.sy("S", *idx), b.t("tS_phi0"))
+            cv, cjv = 2 * I * b.t("tS_V"), 2 * I * b.t("tS_jV")
             for t in b.R:
-                pol = (b.sy("V", a4, a2, a3).scale(b.c.pi(a1, t))
-                       + b.sy("V", a1, a3, a4).scale(b.c.pi(a2, t))
-                       + b.sy("V", a1, a2, a4).scale(b.c.pi(a3, t))
-                       + b.sy("V", a1, a2, a3).scale(b.c.pi(a4, t)))
-                out = out + b.th(t).scale(pol.scale(2 * I * b.t("tS_V")))
-                polb = (b.jsy("V", a4, a2, a3).scale(b.c.g(a1, t))
-                        + b.jsy("V", a1, a4, a3).scale(b.c.g(a2, t))
-                        + b.jsy("V", a1, a2, a4).scale(b.c.g(a3, t))
-                        + b.jsy("V", a1, a2, a3).scale(b.c.g(a4, t)))
-                out = out + b.thb(t).scale(polb.scale(2 * I * b.t("tS_jV")))
-            return out
-        if fam == "V":
+                th, thb = b.th(t), b.thb(t)
+                addmul(acc, th, b.sy("V", a4, a2, a3), cv * b.c.pi(a1, t))
+                addmul(acc, th, b.sy("V", a1, a3, a4), cv * b.c.pi(a2, t))
+                addmul(acc, th, b.sy("V", a1, a2, a4), cv * b.c.pi(a3, t))
+                addmul(acc, th, b.sy("V", a1, a2, a3), cv * b.c.pi(a4, t))
+                addmul(acc, thb, b.jsy("V", a4, a2, a3), cjv * b.c.g(a1, t))
+                addmul(acc, thb, b.jsy("V", a1, a4, a3), cjv * b.c.g(a2, t))
+                addmul(acc, thb, b.jsy("V", a1, a2, a4), cjv * b.c.g(a3, t))
+                addmul(acc, thb, b.jsy("V", a1, a2, a3), cjv * b.c.g(a4, t))
+        elif fam == "V":
             a1, a2, a3 = idx
-            out = self.gamma_action("V", idx).scale(b.t("tV_Gam"))
+            self.gamma_action(acc, "V", idx, b.t("tV_Gam"))
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi_u_lbar(s, t)
                     if not coeff.is_zero():
-                        out = out + b.fub(t).scale(
-                            b.sy("S", a1, a2, a3, s).scale(I * coeff * b.t("tV_S")))
-            out = out + (b.phi0().scale(3) + b.f(1).scale(I)).scale(
-                b.sy("V", *idx).scale(H * b.t("tV_f01")))
-            out = out - (b.f(2) - b.f(3).scale(I)).scale(
-                b.jsy("V", *idx).scale(H * b.t("tV_f23")))
+                        addmul(acc, b.fub(t), b.sy("S", a1, a2, a3, s), I * coeff * b.t("tV_S"))
+            addmul(acc, b.phi0().scale(3) + b.f(1).scale(I), b.sy("V", *idx), H * b.t("tV_f01"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("V", *idx), -H * b.t("tV_f23"))
+            cm, cl = -2 * b.t("tV_M"), -2 * b.t("tV_L")
             for t in b.R:
-                pol = (b.sy("M", a2, a3).scale(b.c.pi(a1, t))
-                       + b.sy("M", a1, a3).scale(b.c.pi(a2, t))
-                       + b.sy("M", a1, a2).scale(b.c.pi(a3, t)))
-                out = out - b.th(t).scale(pol.scale(2 * b.t("tV_M")))
-                polb = (b.sy("L", a2, a3).scale(b.c.g(a1, t))
-                        + b.sy("L", a1, a3).scale(b.c.g(a2, t))
-                        + b.sy("L", a1, a2).scale(b.c.g(a3, t)))
-                out = out - b.thb(t).scale(polb.scale(2 * b.t("tV_L")))
-            return out
-        if fam == "L":
+                th, thb = b.th(t), b.thb(t)
+                addmul(acc, th, b.sy("M", a2, a3), cm * b.c.pi(a1, t))
+                addmul(acc, th, b.sy("M", a1, a3), cm * b.c.pi(a2, t))
+                addmul(acc, th, b.sy("M", a1, a2), cm * b.c.pi(a3, t))
+                addmul(acc, thb, b.sy("L", a2, a3), cl * b.c.g(a1, t))
+                addmul(acc, thb, b.sy("L", a1, a3), cl * b.c.g(a2, t))
+                addmul(acc, thb, b.sy("L", a1, a2), cl * b.c.g(a3, t))
+        elif fam == "L":
             a1, a2 = idx
-            out = self.gamma_action("L", idx).scale(b.t("tL_Gam"))
-            out = out + b.phi0().scale(b.sy("L", *idx).scale(2 * b.t("tL_phi0")))
-            out = out + (b.f(2) + b.f(3).scale(I)).scale(
-                b.sy("M", *idx).scale(H * b.t("tL_M1")))
-            out = out + (b.f(2) - b.f(3).scale(I)).scale(
-                b.jsy("M", *idx).scale(H * b.t("tL_M2")))
+            self.gamma_action(acc, "L", idx, b.t("tL_Gam"))
+            addmul(acc, b.phi0(), b.sy("L", *idx), 2 * b.t("tL_phi0"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("M", *idx), H * b.t("tL_M1"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("M", *idx), H * b.t("tL_M2"))
             for s in b.R:
-                out = out + b.fu(s).scale(b.sy("V", a1, a2, s).scale(b.t("tL_V1")))
+                addmul(acc, b.fu(s), b.sy("V", a1, a2, s), b.t("tL_V1"))
             for m in b.R:
                 for v in b.R:
                     coeff = b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
                     if not coeff.is_zero():
                         for s in b.R:
-                            out = out + b.fub(s).scale(
-                                b.ext.sym("V", (m, v, s), conj=True).scale(
-                                    coeff * b.t("tL_V2")))
+                            addmul(acc, b.fub(s), b.ext.sym("V", (m, v, s), conj=True),
+                                   coeff * b.t("tL_V2"))
+            c1, c2 = 2 * I * b.t("tL_C1"), 2 * I * b.t("tL_C2")
             for t in b.R:
-                pol = (b.sy("C", a2).scale(b.c.pi(a1, t))
-                       + b.sy("C", a1).scale(b.c.pi(a2, t)))
-                out = out + b.th(t).scale(pol.scale(2 * I * b.t("tL_C1")))
-                polb = Poly()
+                addmul(acc, b.th(t), b.sy("C", a2), c1 * b.c.pi(a1, t))
+                addmul(acc, b.th(t), b.sy("C", a1), c1 * b.c.pi(a2, t))
                 for s in b.R:
-                    polb = polb + b.syc("C", s).scale(
-                        b.c.g(a1, t) * b.c.pi_ubar_l(s, a2)
-                        + b.c.g(a2, t) * b.c.pi_ubar_l(s, a1))
-                out = out + b.thb(t).scale(polb.scale(2 * I * b.t("tL_C2")))
-            return out
-        if fam == "M":
+                    addmul(acc, b.thb(t), b.syc("C", s),
+                           c2 * (b.c.g(a1, t) * b.c.pi_ubar_l(s, a2)
+                                 + b.c.g(a2, t) * b.c.pi_ubar_l(s, a1)))
+        elif fam == "M":
             a1, a2 = idx
-            out = self.gamma_action("M", idx).scale(b.t("tM_Gam"))
-            out = out + (b.phi0().scale(2) + b.f(1).scale(I)).scale(
-                b.sy("M", *idx).scale(b.t("tM_f01")))
-            out = out - (b.f(2) - b.f(3).scale(I)).scale(
-                b.sy("L", *idx).scale(b.t("tM_L")))
+            self.gamma_action(acc, "M", idx, b.t("tM_Gam"))
+            addmul(acc, b.phi0().scale(2) + b.f(1).scale(I), b.sy("M", *idx), b.t("tM_f01"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("L", *idx), -b.t("tM_L"))
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi_u_lbar(s, t)
                     if not coeff.is_zero():
-                        out = out - b.fub(t).scale(
-                            b.sy("V", a1, a2, s).scale(2 * coeff * b.t("tM_V")))
+                        addmul(acc, b.fub(t), b.sy("V", a1, a2, s), -2 * coeff * b.t("tM_V"))
+            ch, cc = 2 * b.t("tM_H"), 2 * I * b.t("tM_C")
             for t in b.R:
-                pol = (b.sy("H", a2).scale(b.c.pi(a1, t))
-                       + b.sy("H", a1).scale(b.c.pi(a2, t)))
-                out = out + b.th(t).scale(pol.scale(2 * b.t("tM_H")))
-                polb = (b.sy("C", a2).scale(b.c.g(a1, t))
-                        + b.sy("C", a1).scale(b.c.g(a2, t)))
-                out = out + b.thb(t).scale(polb.scale(2 * I * b.t("tM_C")))
-            return out
-        if fam == "C":
+                addmul(acc, b.th(t), b.sy("H", a2), ch * b.c.pi(a1, t))
+                addmul(acc, b.th(t), b.sy("H", a1), ch * b.c.pi(a2, t))
+                addmul(acc, b.thb(t), b.sy("C", a2), cc * b.c.g(a1, t))
+                addmul(acc, b.thb(t), b.sy("C", a1), cc * b.c.g(a2, t))
+        elif fam == "C":
             (a,) = idx
-            out = self.gamma_action("C", idx).scale(b.t("tC_Gam"))
-            out = out + (b.phi0().scale(5) + b.f(1).scale(I)).scale(
-                b.sy("C", a).scale(H * b.t("tC_f01")))
-            pol = Poly()
+            self.gamma_action(acc, "C", idx, b.t("tC_Gam"))
+            addmul(acc, b.phi0().scale(5) + b.f(1).scale(I), b.sy("C", a), H * b.t("tC_f01"))
             for s in b.R:
-                pol = pol + b.syc("C", s).scale(b.c.pi_ubar_l(s, a))
-            out = out - (b.f(2) - b.f(3).scale(I)).scale(pol.scale(b.t("tC_f23C")))
+                addmul(acc, b.f(2) - b.f(3).scale(I), b.syc("C", s),
+                       -b.c.pi_ubar_l(s, a) * b.t("tC_f23C"))
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi_u_lbar(s, t)
                     if not coeff.is_zero():
-                        out = out - b.fub(t).scale(
-                            b.sy("L", a, s).scale(2 * I * coeff * b.t("tC_L")))
+                        addmul(acc, b.fub(t), b.sy("L", a, s), -2 * I * coeff * b.t("tC_L"))
             for t in b.R:
-                out = out + b.fu(t).scale(b.sy("M", a, t).scale(I * b.t("tC_M")))
-            out = out + (b.f(2) + b.f(3).scale(I)).scale(
-                b.sy("H", a).scale(H * I * b.t("tC_H")))
+                addmul(acc, b.fu(t), b.sy("M", a, t), I * b.t("tC_M"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("H", a), H * I * b.t("tC_H"))
             for t in b.R:
-                out = out - b.th(t).scale(b.sy("P").scale(H * b.c.pi(a, t) * b.t("tC_P")))
-                out = out + b.thb(t).scale(b.sy("R").scale(H * b.c.g(a, t) * b.t("tC_R")))
-            return out
-        if fam == "H":
+                addmul(acc, b.th(t), b.sy("P"), -H * b.c.pi(a, t) * b.t("tC_P"))
+                addmul(acc, b.thb(t), b.sy("R"), H * b.c.g(a, t) * b.t("tC_R"))
+        elif fam == "H":
             (a,) = idx
-            out = self.gamma_action("H", idx).scale(b.t("tH_Gam"))
-            out = out + (b.phi0().scale(5) + b.f(1).scale(3 * I)).scale(
-                b.sy("H", a).scale(H * b.t("tH_f01")))
-            out = out + (b.f(2) - b.f(3).scale(I)).scale(
-                b.sy("C", a).scale(gr(Fraction(3, 2)) * I * b.t("tH_f23C")))
+            self.gamma_action(acc, "H", idx, b.t("tH_Gam"))
+            addmul(acc, b.phi0().scale(5) + b.f(1).scale(3 * I), b.sy("H", a), H * b.t("tH_f01"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("C", a),
+                   gr(Fraction(3, 2)) * I * b.t("tH_f23C"))
             for s in b.R:
                 for t in b.R:
                     coeff = b.c.pi_u_lbar(s, t)
                     if not coeff.is_zero():
-                        out = out - b.fub(t).scale(
-                            b.sy("M", a, s).scale(3 * coeff * b.t("tH_M")))
+                        addmul(acc, b.fub(t), b.sy("M", a, s), -3 * coeff * b.t("tH_M"))
             for t in b.R:
-                out = out + b.th(t).scale(b.sy("Q").scale(H * b.c.pi(a, t) * b.t("tH_Q")))
-                out = out + b.thb(t).scale(b.sy("P").scale(H * I * b.c.g(a, t) * b.t("tH_P")))
-            return out
-        if fam == "R":
-            out = b.phi0().scale(b.sy("R").scale(3 * b.t("tR_phi0")))
-            out = out - (b.f(2) + b.f(3).scale(I)).scale(b.sy("P").scale(b.t("tR_P1")))
-            out = out - (b.f(2) - b.f(3).scale(I)).scale(b.syc("P").scale(b.t("tR_P2")))
+                addmul(acc, b.th(t), b.sy("Q"), H * b.c.pi(a, t) * b.t("tH_Q"))
+                addmul(acc, b.thb(t), b.sy("P"), H * I * b.c.g(a, t) * b.t("tH_P"))
+        elif fam == "R":
+            addmul(acc, b.phi0(), b.sy("R"), 3 * b.t("tR_phi0"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("P"), -b.t("tR_P1"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.syc("P"), -b.t("tR_P2"))
             for t in b.R:
-                out = out - b.fu(t).scale(b.sy("C", t).scale(8 * b.t("tR_C1")))
-                out = out + b.fub(t).scale(b.syc("C", t).scale(8 * b.t("tR_C2")))
-            return out
-        if fam == "P":
-            out = (b.phi0().scale(3) + b.f(1).scale(I)).scale(b.sy("P").scale(b.t("tP_f01")))
+                addmul(acc, b.fu(t), b.sy("C", t), -8 * b.t("tR_C1"))
+                addmul(acc, b.fub(t), b.syc("C", t), 8 * b.t("tR_C2"))
+        elif fam == "P":
+            addmul(acc, b.phi0().scale(3) + b.f(1).scale(I), b.sy("P"), b.t("tP_f01"))
             # printed Q term (phi2 - i phi3) and its weight-consistent
             # replacement (phi2 + i phi3); CORRECTIONS selects the latter
-            out = out - (b.f(2) - b.f(3).scale(I)).scale(
-                b.sy("Q").scale(H * I * b.t("tP_Q")))
-            out = out - (b.f(2) + b.f(3).scale(I)).scale(
-                b.sy("Q").scale(H * I * b.t("tP_Qx", 0)))
-            out = out + (b.f(2) - b.f(3).scale(I)).scale(
-                b.sy("R").scale(gr(Fraction(3, 2)) * b.t("tP_R")))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("Q"), -H * I * b.t("tP_Q"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("Q"), -H * I * b.t("tP_Qx", 0))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("R"), gr(Fraction(3, 2)) * b.t("tP_R"))
             for t in b.R:
-                out = out + b.fu(t).scale(b.sy("H", t).scale(4 * I * b.t("tP_H")))
+                addmul(acc, b.fu(t), b.sy("H", t), 4 * I * b.t("tP_H"))
             # printed C term (conjugated C) and its replacement (raised C)
             for t in b.R:
                 for s in b.R:
                     coeff = b.c.pi_bar(t, s)
                     if not coeff.is_zero():
-                        out = out - b.fub(t).scale(
-                            b.syc("C", s).scale(12 * coeff * b.t("tP_C")))
+                        addmul(acc, b.fub(t), b.syc("C", s), -12 * coeff * b.t("tP_C"))
                     for u in b.R:
                         coeff2 = b.c.pi_bar(t, s) * b.c.g_up(u, s)
                         if not coeff2.is_zero():
-                            out = out - b.fub(t).scale(
-                                b.sy("C", u).scale(12 * coeff2 * b.t("tP_Cx", 0)))
-            return out
-        if fam == "Q":
-            out = (b.phi0().scale(3) + b.f(1).scale(2 * I)).scale(
-                b.sy("Q").scale(b.t("tQ_f01")))
-            out = out - (b.f(2) - b.f(3).scale(I)).scale(
-                b.sy("P").scale(2 * I * b.t("tQ_P")))
+                            addmul(acc, b.fub(t), b.sy("C", u), -12 * coeff2 * b.t("tP_Cx", 0))
+        elif fam == "Q":
+            addmul(acc, b.phi0().scale(3) + b.f(1).scale(2 * I), b.sy("Q"), b.t("tQ_f01"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("P"), -2 * I * b.t("tQ_P"))
             # printed H term (conjugated raised H against pi-bar) and its
             # replacement contraction pi^t_{s̄} phi^{s̄} H_t
             for t in b.R:
@@ -639,167 +594,126 @@ class RuleBuilder:
                     for u in b.R:
                         coeff = b.c.pi_bar(t, s) * b.c.g_up(u, s)
                         if not coeff.is_zero():
-                            out = out + b.fub(t).scale(
-                                b.syc("H", u).scale(16 * coeff * b.t("tQ_H")))
+                            addmul(acc, b.fub(t), b.syc("H", u), 16 * coeff * b.t("tQ_H"))
             for t in b.R:
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(t, s)
                     if not coeff.is_zero():
-                        out = out + b.fub(s).scale(
-                            b.sy("H", t).scale(16 * coeff * b.t("tQ_Hx", 0)))
-            return out
-        raise KeyError(fam)
+                        addmul(acc, b.fub(s), b.sy("H", t), 16 * coeff * b.t("tQ_Hx", 0))
+        else:
+            raise KeyError(fam)
 
-    def secondary_part(self, fam: str, idx: Tuple[int, ...]) -> Form:
+    def secondary_part(self, acc: Acc, fam: str, idx: Tuple[int, ...]) -> None:
         """The semibasic expansion of the starred one-form in terms of
         the first-derivative symbol families."""
         b = self
         if fam == "S":
-            out = b.ext.zero()
             for e in b.R:
-                out = out + b.th(e).scale(b.sy("sA", *(idx + (e,))).scale(b.t("xS_A1")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.sy("sA", *(idx + (e,))), b.t("xS_A1"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + b.ext.jsym("sA", idx + (s,)).scale(coeff)
-                out = out - b.thb(e).scale(pol.scale(b.t("xS_A2")))
-            out = out + b.eta(1).scale(
-                (b.sy("sB", *idx) + b.jsy("sB", *idx)).scale(b.t("xS_B")))
-            out = out + b.eta23p().scale(b.sy("sC", *idx).scale(I * b.t("xS_C1")))
-            out = out - b.eta23m().scale(b.jsy("sC", *idx).scale(I * b.t("xS_C2")))
-            return out
-        if fam == "V":
-            out = b.ext.zero()
+                        addmul(acc, b.thb(e), b.ext.jsym("sA", idx + (s,)), -coeff * b.t("xS_A2"))
+            addmul(acc, b.eta(1), b.sy("sB", *idx), b.t("xS_B"))
+            addmul(acc, b.eta(1), b.jsy("sB", *idx), b.t("xS_B"))
+            addmul(acc, b.eta23p(), b.sy("sC", *idx), I * b.t("xS_C1"))
+            addmul(acc, b.eta23m(), b.jsy("sC", *idx), -I * b.t("xS_C2"))
+        elif fam == "V":
             for e in b.R:
-                out = out + b.th(e).scale(b.sy("sC", *(idx + (e,))).scale(b.t("xV_C")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.sy("sC", *(idx + (e,))), b.t("xV_C"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + b.sy("sB", *(idx + (s,))).scale(coeff)
-                out = out + b.thb(e).scale(pol.scale(b.t("xV_B")))
-            out = out + b.eta(1).scale(b.sy("sD", *idx).scale(b.t("xV_D")))
-            out = out + b.eta23p().scale(b.sy("sE", *idx).scale(b.t("xV_E")))
-            out = out + b.eta23m().scale(b.sy("sF", *idx).scale(b.t("xV_F")))
-            return out
-        if fam == "L":
-            out = b.ext.zero()
+                        addmul(acc, b.thb(e), b.sy("sB", *(idx + (s,))), coeff * b.t("xV_B"))
+            addmul(acc, b.eta(1), b.sy("sD", *idx), b.t("xV_D"))
+            addmul(acc, b.eta23p(), b.sy("sE", *idx), b.t("xV_E"))
+            addmul(acc, b.eta23m(), b.sy("sF", *idx), b.t("xV_F"))
+        elif fam == "L":
             for e in b.R:
-                out = out - b.th(e).scale(b.jsy("sF", *(idx + (e,))).scale(b.t("xL_F1")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.jsy("sF", *(idx + (e,))), -b.t("xL_F1"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + b.sy("sF", *(idx + (s,))).scale(coeff)
-                out = out - b.thb(e).scale(pol.scale(b.t("xL_F2")))
-            out = out + b.eta(1).scale(
-                (b.jsy("sZ", *idx) - b.sy("sZ", *idx)).scale(I * b.t("xL_Z")))
-            out = out + b.eta23p().scale(b.sy("sG", *idx).scale(I * b.t("xL_G1")))
-            out = out - b.eta23m().scale(b.jsy("sG", *idx).scale(I * b.t("xL_G2")))
-            return out
-        if fam == "M":
-            out = b.ext.zero()
+                        addmul(acc, b.thb(e), b.sy("sF", *(idx + (s,))), -coeff * b.t("xL_F2"))
+            addmul(acc, b.eta(1), b.jsy("sZ", *idx), I * b.t("xL_Z"))
+            addmul(acc, b.eta(1), b.sy("sZ", *idx), -I * b.t("xL_Z"))
+            addmul(acc, b.eta23p(), b.sy("sG", *idx), I * b.t("xL_G1"))
+            addmul(acc, b.eta23m(), b.jsy("sG", *idx), -I * b.t("xL_G2"))
+        elif fam == "M":
             for e in b.R:
-                out = out - b.th(e).scale(b.sy("sE", *(idx + (e,))).scale(b.t("xM_E")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.sy("sE", *(idx + (e,))), -b.t("xM_E"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + (b.jsy("sF", *(idx + (s,))).scale(b.t("xM_F"))
-                                     - b.sy("sD", *(idx + (s,))).scale(I * b.t("xM_D"))
-                                     ).scale(coeff)
-                out = out + b.thb(e).scale(pol)
-            out = out + b.eta(1).scale(b.sy("sX", *idx).scale(b.t("xM_X")))
-            out = out + b.eta23p().scale(b.sy("sY", *idx).scale(b.t("xM_Y")))
-            out = out + b.eta23m().scale(b.sy("sZ", *idx).scale(b.t("xM_Z")))
-            return out
-        if fam == "C":
+                        addmul(acc, b.thb(e), b.jsy("sF", *(idx + (s,))), coeff * b.t("xM_F"))
+                        addmul(acc, b.thb(e), b.sy("sD", *(idx + (s,))), -I * coeff * b.t("xM_D"))
+            addmul(acc, b.eta(1), b.sy("sX", *idx), b.t("xM_X"))
+            addmul(acc, b.eta23p(), b.sy("sY", *idx), b.t("xM_Y"))
+            addmul(acc, b.eta23m(), b.sy("sZ", *idx), b.t("xM_Z"))
+        elif fam == "C":
             (a,) = idx
-            out = b.ext.zero()
             for e in b.R:
-                out = out + b.th(e).scale(b.sy("sG", a, e).scale(b.t("xC_G")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.sy("sG", a, e), b.t("xC_G"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + b.sy("sZ", a, s).scale(coeff)
-                out = out - b.thb(e).scale(pol.scale(I * b.t("xC_Z")))
-            out = out + b.eta(1).scale(b.sy("sN1", a).scale(b.t("xC_N1")))
-            out = out + b.eta23p().scale(b.sy("sN2", a).scale(b.t("xC_N2")))
-            out = out + b.eta23m().scale(b.sy("sN3", a).scale(b.t("xC_N3")))
-            return out
-        if fam == "H":
+                        addmul(acc, b.thb(e), b.sy("sZ", a, s), -I * coeff * b.t("xC_Z"))
+            addmul(acc, b.eta(1), b.sy("sN1", a), b.t("xC_N1"))
+            addmul(acc, b.eta23p(), b.sy("sN2", a), b.t("xC_N2"))
+            addmul(acc, b.eta23m(), b.sy("sN3", a), b.t("xC_N3"))
+        elif fam == "H":
             (a,) = idx
-            out = b.ext.zero()
             for e in b.R:
-                out = out - b.th(e).scale(b.sy("sY", a, e).scale(b.t("xH_Y")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.sy("sY", a, e), -b.t("xH_Y"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + (b.sy("sG", a, s).scale(b.t("xH_G"))
-                                     - b.sy("sX", a, s).scale(b.t("xH_X"))).scale(coeff)
-                out = out + b.thb(e).scale(pol.scale(I))
-            out = out + b.eta(1).scale(b.sy("sN4", a).scale(b.t("xH_N4")))
-            out = out + b.eta23p().scale(b.sy("sN5", a).scale(b.t("xH_N5")))
-            pol = b.sy("sN1", a).scale(b.t("xH_N1"))
+                        addmul(acc, b.thb(e), b.sy("sG", a, s), I * coeff * b.t("xH_G"))
+                        addmul(acc, b.thb(e), b.sy("sX", a, s), -I * coeff * b.t("xH_X"))
+            addmul(acc, b.eta(1), b.sy("sN4", a), b.t("xH_N4"))
+            addmul(acc, b.eta23p(), b.sy("sN5", a), b.t("xH_N5"))
+            addmul(acc, b.eta23m(), b.sy("sN1", a), b.t("xH_N1"))
             for s in b.R:
                 coeff = b.c.pi_ubar_l(s, a)
                 if not coeff.is_zero():
-                    pol = pol + b.syc("sN3", s).scale(I * coeff * b.t("xH_N3"))
-            out = out + b.eta23m().scale(pol)
-            return out
-        if fam == "R":
-            out = b.ext.zero()
+                    addmul(acc, b.eta23m(), b.syc("sN3", s), I * coeff * b.t("xH_N3"))
+        elif fam == "R":
             for e in b.R:
-                pol = Poly()
-                polb = Poly()
                 for s in b.R:
                     cu = b.c.pi_ubar_l(s, e)
                     if not cu.is_zero():
-                        pol = pol + b.syc("sN3", s).scale(cu)
+                        addmul(acc, b.th(e), b.syc("sN3", s), 4 * cu * b.t("xR_N3a"))
                     cl = b.c.pi_u_lbar(s, e)
                     if not cl.is_zero():
-                        polb = polb + b.sy("sN3", s).scale(cl)
-                out = out + b.th(e).scale(pol.scale(4 * b.t("xR_N3a")))
-                out = out + b.thb(e).scale(polb.scale(4 * b.t("xR_N3b")))
-            out = out + b.eta(1).scale((b.sy("sU3") - b.syc("sU3")).scale(I * b.t("xR_U3")))
-            out = out - b.eta23p().scale(
-                (b.sy("sU1") + b.sy("sW3")).scale(I * b.t("xR_UW1")))
-            out = out + b.eta23m().scale(
-                (b.syc("sU1") + b.syc("sW3")).scale(I * b.t("xR_UW2")))
-            return out
-        if fam == "P":
-            out = b.ext.zero()
+                        addmul(acc, b.thb(e), b.sy("sN3", s), 4 * cl * b.t("xR_N3b"))
+            addmul(acc, b.eta(1), b.sy("sU3"), I * b.t("xR_U3"))
+            addmul(acc, b.eta(1), b.syc("sU3"), -I * b.t("xR_U3"))
+            addmul(acc, b.eta23p(), b.sy("sU1") + b.sy("sW3"), -I * b.t("xR_UW1"))
+            addmul(acc, b.eta23m(), b.syc("sU1") + b.syc("sW3"), I * b.t("xR_UW2"))
+        elif fam == "P":
             for e in b.R:
-                out = out - b.th(e).scale(b.sy("sN2", e).scale(4 * b.t("xP_N2")))
-                pol = b.syc("sN3", e).scale(b.t("xP_N3"))
+                addmul(acc, b.th(e), b.sy("sN2", e), -4 * b.t("xP_N2"))
+                addmul(acc, b.thb(e), b.syc("sN3", e), -4 * b.t("xP_N3"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + b.sy("sN1", s).scale(I * coeff * b.t("xP_N1"))
-                out = out - b.thb(e).scale(pol.scale(4))
-            out = out + b.eta(1).scale(b.sy("sU1"))
-            out = out + b.eta23p().scale(b.sy("sU2"))
-            out = out + b.eta23m().scale(b.sy("sU3"))
-            return out
-        if fam == "Q":
-            out = b.ext.zero()
+                        addmul(acc, b.thb(e), b.sy("sN1", s), -4 * I * coeff * b.t("xP_N1"))
+            addmul(acc, b.eta(1), b.sy("sU1"))
+            addmul(acc, b.eta23p(), b.sy("sU2"))
+            addmul(acc, b.eta23m(), b.sy("sU3"))
+        elif fam == "Q":
             for e in b.R:
-                out = out + b.th(e).scale(b.sy("sN5", e).scale(4 * b.t("xQ_N5")))
-                pol = Poly()
+                addmul(acc, b.th(e), b.sy("sN5", e), 4 * b.t("xQ_N5"))
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, e)
                     if not coeff.is_zero():
-                        pol = pol + (b.sy("sN2", s).scale(b.t("xQ_N2"))
-                                     + b.sy("sN4", s).scale(b.t("xQ_N4"))).scale(coeff)
-                out = out + b.thb(e).scale(pol.scale(4 * I))
-            out = out + b.eta(1).scale(b.sy("sW1"))
-            out = out + b.eta23p().scale(b.sy("sW2"))
-            out = out + b.eta23m().scale(b.sy("sW3"))
-            return out
-        raise KeyError(fam)
+                        addmul(acc, b.thb(e), b.sy("sN2", s), 4 * I * coeff * b.t("xQ_N2"))
+                        addmul(acc, b.thb(e), b.sy("sN4", s), 4 * I * coeff * b.t("xQ_N4"))
+            addmul(acc, b.eta(1), b.sy("sW1"))
+            addmul(acc, b.eta23p(), b.sy("sW2"))
+            addmul(acc, b.eta23m(), b.sy("sW3"))
+        else:
+            raise KeyError(fam)
 
     def symbol_rule(self, s: Sym) -> Form:
         fam = s.family
@@ -809,7 +723,10 @@ class RuleBuilder:
             fam = fam[0]
         if fam not in ("S", "V", "L", "M", "C", "H", "P", "Q", "R"):
             raise KeyError(f"no derivative rule for symbol family {s.family!r}")
-        return self.tilde_star(fam, s.idx) + self.secondary_part(fam, s.idx)
+        acc: Acc = {}
+        self.tilde_star(acc, fam, s.idx)
+        self.secondary_part(acc, fam, s.idx)
+        return from_acc(self.ext, acc)
 
 
 def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
@@ -836,36 +753,36 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
     ext = b.ext
     rules: Dict[int, Form] = {}
 
-    def put(key, form):
-        rules[ext.gid[key]] = form
+    def put(key, fill, *args):
+        rules[ext.gid[key]] = b.form(fill, *args)
 
     for s in (1, 2, 3):
-        put(("eta", s), b.d_eta(s))
-        put(("phi", s), b.d_phi(s))
-    put(("phi0",), b.d_phi0())
+        put(("eta", s), b.d_eta, s)
+        put(("phi", s), b.d_phi, s)
+    put(("phi0",), b.d_phi0)
     for a in b.R:
-        put(("theta", a, False), b.d_theta(a))
+        put(("theta", a, False), b.d_theta, a)
     for a in b.R:
         for bq in range(a, 2 * n + 1):
             if mode == "flat":
-                put(("Gam", a, bq), b.d_gamma_flat(a, bq))
+                put(("Gam", a, bq), b.d_gamma_flat, a, bq)
             else:
                 vfam = "Vns" if tamper == "unsym-V" else "V"
                 sfam = "Sns" if tamper == "unsym-S" else "S"
-                put(("Gam", a, bq), b.d_gamma_curved(a, bq, vfam, sfam))
+                put(("Gam", a, bq), b.d_gamma_curved, a, bq, vfam, sfam)
     if mode == "flat":
         for a in b.R:
-            put(("phiU", a, False), b.d_phiu_flat(a))
-        put(("psi", 1), b.d_psi1_flat())
-        d23 = b.d_psi23_flat()
+            put(("phiU", a, False), b.d_phiu_flat, a)
+        put(("psi", 1), b.d_psi1_flat)
+        d23 = b.form(b.d_psi23_flat)
     else:
         for a in b.R:
-            rules[ext.gid[("phiU", a, True)]] = b.d_phiu_bar_curved(a)
-        put(("psi", 1), b.d_psi1_curved())
-        d23 = b.d_psi23_curved()
+            put(("phiU", a, True), b.d_phiu_bar_curved, a)
+        put(("psi", 1), b.d_psi1_curved)
+        d23 = b.form(b.d_psi23_curved)
     d23c = d23.conj()
-    put(("psi", 2), (d23 + d23c).scale(H))
-    put(("psi", 3), (d23 - d23c).scale(-H * I))
+    rules[ext.gid[("psi", 2)]] = (d23 + d23c).scale(H)
+    rules[ext.gid[("psi", 3)]] = (d23 - d23c).scale(-H * I)
 
     sym_rules = None if mode == "flat" else b.symbol_rule
     rs = DRuleSet(ext, rules, sym_rules)
@@ -927,7 +844,7 @@ def star_forms(n: int, signature: Tuple[int, int] = None) -> Dict[Tuple[str, Tup
     out = {}
     for fam in STAR_FAMILIES:
         for idx in _family_indices(n, fam):
-            out[(fam, idx)] = b.secondary_part(fam, idx)
+            out[(fam, idx)] = b.form(b.secondary_part, fam, idx)
     return out
 
 
@@ -939,8 +856,8 @@ def star_two_path_check(n: int, signature: Tuple[int, int] = None) -> bool:
     b = RuleBuilder(n, signature)
     for fam in STAR_FAMILIES:
         for idx in _family_indices(n, fam):
-            via_rules = rules.sym_rule(Sym(fam, idx, False)) - b.tilde_star(fam, idx)
-            if not (via_rules - b.secondary_part(fam, idx)).is_zero():
+            via_rules = rules.sym_rule(Sym(fam, idx, False)) - b.form(b.tilde_star, fam, idx)
+            if not (via_rules - b.form(b.secondary_part, fam, idx)).is_zero():
                 return False
     return True
 
@@ -950,8 +867,8 @@ def star_symmetry_check(n: int, signature: Tuple[int, int] = None) -> bool:
     b = RuleBuilder(n, signature)
     import itertools
     for idx in itertools.product(b.R, repeat=4):
-        base = b.secondary_part("S", tuple(sorted(idx)))
-        if not (b.secondary_part("S", tuple(idx)) - base).is_zero():
+        base = b.form(b.secondary_part, "S", tuple(sorted(idx)))
+        if not (b.form(b.secondary_part, "S", tuple(idx)) - base).is_zero():
             return False
     # j S* = S*: pi-contract the conjugated array
     c = b.c
@@ -960,8 +877,8 @@ def star_symmetry_check(n: int, signature: Tuple[int, int] = None) -> bool:
         target = tuple(c.partner(a) for a in idx)
         for a in idx:
             coeff = coeff * c.pi_ubar_l(c.partner(a), a)
-        jstar = b.secondary_part("S", target).conj().scale(coeff)
-        if not (jstar - b.secondary_part("S", idx)).is_zero():
+        jstar = b.form(b.secondary_part, "S", target).conj().scale(coeff)
+        if not (jstar - b.form(b.secondary_part, "S", idx)).is_zero():
             return False
     return True
 
@@ -972,117 +889,127 @@ def bianchi_residuals(n: int, signature: Tuple[int, int] = None) -> Dict[str, Fo
     canonicalize to zero."""
     b = RuleBuilder(n, signature)
     stars = star_forms(n, signature)
+    conjugates: Dict[Tuple[str, Tuple[int, ...]], Form] = {}
+
+    def key(fam, idx):
+        return fam, tuple(sorted(idx)) if fam in ("S", "V", "L", "M") else idx
 
     def st(fam, *idx):
-        if fam in ("S", "V", "L", "M"):
-            idx = tuple(sorted(idx))
-        return stars[(fam, tuple(idx))]
+        return stars[key(fam, idx)]
 
+    def stc(fam, *idx):
+        """conj(st(fam, *idx)), conjugated once per component"""
+        k = key(fam, idx)
+        f = conjugates.get(k)
+        if f is None:
+            f = conjugates[k] = stars[k].conj()
+        return f
+
+    th, thb, eta1, e23p, e23m = b.th, b.thb, b.eta(1), b.eta23p(), b.eta23m()
     out = {}
     # Gamma combination
     for a1 in b.R:
         for a2 in range(a1, 2 * b.n + 1):
-            r = b.ext.zero()
+            acc: Acc = {}
             for g in b.R:
                 for d in b.R:
                     for s in b.R:
                         coeff = b.c.pi_u_lbar(s, d)
                         if not coeff.is_zero():
-                            r = r + (st("S", a1, a2, g, s) ^ b.th(g) ^ b.thb(d)).scale(coeff)
+                            addmul(acc, st("S", a1, a2, g, s) ^ (th(g) ^ thb(d)), None, coeff)
             for g in b.R:
-                r = r + (st("V", a1, a2, g) ^ b.th(g) ^ b.eta(1))
+                addmul(acc, st("V", a1, a2, g) ^ (th(g) ^ eta1))
                 for m in b.R:
                     for v in b.R:
                         coeff = b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
                         if not coeff.is_zero():
-                            r = r + (st("V", m, v, g).conj() ^ b.thb(g) ^ b.eta(1)).scale(coeff)
+                            addmul(acc, stc("V", m, v, g) ^ (thb(g) ^ eta1), None, coeff)
                 for s in b.R:
                     coeff = b.c.pi_u_lbar(s, g)
                     if not coeff.is_zero():
-                        r = r - (st("V", a1, a2, s) ^ b.thb(g) ^ b.eta23p()).scale(I * coeff)
+                        addmul(acc, st("V", a1, a2, s) ^ (thb(g) ^ e23p), None, -I * coeff)
                 for m in b.R:
                     for v in b.R:
                         for x in b.R:
                             coeff = (b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
                                      * b.c.pi_ubar_l(x, g))
                             if not coeff.is_zero():
-                                r = r + (st("V", m, v, x).conj() ^ b.th(g)
-                                         ^ b.eta23m()).scale(I * coeff)
-            r = r - (st("L", a1, a2) ^ b.eta23p() ^ b.eta23m()).scale(I)
-            r = r + (st("M", a1, a2) ^ b.eta(1) ^ b.eta23p())
+                                addmul(acc, stc("V", m, v, x) ^ (th(g) ^ e23m), None, I * coeff)
+            addmul(acc, st("L", a1, a2) ^ (e23p ^ e23m), None, -I)
+            addmul(acc, st("M", a1, a2) ^ (eta1 ^ e23p))
             for m in b.R:
                 for v in b.R:
                     coeff = b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
                     if not coeff.is_zero():
-                        r = r + (st("M", m, v).conj() ^ b.eta(1) ^ b.eta23m()).scale(coeff)
-            out[f"d2Gamma_{a1}{a2}"] = r
+                        addmul(acc, stc("M", m, v) ^ (eta1 ^ e23m), None, coeff)
+            out[f"d2Gamma_{a1}{a2}"] = from_acc(b.ext, acc)
     # phi combination
     for a in b.R:
-        r = b.ext.zero()
+        acc = {}
         for be in b.R:
             for g in b.R:
                 for v in b.R:
                     coeff = b.c.pi_u_lbar(v, g)
                     if not coeff.is_zero():
-                        r = r - (st("V", a, be, v) ^ b.th(be) ^ b.thb(g)).scale(I * coeff)
+                        addmul(acc, st("V", a, be, v) ^ (th(be) ^ thb(g)), None, -I * coeff)
         for be in b.R:
             for m in b.R:
                 coeff = b.c.pi_ubar_l(m, a)
                 if not coeff.is_zero():
-                    r = r + (st("L", m, be).conj() ^ b.thb(be) ^ b.eta(1)).scale(coeff)
-            r = r + (st("M", a, be) ^ b.th(be) ^ b.eta(1))
+                    addmul(acc, stc("L", m, be) ^ (thb(be) ^ eta1), None, coeff)
+            addmul(acc, st("M", a, be) ^ (th(be) ^ eta1))
             for v in b.R:
                 coeff = b.c.pi_u_lbar(v, be)
                 if not coeff.is_zero():
-                    r = r - (st("M", a, v) ^ b.thb(be) ^ b.eta23p()).scale(I * coeff)
-            r = r + (st("L", a, be) ^ b.th(be) ^ b.eta23m()).scale(I)
-        r = r - (st("C", a) ^ b.eta23p() ^ b.eta23m())
+                    addmul(acc, st("M", a, v) ^ (thb(be) ^ e23p), None, -I * coeff)
+            addmul(acc, st("L", a, be) ^ (th(be) ^ e23m), None, I)
+        addmul(acc, st("C", a) ^ (e23p ^ e23m), None, -ONE)
         for m in b.R:
             coeff = b.c.pi_ubar_l(m, a)
             if not coeff.is_zero():
-                r = r + (st("C", m).conj() ^ b.eta(1) ^ b.eta23m()).scale(I * coeff)
-        r = r + (st("H", a) ^ b.eta(1) ^ b.eta23p())
-        out[f"d2phi_{a}"] = r
+                addmul(acc, stc("C", m) ^ (eta1 ^ e23m), None, I * coeff)
+        addmul(acc, st("H", a) ^ (eta1 ^ e23p))
+        out[f"d2phi_{a}"] = from_acc(b.ext, acc)
     # psi1 combination
-    r = b.ext.zero()
+    acc = {}
     for be in b.R:
         for g in b.R:
             for m in b.R:
                 coeff = b.c.pi_u_lbar(m, g)
                 if not coeff.is_zero():
-                    r = r + (st("L", be, m) ^ b.th(be) ^ b.thb(g)).scale(4 * coeff)
+                    addmul(acc, st("L", be, m) ^ (th(be) ^ thb(g)), None, 4 * coeff)
     for be in b.R:
-        r = r + (st("C", be) ^ b.th(be) ^ b.eta(1)).scale(4)
-        r = r + (st("C", be).conj() ^ b.thb(be) ^ b.eta(1)).scale(4)
+        addmul(acc, st("C", be) ^ (th(be) ^ eta1), None, gr(4))
+        addmul(acc, stc("C", be) ^ (thb(be) ^ eta1), None, gr(4))
         for m in b.R:
             coeff = b.c.pi_ubar_l(m, be)
             if not coeff.is_zero():
-                r = r + (st("C", m).conj() ^ b.th(be) ^ b.eta23m()).scale(4 * I * coeff)
+                addmul(acc, stc("C", m) ^ (th(be) ^ e23m), None, 4 * I * coeff)
             coeff = b.c.pi_u_lbar(m, be)
             if not coeff.is_zero():
-                r = r - (st("C", m) ^ b.thb(be) ^ b.eta23p()).scale(4 * I * coeff)
-    r = r + (st("P") ^ b.eta(1) ^ b.eta23p())
-    r = r + (st("P").conj() ^ b.eta(1) ^ b.eta23m())
-    r = r + (st("R") ^ b.eta23p() ^ b.eta23m()).scale(I)
-    out["d2psi_1"] = r
+                addmul(acc, st("C", m) ^ (thb(be) ^ e23p), None, -4 * I * coeff)
+    addmul(acc, st("P") ^ (eta1 ^ e23p))
+    addmul(acc, stc("P") ^ (eta1 ^ e23m))
+    addmul(acc, st("R") ^ (e23p ^ e23m), None, I)
+    out["d2psi_1"] = from_acc(b.ext, acc)
     # psi2 + i psi3 combination
-    r = b.ext.zero()
+    acc = {}
     for be in b.R:
         for g in b.R:
             for m in b.R:
                 coeff = b.c.pi_ubar_l(m, be)
                 if not coeff.is_zero():
-                    r = r + (st("M", m, g).conj() ^ b.th(be) ^ b.thb(g)).scale(4 * I * coeff)
+                    addmul(acc, stc("M", m, g) ^ (th(be) ^ thb(g)), None, 4 * I * coeff)
     for be in b.R:
         for m in b.R:
             coeff = b.c.pi_ubar_l(m, be)
             if not coeff.is_zero():
-                r = r + (st("C", m).conj() ^ b.th(be) ^ b.eta(1)).scale(4 * I * coeff)
-                r = r - (st("H", m).conj() ^ b.th(be) ^ b.eta23m()).scale(4 * I * coeff)
-        r = r - (st("H", be).conj() ^ b.thb(be) ^ b.eta(1)).scale(4)
-        r = r - (st("C", be).conj() ^ b.thb(be) ^ b.eta23p()).scale(4)
-    r = r - (st("R") ^ b.eta(1) ^ b.eta23p()).scale(I)
-    r = r + (st("Q").conj() ^ b.eta(1) ^ b.eta23m())
-    r = r - (st("P").conj() ^ b.eta23p() ^ b.eta23m())
-    out["d2psi_23"] = r
+                addmul(acc, stc("C", m) ^ (th(be) ^ eta1), None, 4 * I * coeff)
+                addmul(acc, stc("H", m) ^ (th(be) ^ e23m), None, -4 * I * coeff)
+        addmul(acc, stc("H", be) ^ (thb(be) ^ eta1), None, gr(-4))
+        addmul(acc, stc("C", be) ^ (thb(be) ^ e23p), None, gr(-4))
+    addmul(acc, st("R") ^ (eta1 ^ e23p), None, -I)
+    addmul(acc, stc("Q") ^ (eta1 ^ e23m))
+    addmul(acc, stc("P") ^ (e23p ^ e23m), None, -ONE)
+    out["d2psi_23"] = from_acc(b.ext, acc)
     return out

@@ -11,6 +11,14 @@ up and one down, the lower index is always the first slot; the scalar
 accessors on StandardConstants (``pi_u_lbar`` and friends) encode that
 reading once and for all so formula transcriptions elsewhere cannot get
 it wrong.
+
+StandardConstants evaluates each closed formula once, when it is built:
+``g``, ``g_up``, ``pi``, ``pi_bar``, ``pi_up``, ``pi_u_lbar`` and
+``pi_ubar_l`` become 2n x 2n tables keyed by index pair, and ``partner``
+a table keyed by index.  The entries are a few shared, immutable
+GaussRationals (0 and the units), so an accessor call is one dict
+lookup and builds no new value.  An index outside 1..2n is not in the
+tables and raises ValueError naming it.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .gauss import GaussRational, gr
+from .gauss import ONE, ZERO, GaussRational, gr
 
 UPPER = "upper"
 LOWER = "lower"
@@ -149,7 +157,8 @@ class StandardConstants:
     of pi, and the two contraction identities checked in the tests.
     """
 
-    __slots__ = ("n", "signature", "diag", "pi_lower")
+    __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_g", "_g_up",
+                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -172,47 +181,94 @@ class StandardConstants:
             self.pi_lower.set((a, a + n), 1)
             self.pi_lower.set((a + n, a), -1)
 
+        # The closed formulas, evaluated once into the lookup tables; every
+        # entry is one of a few shared GaussRationals.
+        rng = range(1, 2 * n + 1)
+        self._partner = {a: a + n if a <= n else a - n for a in rng}
+        shared: Dict[GaussRational, GaussRational] = {}
+
+        def table(formula) -> Dict[Tuple[int, int], GaussRational]:
+            return {(a, b): shared.setdefault(v, v)
+                    for a in rng for b in rng for v in (formula(a, b),)}
+
+        d = [None] + [gr(x) for x in diag]  # d[a] = g_{a ā}
+        pi = self.pi_lower.get
+        self._g = table(lambda a, b: d[a] if a == b else ZERO)
+        self._g_up = table(lambda a, b: ONE / d[a] if a == b else ZERO)
+        self._pi = table(pi)
+        self._pi_bar = table(lambda a, b: pi(a, b).conj())
+        self._pi_up = table(lambda a, b: d[a] * d[b] * pi(a, b).conj())
+        self._pi_u_lbar = table(lambda a, b: d[a] * pi(b, a).conj())
+        self._pi_ubar_l = table(lambda a, b: d[a] * pi(b, a))
+
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    def _bad_index(self, *idx) -> ValueError:
+        for i in idx:
+            if i not in self._partner:
+                return ValueError(f"index {i!r} outside 1..{self.dim}")
+        return ValueError(f"indices {idx!r} outside 1..{self.dim}")
+
     def partner(self, a: int) -> int:
-        return a + self.n if a <= self.n else a - self.n
+        try:
+            return self._partner[a]
+        except KeyError:
+            raise self._bad_index(a) from None
 
     # -- scalar accessors used in formula transcriptions -----------------
-    # All return GaussRational (real-valued for these constants).
+    # All return GaussRational (real-valued for these constants), read
+    # from the tables; an index outside 1..2n raises ValueError.
 
     def g(self, a: int, b: int) -> GaussRational:
         """g_{a b̄} (equally g_{b̄ a} by hermiticity)."""
-        return gr(self.diag[a - 1]) if a == b else gr(0)
+        try:
+            return self._g[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
     def g_up(self, a: int, b: int) -> GaussRational:
         """g^{a b̄}, the inverse pairing."""
-        return gr(self.diag[a - 1]) if a == b else gr(0)
+        try:
+            return self._g_up[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
     def pi(self, a: int, b: int) -> GaussRational:
         """pi_{a b}."""
-        if b == a + self.n:
-            return gr(1)
-        if a == b + self.n:
-            return gr(-1)
-        return gr(0)
+        try:
+            return self._pi[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
     def pi_bar(self, a: int, b: int) -> GaussRational:
         """pi_{ā b̄} = conj(pi_{a b})."""
-        return self.pi(a, b).conj()
+        try:
+            return self._pi_bar[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
     def pi_up(self, a: int, b: int) -> GaussRational:
         """pi^{a b} = g^{a s̄} g^{b t̄} pi_{s̄ t̄}."""
-        return gr(self.diag[a - 1] * self.diag[b - 1]) * self.pi_bar(a, b)
+        try:
+            return self._pi_up[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
     def pi_u_lbar(self, a: int, b: int) -> GaussRational:
         """pi^{a}_{b̄} = g^{a t̄} pi_{b̄ t̄}  (lower index first)."""
-        return gr(self.diag[a - 1]) * self.pi_bar(b, a)
+        try:
+            return self._pi_u_lbar[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
     def pi_ubar_l(self, a: int, b: int) -> GaussRational:
         """pi^{ā}_{b} = g^{ā t} pi_{b t}  (lower index first)."""
-        return gr(self.diag[a - 1]) * self.pi(b, a)
+        try:
+            return self._pi_ubar_l[a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
 
 
 def make_constants(n: int, signature: Tuple[int, int] = None) -> StandardConstants:

@@ -32,6 +32,10 @@ CASES = [
     (["lie", "g1", "--n", "1", "--trials", "5", "--seed", "7"],
      "lie_g1_n1_trials5_seed7.json", 0),
     (["lie", "killing", "--n", "2"], "lie_killing_n2.json", 0),
+    # 18 failing generators at n = 2: pins the n = 2 generator and symbol
+    # rules byte for byte through the residuals' to_text
+    (["verify", "curved", "--n", "2", "--negative-control"],
+     "verify_curved_n2_negative_control.json", 1),
 ]
 
 

@@ -4,12 +4,13 @@ with curvature symbols (n = 1, curved rules) and the seven chart
 differentials with coordinate monomials.  A small synthetic alphabet,
 whose generator rules mix degree-1 and degree-3 terms, covers the signs
 that the real rule sets (all of even degree) never exercise."""
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcframe.forms import Alphabet, DRuleSet, Form, Poly, Sym, differential
+from qcframe.forms import Alphabet, DRuleSet, Form, Poly, Sym, _merge_sign, differential
 from qcframe.gauss import gr
 from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, dx, monomial
 from qcframe.rules import build_rules
@@ -171,3 +172,24 @@ def test_chart_eval_fields_is_the_determinant_pairing(ps):
     X, Y = {0: p, 1: q}, {0: r, 1: s}
     w = Form(CHART, {(0, 1): Poly.const(1)})
     assert w.eval_fields(X, Y) == p * s - q * r
+
+
+def _merge_reference(m1, m2):
+    """Sort the concatenation and count inversions for the sign; None if
+    a generator repeats."""
+    if set(m1) & set(m2):
+        return None
+    seq = m1 + m2
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return (-1) ** inversions, tuple(sorted(seq))
+
+
+def test_merge_sign_exhaustive():
+    """Every pair of strictly increasing tuples of length 0-3 on seven
+    letters, against sorting plus permutation parity; this covers the
+    one-generator bisect paths on either side and the general merge."""
+    tuples = [t for k in range(4) for t in itertools.combinations(range(7), k)]
+    for m1 in tuples:
+        for m2 in tuples:
+            assert _merge_sign(m1, m2) == _merge_reference(m1, m2), (m1, m2)

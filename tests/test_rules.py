@@ -1,6 +1,6 @@
 import pytest
 
-from qcframe.forms import Sym, differential
+from qcframe.forms import Exterior, Sym, differential
 from qcframe.gauss import gr
 from qcframe.rules import (CORRECTIONS, RuleBuilder, bianchi_residuals,
                            build_rules, d_square_report, star_forms,
@@ -104,6 +104,57 @@ def test_each_correction_is_necessary(tweaks, failing):
     assert {coframe.label(k) for k, v in rep.items() if not v.is_zero()} == failing
 
 
+# the same reversions at n = 2 (11, 14, 16, 3, 3, 3 and 2 generators);
+# the sweep takes about 2 s, within its budget of 5 s, so it is not slow
+GAMMA2 = {f"Gam{a}{b}" for a in range(1, 5) for b in range(a, 5)}
+PHIUP2 = {"phiup1", "phiup2", "phiup3", "phiup4"}
+REVERSIONS_N2 = [
+    ({"psi23_C2": 1}, {"phi0", "phi1", "phi2", "phi3", "psi1", "psi2", "psi3"} | PHIUP2),
+    ({"tV_S": 1}, GAMMA2 | PHIUP2),
+    ({"tM_H": 1}, GAMMA2 | PHIUP2 | {"psi2", "psi3"}),
+    ({"tR_C2": 1}, {"psi1", "psi2", "psi3"}),
+    ({"tP_Q": 1, "tP_Qx": 0}, {"psi1", "psi2", "psi3"}),
+    ({"tP_C": 1, "tP_Cx": 0}, {"psi1", "psi2", "psi3"}),
+    ({"tQ_H": 1, "tQ_Hx": 0}, {"psi2", "psi3"}),
+]
+
+
+@pytest.mark.parametrize("tweaks, failing", REVERSIONS_N2,
+                         ids=["/".join(t) for t, _ in REVERSIONS_N2])
+def test_each_correction_is_necessary_n2(tweaks, failing):
+    """The n = 1 sweep at n = 2: with every correction in place d^2 = 0
+    holds (test_curved_d_square_zero_n2)."""
+    assert [t for t, _ in REVERSIONS_N2] == [t for t, _ in REVERSIONS]
+    rep = d_square_report(build_rules(2, "curved", tweaks=tweaks))
+    assert {coframe.label(k) for k, v in rep.items() if not v.is_zero()} == failing
+
+
+def test_interned_generators_and_symbols_stay_intact(monkeypatch):
+    """Interned generator forms and one-symbol polynomials are shared by
+    every rule and product; none of the rule work may change one."""
+    made = []
+    init = Exterior.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Exterior, "__init__", record)
+    d_square_report(build_rules(2, "curved"))
+    bianchi_residuals(1)
+    star_two_path_check(1)
+    star_symmetry_check(1)
+    monkeypatch.undo()
+    assert {ext.n for ext in made} == {1, 2}
+    assert all(ext._gens for ext in made) and sum(len(ext._syms) for ext in made) > 1000
+    for ext in made:
+        fresh = Exterior(ext.n, ext.consts.signature)
+        for key, form in ext._gens.items():
+            assert form.ext is ext and form.terms == fresh.gen(key).terms, key
+        for (fam, idx, conj), p in ext._syms.items():
+            assert p.terms == fresh.sym(fam, idx, conj).terms, (fam, idx, conj)
+
+
 def test_gamma_rule_contains_s_term(curved1):
     """d(Gamma_11) carries pi^s_{d̄} S_{11 g s} theta^g ^ theta^{d̄}."""
     ext = curved1.ext
@@ -118,7 +169,7 @@ def test_secondary_rule_for_s(curved1):
     """d(S_1111) = tilde + A_1111e theta^e - ... + (B + jB) eta1 + ..."""
     b = RuleBuilder(1)
     rule = curved1.sym_rule(Sym("S", (1, 1, 1, 1), False))
-    semibasic = rule - b.tilde_star("S", (1, 1, 1, 1))
+    semibasic = rule - b.form(b.tilde_star, "S", (1, 1, 1, 1))
     ext = curved1.ext
     # theta^1 coefficient contains sA_11111
     poly = semibasic.terms[(ext.gid[("theta", 1, False)],)]
@@ -136,7 +187,7 @@ def test_dpsi23_split_resums(curved1):
     d2 = curved1.gen_rule(ext.gid[("psi", 2)])
     d3 = curved1.gen_rule(ext.gid[("psi", 3)])
     combined = d2 + d3.scale(I)
-    assert (combined - b.d_psi23_curved()).is_zero()
+    assert (combined - b.form(b.d_psi23_curved)).is_zero()
     # reality of the split
     assert (d2.conj() - d2).is_zero()
     assert (d3.conj() - d3).is_zero()

@@ -41,6 +41,54 @@ def test_constants_invariants(n, signature):
             assert acc == gr(-1 if a == b else 0)
 
 
+@pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
+                                         (2, (1, 1)), (3, (2, 1))])
+def test_tables_match_closed_formulas(n, signature):
+    """Every tabulated accessor equals its defining contraction, written
+    here from diag and pi_lower alone."""
+    c = make_constants(n, signature)
+    rng = range(1, 2 * n + 1)
+
+    def g(a, b):
+        return gr(c.diag[a - 1]) if a == b else gr(0)
+
+    def g_up(a, b):
+        return gr(1 / c.diag[a - 1]) if a == b else gr(0)
+
+    def pi(a, b):
+        return c.pi_lower.entries.get((a, b), gr(0))
+
+    for a in rng:
+        for b in rng:
+            assert c.g(a, b) == g(a, b)
+            assert c.g_up(a, b) == g_up(a, b)
+            assert c.pi(a, b) == pi(a, b)
+            assert c.pi_bar(a, b) == pi(a, b).conj()
+            assert c.pi_up(a, b) == sum((g_up(a, s) * g_up(b, t) * pi(s, t).conj()
+                                         for s in rng for t in rng), gr(0))
+            assert c.pi_u_lbar(a, b) == sum((g_up(a, t) * pi(b, t).conj() for t in rng), gr(0))
+            assert c.pi_ubar_l(a, b) == sum((g_up(a, t) * pi(b, t) for t in rng), gr(0))
+            # a lookup, not a rebuild: the same shared value every time
+            assert c.pi_up(a, b) is c.pi_up(a, b)
+
+
+ACCESSORS = ("g", "g_up", "pi", "pi_bar", "pi_up", "pi_u_lbar", "pi_ubar_l")
+
+
+@pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (1, 1))])
+def test_constants_reject_out_of_range_indices(n, signature):
+    """An index outside 1..2n raises ValueError naming it, instead of
+    wrapping round to another entry (g(0, 0) used to read diag[-1])."""
+    c = make_constants(n, signature)
+    for bad in (0, -1, 2 * n + 1):
+        for name in ACCESSORS:
+            for idx in ((bad, 1), (1, bad), (bad, bad)):
+                with pytest.raises(ValueError, match=f"index {bad} outside 1..{2 * n}"):
+                    getattr(c, name)(*idx)
+        with pytest.raises(ValueError, match=f"index {bad} outside"):
+            c.partner(bad)
+
+
 def test_constants_examples():
     c = make_constants(1)
     assert c.g(1, 1) == gr(1) and c.g(2, 2) == gr(1)
