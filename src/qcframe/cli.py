@@ -301,6 +301,10 @@ def cmd_classify(args):
         if consts.n != args.n:
             print("component file n does not match --n", file=sys.stderr)
             return 2
+        if consts.signature != sig:
+            print(f"component file signature {list(consts.signature)} does not "
+                  f"match the signature {list(sig)} of this run", file=sys.stderr)
+            return 2
     else:
         compo = random_components(rng, model.consts)
     K = assemble_kappa(compo, model)

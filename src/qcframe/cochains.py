@@ -15,12 +15,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .gauss import GaussRational, gr
+from .gauss import ONE, GaussRational, gr
 from .tensors import (IndexedTensor, StandardConstants, is_symmetric, jmap,
                       j_average, random_tensor, slots, symmetrize)
-from .forms import Form, Sym
+from .forms import Form, Mono, Sym
 from .model import LieCoord, SpModel
 from . import coframe
 from .coframe import Key
@@ -139,8 +139,31 @@ def _gr_to_json(v: GaussRational):
     return {"re": str(v.re), "im": str(v.im)}
 
 
-def _gr_from_json(d) -> GaussRational:
-    return gr(Fraction(d["re"]), Fraction(d["im"]))
+def _rational_from_json(v, where: str) -> Fraction:
+    """An exact rational from a JSON string or integer.  A JSON float is
+    refused: it is read as a binary fraction, not the decimal written."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{where}: {v!r} is not a rational number") from None
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise ValueError(f"{where}: expected a string or an integer, got {v!r}")
+
+
+def _gr_from_json(d, where: str) -> GaussRational:
+    if not isinstance(d, dict) or "re" not in d or "im" not in d:
+        raise ValueError(f'{where}: expected an object with "re" and "im", got {d!r}')
+    return gr(_rational_from_json(d["re"], f"{where}.re"),
+              _rational_from_json(d["im"], f"{where}.im"))
+
+
+def _ints_from_json(v, where: str) -> Tuple[int, ...]:
+    if not isinstance(v, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in v):
+        raise ValueError(f"{where}: expected a list of integers, got {v!r}")
+    return tuple(v)
 
 
 def components_to_json(c: CurvatureComponents, signature: Tuple[int, int]) -> dict:
@@ -155,25 +178,39 @@ def components_to_json(c: CurvatureComponents, signature: Tuple[int, int]) -> di
     return doc
 
 
-def components_from_json(doc: dict) -> Tuple[CurvatureComponents, StandardConstants]:
-    n = int(doc["n"])
-    consts = StandardConstants(n, tuple(doc.get("signature", (n, 0))))
+def components_from_json(doc) -> Tuple[CurvatureComponents, StandardConstants]:
+    """Read a component document; ValueError with a one-line message if
+    it is malformed or the components are not admissible."""
+    if not isinstance(doc, dict):
+        raise ValueError("component file: expected a JSON object")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"component file: n must be an integer, got {n!r}")
+    sig = _ints_from_json(doc.get("signature", [n, 0]), "signature")
+    if len(sig) != 2:
+        raise ValueError(f"signature: expected [p, q], got {list(sig)}")
+    consts = StandardConstants(n, sig)
     arities = {"S": "llll", "V": "lll", "L": "ll", "M": "ll", "C": "l", "H": "l"}
     tensors = {}
     for name, spec in arities.items():
         t = IndexedTensor(n, slots(spec))
-        for entry in doc.get(name, []):
-            idx = tuple(entry["idx"])
-            t.set(idx, t.get(*idx) + _gr_from_json(entry))
+        entries = doc.get(name, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"{name}: expected a list of entries, got {entries!r}")
+        for k, entry in enumerate(entries):
+            where = f"{name}[{k}]"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: expected an object, got {entry!r}")
+            idx = _ints_from_json(entry.get("idx"), f"{where}.idx")
+            t.set(idx, t.get(*idx) + _gr_from_json(entry, where))
         if len(spec) > 1:
             t = symmetrize(t)
         tensors[name] = t
+    zero = {"re": "0", "im": "0"}
     out = CurvatureComponents(
         n, tensors["S"], tensors["V"], tensors["L"], tensors["M"],
         tensors["C"], tensors["H"],
-        _gr_from_json(doc.get("P", {"re": "0", "im": "0"})),
-        _gr_from_json(doc.get("Q", {"re": "0", "im": "0"})),
-        _gr_from_json(doc.get("R", {"re": "0", "im": "0"})))
+        *(_gr_from_json(doc.get(name, zero), name) for name in ("P", "Q", "R")))
     out.validate(consts)
     return out, consts
 
@@ -276,16 +313,40 @@ def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
 # assembling the curvature cochain from components
 
 
-_KAPPA_CACHE: Dict[Tuple[int, Tuple[int, int], Optional[str]], Dict[Key, Form]] = {}
+class KappaPlan(NamedTuple):
+    """The coordinate two-forms compiled for evaluation.  A cell is a
+    g_- index pair (i, j), i < j, with a coordinate; ``cells`` lists
+    them ordered by pair, then by the forms' coordinate order.  Each
+    entry of ``monos`` is a symbol monomial with the numbers of the
+    cells it feeds and the coefficient it feeds each with."""
+
+    cells: Tuple[Tuple[Tuple[int, int], Key], ...]
+    monos: Tuple[Tuple[Mono, Tuple[int, ...], Tuple[GaussRational, ...]], ...]
 
 
-def kappa_coordinate_forms(n: int, signature: Tuple[int, int] = None,
-                           tamper: Optional[str] = None) -> Dict[Key, Form]:
-    """The curvature two-form of every sp(n)+g_1+g_2 coordinate: the
-    curved structure equation minus its flat part.  Each is semibasic
-    with curvature-symbol coefficients.  tamper='unsym-S' keeps the S
-    symbols of the Gamma coordinate uncanonicalized so that symmetry
-    violations in the input stay visible (negative control)."""
+def _compile_plan(forms: Dict[Key, Form]) -> KappaPlan:
+    by_mono: Dict[Mono, List[Tuple[Tuple[Tuple[int, int], int], GaussRational]]] = {}
+    for t, form in enumerate(forms.values()):
+        # the g_- keys lead coord_keys: a generator's id is its g_- index
+        for pair, poly in form.terms.items():
+            for smono, coeff in poly.terms.items():
+                by_mono.setdefault(smono, []).append(((pair, t), coeff))
+    coords = list(forms)
+    cells = sorted({cell for terms in by_mono.values() for cell, _ in terms})
+    number = {cell: k for k, cell in enumerate(cells)}
+    return KappaPlan(
+        tuple((pair, coords[t]) for pair, t in cells),
+        tuple((smono, tuple(number[cell] for cell, _ in terms),
+               tuple(coeff for _, coeff in terms)) for smono, terms in by_mono.items()))
+
+
+# (n, signature, tamper) -> the coordinate two-forms and their plan
+_KAPPA_CACHE: Dict[Tuple[int, Tuple[int, int], Optional[str]],
+                   Tuple[Dict[Key, Form], KappaPlan]] = {}
+
+
+def _kappa(n: int, signature: Optional[Tuple[int, int]],
+           tamper: Optional[str]) -> Tuple[Dict[Key, Form], KappaPlan]:
     from .rules import build_rules
     sig = tuple(signature) if signature else (n, 0)
     key3 = (n, sig, tamper)
@@ -300,54 +361,57 @@ def kappa_coordinate_forms(n: int, signature: Tuple[int, int] = None,
         gid = curved.ext.gid[key]
         diff = curved.gen_rules[gid] - flat.gen_rules[gid]
         for mono in diff.terms:
-            for g in mono:
-                if coframe.grade(curved.ext.keys[g]) >= 0:
-                    raise AssertionError("curvature two-form is not semibasic")
+            if len(mono) != 2 or any(coframe.grade(curved.ext.keys[g]) >= 0 for g in mono):
+                raise AssertionError("curvature form is not a semibasic two-form")
         out[key] = diff
-    _KAPPA_CACHE[key3] = out
-    return out
+    _KAPPA_CACHE[key3] = hit = (out, _compile_plan(out))
+    return hit
 
 
-def _eval_two_form(form: Form, ki: Key, kj: Key,
-                   value_of: Callable[[Sym], GaussRational]) -> GaussRational:
-    """Evaluate a semibasic 2-form on the dual basis pair (ki, kj) with
-    the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X)."""
-    ext = form.ext
-    gi, gj = ext.gid[ki], ext.gid[kj]
-    if gi == gj:
-        return gr(0)
-    a, bqq = (gi, gj) if gi < gj else (gj, gi)
-    poly = form.terms.get((a, bqq))
-    if poly is None:
-        return gr(0)
-    tot = gr(0)
-    for smono, coeff in poly.terms.items():
-        val = coeff
-        for s in smono:
-            val = val * value_of(s)
-            if val.is_zero():
-                break
-        tot = tot + val
-    return tot if gi < gj else -tot
+def kappa_coordinate_forms(n: int, signature: Tuple[int, int] = None,
+                           tamper: Optional[str] = None) -> Dict[Key, Form]:
+    """The curvature two-form of every sp(n)+g_1+g_2 coordinate: the
+    curved structure equation minus its flat part.  Each is semibasic
+    with curvature-symbol coefficients.  tamper='unsym-S' keeps the S
+    symbols of the Gamma coordinate uncanonicalized so that symmetry
+    violations in the input stay visible (negative control).  Built once
+    per (n, signature, tamper), together with the plan assemble_kappa
+    evaluates."""
+    return _kappa(n, signature, tamper)[0]
 
 
 def assemble_kappa(compo: CurvatureComponents, model: SpModel,
                    validate: bool = True, tamper: Optional[str] = None) -> Cochain2:
-    """Evaluate the curvature coordinate two-forms on all basis pairs.
-    ``validate=False`` with ``tamper='unsym-S'`` admits invalid
-    components, so that symmetry violations surface as nonzero
-    normality residuals instead."""
+    """Evaluate the curvature coordinate two-forms on all basis pairs,
+    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X): each symbol
+    monomial is evaluated once, and only a nonzero one is spread over
+    the cells it feeds.  ``validate=False`` with ``tamper='unsym-S'``
+    admits invalid components, so that symmetry violations surface as
+    nonzero normality residuals instead."""
     if validate:
         compo.validate(model.consts)
-    forms = kappa_coordinate_forms(model.n, model.consts.signature, tamper)
-    out = Cochain2(model.n)
-    ks = gminus_keys(model.n)
-    for i, ki in enumerate(ks):
-        for kj in ks[i + 1:]:
-            val = LieCoord(model.n)
-            for coord, form in forms.items():
-                val.set(coord, _eval_two_form(form, ki, kj, compo.value))
-            out.set_pair(ki, kj, val)
+    n = model.n
+    plan = _kappa(n, model.consts.signature, tamper)[1]
+    acc: Dict[int, GaussRational] = {}
+    for smono, cells, coeffs in plan.monos:
+        val = ONE
+        for s in smono:
+            val = val * compo.value(s)
+        if val.is_zero():
+            continue
+        for cell, coeff in zip(cells, coeffs):
+            cur = acc.get(cell)
+            acc[cell] = coeff * val if cur is None else cur + coeff * val
+    out = Cochain2(n)
+    for cell in sorted(acc):
+        v = acc[cell]
+        if v.is_zero():
+            continue
+        pair, coord = plan.cells[cell]
+        lc = out.vals.get(pair)
+        if lc is None:
+            lc = out.vals[pair] = LieCoord(n)
+        lc.c[coord] = v
     return out
 
 
@@ -358,31 +422,20 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
     """Literal evaluation of the bracket definition over the trace-dual
     frames."""
-    fr = model.dual_frames()
     n = model.n
-    ks = gminus_keys(n)
 
     def k_of(lc: LieCoord, kb: Key) -> LieCoord:
         """K(x, e_b) for x expanded in the g_- basis."""
         out = LieCoord(n)
         for kx, vx in lc.c.items():
-            if coframe.grade(kx) >= 0:
-                raise ValueError("argument not in g_-")
             out = out + K.get(kx, kb).scale(vx)
         return out
 
-    pairs = ([(fr["Ehat"][s], ("eta", s + 1)) for s in range(3)]
-             + [(fr["Zhat"][a - 1], ("theta", a, False)) for a in range(1, 2 * n + 1)]
-             + [(fr["Zhatbar"][a - 1], ("theta", a, True)) for a in range(1, 2 * n + 1)])
     out: Cochain1 = {}
-    for ka in ks:
-        a = model.basis(ka)
+    for ka, rows in model.dual_brackets().items():
         tot = LieCoord(n)
-        for hat, kb in pairs:
+        for hat, kb, minus in rows:
             tot = tot + model.bracket(hat, K.get(ka, kb)).scale(2)
-            lowered = model.bracket(hat, a)
-            minus = LieCoord(n, {k: v for k, v in lowered.c.items()
-                                 if coframe.grade(k) < 0})
             tot = tot - k_of(minus, kb)
         out[ka] = tot
     return out

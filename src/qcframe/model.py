@@ -38,7 +38,12 @@ class TemplateError(ValueError):
 
 
 class LieCoord:
-    """Element of (complexified) sp(n+1,1) in coframe coordinates."""
+    """Element of (complexified) sp(n+1,1) in coframe coordinates.
+
+    ``c`` maps canonical keys (Gam keys with a <= b) to nonzero
+    ``GaussRational``s.  ``set`` and ``get`` are the only places that
+    canonicalize a key or coerce a value; every other operation reads
+    and writes ``c`` directly and keeps the invariant."""
 
     __slots__ = ("n", "c")
 
@@ -58,9 +63,6 @@ class LieCoord:
         else:
             self.c[key] = val
 
-    def add_to(self, key: Key, val) -> None:
-        self.set(key, self.get(key) + GaussRational.of(val))
-
     def get(self, key: Key) -> GaussRational:
         if key[0] == "Gam":
             key = coframe.gam_key(key[1], key[2])
@@ -72,9 +74,19 @@ class LieCoord:
         return coeff * self.get(key)
 
     def __add__(self, other: "LieCoord") -> "LieCoord":
-        out = LieCoord(self.n, dict(self.c))
+        c = dict(self.c)
         for k, v in other.c.items():
-            out.add_to(k, v)
+            cur = c.get(k)
+            if cur is None:
+                c[k] = v
+            else:
+                v = cur + v
+                if v.is_zero():
+                    del c[k]
+                else:
+                    c[k] = v
+        out = LieCoord(self.n)
+        out.c = c
         return out
 
     def __neg__(self) -> "LieCoord":
@@ -87,7 +99,10 @@ class LieCoord:
 
     def scale(self, c) -> "LieCoord":
         c = GaussRational.of(c)
-        return LieCoord(self.n, {k: c * v for k, v in self.c.items()})
+        out = LieCoord(self.n)
+        if not c.is_zero():  # Q(i) is a field: no product of nonzeros vanishes
+            out.c = {k: c * v for k, v in self.c.items()}
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieCoord):
@@ -233,6 +248,7 @@ class SpModel:
         self._gram = None
         self._closed = None
         self._frames = None
+        self._dual_brackets = None
 
     def e(self, a: int) -> int:
         return 1 + a
@@ -593,6 +609,26 @@ class SpModel:
         if self._frames is None:
             self._frames = self._frames_for(self.killing_gram())
         return self._frames
+
+    def dual_brackets(self) -> Dict[Key, List[Tuple[LieCoord, Key, LieCoord]]]:
+        """For every g_- basis key a: the triples (hat, b, [hat, e_a]_-)
+        over the dual pairs (Ehat_s, E_s), (Zhat^c, Z_c), (Zhat^c̄, Z_c̄),
+        where [.]_- is the g_- part.  They do not depend on the cochain, so
+        the Kostant codifferential reads them from here; built on first use."""
+        if self._dual_brackets is None:
+            fr, n = self.dual_frames(), self.n
+            pairs = ([(fr["Ehat"][s], ("eta", s + 1)) for s in range(3)]
+                     + [(fr["Zhat"][a - 1], ("theta", a, False)) for a in range(1, 2 * n + 1)]
+                     + [(fr["Zhatbar"][a - 1], ("theta", a, True)) for a in range(1, 2 * n + 1)])
+            out = {}
+            for ka in self.keys:
+                if coframe.grade(ka) < 0:
+                    a = self.basis(ka)
+                    out[ka] = [(hat, kb, LieCoord(n, {
+                        k: v for k, v in self.bracket(hat, a).c.items()
+                        if coframe.grade(k) < 0})) for hat, kb in pairs]
+            self._dual_brackets = out
+        return self._dual_brackets
 
     def dual_frames_published(self) -> dict:
         """Dual frames taken against the closed-form expression with its

@@ -108,6 +108,37 @@ def test_classify_with_component_file(tmp_path, capsys):
                 "--components", str(path)]) == 0
 
 
+def test_classify_component_file_signature_mismatch_exit_2(tmp_path, capsys):
+    import random
+    from qcframe.cochains import components_to_json, random_components
+    from qcframe.tensors import StandardConstants
+    consts = StandardConstants(2, (1, 1))
+    doc = components_to_json(random_components(random.Random(4), consts), (1, 1))
+    path = tmp_path / "compo.json"
+    path.write_text(json.dumps(doc))
+    argv = ["classify", "homogeneity", "--n", "2", "--components", str(path)]
+    assert run(argv) == 2
+    assert "signature" in capsys.readouterr().err
+    assert run(argv + ["--signature", "1,1"]) == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "S": 5},
+    {"n": 1, "P": 3},
+    [{"n": 1}],
+    {"n": 1, "C": [{"idx": 1, "re": "1", "im": "0"}]},
+    {"n": 1, "signature": "ab"},
+    {"n": 1, "R": {"re": 0.1, "im": 0}},
+])
+def test_malformed_component_file_exit_2(doc, tmp_path, capsys):
+    path = tmp_path / "compo.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "homogeneity", "--n", "1", "--components", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_signature_flag(capsys):
     assert run(["verify", "flat", "--n", "2", "--signature", "1,1"]) == 0
 

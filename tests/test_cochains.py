@@ -1,17 +1,21 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from qcframe import cochains
 from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
                               broken_components, check_normality,
                               cochain1_is_zero, codiff_closed_constants,
                               components_from_json, components_to_json,
                               gminus_keys, homogeneity_classify,
+                              kappa_coordinate_forms,
                               kostant_codiff_closed, kostant_codiff_direct,
                               random_components, random_lemma_cochain,
                               regularity_ok, trace_conditions, zero_components)
+from qcframe.forms import Form, Poly
 from qcframe.gauss import gr
 from qcframe.model import LieCoord
 from qcframe.tensors import IndexedTensor, slots
@@ -62,6 +66,96 @@ def test_s_only_example(model_for, consts1):
     want = sum((consts1.pi_u_lbar(s, 1) * compo.s.get(1, 1, 1, s)
                 for s in (1, 2)), gr(0))
     assert val.get(("Gam", 1, 1)) == want
+
+
+def _reference_kappa(compo, n, forms):
+    """assemble_kappa as a walk over every (pair, coordinate) cell: each
+    coordinate two-form is evaluated on each g_- pair with the
+    convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X)."""
+    out = Cochain2(n)
+    ks = gminus_keys(n)
+    for i, ki in enumerate(ks):
+        for kj in ks[i + 1:]:
+            val = LieCoord(n)
+            for coord, form in forms.items():
+                gi, gj = form.ext.gid[ki], form.ext.gid[kj]
+                poly = form.terms.get((min(gi, gj), max(gi, gj)))
+                tot = gr(0)
+                for smono, coeff in (poly.terms.items() if poly else ()):
+                    for s in smono:
+                        coeff = coeff * compo.value(s)
+                    tot = tot + coeff
+                val.set(coord, tot if gi < gj else -tot)
+            out.set_pair(ki, kj, val)
+    return out
+
+
+def _assert_same_cochain(got, want):
+    """Equal values, and equal key order in Cochain2.vals and LieCoord.c."""
+    assert list(got.vals) == list(want.vals)
+    for pair, val in want.vals.items():
+        assert list(got.vals[pair].c.items()) == list(val.c.items())
+
+
+def _family_sets(n, consts):
+    """The nine one-family component sets of the homogeneity table."""
+    src = random_components(random.Random(40 + n), consts)
+    for scalar, val in (("p", gr(1, 1)), ("q", gr(2, -1)), ("r", gr(3))):
+        if getattr(src, scalar).is_zero():
+            setattr(src, scalar, val)
+    for fam in ("s", "v", "l", "m", "c", "h", "p", "q", "r"):
+        only = zero_components(n)
+        setattr(only, fam, getattr(src, fam))
+        yield only
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_plan_matches_reference_evaluation(model_for, n, signature):
+    m = model_for(n, signature)
+    forms = kappa_coordinate_forms(n, m.consts.signature)
+    rng = random.Random(17 * n)
+    sets = [random_components(rng, m.consts) for _ in range(2)]
+    sets += list(_family_sets(n, m.consts))
+    for compo in sets:
+        _assert_same_cochain(assemble_kappa(compo, m),
+                             _reference_kappa(compo, n, forms))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_plan_matches_reference_tampered(model_for, n):
+    m = model_for(n)
+    forms = kappa_coordinate_forms(n, tamper="unsym-S")
+    compo = broken_components(random.Random(3), m.consts)
+    got = assemble_kappa(compo, m, validate=False, tamper="unsym-S")
+    _assert_same_cochain(got, _reference_kappa(compo, n, forms))
+    assert got.vals != assemble_kappa(compo, m, validate=False).vals
+
+
+def test_plan_evaluates_any_degree(model_for, monkeypatch):
+    """Monomials of degree 2 and 0: square every coefficient polynomial
+    and add a constant, and compare with the reference evaluation."""
+    m = model_for(1)
+    forms = {}
+    for coord, form in kappa_coordinate_forms(1).items():
+        terms = {mono: p * p + Poly.const(gr(1, -2)) for mono, p in form.terms.items()}
+        forms[coord] = Form(form.ext, terms)
+    assert {len(smono) for f in forms.values() for p in f.terms.values()
+            for smono in p.terms} == {0, 2}
+    monkeypatch.setitem(cochains._KAPPA_CACHE, (1, (1, 0), "squared"),
+                        (forms, cochains._compile_plan(forms)))
+    compo = random_components(random.Random(8), m.consts)
+    _assert_same_cochain(assemble_kappa(compo, m, tamper="squared"),
+                         _reference_kappa(compo, 1, forms))
+
+
+@pytest.mark.parametrize("n, monos, terms", [(1, 35, 246), (2, 126, 1029)])
+def test_kappa_is_degree_one_in_the_components(n, monos, terms):
+    """Every symbol monomial of kappa has length 1: kappa is linear in
+    the component arrays."""
+    plan = cochains._kappa(n, None, None)[1]
+    assert len(plan.monos) == monos
+    assert sum(len(cells) for _, cells, _ in plan.monos) == terms
+    assert all(len(smono) == 1 for smono, _, _ in plan.monos)
 
 
 def test_kappa_antisymmetry(model_for, consts1):
@@ -220,6 +314,36 @@ def test_component_reader_rejects_bad_symmetry():
     # S without its j-partner entries fails the j-invariance validation
     with pytest.raises(ValueError):
         components_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"n": 1, "S": 5}, "S"),
+    ({"n": 1, "P": 3}, "P"),
+    ([1, 2], "JSON object"),
+    ({"n": 1, "C": [{"idx": 1, "re": "1", "im": "0"}]}, "C[0].idx"),
+    ({"n": 1, "C": ["x"]}, "C[0]"),
+    ({"n": 1, "signature": "ab"}, "signature"),
+    ({"n": 1, "signature": [1]}, "signature"),
+    ({"n": None}, "n must be an integer"),
+    ({"n": 1, "R": {"re": 0.1, "im": 0}}, "R.re"),
+    ({"n": 1, "P": {"re": "1", "im": 0.5}}, "P.im"),
+    ({"n": 1, "P": {"re": "1"}}, "P"),
+    ({"n": 1, "Q": {"re": "1/0", "im": "0"}}, "Q.re"),
+    ({"n": 1, "C": [{"idx": [1], "re": True, "im": "0"}]}, "C[0].re"),
+])
+def test_component_reader_rejects_malformed_input(doc, where):
+    with pytest.raises(ValueError, match=re.escape(where)) as info:
+        components_from_json(doc)
+    assert "\n" not in str(info.value)
+
+
+def test_component_reader_reads_strings_and_integers_exactly():
+    doc = {"n": 1, "C": [{"idx": [1], "re": "0.1", "im": 3}],
+           "P": {"re": -2, "im": "1/3"}}
+    compo, consts = components_from_json(doc)
+    assert consts.signature == (1, 0)
+    assert compo.c.get(1) == gr(Fraction(1, 10), 3)
+    assert compo.p == gr(-2, Fraction(1, 3))
 
 
 def test_cochain_antisymmetry():

@@ -36,6 +36,12 @@ CASES = [
     # rules byte for byte through the residuals' to_text
     (["verify", "curved", "--n", "2", "--negative-control"],
      "verify_curved_n2_negative_control.json", 1),
+    # the normality sweep and the homogeneity table at the size the
+    # benchmark runs them
+    (["verify", "normality", "--n", "2", "--trials", "3", "--seed", "7"],
+     "verify_normality_n2_trials3_seed7.json", 0),
+    (["classify", "homogeneity", "--n", "2", "--seed", "0"],
+     "classify_homogeneity_n2_seed0.json", 0),
 ]
 
 
