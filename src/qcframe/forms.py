@@ -242,7 +242,8 @@ class Exterior(Alphabet):
     """The exterior algebra on the coframe generators for fixed n.
 
     Generator forms (``gen``) and one-symbol polynomials (``sym``) are
-    interned per instance: asking twice gives the same shared object,
+    interned per instance, and so is the conjugate of each symbol
+    (``conj_poly`` reads it): asking twice gives the same shared object,
     which no operation of this module modifies."""
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
@@ -258,6 +259,7 @@ class Exterior(Alphabet):
             self._conj_gen[self.gid[k]] = (coeff, self.gid[k2])
         self._gens: Dict[coframe.Key, Form] = {}
         self._syms: Dict[Tuple[str, Tuple[int, ...], bool], Poly] = {}
+        self._conj_syms: Dict[Sym, Tuple[GaussRational, Sym]] = {}
 
     # -- symbols -----------------------------------------------------------
 
@@ -301,18 +303,37 @@ class Exterior(Alphabet):
             coeff = coeff * c.pi_ubar_l(c.partner(a), a)
         return self.sym(family, tuple(c.partner(a) for a in idx), conj=True).scale(coeff)
 
-    def conj_poly(self, p: Poly) -> Poly:
-        out = Poly()
+    def _conj_sym(self, s: Sym) -> Tuple[GaussRational, Sym]:
+        """conj(s) = coeff * s2 as (coeff, s2), tabulated on first use."""
+        hit = self._conj_syms.get(s)
+        if hit is None:
+            ((s2,), coeff), = self.sym(s.family, s.idx, not s.conj).terms.items()
+            hit = self._conj_syms[s] = (coeff, s2)
+        return hit
+
+    def conj_poly(self, p: Poly, scale: GaussRational = ONE) -> Poly:
+        """conj(p) * scale: each symbol is swapped for its tabulated
+        conjugate, and the coefficients multiply into one scalar."""
+        out: Terms = {}
+        conj_sym = self._conj_sym
         for mono, c in p.terms.items():
-            factor = Poly.const(c.conj())
+            c = c.conj() * scale
+            syms = []
             for s in mono:
-                if s.conj:
-                    piece = self.sym(s.family, s.idx, conj=False)
+                k, s2 = conj_sym(s)
+                c = c * k
+                syms.append(s2)
+            m = tuple(sorted(syms))
+            cur = out.get(m)
+            if cur is None:
+                out[m] = c
+            else:
+                c = cur + c
+                if c.is_zero():
+                    del out[m]
                 else:
-                    piece = self.sym(s.family, s.idx, conj=True)
-                factor = factor * piece
-            _add_into(out.terms, factor.terms)
-        return out
+                    out[m] = c
+        return Poly._wrap(out)
 
     # -- forms -------------------------------------------------------------
 
@@ -470,7 +491,7 @@ class Form:
                 # the alphabet, so none repeats)
                 s, key = _merge_sign(key, (g2,))
                 sign *= s
-            _add_into(_bucket(acc, key), ext.conj_poly(p).scale(coeff).terms, sign < 0)
+            _add_into(_bucket(acc, key), ext.conj_poly(p, coeff).terms, sign < 0)
         return from_acc(ext, acc)
 
     def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":

@@ -404,33 +404,53 @@ class SpModel:
             self._sc = (rows, scale)
         return self._sc
 
-    def _cleared(self, x: LieCoord):
+    def _cleared(self, x: Dict[Key, GaussRational]):
         """x as Gaussian integers (index, re, im) over its lcm denominator."""
-        d = lcm(*(v.d for v in x.c.values()))
+        d = lcm(*(v.d for v in x.values()))
         return d, [(self.key_index[k], v.a * (d // v.d), v.b * (d // v.d))
-                   for k, v in x.c.items()]
+                   for k, v in x.items()]
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
-        """[a, b] through the structure-constant table, summed in
-        Gaussian integers and divided once by the common denominator."""
-        rows, scale = self.structure_constants()
-        da, xa = self._cleared(a)
-        db, xb = self._cleared(b)
-        acc_re, acc_im = [0] * self.dim, [0] * self.dim
-        for i, ar, ai in xa:
-            row = rows[i]
-            for j, br, bi in xb:
-                targets = row[j]
-                if targets:
-                    pr, pi = ar * br - ai * bi, ar * bi + ai * br
-                    for k, cr, ci in targets:
-                        acc_re[k] += pr * cr - pi * ci
-                        acc_im[k] += pr * ci + pi * cr
-        den = da * db * scale
+        """[a, b]: the one-pair case of ``bracket_sum``."""
         out = LieCoord(self.n)
-        out.c = {self.keys[k]: GaussRational.from_ints(re, im, den)
-                 for k, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
+        out.c = self.bracket_sum(((a.c, b.c, 1),))
         return out
+
+    def bracket_sum(self, terms: Iterable[Tuple[Dict[Key, GaussRational],
+                                                Dict[Key, GaussRational], int]]
+                    ) -> Dict[Key, GaussRational]:
+        """The coordinates of sum w [x, y] over the triples (x, y, w) of
+        ``terms``: x and y coordinate dicts, which are only read, and w an
+        integer.  Each argument is cleared to Gaussian integers over its
+        own denominator, everything is summed through the structure-constant
+        table in Python integers over one common denominator, and each
+        nonzero coordinate is divided once."""
+        rows, scale = self.structure_constants()
+        cleared = []
+        for x, y, w in terms:
+            if w and x and y:
+                dx, xa = self._cleared(x)
+                dy, xb = self._cleared(y)
+                cleared.append((w, dx * dy, xa, xb))
+        den = lcm(*(dxy for _, dxy, _, _ in cleared))
+        acc_re, acc_im = [0] * self.dim, [0] * self.dim
+        for w, dxy, xa, xb in cleared:
+            f = w * (den // dxy)
+            if f != 1:
+                xa = [(i, ar * f, ai * f) for i, ar, ai in xa]
+            for i, ar, ai in xa:
+                row = rows[i]
+                for j, br, bi in xb:
+                    targets = row[j]
+                    if targets:
+                        pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                        for k, cr, ci in targets:
+                            acc_re[k] += pr * cr - pi * ci
+                            acc_im[k] += pr * ci + pi * cr
+        den *= scale
+        keys = self.keys
+        return {keys[k]: GaussRational.from_ints(re, im, den)
+                for k, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
 
     # the old name, kept while bench/tracing.py wraps it
     bracket_fast = bracket

@@ -247,6 +247,29 @@ def test_normality_negative_control(model_for):
         assert rep2["normal"]
 
 
+def test_each_trial_is_validated_once(model_for, monkeypatch):
+    """random_components leaves validation to assemble_kappa;
+    broken_components validates its draw before breaking S."""
+    m = model_for(1)
+    calls = []
+    validate = CurvatureComponents.validate
+
+    def counting(self, consts):
+        calls.append(1)
+        return validate(self, consts)
+
+    monkeypatch.setattr(CurvatureComponents, "validate", counting)
+    rng = random.Random(23)
+    compo = random_components(rng, m.consts)
+    assert calls == []
+    check_normality(compo, m)
+    assert len(calls) == 1
+    compo = broken_components(rng, m.consts)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="S is not totally symmetric"):
+        validate(compo, m.consts)
+
+
 def test_trace_conditions_zero_components(model_for):
     m = model_for(1)
     K = assemble_kappa(zero_components(1), m)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcframe.forms import Exterior, Form, Poly, Sym, differential
+from qcframe.forms import FAMILIES, Exterior, Form, Poly, Sym, differential
 from qcframe.gauss import gr
 from qcframe.rules import build_rules
 from qcframe import coframe
@@ -182,6 +182,46 @@ def test_jreal_conj_rewrite(ext):
     # and the rewrite squares to the identity
     q = ext.conj_poly(p)
     assert q == ext.sym("S", (1, 1, 2, 2))
+
+
+def _conj_poly_reference(ext, p):
+    """conj of a polynomial as a product: the conjugated coefficient
+    times the canonical conjugate of each symbol."""
+    out = Poly()
+    for mono, c in p.terms.items():
+        factor = Poly.const(c.conj())
+        for s in mono:
+            factor = factor * ext.sym(s.family, s.idx, conj=not s.conj)
+        out = out + factor
+    return out
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_conj_poly_matches_the_product_formula(n, signature):
+    """The tabulated symbol conjugation gives the same polynomial, key
+    order included, for every family and conjugation flag; and twice is
+    the identity."""
+    e = Exterior(n, signature)
+    rng = random.Random(19 + n)
+    syms = []
+    for fam in ("S", "V", "L", "M", "C", "H", "P", "Q", "R", "sA", "sN1", "Vns"):
+        arity = FAMILIES[fam][0]
+        for _ in range(3):
+            idx = tuple(rng.randint(1, 2 * n) for _ in range(arity))
+            syms.append(e.sym(fam, idx, conj=rng.random() < 0.5))
+    for _ in range(30):
+        p = Poly.const(gr(rng.randint(-3, 3), rng.randint(-3, 3)))
+        for _ in range(rng.randint(1, 4)):
+            term = Poly.const(gr(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2)))
+            for _ in range(rng.randint(1, 3)):
+                term = term * rng.choice(syms)
+            p = p + term
+        got = e.conj_poly(p)
+        want = _conj_poly_reference(e, p)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert e.conj_poly(got) == p
+        c = gr(Fraction(1, 2), -1)
+        assert e.conj_poly(p, c) == want.scale(c)
 
 
 def test_j_of_jreal_family_is_identity(ext):
