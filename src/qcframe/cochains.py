@@ -653,7 +653,10 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
                     barred.append((al, key, pi_bs.conj() * gat.conj() * coeff))
         gam_terms[be] = plain
         gam_bar_terms[be] = barred
-    # Ehat slots: (alpha, coordinate, coefficient) of the E2 +- i E3 sums
+    # Ehat slots: (alpha, coordinate, coefficient) of the E1 sum over
+    # K(e_a, Z_alpha) and over K(e_a, Zbar_alpha), and of the E2 +- i E3 sums
+    e1_terms = [(al, ("phiU", al, False), ONE) for al in R]
+    e1_bar_terms = [(al, ("phiU", al, True), -ONE) for al in R]
     e23p_terms = []
     e23m_terms = []
     for al in R:
@@ -682,16 +685,7 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
         for be in R:
             _axpy(tot, c_gam * _read(rows_bar, gam_terms[be]), zlow[be])
             _axpy(tot, c_gam * _read(rows, gam_bar_terms[be]), zlow_bar[be])
-        acc1 = ZERO
-        for al in R:
-            coords, sign = rows[al]
-            v = coords.get(("phiU", al, False))
-            if v is not None:
-                acc1 = acc1 + v if sign > 0 else acc1 - v
-            coords, sign = rows_bar[al]
-            v = coords.get(("phiU", al, True))
-            if v is not None:
-                acc1 = acc1 - v if sign > 0 else acc1 + v
+        acc1 = _read(rows, e1_terms) + _read(rows_bar, e1_bar_terms)
         _axpy(tot, I * consts["c_E1"] * acc1, e1)
         # the E2 + i E3 and E2 - i E3 slots
         accp = consts["c_E23p"] * _read(rows, e23p_terms)
