@@ -22,7 +22,7 @@ from .gauss import ONE, ZERO, GaussRational, gr
 from .tensors import (IndexedTensor, StandardConstants, is_symmetric, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import Form, Mono, Sym
-from .model import LieCoord, SpModel
+from .model import LieCoord, SpModel, axpy
 from . import coframe
 from .coframe import Key
 
@@ -418,16 +418,16 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
         for cell, coeff in zip(cells, coeffs):
             cur = acc.get(cell)
             acc[cell] = coeff * val if cur is None else cur + coeff * val
-    out = Cochain2(n)
+    cols: Dict[Tuple[Key, Key], Dict[Key, GaussRational]] = {}
     for cell in sorted(acc):
         v = acc[cell]
         if v.is_zero():
             continue
         pair, coord = plan.cells[cell]
-        lc = out.vals.get(pair)
-        if lc is None:
-            lc = out.vals[pair] = LieCoord(n)
-        lc.c[coord] = v
+        cols.setdefault(pair, {})[coord] = v
+    out = Cochain2(n)
+    for pair, coords in cols.items():
+        out.vals[pair] = LieCoord.adopt(n, coords)
     return out
 
 
@@ -436,26 +436,8 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 #
 # The evaluations below read K through Cochain2.entry, folding each
 # orientation sign into their own scalars, and sum into one fresh
-# coordinate dict per output key through _axpy.  No stored coordinate of
+# coordinate dict per output key through model.axpy.  No stored coordinate of
 # K, dual_frames() or dual_brackets() is modified or copied.
-
-
-def _axpy(acc: Dict[Key, GaussRational], coeff: GaussRational,
-          coords: Mapping[Key, GaussRational]) -> None:
-    """acc += coeff * coords in place, dropping what cancels."""
-    if coeff.is_zero():
-        return
-    for k, v in coords.items():
-        v = coeff * v
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = v
-        else:
-            v = cur + v
-            if v.is_zero():
-                del acc[k]
-            else:
-                acc[k] = v
 
 
 def _read(entries, terms) -> GaussRational:
@@ -468,13 +450,6 @@ def _read(entries, terms) -> GaussRational:
         if v is not None:
             tot = tot + coeff * v if sign > 0 else tot - coeff * v
     return tot
-
-
-def _lie(n: int, coords: Dict[Key, GaussRational]) -> LieCoord:
-    """A LieCoord that takes over ``coords``, which hold no zero."""
-    out = LieCoord(n)
-    out.c = coords
-    return out
 
 
 def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
@@ -493,8 +468,8 @@ def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
         for _, kb, minus in rows:
             for kx, vx in minus.c.items():
                 coords, sign = K.entry(kx, kb)
-                _axpy(acc, -vx if sign > 0 else vx, coords)
-        out[ka] = _lie(n, acc)
+                axpy(acc, -vx if sign > 0 else vx, coords)
+        out[ka] = LieCoord.adopt(n, acc)
     return out
 
 
@@ -604,20 +579,20 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
             coeff = c.g_up(a, s)
             if not coeff.is_zero():
                 coords, sign = K.entry(thb[s], th[a])
-                _axpy(kzz, coeff if sign > 0 else -coeff, coords)
+                axpy(kzz, coeff if sign > 0 else -coeff, coords)
             coeff2 = c.g_up(s, a)
             if not coeff2.is_zero():
                 coords, sign = K.entry(th[s], thb[a])
-                _axpy(kzz, -coeff2 if sign > 0 else coeff2, coords)
+                axpy(kzz, -coeff2 if sign > 0 else coeff2, coords)
     for a in R:
         for bq in R:
             coeff = c.pi_up(a, bq)
             if not coeff.is_zero():
                 coords, sign = K.entry(th[a], th[bq])
-                _axpy(piK, coeff if sign > 0 else -coeff, coords)
+                axpy(piK, coeff if sign > 0 else -coeff, coords)
                 coeff = coeff.conj()
                 coords, sign = K.entry(thb[a], thb[bq])
-                _axpy(piKb, coeff if sign > 0 else -coeff, coords)
+                axpy(piKb, coeff if sign > 0 else -coeff, coords)
 
     # the lowered hat frames Zhat_b and Zhat_b̄
     zlow = {}
@@ -626,8 +601,8 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
         acc: Dict[Key, GaussRational] = {}
         accb: Dict[Key, GaussRational] = {}
         for t in R:
-            _axpy(acc, c.g(be, t), fr["Zhatbar"][t - 1].c)
-            _axpy(accb, c.g(t, be), fr["Zhat"][t - 1].c)
+            axpy(acc, c.g(be, t), fr["Zhatbar"][t - 1].c)
+            axpy(accb, c.g(t, be), fr["Zhat"][t - 1].c)
         zlow[be] = acc
         zlow_bar[be] = accb
 
@@ -649,7 +624,7 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
                     if gat.is_zero():
                         continue
                     plain.append((al, coframe.gam_key(si, t), pi_bs * gat))
-                    coeff, key = c.gamma_bar(si, t)
+                    coeff, key = coframe.gamma_bar(c, si, t)
                     barred.append((al, key, pi_bs.conj() * gat.conj() * coeff))
         gam_terms[be] = plain
         gam_bar_terms[be] = barred
@@ -674,27 +649,27 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
     for ka in gminus_keys(n):
         tot: Dict[Key, GaussRational] = {}
         if ka == ("eta", 1):
-            _axpy(tot, I * consts["c_eta1"], kzz)
+            axpy(tot, I * consts["c_eta1"], kzz)
         if ka in (("eta", 2), ("eta", 3)):
             w = gr(1) if ka == ("eta", 2) else I
-            _axpy(tot, w * consts["c_eta23p"], piK)
+            axpy(tot, w * consts["c_eta23p"], piK)
             wm = gr(1) if ka == ("eta", 2) else -I
-            _axpy(tot, wm * consts["c_eta23m"], piKb)
+            axpy(tot, wm * consts["c_eta23m"], piKb)
         rows = {al: K.entry(ka, th[al]) for al in R}
         rows_bar = {al: K.entry(ka, thb[al]) for al in R}
         for be in R:
-            _axpy(tot, c_gam * _read(rows_bar, gam_terms[be]), zlow[be])
-            _axpy(tot, c_gam * _read(rows, gam_bar_terms[be]), zlow_bar[be])
+            axpy(tot, c_gam * _read(rows_bar, gam_terms[be]), zlow[be])
+            axpy(tot, c_gam * _read(rows, gam_bar_terms[be]), zlow_bar[be])
         acc1 = _read(rows, e1_terms) + _read(rows_bar, e1_bar_terms)
-        _axpy(tot, I * consts["c_E1"] * acc1, e1)
+        axpy(tot, I * consts["c_E1"] * acc1, e1)
         # the E2 + i E3 and E2 - i E3 slots
         accp = consts["c_E23p"] * _read(rows, e23p_terms)
         accm = consts["c_E23m"] * _read(rows_bar, e23m_terms)
-        _axpy(tot, accp, e2)
-        _axpy(tot, I * accp, e3)
-        _axpy(tot, accm, e2)
-        _axpy(tot, -I * accm, e3)
-        out[ka] = _lie(n, tot)
+        axpy(tot, accp, e2)
+        axpy(tot, I * accp, e3)
+        axpy(tot, accm, e2)
+        axpy(tot, -I * accm, e3)
+        out[ka] = LieCoord.adopt(n, tot)
     return out
 
 
@@ -716,11 +691,11 @@ def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
             cg = c.g_up(a, bq)
             if not cg.is_zero():
                 coords, sign = K.entry(th[a], thb[bq])
-                _axpy(t1, cg if sign > 0 else -cg, coords)
+                axpy(t1, cg if sign > 0 else -cg, coords)
             cp = c.pi_up(a, bq)
             if not cp.is_zero():
                 coords, sign = K.entry(th[a], th[bq])
-                _axpy(t2, cp if sign > 0 else -cp, coords)
+                axpy(t2, cp if sign > 0 else -cp, coords)
     # the terms (index of the theta argument, coordinate, coefficient):
     # Gamma_trace per alpha and phi_trace read K(Zbar_s, x), pi_phi_trace
     # reads K(Z_beta, x)

@@ -69,10 +69,12 @@ def gamma_bar(c: StandardConstants, s: int, t: int) -> Tuple[GaussRational, Key]
 
     The j-constraint reads Gamma_{a b} = m_a m_b Gamma_{p(a)bar p(b)bar}
     with p the pi-partner involution and m_a = pi^{p(a)bar}_{a}; since m
-    is a unit this inverts to a single signed unbarred coordinate.  Read
-    from the table ``StandardConstants`` fills once.
+    is a unit this inverts to a single signed unbarred coordinate.
     """
-    return c.gamma_bar(s, t)
+    a, b = c.partner(s), c.partner(t)
+    m_a = c.pi_ubar_l(c.partner(a), a)
+    m_b = c.pi_ubar_l(c.partner(b), b)
+    return gr(1) / (m_a * m_b), gam_key(a, b)
 
 
 def conj_key(c: StandardConstants, key: Key):

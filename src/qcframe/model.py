@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .gauss import ONE, ZERO, GaussRational, gr
 from .tensors import StandardConstants, IndexedTensor, slots
@@ -43,7 +43,9 @@ class LieCoord:
     ``c`` maps canonical keys (Gam keys with a <= b) to nonzero
     ``GaussRational``s.  ``set`` and ``get`` are the only places that
     canonicalize a key or coerce a value; every other operation reads
-    and writes ``c`` directly and keeps the invariant."""
+    and writes ``c`` directly and keeps the invariant.  Code outside this
+    module sums into a coordinate dict with ``axpy`` and wraps it with
+    ``LieCoord.adopt``, so only this module writes ``c``."""
 
     __slots__ = ("n", "c")
 
@@ -73,36 +75,31 @@ class LieCoord:
         coeff, key = coframe.gamma_bar(consts, s, t)
         return coeff * self.get(key)
 
-    def __add__(self, other: "LieCoord") -> "LieCoord":
-        c = dict(self.c)
-        for k, v in other.c.items():
-            cur = c.get(k)
-            if cur is None:
-                c[k] = v
-            else:
-                v = cur + v
-                if v.is_zero():
-                    del c[k]
-                else:
-                    c[k] = v
-        out = LieCoord(self.n)
-        out.c = c
+    @classmethod
+    def adopt(cls, n: int, coords: Dict[Key, GaussRational]) -> "LieCoord":
+        """A LieCoord that takes over ``coords``, which must already hold
+        canonical keys and no zero (as ``axpy`` leaves them)."""
+        out = cls(n)
+        out.c = coords
         return out
 
+    def __add__(self, other: "LieCoord") -> "LieCoord":
+        c = dict(self.c)
+        axpy(c, ONE, other.c)
+        return LieCoord.adopt(self.n, c)
+
     def __neg__(self) -> "LieCoord":
-        out = LieCoord(self.n)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
+        return LieCoord.adopt(self.n, {k: -v for k, v in self.c.items()})
 
     def __sub__(self, other: "LieCoord") -> "LieCoord":
         return self + -other
 
     def scale(self, c) -> "LieCoord":
         c = GaussRational.of(c)
-        out = LieCoord(self.n)
-        if not c.is_zero():  # Q(i) is a field: no product of nonzeros vanishes
-            out.c = {k: c * v for k, v in self.c.items()}
-        return out
+        if c.is_zero():
+            return LieCoord(self.n)
+        # Q(i) is a field: no product of nonzeros vanishes
+        return LieCoord.adopt(self.n, {k: c * v for k, v in self.c.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieCoord):
@@ -122,6 +119,29 @@ class LieCoord:
         parts = ", ".join(f"{coframe.label(k)}={v}" for k, v in sorted(
             self.c.items(), key=lambda kv: str(kv[0])))
         return f"LieCoord({parts or '0'})"
+
+
+def axpy(acc: Dict[Key, GaussRational], coeff: GaussRational,
+         coords: Mapping[Key, GaussRational]) -> None:
+    """acc += coeff * coords in place, dropping what cancels: acc and
+    coords are LieCoord coordinate dicts (canonical keys, no zero), and
+    acc stays one.  ``coords`` is only read; ``coeff`` ``ONE`` multiplies
+    nothing."""
+    if coeff.is_zero():
+        return
+    unit = coeff is ONE
+    for k, v in coords.items():
+        if not unit:
+            v = coeff * v
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = v
+        else:
+            v = cur + v
+            if v.is_zero():
+                del acc[k]
+            else:
+                acc[k] = v
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +392,7 @@ class SpModel:
 
     def from_matrix(self, M: SparseMat) -> LieCoord:
         """The coordinates of M; ``TemplateError`` if M is off the template."""
-        x = LieCoord(self.n)
-        x.c = {self.keys[k]: v for k, v in self._decode(M).items()}
-        return x
+        return LieCoord.adopt(self.n, {self.keys[k]: v for k, v in self._decode(M).items()})
 
     # -- structure constants, bracket and grading ------------------------------
 
@@ -412,9 +430,7 @@ class SpModel:
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
         """[a, b]: the one-pair case of ``bracket_sum``."""
-        out = LieCoord(self.n)
-        out.c = self.bracket_sum(((a.c, b.c, 1),))
-        return out
+        return LieCoord.adopt(self.n, self.bracket_sum(((a.c, b.c, 1),)))
 
     def bracket_sum(self, terms: Iterable[Tuple[Dict[Key, GaussRational],
                                                 Dict[Key, GaussRational], int]]

@@ -14,12 +14,11 @@ it wrong.
 
 StandardConstants evaluates each closed formula once, when it is built:
 ``g``, ``g_up``, ``pi``, ``pi_bar``, ``pi_up``, ``pi_u_lbar`` and
-``pi_ubar_l`` become 2n x 2n tables keyed by index pair, ``gamma_bar``
-one of (coefficient, Gamma key) pairs, and ``partner`` a table keyed by
-index.  The entries are a few shared, immutable GaussRationals (0 and
-the units), so an accessor call is one dict lookup and builds no new
-value.  An index outside 1..2n is not in the tables and raises
-ValueError naming it.
+``pi_ubar_l`` become 2n x 2n tables keyed by index pair, and ``partner``
+a table keyed by index.  The entries are a few shared, immutable
+GaussRationals (0 and the units), so an accessor call is one dict
+lookup and builds no new value.  An index outside 1..2n is not in the
+tables and raises ValueError naming it.
 """
 from __future__ import annotations
 
@@ -159,7 +158,7 @@ class StandardConstants:
     """
 
     __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_g", "_g_up",
-                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_gamma_bar")
+                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -201,14 +200,6 @@ class StandardConstants:
         self._pi_up = table(lambda a, b: d[a] * d[b] * pi(a, b).conj())
         self._pi_u_lbar = table(lambda a, b: d[a] * pi(b, a).conj())
         self._pi_ubar_l = table(lambda a, b: d[a] * pi(b, a))
-        # Gamma_{s̄ t̄} = Gamma_{a b} / (m_a m_b), a and b the partners of s
-        # and t and m_a = pi^{p(a)bar}_{a}; the key is coframe's
-        # canonical ('Gam', min, max)
-        part, mix = self._partner, self._pi_ubar_l
-        self._gamma_bar = {
-            (s, t): (shared.setdefault(v, v), ("Gam", min(a, b), max(a, b)))
-            for s in rng for t in rng for a, b in ((part[s], part[t]),)
-            for v in (ONE / (mix[part[a], a] * mix[part[b], b]),)}
 
     @property
     def dim(self) -> int:
@@ -278,14 +269,6 @@ class StandardConstants:
             return self._pi_ubar_l[a, b]
         except KeyError:
             raise self._bad_index(a, b) from None
-
-    def gamma_bar(self, s: int, t: int) -> Tuple[GaussRational, Tuple]:
-        """Gamma_{s̄ t̄} as (coeff, key) with key an unbarred Gamma
-        coordinate: the j-constraint read backwards."""
-        try:
-            return self._gamma_bar[s, t]
-        except KeyError:
-            raise self._bad_index(s, t) from None
 
 
 def make_constants(n: int, signature: Tuple[int, int] = None) -> StandardConstants:

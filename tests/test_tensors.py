@@ -72,7 +72,7 @@ def test_tables_match_closed_formulas(n, signature):
             assert c.pi_up(a, b) is c.pi_up(a, b)
 
 
-ACCESSORS = ("g", "g_up", "pi", "pi_bar", "pi_up", "pi_u_lbar", "pi_ubar_l", "gamma_bar")
+ACCESSORS = ("g", "g_up", "pi", "pi_bar", "pi_up", "pi_u_lbar", "pi_ubar_l")
 
 
 @pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (1, 1))])
@@ -87,19 +87,6 @@ def test_constants_reject_out_of_range_indices(n, signature):
                     getattr(c, name)(*idx)
         with pytest.raises(ValueError, match=f"index {bad} outside"):
             c.partner(bad)
-
-
-@pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (2, (1, 1)), (3, (2, 1))])
-def test_gamma_bar_table_is_the_closed_formula(n, signature):
-    """Gamma_{s̄ t̄} = Gamma_{a b} / (m_a m_b), a, b the partners of s, t
-    and m_a = pi^{p(a)bar}_{a}, keyed by the sorted unbarred pair."""
-    c = make_constants(n, signature)
-    for s in range(1, 2 * n + 1):
-        for t in range(1, 2 * n + 1):
-            a, b = c.partner(s), c.partner(t)
-            m_a = c.pi_ubar_l(c.partner(a), a)
-            m_b = c.pi_ubar_l(c.partner(b), b)
-            assert c.gamma_bar(s, t) == (gr(1) / (m_a * m_b), ("Gam", min(a, b), max(a, b)))
 
 
 def test_constants_examples():
