@@ -297,14 +297,7 @@ def cmd_classify(args):
     model = SpModel(args.n, sig)
     rng = random.Random(args.seed)
     if args.components:
-        compo, consts = load_components(args.components)
-        if consts.n != args.n:
-            print("component file n does not match --n", file=sys.stderr)
-            return 2
-        if consts.signature != sig:
-            print(f"component file signature {list(consts.signature)} does not "
-                  f"match the signature {list(sig)} of this run", file=sys.stderr)
-            return 2
+        compo = load_components(args.components, model.consts)
     else:
         compo = random_components(rng, model.consts)
     K = assemble_kappa(compo, model)

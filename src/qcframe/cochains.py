@@ -19,9 +19,9 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gauss import ONE, ZERO, GaussRational, gr
-from .tensors import (IndexedTensor, StandardConstants, is_symmetric, jmap,
+from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
-from .forms import Form, Mono, Sym
+from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
 from .model import LieCoord, SpModel, axpy
 from . import coframe
 from .coframe import Key
@@ -35,13 +35,14 @@ I = gr(0, 1)
 
 @dataclass
 class CurvatureComponents:
-    """The nine arrays S, V, L, M, C, H, P, Q, R."""
+    """The nine arrays S, V, L, M, C, H, P, Q, R, one field each, named
+    after its family in ``forms.FAMILIES``."""
 
     n: int
-    s: IndexedTensor
-    v: IndexedTensor
-    l: IndexedTensor
-    m: IndexedTensor
+    s: SymTensor
+    v: SymTensor
+    l: SymTensor
+    m: SymTensor
     c: IndexedTensor
     h: IndexedTensor
     p: GaussRational
@@ -49,50 +50,41 @@ class CurvatureComponents:
     r: GaussRational
 
     def validate(self, consts: StandardConstants) -> None:
-        for t, name, arity in ((self.s, "S", 4), (self.v, "V", 3),
-                               (self.l, "L", 2), (self.m, "M", 2)):
+        for fam in CURVATURE_FAMILIES:
+            arity, symmetric, jreal, real = FAMILIES[fam]
+            t = getattr(self, fam.lower())
+            if real and not t.is_real():
+                raise ValueError(f"{fam} must be real")
+            if not arity:
+                continue
             if len(t.slots) != arity:
-                raise ValueError(f"{name} must have {arity} lower slots")
-            if not is_symmetric(t):
-                raise ValueError(f"{name} is not totally symmetric")
-        for t, name in ((self.s, "S"), (self.l, "L")):
-            if jmap(t, consts) != t:
-                raise ValueError(f"{name} is not j-invariant")
-        if not self.r.is_real():
-            raise ValueError("R must be real")
+                raise ValueError(f"{fam} must have {arity} lower slots")
+            if symmetric and not isinstance(t, SymTensor):
+                raise ValueError(f"{fam} is not totally symmetric")
+            if jreal and jmap(t, consts) != t:
+                raise ValueError(f"{fam} is not j-invariant")
 
     def value(self, sym: Sym) -> GaussRational:
         """Numeric value of a curvature symbol (conjugate-aware)."""
-        fam = sym.family
-        if fam in ("V", "Vns"):
-            base = self.v.get(*sym.idx)
-        elif fam in ("S", "Sns"):
-            base = self.s.get(*sym.idx)
-        elif fam == "L":
-            base = self.l.get(*sym.idx)
-        elif fam == "M":
-            base = self.m.get(*sym.idx)
-        elif fam == "C":
-            base = self.c.get(*sym.idx)
-        elif fam == "H":
-            base = self.h.get(*sym.idx)
-        elif fam == "P":
-            base = self.p
-        elif fam == "Q":
-            base = self.q
-        elif fam == "R":
-            base = self.r
-        else:
-            raise KeyError(f"not a curvature family: {fam}")
+        fam = CONTROL_FAMILIES.get(sym.family, sym.family)
+        if fam not in CURVATURE_FAMILIES:
+            raise KeyError(f"not a curvature family: {sym.family}")
+        base = getattr(self, fam.lower())
+        if FAMILIES[fam][0]:
+            base = base.get(*sym.idx)
         return base.conj() if sym.conj else base
 
 
+def _zero(n: int, fam: str):
+    """The zero value of a curvature family's field."""
+    arity, symmetric = FAMILIES[fam][:2]
+    if not arity:
+        return ZERO
+    return (SymTensor if symmetric else IndexedTensor)(n, slots("l" * arity))
+
+
 def zero_components(n: int) -> CurvatureComponents:
-    return CurvatureComponents(
-        n, IndexedTensor(n, slots("llll")), IndexedTensor(n, slots("lll")),
-        IndexedTensor(n, slots("ll")), IndexedTensor(n, slots("ll")),
-        IndexedTensor(n, slots("l")), IndexedTensor(n, slots("l")),
-        gr(0), gr(0), gr(0))
+    return CurvatureComponents(n, *(_zero(n, fam) for fam in CURVATURE_FAMILIES))
 
 
 def random_components(rng: random.Random, consts: StandardConstants,
@@ -102,22 +94,21 @@ def random_components(rng: random.Random, consts: StandardConstants,
     real part for R.  The draw is not validated here: ``assemble_kappa``
     (and so ``check_normality``) validates what it is given."""
     n = consts.n
-
-    def rand(spec):
-        return random_tensor(rng, n, slots(spec), span)
-
-    s = j_average(symmetrize(rand("llll")), consts)
-    v = symmetrize(rand("lll"))
-    l = j_average(symmetrize(rand("ll")), consts)
-    m = symmetrize(rand("ll"))
-    c = rand("l")
-    h = rand("l")
-    p = gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-           Fraction(rng.randint(-span, span), rng.randint(1, 3)))
-    q = gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-           Fraction(rng.randint(-span, span), rng.randint(1, 3)))
-    r = gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)))
-    return CurvatureComponents(n, s, v, l, m, c, h, p, q, r)
+    values = []
+    for fam in CURVATURE_FAMILIES:
+        arity, symmetric, jreal, real = FAMILIES[fam]
+        if arity:
+            t = random_tensor(rng, n, slots("l" * arity), span)
+            if symmetric:
+                t = symmetrize(t)
+            if jreal:
+                t = j_average(t, consts)
+        else:
+            re = Fraction(rng.randint(-span, span), rng.randint(1, 3))
+            t = gr(re) if real else gr(re, Fraction(rng.randint(-span, span),
+                                                    rng.randint(1, 3)))
+        values.append(t)
+    return CurvatureComponents(n, *values)
 
 
 def broken_components(rng: random.Random, consts: StandardConstants) -> CurvatureComponents:
@@ -125,9 +116,11 @@ def broken_components(rng: random.Random, consts: StandardConstants) -> Curvatur
     of S is deliberately destroyed."""
     out = random_components(rng, consts)
     out.validate(consts)  # the control breaks a set that was admissible
-    # S_{1 1 1 p}, p the pi-partner of 1 ((1, 1, 1, 2) at n = 1).  The
-    # residuals are linear in the perturbation; at n = 2 one at
+    # S_{1 1 1 p}, p the pi-partner of 1 ((1, 1, 1, 2) at n = 1), in the
+    # every-arrangement S, the only place a non-admissible S is built.
+    # The residuals are linear in the perturbation; at n = 2 one at
     # (1, 1, 1, 2) leaves dstar(kappa) and every trace condition zero.
+    out.s = out.s.full()
     idx = (1, 1, 1, consts.partner(1))
     out.s.set(idx, out.s.get(*idx) + gr(1))
     return out
@@ -168,57 +161,64 @@ def _ints_from_json(v, where: str) -> Tuple[int, ...]:
 
 
 def components_to_json(c: CurvatureComponents, signature: Tuple[int, int]) -> dict:
+    """The component document; a symmetric array is written with every
+    arrangement."""
     doc = {"n": c.n, "signature": list(signature)}
-    for name, tensor in (("S", c.s), ("V", c.v), ("L", c.l), ("M", c.m),
-                         ("C", c.c), ("H", c.h)):
-        doc[name] = [{"idx": list(idx), **_gr_to_json(val)}
-                     for idx, val in sorted(tensor.entries.items())]
-    doc["P"] = _gr_to_json(c.p)
-    doc["Q"] = _gr_to_json(c.q)
-    doc["R"] = _gr_to_json(c.r)
+    for fam in CURVATURE_FAMILIES:
+        val = getattr(c, fam.lower())
+        if not FAMILIES[fam][0]:
+            doc[fam] = _gr_to_json(val)
+            continue
+        if isinstance(val, SymTensor):
+            val = val.full()
+        doc[fam] = [{"idx": list(idx), **_gr_to_json(v)}
+                    for idx, v in sorted(val.entries.items())]
     return doc
 
 
-def components_from_json(doc) -> Tuple[CurvatureComponents, StandardConstants]:
-    """Read a component document; ValueError with a one-line message if
-    it is malformed or the components are not admissible."""
+def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
+    """Read a component document for the run with constants consts;
+    ValueError with a one-line message if it is malformed, is for another
+    n or signature, or the components are not admissible.  The n and the
+    signature are checked before anything is built."""
     if not isinstance(doc, dict):
         raise ValueError("component file: expected a JSON object")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"component file: n must be an integer, got {n!r}")
+    if n != consts.n:
+        raise ValueError(f"component file n = {n} does not match n = {consts.n} of this run")
     sig = _ints_from_json(doc.get("signature", [n, 0]), "signature")
     if len(sig) != 2:
         raise ValueError(f"signature: expected [p, q], got {list(sig)}")
-    consts = StandardConstants(n, sig)
-    arities = {"S": "llll", "V": "lll", "L": "ll", "M": "ll", "C": "l", "H": "l"}
-    tensors = {}
-    for name, spec in arities.items():
-        t = IndexedTensor(n, slots(spec))
-        entries = doc.get(name, [])
+    if sig != consts.signature:
+        raise ValueError(f"component file signature {list(sig)} does not match "
+                         f"the signature {list(consts.signature)} of this run")
+    values = []
+    for fam in CURVATURE_FAMILIES:
+        arity, symmetric = FAMILIES[fam][:2]
+        if not arity:
+            values.append(_gr_from_json(doc.get(fam, {"re": "0", "im": "0"}), fam))
+            continue
+        t = IndexedTensor(n, slots("l" * arity))
+        entries = doc.get(fam, [])
         if not isinstance(entries, list):
-            raise ValueError(f"{name}: expected a list of entries, got {entries!r}")
+            raise ValueError(f"{fam}: expected a list of entries, got {entries!r}")
         for k, entry in enumerate(entries):
-            where = f"{name}[{k}]"
+            where = f"{fam}[{k}]"
             if not isinstance(entry, dict):
                 raise ValueError(f"{where}: expected an object, got {entry!r}")
             idx = _ints_from_json(entry.get("idx"), f"{where}.idx")
             t.set(idx, t.get(*idx) + _gr_from_json(entry, where))
-        if len(spec) > 1:
-            t = symmetrize(t)
-        tensors[name] = t
-    zero = {"re": "0", "im": "0"}
-    out = CurvatureComponents(
-        n, tensors["S"], tensors["V"], tensors["L"], tensors["M"],
-        tensors["C"], tensors["H"],
-        *(_gr_from_json(doc.get(name, zero), name) for name in ("P", "Q", "R")))
+        values.append(symmetrize(t) if symmetric else t)
+    out = CurvatureComponents(n, *values)
     out.validate(consts)
-    return out, consts
+    return out
 
 
-def load_components(path: str) -> Tuple[CurvatureComponents, StandardConstants]:
+def load_components(path: str, consts: StandardConstants) -> CurvatureComponents:
     with open(path) as fh:
-        return components_from_json(json.load(fh))
+        return components_from_json(json.load(fh), consts)
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +767,9 @@ def homogeneity_classify(K: Cochain2) -> Dict[int, Cochain2]:
             ell = part_grade - gi - gj
             if ell not in out:
                 out[ell] = Cochain2(K.n)
-            out[ell].set_pair(ki, kj, out[ell].get(ki, kj) + part)
-    return {ell: co for ell, co in out.items() if not co.is_zero()}
+            # the grades of one pair are distinct: each piece is written once
+            out[ell].vals[(i, j)] = part
+    return out
 
 
 def regularity_ok(K: Cochain2) -> bool:

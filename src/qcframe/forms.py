@@ -85,6 +85,9 @@ FAMILIES: Dict[str, Tuple[int, bool, bool, bool]] = {
 }
 
 CURVATURE_FAMILIES = ("S", "V", "L", "M", "C", "H", "P", "Q", "R")
+# each negative-control family stands for the curvature family it fails
+# to canonicalize: it follows that family's rules and reads its array
+CONTROL_FAMILIES = {"Vns": "V", "Sns": "S"}
 
 
 class Sym(NamedTuple):

@@ -806,7 +806,7 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
     while True:
         y = j_average(symmetrize(random_tensor(rng, n, slots("ll"), span)), c)
         x = [[gr(0)] * dim for _ in range(dim)]
-        for (s, b), val in y.entries.items():
+        for (s, b), val in y.full().entries.items():
             for a in range(1, dim + 1):
                 coeff = c.pi_up(a, s)
                 if not coeff.is_zero():

@@ -19,8 +19,8 @@ from typing import Dict, Optional, Tuple
 
 from .gauss import ONE, GaussRational, gr
 from . import coframe
-from .forms import (Acc, DRuleSet, Exterior, Form, Poly, Sym, addmul, differential,
-                    from_acc)
+from .forms import (CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Acc, DRuleSet,
+                    Exterior, Form, Poly, Sym, addmul, differential, from_acc)
 
 I = gr(0, 1)
 H = gr(Fraction(1, 2))
@@ -716,12 +716,10 @@ class RuleBuilder:
             raise KeyError(fam)
 
     def symbol_rule(self, s: Sym) -> Form:
-        fam = s.family
-        if fam in ("Vns", "Sns"):
-            # negative-control families follow the true rules; their own
-            # symbols do not canonicalize, which is the deliberate defect
-            fam = fam[0]
-        if fam not in ("S", "V", "L", "M", "C", "H", "P", "Q", "R"):
+        # negative-control families follow the true rules; their own
+        # symbols do not canonicalize, which is the deliberate defect
+        fam = CONTROL_FAMILIES.get(s.family, s.family)
+        if fam not in CURVATURE_FAMILIES:
             raise KeyError(f"no derivative rule for symbol family {s.family!r}")
         acc: Acc = {}
         self.tilde_star(acc, fam, s.idx)
@@ -813,28 +811,24 @@ def d_square_report(rules: DRuleSet) -> Dict[Tuple, Form]:
 
 def substitute_flat(form: Form) -> Form:
     """Set every curvature symbol to zero (the flat reduction)."""
-    curvature = ("S", "V", "L", "M", "C", "H", "P", "Q", "R", "Vns", "Sns")
     return Form(form.ext, {
         mono: Poly({smono: c for smono, c in p.terms.items()
-                    if not any(s.family in curvature for s in smono)})
+                    if not any(s.family in CURVATURE_FAMILIES or s.family in CONTROL_FAMILIES
+                               for s in smono)})
         for mono, p in form.terms.items()})
 
 
 # ---------------------------------------------------------------------------
 # starred forms and the displayed Bianchi combinations
 
-STAR_FAMILIES = ("S", "V", "L", "M", "C", "H", "P", "Q", "R")
-
-
 def _family_indices(n: int, fam: str):
     import itertools
-    arity = {"S": 4, "V": 3, "L": 2, "M": 2, "C": 1, "H": 1, "P": 0, "Q": 0, "R": 0}[fam]
-    if arity == 0:
-        return [()]
+    arity, symmetric = FAMILIES[fam][:2]
+    rng = range(1, 2 * n + 1)
     # symmetric families need only sorted tuples
-    if fam in ("S", "V", "L", "M"):
-        return list(itertools.combinations_with_replacement(range(1, 2 * n + 1), arity))
-    return [(a,) for a in range(1, 2 * n + 1)]
+    if symmetric:
+        return list(itertools.combinations_with_replacement(rng, arity))
+    return list(itertools.product(rng, repeat=arity))
 
 
 def star_forms(n: int, signature: Tuple[int, int] = None) -> Dict[Tuple[str, Tuple[int, ...]], Form]:
@@ -842,7 +836,7 @@ def star_forms(n: int, signature: Tuple[int, int] = None) -> Dict[Tuple[str, Tup
     expansions."""
     b = RuleBuilder(n, signature)
     out = {}
-    for fam in STAR_FAMILIES:
+    for fam in CURVATURE_FAMILIES:
         for idx in _family_indices(n, fam):
             out[(fam, idx)] = b.form(b.secondary_part, fam, idx)
     return out
@@ -854,7 +848,7 @@ def star_two_path_check(n: int, signature: Tuple[int, int] = None) -> bool:
     transcriptions agree for every component."""
     rules = build_rules(n, "curved", signature)
     b = RuleBuilder(n, signature)
-    for fam in STAR_FAMILIES:
+    for fam in CURVATURE_FAMILIES:
         for idx in _family_indices(n, fam):
             via_rules = rules.sym_rule(Sym(fam, idx, False)) - b.form(b.tilde_star, fam, idx)
             if not (via_rules - b.form(b.secondary_part, fam, idx)).is_zero():
@@ -892,7 +886,7 @@ def bianchi_residuals(n: int, signature: Tuple[int, int] = None) -> Dict[str, Fo
     conjugates: Dict[Tuple[str, Tuple[int, ...]], Form] = {}
 
     def key(fam, idx):
-        return fam, tuple(sorted(idx)) if fam in ("S", "V", "L", "M") else idx
+        return fam, tuple(sorted(idx)) if FAMILIES[fam][1] else idx
 
     def st(fam, *idx):
         return stars[key(fam, idx)]

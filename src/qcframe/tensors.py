@@ -19,6 +19,12 @@ a table keyed by index.  The entries are a few shared, immutable
 GaussRationals (0 and the units), so an accessor call is one dict
 lookup and builds no new value.  An index outside 1..2n is not in the
 tables and raises ValueError naming it.
+
+A SymTensor is a totally symmetric tensor over slots of one type, stored
+once per orbit (the arrangements of one multiset of index values) under
+the sorted index tuple, so total symmetry holds by construction.
+``symmetrize`` is the one way in from an arbitrary array, and ``full``
+the way back to every arrangement.
 """
 from __future__ import annotations
 
@@ -104,10 +110,10 @@ class IndexedTensor:
     # -- linear structure ------------------------------------------------
 
     def copy(self) -> "IndexedTensor":
-        return IndexedTensor(self.n, self.slots, dict(self.entries))
+        return type(self)(self.n, self.slots, dict(self.entries))
 
     def __add__(self, other: "IndexedTensor") -> "IndexedTensor":
-        if self.slots != other.slots or self.n != other.n:
+        if type(self) is not type(other) or self.slots != other.slots or self.n != other.n:
             raise ValueError("tensor shape mismatch")
         out = self.copy()
         for idx, val in other.entries.items():
@@ -115,7 +121,7 @@ class IndexedTensor:
         return out
 
     def __neg__(self) -> "IndexedTensor":
-        out = IndexedTensor(self.n, self.slots)
+        out = type(self)(self.n, self.slots)
         out.entries = {idx: -v for idx, v in self.entries.items()}
         return out
 
@@ -124,15 +130,15 @@ class IndexedTensor:
 
     def scale(self, c) -> "IndexedTensor":
         c = GaussRational.of(c)
-        return IndexedTensor(
+        return type(self)(
             self.n, self.slots, {idx: c * v for idx, v in self.entries.items()}
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexedTensor):
             return NotImplemented
-        return (self.n == other.n and self.slots == other.slots
-                and self.entries == other.entries)
+        return (type(self) is type(other) and self.n == other.n
+                and self.slots == other.slots and self.entries == other.entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -142,7 +148,33 @@ class IndexedTensor:
             {(LOWER, False): "l", (LOWER, True): "L",
              (UPPER, False): "u", (UPPER, True): "U"}[(s.variance, s.barred)]
             for s in self.slots)
-        return f"IndexedTensor(n={self.n}, slots='{kinds}', {len(self.entries)} entries)"
+        return f"{type(self).__name__}(n={self.n}, slots='{kinds}', {len(self.entries)} entries)"
+
+
+class SymTensor(IndexedTensor):
+    """A totally symmetric tensor over slots of one type, stored once per
+    orbit: ``get`` and ``set`` sort the index, so the entries are keyed
+    by sorted index tuples only."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, slot_list: Iterable[IndexSlot],
+                 entries: Optional[Dict[Tuple[int, ...], GaussRational]] = None):
+        slot_list = tuple(slot_list)
+        if len(set(slot_list)) > 1:
+            raise ValueError("a symmetric tensor needs slots of one type")
+        super().__init__(n, slot_list, entries)
+
+    def get(self, *idx: int) -> GaussRational:
+        return super().get(*sorted(idx))
+
+    def set(self, idx: Tuple[int, ...], val) -> None:
+        super().set(tuple(sorted(idx)), val)
+
+    def full(self) -> IndexedTensor:
+        """The same tensor with every arrangement stored."""
+        return IndexedTensor(self.n, self.slots, {
+            member: val for key, val in self.entries.items() for member in _orbit(key)})
 
 
 class StandardConstants:
@@ -271,10 +303,6 @@ class StandardConstants:
             raise self._bad_index(a, b) from None
 
 
-def make_constants(n: int, signature: Tuple[int, int] = None) -> StandardConstants:
-    return StandardConstants(n, signature)
-
-
 # ---------------------------------------------------------------------------
 # slot operations
 
@@ -297,6 +325,8 @@ def _contract_metric(t: IndexedTensor, slot: int, c: StandardConstants,
         raise ValueError(f"slot {slot} out of range")
     if t.slots[slot].variance != variance:
         raise ValueError(mismatch)
+    if isinstance(t, SymTensor):  # the result is not symmetric
+        t = t.full()
     new_slots = list(t.slots)
     new_slots[slot] = t.slots[slot].flipped()
     out = IndexedTensor(t.n, new_slots)
@@ -308,7 +338,7 @@ def _contract_metric(t: IndexedTensor, slot: int, c: StandardConstants,
 
 def conj(t: IndexedTensor) -> IndexedTensor:
     """Flip every bar and conjugate every entry."""
-    out = IndexedTensor(t.n, (s.conjugated() for s in t.slots))
+    out = type(t)(t.n, (s.conjugated() for s in t.slots))
     for idx, val in t.entries.items():
         out.set(idx, val.conj())
     return out
@@ -337,7 +367,7 @@ def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
                 m = c.pi_ubar_l(a, b)     # pi^{ā}_{b}
             row[b] = (a, m)
         tables.append(row)
-    out = IndexedTensor(t.n, t.slots)
+    out = type(t)(t.n, t.slots)
     for idx, val in t.entries.items():
         coeff = val.conj()
         target = []
@@ -355,49 +385,22 @@ def _orbit(key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(set(itertools.permutations(key))))
 
 
-def _check_homogeneous(t: IndexedTensor) -> None:
-    if len(set(t.slots)) > 1:
-        raise ValueError("symmetrize needs homogeneous slots")
-
-
-def symmetrize(t: IndexedTensor) -> IndexedTensor:
+def symmetrize(t: IndexedTensor) -> SymTensor:
     """Total symmetrization over all slots (slots must be of one type).
 
     The mean over all k! permutations of an entry's slots equals, for
-    each orbit (the arrangements of one multiset of index values), the
-    sum of the orbit's stored entries over the orbit's size, written to
-    every member; each orbit is summed once."""
-    _check_homogeneous(t)
+    each orbit, the sum of the orbit's stored entries over the orbit's
+    size; it is stored once, under the orbit's sorted index."""
+    if isinstance(t, SymTensor):
+        return t.copy()
+    out = SymTensor(t.n, t.slots)
     sums: Dict[Tuple[int, ...], GaussRational] = {}
     for idx, val in t.entries.items():
         key = tuple(sorted(idx))
-        cur = sums.get(key)
-        sums[key] = val if cur is None else cur + val
-    out = IndexedTensor(t.n, t.slots)
+        sums[key] = sums.get(key, ZERO) + val
     for key, total in sums.items():
-        members = _orbit(key)
-        mean = total * gr(Fraction(1, len(members)))
-        if not mean.is_zero():
-            for idx in members:
-                out.entries[idx] = mean
+        out.set(key, total * gr(Fraction(1, len(_orbit(key)))))
     return out
-
-
-def is_symmetric(t: IndexedTensor) -> bool:
-    """True iff t is totally symmetric (slots must be of one type): every
-    orbit holding a stored entry holds all of its members, all equal.
-    Equivalent to ``symmetrize(t) == t``, by comparisons alone."""
-    _check_homogeneous(t)
-    seen = set()
-    for idx, val in t.entries.items():
-        key = tuple(sorted(idx))
-        if key in seen:
-            continue
-        seen.add(key)
-        for member in _orbit(key):
-            if t.entries.get(member) != val:
-                return False
-    return True
 
 
 def j_average(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
@@ -434,13 +437,13 @@ def is_spn(x: IndexedTensor, c: StandardConstants) -> bool:
     return jmap(x, c) == x
 
 
-def spn_from_y(y: IndexedTensor, c: StandardConstants) -> IndexedTensor:
+def spn_from_y(y: SymTensor, c: StandardConstants) -> IndexedTensor:
     """Build X_{a b̄} with X^a_b = pi^{a s} Y_{s b} from a symmetric
     j-invariant Y_{a b}; the result lies in sp(n)."""
-    if y.slots != slots("ll"):
-        raise ValueError("expects Y_{a b}")
+    if not isinstance(y, SymTensor) or y.slots != slots("ll"):
+        raise ValueError("expects a symmetric Y_{a b}")
     x_mixed = IndexedTensor(y.n, slots("ul"))  # X^a_b, lower index first
-    for (s, b), val in y.entries.items():
+    for (s, b), val in y.full().entries.items():
         for a in range(1, y.dim + 1):
             coeff = c.pi_up(a, s)
             if not coeff.is_zero():

@@ -122,6 +122,24 @@ def test_classify_component_file_signature_mismatch_exit_2(tmp_path, capsys):
     assert run(argv + ["--signature", "1,1"]) == 0
 
 
+def test_classify_component_file_for_another_n_exit_2(tmp_path, capsys, monkeypatch):
+    """The file's n is compared with --n before anything is built for it:
+    constants for n = 2000 take gigabytes, so building them fails here."""
+    from qcframe.tensors import StandardConstants
+    init = StandardConstants.__init__
+
+    def small_only(self, n, signature=None):
+        if n > 2:
+            raise AssertionError(f"constants built for n = {n}")
+        init(self, n, signature)
+
+    monkeypatch.setattr(StandardConstants, "__init__", small_only)
+    path = tmp_path / "compo.json"
+    path.write_text(json.dumps({"n": 2000}))
+    assert run(["classify", "homogeneity", "--n", "1", "--components", str(path)]) == 2
+    assert "n = 2000 does not match n = 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 1, "S": 5},
     {"n": 1, "P": 3},

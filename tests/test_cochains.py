@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -18,7 +19,9 @@ from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
 from qcframe.forms import Form, Poly
 from qcframe.gauss import gr
 from qcframe.model import LieCoord
-from qcframe.tensors import IndexedTensor, slots
+from qcframe.rules import build_rules
+from qcframe.tensors import (IndexedTensor, SymTensor, j_average, random_tensor,
+                             slots)
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +273,72 @@ def test_each_trial_is_validated_once(model_for, monkeypatch):
         validate(compo, m.consts)
 
 
+@pytest.mark.parametrize("perturb", [False, True])
+def test_validate_refuses_s_with_every_arrangement(model_for, perturb):
+    """Total symmetry is the type: S stored with every arrangement is
+    refused, whether its entries are symmetric or one is perturbed."""
+    m = model_for(2)
+    compo = random_components(random.Random(4), m.consts)
+    compo.validate(m.consts)
+    compo.s = compo.s.full()
+    if perturb:
+        compo.s.set((1, 2, 3, 4), compo.s.get(1, 2, 3, 4) + gr(0, 1))
+    with pytest.raises(ValueError, match="S is not totally symmetric"):
+        compo.validate(m.consts)
+
+
+def _symmetrize_every_arrangement(t):
+    """Total symmetrization writing the orbit mean to every arrangement:
+    the reference for the once-per-orbit symmetrize."""
+    sums = {}
+    for idx, val in t.entries.items():
+        key = tuple(sorted(idx))
+        sums[key] = sums.get(key, gr(0)) + val
+    out = IndexedTensor(t.n, t.slots)
+    for key, total in sums.items():
+        members = set(itertools.permutations(key))
+        for idx in members:
+            out.set(idx, total * gr(Fraction(1, len(members))))
+    return out
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_random_components_match_every_arrangement_reference(model_for, n, signature):
+    """The same draw, projected with every arrangement stored, gives the
+    same values entry for entry."""
+    consts = model_for(n, signature).consts
+    compo = random_components(random.Random(50 + n), consts)
+    rng = random.Random(50 + n)
+    for name, spec in (("s", "llll"), ("v", "lll"), ("l", "ll"), ("m", "ll")):
+        want = _symmetrize_every_arrangement(random_tensor(rng, n, slots(spec), 4))
+        if name in ("s", "l"):
+            want = j_average(want, consts)
+        assert getattr(compo, name).full() == want
+    assert compo.c == random_tensor(rng, n, slots("l"), 4)
+    assert compo.h == random_tensor(rng, n, slots("l"), 4)
+    scalars = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
+    assert compo.p == gr(*scalars[0:2]) and compo.q == gr(*scalars[2:4])
+    assert compo.r == gr(scalars[4])
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_symmetric_family_symbols_carry_sorted_indices(n, signature):
+    """The untampered curvature forms and curved rule table name each
+    component of S, V, L and M once, by its sorted index: the key its
+    SymTensor stores it under."""
+    polys = [p for f in kappa_coordinate_forms(n, signature).values()
+             for p in f.terms.values()]
+    polys += [p for f in build_rules(n, "curved", signature).gen_rules.values()
+              for p in f.terms.values()]
+    seen = set()
+    for p in polys:
+        for s in (s for smono in p.terms for s in smono):
+            if s.family in ("S", "V", "L", "M"):
+                seen.add(s.family)
+                assert s.idx == tuple(sorted(s.idx)), s
+    assert seen == {"S", "V", "L", "M"}
+
+
 def test_trace_conditions_zero_components(model_for):
     m = model_for(1)
     K = assemble_kappa(zero_components(1), m)
@@ -313,12 +382,33 @@ def test_component_file_round_trip(model_for, consts1, tmp_path):
     compo = random_components(random.Random(9), consts1)
     doc = components_to_json(compo, consts1.signature)
     text = json.dumps(doc)
-    compo2, consts2 = components_from_json(json.loads(text))
-    assert consts2.n == 1
+    compo2 = components_from_json(json.loads(text), consts1)
     assert compo2.s == compo.s and compo2.v == compo.v
     assert compo2.l == compo.l and compo2.m == compo.m
     assert compo2.c == compo.c and compo2.h == compo.h
     assert compo2.p == compo.p and compo2.q == compo.q and compo2.r == compo.r
+
+
+@pytest.mark.parametrize("n, signature", [(1, (1, 0)), (2, (1, 1))])
+def test_component_file_lists_every_arrangement(model_for, n, signature):
+    """The file format stores every arrangement of S, V, L and M, written
+    here from the full arrays alone; such a file reads back equal to the
+    components, and components_to_json writes exactly it."""
+    consts = model_for(n, signature).consts
+    compo = random_components(random.Random(10 + n), consts)
+    doc = {"n": n, "signature": list(signature)}
+    for name in ("S", "V", "L", "M", "C", "H"):
+        t = getattr(compo, name.lower())
+        if isinstance(t, SymTensor):
+            t = t.full()
+        doc[name] = [{"idx": list(idx), "re": str(v.re), "im": str(v.im)}
+                     for idx, v in sorted(t.entries.items())]
+    for name in ("P", "Q", "R"):
+        v = getattr(compo, name.lower())
+        doc[name] = {"re": str(v.re), "im": str(v.im)}
+    assert len(doc["S"]) > len(compo.s.entries)
+    assert components_from_json(doc, consts) == compo
+    assert components_to_json(compo, signature) == doc
 
 
 def test_component_reader_symmetrizes(consts1):
@@ -326,17 +416,18 @@ def test_component_reader_symmetrizes(consts1):
            "S": [], "V": [{"idx": [1, 1, 2], "re": "3", "im": "0"},
                           {"idx": [2, 1, 1], "re": "3", "im": "0"}],
            "L": [], "M": [], "C": [], "H": []}
-    compo, _ = components_from_json(doc)
-    assert compo.v.get(1, 1, 2) == compo.v.get(1, 2, 1)
+    compo = components_from_json(doc, consts1)
+    # the orbit mean: (3 + 3 + 0) / 3
+    assert compo.v.get(1, 1, 2) == compo.v.get(1, 2, 1) == gr(2)
 
 
-def test_component_reader_rejects_bad_symmetry():
+def test_component_reader_rejects_bad_symmetry(consts1):
     doc = {"n": 1, "signature": [1, 0],
            "S": [{"idx": [1, 1, 1, 1], "re": "1", "im": "0"}],
            "V": [], "L": [], "M": [], "C": [], "H": []}
     # S without its j-partner entries fails the j-invariance validation
     with pytest.raises(ValueError):
-        components_from_json(doc)
+        components_from_json(doc, consts1)
 
 
 @pytest.mark.parametrize("doc, where", [
@@ -353,18 +444,20 @@ def test_component_reader_rejects_bad_symmetry():
     ({"n": 1, "P": {"re": "1"}}, "P"),
     ({"n": 1, "Q": {"re": "1/0", "im": "0"}}, "Q.re"),
     ({"n": 1, "C": [{"idx": [1], "re": True, "im": "0"}]}, "C[0].re"),
+    ({"n": 2}, "n = 2 does not match n = 1"),
+    ({"n": 1, "signature": [0, 1]}, "signature [0, 1] does not match"),
 ])
-def test_component_reader_rejects_malformed_input(doc, where):
+def test_component_reader_rejects_malformed_input(doc, where, consts1):
     with pytest.raises(ValueError, match=re.escape(where)) as info:
-        components_from_json(doc)
+        components_from_json(doc, consts1)
     assert "\n" not in str(info.value)
 
 
-def test_component_reader_reads_strings_and_integers_exactly():
+def test_component_reader_reads_strings_and_integers_exactly(consts1):
+    # no signature: the file is read at the definite signature (1, 0)
     doc = {"n": 1, "C": [{"idx": [1], "re": "0.1", "im": 3}],
            "P": {"re": -2, "im": "1/3"}}
-    compo, consts = components_from_json(doc)
-    assert consts.signature == (1, 0)
+    compo = components_from_json(doc, consts1)
     assert compo.c.get(1) == gr(Fraction(1, 10), 3)
     assert compo.p == gr(-2, Fraction(1, 3))
 

@@ -13,7 +13,7 @@ from qcframe.model import (Dual, G1Element, LieCoord, SpModel, TemplateError,
                            parabolic_member, preserves_pairing, random_coord,
                            random_g1, random_spn, smat_mul, smat_sub,
                            solve_sparse, solve_square, validate_spn)
-from qcframe.tensors import (IndexedTensor, StandardConstants, j_average,
+from qcframe.tensors import (IndexedTensor, StandardConstants, SymTensor, j_average,
                              random_tensor, slots, symmetrize)
 import qcframe
 from qcframe import coframe
@@ -289,7 +289,7 @@ def test_g1_lie_rep_is_derivative(c1):
     for _ in range(5):
         y = j_average(symmetrize(random_tensor(rng, 1, slots("ll"), 2)), c1)
         x_mat = [[gr(0)] * 2 for _ in range(2)]
-        for (s, b), val in y.entries.items():
+        for (s, b), val in y.full().entries.items():
             for a in range(1, 3):
                 coeff = c1.pi_up(a, s)
                 if not coeff.is_zero():
@@ -546,7 +546,7 @@ def test_random_spn_draws_again_when_i_minus_x_is_singular(monkeypatch):
         calls.append(t)
         if len(calls) > 1:
             return average(t, consts)
-        y = IndexedTensor(1, slots("ll"))
+        y = SymTensor(1, slots("ll"))
         y.set((2, 1), gr(1) / c.pi_up(1, 2))  # X[0][0] = pi^{12} y_{21} = 1
         return y
 

@@ -6,16 +6,15 @@ import pytest
 
 from qcframe.gauss import gr
 from qcframe.tensors import (LOWER, UPPER, IndexedTensor, StandardConstants,
-                             conj, is_spn, is_symmetric, j_average, jmap,
-                             lower_slot, make_constants, raise_slot,
-                             random_tensor, slots, spn_from_y, symmetrize,
-                             y_from_spn)
+                             SymTensor, conj, is_spn, j_average, jmap,
+                             lower_slot, raise_slot, random_tensor, slots,
+                             spn_from_y, symmetrize, y_from_spn)
 
 
 @pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
                                          (2, (1, 1)), (3, (2, 1))])
 def test_constants_invariants(n, signature):
-    c = make_constants(n, signature)
+    c = StandardConstants(n, signature)
     dim = 2 * n
     # hermitian and nondegenerate g, skew pi
     for a in range(1, dim + 1):
@@ -46,7 +45,7 @@ def test_constants_invariants(n, signature):
 def test_tables_match_closed_formulas(n, signature):
     """Every tabulated accessor equals its defining contraction, written
     here from diag and pi_lower alone."""
-    c = make_constants(n, signature)
+    c = StandardConstants(n, signature)
     rng = range(1, 2 * n + 1)
 
     def g(a, b):
@@ -79,7 +78,7 @@ ACCESSORS = ("g", "g_up", "pi", "pi_bar", "pi_up", "pi_u_lbar", "pi_ubar_l")
 def test_constants_reject_out_of_range_indices(n, signature):
     """An index outside 1..2n raises ValueError naming it, instead of
     wrapping round to another entry (g(0, 0) used to read diag[-1])."""
-    c = make_constants(n, signature)
+    c = StandardConstants(n, signature)
     for bad in (0, -1, 2 * n + 1):
         for name in ACCESSORS:
             for idx in ((bad, 1), (1, bad), (bad, bad)):
@@ -90,10 +89,10 @@ def test_constants_reject_out_of_range_indices(n, signature):
 
 
 def test_constants_examples():
-    c = make_constants(1)
+    c = StandardConstants(1)
     assert c.g(1, 1) == gr(1) and c.g(2, 2) == gr(1)
     assert c.pi(1, 2) == gr(1) and c.pi(2, 1) == gr(-1) and c.pi(1, 1).is_zero()
-    c2 = make_constants(2)
+    c2 = StandardConstants(2)
     nonzero = {(a, b) for a in range(1, 5) for b in range(1, 5)
                if not c2.pi(a, b).is_zero()}
     assert nonzero == {(1, 3), (2, 4), (3, 1), (4, 2)}
@@ -102,14 +101,14 @@ def test_constants_examples():
 
 def test_constants_rejects_bad_input():
     with pytest.raises(ValueError):
-        make_constants(0)
+        StandardConstants(0)
     with pytest.raises(ValueError):
-        make_constants(2, (1, 2))
+        StandardConstants(2, (1, 2))
 
 
 def test_raise_lower_round_trip():
     rng = random.Random(3)
-    c = make_constants(2)
+    c = StandardConstants(2)
     t = random_tensor(rng, 2, slots("lL"))
     up = raise_slot(t, 0, c)
     assert up.slots[0].variance == "upper" and up.slots[0].barred
@@ -118,7 +117,7 @@ def test_raise_lower_round_trip():
 
 
 def test_lower_delta_gives_g():
-    c = make_constants(2)
+    c = StandardConstants(2)
     delta = IndexedTensor(2, slots("ul"))
     for a in range(1, 5):
         delta.set((a, a), 1)
@@ -130,7 +129,7 @@ def test_lower_delta_gives_g():
 
 def test_raise_pi_twice_contracts_correctly():
     # pi^{ab} pi_{bc} = -delta^a_c by direct contraction
-    c = make_constants(1)
+    c = StandardConstants(1)
     for a in range(1, 3):
         for cc in range(1, 3):
             acc = sum((c.pi_up(a, b) * c.pi(b, cc) for b in range(1, 3)), gr(0))
@@ -146,7 +145,7 @@ def test_conj_involution_and_bars():
 
 
 def test_conj_of_pi_same_entries():
-    c = make_constants(1)
+    c = StandardConstants(1)
     cpi = conj(c.pi_lower)
     for a in range(1, 3):
         for b in range(1, 3):
@@ -156,7 +155,7 @@ def test_conj_of_pi_same_entries():
 @pytest.mark.parametrize("spec", ["l", "lL", "llL", "lLuU"])
 def test_jmap_involution_sign(spec):
     rng = random.Random(11)
-    c = make_constants(1)
+    c = StandardConstants(1)
     sign = gr((-1) ** len(spec))
     for _ in range(200):
         t = random_tensor(rng, 1, slots(spec), span=3)
@@ -164,14 +163,14 @@ def test_jmap_involution_sign(spec):
 
 
 def test_jmap_zero():
-    c = make_constants(2)
+    c = StandardConstants(2)
     z = IndexedTensor(2, slots("ll"))
     assert jmap(z, c).is_zero()
 
 
 def test_spn_lemma_equivalence():
     rng = random.Random(2)
-    c = make_constants(1)
+    c = StandardConstants(1)
     for _ in range(100):
         y = j_average(symmetrize(random_tensor(rng, 1, slots("ll"))), c)
         x = spn_from_y(y, c)
@@ -179,13 +178,24 @@ def test_spn_lemma_equivalence():
         # converse: the recovered Y is symmetric and j-invariant and
         # regenerates the same x
         y2 = y_from_spn(x, c)
-        assert symmetrize(y2) == y2
+        assert symmetrize(y2).full() == y2
         assert jmap(y2, c) == y2
-        assert spn_from_y(y2, c) == x
+        assert spn_from_y(symmetrize(y2), c) == x
+
+
+def test_spn_from_y_refuses_unsymmetrized_y():
+    """Y must come as a SymTensor: the same symmetric entries stored with
+    every arrangement, or one arrangement of an off-diagonal entry, are
+    refused."""
+    c = StandardConstants(1)
+    y = j_average(symmetrize(random_tensor(random.Random(4), 1, slots("ll"))), c)
+    for bad in (y.full(), IndexedTensor(1, slots("ll"), {(1, 2): gr(1)})):
+        with pytest.raises(ValueError, match="symmetric"):
+            spn_from_y(bad, c)
 
 
 def test_spn_rejects_hermitian():
-    c = make_constants(1)
+    c = StandardConstants(1)
     x = IndexedTensor(1, slots("lL"))
     x.set((1, 2), gr(1, 1))
     x.set((2, 1), gr(1, -1))  # X_{a b̄} = conj(X_{b ā}): hermitian
@@ -194,7 +204,7 @@ def test_spn_rejects_hermitian():
 
 
 def test_spn_zero_and_slot_guard():
-    c = make_constants(1)
+    c = StandardConstants(1)
     assert is_spn(IndexedTensor(1, slots("lL")), c)
     with pytest.raises(ValueError):
         is_spn(IndexedTensor(1, slots("ll")), c)
@@ -202,7 +212,7 @@ def test_spn_zero_and_slot_guard():
 
 def test_jmap_fixes_spn_members():
     rng = random.Random(8)
-    c = make_constants(2)
+    c = StandardConstants(2)
     y = j_average(symmetrize(random_tensor(rng, 2, slots("ll"))), c)
     x = spn_from_y(y, c)
     assert jmap(x, c) == x
@@ -235,9 +245,8 @@ def test_symmetrize_matches_all_permutations(n, spec, keep):
     for _ in range(3):
         t = _sparse(rng, random_tensor(rng, n, slots(spec), span=3), keep)
         sym = symmetrize(t)
-        assert sym.slots == t.slots
-        assert sym.entries == _symmetrize_reference(t)
-        assert is_symmetric(sym)
+        assert isinstance(sym, SymTensor) and sym.slots == t.slots
+        assert sym.full().entries == _symmetrize_reference(t)
         assert symmetrize(sym) == sym
 
 
@@ -251,31 +260,53 @@ def test_symmetrize_cancelling_orbit_is_dropped():
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("spec", ["ll", "lll", "llll"])
-def test_is_symmetric_agrees_with_symmetrize(n, spec):
+def test_symtensor_full_round_trips(n, spec):
+    """One entry per orbit, under the sorted index; full() stores every
+    arrangement, and reading it back through set lands each arrangement on
+    its orbit's entry."""
     rng = random.Random(17 * n + len(spec))
     for keep in (1.0, 0.2):
-        t = _sparse(rng, random_tensor(rng, n, slots(spec), span=2), keep)
-        assert is_symmetric(t) == (symmetrize(t) == t)
-        assert is_symmetric(symmetrize(t))
+        t = symmetrize(_sparse(rng, random_tensor(rng, n, slots(spec), span=2), keep))
+        assert all(idx == tuple(sorted(idx)) for idx in t.entries)
+        full = t.full()
+        assert type(full) is IndexedTensor and full.slots == t.slots
+        assert all(t.get(*idx) == val for idx, val in full.entries.items())
+        assert {tuple(sorted(idx)) for idx in full.entries} == set(t.entries)
+        assert SymTensor(n, t.slots, full.entries) == t
+        assert symmetrize(full) == t
 
 
-def test_is_symmetric_rejects_perturbed_entry():
-    rng = random.Random(4)
-    t = symmetrize(random_tensor(rng, 2, slots("llll"), span=3))
-    assert is_symmetric(t)
-    bad = t.copy()
-    bad.set((1, 2, 3, 4), t.get(1, 2, 3, 4) + gr(0, 1))
-    assert not is_symmetric(bad)
+def test_symtensor_get_and_set_canonicalize_the_index():
+    t = SymTensor(2, slots("lll"))
+    t.set((2, 1, 2), gr(5, -1))
+    assert t.entries == {(1, 2, 2): gr(5, -1)}
+    assert t.get(2, 2, 1) == t.get(2, 1, 2) == t.get(1, 2, 2) == gr(5, -1)
+    t.set((2, 2, 1), gr(3))
+    assert t.entries == {(1, 2, 2): gr(3)}
+    t.set((1, 2, 2), 0)
+    assert t.is_zero()
+    with pytest.raises(ValueError):
+        t.get(1, 2)
+    with pytest.raises(ValueError):
+        t.set((5, 1, 2), 1)
 
 
-def test_is_symmetric_rejects_missing_orbit_member():
-    t = IndexedTensor(2, slots("lll"))
-    for idx in ((1, 2, 2), (2, 1, 2)):
-        t.set(idx, gr(5, -1))
-    assert not is_symmetric(t)   # (2, 2, 1) is missing
-    t.set((2, 2, 1), gr(5, -1))
-    assert is_symmetric(t)
-    assert is_symmetric(IndexedTensor(2, slots("lll")))
+def test_symtensor_linear_structure_keeps_type():
+    """copy, -, scale, +, conj and jmap of a SymTensor are SymTensors, so
+    j_average of one is one; it never equals or adds to a plain
+    IndexedTensor."""
+    c = StandardConstants(2)
+    t = symmetrize(random_tensor(random.Random(6), 2, slots("llll"), span=2))
+    for out in (t.copy(), -t, t.scale(2), t + t, t - t, conj(t), jmap(t, c),
+                j_average(t, c)):
+        assert type(out) is SymTensor
+    assert j_average(t, c).full() == j_average(t.full(), c)
+    assert conj(t).full() == conj(t.full())
+    # raising one slot breaks the symmetry: the result has every arrangement
+    assert raise_slot(t, 1, c) == raise_slot(t.full(), 1, c)
+    assert t != t.full()
+    with pytest.raises(ValueError):
+        t + t.full()
 
 
 def test_symmetry_needs_homogeneous_slots():
@@ -283,7 +314,7 @@ def test_symmetry_needs_homogeneous_slots():
     with pytest.raises(ValueError):
         symmetrize(t)
     with pytest.raises(ValueError):
-        is_symmetric(t)
+        SymTensor(1, slots("lL"))
 
 
 def _jmap_reference(t, c):
@@ -315,7 +346,7 @@ def _jmap_reference(t, c):
 @pytest.mark.parametrize("spec", ["l", "L", "u", "U", "lL", "ul", "llll"])
 def test_jmap_matches_slot_transcription(n, signature, spec):
     rng = random.Random(len(spec) + 10 * n + signature[1])
-    c = make_constants(n, signature)
+    c = StandardConstants(n, signature)
     for keep in (1.0, 0.4):
         t = _sparse(rng, random_tensor(rng, n, slots(spec), span=3), keep)
         jt = jmap(t, c)
