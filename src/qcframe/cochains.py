@@ -736,7 +736,13 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
                     closed_consts: Optional[dict] = None,
                     validate: bool = True, tamper: Optional[str] = None) -> dict:
     """Assemble kappa, evaluate both codifferential routes and the five
-    trace conditions; everything must vanish exactly for valid input."""
+    trace conditions; everything must vanish exactly for valid input.
+
+    ``direct_equals_closed`` does not certify the closed constants: on
+    admissible components kappa is normal and every slot term of the
+    closed formula vanishes by itself, so a wrong constant leaves it true.
+    The comparison of the two routes on random lemma cochains in
+    ``qcframe verify normality`` is what certifies the seven constants."""
     K = assemble_kappa(compo, model, validate=validate, tamper=tamper)
     direct = kostant_codiff_direct(K, model)
     if closed_consts is None:

@@ -741,8 +741,6 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if mode == "curved" and n > 2:
-        raise ValueError("curved symbolic rules are supported for n in {1, 2}")
     if mode not in ("flat", "curved"):
         raise ValueError(f"unknown mode {mode!r}")
     if tamper not in (None, "unsym-V", "unsym-S"):

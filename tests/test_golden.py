@@ -42,6 +42,10 @@ CASES = [
      "verify_normality_n2_trials3_seed7.json", 0),
     (["classify", "homogeneity", "--n", "2", "--seed", "0"],
      "classify_homogeneity_n2_seed0.json", 0),
+    # the curved certificates beyond n = 2: all 43 generators, and the
+    # displayed combinations and starred forms, at n = 3
+    (["verify", "curved", "--n", "3"], "verify_curved_n3.json", 0),
+    (["verify", "bianchi", "--n", "3"], "verify_bianchi_n3.json", 0),
 ]
 
 

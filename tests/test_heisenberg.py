@@ -74,11 +74,11 @@ def test_heisenberg_defines_no_algebra_of_its_own():
 def test_chart_d_wedges_nothing_for_zero_rules(monkeypatch):
     """Every CHART_RULES generator rule is zero, so d of a constant chart
     form is zero without a single wedge, sign merge or coefficient
-    product."""
+    product: differential merges and multiplies only inside _rule_into."""
     from qcframe import forms
     two_form = dx(0) ^ dx(1)
     calls = []
-    for name in ("_merge_sign", "_mul_into"):
+    for name in ("_merge_sign", "_rule_into"):
         fn = getattr(forms, name)
         monkeypatch.setattr(forms, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
@@ -88,7 +88,7 @@ def test_chart_d_wedges_nothing_for_zero_rules(monkeypatch):
     assert calls == []
     # the counters see the work of a nonconstant form
     assert not differential(two_form.scale(coord(2)), CHART_RULES).is_zero()
-    assert "_mul_into" in calls
+    assert "_rule_into" in calls
 
 
 def test_common_kernel_rank4(qc):

@@ -6,12 +6,13 @@ whose generator rules mix degree-1 and degree-3 terms, covers the signs
 that the real rule sets (all of even degree) never exercise."""
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcframe.forms import Alphabet, DRuleSet, Form, Poly, Sym, _merge_sign, differential
-from qcframe.gauss import gr
+from qcframe.gauss import GaussRational, gr
 from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, dx, monomial
 from qcframe.rules import build_rules
 
@@ -36,12 +37,15 @@ def kernels():
 
 
 SYNTHETIC_SYMBOLS = [Sym(f, (), False) for f in ("P", "Q", "R")]
+DENOMINATORS = (1, 2, 3, 5, 7)
 
 
 def synthetic_kernel():
     """Six generators a0..a5 and three scalar symbols.  Every generator
     rule has terms of degree 1 and 3, the symbol rules terms of degree 1
-    and 2; all coefficients are fixed pseudo-random polynomials."""
+    and 2; all coefficients are fixed pseudo-random polynomials whose terms
+    have denominators 1, 2, 3, 5 and 7, mixed within one polynomial, and
+    so are the coefficients of the forms drawn."""
     rng = random.Random(11)
     ext = Alphabet(f"a{g}" for g in range(6))
 
@@ -49,7 +53,9 @@ def synthetic_kernel():
         out = Poly()
         for _ in range(2):
             mono = tuple(sorted(rng.sample(SYNTHETIC_SYMBOLS, rng.randint(0, 2))))
-            out = out + Poly({mono: gr(rng.randint(-3, 3), rng.randint(-3, 3))})
+            c = GaussRational.from_ints(rng.randint(-3, 3), rng.randint(-3, 3),
+                                        rng.choice(DENOMINATORS))
+            out = out + Poly({mono: c})
         return out
 
     def form(degrees):
@@ -61,8 +67,11 @@ def synthetic_kernel():
     gen_rules = {g: form((1, 3, 1, 3)) for g in range(6)}
     sym_rules = {s: form((1, 2)) for s in SYNTHETIC_SYMBOLS}
     rules = DRuleSet(ext, gen_rules, sym_rules.__getitem__)
-    coeffs = st.builds(lambda re, im, mono: Poly({tuple(sorted(mono)): gr(re, im)}),
-                       small, small, st.lists(st.sampled_from(SYNTHETIC_SYMBOLS), max_size=2))
+    term = st.builds(lambda re, im, d, mono: Poly({tuple(sorted(mono)):
+                                                    GaussRational.from_ints(re, im, d)}),
+                     small, small, st.sampled_from(DENOMINATORS),
+                     st.lists(st.sampled_from(SYNTHETIC_SYMBOLS), max_size=2))
+    coeffs = st.lists(term, min_size=1, max_size=3).map(lambda ps: sum(ps, Poly()))
     return rules, coeffs
 
 
@@ -105,15 +114,26 @@ def literal_d(x, rules):
     return out
 
 
+def assert_canonical(f):
+    """No empty coefficient, no zero term, every scalar a reduced triple."""
+    for mono, p in f.terms.items():
+        assert p.terms, mono
+        for c in p.terms.values():
+            assert (c.a or c.b) and c.d > 0 and gcd(c.a, c.b, c.d) == 1, (mono, c)
+
+
 @pytest.mark.parametrize("alphabet", ["coframe", "chart", "synthetic"])
 @settings(max_examples=60)
 @given(data=st.data())
 def test_differential_matches_literal_leibniz(kernels, alphabet, data):
-    """The fused derivative equals the literal one; on the synthetic
-    alphabet this fails if the factor (-1)^(i |r|) is dropped."""
+    """The fused derivative equals the literal one and is canonical; on
+    the synthetic alphabet, whose coefficients mix denominators, this fails
+    if the factor (-1)^(i |r|) is dropped."""
     rules, coeffs = kernels[alphabet]
     _, x = data.draw(homogeneous(rules.ext, coeffs))
-    assert differential(x, rules) == literal_d(x, rules)
+    got = differential(x, rules)
+    assert_canonical(got)
+    assert got == literal_d(x, rules)
 
 
 def test_differential_rejects_rules_of_another_alphabet(kernels):

@@ -1,7 +1,7 @@
 import pytest
 
-from qcframe.forms import Exterior, Sym, differential
-from qcframe.gauss import gr
+from qcframe.forms import Exterior, Form, Poly, Sym, differential
+from qcframe.gauss import GaussRational, gr
 from qcframe.rules import (CORRECTIONS, RuleBuilder, bianchi_residuals,
                            build_rules, d_square_report, star_forms,
                            star_symmetry_check, star_two_path_check,
@@ -25,8 +25,6 @@ def test_build_rules_guards():
     with pytest.raises(ValueError):
         build_rules(0, "flat")
     with pytest.raises(ValueError):
-        build_rules(3, "curved")
-    with pytest.raises(ValueError):
         build_rules(1, "bent")
     with pytest.raises(ValueError):
         build_rules(1, "curved", tamper="nonsense")
@@ -49,6 +47,30 @@ def test_curved_d_square_zero_n1(curved1):
 def test_curved_d_square_zero_n2():
     rep = d_square_report(build_rules(2, "curved"))
     assert all(v.is_zero() for v in rep.values())
+
+
+# the generators whose d^2 still vanishes at n = 3 under each negative
+# control; d^2 fails on the other 33, 33 and 34 of the 43
+N3_CONTROLS = [
+    ({"tamper": "unsym-V"}, 33, {"eta1", "eta2", "eta3", "phi0", "phi1", "phi2", "phi3",
+                                 "psi1", "psi2", "psi3"}),
+    ({"tamper": "unsym-S"}, 33, {"eta1", "eta2", "eta3", "phi0", "phi1", "phi2", "phi3",
+                                 "psi1", "psi2", "psi3"}),
+    ({"published": True}, 34, {"eta1", "eta2", "eta3", "theta1", "theta2", "theta3",
+                               "theta4", "theta5", "theta6"}),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("control, failing, passing", N3_CONTROLS,
+                         ids=["unsym-V", "unsym-S", "published"])
+def test_negative_controls_n3(control, failing, passing):
+    """The curved certificate at n = 3 (clean rules: the verify curved --n 3
+    golden) fails under each control, on these generators."""
+    rep = d_square_report(build_rules(3, "curved", **control))
+    assert len(rep) == 43
+    assert sum(not v.is_zero() for v in rep.values()) == failing
+    assert {coframe.label(k) for k, v in rep.items() if v.is_zero()} == passing
 
 
 def test_flat_reduction_of_curved(curved1, flat1):
@@ -129,9 +151,18 @@ def test_each_correction_is_necessary_n2(tweaks, failing):
     assert {coframe.label(k) for k, v in rep.items() if not v.is_zero()} == failing
 
 
+def view_form(ext, view):
+    """A DRuleSet.view read back as a Form."""
+    den, rows = view
+    return Form(ext, {rm: Poly({m: GaussRational.from_ints(a, b, den)
+                                for m, a, b in zip(monos, res, ims)})
+                      for rm, monos, res, ims in rows})
+
+
 def test_interned_generators_and_symbols_stay_intact(monkeypatch):
     """Interned generator forms and one-symbol polynomials are shared by
-    every rule and product; none of the rule work may change one."""
+    every rule and product; none of the rule work may change one, nor a
+    rule Form, nor the integer view differential keeps of a rule."""
     made = []
     init = Exterior.__init__
 
@@ -140,7 +171,8 @@ def test_interned_generators_and_symbols_stay_intact(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(Exterior, "__init__", record)
-    d_square_report(build_rules(2, "curved"))
+    curved2 = build_rules(2, "curved")
+    d_square_report(curved2)
     bianchi_residuals(1)
     star_two_path_check(1)
     star_symmetry_check(1)
@@ -153,6 +185,18 @@ def test_interned_generators_and_symbols_stay_intact(monkeypatch):
             assert form.ext is ext and form.terms == fresh.gen(key).terms, key
         for (fam, idx, conj), p in ext._syms.items():
             assert p.terms == fresh.sym(fam, idx, conj).terms, (fam, idx, conj)
+    # the rules differential read through its integer views are unchanged,
+    # and every view still reads back as its rule
+    fresh = build_rules(2, "curved")
+    for g, form in curved2.gen_rules.items():
+        assert form.terms == fresh.gen_rules[g].terms, g
+    for s, form in curved2._sym_cache.items():
+        assert form.terms == fresh.sym_rule(s).terms, s
+    views = curved2._views
+    assert len(views) > len(curved2.gen_rules) and any(isinstance(k, Sym) for k in views)
+    for key, view in views.items():
+        rule = curved2.sym_rule(key) if isinstance(key, Sym) else curved2.gen_rule(key)
+        assert view_form(curved2.ext, view) == rule, key
 
 
 def test_gamma_rule_contains_s_term(curved1):

@@ -12,6 +12,11 @@ def test_curved_d_square_signature_01():
     assert all(v.is_zero() for v in rep.values())
 
 
+def test_curved_d_square_signature_21():
+    rep = d_square_report(build_rules(3, "curved", (2, 1)))
+    assert len(rep) == 43 and all(v.is_zero() for v in rep.values())
+
+
 def test_bianchi_signature_01():
     assert all(v.is_zero() for v in bianchi_residuals(1, (0, 1)).values())
 
