@@ -34,7 +34,9 @@ SparseMat = Dict[Tuple[int, int], GaussRational]
 
 
 class TemplateError(ValueError):
-    """Raised when a matrix does not fit the sp(n+1,1) block template."""
+    """Raised when the model's own data is inconsistent: a matrix off the
+    sp(n+1,1) block template, linearly dependent basis matrices or a
+    singular Killing pairing.  No input can cause it."""
 
 
 class LieCoord:
@@ -68,7 +70,7 @@ class LieCoord:
     def get(self, key: Key) -> GaussRational:
         if key[0] == "Gam":
             key = coframe.gam_key(key[1], key[2])
-        return self.c.get(key, gr(0))
+        return self.c.get(key, ZERO)
 
     def gam_bar(self, consts: StandardConstants, s: int, t: int) -> GaussRational:
         """The dependent barred coordinate Gamma_{s̄ t̄}."""
@@ -121,12 +123,11 @@ class LieCoord:
         return f"LieCoord({parts or '0'})"
 
 
-def axpy(acc: Dict[Key, GaussRational], coeff: GaussRational,
-         coords: Mapping[Key, GaussRational]) -> None:
+def axpy(acc: Dict, coeff: GaussRational, coords: Mapping) -> None:
     """acc += coeff * coords in place, dropping what cancels: acc and
-    coords are LieCoord coordinate dicts (canonical keys, no zero), and
-    acc stays one.  ``coords`` is only read; ``coeff`` ``ONE`` multiplies
-    nothing."""
+    coords are sparse vectors with no zero value, such as LieCoord
+    coordinate dicts or the rows of ``solve_many``, and acc stays one.
+    ``coords`` is only read; ``coeff`` ``ONE`` multiplies nothing."""
     if coeff.is_zero():
         return
     unit = coeff is ONE
@@ -184,68 +185,78 @@ def smat_sub(a: SparseMat, b: SparseMat) -> SparseMat:
     return out
 
 
-def solve_sparse(rows: Iterable[Tuple[Dict[int, GaussRational], GaussRational]]
-                 ) -> Tuple[Dict[int, GaussRational], int]:
-    """Solve the exact linear system whose rows ``(coeffs, rhs)`` say
-    ``sum(coeffs[j] * x_j) = rhs``, by sparse row reduction over the
-    Gaussian rationals.  Each row is reduced, in the given order, against
-    the pivots found so far and then pivots on its smallest unknown.
+def solve_many(rows: Iterable[Tuple[Dict[int, GaussRational], Dict[int, GaussRational]]],
+               k: int) -> Tuple[List[Dict[int, GaussRational]], int]:
+    """Solve k exact linear systems that share their coefficients, by one
+    sparse row reduction over the Gaussian rationals.  Row ``(coeffs, rhs)``
+    says ``sum(coeffs[j] * x_j) = rhs[t]`` in system t, for the sparse
+    right-hand side ``rhs`` (column t -> nonzero value, columns 0..k-1).
+    Each row is reduced, in the given order, against the pivots found so
+    far and then pivots on its smallest unknown; the pivots depend on the
+    coefficients alone, so each system is solved as it would be alone.
 
-    Returns a particular solution (free unknowns at zero, zero values
-    omitted) and the rank, the number of pivots.  Raises ValueError when
-    a row reduces to 0 = nonzero."""
+    Returns one particular solution per system (free unknowns at zero,
+    zero values omitted, unknowns in descending order) and the rank, the
+    number of pivots.  Raises ValueError when a row reduces to 0 = nonzero
+    in any system."""
     pivots: Dict[int, Dict[int, GaussRational]] = {}
-    rhs_map: Dict[int, GaussRational] = {}
+    rhs_map: Dict[int, Dict[int, GaussRational]] = {}
     for row, rhs in rows:
-        row = dict(row)
-        rhs = GaussRational.of(rhs)
+        row, rhs = dict(row), dict(rhs)
         while row:
             col = min(row)
             if col not in pivots:
                 inv = ONE / row[col]
                 pivots[col] = {c2: inv * v2 for c2, v2 in row.items()}
-                rhs_map[col] = inv * rhs
+                rhs_map[col] = {t: inv * v for t, v in rhs.items()}
                 break
-            f = row.pop(col)
-            for c2, v2 in pivots[col].items():
-                if c2 == col:
-                    continue
-                nv = row.get(c2, ZERO) - f * v2
-                if nv.is_zero():
-                    row.pop(c2, None)
-                else:
-                    row[c2] = nv
-            rhs = rhs - f * rhs_map[col]
+            f = -row[col]
+            axpy(row, f, pivots[col])  # cancels the pivot entry too
+            axpy(rhs, f, rhs_map[col])
         else:
-            if not rhs.is_zero():
+            if rhs:
                 raise ValueError("inconsistent linear system")
     # back substitution with free unknowns at zero
-    sol: Dict[int, GaussRational] = {}
+    done: Dict[int, Dict[int, GaussRational]] = {}
+    sols: List[Dict[int, GaussRational]] = [{} for _ in range(k)]
     for col in sorted(pivots, reverse=True):
-        val = rhs_map[col]
+        val = dict(rhs_map[col])
         for c2, v2 in pivots[col].items():
-            if c2 != col and c2 in sol:
-                val = val - v2 * sol[c2]
-        if not val.is_zero():
-            sol[col] = val
-    return sol, len(pivots)
+            if c2 != col and c2 in done:
+                axpy(val, -v2, done[c2])
+        done[col] = val
+        for t, v in val.items():
+            sols[t][col] = v
+    return sols, len(pivots)
+
+
+def solve_sparse(rows: Iterable[Tuple[Dict[int, GaussRational], GaussRational]]
+                 ) -> Tuple[Dict[int, GaussRational], int]:
+    """Solve the exact linear system whose rows ``(coeffs, rhs)`` say
+    ``sum(coeffs[j] * x_j) = rhs``: the one-system case of ``solve_many``,
+    with the same particular solution, rank and ValueError."""
+    def column(rhs) -> Dict[int, GaussRational]:
+        rhs = GaussRational.of(rhs)
+        return {} if rhs.is_zero() else {0: rhs}
+
+    (sol,), rank = solve_many(((row, column(rhs)) for row, rhs in rows), 1)
+    return sol, rank
 
 
 def solve_square(A: List[List[GaussRational]],
                  B: List[List[GaussRational]]) -> List[List[GaussRational]]:
-    """The X with A X = B for a square A, one ``solve_sparse`` per column
-    of B.  Raises ValueError naming the matrix singular when A is."""
+    """The X with A X = B for a square A, every column of B in one
+    ``solve_many``.  Raises ValueError naming the matrix singular when A is."""
     k = len(A)
-    rows = [{j: v for j, v in enumerate(r) if not v.is_zero()} for r in A]
-    cols = []
-    for j in range(len(B[0])):
-        try:
-            sol, rank = solve_sparse(zip(rows, (b[j] for b in B)))
-        except ValueError:  # only a singular A leaves a column of B out of range
-            rank = -1
-        if rank < k:
-            raise ValueError(f"singular {k}x{k} matrix")
-        cols.append(sol)
+    rows = [({j: v for j, v in enumerate(r) if not v.is_zero()},
+             {t: v for t, v in enumerate(map(GaussRational.of, b)) if not v.is_zero()})
+            for r, b in zip(A, B)]
+    try:
+        cols, rank = solve_many(rows, len(B[0]))
+    except ValueError:  # only a singular A leaves a column of B out of range
+        rank = -1
+    if rank < k:
+        raise ValueError(f"singular {k}x{k} matrix")
     return [[col.get(i, ZERO) for col in cols] for i in range(k)]
 
 
@@ -294,7 +305,7 @@ class SpModel:
 
         def put(r, co, val):
             if not val.is_zero():
-                M[(r, co)] = M.get((r, co), gr(0)) + val
+                M[(r, co)] = M.get((r, co), ZERO) + val
 
         put(v1, v1, -HALF * (phi0 + I * phi[0]))
         put(v1, v2, -HALF * (phi[1] - I * phi[2]))
@@ -321,27 +332,27 @@ class SpModel:
         for b in rng1:
             eb = self.e(b)
             if any_fub:
-                put(v1, eb, 2 * I * sum((c.g(b, s) * fub[s] for s in rng1), gr(0)))
+                put(v1, eb, 2 * I * sum((c.g(b, s) * fub[s] for s in rng1), ZERO))
             if any_fu:
-                put(v2, eb, 2 * I * sum((c.pi(b, s) * fu[s] for s in rng1), gr(0)))
+                put(v2, eb, 2 * I * sum((c.pi(b, s) * fu[s] for s in rng1), ZERO))
             if any_thb:
-                put(w1, eb, I * sum((c.g(b, s) * thb[s] for s in rng1), gr(0)))
+                put(w1, eb, I * sum((c.g(b, s) * thb[s] for s in rng1), ZERO))
             if any_th:
-                put(w2, eb, I * sum((c.pi(b, s) * th[s] for s in rng1), gr(0)))
+                put(w2, eb, I * sum((c.pi(b, s) * th[s] for s in rng1), ZERO))
         for a in rng1:
             ea = self.e(a)
             if any_th:
                 put(ea, v1, I * th[a])
             if any_thb:
-                put(ea, v2, -I * sum((c.pi_u_lbar(a, s) * thb[s] for s in rng1), gr(0)))
+                put(ea, v2, -I * sum((c.pi_u_lbar(a, s) * thb[s] for s in rng1), ZERO))
             if any_fu:
                 put(ea, w1, 2 * I * fu[a])
             if any_fub:
-                put(ea, w2, -2 * I * sum((c.pi_u_lbar(a, s) * fub[s] for s in rng1), gr(0)))
+                put(ea, w2, -2 * I * sum((c.pi_u_lbar(a, s) * fub[s] for s in rng1), ZERO))
             if any_gam:
                 for b in rng1:
                     put(ea, self.e(b),
-                        sum((c.pi_up(a, s) * x.get(("Gam", s, b)) for s in rng1), gr(0)))
+                        sum((c.pi_up(a, s) * x.get(("Gam", s, b)) for s in rng1), ZERO))
         return {k: v for k, v in M.items() if not v.is_zero()}
 
     def _basis_matrices(self) -> List[SparseMat]:
@@ -352,21 +363,21 @@ class SpModel:
     def _decoder(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, GaussRational], ...]]:
         """The left inverse of the basis matrices: matrix position -> the
         coordinates (index, coefficient) that read that entry.  Row k of
-        the inverse solves <B_j, L_k> = delta_jk over the positions;
-        ``TemplateError`` if the basis matrices are linearly dependent."""
+        the inverse solves <B_j, L_k> = delta_jk over the positions, and
+        all ``dim`` rows come from one ``solve_many``; ``TemplateError`` if
+        the basis matrices are linearly dependent."""
         if self._dec is None:
             m = self.m
-            rows = [{r * m + co: v for (r, co), v in mat.items()}
-                    for mat in self._basis_matrices()]
+            rows = [({r * m + co: v for (r, co), v in mat.items()}, {j: ONE})
+                    for j, mat in enumerate(self._basis_matrices())]
+            try:
+                sols, rank = solve_many(rows, self.dim)
+            except ValueError:
+                rank = -1
+            if rank < self.dim:
+                raise TemplateError("the sp(n+1,1) basis matrices are linearly dependent")
             dec: Dict[Tuple[int, int], List[Tuple[int, GaussRational]]] = {}
-            for k in range(self.dim):
-                try:
-                    sol, rank = solve_sparse(
-                        (row, ONE if j == k else ZERO) for j, row in enumerate(rows))
-                except ValueError:
-                    rank = -1
-                if rank < self.dim:
-                    raise TemplateError("the sp(n+1,1) basis matrices are linearly dependent")
+            for k, sol in enumerate(sols):
                 for p, v in sol.items():
                     dec.setdefault(divmod(p, m), []).append((k, v))
             self._dec = {pos: tuple(coeffs) for pos, coeffs in dec.items()}
@@ -610,7 +621,10 @@ class SpModel:
             rows = [[gram.get((self.key_index[kb], self.key_index[kd]), ZERO)
                      for kb in inside] for kd in dual_of]
             ident = [[ONE if u == t else ZERO for t in range(k)] for u in range(k)]
-            inv = solve_square(rows, ident)
+            try:
+                inv = solve_square(rows, ident)
+            except ValueError as ex:  # the Gram is the model's, never input
+                raise TemplateError(f"Killing pairing: {ex}") from None
             return [LieCoord(n, {kb: inv[i][t] for i, kb in enumerate(inside)})
                     for t in range(k)]
 
@@ -687,9 +701,11 @@ def random_coord(rng: random.Random, model: SpModel, span: int = 4) -> LieCoord:
 
 
 def jacobi_residual(model: SpModel, a: LieCoord, b: LieCoord, c: LieCoord) -> LieCoord:
-    return (model.bracket(model.bracket(a, b), c)
-            + model.bracket(model.bracket(b, c), a)
-            + model.bracket(model.bracket(c, a), b))
+    """[[a, b], c] + [[b, c], a] + [[c, a], b], the outer three brackets
+    summed in one ``bracket_sum``."""
+    ab, bc, ca = model.bracket(a, b), model.bracket(b, c), model.bracket(c, a)
+    return LieCoord.adopt(model.n, model.bracket_sum(
+        ((ab.c, c.c, 1), (bc.c, a.c, 1), (ca.c, b.c, 1))))
 
 
 def grading_check(model: SpModel) -> bool:
@@ -766,8 +782,8 @@ class G1Element:
     def __init__(self, U, r, lam):
         self.U = U
         self.r = list(r)
-        self.lam = [GaussRational._coerce(v) if GaussRational._coerce(v) is not None
-                    else v for v in lam]
+        self.lam = [v if w is None else w
+                    for v in lam for w in (GaussRational._coerce(v),)]
 
     @staticmethod
     def identity(n: int) -> "G1Element":
@@ -775,25 +791,60 @@ class G1Element:
         return G1Element(U, [gr(0)] * 2 * n, [gr(0)] * 3)
 
     def __eq__(self, other):
+        if not isinstance(other, G1Element):
+            return NotImplemented
         return (self.U == other.U and self.r == other.r and self.lam == other.lam)
+
+
+def _gauss_ints(values) -> Tuple[int, List[Tuple[int, int]]]:
+    """The GaussRationals ``values`` as Gaussian integers over their lcm
+    denominator, which comes first."""
+    d = lcm(*(v.d for v in values))
+    return d, [(v.a * (d // v.d), v.b * (d // v.d)) for v in values]
+
+
+def _times(p, q) -> List[Tuple[int, int]]:
+    """The entrywise product of two lists of Gaussian integers."""
+    return [(pr * qr - pi * qi, pr * qi + pi * qr) for (pr, pi), (qr, qi) in zip(p, q)]
+
+
+def _conj(p) -> List[Tuple[int, int]]:
+    return [(re, -im) for re, im in p]
+
+
+def _dot(p, q) -> Tuple[int, int]:
+    """sum p_s q_s over two lists of Gaussian integers."""
+    re = im = 0
+    for (pr, pi), (qr, qi) in zip(p, q):
+        re += pr * qr - pi * qi
+        im += pr * qi + pi * qr
+    return re, im
 
 
 def validate_spn(U, c: StandardConstants) -> bool:
     """Both defining identities of Sp(n): g_{st̄} U^s_a conj(U^t_b) =
-    g_{ab̄} and pi_{st} U^s_a U^t_b = pi_{ab}."""
+    g_{ab̄} and pi_{st} U^s_a U^t_b = pi_{ab}.
+
+    U is cleared once to Gaussian integers over its lcm D, and both sums
+    are taken in Python integers: g is diagonal and pi_{st} is nonzero
+    only for the partner t of s, so each sum has 2n terms.  The sums are
+    compared with g D^2 and pi D^2."""
     dim = 2 * c.n
-    for a in range(dim):
+    rng = range(1, dim + 1)
+    du, flat = _gauss_ints([U[s][a] for a in range(dim) for s in range(dim)])
+    cols = [flat[a * dim:(a + 1) * dim] for a in range(dim)]  # cols[a][s] = U^s_a
+    dg, g = _gauss_ints([c.g(s, s) for s in rng])
+    dp, pi = _gauss_ints([c.pi(s, c.partner(s)) for s in rng])
+    conj = [_conj(col) for col in cols]
+    partner = [[col[c.partner(s) - 1] for s in rng] for col in cols]
+    for a, col in enumerate(cols):
+        ga, pa = _times(g, col), _times(pi, col)  # g_{s s̄} U^s_a, pi_{s s'} U^s_a
         for b in range(dim):
-            acc_g = gr(0)
-            acc_pi = gr(0)
-            for s in range(dim):
-                acc_g = acc_g + gr(c.diag[s]) * U[s][a] * U[s][b].conj()
-                for t in range(dim):
-                    p = c.pi(s + 1, t + 1)
-                    if not p.is_zero():
-                        acc_pi = acc_pi + p * U[s][a] * U[t][b]
-            if acc_g != c.g(a + 1, b + 1) or acc_pi != c.pi(a + 1, b + 1):
-                return False
+            for (re, im), want, den in ((_dot(ga, conj[b]), c.g(a + 1, b + 1), dg),
+                                        (_dot(pa, partner[b]), c.pi(a + 1, b + 1), dp)):
+                scale = den * du * du
+                if re * want.d != want.a * scale or im * want.d != want.b * scale:
+                    return False
     return True
 
 
@@ -835,12 +886,12 @@ def random_g1(rng: random.Random, c: StandardConstants, span: int = 3) -> G1Elem
 
 def _u_low(c: StandardConstants, U, b: int, s: int):
     """U_{b s̄} = g_{a s̄} U^a_b: one term, because g is diagonal."""
-    return gr(c.diag[s]) * U[s][b]
+    return c.g(s + 1, s + 1) * U[s][b]
 
 
 def _norm2(c: StandardConstants, r):
     """r_s r^s = g_{t̄ s} conj(r^t) r^s."""
-    return sum((gr(c.diag[s]) * r[s].conj() * r[s] for s in range(len(r))), ZERO)
+    return sum((c.g(s + 1, s + 1) * r[s].conj() * r[s] for s in range(len(r))), ZERO)
 
 
 def g1_to_matrix(x: G1Element, c: StandardConstants, check: bool = True,
@@ -859,30 +910,28 @@ def g1_to_matrix(x: G1Element, c: StandardConstants, check: bool = True,
     th0 = 3           # first theta row/col
     thb0 = 3 + dim    # first theta-bar
     ph0 = 3 + 2 * dim
-    M = [[lift(gr(0)) for _ in range(size)] for _ in range(size)]
+    zero, one = lift(ZERO), lift(ONE)
+    M = [[zero] * size for _ in range(size)]
     for s in range(3):
-        M[s][s] = lift(gr(1))
+        M[s][s] = one
     for s in range(4):
-        M[ph0 + s][ph0 + s] = lift(gr(1))
-    iI = gr(0, 1)
+        M[ph0 + s][ph0 + s] = one
+    # pi and its mixed forms are nonzero only at (s, partner of s)
+    part = [c.partner(s + 1) - 1 for s in range(dim)]
 
     rr = _norm2(c, r)
     for a in range(dim):
         # theta^a row
-        M[th0 + a][0] = iI * r[a]
-        acc = lift(gr(0))
-        for s in range(dim):
-            cp = c.pi_u_lbar(a + 1, s + 1)
-            if not cp.is_zero():
-                acc = acc + cp * r[s].conj()
+        M[th0 + a][0] = I * r[a]
+        acc = c.pi_u_lbar(a + 1, part[a] + 1) * r[part[a]].conj()
         M[th0 + a][1] = acc
-        M[th0 + a][2] = iI * acc
+        M[th0 + a][2] = I * acc
         for bq in range(dim):
             M[th0 + a][th0 + bq] = U[a][bq]
         # theta^ā row (conjugate)
-        M[thb0 + a][0] = -(iI * r[a].conj())
+        M[thb0 + a][0] = -(I * r[a].conj())
         M[thb0 + a][1] = acc.conj()
-        M[thb0 + a][2] = -(iI * acc.conj())
+        M[thb0 + a][2] = -(I * acc.conj())
         for bq in range(dim):
             M[thb0 + a][thb0 + bq] = U[a][bq].conj()
     for s in range(3):
@@ -901,63 +950,73 @@ def g1_to_matrix(x: G1Element, c: StandardConstants, check: bool = True,
         # 2 U_{b s̄} r^s̄ and friends
         M[ph0][th0 + bq] = 2 * ub
         M[ph0][thb0 + bq] = (2 * ub).conj()
-        M[ph0 + 1][th0 + bq] = -(iI * 2 * ub)
-        M[ph0 + 1][thb0 + bq] = (-(iI * 2 * ub)).conj()
-        pw = lift(gr(0))
-        for s in range(dim):
-            for t in range(dim):
-                cp = c.pi(s + 1, t + 1)
-                if not cp.is_zero():
-                    pw = pw + cp * U[s][bq] * r[t]
+        M[ph0 + 1][th0 + bq] = -(I * 2 * ub)
+        M[ph0 + 1][thb0 + bq] = (-(I * 2 * ub)).conj()
+        pw = sum((c.pi(s + 1, t + 1) * U[s][bq] * r[t] for s, t in enumerate(part)), zero)
         M[ph0 + 2][th0 + bq] = -(2 * pw)
         M[ph0 + 2][thb0 + bq] = (-(2 * pw)).conj()
-        M[ph0 + 3][th0 + bq] = iI * 2 * pw
-        M[ph0 + 3][thb0 + bq] = (iI * 2 * pw).conj()
+        M[ph0 + 3][th0 + bq] = I * 2 * pw
+        M[ph0 + 3][thb0 + bq] = (I * 2 * pw).conj()
     return M
 
 
 def g1_compose(x: G1Element, y: G1Element, c: StandardConstants) -> G1Element:
-    """Closed composition law of the group."""
-    n = c.n
-    dim = 2 * n
-    U = [[sum((x.U[a][s] * y.U[s][b] for s in range(dim)), gr(0))
-          for b in range(dim)] for a in range(dim)]
-    r = [sum((x.U[a][s] * y.r[s] for s in range(dim)), gr(0)) + x.r[a]
-         for a in range(dim)]
+    """Closed composition law of the group.  Each part of x and y is
+    cleared to Gaussian integers over its own lcm, every sum is taken in
+    Python integers, and each output entry is divided once."""
+    dim = 2 * c.n
+    idx, rng = range(dim), range(1, dim + 1)
+    new = GaussRational.from_ints
+    dxu, xu = _gauss_ints([x.U[a][s] for a in idx for s in idx])
+    dyu, yu = _gauss_ints([y.U[s][b] for b in idx for s in idx])
+    xrows = [xu[a * dim:(a + 1) * dim] for a in idx]  # xrows[a][s] = x.U^a_s
+    ycols = [yu[b * dim:(b + 1) * dim] for b in idx]  # ycols[b][s] = y.U^s_b
+    dxr, xr = _gauss_ints(x.r)
+    dyr, yr = _gauss_ints(y.r)
+    dl, lam = _gauss_ints(x.lam + y.lam)
+    dg, g = _gauss_ints([c.g(s, s) for s in rng])
+    dp, cp = _gauss_ints([c.pi_ubar_l(s, c.partner(s)) for s in rng])
 
-    t1 = gr(0)  # U_{a b̄} ŷr^a conj(r^b)
-    for al in range(dim):
-        for be in range(dim):
-            ul = _u_low(c, x.U, al, be)
-            if not ul.is_zero():
-                t1 = t1 + ul * y.r[al] * x.r[be].conj()
-    t2 = gr(0)  # pi^{s̄}_a conj(U_{s b̄}) ŷr^a r^b
-    for al in range(dim):
-        for s in range(dim):
-            cp = c.pi_ubar_l(s + 1, al + 1)
-            if cp.is_zero():
-                continue
-            for be in range(dim):
-                ul = _u_low(c, x.U, s, be)
-                if not ul.is_zero():
-                    t2 = t2 + cp * ul.conj() * y.r[al] * x.r[be]
-    i2 = gr(0, 2)
-    lam = [
-        x.lam[0] + y.lam[0] + i2 * t1 + (i2 * t1).conj(),
-        x.lam[1] + y.lam[1] + 2 * t2 + (2 * t2).conj(),
-        x.lam[2] + y.lam[2] - i2 * t2 - (i2 * t2).conj(),
-    ]
-    return G1Element(U, r, lam)
+    U = [[new(*_dot(row, col), dxu * dyu) for col in ycols] for row in xrows]
+    fr = dxu * dyr
+    r = []
+    for row, (ar, ai) in zip(xrows, xr):
+        re, im = _dot(row, yr)
+        r.append(new(re * dxr + ar * fr, im * dxr + ai * fr, fr * dxr))
+    # u_s = U_{t s̄} conj(x.r^t) = g_{t t̄} x.U^t_s conj(x.r^t), over dg dxu dxr
+    w = _times(g, _conj(xr))
+    u = [_dot([row[s] for row in xrows], w) for s in idx]
+    # t1 = U_{a b̄} y.r^a conj(x.r^b) = y.r^a u_a, over T1 = dg dxu dxr dyr;
+    # t2 = pi^{s̄}_a conj(U_{s b̄}) y.r^a x.r^b = pi^{s̄}_{s'} y.r^{s'} conj(u_s),
+    # s' the partner of s, over dp T1
+    t1r, t1i = _dot(yr, u)
+    t2r, t2i = _dot(_times(cp, [yr[c.partner(s) - 1] for s in rng]), _conj(u))
+    t1 = dg * dxu * dxr * dyr
+    t2 = dp * t1
+    # lam_k = x.lam_k + y.lam_k + (-4 Im t1, 4 Re t2, 4 Im t2)_k
+    lam_out = []
+    for k, (extra, den) in enumerate(((-4 * t1i, t1), (4 * t2r, t2), (4 * t2i, t2))):
+        (ar, ai), (br, bi) = lam[k], lam[k + 3]
+        lam_out.append(new((ar + br) * den + extra * dl, (ai + bi) * den, dl * den))
+    return G1Element(U, r, lam_out)
 
 
 def g1_inverse(x: G1Element, c: StandardConstants) -> G1Element:
     """A(U, r, lam)^{-1} = A(U', -U' r, -lam) with U' the g-adjoint
-    inverse of U."""
-    n = c.n
-    dim = 2 * n
-    Uinv = [[gr(c.diag[a]) * x.U[b][a].conj() * gr(c.diag[b])
-             for b in range(dim)] for a in range(dim)]
-    r = [-sum((Uinv[a][s] * x.r[s] for s in range(dim)), gr(0)) for a in range(dim)]
+    inverse of U, U'^a_b = g_{a ā} conj(U^b_a) g_{b b̄}; summed in
+    Python integers and each entry divided once."""
+    dim = 2 * c.n
+    idx, rng = range(dim), range(1, dim + 1)
+    new = GaussRational.from_ints
+    dxu, xu = _gauss_ints([x.U[b][a] for a in idx for b in idx])
+    dxr, xr = _gauss_ints(x.r)
+    dg, g = _gauss_ints([c.g(s, s) for s in rng])
+    den = dg * dg * dxu
+    # rows[a][b] = g_{a ā} g_{b b̄} conj(U^b_a)
+    rows = [_times(_times([ga] * dim, g), _conj(xu[a * dim:(a + 1) * dim]))
+            for a, ga in enumerate(g)]
+    Uinv = [[new(re, im, den) for re, im in row] for row in rows]
+    r = [new(*(-v for v in _dot(row, xr)), den * dxr) for row in rows]
     return G1Element(Uinv, r, [-v for v in x.lam])
 
 

@@ -189,6 +189,23 @@ def test_dependent_basis_matrices_exit_3(dependent_basis, capsys):
         in capsys.readouterr().err
 
 
+def test_singular_killing_pairing_exit_3(monkeypatch, capsys):
+    """A Killing Gram whose eta-psi pairing is singular is the model's own
+    defect: dual_frames raises TemplateError and the CLI exits 3, not 2."""
+    from qcframe.model import SpModel, TemplateError
+    gram = SpModel.killing_gram
+
+    def singular(self):
+        i = self.key_index[("psi", 1)]
+        return {p: v for p, v in gram(self).items() if i not in p}
+
+    monkeypatch.setattr(SpModel, "killing_gram", singular)
+    with pytest.raises(TemplateError, match="Killing pairing: singular 3x3 matrix"):
+        SpModel(1).dual_frames()
+    assert run(["lie", "killing", "--n", "1"]) == 3
+    assert "internal error: Killing pairing: singular" in capsys.readouterr().err
+
+
 def _nonzero_residual():
     from qcframe.forms import Exterior
     ext = Exterior(1)

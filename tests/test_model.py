@@ -247,6 +247,30 @@ def test_g1_identity_neutral(c1):
     assert g1_compose(e, x, c1) == x
 
 
+def test_g1_equality_against_other_types(c1):
+    e = G1Element.identity(1)
+    assert (e == None) is False and e != None
+    assert e != "identity" and e != [e.U, e.r, e.lam]
+    assert e == G1Element.identity(1)
+
+
+def test_g1_element_coerces_each_lambda_once(monkeypatch):
+    from qcframe.gauss import GaussRational
+    coerce = GaussRational._coerce
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return coerce(value)
+
+    U = [[gr(1), gr(0)], [gr(0), gr(1)]]
+    monkeypatch.setattr(GaussRational, "_coerce", staticmethod(counting))
+    x = G1Element(U, [gr(0)] * 2, [1, Fraction(1, 2), gr(0, 3)])
+    assert len(calls) == 3
+    assert x.lam == [gr(1), gr(Fraction(1, 2)), gr(0, 3)]
+    assert all(v.__class__ is GaussRational for v in x.lam)
+
+
 def test_g1_matrix_oracle(c1):
     rng = random.Random(2)
     for _ in range(25):
@@ -557,9 +581,17 @@ def test_random_spn_draws_again_when_i_minus_x_is_singular(monkeypatch):
 
 def test_one_solver_and_one_product():
     """No module defines its own matrix product or a private solver:
-    model.smat_mul and model.solve_sparse are the only ones."""
+    model.smat_mul and model.solve_many are the only ones, and the package
+    has one elimination loop, a ``while`` that searches its pivot with
+    ``min``, in model.solve_many."""
+    loops = []
     for path in Path(qcframe.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
                 assert node.name != "matmul" and not node.name.startswith("_solve_"), \
                     (path.name, node.name)
+                loops += [(path.name, node.name) for loop in ast.walk(node)
+                          if isinstance(loop, ast.While)
+                          and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                                  and call.func.id == "min" for call in ast.walk(loop))]
+    assert loops == [("model.py", "solve_many")]
