@@ -1,8 +1,18 @@
 """Batch command-line interface: every certificate as a command.
 
-Exit codes: 0 all checks pass, 1 at least one certificate failed,
-2 usage or input error, 3 internal defect (a basis matrix commutator off
-the sp(n+1,1) template while the structure-constant table is certified).
+Exit codes:
+
+* 0: every certificate passed;
+* 1: at least one certificate failed;
+* 2: bad usage or input: an argparse failure, an ``InputError`` (a bad
+  ``--signature`` or n, a malformed component or chart file) or an
+  ``OSError`` reading or writing a file; one line ``error: ...`` on stderr;
+* 3: an internal defect, which no input can cause.  A ``TemplateError``
+  (the model's basis matrices or Killing pairing broken) prints
+  ``internal error: <message>``; any other exception escaping a command,
+  such as a rule missing from a rule table, prints its traceback and then
+  ``internal error: <command>: <exception type>: <message>``.
+
 With --json PATH the machine-readable report is written out; for a fixed
 seed the report is byte-identical across runs except for the "timing_ms"
 section.
@@ -16,7 +26,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import InputError, __version__
 from .gauss import gr
 from .model import TemplateError
 
@@ -29,7 +39,7 @@ def _parse_signature(text, n):
     try:
         p, q = (int(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(f"--signature expects p,q, got {text!r}") from None
+        raise InputError(f"--signature expects p,q, got {text!r}") from None
     return (p, q)
 
 
@@ -432,12 +442,18 @@ def run(argv=None) -> int:
         return 2 if ex.code not in (0,) else 0
     try:
         return args.fn(args)
-    except TemplateError as ex:  # a ValueError, but never bad input
-        print(f"internal error: {ex}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, OSError) as ex:
+    except (InputError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except TemplateError as ex:
+        print(f"internal error: {ex}", file=sys.stderr)
+        return 3
+    except Exception as ex:  # a defect: never reported as a usage error
+        import traceback  # loaded on this path only, not by every run
+        traceback.print_exc()
+        command = " ".join(filter(None, (args.cmd, getattr(args, "what", None))))
+        print(f"internal error: {command}: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 3
 
 
 def main():

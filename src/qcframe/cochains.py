@@ -18,6 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+from . import InputError
 from .gauss import ONE, ZERO, GaussRational, gr
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
@@ -140,15 +141,15 @@ def _rational_from_json(v, where: str) -> Fraction:
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{where}: {v!r} is not a rational number") from None
+            raise InputError(f"{where}: {v!r} is not a rational number") from None
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    raise ValueError(f"{where}: expected a string or an integer, got {v!r}")
+    raise InputError(f"{where}: expected a string or an integer, got {v!r}")
 
 
 def _gr_from_json(d, where: str) -> GaussRational:
     if not isinstance(d, dict) or "re" not in d or "im" not in d:
-        raise ValueError(f'{where}: expected an object with "re" and "im", got {d!r}')
+        raise InputError(f'{where}: expected an object with "re" and "im", got {d!r}')
     return gr(_rational_from_json(d["re"], f"{where}.re"),
               _rational_from_json(d["im"], f"{where}.im"))
 
@@ -156,7 +157,7 @@ def _gr_from_json(d, where: str) -> GaussRational:
 def _ints_from_json(v, where: str) -> Tuple[int, ...]:
     if not isinstance(v, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in v):
-        raise ValueError(f"{where}: expected a list of integers, got {v!r}")
+        raise InputError(f"{where}: expected a list of integers, got {v!r}")
     return tuple(v)
 
 
@@ -178,21 +179,22 @@ def components_to_json(c: CurvatureComponents, signature: Tuple[int, int]) -> di
 
 def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
     """Read a component document for the run with constants consts;
-    ValueError with a one-line message if it is malformed, is for another
-    n or signature, or the components are not admissible.  The n and the
+    InputError with a one-line message if it is malformed or is for another
+    n or signature, ValueError if the components are not admissible
+    (``load_components`` reports both as InputError).  The n and the
     signature are checked before anything is built."""
     if not isinstance(doc, dict):
-        raise ValueError("component file: expected a JSON object")
+        raise InputError("component file: expected a JSON object")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"component file: n must be an integer, got {n!r}")
+        raise InputError(f"component file: n must be an integer, got {n!r}")
     if n != consts.n:
-        raise ValueError(f"component file n = {n} does not match n = {consts.n} of this run")
+        raise InputError(f"component file n = {n} does not match n = {consts.n} of this run")
     sig = _ints_from_json(doc.get("signature", [n, 0]), "signature")
     if len(sig) != 2:
-        raise ValueError(f"signature: expected [p, q], got {list(sig)}")
+        raise InputError(f"signature: expected [p, q], got {list(sig)}")
     if sig != consts.signature:
-        raise ValueError(f"component file signature {list(sig)} does not match "
+        raise InputError(f"component file signature {list(sig)} does not match "
                          f"the signature {list(consts.signature)} of this run")
     values = []
     for fam in CURVATURE_FAMILIES:
@@ -203,11 +205,11 @@ def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
         t = IndexedTensor(n, slots("l" * arity))
         entries = doc.get(fam, [])
         if not isinstance(entries, list):
-            raise ValueError(f"{fam}: expected a list of entries, got {entries!r}")
+            raise InputError(f"{fam}: expected a list of entries, got {entries!r}")
         for k, entry in enumerate(entries):
             where = f"{fam}[{k}]"
             if not isinstance(entry, dict):
-                raise ValueError(f"{where}: expected an object, got {entry!r}")
+                raise InputError(f"{where}: expected an object, got {entry!r}")
             idx = _ints_from_json(entry.get("idx"), f"{where}.idx")
             t.set(idx, t.get(*idx) + _gr_from_json(entry, where))
         values.append(symmetrize(t) if symmetric else t)
@@ -217,8 +219,15 @@ def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
 
 
 def load_components(path: str, consts: StandardConstants) -> CurvatureComponents:
+    """Read a component file; InputError if it is not JSON, is malformed
+    or its components are not admissible."""
     with open(path) as fh:
-        return components_from_json(json.load(fh), consts)
+        try:
+            return components_from_json(json.load(fh), consts)
+        except InputError:
+            raise
+        except ValueError as ex:
+            raise InputError(f"component file: {ex}") from None
 
 
 # ---------------------------------------------------------------------------

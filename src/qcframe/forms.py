@@ -36,13 +36,17 @@ untouched coefficients, because rule-table forms, generator forms and
 one-symbol polynomials are shared: an Exterior interns the last two, so
 none of them is ever modified in place.
 
-``differential`` sums in Gaussian integers instead.  A DRuleSet keeps each
-rule that ``differential`` reads a second time, as a ``View``: its terms
-with the coefficients cleared to integer pairs over the rule's own lcm
-denominator.  The form is cleared the same way, every product is added in
-place to an integer cell ``[re, im]`` over one common denominator
-(``_rule_into``), and each cell that does not cancel becomes one
-GaussRational at the end: no GaussRational and no gcd per product.
+``differential`` sums in Gaussian integers on integer keys instead.  A
+DRuleSet keeps each rule that ``differential`` reads a second time, as a
+``View``: its terms with the coefficients cleared (``_cleared``) to integer
+pairs over the rule's own lcm denominator, each generator monomial a
+bitmask and each symbol monomial an id from the rule set's intern table.
+The form is cleared and encoded the same way once on entry; every product
+is added in place to an integer cell ``[re, im]`` over one common
+denominator, keyed by mask and then by id (``_rule_into``), where placing a
+rule term is an ``&``, an ``|`` and a bit count; and each cell that does
+not cancel is decoded and becomes one GaussRational at the end: no
+GaussRational, no gcd and no tuple built per product.
 """
 from __future__ import annotations
 
@@ -114,11 +118,12 @@ Mono = Tuple[Sym, ...]
 Terms = Dict[Mono, GaussRational]  # the coefficients of one Poly
 Acc = Dict[Tuple[int, ...], Terms]  # generator monomial -> its coefficients
 # one term of a rule in Gaussian integers over a denominator known to the
-# caller: its generator monomial, then the symbol monomials of its
-# coefficient and, in parallel, their real and imaginary parts
-Row = Tuple[Tuple[int, ...], Tuple[Mono, ...], Tuple[int, ...], Tuple[int, ...]]
+# caller: its generator monomial as a bitmask (bit g for generator g), then
+# the ids of the symbol monomials of its coefficient (interned by the
+# DRuleSet) and, in parallel, their real and imaginary parts
+Row = Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 View = Tuple[int, Tuple[Row, ...]]  # a rule: (lcm denominator, its rows)
-Cells = Dict[Mono, List[int]]  # symbol monomial -> [re, im], zeros kept
+Cells = Dict[int, List[int]]  # symbol monomial id -> [re, im], zeros kept
 
 
 def _add_into(out: Terms, terms: Terms, neg: bool = False) -> None:
@@ -159,48 +164,64 @@ def _mul_into(out: Terms, t1: Terms, t2: Terms, neg: bool = False) -> None:
                     out[m] = c
 
 
-def _rule_into(acc: Dict[Tuple[int, ...], Cells], t1: Iterable[Tuple[Mono, int, int]],
-               rows: Tuple[Row, ...], mono: Tuple[int, ...], i: int, f: int) -> None:
-    """acc += f * (-1)^(i (1 + |r|)) * (r ^ mono) * t1, summed over the terms
-    r of a rule's rows, in place on Gaussian-integer cells: t1 holds
-    (symbol monomial, re, im) triples.  Nothing is reduced and a cell that
-    cancels stays, so each product is four integer products and two sums.
-    A merge with one generator on either side, the only kind the curved
-    d^2 makes, is done here: a _merge_sign call per row costs 7 % of the
-    n = 2 d^2 and 15 % at n = 3."""
-    one = mono[0] if len(mono) == 1 else None
-    for rm, monos, res, ims in rows:
-        if one is not None:
-            # the one generator of mono jumps over the rest of rm
-            j = bisect_left(rm, one)
-            if j < len(rm) and rm[j] == one:
-                continue
-            neg = (len(rm) - j) % 2 == 1
-            key = rm[:j] + mono + rm[j:]
-        elif len(rm) == 1:
-            # the one generator of rm jumps over the first j of mono
-            r = rm[0]
-            j = bisect_left(mono, r)
-            if j < len(mono) and mono[j] == r:
-                continue
-            neg = j % 2 == 1
-            key = mono[:j] + rm + mono[j:]
+def _rule_into(acc: Dict[int, Cells], t1: List[Tuple[int, int, int]],
+               rows: Tuple[Row, ...], xmask: int, i: int, f: int,
+               product: Callable[[int, int], int]) -> None:
+    """acc += f * (-1)^(i (1 + |r|)) * (r ^ x) * t1, summed over the terms
+    r of a rule's rows, in place on Gaussian-integer cells: x is the
+    generator monomial ``xmask`` and t1 holds its (symbol monomial id, re,
+    im) triples; ``product`` gives the id of the product of two nonempty
+    symbol monomials.  Nothing is reduced and a cell that cancels stays, so
+    each product is four integer products and two sums.
+
+    r ^ x is r | x unless they share a generator, and its sign is the
+    parity of the pairs (a generator of r, a smaller one of x).  The curved
+    d^2 only places rows against one generator h of x (or none), and a
+    symbol rule's one-generator rows against x, so both take one bit count:
+    the generators of r above h, or those of x below the one of r."""
+    if len(t1) == 1:
+        (m1, a1, b1), = t1
+        fa, fb = f * a1, f * b1
+    else:
+        m1 = None
+    one = not xmask & (xmask - 1)
+    if one:
+        # with i odd, (-1)^(1 + |r|) turns the count of the generators of
+        # r above h into that of those below h, flipped
+        sel, flip = (xmask - 1, 1) if i & 1 else (~((xmask << 1) - 1), 0)
+    for rmask, ids, res, ims in rows:
+        if rmask & xmask:
+            continue
+        if one:
+            neg = ((rmask & sel).bit_count() & 1) ^ flip
+        elif not rmask & (rmask - 1):
+            # |r| = 1, so i adds no sign
+            neg = (xmask & (rmask - 1)).bit_count() & 1
         else:
-            merged = _merge_sign(rm, mono)
-            if merged is None:
-                continue
-            neg = merged[0] < 0
-            key = merged[1]
+            neg = (_crossings(rmask, xmask) + (i & 1) * (1 + rmask.bit_count())) & 1
+        key = rmask | xmask
         out = acc.get(key)
         if out is None:
             out = acc[key] = {}
-        g = -f if neg != (i * (1 + len(rm)) % 2 == 1) else f
-        for m1, a1, b1 in t1:
-            if g != 1:
-                a1, b1 = a1 * g, b1 * g
-            for m2, a2, b2 in zip(monos, res, ims):
-                # a sorted monomial times the empty one is already sorted
-                m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 + m2
+        if m1 is not None and len(ids) == 1:
+            m2, a2, b2 = ids[0], res[0], ims[0]
+            m = product(m1, m2) if m1 and m2 else m1 | m2
+            re, im = fa * a2 - fb * b2, fa * b2 + fb * a2
+            if neg:
+                re, im = -re, -im
+            cell = out.get(m)
+            if cell is None:
+                out[m] = [re, im]
+            else:
+                cell[0] += re
+                cell[1] += im
+            continue
+        g = -f if neg else f
+        for n1, a1, b1 in t1:
+            a1, b1 = a1 * g, b1 * g
+            for m2, a2, b2 in zip(ids, res, ims):
+                # id 0 is the empty monomial, the unit of the product
+                m = product(n1, m2) if n1 and m2 else n1 | m2
                 re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                 cell = out.get(m)
                 if cell is None:
@@ -208,6 +229,44 @@ def _rule_into(acc: Dict[Tuple[int, ...], Cells], t1: Iterable[Tuple[Mono, int, 
                 else:
                     cell[0] += re
                     cell[1] += im
+
+
+def _crossings(rmask: int, xmask: int) -> int:
+    """The number of pairs (a generator of r, a smaller generator of x):
+    the inversions of r ^ x written in order."""
+    n = 0
+    while xmask:
+        low = xmask & -xmask
+        n += (rmask & ~((low << 1) - 1)).bit_count()
+        xmask ^= low
+    return n
+
+
+def _mask(mono: Tuple[int, ...]) -> int:
+    """A generator monomial as a bitmask: bit g for generator g."""
+    m = 0
+    for g in mono:
+        m |= 1 << g
+    return m
+
+
+def _gens(mask: int) -> Tuple[int, ...]:
+    """The generator monomial of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _cleared(polys: Iterable["Poly"]) -> Tuple[int, List[List[Tuple[Mono, int, int]]]]:
+    """The coefficients of ``polys`` as Gaussian integers over their lcm
+    denominator: (den, for each poly its (symbol monomial, re, im))."""
+    polys = list(polys)
+    den = lcm(*{c.d for p in polys for c in p.terms.values()})
+    return den, [[(m, c.a * (den // c.d), c.b * (den // c.d)) for m, c in p.terms.items()]
+                 for p in polys]
 
 
 def _bucket(acc: Acc, mono: Tuple[int, ...]) -> Terms:
@@ -626,7 +685,11 @@ class DRuleSet:
     symbol may be differentiated).
 
     ``view`` gives either kind of rule as a ``View`` for ``differential``,
-    built on first use and kept; the rule Forms themselves are only read."""
+    built on first use and kept; the rule Forms themselves are only read.
+    The symbol monomials of the views, and those ``differential`` meets,
+    are interned per rule set: id 0 is the empty monomial, ``_monos`` maps
+    an id back to its tuple, and the product of two nonempty monomials is
+    tabulated by id pair (``_product``)."""
 
     def __init__(self, ext: Alphabet, gen_rules: Dict[int, Form],
                  sym_rules: Optional[Callable[[Sym], Form]] = None):
@@ -635,7 +698,10 @@ class DRuleSet:
         self._sym_rules = sym_rules
         self._sym_cache: Dict[Sym, Form] = {}
         self._views: Dict[Union[int, Sym], View] = {}
-        self._shared: Dict[tuple, tuple] = {}
+        self._shared: Dict[Union[int, tuple], Union[int, tuple]] = {}
+        self._ids: Dict[Mono, int] = {(): 0}
+        self._monos: List[Mono] = [()]
+        self._products: Dict[Tuple[int, int], int] = {}
 
     def gen_rule(self, g: int) -> Form:
         try:
@@ -659,22 +725,38 @@ class DRuleSet:
         self._sym_cache[s] = out
         return out
 
+    def _intern(self, mono: Mono) -> int:
+        """The id of a symbol monomial, assigned on first use."""
+        i = self._ids.get(mono)
+        if i is None:
+            i = self._ids[mono] = len(self._monos)
+            self._monos.append(mono)
+        return i
+
+    def _product(self, i: int, j: int) -> int:
+        """The id of the product of the monomials with ids i and j."""
+        k = self._products.get((i, j))
+        if k is None:
+            monos = self._monos
+            k = self._products[i, j] = self._intern(tuple(sorted(monos[i] + monos[j])))
+        return k
+
     def view(self, key: Union[int, Sym]) -> View:
         """The rule of a generator index or a symbol as Gaussian integers
         over its lcm denominator."""
         v = self._views.get(key)
         if v is None:
             rule = self.sym_rule(key) if isinstance(key, Sym) else self.gen_rule(key)
-            den = lcm(*{c.d for p in rule.terms.values() for c in p.terms.values()})
+            den, parts = _cleared(rule.terms.values())
             # equal tuples are stored once: most coefficients repeat
             share = self._shared.setdefault
+            intern = self._intern
             rows = []
-            for rm, p in rule.terms.items():
-                cs = p.terms.values()
-                monos = tuple(p.terms)
-                res = tuple([c.a * (den // c.d) for c in cs])
-                ims = tuple([c.b * (den // c.d) for c in cs])
-                rows.append((rm, share(monos, monos), share(res, res), share(ims, ims)))
+            for rm, part in zip(rule.terms, parts):
+                ids, res, ims = zip(*[(intern(m), a, b) for m, a, b in part])
+                mask = _mask(rm)
+                rows.append((share(mask, mask), share(ids, ids), share(res, res),
+                             share(ims, ims)))
             v = self._views[key] = (den, tuple(rows))
         return v
 
@@ -684,47 +766,49 @@ def differential(x: Form, rules: DRuleSet) -> Form:
 
     The i-th generator g of a monomial lead ^ g ^ tail contributes
     (-1)^i lead ^ d(g) ^ tail, and for a term r of d(g),
-    lead ^ r ^ tail = (-1)^(i |r|) r ^ (lead tail): one sign merge per rule
-    term.  The arithmetic is in Gaussian integers: x over its lcm
-    denominator, each rule read through ``rules.view`` and brought to the
-    lcm of the rules x uses, every product summed into one integer cell per
-    output coefficient, and each cell that does not cancel divided once."""
+    lead ^ r ^ tail = (-1)^(i |r|) r ^ (lead tail): one sign per rule
+    term.  The arithmetic is in Gaussian integers on integer keys: x is
+    cleared over its lcm denominator once, with its generator monomials as
+    bitmasks and its symbol monomials as ids; each rule is read through
+    ``rules.view`` and brought to the lcm of the rules x uses; every
+    product is summed into one integer cell per output coefficient; and
+    each cell that does not cancel is decoded and divided once."""
     if x.ext is not rules.ext:
         raise ValueError("the form and the rule set are over different alphabets")
     view = rules.view
-    xden = lcm(*(c.d for p in x.terms.values() for c in p.terms.values()))
+    intern = rules._intern
+    xden, parts = _cleared(x.terms.values())
     cleared = []
     dens = set()  # the denominators of the rules x reads
-    for mono, p in x.terms.items():
-        terms = []
-        for smono, c in p.terms.items():
-            f = xden // c.d
-            terms.append((smono, c.a * f, c.b * f))
+    for mono, part in zip(x.terms, parts):
+        for smono, _, _ in part:
             for s in smono:
                 dens.add(view(s)[0])
         for g in mono:
             dens.add(view(g)[0])
-        cleared.append((mono, terms))
+        cleared.append((mono, _mask(mono), part, [(intern(m), a, b) for m, a, b in part]))
     rden = lcm(*dens)
-    acc: Dict[Tuple[int, ...], Cells] = {}
-    for mono, terms in cleared:
+    product = rules._product
+    acc: Dict[int, Cells] = {}
+    for mono, xmask, part, terms in cleared:
         # d(coefficient) ^ mono
-        for smono, a, b in terms:
+        for smono, a, b in part:
             for k, s in enumerate(smono):
                 den, rows = view(s)
                 if rows:
-                    _rule_into(acc, ((smono[:k] + smono[k + 1:], a, b),), rows, mono,
-                               0, rden // den)
+                    _rule_into(acc, [(intern(smono[:k] + smono[k + 1:]), a, b)], rows,
+                               xmask, 0, rden // den, product)
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
             den, rows = view(g)
             if rows:
-                _rule_into(acc, terms, rows, mono[:i] + mono[i + 1:], i, rden // den)
+                _rule_into(acc, terms, rows, xmask ^ (1 << g), i, rden // den, product)
     den = xden * rden
+    monos = rules._monos
     out = Form(x.ext)
     for key, cells in acc.items():
-        coeffs = {m: GaussRational.from_ints(re, im, den)
+        coeffs = {monos[m]: GaussRational.from_ints(re, im, den)
                   for m, (re, im) in cells.items() if re or im}
         if coeffs:
-            out.terms[key] = Poly._wrap(coeffs)
+            out.terms[_gens(key)] = Poly._wrap(coeffs)
     return out

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forms import Alphabet, DRuleSet, Form, Mono, Poly, Sym, Vector, differential
+from . import InputError
 from .gauss import ZERO, GaussRational, gr
 from .model import SparseMat, smat, smat_mul, solve_sparse, solve_square
 from .tensors import StandardConstants
@@ -399,9 +400,13 @@ def chart_from_json(doc: dict) -> QcData:
     def index(i):
         # an entry on a nonexistent coordinate would drop out of every check
         if not 0 <= int(i) < NCOORD:
-            raise ValueError(f"coordinate index {i} is not in 0..{NCOORD - 1}")
+            raise InputError(f"coordinate index {i} is not in 0..{NCOORD - 1}")
         return int(i)
 
+    if len(doc["etas"]) != 3:
+        raise InputError("expected three contact forms in \"etas\"")
+    if len(doc["frame"]) != 4:
+        raise InputError("expected four fields in \"frame\"")
     etas = []
     for ent_list in doc["etas"]:
         f = Form(CHART)
@@ -417,19 +422,25 @@ def chart_from_json(doc: dict) -> QcData:
     def matrix(rows, entry):
         m = [[entry(x) for x in row] for row in rows]
         if len(m) != 4 or any(len(row) != 4 for row in m):
-            raise ValueError("expected a 4x4 matrix")
+            raise InputError("expected a 4x4 matrix")
         return m
 
     gmat = matrix(doc["g"], Fraction)
     if len(doc["I"]) != 3:
-        raise ValueError("expected three matrices in \"I\"")
+        raise InputError("expected three matrices in \"I\"")
     imats = [matrix(m, int) for m in doc["I"]]
     return QcData(etas, frame, gmat, imats, name=doc.get("name", "chart"))
 
 
 def load_chart(path: str) -> QcData:
+    """Read a chart file; InputError if it is not JSON or is malformed."""
     with open(path) as fh:
-        return chart_from_json(json.load(fh))
+        try:
+            return chart_from_json(json.load(fh))
+        except InputError:
+            raise
+        except (ValueError, KeyError, TypeError) as ex:
+            raise InputError(f"chart file: {type(ex).__name__}: {ex}") from None
 
 
 def chart_certificates(qc: QcData) -> dict:

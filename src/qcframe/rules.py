@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from . import InputError
 from .gauss import ONE, GaussRational, gr
 from . import coframe
 from .forms import (CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Acc, DRuleSet,
@@ -740,7 +741,7 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
     published=True disables the calibrated coefficient corrections.
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InputError("n must be a positive integer")
     if mode not in ("flat", "curved"):
         raise ValueError(f"unknown mode {mode!r}")
     if tamper not in (None, "unsym-V", "unsym-S"):

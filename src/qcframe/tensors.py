@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
+from . import InputError
 from .gauss import ONE, ZERO, GaussRational, gr
 
 UPPER = "upper"
@@ -194,12 +195,12 @@ class StandardConstants:
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
-            raise ValueError("n must be a positive integer")
+            raise InputError("n must be a positive integer")
         if signature is None:
             signature = (n, 0)
         p, q = signature
         if p < 0 or q < 0 or p + q != n:
-            raise ValueError(f"signature {signature} incompatible with n={n}")
+            raise InputError(f"signature {signature} incompatible with n={n}")
         self.n = n
         self.signature = (p, q)
         diag = []

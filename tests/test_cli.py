@@ -206,6 +206,25 @@ def test_singular_killing_pairing_exit_3(monkeypatch, capsys):
     assert "internal error: Killing pairing: singular" in capsys.readouterr().err
 
 
+def test_missing_rule_exit_3(monkeypatch, capsys):
+    """A rule table without the rule of one generator is a defect of the
+    program, not bad input: the KeyError differential raises exits 3, with
+    the command named."""
+    from qcframe import rules
+    build = rules.build_rules
+
+    def without_psi1(*args, **kwargs):
+        table = build(*args, **kwargs)
+        del table.gen_rules[table.ext.gid[("psi", 1)]]
+        return table
+
+    monkeypatch.setattr(rules, "build_rules", without_psi1)
+    assert run(["verify", "curved", "--n", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: verify curved: KeyError: 'no differential rule for generator" \
+        in err.splitlines()[-1]
+
+
 def _nonzero_residual():
     from qcframe.forms import Exterior
     ext = Exterior(1)

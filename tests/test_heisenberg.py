@@ -287,7 +287,9 @@ def test_chart_file_rejects_malformed_entries(qc, part, entry, tmp_path):
     ("I", lambda ms: [[row[:3] for row in m[:3]] for m in ms]),  # 3x3 matrices
     ("I", lambda ms: ms[:2]),                                     # two matrices
     ("g", lambda g: g + [g[0]]),                                  # five rows
-], ids=["I-3x3", "I-two", "g-five-rows"])
+    ("etas", lambda etas: etas[:2]),                              # two contact forms
+    ("frame", lambda frame: frame[:3]),                           # three fields
+], ids=["I-3x3", "I-two", "g-five-rows", "etas-two", "frame-three"])
 def test_chart_file_rejects_misshapen_matrices(qc, part, change, tmp_path):
     doc = _chart_doc(qc)
     doc[part] = change(doc[part])

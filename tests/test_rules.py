@@ -1,6 +1,6 @@
 import pytest
 
-from qcframe.forms import Exterior, Form, Poly, Sym, differential
+from qcframe.forms import Exterior, Form, Poly, Sym, _gens, differential
 from qcframe.gauss import GaussRational, gr
 from qcframe.rules import (CORRECTIONS, RuleBuilder, bianchi_residuals,
                            build_rules, d_square_report, star_forms,
@@ -151,12 +151,14 @@ def test_each_correction_is_necessary_n2(tweaks, failing):
     assert {coframe.label(k) for k, v in rep.items() if not v.is_zero()} == failing
 
 
-def view_form(ext, view):
-    """A DRuleSet.view read back as a Form."""
+def view_form(rules, view):
+    """A DRuleSet.view read back as a Form: masks decoded to generator
+    monomials, ids to symbol monomials through the rule set's table."""
     den, rows = view
-    return Form(ext, {rm: Poly({m: GaussRational.from_ints(a, b, den)
-                                for m, a, b in zip(monos, res, ims)})
-                      for rm, monos, res, ims in rows})
+    monos = rules._monos
+    return Form(rules.ext, {_gens(mask): Poly({monos[m]: GaussRational.from_ints(a, b, den)
+                                               for m, a, b in zip(ids, res, ims)})
+                            for mask, ids, res, ims in rows})
 
 
 def test_interned_generators_and_symbols_stay_intact(monkeypatch):
@@ -196,7 +198,10 @@ def test_interned_generators_and_symbols_stay_intact(monkeypatch):
     assert len(views) > len(curved2.gen_rules) and any(isinstance(k, Sym) for k in views)
     for key, view in views.items():
         rule = curved2.sym_rule(key) if isinstance(key, Sym) else curved2.gen_rule(key)
-        assert view_form(curved2.ext, view) == rule, key
+        assert view_form(curved2, view) == rule, key
+    # the intern table reads both ways
+    assert curved2._monos[0] == () and len(curved2._ids) == len(curved2._monos)
+    assert all(curved2._ids[m] == i for i, m in enumerate(curved2._monos))
 
 
 def test_gamma_rule_contains_s_term(curved1):
