@@ -51,13 +51,18 @@ def _positive_int(text):
 
 
 class Runner:
+    """One command's report.  A command that takes ``--signature`` finds
+    it parsed in ``sig``; for the others ``sig`` is None."""
+
     def __init__(self, args, command):
+        self.sig = (_parse_signature(args.signature, args.n)
+                    if hasattr(args, "signature") else None)
         self.report = {
             "schema": SCHEMA,
             "library_version": __version__,
             "command": command,
             "n": getattr(args, "n", None),
-            "signature": None,
+            "signature": self.sig and list(self.sig),
             "seed": getattr(args, "seed", None),
             "checks": [],
             "timing_ms": {},
@@ -107,9 +112,7 @@ def cmd_verify_flat(args):
     from .rules import build_rules, d_square_report
     from . import coframe
     r = Runner(args, "verify flat")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    rules = build_rules(args.n, "flat", sig)
+    rules = build_rules(args.n, "flat", r.sig)
     rep = r.timed("d_square", lambda: d_square_report(rules))
     for key, form in rep.items():
         r.check(f"d2[{coframe.label(key)}] == 0", form.is_zero(), **_residual(form))
@@ -120,10 +123,8 @@ def cmd_verify_curved(args):
     from .rules import build_rules, d_square_report, substitute_flat
     from . import coframe
     r = Runner(args, "verify curved")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
     tamper = "unsym-V" if args.negative_control else None
-    rules = build_rules(args.n, "curved", sig, tamper=tamper,
+    rules = build_rules(args.n, "curved", r.sig, tamper=tamper,
                         published=args.published)
     rep = r.timed("d_square", lambda: d_square_report(rules))
     for key, form in rep.items():
@@ -132,7 +133,7 @@ def cmd_verify_curved(args):
                         "the combined displayed derivative of psi2 + i psi3; "
                         "the split is validated by exact re-summation")
     if not tamper and not args.published:
-        flat = build_rules(args.n, "flat", sig)
+        flat = build_rules(args.n, "flat", r.sig)
         ok = all((substitute_flat(f) - flat.gen_rules[k]).is_zero()
                  for k, f in rules.gen_rules.items())
         r.check("curvature -> 0 reduces curved rules to flat rules", ok)
@@ -142,15 +143,13 @@ def cmd_verify_curved(args):
 def cmd_verify_bianchi(args):
     from .rules import bianchi_residuals, star_two_path_check, star_symmetry_check
     r = Runner(args, "verify bianchi")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    res = r.timed("bianchi", lambda: bianchi_residuals(args.n, sig))
+    res = r.timed("bianchi", lambda: bianchi_residuals(args.n, r.sig))
     for name, form in res.items():
         r.check(f"{name} combination == 0", form.is_zero(), **_residual(form))
     r.check("starred forms: rule-table path == semibasic expansion",
-            r.timed("star_two_path", lambda: star_two_path_check(args.n, sig)))
+            r.timed("star_two_path", lambda: star_two_path_check(args.n, r.sig)))
     r.check("starred S: total symmetry and j-reality",
-            r.timed("star_symmetry", lambda: star_symmetry_check(args.n, sig)))
+            r.timed("star_symmetry", lambda: star_symmetry_check(args.n, r.sig)))
     return r.finish(args.json)
 
 
@@ -161,33 +160,32 @@ def cmd_verify_normality(args):
                            kostant_codiff_direct, kostant_codiff_closed,
                            assemble_kappa, regularity_ok)
     r = Runner(args, "verify normality")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    model = SpModel(args.n, sig)
+    model = SpModel(args.n, r.sig)
     rng = random.Random(args.seed)
     consts = r.timed("codiff_constants", lambda: codiff_closed_constants(model))
     r.report["codiff_constants"] = {k: str(v) for k, v in consts.items() if k != "printed"}
     r.report["codiff_constants_printed"] = consts["printed"]
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(args.trials):
-        compo = random_components(rng, model.consts)
-        rep = check_normality(compo, model, consts)
-        if rep["normal"] and rep["direct_equals_closed"]:
-            good += 1
-    r.report["timing_ms"]["normality_trials"] = int((time.perf_counter() - t0) * 1000)
+
+    def trials():
+        reps = (check_normality(random_components(rng, model.consts), model, consts)
+                for _ in range(args.trials))
+        return sum(1 for rep in reps if rep["normal"] and rep["direct_equals_closed"])
+
+    good = r.timed("normality_trials", trials)
     r.check(f"dstar(kappa) == 0 and trace conditions, {args.trials} random component sets",
             good == args.trials, passed=good, trials=args.trials)
-    t0 = time.perf_counter()
-    agree = 0
     pairs = args.trials
-    for _ in range(pairs):
-        K = random_lemma_cochain(rng, args.n)
-        da = kostant_codiff_direct(K, model)
-        db = kostant_codiff_closed(K, model, consts)
-        if all(da[k] == db[k] for k in da):
-            agree += 1
-    r.report["timing_ms"]["codiff_agreement"] = int((time.perf_counter() - t0) * 1000)
+
+    def agreement():
+        agree = 0
+        for _ in range(pairs):
+            K = random_lemma_cochain(rng, args.n)
+            da = kostant_codiff_direct(K, model)
+            db = kostant_codiff_closed(K, model, consts)
+            agree += all(da[k] == db[k] for k in da)
+        return agree
+
+    agree = r.timed("codiff_agreement", agreement)
     r.check(f"direct == closed codifferential, {pairs} random lemma cochains",
             agree == pairs, passed=agree, trials=pairs)
     compo = broken_components(rng, model.consts)
@@ -203,17 +201,17 @@ def cmd_verify_normality(args):
 def cmd_lie_jacobi(args):
     from .model import SpModel, random_coord, jacobi_residual, grading_check
     r = Runner(args, "lie jacobi")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    model = SpModel(args.n, sig)
+    model = SpModel(args.n, r.sig)
     rng = random.Random(args.seed)
-    t0 = time.perf_counter()
-    bad = 0
-    for _ in range(args.trials):
-        a, b, c = (random_coord(rng, model) for _ in range(3))
-        if not jacobi_residual(model, a, b, c).is_zero():
-            bad += 1
-    r.report["timing_ms"]["jacobi"] = int((time.perf_counter() - t0) * 1000)
+
+    def failures():
+        bad = 0
+        for _ in range(args.trials):
+            a, b, c = (random_coord(rng, model) for _ in range(3))
+            bad += not jacobi_residual(model, a, b, c).is_zero()
+        return bad
+
+    bad = r.timed("jacobi", failures)
     r.check(f"Jacobi identity, {args.trials} random triples", bad == 0,
             failures=bad)
     r.check("grading [g_i, g_j] in g_(i+j) on all basis pairs",
@@ -224,9 +222,7 @@ def cmd_lie_jacobi(args):
 def cmd_lie_killing(args):
     from .model import SpModel
     r = Runner(args, "lie killing")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    model = SpModel(args.n, sig)
+    model = SpModel(args.n, r.sig)
     cal = r.timed("calibration", lambda: model.calibration())
     r.report["calibration"] = cal
     r.check("ad-trace Gram matrix computed and compared (see calibration)",
@@ -248,25 +244,23 @@ def cmd_lie_g1(args):
     from .model import (G1Element, random_g1, g1_to_matrix, g1_compose, g1_inverse,
                         smat, smat_mul)
     r = Runner(args, "lie g1")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    c = StandardConstants(args.n, sig)
+    c = StandardConstants(args.n, r.sig)
     rng = random.Random(args.seed)
-
-    t0 = time.perf_counter()
-    ok_prod = ok_inv = ok_assoc = 0
     ident = G1Element.identity(args.n)
-    for _ in range(args.trials):
-        x, y, z = (random_g1(rng, c) for _ in range(3))
-        if smat(g1_to_matrix(g1_compose(x, y, c), c)) == smat_mul(
-                smat(g1_to_matrix(x, c)), smat(g1_to_matrix(y, c))):
-            ok_prod += 1
-        if (g1_compose(x, g1_inverse(x, c), c) == ident
-                and g1_compose(g1_inverse(x, c), x, c) == ident):
-            ok_inv += 1
-        if g1_compose(g1_compose(x, y, c), z, c) == g1_compose(x, g1_compose(y, z, c), c):
-            ok_assoc += 1
-    r.report["timing_ms"]["g1"] = int((time.perf_counter() - t0) * 1000)
+
+    def passes():
+        ok_prod = ok_inv = ok_assoc = 0
+        for _ in range(args.trials):
+            x, y, z = (random_g1(rng, c) for _ in range(3))
+            ok_prod += smat(g1_to_matrix(g1_compose(x, y, c), c)) == smat_mul(
+                smat(g1_to_matrix(x, c)), smat(g1_to_matrix(y, c)))
+            ok_inv += (g1_compose(x, g1_inverse(x, c), c) == ident
+                       and g1_compose(g1_inverse(x, c), x, c) == ident)
+            ok_assoc += (g1_compose(g1_compose(x, y, c), z, c)
+                         == g1_compose(x, g1_compose(y, z, c), c))
+        return ok_prod, ok_inv, ok_assoc
+
+    ok_prod, ok_inv, ok_assoc = r.timed("g1", passes)
     r.check(f"composition matches matrix product, {args.trials} trials",
             ok_prod == args.trials, passed=ok_prod)
     r.check("inverse formula", ok_inv == args.trials, passed=ok_inv)
@@ -302,9 +296,7 @@ def cmd_classify(args):
     from .cochains import (random_components, zero_components, assemble_kappa,
                            homogeneity_classify, regularity_ok, load_components)
     r = Runner(args, "classify homogeneity")
-    sig = _parse_signature(args.signature, args.n)
-    r.report["signature"] = list(sig)
-    model = SpModel(args.n, sig)
+    model = SpModel(args.n, r.sig)
     rng = random.Random(args.seed)
     if args.components:
         compo = load_components(args.components, model.consts)

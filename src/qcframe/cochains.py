@@ -19,15 +19,13 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import InputError
-from .gauss import ONE, ZERO, GaussRational, gr
+from .gauss import I, ONE, ZERO, GaussRational, axpy, gr
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
-from .model import LieCoord, SpModel, axpy
+from .model import LieCoord, SpModel
 from . import coframe
 from .coframe import Key
-
-I = gr(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +443,8 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 #
 # The evaluations below read K through Cochain2.entry, folding each
 # orientation sign into their own scalars, and sum into one fresh
-# coordinate dict per output key through model.axpy.  No stored coordinate of
-# K, dual_frames() or dual_brackets() is modified or copied.
+# coordinate dict per output key through gauss.axpy.  No stored coordinate
+# of K, dual_frames() or dual_brackets() is modified or copied.
 
 
 def _read(entries, terms) -> GaussRational:

@@ -26,36 +26,38 @@ Zero detection is therefore trivial: a form is zero iff it has no terms.
 Every product and every sum of many pieces is written into one fresh
 local accumulator, a dict keyed by generator monomial and then by symbol
 monomial that holds the GaussRational coefficient (``Acc``).  Two
-functions fill it in place: ``_add_into`` adds a coefficient dict and
-``_mul_into`` adds the product of two; ``from_acc`` wraps the finished
-accumulator, empty buckets dropped, as a Form.  ``Poly.__mul__``,
-``Form.wedge``, ``Form.interior`` and ``Form.conj`` run on them, and the
-rule builders of :mod:`qcframe.rules` sum through ``addmul`` (add form *
-polynomial * scalar).  ``+`` always returns a new object that shares the
-untouched coefficients, because rule-table forms, generator forms and
-one-symbol polynomials are shared: an Exterior interns the last two, so
-none of them is ever modified in place.
+functions fill it in place: ``gauss.axpy`` adds a multiple of a
+coefficient dict and ``_mul_into`` the product of two; ``from_acc`` wraps
+the finished accumulator, empty buckets dropped, as a Form.
+``Poly.__mul__``, ``Form.wedge``, ``Form.interior`` and ``Form.conj`` run
+on them, and the rule builders of :mod:`qcframe.rules` sum through
+``addmul`` (add form * polynomial * scalar).  ``+`` always returns a new
+object that shares the untouched coefficients, because rule-table forms,
+generator forms and one-symbol polynomials are shared: an Exterior interns
+the last two, so none of them is ever modified in place.
 
 ``differential`` sums in Gaussian integers on integer keys instead.  A
 DRuleSet keeps each rule that ``differential`` reads a second time, as a
-``View``: its terms with the coefficients cleared (``_cleared``) to integer
-pairs over the rule's own lcm denominator, each generator monomial a
-bitmask and each symbol monomial an id from the rule set's intern table.
-The form is cleared and encoded the same way once on entry; every product
-is added in place to an integer cell ``[re, im]`` over one common
-denominator, keyed by mask and then by id (``_rule_into``), where placing a
-rule term is an ``&``, an ``|`` and a bit count; and each cell that does
-not cancel is decoded and becomes one GaussRational at the end: no
-GaussRational, no gcd and no tuple built per product.
+``View``: its terms with the coefficients cleared (``gauss.cleared``) to
+integer pairs over the rule's own lcm denominator, each generator monomial
+a bitmask and each symbol monomial an id from the rule set's intern table.
+The form is cleared, each polynomial coefficient over its own lcm, and
+encoded the same way once on entry; every product is added in place to an
+integer cell ``[re, im]`` over one common denominator, keyed by mask and
+then by id (``_rule_into``), where placing a rule term is an ``&``, an
+``|`` and a bit count; and each cell that does not cancel is decoded and
+becomes one GaussRational at the end: no GaussRational, no gcd and no
+tuple built per product.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .gauss import ONE, GaussRational, gr
+from .gauss import ONE, GaussRational, axpy, cleared, gr
 from .tensors import StandardConstants
 from . import coframe
 
@@ -124,22 +126,6 @@ Acc = Dict[Tuple[int, ...], Terms]  # generator monomial -> its coefficients
 Row = Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 View = Tuple[int, Tuple[Row, ...]]  # a rule: (lcm denominator, its rows)
 Cells = Dict[int, List[int]]  # symbol monomial id -> [re, im], zeros kept
-
-
-def _add_into(out: Terms, terms: Terms, neg: bool = False) -> None:
-    """out += terms (-terms if neg) in place, dropping what cancels."""
-    for m, c in terms.items():
-        if neg:
-            c = -c
-        cur = out.get(m)
-        if cur is None:
-            out[m] = c
-        else:
-            c = cur + c
-            if c.is_zero():
-                del out[m]
-            else:
-                out[m] = c
 
 
 def _mul_into(out: Terms, t1: Terms, t2: Terms, neg: bool = False) -> None:
@@ -260,15 +246,6 @@ def _gens(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _cleared(polys: Iterable["Poly"]) -> Tuple[int, List[List[Tuple[Mono, int, int]]]]:
-    """The coefficients of ``polys`` as Gaussian integers over their lcm
-    denominator: (den, for each poly its (symbol monomial, re, im))."""
-    polys = list(polys)
-    den = lcm(*{c.d for p in polys for c in p.terms.values()})
-    return den, [[(m, c.a * (den // c.d), c.b * (den // c.d)) for m, c in p.terms.items()]
-                 for p in polys]
-
-
 def _bucket(acc: Acc, mono: Tuple[int, ...]) -> Terms:
     """The coefficient dict of ``mono`` in ``acc``, made on first use."""
     b = acc.get(mono)
@@ -323,7 +300,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        axpy(out, ONE, other.terms)
         return Poly._wrap(out)
 
     def __neg__(self) -> "Poly":
@@ -619,7 +596,7 @@ class Form:
                 # the alphabet, so none repeats)
                 s, key = _merge_sign(key, (g2,))
                 sign *= s
-            _add_into(_bucket(acc, key), ext.conj_poly(p, coeff).terms, sign < 0)
+            axpy(_bucket(acc, key), -ONE if sign < 0 else ONE, ext.conj_poly(p, coeff).terms)
         return from_acc(ext, acc)
 
     def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":
@@ -639,7 +616,7 @@ class Form:
                     else:
                         val = Poly({(s,): gr(1)})
                     factor = factor * val
-                _add_into(newp.terms, factor.terms)
+                axpy(newp.terms, ONE, factor.terms)
             if not newp.is_zero():  # each mono occurs once in self
                 out.terms[mono] = newp
         return out
@@ -747,13 +724,14 @@ class DRuleSet:
         v = self._views.get(key)
         if v is None:
             rule = self.sym_rule(key) if isinstance(key, Sym) else self.gen_rule(key)
-            den, parts = _cleared(rule.terms.values())
+            den, parts = cleared([c for p in rule.terms.values() for c in p.terms.values()])
+            parts = iter(parts)
             # equal tuples are stored once: most coefficients repeat
             share = self._shared.setdefault
-            intern = self._intern
             rows = []
-            for rm, part in zip(rule.terms, parts):
-                ids, res, ims = zip(*[(intern(m), a, b) for m, a, b in part])
+            for rm, p in rule.terms.items():
+                ids = tuple(map(self._intern, p.terms))
+                res, ims = zip(*islice(parts, len(ids)))
                 mask = _mask(rm)
                 rows.append((share(mask, mask), share(ids, ids), share(res, res),
                              share(ims, ims)))
@@ -767,42 +745,48 @@ def differential(x: Form, rules: DRuleSet) -> Form:
     The i-th generator g of a monomial lead ^ g ^ tail contributes
     (-1)^i lead ^ d(g) ^ tail, and for a term r of d(g),
     lead ^ r ^ tail = (-1)^(i |r|) r ^ (lead tail): one sign per rule
-    term.  The arithmetic is in Gaussian integers on integer keys: x is
-    cleared over its lcm denominator once, with its generator monomials as
-    bitmasks and its symbol monomials as ids; each rule is read through
-    ``rules.view`` and brought to the lcm of the rules x uses; every
-    product is summed into one integer cell per output coefficient; and
-    each cell that does not cancel is decoded and divided once."""
+    term.  The arithmetic is in Gaussian integers on integer keys: each
+    coefficient of x is cleared over its own lcm denominator, with the
+    generator monomials of x as bitmasks and its symbol monomials as ids;
+    each rule is read through ``rules.view``; one integer factor per call
+    brings both to the lcm of x's denominators times that of the rules x
+    uses; every product is summed into one integer cell per output
+    coefficient; and each cell that does not cancel is decoded and divided
+    once."""
     if x.ext is not rules.ext:
         raise ValueError("the form and the rule set are over different alphabets")
     view = rules.view
     intern = rules._intern
-    xden, parts = _cleared(x.terms.values())
-    cleared = []
+    polys = []
+    xden = 1
     dens = set()  # the denominators of the rules x reads
-    for mono, part in zip(x.terms, parts):
-        for smono, _, _ in part:
+    for mono, p in x.terms.items():
+        pden, ints = cleared(p.terms.values())
+        xden = lcm(xden, pden)
+        for smono in p.terms:
             for s in smono:
                 dens.add(view(s)[0])
         for g in mono:
             dens.add(view(g)[0])
-        cleared.append((mono, _mask(mono), part, [(intern(m), a, b) for m, a, b in part]))
+        polys.append((mono, _mask(mono), pden, p.terms, ints,
+                      [(intern(m), a, b) for m, (a, b) in zip(p.terms, ints)]))
     rden = lcm(*dens)
     product = rules._product
     acc: Dict[int, Cells] = {}
-    for mono, xmask, part, terms in cleared:
+    for mono, xmask, pden, smonos, ints, terms in polys:
+        f = xden // pden
         # d(coefficient) ^ mono
-        for smono, a, b in part:
+        for smono, (a, b) in zip(smonos, ints):
             for k, s in enumerate(smono):
                 den, rows = view(s)
                 if rows:
                     _rule_into(acc, [(intern(smono[:k] + smono[k + 1:]), a, b)], rows,
-                               xmask, 0, rden // den, product)
+                               xmask, 0, f * (rden // den), product)
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
             den, rows = view(g)
             if rows:
-                _rule_into(acc, terms, rows, xmask ^ (1 << g), i, rden // den, product)
+                _rule_into(acc, terms, rows, xmask ^ (1 << g), i, f * (rden // den), product)
     den = xden * rden
     monos = rules._monos
     out = Form(x.ext)

@@ -10,14 +10,20 @@ A value is stored as one integer triple ``(a, b, d)``, meaning
 zero is ``(0, 0, 1)``.  The form is canonical, so equality compares the
 triples, and the ring operations are plain ``int`` arithmetic with one
 ``gcd`` per result.
+
+Two helpers serve the rest of the package, so that no other module reads
+the triple: ``axpy`` adds a multiple of one sparse vector of values to
+another in place, and ``cleared`` turns a list of values into Gaussian
+integers over their lcm denominator, which ``GaussRational.from_ints``
+turns back.
 """
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
-from typing import Union
+from typing import Collection, Dict, List, Mapping, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -75,11 +81,10 @@ class GaussRational:
 
     @staticmethod
     def of(value) -> "GaussRational":
-        if isinstance(value, GaussRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussRational(value)
-        raise TypeError(f"cannot build GaussRational from {value!r}")
+        out = GaussRational._coerce(value)
+        if out is None:  # not a truth test: ZERO is falsy
+            raise TypeError(f"cannot build GaussRational from {value!r}")
+        return out
 
     @staticmethod
     def _coerce(value):
@@ -237,3 +242,37 @@ HALF = GaussRational(Fraction(1, 2))
 def gr(re: Rat = 0, im: Rat = 0) -> GaussRational:
     """Shorthand constructor used pervasively in formula transcriptions."""
     return GaussRational(re, im)
+
+
+# -- sparse vectors and Gaussian integers ---------------------------------
+
+
+def axpy(acc: Dict, coeff: GaussRational, coords: Mapping) -> None:
+    """acc += coeff * coords in place, dropping what cancels: acc and
+    coords are sparse vectors with no zero value, such as coefficient
+    dicts, coordinate dicts or the rows of an elimination, and acc stays
+    one.  ``coords`` is only read; ``coeff`` ``ONE`` multiplies nothing."""
+    if coeff.is_zero():
+        return
+    unit = coeff is ONE
+    for k, v in coords.items():
+        if not unit:
+            v = coeff * v
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = v
+        else:
+            v = cur + v
+            if v.is_zero():
+                del acc[k]
+            else:
+                acc[k] = v
+
+
+def cleared(values: Collection[GaussRational]) -> Tuple[int, List[Tuple[int, int]]]:
+    """``values`` as Gaussian integers over their lcm denominator den, which
+    comes first: one pair (re, im) per value, in order, with value =
+    ``GaussRational.from_ints(re, im, den)``.  No value gives den 1.
+    ``values`` is read twice, so it is a list, a tuple or a dict view."""
+    den = lcm(*{v.d for v in values})
+    return den, [(v.a * (den // v.d), v.b * (den // v.d)) for v in values]

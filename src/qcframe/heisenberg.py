@@ -23,14 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forms import Alphabet, DRuleSet, Form, Mono, Poly, Sym, Vector, differential
 from . import InputError
-from .gauss import ZERO, GaussRational, gr
+from .gauss import HALF, I, ZERO, GaussRational, gr
 from .model import SparseMat, smat, smat_mul, solve_sparse, solve_square
 from .tensors import StandardConstants
 
 NCOORD = 7
 COORDS = ("x1", "x2", "x3", "x4", "t1", "t2", "t3")
 COORD_SYMS = tuple(Sym(name, (), False) for name in COORDS)
-I = gr(0, 1)
 
 # the coordinate differentials dx1..dt3, generator i being d(COORDS[i])
 CHART = Alphabet("d" + name for name in COORDS)
@@ -206,15 +205,15 @@ def _monomials(max_deg: int) -> List[Mono]:
             for combo in itertools.combinations_with_replacement(range(NCOORD), total)]
 
 
-def reeb_fields(qc: QcData, ansatz_degree: Optional[int] = None) -> List[VectorField]:
+def reeb_fields(qc: QcData) -> List[VectorField]:
     """Solve eta_s(xi_t) = delta_st and the contraction antisymmetry
     d eta_s(xi_t, X) = -d eta_t(xi_s, X) for X in the H-frame, as an
-    exact linear system over a polynomial ansatz for the xi components.
-    The solution is verified before being returned."""
-    if ansatz_degree is None:
-        ansatz_degree = max((len(m) for eta in qc.etas for p in eta.terms.values()
-                             for m in p.terms), default=0)
-    monos = _monomials(ansatz_degree)
+    exact linear system over a polynomial ansatz for the xi components,
+    of the highest degree of a coefficient of the etas.  The solution is
+    verified before being returned."""
+    degree = max((len(m) for eta in qc.etas for p in eta.terms.values()
+                  for m in p.terms), default=0)
+    monos = _monomials(degree)
     nmono = len(monos)
 
     def unknown(t, i, m):  # xi_t = sum c[t,i,m] x^m d/dx_i
@@ -302,15 +301,14 @@ def alpha_forms(qc: QcData) -> Dict[Tuple[int, int], Form]:
     d123 = de(0, 1, 2)
     d231 = de(1, 2, 0)
     d312 = de(2, 0, 1)
-    half = gr(Fraction(1, 2))
     a12 = (detas[1].interior(xi[0])
-           + qc.etas[2].scale((d231 - d123 + d312).scale(half))
+           + qc.etas[2].scale((d231 - d123 + d312).scale(HALF))
            + qc.etas[0].scale(de(0, 0, 1)))
     a23 = (detas[2].interior(xi[1])
-           + qc.etas[0].scale((d123 - d231 + d312).scale(half))
+           + qc.etas[0].scale((d123 - d231 + d312).scale(HALF))
            + qc.etas[1].scale(de(1, 1, 2)))
     a31 = (detas[0].interior(xi[2])
-           + qc.etas[1].scale((d123 + d231 - d312).scale(half))
+           + qc.etas[1].scale((d123 + d231 - d312).scale(HALF))
            + qc.etas[2].scale(de(2, 2, 0)))
     alpha = {(0, 1): a12, (1, 2): a23, (2, 0): a31}
     for (s, t), f in list(alpha.items()):

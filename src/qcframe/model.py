@@ -20,15 +20,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .gauss import ONE, ZERO, GaussRational, gr
+from .gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
 from .tensors import StandardConstants, IndexedTensor, slots
 from . import coframe
 from .coframe import Key
-
-I = gr(0, 1)
-HALF = gr(Fraction(1, 2))
 
 SparseMat = Dict[Tuple[int, int], GaussRational]
 
@@ -46,8 +43,8 @@ class LieCoord:
     ``GaussRational``s.  ``set`` and ``get`` are the only places that
     canonicalize a key or coerce a value; every other operation reads
     and writes ``c`` directly and keeps the invariant.  Code outside this
-    module sums into a coordinate dict with ``axpy`` and wraps it with
-    ``LieCoord.adopt``, so only this module writes ``c``."""
+    module sums into a fresh coordinate dict with ``gauss.axpy``, which
+    keeps the invariant, and wraps it with ``LieCoord.adopt``."""
 
     __slots__ = ("n", "c")
 
@@ -123,28 +120,6 @@ class LieCoord:
         return f"LieCoord({parts or '0'})"
 
 
-def axpy(acc: Dict, coeff: GaussRational, coords: Mapping) -> None:
-    """acc += coeff * coords in place, dropping what cancels: acc and
-    coords are sparse vectors with no zero value, such as LieCoord
-    coordinate dicts or the rows of ``solve_many``, and acc stays one.
-    ``coords`` is only read; ``coeff`` ``ONE`` multiplies nothing."""
-    if coeff.is_zero():
-        return
-    unit = coeff is ONE
-    for k, v in coords.items():
-        if not unit:
-            v = coeff * v
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = v
-        else:
-            v = cur + v
-            if v.is_zero():
-                del acc[k]
-            else:
-                acc[k] = v
-
-
 # ---------------------------------------------------------------------------
 # sparse matrix helpers and the one exact linear solver
 
@@ -175,13 +150,7 @@ def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
 
 def smat_sub(a: SparseMat, b: SparseMat) -> SparseMat:
     out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        nv = -v if cur is None else cur - v
-        if nv.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = nv
+    axpy(out, -ONE, b)
     return out
 
 
@@ -423,21 +392,15 @@ class SpModel:
                     comm = smat_sub(smat_mul(mats[i], mats[j]), smat_mul(mats[j], mats[i]))
                     if comm:
                         exact[(i, j)] = self._decode(comm)
-            scale = lcm(*(v.d for x in exact.values() for v in x.values()))
+            scale, parts = cleared([v for x in exact.values() for v in x.values()])
+            parts = iter(parts)
             rows = [[()] * self.dim for _ in range(self.dim)]
             for (i, j), x in exact.items():
-                ints = tuple((k, v.a * (scale // v.d), v.b * (scale // v.d))
-                             for k, v in x.items())
+                ints = tuple((k, *next(parts)) for k in x)
                 rows[i][j] = ints
                 rows[j][i] = tuple((k, -re, -im) for k, re, im in ints)
             self._sc = (rows, scale)
         return self._sc
-
-    def _cleared(self, x: Dict[Key, GaussRational]):
-        """x as Gaussian integers (index, re, im) over its lcm denominator."""
-        d = lcm(*(v.d for v in x.values()))
-        return d, [(self.key_index[k], v.a * (d // v.d), v.b * (d // v.d))
-                   for k, v in x.items()]
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
         """[a, b]: the one-pair case of ``bracket_sum``."""
@@ -453,21 +416,23 @@ class SpModel:
         table in Python integers over one common denominator, and each
         nonzero coordinate is divided once."""
         rows, scale = self.structure_constants()
-        cleared = []
+        index = self.key_index
+        parts = []
         for x, y, w in terms:
             if w and x and y:
-                dx, xa = self._cleared(x)
-                dy, xb = self._cleared(y)
-                cleared.append((w, dx * dy, xa, xb))
-        den = lcm(*(dxy for _, dxy, _, _ in cleared))
+                dx, xa = cleared(x.values())
+                dy, yb = cleared(y.values())
+                yb = [(index[k], br, bi) for k, (br, bi) in zip(y, yb)]
+                parts.append((w, dx * dy, x, xa, yb))
+        den = lcm(*(dxy for _, dxy, _, _, _ in parts))
         acc_re, acc_im = [0] * self.dim, [0] * self.dim
-        for w, dxy, xa, xb in cleared:
+        for w, dxy, x, xa, yb in parts:
             f = w * (den // dxy)
-            if f != 1:
-                xa = [(i, ar * f, ai * f) for i, ar, ai in xa]
-            for i, ar, ai in xa:
-                row = rows[i]
-                for j, br, bi in xb:
+            for key, (ar, ai) in zip(x, xa):
+                if f != 1:
+                    ar, ai = ar * f, ai * f
+                row = rows[index[key]]
+                for j, br, bi in yb:
                     targets = row[j]
                     if targets:
                         pr, pi = ar * br - ai * bi, ar * bi + ai * br
@@ -796,13 +761,6 @@ class G1Element:
         return (self.U == other.U and self.r == other.r and self.lam == other.lam)
 
 
-def _gauss_ints(values) -> Tuple[int, List[Tuple[int, int]]]:
-    """The GaussRationals ``values`` as Gaussian integers over their lcm
-    denominator, which comes first."""
-    d = lcm(*(v.d for v in values))
-    return d, [(v.a * (d // v.d), v.b * (d // v.d)) for v in values]
-
-
 def _times(p, q) -> List[Tuple[int, int]]:
     """The entrywise product of two lists of Gaussian integers."""
     return [(pr * qr - pi * qi, pr * qi + pi * qr) for (pr, pi), (qr, qi) in zip(p, q)]
@@ -831,20 +789,23 @@ def validate_spn(U, c: StandardConstants) -> bool:
     compared with g D^2 and pi D^2."""
     dim = 2 * c.n
     rng = range(1, dim + 1)
-    du, flat = _gauss_ints([U[s][a] for a in range(dim) for s in range(dim)])
+    du, flat = cleared([U[s][a] for a in range(dim) for s in range(dim)])
     cols = [flat[a * dim:(a + 1) * dim] for a in range(dim)]  # cols[a][s] = U^s_a
-    dg, g = _gauss_ints([c.g(s, s) for s in rng])
-    dp, pi = _gauss_ints([c.pi(s, c.partner(s)) for s in rng])
+    dg, g = cleared([c.g(s, s) for s in rng])
+    dp, pi = cleared([c.pi(s, c.partner(s)) for s in rng])
     conj = [_conj(col) for col in cols]
     partner = [[col[c.partner(s) - 1] for s in rng] for col in cols]
-    for a, col in enumerate(cols):
+    gsums, psums = [], []  # over dg D^2 and dp D^2, in the order (a, b)
+    for col in cols:
         ga, pa = _times(g, col), _times(pi, col)  # g_{s s̄} U^s_a, pi_{s s'} U^s_a
-        for b in range(dim):
-            for (re, im), want, den in ((_dot(ga, conj[b]), c.g(a + 1, b + 1), dg),
-                                        (_dot(pa, partner[b]), c.pi(a + 1, b + 1), dp)):
-                scale = den * du * du
-                if re * want.d != want.a * scale or im * want.d != want.b * scale:
-                    return False
+        gsums += [_dot(ga, cb) for cb in conj]
+        psums += [_dot(pa, pb) for pb in partner]
+    for sums, form, den in ((gsums, c.g, dg), (psums, c.pi, dp)):
+        dw, want = cleared([form(a, b) for a in rng for b in rng])
+        scale = den * du * du
+        if ([(re * dw, im * dw) for re, im in sums]
+                != [(wr * scale, wi * scale) for wr, wi in want]):
+            return False
     return True
 
 
@@ -967,15 +928,15 @@ def g1_compose(x: G1Element, y: G1Element, c: StandardConstants) -> G1Element:
     dim = 2 * c.n
     idx, rng = range(dim), range(1, dim + 1)
     new = GaussRational.from_ints
-    dxu, xu = _gauss_ints([x.U[a][s] for a in idx for s in idx])
-    dyu, yu = _gauss_ints([y.U[s][b] for b in idx for s in idx])
+    dxu, xu = cleared([x.U[a][s] for a in idx for s in idx])
+    dyu, yu = cleared([y.U[s][b] for b in idx for s in idx])
     xrows = [xu[a * dim:(a + 1) * dim] for a in idx]  # xrows[a][s] = x.U^a_s
     ycols = [yu[b * dim:(b + 1) * dim] for b in idx]  # ycols[b][s] = y.U^s_b
-    dxr, xr = _gauss_ints(x.r)
-    dyr, yr = _gauss_ints(y.r)
-    dl, lam = _gauss_ints(x.lam + y.lam)
-    dg, g = _gauss_ints([c.g(s, s) for s in rng])
-    dp, cp = _gauss_ints([c.pi_ubar_l(s, c.partner(s)) for s in rng])
+    dxr, xr = cleared(x.r)
+    dyr, yr = cleared(y.r)
+    dl, lam = cleared(x.lam + y.lam)
+    dg, g = cleared([c.g(s, s) for s in rng])
+    dp, cp = cleared([c.pi_ubar_l(s, c.partner(s)) for s in rng])
 
     U = [[new(*_dot(row, col), dxu * dyu) for col in ycols] for row in xrows]
     fr = dxu * dyr
@@ -1008,9 +969,9 @@ def g1_inverse(x: G1Element, c: StandardConstants) -> G1Element:
     dim = 2 * c.n
     idx, rng = range(dim), range(1, dim + 1)
     new = GaussRational.from_ints
-    dxu, xu = _gauss_ints([x.U[b][a] for a in idx for b in idx])
-    dxr, xr = _gauss_ints(x.r)
-    dg, g = _gauss_ints([c.g(s, s) for s in rng])
+    dxu, xu = cleared([x.U[b][a] for a in idx for b in idx])
+    dxr, xr = cleared(x.r)
+    dg, g = cleared([c.g(s, s) for s in rng])
     den = dg * dg * dxu
     # rows[a][b] = g_{a ā} g_{b b̄} conj(U^b_a)
     rows = [_times(_times([ga] * dim, g), _conj(xu[a * dim:(a + 1) * dim]))
@@ -1029,7 +990,6 @@ def g1_lie_matrix(n: int, c: StandardConstants, gam: IndexedTensor,
     size = 4 * n + 7
     th0, thb0, ph0 = 3, 3 + dim, 3 + 2 * dim
     M = [[gr(0) for _ in range(size)] for _ in range(size)]
-    iI = gr(0, 1)
 
     def phi_low(bq):
         # phi_b = g_{s̄ b} phi^s̄
@@ -1041,17 +1001,17 @@ def g1_lie_matrix(n: int, c: StandardConstants, gam: IndexedTensor,
         return acc
 
     for a in range(dim):
-        M[th0 + a][0] = -(iI * phi[a])
+        M[th0 + a][0] = -(I * phi[a])
         acc = gr(0)
         for s in range(dim):
             cp = c.pi_u_lbar(a + 1, s + 1)
             if not cp.is_zero():
                 acc = acc + cp * phi[s].conj()
         M[th0 + a][1] = -acc
-        M[th0 + a][2] = -(iI * acc)
-        M[thb0 + a][0] = iI * phi[a].conj()
+        M[th0 + a][2] = -(I * acc)
+        M[thb0 + a][0] = I * phi[a].conj()
         M[thb0 + a][1] = -acc.conj()
-        M[thb0 + a][2] = iI * acc.conj()
+        M[thb0 + a][2] = I * acc.conj()
         for bq in range(dim):
             g_ab = gr(0)
             for s in range(dim):
@@ -1072,8 +1032,8 @@ def g1_lie_matrix(n: int, c: StandardConstants, gam: IndexedTensor,
         pl = phi_low(bq)
         M[ph0][th0 + bq] = -2 * pl
         M[ph0][thb0 + bq] = -2 * pl.conj()
-        M[ph0 + 1][th0 + bq] = iI * 2 * pl
-        M[ph0 + 1][thb0 + bq] = -(iI * 2 * pl.conj())
+        M[ph0 + 1][th0 + bq] = I * 2 * pl
+        M[ph0 + 1][thb0 + bq] = -(I * 2 * pl.conj())
         pp = gr(0)
         for s in range(dim):
             cp = c.pi(s + 1, bq + 1)
@@ -1081,8 +1041,8 @@ def g1_lie_matrix(n: int, c: StandardConstants, gam: IndexedTensor,
                 pp = pp + cp * phi[s]
         M[ph0 + 2][th0 + bq] = -2 * pp
         M[ph0 + 2][thb0 + bq] = -2 * pp.conj()
-        M[ph0 + 3][th0 + bq] = iI * 2 * pp
-        M[ph0 + 3][thb0 + bq] = -(iI * 2 * pp.conj())
+        M[ph0 + 3][th0 + bq] = I * 2 * pp
+        M[ph0 + 3][thb0 + bq] = -(I * 2 * pp.conj())
     return M
 
 
@@ -1125,8 +1085,8 @@ def parabolic_member(a1: GaussRational, a2: GaussRational, U, r,
         for i in range(2):
             M[i][2 + bq] = -(A[i][0] * v1 + A[i][1] * v2)
     rr = _norm2(c, r)
-    blk = [[-(rr / 2) + gr(0, 1) * lam[0], -lam[1] + gr(0, 1) * lam[2]],
-           [lam[1] + gr(0, 1) * lam[2], -(rr / 2) - gr(0, 1) * lam[0]]]
+    blk = [[-(rr / 2) + I * lam[0], -lam[1] + I * lam[2]],
+           [lam[1] + I * lam[2], -(rr / 2) - I * lam[0]]]
     for i in range(2):
         for j in range(2):
             M[i][dim + 2 + j] = (A[i][0] * blk[0][j] + A[i][1] * blk[1][j])

@@ -18,13 +18,11 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import InputError
-from .gauss import ONE, GaussRational, gr
+from .gauss import HALF, I, ONE, GaussRational, gr
 from . import coframe
 from .forms import (CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Acc, DRuleSet,
                     Exterior, Form, Poly, Sym, addmul, differential, from_acc)
 
-I = gr(0, 1)
-H = gr(Fraction(1, 2))
 
 # Calibrated multipliers for display terms whose printed coefficients
 # fail the exact d^2 = 0 certificate.  Solved for mechanically (exact
@@ -214,9 +212,9 @@ class RuleBuilder:
             if not coeff.is_zero():
                 for be in b.R:
                     addmul(acc, b.gam(s, be) ^ b.th(be), None, -coeff)
-        addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.th(a), None, -H)
+        addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.th(a), None, -HALF)
         for be in b.R:
-            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.thb(be), None, -H * b.c.pi_u_lbar(a, be))
+            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.thb(be), None, -HALF * b.c.pi_u_lbar(a, be))
 
     def d_phi0(self, acc: Acc) -> None:
         b = self
@@ -267,17 +265,17 @@ class RuleBuilder:
     def d_phiu_flat(self, acc: Acc, a) -> None:
         """d phi^a from the flat model display (not used in curved mode)."""
         b = self
-        addmul(acc, (b.phi0() - b.f(1).scale(I)) ^ b.fu(a), None, H)
+        addmul(acc, (b.phi0() - b.f(1).scale(I)) ^ b.fu(a), None, HALF)
         for g in b.R:
-            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.fub(g), None, -H * b.c.pi_u_lbar(a, g))
+            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.fub(g), None, -HALF * b.c.pi_u_lbar(a, g))
         for s in b.R:
             coeff = b.c.pi_up(a, s)
             if not coeff.is_zero():
                 for g in b.R:
                     addmul(acc, b.gam(s, g) ^ b.fu(g), None, -coeff)
-        addmul(acc, b.psi(1) ^ b.th(a), None, H * I)
+        addmul(acc, b.psi(1) ^ b.th(a), None, HALF * I)
         for g in b.R:
-            addmul(acc, (b.psi(2) + b.psi(3).scale(I)) ^ b.thb(g), None, H * b.c.pi_u_lbar(a, g))
+            addmul(acc, (b.psi(2) + b.psi(3).scale(I)) ^ b.thb(g), None, HALF * b.c.pi_u_lbar(a, g))
 
     def d_psi1_flat(self, acc: Acc) -> None:
         b = self
@@ -333,17 +331,17 @@ class RuleBuilder:
     def d_phi_lo_curved(self, acc: Acc, a) -> None:
         """d phi_a, the lowered-index display with curvature terms."""
         b = self
-        addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.fu_lo(a), None, H)
+        addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.fu_lo(a), None, HALF)
         for g in b.R:
-            addmul(acc, (b.f(2) - b.f(3).scale(I)) ^ b.fu(g), None, H * b.c.pi(a, g))
+            addmul(acc, (b.f(2) - b.f(3).scale(I)) ^ b.fu(g), None, HALF * b.c.pi(a, g))
         for s in b.R:
             coeff = b.c.pi_ubar_l(s, a)
             if not coeff.is_zero():
                 for g in b.R:
                     addmul(acc, b.gamb(s, g) ^ b.fub(g), None, -coeff)
-        addmul(acc, b.psi(1) ^ b.th_lo(a), None, -H * I)
+        addmul(acc, b.psi(1) ^ b.th_lo(a), None, -HALF * I)
         for g in b.R:
-            addmul(acc, (b.psi(2) - b.psi(3).scale(I)) ^ b.th(g), None, -H * b.c.pi(a, g))
+            addmul(acc, (b.psi(2) - b.psi(3).scale(I)) ^ b.th(g), None, -HALF * b.c.pi(a, g))
         # curvature terms
         for g in b.R:
             for d in b.R:
@@ -477,8 +475,8 @@ class RuleBuilder:
                     coeff = b.c.pi_u_lbar(s, t)
                     if not coeff.is_zero():
                         addmul(acc, b.fub(t), b.sy("S", a1, a2, a3, s), I * coeff * b.t("tV_S"))
-            addmul(acc, b.phi0().scale(3) + b.f(1).scale(I), b.sy("V", *idx), H * b.t("tV_f01"))
-            addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("V", *idx), -H * b.t("tV_f23"))
+            addmul(acc, b.phi0().scale(3) + b.f(1).scale(I), b.sy("V", *idx), HALF * b.t("tV_f01"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("V", *idx), -HALF * b.t("tV_f23"))
             cm, cl = -2 * b.t("tV_M"), -2 * b.t("tV_L")
             for t in b.R:
                 th, thb = b.th(t), b.thb(t)
@@ -492,8 +490,8 @@ class RuleBuilder:
             a1, a2 = idx
             self.gamma_action(acc, "L", idx, b.t("tL_Gam"))
             addmul(acc, b.phi0(), b.sy("L", *idx), 2 * b.t("tL_phi0"))
-            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("M", *idx), H * b.t("tL_M1"))
-            addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("M", *idx), H * b.t("tL_M2"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("M", *idx), HALF * b.t("tL_M1"))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("M", *idx), HALF * b.t("tL_M2"))
             for s in b.R:
                 addmul(acc, b.fu(s), b.sy("V", a1, a2, s), b.t("tL_V1"))
             for m in b.R:
@@ -530,7 +528,7 @@ class RuleBuilder:
         elif fam == "C":
             (a,) = idx
             self.gamma_action(acc, "C", idx, b.t("tC_Gam"))
-            addmul(acc, b.phi0().scale(5) + b.f(1).scale(I), b.sy("C", a), H * b.t("tC_f01"))
+            addmul(acc, b.phi0().scale(5) + b.f(1).scale(I), b.sy("C", a), HALF * b.t("tC_f01"))
             for s in b.R:
                 addmul(acc, b.f(2) - b.f(3).scale(I), b.syc("C", s),
                        -b.c.pi_ubar_l(s, a) * b.t("tC_f23C"))
@@ -541,14 +539,14 @@ class RuleBuilder:
                         addmul(acc, b.fub(t), b.sy("L", a, s), -2 * I * coeff * b.t("tC_L"))
             for t in b.R:
                 addmul(acc, b.fu(t), b.sy("M", a, t), I * b.t("tC_M"))
-            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("H", a), H * I * b.t("tC_H"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("H", a), HALF * I * b.t("tC_H"))
             for t in b.R:
-                addmul(acc, b.th(t), b.sy("P"), -H * b.c.pi(a, t) * b.t("tC_P"))
-                addmul(acc, b.thb(t), b.sy("R"), H * b.c.g(a, t) * b.t("tC_R"))
+                addmul(acc, b.th(t), b.sy("P"), -HALF * b.c.pi(a, t) * b.t("tC_P"))
+                addmul(acc, b.thb(t), b.sy("R"), HALF * b.c.g(a, t) * b.t("tC_R"))
         elif fam == "H":
             (a,) = idx
             self.gamma_action(acc, "H", idx, b.t("tH_Gam"))
-            addmul(acc, b.phi0().scale(5) + b.f(1).scale(3 * I), b.sy("H", a), H * b.t("tH_f01"))
+            addmul(acc, b.phi0().scale(5) + b.f(1).scale(3 * I), b.sy("H", a), HALF * b.t("tH_f01"))
             addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("C", a),
                    gr(Fraction(3, 2)) * I * b.t("tH_f23C"))
             for s in b.R:
@@ -557,8 +555,8 @@ class RuleBuilder:
                     if not coeff.is_zero():
                         addmul(acc, b.fub(t), b.sy("M", a, s), -3 * coeff * b.t("tH_M"))
             for t in b.R:
-                addmul(acc, b.th(t), b.sy("Q"), H * b.c.pi(a, t) * b.t("tH_Q"))
-                addmul(acc, b.thb(t), b.sy("P"), H * I * b.c.g(a, t) * b.t("tH_P"))
+                addmul(acc, b.th(t), b.sy("Q"), HALF * b.c.pi(a, t) * b.t("tH_Q"))
+                addmul(acc, b.thb(t), b.sy("P"), HALF * I * b.c.g(a, t) * b.t("tH_P"))
         elif fam == "R":
             addmul(acc, b.phi0(), b.sy("R"), 3 * b.t("tR_phi0"))
             addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("P"), -b.t("tR_P1"))
@@ -570,8 +568,8 @@ class RuleBuilder:
             addmul(acc, b.phi0().scale(3) + b.f(1).scale(I), b.sy("P"), b.t("tP_f01"))
             # printed Q term (phi2 - i phi3) and its weight-consistent
             # replacement (phi2 + i phi3); CORRECTIONS selects the latter
-            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("Q"), -H * I * b.t("tP_Q"))
-            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("Q"), -H * I * b.t("tP_Qx", 0))
+            addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("Q"), -HALF * I * b.t("tP_Q"))
+            addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("Q"), -HALF * I * b.t("tP_Qx", 0))
             addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("R"), gr(Fraction(3, 2)) * b.t("tP_R"))
             for t in b.R:
                 addmul(acc, b.fu(t), b.sy("H", t), 4 * I * b.t("tP_H"))
@@ -778,8 +776,8 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
         put(("psi", 1), b.d_psi1_curved)
         d23 = b.form(b.d_psi23_curved)
     d23c = d23.conj()
-    rules[ext.gid[("psi", 2)]] = (d23 + d23c).scale(H)
-    rules[ext.gid[("psi", 3)]] = (d23 - d23c).scale(-H * I)
+    rules[ext.gid[("psi", 2)]] = (d23 + d23c).scale(HALF)
+    rules[ext.gid[("psi", 3)]] = (d23 - d23c).scale(-HALF * I)
 
     sym_rules = None if mode == "flat" else b.symbol_rule
     rs = DRuleSet(ext, rules, sym_rules)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import InputError
-from .gauss import ONE, ZERO, GaussRational, gr
+from .gauss import HALF, ONE, ZERO, GaussRational, axpy, gr
 
 UPPER = "upper"
 LOWER = "lower"
@@ -117,8 +117,7 @@ class IndexedTensor:
         if type(self) is not type(other) or self.slots != other.slots or self.n != other.n:
             raise ValueError("tensor shape mismatch")
         out = self.copy()
-        for idx, val in other.entries.items():
-            out.set(idx, out.entries.get(idx, gr(0)) + val)
+        axpy(out.entries, ONE, other.entries)  # same shape: the keys are valid
         return out
 
     def __neg__(self) -> "IndexedTensor":
@@ -409,7 +408,7 @@ def j_average(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     where j is an involution, i.e. for an even number of slots."""
     if len(t.slots) % 2 != 0:
         raise ValueError("j_average needs an even number of slots")
-    return (t + jmap(t, c)).scale(gr(Fraction(1, 2)))
+    return (t + jmap(t, c)).scale(HALF)
 
 
 def random_tensor(rng: random.Random, n: int, slot_list: Iterable[IndexSlot],

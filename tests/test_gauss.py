@@ -1,13 +1,13 @@
 import ast
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import qcframe.gauss
-from qcframe.gauss import GaussRational, gr
+from qcframe.gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
 
 
 def test_field_operations_exact():
@@ -174,3 +174,60 @@ def test_no_float_in_scalar_layer():
         assert not (isinstance(node, ast.Name) and node.id == "float")
     with pytest.raises(TypeError):
         gr(0.5)
+
+
+def test_of_keeps_zero_and_refuses_other_types():
+    # ZERO is falsy but a value: of() must not take it for a refusal
+    assert GaussRational.of(ZERO) is ZERO
+    assert GaussRational.of(0) == ZERO
+    assert GaussRational.of(Fraction(1, 2)) == HALF
+    for bad in (0.5, "1", None, 1j):
+        with pytest.raises(TypeError):
+            GaussRational.of(bad)
+
+
+# -- sparse vectors and Gaussian integers --------------------------------------
+
+def test_axpy_drops_what_cancels_and_only_reads_coords():
+    acc = {"x": gr(1, 2), "y": HALF}
+    coords = {"x": gr(-1, -2), "z": I}
+    before = dict(coords)
+    axpy(acc, ONE, coords)
+    assert acc == {"y": HALF, "z": I} and list(acc) == ["y", "z"]
+    assert coords == before and all(coords[k] is before[k] for k in coords)
+    axpy(acc, -ONE, {"y": HALF, "w": ONE})
+    assert acc == {"z": I, "w": -ONE}
+
+
+def test_axpy_zero_coefficient_is_a_no_op():
+    acc = {"x": ONE}
+    axpy(acc, ZERO, {"x": -ONE, "y": I})
+    assert acc == {"x": ONE}
+
+
+sparse = st.dictionaries(st.integers(0, 6), nonzero_pairs.map(lambda p: gr(*p)), max_size=6)
+
+
+@given(sparse, sparse, scalars.map(gr))
+def test_axpy_matches_reference(acc, coords, coeff):
+    want = {k: acc.get(k, ZERO) + coeff * coords.get(k, ZERO) for k in {*acc, *coords}}
+    axpy(acc, coeff, coords)
+    assert acc == {k: v for k, v in want.items() if v}
+
+
+def test_cleared_over_the_lcm_in_order():
+    values = [gr(Fraction(1, 4), Fraction(1, 6)), HALF, gr(0, Fraction(-1, 3)), gr(2)]
+    assert cleared(values) == (12, [(3, 2), (6, 0), (0, -4), (24, 0)])
+    assert cleared({"a": HALF, "b": I}.values()) == (2, [(1, 0), (0, 2)])
+
+
+def test_cleared_empty_has_denominator_one():
+    assert cleared([]) == (1, [])
+
+
+@given(st.lists(pairs, max_size=8))
+def test_cleared_rebuilds_every_value(parts):
+    values = [gr(*p) for p in parts]
+    den, ints = cleared(values)
+    assert [GaussRational.from_ints(re, im, den) for re, im in ints] == values
+    assert den == lcm(*(v.d for v in values))
