@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import InputError
-from .gauss import I, ONE, ZERO, GaussRational, axpy, gr
+from .gauss import I, ONE, ZERO, GaussRational, axpy, gr, random_gauss
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
@@ -89,8 +89,11 @@ def zero_components(n: int) -> CurvatureComponents:
 def random_components(rng: random.Random, consts: StandardConstants,
                       span: int = 4) -> CurvatureComponents:
     """Draw unconstrained entries, then project exactly onto the
-    admissible set: total symmetrization, then j-averaging for S and L,
-    real part for R.  The draw is not validated here: ``assemble_kappa``
+    admissible set: total symmetrization, then j-averaging for S and L.
+    Every value comes from ``gauss.random_gauss``, numerators in
+    -span..span and denominators up to 3, family by family in
+    ``CURVATURE_FAMILIES`` order; the real scalar R is drawn with no
+    imaginary part.  The draw is not validated here: ``assemble_kappa``
     (and so ``check_normality``) validates what it is given."""
     n = consts.n
     values = []
@@ -103,9 +106,7 @@ def random_components(rng: random.Random, consts: StandardConstants,
             if jreal:
                 t = j_average(t, consts)
         else:
-            re = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-            t = gr(re) if real else gr(re, Fraction(rng.randint(-span, span),
-                                                    rng.randint(1, 3)))
+            t = random_gauss(rng, span, 3, real)
         values.append(t)
     return CurvatureComponents(n, *values)
 
@@ -323,12 +324,8 @@ def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
     ks = gminus_keys(n)
     for i, ki in enumerate(ks):
         for kj in ks[i + 1:]:
-            val = LieCoord(n)
-            for k in target:
-                re = Fraction(rng.randint(-span, span), rng.randint(1, 2))
-                im = Fraction(rng.randint(-span, span), rng.randint(1, 2))
-                val.set(k, gr(re, im))
-            out.set_pair(ki, kj, val)
+            out.set_pair(ki, kj, LieCoord.adopt(n, {
+                k: v for k in target if not (v := random_gauss(rng, span, 2)).is_zero()}))
     return out
 
 

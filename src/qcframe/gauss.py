@@ -11,11 +11,12 @@ zero is ``(0, 0, 1)``.  The form is canonical, so equality compares the
 triples, and the ring operations are plain ``int`` arithmetic with one
 ``gcd`` per result.
 
-Two helpers serve the rest of the package, so that no other module reads
-the triple: ``axpy`` adds a multiple of one sparse vector of values to
-another in place, and ``cleared`` turns a list of values into Gaussian
+Three helpers serve the rest of the package, so that no other module
+reads the triple: ``axpy`` adds a multiple of one sparse vector of values
+to another in place, ``cleared`` turns a list of values into Gaussian
 integers over their lcm denominator, which ``GaussRational.from_ints``
-turns back.
+turns back, and ``random_gauss`` draws a random value straight into its
+triple, the one path by which the package draws random inputs.
 """
 from __future__ import annotations
 
@@ -267,6 +268,17 @@ def axpy(acc: Dict, coeff: GaussRational, coords: Mapping) -> None:
                 del acc[k]
             else:
                 acc[k] = v
+
+
+def random_gauss(rng, span: int, den: int, real: bool = False) -> GaussRational:
+    """a/d1 + (b/d2) i, drawn in the order a, d1, b, d2 with a, b from
+    ``rng.randint(-span, span)`` and d1, d2 from ``rng.randint(1, den)``;
+    ``real`` draws only a and d1 and sets b = 0.  No ``Fraction`` is built."""
+    a, d1 = rng.randint(-span, span), rng.randint(1, den)
+    if real:
+        return _reduced(a, 0, d1)
+    b, d2 = rng.randint(-span, span), rng.randint(1, den)
+    return _reduced(a * d2, b * d1, d1 * d2)
 
 
 def cleared(values: Collection[GaussRational]) -> Tuple[int, List[Tuple[int, int]]]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
+from .gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
 from .tensors import StandardConstants, IndexedTensor, slots
 from . import coframe
 from .coframe import Key
@@ -657,12 +657,9 @@ class SpModel:
 
 
 def random_coord(rng: random.Random, model: SpModel, span: int = 4) -> LieCoord:
-    out = LieCoord(model.n)
-    for k in model.keys:
-        re = Fraction(rng.randint(-span, span), rng.randint(1, 2))
-        im = Fraction(rng.randint(-span, span), rng.randint(1, 2))
-        out.set(k, gr(re, im))
-    return out
+    """Every coordinate from ``random_gauss``, in ``model.keys`` order."""
+    return LieCoord.adopt(model.n, {k: v for k in model.keys
+                                    if not (v := random_gauss(rng, span, 2)).is_zero()})
 
 
 def jacobi_residual(model: SpModel, a: LieCoord, b: LieCoord, c: LieCoord) -> LieCoord:
@@ -817,7 +814,7 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
     dim = 2 * n
     while True:
         y = j_average(symmetrize(random_tensor(rng, n, slots("ll"), span)), c)
-        x = [[gr(0)] * dim for _ in range(dim)]
+        x = [[ZERO] * dim for _ in range(dim)]
         for (s, b), val in y.full().entries.items():
             for a in range(1, dim + 1):
                 coeff = c.pi_up(a, s)
@@ -825,9 +822,9 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
                     x[a - 1][b - 1] = x[a - 1][b - 1] + coeff * val
         # U = (I - X)^{-1} (I + X); draw again when I - X is singular
         try:
-            U = solve_square([[gr(1 if i == j else 0) - x[i][j] for j in range(dim)]
+            U = solve_square([[(ONE if i == j else ZERO) - x[i][j] for j in range(dim)]
                               for i in range(dim)],
-                             [[gr(1 if i == j else 0) + x[i][j] for j in range(dim)]
+                             [[(ONE if i == j else ZERO) + x[i][j] for j in range(dim)]
                               for i in range(dim)])
         except ValueError:
             continue
@@ -838,10 +835,8 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
 
 def random_g1(rng: random.Random, c: StandardConstants, span: int = 3) -> G1Element:
     n = c.n
-    r = [gr(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
-            Fraction(rng.randint(-span, span), rng.randint(1, 2)))
-         for _ in range(2 * n)]
-    lam = [gr(Fraction(rng.randint(-span, span), rng.randint(1, 2))) for _ in range(3)]
+    r = [random_gauss(rng, span, 2) for _ in range(2 * n)]
+    lam = [random_gauss(rng, span, 2, real=True) for _ in range(3)]
     return G1Element(random_spn(rng, c, span), r, lam)
 
 

@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import InputError
-from .gauss import HALF, ONE, ZERO, GaussRational, axpy, gr
+from .gauss import HALF, ONE, ZERO, GaussRational, axpy, gr, random_gauss
 
 UPPER = "upper"
 LOWER = "lower"
@@ -98,7 +100,7 @@ class IndexedTensor:
 
     def get(self, *idx: int) -> GaussRational:
         self.check_index(idx)
-        return self.entries.get(idx, gr(0))
+        return self.entries.get(idx, ZERO)
 
     def set(self, idx: Tuple[int, ...], val) -> None:
         self.check_index(idx)
@@ -385,6 +387,12 @@ def _orbit(key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(set(itertools.permutations(key))))
 
 
+def _orbit_size(key: Tuple[int, ...]) -> int:
+    """len(_orbit(key)) without listing the orbit: the multinomial
+    k! / prod(m_i!) over the multiplicities m_i of key's values."""
+    return factorial(len(key)) // prod(map(factorial, Counter(key).values()))
+
+
 def symmetrize(t: IndexedTensor) -> SymTensor:
     """Total symmetrization over all slots (slots must be of one type).
 
@@ -399,7 +407,7 @@ def symmetrize(t: IndexedTensor) -> SymTensor:
         key = tuple(sorted(idx))
         sums[key] = sums.get(key, ZERO) + val
     for key, total in sums.items():
-        out.set(key, total * gr(Fraction(1, len(_orbit(key)))))
+        out.set(key, total / _orbit_size(key))
     return out
 
 
@@ -413,11 +421,12 @@ def j_average(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
 
 def random_tensor(rng: random.Random, n: int, slot_list: Iterable[IndexSlot],
                   span: int = 5) -> IndexedTensor:
+    """Every entry from ``random_gauss``, in index order; the indices are
+    generated valid, so the nonzero draws are stored without ``set``."""
     out = IndexedTensor(n, slot_list)
-    for idx in itertools.product(range(1, 2 * n + 1), repeat=len(out.slots)):
-        re = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-        im = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-        out.set(idx, gr(re, im))
+    out.entries = {idx: v for idx in itertools.product(range(1, 2 * n + 1),
+                                                       repeat=len(out.slots))
+                   if not (v := random_gauss(rng, span, 3)).is_zero()}
     return out
 
 

@@ -1,4 +1,6 @@
 import ast
+import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qcframe.gauss
-from qcframe.gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
+from qcframe.gauss import (HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr,
+                           random_gauss)
 
 
 def test_field_operations_exact():
@@ -231,3 +234,41 @@ def test_cleared_rebuilds_every_value(parts):
     den, ints = cleared(values)
     assert [GaussRational.from_ints(re, im, den) for re, im in ints] == values
     assert den == lcm(*(v.d for v in values))
+
+
+class _Scripted:
+    """A generator whose ``randint`` returns the given values in order,
+    each inside the bounds it is asked for."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randint(self, lo, hi):
+        v = self.values.pop(0)
+        assert lo <= v <= hi
+        return v
+
+
+def test_random_gauss_matches_fraction_parts():
+    """a/d1 + (b/d2) i from the draws a, d1, b, d2, as the same triple the
+    Fraction constructor gives, over the whole grid of draws."""
+    for a, b, d1, d2 in itertools.product(range(-5, 6), range(-5, 6), (1, 2, 3), (1, 2, 3)):
+        rng = _Scripted(a, d1, b, d2)
+        v = random_gauss(rng, 5, 3)
+        w = GaussRational(Fraction(a, d1), Fraction(b, d2))
+        assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and not rng.values
+        rng = _Scripted(a, d1)
+        v = random_gauss(rng, 5, 3, real=True)
+        w = GaussRational(Fraction(a, d1))
+        assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and not rng.values
+
+
+def test_random_gauss_draw_count():
+    """A complex value takes four draws and a real one two, so the
+    generator moves on as it does for that many ``randint`` calls."""
+    for real, draws in ((False, 4), (True, 2)):
+        rng, ref = random.Random(5), random.Random(5)
+        random_gauss(rng, 4, 3, real)
+        for _ in range(draws // 2):
+            ref.randint(-4, 4), ref.randint(1, 3)
+        assert rng.getstate() == ref.getstate()

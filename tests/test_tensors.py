@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qcframe.gauss import gr
+from qcframe.gauss import ZERO, gr
 from qcframe.tensors import (LOWER, UPPER, IndexedTensor, StandardConstants,
                              SymTensor, conj, is_spn, j_average, jmap,
                              lower_slot, raise_slot, random_tensor, slots,
-                             spn_from_y, symmetrize, y_from_spn)
+                             spn_from_y, symmetrize, y_from_spn, _orbit, _orbit_size)
 
 
 @pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
@@ -274,6 +274,23 @@ def test_symtensor_full_round_trips(n, spec):
         assert {tuple(sorted(idx)) for idx in full.entries} == set(t.entries)
         assert SymTensor(n, t.slots, full.entries) == t
         assert symmetrize(full) == t
+
+
+def test_orbit_size_is_the_number_of_arrangements():
+    """symmetrize divides by the multinomial count; _orbit (kept for
+    SymTensor.full) lists the arrangements it counts."""
+    for n in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            for key in itertools.combinations_with_replacement(range(1, 2 * n + 1), k):
+                assert _orbit_size(key) == len(_orbit(key)), key
+
+
+def test_absent_entry_reads_the_shared_zero():
+    t = IndexedTensor(2, slots("lL"))
+    s = SymTensor(2, slots("lll"))
+    assert t.get(1, 3) is ZERO and s.get(3, 1, 2) is ZERO
+    with pytest.raises(ValueError):
+        t.get(5, 1)
 
 
 def test_symtensor_get_and_set_canonicalize_the_index():
