@@ -1,6 +1,8 @@
 """Exact verification engine for the canonical coframe geometry of
 quaternionic contact structures."""
 
+from fractions import Fraction
+
 __version__ = "0.1.0"
 
 
@@ -9,3 +11,24 @@ class InputError(ValueError):
     signature out of range, or a malformed component or chart file.  The
     CLI reports it as a usage error (exit 2); any other exception escaping
     a command is an internal defect (exit 3)."""
+
+
+def rational_from_json(v, where: str) -> Fraction:
+    """An exact rational from a JSON string or integer.  A JSON float is
+    refused: it is read as a binary fraction, not the decimal written.  A
+    boolean is refused too, though Python counts it as an integer."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{where}: {v!r} is not a rational number") from None
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise InputError(f"{where}: expected a string or an integer, got {v!r}")
+
+
+def int_from_json(v, where: str) -> int:
+    """A JSON integer; a float, a boolean or a string is refused."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InputError(f"{where}: expected an integer, got {v!r}")

@@ -15,7 +15,10 @@ Exit codes:
 
 With --json PATH the machine-readable report is written out; for a fixed
 seed the report is byte-identical across runs except for the "timing_ms"
-section.
+section.  A command that stops on an internal defect (exit 3) once its
+report is begun still writes one: the report built so far, with "status": "error", the
+``Runner.timed`` stage that was running in "stage" (null outside every
+stage) and the message in "error".
 """
 from __future__ import annotations
 
@@ -52,9 +55,13 @@ def _positive_int(text):
 
 class Runner:
     """One command's report.  A command that takes ``--signature`` finds
-    it parsed in ``sig``; for the others ``sig`` is None."""
+    it parsed in ``sig``; for the others ``sig`` is None.  The runner sets
+    itself as ``args.runner``, so that ``run`` can write the report of a
+    command that stops on an internal defect."""
 
     def __init__(self, args, command):
+        args.runner = self
+        self.stage = None
         self.sig = (_parse_signature(args.signature, args.n)
                     if hasattr(args, "signature") else None)
         self.report = {
@@ -78,10 +85,18 @@ class Runner:
             self.failed = True
 
     def timed(self, name, fn):
+        self.stage = name
         t0 = time.perf_counter()
         out = fn()
         self.report["timing_ms"][name] = int((time.perf_counter() - t0) * 1000)
+        self.stage = None
         return out
+
+    def write_error(self, json_path, message):
+        """Write the report built so far as a report of an internal error."""
+        self.report.update(status="error", stage=self.stage, error=message)
+        with open(json_path, "w") as fh:
+            fh.write(json.dumps(self.report, indent=1, sort_keys=True) + "\n")
 
     def finish(self, json_path=None):
         self.report["status"] = "fail" if self.failed else "pass"
@@ -439,13 +454,20 @@ def run(argv=None) -> int:
         return 2
     except TemplateError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
-        return 3
+        message = str(ex)
     except Exception as ex:  # a defect: never reported as a usage error
         import traceback  # loaded on this path only, not by every run
         traceback.print_exc()
         command = " ".join(filter(None, (args.cmd, getattr(args, "what", None))))
-        print(f"internal error: {command}: {type(ex).__name__}: {ex}", file=sys.stderr)
-        return 3
+        message = f"{type(ex).__name__}: {ex}"
+        print(f"internal error: {command}: {message}", file=sys.stderr)
+    runner, json_path = getattr(args, "runner", None), getattr(args, "json", None)
+    if runner and json_path:
+        try:
+            runner.write_error(json_path, message)
+        except OSError as ex:
+            print(f"error: {ex}", file=sys.stderr)
+    return 3
 
 
 def main():

@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from . import InputError
+from . import InputError, rational_from_json
 from .gauss import I, ONE, ZERO, GaussRational, axpy, gr, random_gauss
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
@@ -133,24 +133,11 @@ def _gr_to_json(v: GaussRational):
     return {"re": str(v.re), "im": str(v.im)}
 
 
-def _rational_from_json(v, where: str) -> Fraction:
-    """An exact rational from a JSON string or integer.  A JSON float is
-    refused: it is read as a binary fraction, not the decimal written."""
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: {v!r} is not a rational number") from None
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    raise InputError(f"{where}: expected a string or an integer, got {v!r}")
-
-
 def _gr_from_json(d, where: str) -> GaussRational:
     if not isinstance(d, dict) or "re" not in d or "im" not in d:
         raise InputError(f'{where}: expected an object with "re" and "im", got {d!r}')
-    return gr(_rational_from_json(d["re"], f"{where}.re"),
-              _rational_from_json(d["im"], f"{where}.im"))
+    return gr(rational_from_json(d["re"], f"{where}.re"),
+              rational_from_json(d["im"], f"{where}.im"))
 
 
 def _ints_from_json(v, where: str) -> Tuple[int, ...]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forms import Alphabet, DRuleSet, Form, Mono, Poly, Sym, Vector, differential
-from . import InputError
+from . import InputError, int_from_json, rational_from_json
 from .gauss import HALF, I, ZERO, GaussRational, gr
 from .model import SparseMat, smat, smat_mul, solve_sparse, solve_square
 from .tensors import StandardConstants
@@ -390,43 +390,53 @@ def chart_from_json(doc: dict) -> QcData:
     "etas" lists, per contact form, entries [diff_index, coeff_re,
     coeff_im, exponents(7)]; "frame" likewise gives the four H-frame
     fields as [coord_index, re, im, exponents]; "g" is a rational 4x4
-    matrix and "I" the three integer 4x4 quaternionic matrices.  The
-    exponent vectors are converted to chart monomials on load."""
-    def poly_entry(re, im, expo):
-        return Poly({monomial(expo): gr(Fraction(re), Fraction(im))})
+    matrix and "I" the three integer 4x4 quaternionic matrices.  A
+    rational is a JSON string or integer and every other number a JSON
+    integer: a float or a boolean is refused.  The exponent vectors are
+    converted to chart monomials on load."""
+    def poly_entry(re, im, expo, where):
+        expo = [int_from_json(e, f"{where}.exponents") for e in expo]
+        return Poly({monomial(expo): gr(rational_from_json(re, f"{where}.re"),
+                                        rational_from_json(im, f"{where}.im"))})
 
-    def index(i):
+    def index(i, where):
         # an entry on a nonexistent coordinate would drop out of every check
-        if not 0 <= int(i) < NCOORD:
+        i = int_from_json(i, f"{where}.index")
+        if not 0 <= i < NCOORD:
             raise InputError(f"coordinate index {i} is not in 0..{NCOORD - 1}")
-        return int(i)
+        return i
 
     if len(doc["etas"]) != 3:
         raise InputError("expected three contact forms in \"etas\"")
     if len(doc["frame"]) != 4:
         raise InputError("expected four fields in \"frame\"")
     etas = []
-    for ent_list in doc["etas"]:
+    for s, ent_list in enumerate(doc["etas"]):
         f = Form(CHART)
-        for diff, re, im, expo in ent_list:
-            f = f + Form(CHART, {(index(diff),): poly_entry(re, im, expo)})
+        for k, (diff, re, im, expo) in enumerate(ent_list):
+            where = f"etas[{s}][{k}]"
+            f = f + Form(CHART, {(index(diff, where),): poly_entry(re, im, expo, where)})
         etas.append(f)
     frame = []
-    for ent_list in doc["frame"]:
+    for s, ent_list in enumerate(doc["frame"]):
         v: VectorField = {}
-        for ci, re, im, expo in ent_list:
-            v[index(ci)] = v.get(index(ci), Poly()) + poly_entry(re, im, expo)
+        for k, (ci, re, im, expo) in enumerate(ent_list):
+            where = f"frame[{s}][{k}]"
+            ci = index(ci, where)
+            v[ci] = v.get(ci, Poly()) + poly_entry(re, im, expo, where)
         frame.append(v)
-    def matrix(rows, entry):
-        m = [[entry(x) for x in row] for row in rows]
+
+    def matrix(rows, entry, where):
+        m = [[entry(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]
+             for r, row in enumerate(rows)]
         if len(m) != 4 or any(len(row) != 4 for row in m):
             raise InputError("expected a 4x4 matrix")
         return m
 
-    gmat = matrix(doc["g"], Fraction)
+    gmat = matrix(doc["g"], rational_from_json, "g")
     if len(doc["I"]) != 3:
         raise InputError("expected three matrices in \"I\"")
-    imats = [matrix(m, int) for m in doc["I"]]
+    imats = [matrix(m, int_from_json, f"I[{s}]") for s, m in enumerate(doc["I"])]
     return QcData(etas, frame, gmat, imats, name=doc.get("name", "chart"))
 
 

@@ -12,14 +12,18 @@ off the template so that closure failures surface immediately.
 Every bracket goes through one structure-constant table, built on first
 use from the commutators of the basis matrices; each basis pair is
 certified once against the template when the table is built.  The
-Killing form is held as two sparse Gram matrices: the ad-trace one and
-the closed form with its printed coefficients.
+table, ``from_matrix`` and ``smat_mul`` work on Gaussian integers: one
+sparse product (``int_product_into``) and one decode-and-certify step
+(``SpModel._decode_ints``) over the basis matrices and the decoder,
+cleared once per model.  The Killing form is held as two sparse Gram
+matrices: the ad-trace one and the closed form with its printed
+coefficients.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
@@ -28,6 +32,9 @@ from . import coframe
 from .coframe import Key
 
 SparseMat = Dict[Tuple[int, int], GaussRational]
+
+# the coordinates of the scalar blocks of the template
+_SCALAR_KINDS = frozenset({"phi0", "phi", "psi", "eta"})
 
 
 class TemplateError(ValueError):
@@ -135,23 +142,64 @@ def smat(dense) -> SparseMat:
     return out
 
 
+# Gaussian-integer matrices: position -> (re, im), over a denominator
+# that the caller keeps beside the matrix
+IntMat = Dict[Tuple[int, int], Tuple[int, int]]
+IntRows = Dict[int, List[Tuple[int, int, int]]]
+
+
+def _cleared_mat(M: SparseMat) -> Tuple[int, IntMat]:
+    den, ints = cleared(M.values())
+    return den, dict(zip(M, ints))
+
+
+def _by_row(M: IntMat) -> IntRows:
+    """Row r -> the entries (col, re, im) of M in that row."""
+    rows: IntRows = {}
+    for (r, co), (re, im) in M.items():
+        rows.setdefault(r, []).append((co, re, im))
+    return rows
+
+
+def int_product_into(acc: Dict[Tuple[int, int], List[int]], a: IntMat,
+                     b_rows: IntRows, sign: int) -> None:
+    """acc += sign * a b in place, the package's one sparse matrix product:
+    b is given by its rows (``_by_row``), acc maps a position to a running
+    [re, im] and keeps the positions in first-touch order, zeros included."""
+    for (r, k), (ar, ai) in a.items():
+        row = b_rows.get(k)
+        if row:
+            if sign < 0:
+                ar, ai = -ar, -ai
+            for co, br, bi in row:
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                cur = acc.get((r, co))
+                if cur is None:
+                    acc[r, co] = [re, im]
+                else:
+                    cur[0] += re
+                    cur[1] += im
+
+
+def int_commutator(a: IntMat, a_rows: IntRows, b: IntMat, b_rows: IntRows) -> IntMat:
+    """a b - b a on Gaussian-integer matrices given with their rows, zero
+    entries dropped."""
+    acc: Dict[Tuple[int, int], List[int]] = {}
+    int_product_into(acc, a, b_rows, 1)
+    int_product_into(acc, b, a_rows, -1)
+    return {k: (re, im) for k, (re, im) in acc.items() if re or im}
+
+
 def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
-    by_row: Dict[int, List[Tuple[int, GaussRational]]] = {}
-    for (r, c), v in b.items():
-        by_row.setdefault(r, []).append((c, v))
-    out: SparseMat = {}
-    for (r, k), va in a.items():
-        for c, vb in by_row.get(k, ()):
-            key = (r, c)
-            cur = out.get(key)
-            out[key] = va * vb if cur is None else cur + va * vb
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def smat_sub(a: SparseMat, b: SparseMat) -> SparseMat:
-    out = dict(a)
-    axpy(out, -ONE, b)
-    return out
+    """The product a b: both cleared to Gaussian integers, multiplied by
+    ``int_product_into`` and each nonzero entry divided once."""
+    da, ia = _cleared_mat(a)
+    db, ib = _cleared_mat(b)
+    acc: Dict[Tuple[int, int], List[int]] = {}
+    int_product_into(acc, ia, _by_row(ib), 1)
+    den = da * db
+    new = GaussRational.from_ints
+    return {k: new(re, im, den) for k, (re, im) in acc.items() if re or im}
 
 
 def solve_many(rows: Iterable[Tuple[Dict[int, GaussRational], Dict[int, GaussRational]]],
@@ -244,6 +292,7 @@ class SpModel:
         self.w1, self.w2 = 2 * n + 2, 2 * n + 3
         self._mats = None
         self._dec = None
+        self._ints = None
         self._sc = None
         self._gram = None
         self._closed = None
@@ -259,70 +308,76 @@ class SpModel:
     # -- template ----------------------------------------------------------
 
     def to_matrix(self, x: LieCoord) -> SparseMat:
-        n, c = self.n, self.consts
+        """The template matrix of x.  Every position is written at most
+        once; a block is skipped when its coordinates are all zero, and the
+        sums over g, pi, pi^a_b̄ and pi^{ab} read only their nonzero entries."""
+        c, get = self.consts, x.get
         v1, v2, w1, w2 = self.v1, self.v2, self.w1, self.w2
-        eta = [x.get(("eta", s)) for s in (1, 2, 3)]
-        phi = [x.get(("phi", s)) for s in (1, 2, 3)]
-        psi = [x.get(("psi", s)) for s in (1, 2, 3)]
-        phi0 = x.get(("phi0",))
-        th = {a: x.get(("theta", a, False)) for a in range(1, 2 * n + 1)}
-        thb = {a: x.get(("theta", a, True)) for a in range(1, 2 * n + 1)}
-        fu = {a: x.get(("phiU", a, False)) for a in range(1, 2 * n + 1)}
-        fub = {a: x.get(("phiU", a, True)) for a in range(1, 2 * n + 1)}
-
         M: SparseMat = {}
 
         def put(r, co, val):
             if not val.is_zero():
-                M[(r, co)] = M.get((r, co), ZERO) + val
+                M[r, co] = val
 
-        put(v1, v1, -HALF * (phi0 + I * phi[0]))
-        put(v1, v2, -HALF * (phi[1] - I * phi[2]))
-        put(v1, w1, I * psi[0])
-        put(v1, w2, psi[1] - I * psi[2])
-        put(v2, v1, HALF * (phi[1] + I * phi[2]))
-        put(v2, v2, -HALF * (phi0 - I * phi[0]))
-        put(v2, w1, -(psi[1] + I * psi[2]))
-        put(v2, w2, -I * psi[0])
-        put(w1, v1, HALF * I * eta[0])
-        put(w1, v2, HALF * (eta[1] - I * eta[2]))
-        put(w1, w1, HALF * (phi0 - I * phi[0]))
-        put(w1, w2, -HALF * (phi[1] - I * phi[2]))
-        put(w2, v1, -HALF * (eta[1] + I * eta[2]))
-        put(w2, v2, -HALF * I * eta[0])
-        put(w2, w1, HALF * (phi[1] + I * phi[2]))
-        put(w2, w2, HALF * (phi0 + I * phi[0]))
+        def contract(form, a, vec):  # sum over s of form_{a s} vec[s]
+            return sum((v * vec[s] for s, v in c.row(form, a)), ZERO)
+
+        if any(k[0] in _SCALAR_KINDS for k in x.c):
+            eta = [get(("eta", s)) for s in (1, 2, 3)]
+            phi = [get(("phi", s)) for s in (1, 2, 3)]
+            psi = [get(("psi", s)) for s in (1, 2, 3)]
+            phi0 = get(("phi0",))
+            put(v1, v1, -HALF * (phi0 + I * phi[0]))
+            put(v1, v2, -HALF * (phi[1] - I * phi[2]))
+            put(v1, w1, I * psi[0])
+            put(v1, w2, psi[1] - I * psi[2])
+            put(v2, v1, HALF * (phi[1] + I * phi[2]))
+            put(v2, v2, -HALF * (phi0 - I * phi[0]))
+            put(v2, w1, -(psi[1] + I * psi[2]))
+            put(v2, w2, -I * psi[0])
+            put(w1, v1, HALF * I * eta[0])
+            put(w1, v2, HALF * (eta[1] - I * eta[2]))
+            put(w1, w1, HALF * (phi0 - I * phi[0]))
+            put(w1, w2, -HALF * (phi[1] - I * phi[2]))
+            put(w2, v1, -HALF * (eta[1] + I * eta[2]))
+            put(w2, v2, -HALF * I * eta[0])
+            put(w2, w1, HALF * (phi[1] + I * phi[2]))
+            put(w2, w2, HALF * (phi0 + I * phi[0]))
+        rng1 = range(1, 2 * self.n + 1)
+        th = {a: get(("theta", a, False)) for a in rng1}
+        thb = {a: get(("theta", a, True)) for a in rng1}
+        fu = {a: get(("phiU", a, False)) for a in rng1}
+        fub = {a: get(("phiU", a, True)) for a in rng1}
         any_th = any(not v.is_zero() for v in th.values())
         any_thb = any(not v.is_zero() for v in thb.values())
         any_fu = any(not v.is_zero() for v in fu.values())
         any_fub = any(not v.is_zero() for v in fub.values())
         any_gam = any(k[0] == "Gam" for k in x.c)
-        rng1 = range(1, 2 * n + 1)
         for b in rng1:
             eb = self.e(b)
             if any_fub:
-                put(v1, eb, 2 * I * sum((c.g(b, s) * fub[s] for s in rng1), ZERO))
+                put(v1, eb, 2 * I * contract("g", b, fub))
             if any_fu:
-                put(v2, eb, 2 * I * sum((c.pi(b, s) * fu[s] for s in rng1), ZERO))
+                put(v2, eb, 2 * I * contract("pi", b, fu))
             if any_thb:
-                put(w1, eb, I * sum((c.g(b, s) * thb[s] for s in rng1), ZERO))
+                put(w1, eb, I * contract("g", b, thb))
             if any_th:
-                put(w2, eb, I * sum((c.pi(b, s) * th[s] for s in rng1), ZERO))
+                put(w2, eb, I * contract("pi", b, th))
         for a in rng1:
             ea = self.e(a)
             if any_th:
                 put(ea, v1, I * th[a])
             if any_thb:
-                put(ea, v2, -I * sum((c.pi_u_lbar(a, s) * thb[s] for s in rng1), ZERO))
+                put(ea, v2, -I * contract("pi_u_lbar", a, thb))
             if any_fu:
                 put(ea, w1, 2 * I * fu[a])
             if any_fub:
-                put(ea, w2, -2 * I * sum((c.pi_u_lbar(a, s) * fub[s] for s in rng1), ZERO))
+                put(ea, w2, -2 * I * contract("pi_u_lbar", a, fub))
             if any_gam:
                 for b in rng1:
-                    put(ea, self.e(b),
-                        sum((c.pi_up(a, s) * x.get(("Gam", s, b)) for s in rng1), ZERO))
-        return {k: v for k, v in M.items() if not v.is_zero()}
+                    gam = sum((v * get(("Gam", s, b)) for s, v in c.row("pi_up", a)), ZERO)
+                    put(ea, self.e(b), gam)
+        return M
 
     def _basis_matrices(self) -> List[SparseMat]:
         if self._mats is None:
@@ -352,27 +407,71 @@ class SpModel:
             self._dec = {pos: tuple(coeffs) for pos, coeffs in dec.items()}
         return self._dec
 
-    def _decode(self, M: SparseMat) -> Dict[int, GaussRational]:
-        """Coordinates (index -> value) of a template matrix, certified by
-        re-encoding through the basis matrices."""
-        dec = self._decoder()
-        x: Dict[int, GaussRational] = {}
-        for pos, v in M.items():
-            for k, coeff in dec.get(pos, ()):
-                x[k] = x[k] + v * coeff if k in x else v * coeff
-        x = {k: x[k] for k in sorted(x) if not x[k].is_zero()}
-        mats = self._basis_matrices()
-        back: SparseMat = {}
-        for k, v in x.items():
-            for pos, e in mats[k].items():
-                back[pos] = back[pos] + v * e if pos in back else v * e
-        if {p: v for p, v in back.items() if not v.is_zero()} != M:
-            raise TemplateError("matrix is off the sp(n+1,1) block template")
-        return x
+    def _template_ints(self):
+        """The basis matrices and the decoder, each cleared once to Gaussian
+        integers: ``(D, mats, rows, E, dec)`` with ``mats[k]`` basis matrix k
+        times D, ``rows[k]`` its rows, and ``dec[pos]`` the decoder entries
+        ``(k, re, im)`` times E."""
+        if self._ints is None:
+            mats, dec = self._basis_matrices(), self._decoder()
+            D, flat = cleared([v for mat in mats for v in mat.values()])
+            flat = iter(flat)
+            imats = [{pos: next(flat) for pos in mat} for mat in mats]
+            E, coeffs = cleared([v for entries in dec.values() for _, v in entries])
+            coeffs = iter(coeffs)
+            idec = {pos: tuple((k, *next(coeffs)) for k, _ in entries)
+                    for pos, entries in dec.items()}
+            self._ints = (D, imats, [_by_row(mat) for mat in imats], E, idec)
+        return self._ints
+
+    def _decode_ints(self, M: IntMat) -> Dict[int, Tuple[int, int]]:
+        """The coordinates (index -> (re, im), indices ascending, zeros
+        dropped) of the Gaussian-integer matrix M, over E times M's
+        denominator; certified by re-encoding through the basis matrices,
+        ``TemplateError`` if M is off the template."""
+        D, mats, _, E, dec = self._template_ints()
+        acc: Dict[int, List[int]] = {}
+        for pos, (vr, vi) in M.items():
+            for k, cr, ci in dec.get(pos, ()):
+                re, im = vr * cr - vi * ci, vr * ci + vi * cr
+                cur = acc.get(k)
+                if cur is None:
+                    acc[k] = [re, im]
+                else:
+                    cur[0] += re
+                    cur[1] += im
+        x = {k: (re, im) for k in sorted(acc) for re, im in (acc[k],) if re or im}
+        back: Dict[Tuple[int, int], List[int]] = {}
+        for k, (xr, xi) in x.items():
+            for pos, (er, ei) in mats[k].items():
+                re, im = xr * er - xi * ei, xr * ei + xi * er
+                cur = back.get(pos)
+                if cur is None:
+                    back[pos] = [re, im]
+                else:
+                    cur[0] += re
+                    cur[1] += im
+        # back is over D E times M's denominator: its nonzero entries must
+        # be those of M, each times D E
+        f, count = D * E, 0
+        for pos, (re, im) in back.items():
+            if re or im:
+                v = M.get(pos)
+                if v is None or re != v[0] * f or im != v[1] * f:
+                    break
+                count += 1
+        else:
+            if count == len(M):
+                return x
+        raise TemplateError("matrix is off the sp(n+1,1) block template")
 
     def from_matrix(self, M: SparseMat) -> LieCoord:
         """The coordinates of M; ``TemplateError`` if M is off the template."""
-        return LieCoord.adopt(self.n, {self.keys[k]: v for k, v in self._decode(M).items()})
+        den, ints = _cleared_mat(M)
+        x = self._decode_ints(ints)
+        den *= self._template_ints()[3]  # the decoder's denominator E
+        keys, new = self.keys, GaussRational.from_ints
+        return LieCoord.adopt(self.n, {keys[k]: new(re, im, den) for k, (re, im) in x.items()})
 
     # -- structure constants, bracket and grading ------------------------------
 
@@ -380,26 +479,32 @@ class SpModel:
         """The table ``rows[i][j] = ((k, re, im), ...)`` with
         [B_i, B_j] = sum_k ((re + i im) / scale) B_k, and the scale.
 
-        Built on first use from the basis matrix commutators: each pair
-        i < j is decoded and certified by re-encoding (``TemplateError``
-        if the commutator is off the template); (j, i) is the negation.
-        The entries are Gaussian integers over one common denominator."""
+        Built on first use from the basis matrix commutators, all in
+        Gaussian integers over D^2 E (D and E the denominators of the
+        cleared basis matrices and decoder): each pair i < j is decoded and
+        certified by re-encoding (``TemplateError`` if the commutator is off
+        the template); (j, i) is the negation.  The finished table is
+        divided by the gcd of its entries and D^2 E, which leaves the scale
+        the lowest common denominator of the coefficients."""
         if self._sc is None:
-            mats = self._basis_matrices()
+            D, mats, by_row, E, _ = self._template_ints()
+            # a b is zero unless a column of a meets a row of b
+            cols = [frozenset(co for _, co in mat) for mat in mats]
             exact = {}
             for i in range(self.dim):
                 for j in range(i + 1, self.dim):
-                    comm = smat_sub(smat_mul(mats[i], mats[j]), smat_mul(mats[j], mats[i]))
+                    if cols[i].isdisjoint(by_row[j]) and cols[j].isdisjoint(by_row[i]):
+                        continue
+                    comm = int_commutator(mats[i], by_row[i], mats[j], by_row[j])
                     if comm:
-                        exact[(i, j)] = self._decode(comm)
-            scale, parts = cleared([v for x in exact.values() for v in x.values()])
-            parts = iter(parts)
+                        exact[(i, j)] = self._decode_ints(comm)
+            den = D * D * E
+            g = gcd(den, *(v for x in exact.values() for re_im in x.values() for v in re_im))
             rows = [[()] * self.dim for _ in range(self.dim)]
             for (i, j), x in exact.items():
-                ints = tuple((k, *next(parts)) for k in x)
-                rows[i][j] = ints
-                rows[j][i] = tuple((k, -re, -im) for k, re, im in ints)
-            self._sc = (rows, scale)
+                rows[i][j] = tuple((k, re // g, im // g) for k, (re, im) in x.items())
+                rows[j][i] = tuple((k, -re // g, -im // g) for k, (re, im) in x.items())
+            self._sc = (rows, den // g)
         return self._sc
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
@@ -451,24 +556,38 @@ class SpModel:
 
     def killing_gram(self) -> Dict[Tuple[int, int], GaussRational]:
         """Exact Gram matrix B(e_i, e_j) = trace(ad e_i . ad e_j), summed
-        over the integer structure constants and divided by scale^2."""
+        over the integer structure constants and divided by scale^2.  Each
+        ad entry (k, l) of e_i meets only the entries (l, k) of the e_j,
+        read from an index built once."""
         if self._gram is None:
             rows, scale = self.structure_constants()
-            # ad[i][(k, l)]: coefficient of e_k in [e_i, e_l], times scale
-            ad = [{(k, l): (cr, ci) for l, targets in enumerate(row)
-                   for k, cr, ci in targets} for row in rows]
+            # at[(k, l)]: the (j, re, im) with (re + i im) / scale the
+            # coefficient of e_k in [e_j, e_l], j ascending
+            at: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+            for j, row in enumerate(rows):
+                for l, targets in enumerate(row):
+                    for k, cr, ci in targets:
+                        at.setdefault((k, l), []).append((j, cr, ci))
             den = scale * scale
+            new = GaussRational.from_ints
             gram: Dict[Tuple[int, int], GaussRational] = {}
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    re = im = 0
-                    for (k, l), (vr, vi) in ad[i].items():
-                        w = ad[j].get((l, k))
-                        if w is not None:
-                            re += vr * w[0] - vi * w[1]
-                            im += vr * w[1] + vi * w[0]
+            for i, row in enumerate(rows):
+                acc: Dict[int, List[int]] = {}
+                for l, targets in enumerate(row):
+                    for k, vr, vi in targets:
+                        for j, wr, wi in at.get((l, k), ()):
+                            if j >= i:
+                                re, im = vr * wr - vi * wi, vr * wi + vi * wr
+                                cur = acc.get(j)
+                                if cur is None:
+                                    acc[j] = [re, im]
+                                else:
+                                    cur[0] += re
+                                    cur[1] += im
+                for j in sorted(acc):
+                    re, im = acc[j]
                     if re or im:
-                        gram[(i, j)] = gram[(j, i)] = GaussRational.from_ints(re, im, den)
+                        gram[(i, j)] = gram[(j, i)] = new(re, im, den)
             self._gram = gram
         return self._gram
 

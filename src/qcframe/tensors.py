@@ -192,7 +192,7 @@ class StandardConstants:
     """
 
     __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_g", "_g_up",
-                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l")
+                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_rows")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -234,6 +234,10 @@ class StandardConstants:
         self._pi_up = table(lambda a, b: d[a] * d[b] * pi(a, b).conj())
         self._pi_u_lbar = table(lambda a, b: d[a] * pi(b, a).conj())
         self._pi_ubar_l = table(lambda a, b: d[a] * pi(b, a))
+        self._rows = {name: {a: tuple((b, v) for b in rng if not (v := t[a, b]).is_zero())
+                             for a in rng}
+                      for name, t in (("g", self._g), ("pi", self._pi), ("pi_up", self._pi_up),
+                                      ("pi_u_lbar", self._pi_u_lbar))}
 
     @property
     def dim(self) -> int:
@@ -248,6 +252,17 @@ class StandardConstants:
     def partner(self, a: int) -> int:
         try:
             return self._partner[a]
+        except KeyError:
+            raise self._bad_index(a) from None
+
+    def row(self, form: str, a: int) -> Tuple[Tuple[int, GaussRational], ...]:
+        """The nonzero entries (b, value) of row a of g, pi, pi^{ab} or
+        pi^a_b̄, named as their accessors ("g", "pi", "pi_up", "pi_u_lbar"),
+        b ascending: a sum over the row reads only these.  Built once per
+        instance."""
+        rows = self._rows[form]
+        try:
+            return rows[a]
         except KeyError:
             raise self._bad_index(a) from None
 

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from qcframe.cli import run
-from qcframe.gauss import gr
 
 
 def _strip_timing(doc):
@@ -167,20 +166,45 @@ def test_malformed_signature_exit_2(signature, capsys):
     assert "--signature" in capsys.readouterr().err
 
 
-def test_off_template_product_exit_3(monkeypatch, capsys):
+def test_off_template_product_exit_3(monkeypatch, capsys, tmp_path):
     """A commutator off the sp(n+1,1) template is an internal defect,
     not a usage error."""
     from qcframe import model
-    difference = model.smat_sub
+    commutator = model.int_commutator
 
-    def off_template(a, b):
-        out = difference(a, b)
-        out[(0, 0)] = out.get((0, 0), gr(0)) + gr(7)
+    def off_template(*args):
+        out = commutator(*args)
+        re, im = out.get((0, 0), (0, 0))
+        out[(0, 0)] = (re + 7, im)
         return out
 
-    monkeypatch.setattr(model, "smat_sub", off_template)
-    assert run(["lie", "jacobi", "--n", "1", "--trials", "1"]) == 3
+    monkeypatch.setattr(model, "int_commutator", off_template)
+    path = tmp_path / "report.json"
+    assert run(["lie", "jacobi", "--n", "1", "--trials", "1", "--json", str(path)]) == 3
     assert "internal error" in capsys.readouterr().err
+    report = json.loads(path.read_text())
+    assert report["status"] == "error" and report["command"] == "lie jacobi"
+    assert report["stage"] == "jacobi"
+    assert report["error"] == "matrix is off the sp(n+1,1) block template"
+
+
+def test_internal_error_report_outside_a_stage(monkeypatch, capsys, tmp_path):
+    """An internal error before any timed stage still leaves a report: the
+    stage is null and the message names the exception type."""
+    from qcframe import rules
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("rule table generator broken")
+
+    monkeypatch.setattr(rules, "build_rules", broken)
+    path = tmp_path / "report.json"
+    assert run(["verify", "flat", "--n", "1", "--json", str(path)]) == 3
+    assert "internal error: verify flat: RuntimeError" in capsys.readouterr().err
+    report = json.loads(path.read_text())
+    assert report["schema"] == "qcframe-report/1" and report["command"] == "verify flat"
+    assert report["status"] == "error" and report["stage"] is None
+    assert report["error"] == "RuntimeError: rule table generator broken"
+    assert report["checks"] == [] and report["timing_ms"] == {}
 
 
 def test_dependent_basis_matrices_exit_3(dependent_basis, capsys):

@@ -272,15 +272,29 @@ def test_sheared_frame_certificates_and_omegas():
     ("frame", [-1, "1", "0", [0] * 7]),
     ("etas", [0, "1", "0", [0] * 6]),           # six exponents
     ("frame", [0, "1", "0", [0, 0, 0, 0, 0, 0, -1]]),
+    ("etas", [0, 0.5, "0", [0] * 7]),           # a JSON float coefficient
+    ("frame", [0, "1", True, [0] * 7]),         # a boolean coefficient
+    ("etas", [1.9, "1", "0", [0] * 7]),         # a float coordinate index
+    ("frame", [0, "1", "0", [True] + [0] * 6]),  # a boolean exponent
+    ("g", (0, 1, 0.1)),                         # a float: 3602879701896397/2^55
+    ("g", (0, 0, 2.0)),
+    ("I", (1, 0, 1.9)),                         # a float: would truncate to 1
+    ("I", (1, 0, True)),                        # a boolean: would read as 1
 ])
-def test_chart_file_rejects_malformed_entries(qc, part, entry, tmp_path):
+def test_chart_file_rejects_malformed_entries(qc, part, entry, tmp_path, capsys):
     doc = _chart_doc(qc)
-    doc[part][0].append(entry)
+    if part in ("etas", "frame"):
+        doc[part][0].append(entry)
+    else:  # one cell (row, column, value) of g or of I_1
+        r, c, value = entry
+        (doc["g"] if part == "g" else doc["I"][0])[r][c] = value
     with pytest.raises(ValueError):
         chart_from_json(doc)
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(doc))
     assert run(["example", "heisenberg", "--chart", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("part, change", [

@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from qcframe.gauss import gr
+from qcframe.gauss import ONE, axpy, gr
 from qcframe.model import (Dual, G1Element, LieCoord, SpModel, TemplateError,
                            commutes_with_j2, g1_compose, g1_inverse,
                            g1_lie_matrix, g1_to_matrix, grading_check,
                            jacobi_residual, maurer_cartan_check,
                            parabolic_member, preserves_pairing, random_coord,
-                           random_g1, random_spn, smat_mul, smat_sub,
+                           random_g1, random_spn, smat_mul,
                            solve_sparse, solve_square, validate_spn)
 from qcframe.tensors import (IndexedTensor, StandardConstants, SymTensor, j_average,
                              random_tensor, slots, symmetrize)
@@ -400,7 +400,8 @@ def test_bracket_is_decoded_matrix_commutator(model_for, n, signature):
     for _ in range(4):
         a, b = _coord_357(rng, m), _coord_357(rng, m)
         ma, mb = m.to_matrix(a), m.to_matrix(b)
-        comm = smat_sub(smat_mul(ma, mb), smat_mul(mb, ma))
+        comm = smat_mul(ma, mb)
+        axpy(comm, -ONE, smat_mul(mb, ma))
         br = m.bracket(a, b)
         assert br == m.from_matrix(comm)
         assert m.to_matrix(br) == comm
@@ -461,16 +462,32 @@ def test_wrong_grade_target_fails_grading():
 
 def test_off_template_commutator_raises(monkeypatch):
     from qcframe import model
-    difference = model.smat_sub
+    commutator = model.int_commutator
 
-    def off_template(a, b):
-        out = difference(a, b)
-        out[(0, 0)] = out.get((0, 0), gr(0)) + gr(7)
+    def off_template(*args):
+        out = commutator(*args)
+        re, im = out.get((0, 0), (0, 0))
+        out[(0, 0)] = (re + 7, im)
         return out
 
-    monkeypatch.setattr(model, "smat_sub", off_template)
+    monkeypatch.setattr(model, "int_commutator", off_template)
     with pytest.raises(TemplateError):
         SpModel(1).structure_constants()
+
+
+def test_perturbed_decoder_coefficient_fails_reencoding():
+    """One cleared decoder coefficient that a commutator reads, off by one:
+    the decoded coordinates re-encode to another matrix."""
+    from qcframe import model
+    m = SpModel(1)
+    _, mats, rows, _, dec = m._template_ints()
+    comm = next(c for i in range(m.dim) for j in range(i + 1, m.dim)
+                for c in (model.int_commutator(mats[i], rows[i], mats[j], rows[j]),) if c)
+    pos = next(p for p in comm if dec.get(p))
+    (k, re, im), *rest = dec[pos]
+    dec[pos] = ((k, re + 1, im), *rest)
+    with pytest.raises(TemplateError, match="off the sp"):
+        m.structure_constants()
 
 
 def test_dependent_basis_matrices_raise(dependent_basis):
@@ -581,9 +598,9 @@ def test_random_spn_draws_again_when_i_minus_x_is_singular(monkeypatch):
 
 def test_one_solver_and_one_product():
     """No module defines its own matrix product or a private solver:
-    model.smat_mul and model.solve_many are the only ones, and the package
-    has one elimination loop, a ``while`` that searches its pivot with
-    ``min``, in model.solve_many."""
+    model.int_product_into (behind smat_mul) and model.solve_many are the
+    only ones, and the package has one elimination loop, a ``while`` that
+    searches its pivot with ``min``, in model.solve_many."""
     loops = []
     for path in Path(qcframe.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -1,27 +1,31 @@
-"""The Sp(n) check, the G1 group law and the exact solver against
-reference evaluators.
+"""The Sp(n) check, the G1 group law, the exact solver and the Lie
+model's tables against reference evaluators.
 
 The reference functions below are the ``GaussRational`` loops that
 ``model.validate_spn``, ``g1_compose``, ``g1_inverse``, ``solve_sparse``,
-``solve_square`` and ``SpModel._decoder`` replaced, kept verbatim apart
-from their names: they sum one ``GaussRational`` product per term, and
-they solve one right-hand side per elimination.  The package code must
-give the same verdicts, equal elements, and the same solutions with the
-same key order, on seeded draws in definite and indefinite signature."""
+``solve_square``, ``smat_mul``, ``SpModel._decoder``, ``to_matrix``,
+``from_matrix``, ``structure_constants`` and ``killing_gram`` replaced,
+kept verbatim apart from their names: they sum one ``GaussRational``
+product per term, and they solve one right-hand side per elimination.
+The package code must give the same verdicts, equal elements, and the
+same solutions, tables and Gram matrices with the same key order, on
+seeded draws in definite and indefinite signature."""
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
-from qcframe import model
-from qcframe.gauss import ONE, ZERO, GaussRational, gr
-from qcframe.model import (G1Element, SpModel, TemplateError, g1_compose, g1_inverse,
-                           g1_to_matrix, random_g1, random_spn, solve_many, solve_sparse,
-                           solve_square, validate_spn)
+from qcframe import gauss, model
+from qcframe.gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
+from qcframe.model import (G1Element, LieCoord, SparseMat, SpModel, TemplateError,
+                           g1_compose, g1_inverse, g1_to_matrix, random_coord, random_g1,
+                           random_spn, smat_mul, solve_many, solve_sparse, solve_square,
+                           validate_spn)
 from qcframe.tensors import StandardConstants, j_average, random_tensor, slots, symmetrize
 
 CASES = [(1, None), (2, None), (2, (1, 1)), (3, (2, 1))]
+TABLE_CASES = [(1, None), (2, None), (3, None), (2, (1, 1)), (3, (2, 1))]
 
 # ---------------------------------------------------------------------------
 # reference evaluators
@@ -190,6 +194,152 @@ def reference_g1_inverse(x: G1Element, c: StandardConstants) -> G1Element:
     return G1Element(Uinv, r, [-v for v in x.lam])
 
 
+def reference_smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
+    by_row: Dict[int, List[Tuple[int, GaussRational]]] = {}
+    for (r, c), v in b.items():
+        by_row.setdefault(r, []).append((c, v))
+    out: SparseMat = {}
+    for (r, k), va in a.items():
+        for c, vb in by_row.get(k, ()):
+            key = (r, c)
+            cur = out.get(key)
+            out[key] = va * vb if cur is None else cur + va * vb
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def reference_smat_sub(a: SparseMat, b: SparseMat) -> SparseMat:
+    out = dict(a)
+    axpy(out, -ONE, b)
+    return out
+
+
+def reference_to_matrix(self: SpModel, x: LieCoord) -> SparseMat:
+    n, c = self.n, self.consts
+    v1, v2, w1, w2 = self.v1, self.v2, self.w1, self.w2
+    eta = [x.get(("eta", s)) for s in (1, 2, 3)]
+    phi = [x.get(("phi", s)) for s in (1, 2, 3)]
+    psi = [x.get(("psi", s)) for s in (1, 2, 3)]
+    phi0 = x.get(("phi0",))
+    th = {a: x.get(("theta", a, False)) for a in range(1, 2 * n + 1)}
+    thb = {a: x.get(("theta", a, True)) for a in range(1, 2 * n + 1)}
+    fu = {a: x.get(("phiU", a, False)) for a in range(1, 2 * n + 1)}
+    fub = {a: x.get(("phiU", a, True)) for a in range(1, 2 * n + 1)}
+
+    M: SparseMat = {}
+
+    def put(r, co, val):
+        if not val.is_zero():
+            M[(r, co)] = M.get((r, co), ZERO) + val
+
+    put(v1, v1, -HALF * (phi0 + I * phi[0]))
+    put(v1, v2, -HALF * (phi[1] - I * phi[2]))
+    put(v1, w1, I * psi[0])
+    put(v1, w2, psi[1] - I * psi[2])
+    put(v2, v1, HALF * (phi[1] + I * phi[2]))
+    put(v2, v2, -HALF * (phi0 - I * phi[0]))
+    put(v2, w1, -(psi[1] + I * psi[2]))
+    put(v2, w2, -I * psi[0])
+    put(w1, v1, HALF * I * eta[0])
+    put(w1, v2, HALF * (eta[1] - I * eta[2]))
+    put(w1, w1, HALF * (phi0 - I * phi[0]))
+    put(w1, w2, -HALF * (phi[1] - I * phi[2]))
+    put(w2, v1, -HALF * (eta[1] + I * eta[2]))
+    put(w2, v2, -HALF * I * eta[0])
+    put(w2, w1, HALF * (phi[1] + I * phi[2]))
+    put(w2, w2, HALF * (phi0 + I * phi[0]))
+    any_th = any(not v.is_zero() for v in th.values())
+    any_thb = any(not v.is_zero() for v in thb.values())
+    any_fu = any(not v.is_zero() for v in fu.values())
+    any_fub = any(not v.is_zero() for v in fub.values())
+    any_gam = any(k[0] == "Gam" for k in x.c)
+    rng1 = range(1, 2 * n + 1)
+    for b in rng1:
+        eb = self.e(b)
+        if any_fub:
+            put(v1, eb, 2 * I * sum((c.g(b, s) * fub[s] for s in rng1), ZERO))
+        if any_fu:
+            put(v2, eb, 2 * I * sum((c.pi(b, s) * fu[s] for s in rng1), ZERO))
+        if any_thb:
+            put(w1, eb, I * sum((c.g(b, s) * thb[s] for s in rng1), ZERO))
+        if any_th:
+            put(w2, eb, I * sum((c.pi(b, s) * th[s] for s in rng1), ZERO))
+    for a in rng1:
+        ea = self.e(a)
+        if any_th:
+            put(ea, v1, I * th[a])
+        if any_thb:
+            put(ea, v2, -I * sum((c.pi_u_lbar(a, s) * thb[s] for s in rng1), ZERO))
+        if any_fu:
+            put(ea, w1, 2 * I * fu[a])
+        if any_fub:
+            put(ea, w2, -2 * I * sum((c.pi_u_lbar(a, s) * fub[s] for s in rng1), ZERO))
+        if any_gam:
+            for b in rng1:
+                put(ea, self.e(b),
+                    sum((c.pi_up(a, s) * x.get(("Gam", s, b)) for s in rng1), ZERO))
+    return {k: v for k, v in M.items() if not v.is_zero()}
+
+
+def reference_decode(self: SpModel, M: SparseMat) -> Dict[int, GaussRational]:
+    dec = self._decoder()
+    x: Dict[int, GaussRational] = {}
+    for pos, v in M.items():
+        for k, coeff in dec.get(pos, ()):
+            x[k] = x[k] + v * coeff if k in x else v * coeff
+    x = {k: x[k] for k in sorted(x) if not x[k].is_zero()}
+    mats = self._basis_matrices()
+    back: SparseMat = {}
+    for k, v in x.items():
+        for pos, e in mats[k].items():
+            back[pos] = back[pos] + v * e if pos in back else v * e
+    if {p: v for p, v in back.items() if not v.is_zero()} != M:
+        raise TemplateError("matrix is off the sp(n+1,1) block template")
+    return x
+
+
+def reference_from_matrix(self: SpModel, M: SparseMat) -> LieCoord:
+    return LieCoord.adopt(self.n, {self.keys[k]: v for k, v in reference_decode(self, M).items()})
+
+
+def reference_structure_constants(self: SpModel):
+    mats = self._basis_matrices()
+    exact = {}
+    for i in range(self.dim):
+        for j in range(i + 1, self.dim):
+            comm = reference_smat_sub(reference_smat_mul(mats[i], mats[j]),
+                                      reference_smat_mul(mats[j], mats[i]))
+            if comm:
+                exact[(i, j)] = reference_decode(self, comm)
+    scale, parts = cleared([v for x in exact.values() for v in x.values()])
+    parts = iter(parts)
+    rows = [[()] * self.dim for _ in range(self.dim)]
+    for (i, j), x in exact.items():
+        ints = tuple((k, *next(parts)) for k in x)
+        rows[i][j] = ints
+        rows[j][i] = tuple((k, -re, -im) for k, re, im in ints)
+    return (rows, scale)
+
+
+def reference_killing_gram(self: SpModel) -> Dict[Tuple[int, int], GaussRational]:
+    rows, scale = reference_structure_constants(self)
+    # ad[i][(k, l)]: coefficient of e_k in [e_i, e_l], times scale
+    ad = [{(k, l): (cr, ci) for l, targets in enumerate(row)
+           for k, cr, ci in targets} for row in rows]
+    den = scale * scale
+    gram: Dict[Tuple[int, int], GaussRational] = {}
+    for i in range(self.dim):
+        for j in range(i, self.dim):
+            re = im = 0
+            for (k, l), (vr, vi) in ad[i].items():
+                w = ad[j].get((l, k))
+                if w is not None:
+                    re += vr * w[0] - vi * w[1]
+                    im += vr * w[1] + vi * w[0]
+            if re or im:
+                gram[(i, j)] = gram[(j, i)] = GaussRational.from_ints(re, im, den)
+    return gram
+
+
 # ---------------------------------------------------------------------------
 # the package code against the references
 
@@ -284,6 +434,83 @@ def test_solve_sparse_matches_reference():
                 continue
             got = solve_sparse(rows)
             assert got == want and list(got[0]) == list(want[0])
+
+
+# ---------------------------------------------------------------------------
+# the Lie model's tables on Gaussian integers against the GaussRational code
+
+
+def _random_smat(rng, rows, cols, density=0.5) -> SparseMat:
+    return {(r, c): v for r in range(rows) for c in range(cols) if rng.random() < density
+            for v in (_gauss(rng, 2),) if not v.is_zero()}
+
+
+@pytest.mark.parametrize("n,signature", TABLE_CASES)
+def test_table_and_gram_match_reference(n, signature):
+    m, ref = SpModel(n, signature), SpModel(n, signature)
+    assert m.structure_constants() == reference_structure_constants(ref)
+    assert list(m.killing_gram().items()) == list(reference_killing_gram(ref).items())
+
+
+@pytest.mark.parametrize("n,signature", TABLE_CASES)
+def test_to_matrix_and_from_matrix_match_reference(n, signature):
+    m = SpModel(n, signature)
+    rng = random.Random(70 + n)
+    coords = [m.basis(k) for k in m.keys] + [random_coord(rng, m) for _ in range(6)]
+    # sparse draws leave some blocks empty
+    coords += [LieCoord.adopt(n, {k: v for k, v in random_coord(rng, m).c.items()
+                                  if rng.random() < 0.2}) for _ in range(6)]
+    for x in coords:
+        M = m.to_matrix(x)
+        assert list(M.items()) == list(reference_to_matrix(m, x).items())
+        got = m.from_matrix(M)
+        assert got == x and list(got.c) == list(reference_from_matrix(m, M).c)
+    # random matrices: almost all off the template, and refused alike
+    size = m.m
+    for _ in range(6):
+        M = _random_smat(rng, size, size, 0.1)
+        try:
+            want = reference_from_matrix(m, M)
+        except TemplateError:
+            with pytest.raises(TemplateError):
+                m.from_matrix(M)
+            continue
+        assert list(m.from_matrix(M).c.items()) == list(want.c.items())
+
+
+def test_smat_mul_matches_reference_with_cancellation():
+    rng = random.Random(5)
+    for rows, inner, cols in ((3, 4, 2), (5, 5, 5), (1, 6, 3), (6, 2, 6)):
+        for _ in range(6):
+            a = _random_smat(rng, rows, inner)
+            b = _random_smat(rng, inner, cols)
+            assert list(smat_mul(a, b).items()) == list(reference_smat_mul(a, b).items())
+    # (1 + i, 1/2) (2, 4 + 4i)^T = 0: the one entry cancels and is dropped
+    a = {(0, 0): gr(1, 1), (0, 1): gr(Fraction(1, 2))}
+    b = {(0, 0): gr(2), (1, 0): gr(-4, -4)}
+    assert smat_mul(a, b) == reference_smat_mul(a, b) == {}
+    assert smat_mul(a, {}) == smat_mul({}, b) == {}
+
+
+@pytest.mark.parametrize("n,signature", [(1, None), (2, (1, 1))])
+def test_table_build_reduces_no_gauss_rational(n, signature, monkeypatch):
+    """Once the basis matrices and the decoder exist, the table is built in
+    Python integers: no GaussRational is reduced."""
+    m = SpModel(n, signature)
+    m._basis_matrices()
+    m._decoder()
+    calls = []
+    reduced = gauss._reduced
+
+    def counting(*args):
+        calls.append(args)
+        return reduced(*args)
+
+    monkeypatch.setattr(gauss, "_reduced", counting)
+    m.structure_constants()
+    assert calls == []
+    m.killing_gram()  # the control: the Gram's entries are GaussRationals
+    assert calls
 
 
 # ---------------------------------------------------------------------------
