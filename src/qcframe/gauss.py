@@ -16,7 +16,8 @@ reads the triple: ``axpy`` adds a multiple of one sparse vector of values
 to another in place, ``cleared`` turns a list of values into Gaussian
 integers over their lcm denominator, which ``GaussRational.from_ints``
 turns back, and ``random_gauss`` draws a random value straight into its
-triple, the one path by which the package draws random inputs.
+triple, the one path by which the package draws random inputs; it reads
+``getrandbits`` by the loop ``randint`` runs, so it gives its values.
 """
 from __future__ import annotations
 
@@ -271,14 +272,31 @@ def axpy(acc: Dict, coeff: GaussRational, coords: Mapping) -> None:
 
 
 def random_gauss(rng, span: int, den: int, real: bool = False) -> GaussRational:
-    """a/d1 + (b/d2) i, drawn in the order a, d1, b, d2 with a, b from
-    ``rng.randint(-span, span)`` and d1, d2 from ``rng.randint(1, den)``;
-    ``real`` draws only a and d1 and sets b = 0.  No ``Fraction`` is built."""
-    a, d1 = rng.randint(-span, span), rng.randint(1, den)
+    """a/d1 + (b/d2) i, drawn in the order a, d1, b, d2 with a, b in
+    -span..span and d1, d2 in 1..den (``real``: a and d1 only, b = 0).
+    ``rng`` is a ``random.Random``; each draw is the ``getrandbits``
+    rejection loop of its ``randint``, so values and state match it.  An
+    empty range (span < 0, den < 1) raises ValueError before any draw."""
+    if span < 0 or den < 1:
+        raise ValueError(f"empty draw range: span {span}, den {den}")
+    bits, width = rng.getrandbits, 2 * span + 1
+    kw, kd = width.bit_length(), den.bit_length()
+    a = bits(kw)
+    while a >= width:
+        a = bits(kw)
+    d1 = bits(kd)
+    while d1 >= den:
+        d1 = bits(kd)
     if real:
-        return _reduced(a, 0, d1)
-    b, d2 = rng.randint(-span, span), rng.randint(1, den)
-    return _reduced(a * d2, b * d1, d1 * d2)
+        return _reduced(a - span, 0, d1 + 1)
+    b = bits(kw)
+    while b >= width:
+        b = bits(kw)
+    d2 = bits(kd)
+    while d2 >= den:
+        d2 = bits(kd)
+    d1, d2 = d1 + 1, d2 + 1
+    return _reduced((a - span) * d2, (b - span) * d1, d1 * d2)
 
 
 def cleared(values: Collection[GaussRational]) -> Tuple[int, List[Tuple[int, int]]]:

@@ -74,7 +74,9 @@ def slots(spec: str) -> Tuple[IndexSlot, ...]:
 
 
 class IndexedTensor:
-    """Sparse exact tensor: absent entries are zero."""
+    """Sparse exact tensor: absent entries are zero.  ``set`` and the
+    constructor check each index; the operations that generate their keys
+    valid (copy, scale, jmap, symmetrize, full) fill ``entries`` directly."""
 
     __slots__ = ("n", "slots", "entries")
 
@@ -113,7 +115,9 @@ class IndexedTensor:
     # -- linear structure ------------------------------------------------
 
     def copy(self) -> "IndexedTensor":
-        return type(self)(self.n, self.slots, dict(self.entries))
+        out = type(self)(self.n, self.slots)
+        out.entries = dict(self.entries)
+        return out
 
     def __add__(self, other: "IndexedTensor") -> "IndexedTensor":
         if type(self) is not type(other) or self.slots != other.slots or self.n != other.n:
@@ -132,9 +136,10 @@ class IndexedTensor:
 
     def scale(self, c) -> "IndexedTensor":
         c = GaussRational.of(c)
-        return type(self)(
-            self.n, self.slots, {idx: c * v for idx, v in self.entries.items()}
-        )
+        out = type(self)(self.n, self.slots)
+        if not c.is_zero():  # a product of nonzero values is nonzero
+            out.entries = {idx: c * v for idx, v in self.entries.items()}
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexedTensor):
@@ -175,8 +180,10 @@ class SymTensor(IndexedTensor):
 
     def full(self) -> IndexedTensor:
         """The same tensor with every arrangement stored."""
-        return IndexedTensor(self.n, self.slots, {
-            member: val for key, val in self.entries.items() for member in _orbit(key)})
+        out = IndexedTensor(self.n, self.slots)
+        out.entries = {member: val for key, val in self.entries.items()
+                       for member in _orbit(key)}
+        return out
 
 
 class StandardConstants:
@@ -385,6 +392,7 @@ def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
             row[b] = (a, m)
         tables.append(row)
     out = type(t)(t.n, t.slots)
+    sym = isinstance(t, SymTensor)
     for idx, val in t.entries.items():
         coeff = val.conj()
         target = []
@@ -392,8 +400,9 @@ def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
             a, m = row[b]
             coeff = coeff * m
             target.append(a)
-        # partner is a bijection, so every target index is hit once
-        out.set(tuple(target), coeff)
+        # partner is a bijection, so every target index (or orbit) is hit
+        # once; pi's entries are units, so coeff is not zero
+        out.entries[tuple(sorted(target)) if sym else tuple(target)] = coeff
     return out
 
 
@@ -413,7 +422,7 @@ def symmetrize(t: IndexedTensor) -> SymTensor:
 
     The mean over all k! permutations of an entry's slots equals, for
     each orbit, the sum of the orbit's stored entries over the orbit's
-    size; it is stored once, under the orbit's sorted index."""
+    size; it is stored once, under the orbit's sorted index, if nonzero."""
     if isinstance(t, SymTensor):
         return t.copy()
     out = SymTensor(t.n, t.slots)
@@ -421,8 +430,8 @@ def symmetrize(t: IndexedTensor) -> SymTensor:
     for idx, val in t.entries.items():
         key = tuple(sorted(idx))
         sums[key] = sums.get(key, ZERO) + val
-    for key, total in sums.items():
-        out.set(key, total / _orbit_size(key))
+    out.entries = {key: total / _orbit_size(key)
+                   for key, total in sums.items() if not total.is_zero()}
     return out
 
 

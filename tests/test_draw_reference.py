@@ -210,13 +210,31 @@ def _fraction_and_randint(source: str):
     return found
 
 
+DRAWS = {"randint", "randrange", "getrandbits"}
+
+
+def _draw_reads(source: str):
+    """The generator methods in ``DRAWS`` that ``source`` reads as an
+    attribute, called or not."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in DRAWS}
+
+
 def test_one_draw_path():
-    """No function outside gauss.py builds a random value from ``Fraction``s
-    of ``randint`` draws: ``gauss.random_gauss`` is the one draw path.  The
-    scan does find the replaced idiom (the reference drawers above)."""
-    found = [(path.name, name) for path in Path(qcframe.__file__).parent.glob("*.py")
-             if path.name != "gauss.py"
-             for name in _fraction_and_randint(path.read_text())]
+    """No module but gauss.py reads ``randint``, ``randrange`` or
+    ``getrandbits``, and none builds a random value from ``Fraction``s of
+    ``randint`` draws: ``gauss.random_gauss`` is the one draw path, and it
+    reads ``getrandbits`` only.  Both scans do find what they look for: in
+    a planted source string and in the reference drawers above."""
+    sources = {path.name: path.read_text()
+               for path in Path(qcframe.__file__).parent.glob("*.py")}
+    assert {name: _draw_reads(src) for name, src in sources.items()
+            if name != "gauss.py" and _draw_reads(src)} == {}
+    assert _draw_reads(sources["gauss.py"]) == {"getrandbits"}
+    planted = "def f(rng):\n    bits = rng.getrandbits\n    return rng.randrange(3) + bits(2)\n"
+    assert _draw_reads(planted) == {"getrandbits", "randrange"}
+    found = [(name, fn) for name, src in sources.items() if name != "gauss.py"
+             for fn in _fraction_and_randint(src)]
     assert found == []
     assert set(_fraction_and_randint(Path(__file__).read_text())) >= {
         "reference_random_tensor", "reference_random_components",

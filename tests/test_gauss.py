@@ -237,30 +237,110 @@ def test_cleared_rebuilds_every_value(parts):
 
 
 class _Scripted:
-    """A generator whose ``randint`` returns the given values in order,
-    each inside the bounds it is asked for."""
+    """A generator whose ``getrandbits`` returns the given (k, r) outputs in
+    order, each only when asked for exactly k bits and with r < 2**k."""
 
-    def __init__(self, *values):
-        self.values = list(values)
+    def __init__(self, *outputs):
+        self.outputs = list(outputs)
 
-    def randint(self, lo, hi):
-        v = self.values.pop(0)
-        assert lo <= v <= hi
-        return v
+    def getrandbits(self, k):
+        want, r = self.outputs.pop(0)
+        assert k == want and 0 <= r < 2 ** k
+        return r
+
+
+def _script(reject, *draws):
+    """A scripted generator giving the (k, offset) draws in order; with
+    ``reject`` each comes after one rejected output 2**k - 1, which is at
+    least the width (11 for span 5 at k = 4, 3 for den 3 at k = 2)."""
+    outputs = []
+    for k, r in draws:
+        if reject:
+            outputs.append((k, 2 ** k - 1))
+        outputs.append((k, r))
+    return _Scripted(*outputs)
 
 
 def test_random_gauss_matches_fraction_parts():
     """a/d1 + (b/d2) i from the draws a, d1, b, d2, as the same triple the
-    Fraction constructor gives, over the whole grid of draws."""
+    Fraction constructor gives, over the whole grid of draws.  Span 5 asks
+    for 4 bits and den 3 for 2; a draw is its offset from the range start."""
     for a, b, d1, d2 in itertools.product(range(-5, 6), range(-5, 6), (1, 2, 3), (1, 2, 3)):
-        rng = _Scripted(a, d1, b, d2)
-        v = random_gauss(rng, 5, 3)
-        w = GaussRational(Fraction(a, d1), Fraction(b, d2))
-        assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and not rng.values
-        rng = _Scripted(a, d1)
-        v = random_gauss(rng, 5, 3, real=True)
-        w = GaussRational(Fraction(a, d1))
-        assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and not rng.values
+        for reject in (False, True):
+            rng = _script(reject, (4, a + 5), (2, d1 - 1), (4, b + 5), (2, d2 - 1))
+            v = random_gauss(rng, 5, 3)
+            w = GaussRational(Fraction(a, d1), Fraction(b, d2))
+            assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and not rng.outputs
+            rng = _script(reject, (4, a + 5), (2, d1 - 1))
+            v = random_gauss(rng, 5, 3, real=True)
+            w = GaussRational(Fraction(a, d1))
+            assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and not rng.outputs
+
+
+@pytest.mark.parametrize("span,den", [(-1, 3), (4, 0), (2, -1), (-3, 0)])
+def test_random_gauss_refuses_an_empty_range(span, den):
+    """An empty range raises before any bits are drawn: the scripted
+    generator has no output, so a draw would fail with IndexError."""
+    for real in (False, True):
+        with pytest.raises(ValueError, match="empty draw range"):
+            random_gauss(_Scripted(), span, den, real)
+
+
+def _randint_reference(rng, span, den, real):
+    re = Fraction(rng.randint(-span, span), rng.randint(1, den))
+    return GaussRational(re) if real else GaussRational(
+        re, Fraction(rng.randint(-span, span), rng.randint(1, den)))
+
+
+def _sequence_mismatches(drawer):
+    """The (span, den, real, seed) cases, span 0..6 and den 1..4, on which
+    200 draws of ``drawer`` differ from the ``randint`` reference in a value
+    or in the generator state afterwards."""
+    bad = set()
+    for span, den, real, seed in itertools.product(range(7), range(1, 5), (False, True),
+                                                   range(10)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            v, w = drawer(rng, span, den, real), _randint_reference(ref, span, den, real)
+            if (v.a, v.b, v.d) != (w.a, w.b, w.d):
+                bad.add((span, den, real, seed))
+                break
+        if rng.getstate() != ref.getstate():
+            bad.add((span, den, real, seed))
+    return bad
+
+
+def test_random_gauss_is_the_randint_sequence():
+    """Every value and the generator state equal those of Fraction(randint,
+    randint) draws, also for span 0 and den 1, whose one-value ranges
+    still consume bits."""
+    assert _sequence_mismatches(random_gauss) == set()
+
+
+def test_random_gauss_sequence_catches_a_bit_count_slip():
+    """Negative control: a drawer asking for (width - 1).bit_length() bits
+    gives the same distribution, but diverges wherever a width is a power
+    of two (span 0, den 1, 2 or 4), and only there."""
+
+    def draw(rng, lo, width):
+        k = (width - 1).bit_length()
+        r = rng.getrandbits(k)
+        while r >= width:
+            r = rng.getrandbits(k)
+        return lo + r
+
+    def slipped(rng, span, den, real):
+        a, d1 = draw(rng, -span, 2 * span + 1), draw(rng, 1, den)
+        if real:
+            return GaussRational(Fraction(a, d1))
+        return GaussRational(Fraction(a, d1), Fraction(draw(rng, -span, 2 * span + 1),
+                                                        draw(rng, 1, den)))
+
+    want = {(span, den, real, seed)
+            for span, den, real, seed in itertools.product(range(7), range(1, 5),
+                                                           (False, True), range(10))
+            if span == 0 or den in (1, 2, 4)}
+    assert _sequence_mismatches(slipped) == want
 
 
 def test_random_gauss_draw_count():

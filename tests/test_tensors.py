@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcframe.gauss import ZERO, gr
+from qcframe.gauss import HALF, ZERO, GaussRational, gr
 from qcframe.tensors import (LOWER, UPPER, IndexedTensor, StandardConstants,
                              SymTensor, conj, is_spn, j_average, jmap,
                              lower_slot, raise_slot, random_tensor, slots,
@@ -377,3 +377,115 @@ def test_index_out_of_range():
         t.set((3,), 1)
     with pytest.raises(ValueError):
         t.get(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# direct writes against the validating path: the operations below write
+# the keys they generate straight into ``entries``; the references are the
+# same operations stored through ``set`` and the validating constructor.
+
+
+def _ref_copy(t):
+    return type(t)(t.n, t.slots, dict(t.entries))
+
+
+def _ref_scale(t, c):
+    c = GaussRational.of(c)
+    return type(t)(t.n, t.slots, {idx: c * v for idx, v in t.entries.items()})
+
+
+def _ref_full(t):
+    return IndexedTensor(t.n, t.slots, {
+        member: val for key, val in t.entries.items() for member in _orbit(key)})
+
+
+def _ref_jmap(t, c):
+    out = type(t)(t.n, t.slots)
+    for idx, val in t.entries.items():
+        coeff = val.conj()
+        for s, b in zip(t.slots, idx):
+            a = c.partner(b)
+            if s.variance == LOWER:
+                coeff = coeff * (c.pi_u_lbar(b, a) if s.barred else c.pi_ubar_l(b, a))
+            else:
+                coeff = coeff * (c.pi_ubar_l(a, b) if s.barred else c.pi_u_lbar(a, b))
+        out.set(tuple(c.partner(b) for b in idx), coeff)
+    return out
+
+
+def _ref_symmetrize(t):
+    if isinstance(t, SymTensor):
+        return _ref_copy(t)
+    out = SymTensor(t.n, t.slots)
+    sums = {}
+    for idx, val in t.entries.items():
+        key = tuple(sorted(idx))
+        sums[key] = sums.get(key, ZERO) + val
+    for key, total in sums.items():
+        out.set(key, total / _orbit_size(key))
+    return out
+
+
+def _ref_j_average(t, c):
+    total = _ref_copy(t)
+    for idx, val in _ref_jmap(t, c).entries.items():
+        total.set(idx, total.get(*idx) + val)
+    return _ref_scale(total, HALF)
+
+
+def _stored(t):
+    """Type, shape and every entry as a triple, in stored order."""
+    return (type(t), t.n, t.slots, [(k, (v.a, v.b, v.d)) for k, v in t.entries.items()])
+
+
+def _write_inputs(rng, n, spec):
+    """A dense and a sparse random tensor, the dense one's part skew in
+    its first two slots, whose orbit sums all vanish, and the sparse one
+    plus that part; each also symmetrized."""
+    dense = random_tensor(rng, n, slots(spec), span=2)
+    sparse = _sparse(rng, dense, 0.1)
+    out = [dense, sparse]
+    if len(spec) > 1:
+        skew = dense - IndexedTensor(n, dense.slots, {
+            (i[1], i[0]) + i[2:]: v for i, v in dense.entries.items()})
+        out += [skew, sparse + skew]
+    return out + [symmetrize(t) for t in out]
+
+
+@pytest.mark.parametrize("n,signature", [(1, None), (2, None), (2, (1, 1))])
+@pytest.mark.parametrize("spec", ["l", "ll", "lll", "llll", "UU", "uuu"])
+def test_direct_writes_match_the_validating_path(n, signature, spec):
+    c = StandardConstants(n, signature)
+    rng = random.Random(f"{n}-{signature}-{spec}")
+    zero_orbits = 0
+    for t in _write_inputs(rng, n, spec):
+        pairs = [(t.copy(), _ref_copy(t)), (jmap(t, c), _ref_jmap(t, c)),
+                 (symmetrize(t), _ref_symmetrize(t))]
+        pairs += [(t.scale(x), _ref_scale(t, x))
+                  for x in (0, 3, Fraction(-2, 3), gr(1, -2), HALF)]
+        if len(spec) % 2 == 0:
+            pairs.append((j_average(t, c), _ref_j_average(t, c)))
+        if isinstance(t, SymTensor):
+            pairs.append((t.full(), _ref_full(t)))
+        for got, want in pairs:
+            assert _stored(got) == _stored(want)
+            if isinstance(got, SymTensor):
+                assert all(k == tuple(sorted(k)) for k in got.entries)
+        assert t.scale(0).entries == {}
+        sums = {tuple(sorted(i)) for i in t.entries}
+        zero_orbits += len(sums) - len(symmetrize(t).entries)
+    if len(spec) > 1:  # the cancelling input does drop orbits
+        assert zero_orbits > 0
+
+
+def test_set_and_constructor_still_validate():
+    """The public writers keep checking the index: out of range, or of the
+    wrong length, is refused for plain and symmetric tensors alike."""
+    for cls in (IndexedTensor, SymTensor):
+        t = cls(2, slots("ll"))
+        for bad in ((0, 1), (1, 5), (1,), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                t.set(bad, 1)
+            with pytest.raises(ValueError):
+                cls(2, slots("ll"), {(1, 1): gr(1), bad: gr(2)})
+        assert t.is_zero()
