@@ -296,7 +296,7 @@ def cmd_example_heisenberg(args):
         if name == "name":
             continue
         r.check(f"{qc.name}: {name}", bool(ok))
-    if qc.name == "heisenberg":
+    if not args.chart:  # the coframe equations are solved for the built-in flat chart
         lex = lex_coframe(qc)
         r.check("coframe equations close with all phi = 0",
                 all(f.is_zero() for f in lex["residuals"]))

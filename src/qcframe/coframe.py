@@ -68,13 +68,12 @@ def gamma_bar(c: StandardConstants, s: int, t: int) -> Tuple[GaussRational, Key]
     """Express the barred coordinate Gamma_{s̄ t̄} as coeff * Gamma_{a b}.
 
     The j-constraint reads Gamma_{a b} = m_a m_b Gamma_{p(a)bar p(b)bar}
-    with p the pi-partner involution and m_a = pi^{p(a)bar}_{a}; since m
-    is a unit this inverts to a single signed unbarred coordinate.
+    with (p, m) the j table of ``StandardConstants``; for a = p(s),
+    b = p(t) the unit m_a m_b equals m_s m_t, which ``c.j((s, t))``
+    returns with (a, b).
     """
-    a, b = c.partner(s), c.partner(t)
-    m_a = c.pi_ubar_l(c.partner(a), a)
-    m_b = c.pi_ubar_l(c.partner(b), b)
-    return gr(1) / (m_a * m_b), gam_key(a, b)
+    (a, b), m = c.j((s, t))
+    return gr(m), gam_key(a, b)
 
 
 def conj_key(c: StandardConstants, key: Key):

@@ -384,29 +384,25 @@ class Exterior(Alphabet):
             raise ValueError(f"{family} takes {arity} indices, got {idx}")
         if any(not 1 <= i <= 2 * self.n for i in idx):
             raise ValueError(f"index out of range in {family}{idx}")
-        coeff = gr(1)
+        coeff = 1
         if symmetric:
             idx = tuple(sorted(idx))
         if conj and real:
             conj = False
         if conj and jreal:
-            # jF = F forces conj(F)[b] = F[p(b)] / prod m_{p(b_k)}
-            c = self.consts
-            target = tuple(c.partner(i) for i in idx)
-            for t in target:
-                coeff = coeff / c.pi_ubar_l(c.partner(t), t)
+            # jF = F forces conj(F)[b] = m_{p(b)} F[p(b)], and m_{p(b)} is
+            # m_b negated once per index
+            target, m = self.consts.j(idx)
+            coeff = -m if len(idx) % 2 else m
             idx = tuple(sorted(target))
             conj = False
-        return Poly({(Sym(family, idx, conj),): coeff})
+        return Poly({(Sym(family, idx, conj),): gr(coeff)})
 
     def jsym(self, family: str, idx: Iterable[int]) -> Poly:
-        """(jF)_{idx}: pi-contracted conjugate of the family array."""
-        c = self.consts
-        idx = tuple(idx)
-        coeff = gr(1)
-        for a in idx:
-            coeff = coeff * c.pi_ubar_l(c.partner(a), a)
-        return self.sym(family, tuple(c.partner(a) for a in idx), conj=True).scale(coeff)
+        """(jF)_{idx} = m conj(F_{p(idx)}), with (p(idx), m) read from
+        the j table of the constants."""
+        target, m = self.consts.j(tuple(idx))
+        return self.sym(family, target, conj=True).scale(m)
 
     def _conj_sym(self, s: Sym) -> Tuple[GaussRational, Sym]:
         """conj(s) = coeff * s2 as (coeff, s2), tabulated on first use."""

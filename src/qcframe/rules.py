@@ -790,8 +790,6 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
             rules[ext.gid[("phiU", a, True)]] = rules[ext.gid[("phiU", a, False)]].conj()
         else:
             rules[ext.gid[("phiU", a, False)]] = rules[ext.gid[("phiU", a, True)]].conj()
-    if tamper == "unsym-V":
-        rs.tamper = tamper
     return rs
 
 
@@ -861,14 +859,10 @@ def star_symmetry_check(n: int, signature: Tuple[int, int] = None) -> bool:
         base = b.form(b.secondary_part, "S", tuple(sorted(idx)))
         if not (b.form(b.secondary_part, "S", tuple(idx)) - base).is_zero():
             return False
-    # j S* = S*: pi-contract the conjugated array
-    c = b.c
+    # j S* = S*: (j S*)_idx = m conj(S*_{p(idx)})
     for idx in itertools.combinations_with_replacement(b.R, 4):
-        coeff = gr(1)
-        target = tuple(c.partner(a) for a in idx)
-        for a in idx:
-            coeff = coeff * c.pi_ubar_l(c.partner(a), a)
-        jstar = b.form(b.secondary_part, "S", target).conj().scale(coeff)
+        target, m = b.c.j(idx)
+        jstar = b.form(b.secondary_part, "S", target).conj().scale(m)
         if not (jstar - b.form(b.secondary_part, "S", idx)).is_zero():
             return False
     return True

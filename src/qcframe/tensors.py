@@ -20,6 +20,14 @@ GaussRationals (0 and the units), so an accessor call is one dict
 lookup and builds no new value.  An index outside 1..2n is not in the
 tables and raises ValueError naming it.
 
+The quaternionic structure j acts through one more table: pi couples
+each index a only to its partner p(a), with the unit m_a = pi^{p(a)bar}_a
+(an int, +1 or -1).  ``StandardConstants.j(idx)`` returns p(idx) and the
+product m of the units over idx, so (jF)_idx = m conj(F_{p(idx)}) for a
+lower-index array F.  ``jmap``, ``coframe.gamma_bar``, the symbol
+canonicalization in ``forms`` and the starred-form check in ``rules``
+read it instead of working out partner and unit themselves.
+
 A SymTensor is a totally symmetric tensor over slots of one type, stored
 once per orbit (the arrangements of one multiset of index values) under
 the sorted index tuple, so total symmetry holds by construction.
@@ -196,10 +204,14 @@ class StandardConstants:
     pi_{a+n,a} = -1 throughout.  The precise values are conventional;
     what the rest of the package relies on is hermiticity of g, skewness
     of pi, and the two contraction identities checked in the tests.
+
+    ``j`` reads a table built once from ``pi_ubar_l``: index a ->
+    (p(a), m_a), with p the partner involution and m_a = pi^{p(a)bar}_a
+    an int unit; m_{p(a)} = -m_a.
     """
 
     __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_g", "_g_up",
-                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_rows")
+                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_rows", "_j")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -245,6 +257,8 @@ class StandardConstants:
                              for a in rng}
                       for name, t in (("g", self._g), ("pi", self._pi), ("pi_up", self._pi_up),
                                       ("pi_u_lbar", self._pi_u_lbar))}
+        units = {ONE: 1, -ONE: -1}  # a KeyError if some m_a were not a unit
+        self._j = {a: (p, units[self._pi_ubar_l[p, a]]) for a, p in self._partner.items()}
 
     @property
     def dim(self) -> int:
@@ -272,6 +286,16 @@ class StandardConstants:
             return rows[a]
         except KeyError:
             raise self._bad_index(a) from None
+
+    def j(self, idx: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+        """(p(idx), m): the partner of each index and the product of the
+        units m_a = pi^{p(a)bar}_a over idx, so that (jF)_idx =
+        m conj(F_{p(idx)}) for a lower-index array F; j(()) is ((), 1)."""
+        try:
+            pairs = [self._j[a] for a in idx]
+        except KeyError:
+            raise self._bad_index(*idx) from None
+        return tuple(p for p, _ in pairs), prod(m for _, m in pairs)
 
     # -- scalar accessors used in formula transcriptions -----------------
     # All return GaussRational (real-valued for these constants), read
@@ -344,7 +368,8 @@ def lower_slot(t: IndexedTensor, slot: int, c: StandardConstants) -> IndexedTens
 def _contract_metric(t: IndexedTensor, slot: int, c: StandardConstants,
                      variance, mismatch: str) -> IndexedTensor:
     """Contract a slot of the given variance with the diagonal metric (g
-    and g^ have the same entries); otherwise raise ValueError(mismatch)."""
+    and g^ have the same unit entries, so each entry keeps its key);
+    otherwise raise ValueError(mismatch)."""
     if not (0 <= slot < len(t.slots)):
         raise ValueError(f"slot {slot} out of range")
     if t.slots[slot].variance != variance:
@@ -354,17 +379,14 @@ def _contract_metric(t: IndexedTensor, slot: int, c: StandardConstants,
     new_slots = list(t.slots)
     new_slots[slot] = t.slots[slot].flipped()
     out = IndexedTensor(t.n, new_slots)
-    for idx, val in t.entries.items():
-        a = idx[slot]
-        out.set(idx, out.entries.get(idx, gr(0)) + gr(c.diag[a - 1]) * val)
+    out.entries = {idx: c.g(idx[slot], idx[slot]) * val for idx, val in t.entries.items()}
     return out
 
 
 def conj(t: IndexedTensor) -> IndexedTensor:
-    """Flip every bar and conjugate every entry."""
+    """Flip every bar and conjugate every entry, each under its own key."""
     out = type(t)(t.n, (s.conjugated() for s in t.slots))
-    for idx, val in t.entries.items():
-        out.set(idx, val.conj())
+    out.entries = {idx: val.conj() for idx, val in t.entries.items()}
     return out
 
 
@@ -373,36 +395,18 @@ def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     conjugated array with the matching mixed pi.  Slot types are
     preserved; applying j twice gives (-1)^slots.
 
-    pi couples each index b only to its partner, so every slot has a
-    table b -> (partner, pi factor), built once per call; an entry is
-    then mapped with one conjugation and the product of its factors."""
-    tables = []
-    for s in t.slots:
-        row = {}
-        for b in range(1, t.dim + 1):
-            a = c.partner(b)
-            if s.variance == LOWER and not s.barred:
-                m = c.pi_ubar_l(b, a)     # pi^{b̄}_{a}
-            elif s.variance == LOWER and s.barred:
-                m = c.pi_u_lbar(b, a)     # pi^{b}_{ā}
-            elif s.variance == UPPER and not s.barred:
-                m = c.pi_u_lbar(a, b)     # pi^{a}_{b̄}
-            else:
-                m = c.pi_ubar_l(a, b)     # pi^{ā}_{b}
-            row[b] = (a, m)
-        tables.append(row)
+    pi couples each index only to its partner, so the entry at idx goes
+    to p(idx) with the unit m of ``c.j(idx)``: an upper slot contributes
+    m_b for its index b, a lower slot m_{p(b)} = -m_b, so the sign is m
+    negated once per lower slot."""
     out = type(t)(t.n, t.slots)
     sym = isinstance(t, SymTensor)
+    keep = -1 if sum(s.variance == LOWER for s in t.slots) % 2 else 1
     for idx, val in t.entries.items():
-        coeff = val.conj()
-        target = []
-        for b, row in zip(idx, tables):
-            a, m = row[b]
-            coeff = coeff * m
-            target.append(a)
-        # partner is a bijection, so every target index (or orbit) is hit
-        # once; pi's entries are units, so coeff is not zero
-        out.entries[tuple(sorted(target)) if sym else tuple(target)] = coeff
+        target, m = c.j(idx)
+        val = val.conj()
+        # p is a bijection, so every target index (or orbit) is hit once
+        out.entries[tuple(sorted(target)) if sym else target] = val if m == keep else -val
     return out
 
 
@@ -500,7 +504,7 @@ def y_from_spn(x: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     # X^t_b: raise the barred slot of X_{b t̄} -> multiply by diag
     out = IndexedTensor(x.n, slots("ll"))
     for (b, t), val in x.entries.items():
-        xtb = gr(c.diag[t - 1]) * val  # X^t_b
+        xtb = c.g(t, t) * val  # X^t_b
         for s in range(1, x.dim + 1):
             coeff = -c.pi(s, t)
             if not coeff.is_zero():

@@ -215,6 +215,25 @@ def test_chart_json_round_trip(qc):
     assert cert["alpha_all_zero"] and cert["integrability_residual_zero"]
 
 
+def test_chart_file_named_heisenberg_runs_only_the_chart_checks(qc, tmp_path, capsys):
+    """The coframe equations are solved for the built-in flat chart only:
+    a chart file does not run them by being named "heisenberg".  The
+    Heisenberg chart with its etas and g doubled is still a qc chart, and
+    it passes whatever its name."""
+    doc = _chart_doc(qc)
+    doc["etas"] = [[[i, str(2 * Fraction(re)), str(2 * Fraction(im)), e]
+                    for i, re, im, e in eta] for eta in doc["etas"]]
+    doc["g"] = [[str(2 * Fraction(v)) for v in row] for row in doc["g"]]
+    for name in ("heisenberg", "scaled"):
+        doc["name"] = name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}-report.json"
+        assert run(["example", "heisenberg", "--chart", str(path), "--json", str(out)]) == 0
+        checks = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert len(checks) == 6 and all(c.startswith(f"{name}: ") for c in checks)
+
+
 def test_lex_rejects_non_flat_chart(qc):
     other = heisenberg_qc()
     other.name = "custom"

@@ -1,10 +1,15 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
+import qcframe
 from qcframe.gauss import HALF, ZERO, GaussRational, gr
+from qcframe.rules import build_rules, d_square_report, star_symmetry_check
 from qcframe.tensors import (LOWER, UPPER, IndexedTensor, StandardConstants,
                              SymTensor, conj, is_spn, j_average, jmap,
                              lower_slot, raise_slot, random_tensor, slots,
@@ -489,3 +494,132 @@ def test_set_and_constructor_still_validate():
             with pytest.raises(ValueError):
                 cls(2, slots("ll"), {(1, 1): gr(1), bad: gr(2)})
         assert t.is_zero()
+
+
+def _ref_conj(t):
+    out = type(t)(t.n, (s.conjugated() for s in t.slots))
+    for idx, val in t.entries.items():
+        out.set(idx, val.conj())
+    return out
+
+
+def _ref_contract(t, slot, c):
+    """raise_slot / lower_slot through ``set``, summing into each key."""
+    if isinstance(t, SymTensor):
+        t = t.full()
+    new_slots = list(t.slots)
+    new_slots[slot] = t.slots[slot].flipped()
+    out = IndexedTensor(t.n, new_slots)
+    for idx, val in t.entries.items():
+        out.set(idx, out.entries.get(idx, gr(0)) + gr(c.diag[idx[slot] - 1]) * val)
+    return out
+
+
+@pytest.mark.parametrize("n,signature", [(1, None), (2, None), (2, (1, 1)), (3, (2, 1))])
+@pytest.mark.parametrize("spec", ["l", "U", "lL", "uuu", "llll"])
+def test_conj_and_metric_contractions_match_the_validating_path(n, signature, spec):
+    """conj, raise_slot and lower_slot map every entry to its own key and
+    write it directly; symmetric inputs included, a slot of the wrong
+    variance still refused."""
+    c = StandardConstants(n, signature)
+    rng = random.Random(f"{n}-{signature}-{spec}-metric")
+    if len(set(spec)) == 1:
+        inputs = _write_inputs(rng, n, spec)
+        assert any(isinstance(t, SymTensor) for t in inputs)
+    else:  # mixed slots: no symmetric input
+        dense = random_tensor(rng, n, slots(spec), span=2)
+        inputs = [dense, _sparse(rng, dense, 0.1)]
+    for t in inputs:
+        assert _stored(conj(t)) == _stored(_ref_conj(t))
+        for slot, s in enumerate(t.slots):
+            right, wrong = ((raise_slot, lower_slot) if s.variance == LOWER
+                            else (lower_slot, raise_slot))
+            assert _stored(right(t, slot, c)) == _stored(_ref_contract(t, slot, c))
+            with pytest.raises(ValueError, match="expects an? (upper|lower) slot"):
+                wrong(t, slot, c)
+
+
+# ---------------------------------------------------------------------------
+# the j table
+
+
+@pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
+                                         (2, (1, 1)), (3, (2, 1))])
+def test_j_table(n, signature):
+    """j pairs each index with its partner and the unit pi^{p(a)bar}_a;
+    p is an involution and m_{p(a)} = -m_a; a multi-index maps slot by
+    slot with the product of the units."""
+    c = StandardConstants(n, signature)
+    rng = range(1, 2 * n + 1)
+    units = {}
+    for a in rng:
+        (p,), m = c.j((a,))
+        assert p == c.partner(a)
+        assert type(m) is int and m in (1, -1)
+        assert gr(m) == c.pi_ubar_l(p, a)
+        assert c.j((p,)) == ((a,), -m)
+        units[a] = m
+    assert c.j(()) == ((), 1)
+    for idx in itertools.product(rng, repeat=3):
+        assert c.j(idx) == (tuple(c.partner(a) for a in idx), prod(units[a] for a in idx))
+    for bad in (0, 2 * n + 1):
+        with pytest.raises(ValueError, match=rf"index {bad} outside"):
+            c.j((1, bad))
+
+
+def test_flipped_j_unit_is_caught(monkeypatch):
+    """Negative control: with the unit of index 1 flipped in j alone, j is
+    no longer j^2 = -1 on one slot, S* is no longer j-real, and the curved
+    n = 1 table (whose barred Gamma and j-real symbols read j) no longer
+    has d^2 = 0."""
+    t = IndexedTensor(1, slots("l"), {(1,): gr(2, 1), (2,): gr(-1, 3)})
+    c = StandardConstants(1)
+    assert jmap(jmap(t, c), c) == -t
+    assert star_symmetry_check(1)
+    assert all(f.is_zero() for f in d_square_report(build_rules(1, "curved")).values())
+    j = StandardConstants.j
+
+    def flipped(self, idx):
+        target, m = j(self, idx)
+        return target, -m if idx.count(1) % 2 else m
+
+    monkeypatch.setattr(StandardConstants, "j", flipped)
+    c = StandardConstants(1)
+    assert jmap(jmap(t, c), c) != -t
+    assert not star_symmetry_check(1)
+    report = d_square_report(build_rules(1, "curved"))
+    assert sum(not f.is_zero() for f in report.values()) == 15
+    assert len(report) == 17
+
+
+JMIXED = {"pi_ubar_l", "pi_u_lbar"}
+
+
+def _j_copies(source: str):
+    """Where ``source`` works out the j action by hand: a call of
+    ``pi_ubar_l``/``pi_u_lbar`` whose first argument is a ``partner(...)``
+    call, or a read of the private ``_j`` table."""
+    def callee(call):
+        f = call.func
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and callee(node) in JMIXED and node.args
+                and isinstance(node.args[0], ast.Call) and callee(node.args[0]) == "partner"):
+            found.append(f"{callee(node)}(partner(...))")
+        elif isinstance(node, ast.Attribute) and node.attr == "_j":
+            found.append("_j")
+    return found
+
+
+def test_one_j_table():
+    """Only tensors.py builds or reads the j table; no other module pairs
+    ``partner`` with a mixed pi.  The scan does find both patterns."""
+    sources = {path.name: path.read_text()
+               for path in Path(qcframe.__file__).parent.glob("*.py")}
+    assert {name: _j_copies(src) for name, src in sources.items()
+            if name != "tensors.py" and _j_copies(src)} == {}
+    assert "_j" in _j_copies(sources["tensors.py"])
+    planted = "def f(c, a):\n    return c.pi_ubar_l(c.partner(a), a) * c._j[a][1]\n"
+    assert _j_copies(planted) == ["pi_ubar_l(partner(...))", "_j"]
