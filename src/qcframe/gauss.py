@@ -169,6 +169,8 @@ class GaussRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if other.__class__ is int:  # (a + b i) / (d k), the int not coerced
+            return GaussRational.from_ints(self.a, self.b, self.d * other)
         other = GaussRational._coerce(other)
         if other is None:
             return NotImplemented

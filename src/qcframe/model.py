@@ -5,9 +5,9 @@ Matrices act on the 2n+4 dimensional space with basis ordered
 (v1, v2, e_1..e_{2n}, w1, w2) and are stored sparsely as dicts
 {(row, col): GaussRational}.  An element is described either by such a
 matrix or by its coordinates (a LieCoord); the two are related by a
-fixed block template, written once in ``to_matrix``.  Decoding is the
-left inverse of the basis matrices, and ``from_matrix`` refuses anything
-off the template so that closure failures surface immediately.
+fixed block template, written once, as the table ``SpModel._template``.
+The decoder is the basis matrices' left inverse; ``from_matrix`` refuses
+anything off the template, so closure failures surface immediately.
 
 Every bracket goes through one structure-constant table, built on first
 use from the commutators of the basis matrices; each basis pair is
@@ -32,9 +32,28 @@ from . import coframe
 from .coframe import Key
 
 SparseMat = Dict[Tuple[int, int], GaussRational]
+Terms = Tuple[Tuple[Key, GaussRational], ...]  # (coordinate key, coefficient)
 
-# the coordinates of the scalar blocks of the template
-_SCALAR_KINDS = frozenset({"phi0", "phi", "psi", "eta"})
+# The scalar blocks of the sp(n+1,1) template, one position (row, column) a
+# line, named as SpModel's attributes, with the terms summed there:
+_SCALAR_BLOCKS: Tuple[Tuple[str, str, Terms], ...] = (
+    ("v1", "v1", ((("phi0",), -HALF), (("phi", 1), -I * HALF))),
+    ("v1", "v2", ((("phi", 2), -HALF), (("phi", 3), I * HALF))),
+    ("v1", "w1", ((("psi", 1), I),)),
+    ("v1", "w2", ((("psi", 2), ONE), (("psi", 3), -I))),
+    ("v2", "v1", ((("phi", 2), HALF), (("phi", 3), I * HALF))),
+    ("v2", "v2", ((("phi0",), -HALF), (("phi", 1), I * HALF))),
+    ("v2", "w1", ((("psi", 2), -ONE), (("psi", 3), -I))),
+    ("v2", "w2", ((("psi", 1), -I),)),
+    ("w1", "v1", ((("eta", 1), I * HALF),)),
+    ("w1", "v2", ((("eta", 2), HALF), (("eta", 3), -I * HALF))),
+    ("w1", "w1", ((("phi0",), HALF), (("phi", 1), -I * HALF))),
+    ("w1", "w2", ((("phi", 2), -HALF), (("phi", 3), I * HALF))),
+    ("w2", "v1", ((("eta", 2), -HALF), (("eta", 3), -I * HALF))),
+    ("w2", "v2", ((("eta", 1), -I * HALF),)),
+    ("w2", "w1", ((("phi", 2), HALF), (("phi", 3), I * HALF))),
+    ("w2", "w2", ((("phi0",), HALF), (("phi", 1), I * HALF))),
+)
 
 
 class TemplateError(ValueError):
@@ -290,6 +309,7 @@ class SpModel:
         # row/col layout of the template
         self.v1, self.v2 = 0, 1
         self.w1, self.w2 = 2 * n + 2, 2 * n + 3
+        self._tmpl = None
         self._mats = None
         self._dec = None
         self._ints = None
@@ -307,76 +327,41 @@ class SpModel:
 
     # -- template ----------------------------------------------------------
 
+    def _template(self) -> Tuple[Tuple[Tuple[int, int], Terms], ...]:
+        """The block template as data, built once: each matrix position with
+        its terms, in the order ``to_matrix`` emits them.  Off the scalar
+        blocks the terms read one row of g, pi, pi^a_b̄ or pi^{ab}."""
+        if self._tmpl is None:
+            c, at, idx = self.consts, lambda r: getattr(self, r), range(1, 2 * self.n + 1)
+
+            def terms(fam, barred, form, k, a) -> Terms:  # k sum_s form_{a s} x[fam, s, barred]
+                row = c.row(form, a) if form else ((a, ONE),)
+                return tuple(((fam, s, barred), k * v) for s, v in row)
+
+            tmpl = [((at(r), at(co)), ts) for r, co, ts in _SCALAR_BLOCKS]
+            for b in idx:  # rows v1..w2 at column e_b
+                tmpl += [((at(r), self.e(b)), terms(*blk, b)) for r, *blk in (
+                    ("v1", "phiU", True, "g", 2 * I), ("v2", "phiU", False, "pi", 2 * I),
+                    ("w1", "theta", True, "g", I), ("w2", "theta", False, "pi", I))]
+            for a in idx:  # row e_a at columns v1..w2 (form None: the identity), then e_b
+                tmpl += [((self.e(a), at(co)), terms(*blk, a)) for co, *blk in (
+                    ("v1", "theta", False, None, I), ("v2", "theta", True, "pi_u_lbar", -I),
+                    ("w1", "phiU", False, None, 2 * I), ("w2", "phiU", True, "pi_u_lbar", -2 * I))]
+                tmpl += [((self.e(a), self.e(b)), tuple(
+                    (coframe.gam_key(s, b), v) for s, v in c.row("pi_up", a))) for b in idx]
+            self._tmpl = tuple(tmpl)
+        return self._tmpl
+
     def to_matrix(self, x: LieCoord) -> SparseMat:
-        """The template matrix of x.  Every position is written at most
-        once; a block is skipped when its coordinates are all zero, and the
-        sums over g, pi, pi^a_b̄ and pi^{ab} read only their nonzero entries."""
-        c, get = self.consts, x.get
-        v1, v2, w1, w2 = self.v1, self.v2, self.w1, self.w2
-        M: SparseMat = {}
-
-        def put(r, co, val):
-            if not val.is_zero():
-                M[r, co] = val
-
-        def contract(form, a, vec):  # sum over s of form_{a s} vec[s]
-            return sum((v * vec[s] for s, v in c.row(form, a)), ZERO)
-
-        if any(k[0] in _SCALAR_KINDS for k in x.c):
-            eta = [get(("eta", s)) for s in (1, 2, 3)]
-            phi = [get(("phi", s)) for s in (1, 2, 3)]
-            psi = [get(("psi", s)) for s in (1, 2, 3)]
-            phi0 = get(("phi0",))
-            put(v1, v1, -HALF * (phi0 + I * phi[0]))
-            put(v1, v2, -HALF * (phi[1] - I * phi[2]))
-            put(v1, w1, I * psi[0])
-            put(v1, w2, psi[1] - I * psi[2])
-            put(v2, v1, HALF * (phi[1] + I * phi[2]))
-            put(v2, v2, -HALF * (phi0 - I * phi[0]))
-            put(v2, w1, -(psi[1] + I * psi[2]))
-            put(v2, w2, -I * psi[0])
-            put(w1, v1, HALF * I * eta[0])
-            put(w1, v2, HALF * (eta[1] - I * eta[2]))
-            put(w1, w1, HALF * (phi0 - I * phi[0]))
-            put(w1, w2, -HALF * (phi[1] - I * phi[2]))
-            put(w2, v1, -HALF * (eta[1] + I * eta[2]))
-            put(w2, v2, -HALF * I * eta[0])
-            put(w2, w1, HALF * (phi[1] + I * phi[2]))
-            put(w2, w2, HALF * (phi0 + I * phi[0]))
-        rng1 = range(1, 2 * self.n + 1)
-        th = {a: get(("theta", a, False)) for a in rng1}
-        thb = {a: get(("theta", a, True)) for a in rng1}
-        fu = {a: get(("phiU", a, False)) for a in rng1}
-        fub = {a: get(("phiU", a, True)) for a in rng1}
-        any_th = any(not v.is_zero() for v in th.values())
-        any_thb = any(not v.is_zero() for v in thb.values())
-        any_fu = any(not v.is_zero() for v in fu.values())
-        any_fub = any(not v.is_zero() for v in fub.values())
-        any_gam = any(k[0] == "Gam" for k in x.c)
-        for b in rng1:
-            eb = self.e(b)
-            if any_fub:
-                put(v1, eb, 2 * I * contract("g", b, fub))
-            if any_fu:
-                put(v2, eb, 2 * I * contract("pi", b, fu))
-            if any_thb:
-                put(w1, eb, I * contract("g", b, thb))
-            if any_th:
-                put(w2, eb, I * contract("pi", b, th))
-        for a in rng1:
-            ea = self.e(a)
-            if any_th:
-                put(ea, v1, I * th[a])
-            if any_thb:
-                put(ea, v2, -I * contract("pi_u_lbar", a, thb))
-            if any_fu:
-                put(ea, w1, 2 * I * fu[a])
-            if any_fub:
-                put(ea, w2, -2 * I * contract("pi_u_lbar", a, fub))
-            if any_gam:
-                for b in rng1:
-                    gam = sum((v * get(("Gam", s, b)) for s, v in c.row("pi_up", a)), ZERO)
-                    put(ea, self.e(b), gam)
+        """The template matrix of x: each position's terms summed over x.c."""
+        c, M = x.c, {}
+        for pos, ts in self._template():
+            val = None
+            for key, coeff in ts:
+                if key in c:
+                    val = coeff * c[key] if val is None else val + coeff * c[key]
+            if val is not None and not val.is_zero():
+                M[pos] = val
         return M
 
     def _basis_matrices(self) -> List[SparseMat]:

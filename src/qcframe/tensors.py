@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import InputError
@@ -416,9 +415,14 @@ def _orbit(key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _orbit_size(key: Tuple[int, ...]) -> int:
-    """len(_orbit(key)) without listing the orbit: the multinomial
-    k! / prod(m_i!) over the multiplicities m_i of key's values."""
-    return factorial(len(key)) // prod(map(factorial, Counter(key).values()))
+    """len(_orbit(key)) for a sorted key, without listing the orbit: the
+    multinomial k! / prod(m_i!), built one slot at a time, each m_i read
+    as a run of equal values in key."""
+    size = run = 1
+    for i in range(1, len(key)):
+        run = run + 1 if key[i] == key[i - 1] else 1
+        size = size * (i + 1) // run
+    return size
 
 
 def symmetrize(t: IndexedTensor) -> SymTensor:

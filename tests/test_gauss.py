@@ -34,6 +34,15 @@ def test_division_by_zero():
         gr(1) / gr(0)
 
 
+def test_division_by_int_matches_division_by_its_scalar():
+    for x in (gr(3, 6), gr(Fraction(-2, 3), Fraction(5, 7)), gr(0)):
+        for k in (1, 2, -3, 12):
+            assert_matches(x / k, (x.re / k, x.im / k))
+            assert x / k == x / gr(k)
+    with pytest.raises(ZeroDivisionError):
+        gr(1) / 0
+
+
 def test_int_coercion():
     assert 2 * gr(1, 1) == gr(2, 2)
     assert gr(1, 1) + 1 == gr(2, 1)

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,6 +494,37 @@ def test_perturbed_decoder_coefficient_fails_reencoding():
 def test_dependent_basis_matrices_raise(dependent_basis):
     with pytest.raises(TemplateError, match="linearly dependent"):
         SpModel(1).structure_constants()
+
+
+@pytest.mark.parametrize("n,signature", [(1, None), (2, (1, 1))])
+def test_negated_template_term_is_refused(n, signature, monkeypatch):
+    """The negative control for the template table: negating the
+    coefficient of any one term leaves basis matrices that are dependent
+    or whose commutators are off the template, and structure_constants
+    raises.  The exception is a coordinate written at one position only
+    (a diagonal Gam): its negated term only flips the sign of its basis
+    matrix, so the table still builds, and the flat rule table's
+    structure constants (``maurer_cartan_check``) catch it instead."""
+    tmpl = SpModel(n, signature)._template()
+    written = Counter(key for _, ts in tmpl for key, _ in ts)
+    once = 0
+    for i, (pos, ts) in enumerate(tmpl):
+        for t, (key, coeff) in enumerate(ts):
+            bad = tmpl[:i] + ((pos, ts[:t] + ((key, -coeff),) + ts[t + 1:]),) + tmpl[i + 1:]
+            tampered = SpModel(n, signature)
+            tampered._tmpl = bad
+            if written[key] > 1:
+                with pytest.raises(TemplateError):
+                    tampered.structure_constants()
+                continue
+            assert key[0] == "Gam" and key[1] == key[2]
+            assert tampered.structure_constants()
+            with monkeypatch.context() as mp:
+                mp.setattr(SpModel, "_template", lambda self: bad)
+                assert maurer_cartan_check(n, signature)["mismatches"]
+            once += 1
+    assert once == 2 * n
+    assert maurer_cartan_check(n, signature)["mismatches"] == 0
 
 
 # -- the one exact solver --------------------------------------------------------

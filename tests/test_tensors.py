@@ -290,6 +290,26 @@ def test_orbit_size_is_the_number_of_arrangements():
                 assert _orbit_size(key) == len(_orbit(key)), key
 
 
+def test_symmetrize_constructs_no_gauss_rational(monkeypatch):
+    """Each orbit sum is divided by its int size without coercing the int:
+    symmetrizing an n = 2 four-slot tensor calls no GaussRational.__init__."""
+    t = random_tensor(random.Random(22), 2, slots("llll"))
+    want = _symmetrize_reference(t)
+    calls = []
+    init = GaussRational.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GaussRational, "__init__", counting)
+    sym = symmetrize(t)
+    assert calls == []
+    assert len(sym.entries) == 35 and sym.full().entries == want
+    next(iter(sym.entries.values())) / gr(3)  # the control: gr constructs
+    assert calls
+
+
 def test_absent_entry_reads_the_shared_zero():
     t = IndexedTensor(2, slots("lL"))
     s = SymTensor(2, slots("lll"))
