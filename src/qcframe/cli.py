@@ -242,15 +242,13 @@ def cmd_lie_killing(args):
     r.report["calibration"] = cal
     r.check("ad-trace Gram matrix computed and compared (see calibration)",
             True, blocks={k: v["match"] for k, v in cal["blocks"].items()})
-    tf = model.dual_frames()
-    pf = model.dual_frames_published()
-    n = args.n
+    psi, phi = cal["pairings"]["psi_Ehat"], cal["pairings"]["phi_Zhat"]
     r.check("published-form duality pairings equal their quoted values",
-            str(pf["psi_pairing"]) == str(gr(Fraction(-1, 4 * n + 6)))
-            and str(pf["phi_pairing"]) == str(gr(Fraction(-1, 4 * (2 * n + 7)))),
-            psi=str(pf["psi_pairing"]), phi=str(pf["phi_pairing"]))
+            psi["published_form"] == psi["printed"]
+            and phi["published_form"] == phi["printed"],
+            psi=psi["published_form"], phi=phi["published_form"])
     r.check("trace-form duality pairings recorded",
-            True, psi=str(tf["psi_pairing"]), phi=str(tf["phi_pairing"]))
+            True, psi=psi["trace"], phi=phi["trace"])
     return r.finish(args.json)
 
 
@@ -343,26 +341,22 @@ def cmd_classify(args):
 
 def cmd_report(args):
     """Run the full battery at default sizes."""
-    ns = argparse.Namespace
+    parse = build_parser().parse_args
+    seed = ["--seed", str(args.seed)]
     rc = 0
-    jobs = [
-        (cmd_verify_flat, ns(n=1, signature=None, json=None)),
-        (cmd_verify_flat, ns(n=2, signature=None, json=None)),
-        (cmd_verify_curved, ns(n=1, signature=None, json=None,
-                               negative_control=False, published=False)),
-        (cmd_verify_bianchi, ns(n=1, signature=None, json=None)),
-        (cmd_verify_normality, ns(n=1, signature=None, json=None,
-                                  seed=args.seed, trials=10)),
-        (cmd_lie_jacobi, ns(n=1, signature=None, json=None, seed=args.seed, trials=25)),
-        (cmd_lie_killing, ns(n=1, signature=None, json=None)),
-        (cmd_lie_g1, ns(n=1, signature=None, json=None, seed=args.seed, trials=10)),
-        (cmd_example_heisenberg, ns(json=None, chart=None)),
-        (cmd_classify, ns(n=1, signature=None, json=None, seed=args.seed,
-                          components=None)),
-    ]
-    for fn, sub in jobs:
-        print(f"== {fn.__name__[4:]} (n={getattr(sub, 'n', '-')}) ==")
-        rc = max(rc, fn(sub))
+    for argv in (["verify", "flat", "--n", "1"],
+                 ["verify", "flat", "--n", "2"],
+                 ["verify", "curved", "--n", "1"],
+                 ["verify", "bianchi", "--n", "1"],
+                 ["verify", "normality", "--n", "1", "--trials", "10", *seed],
+                 ["lie", "jacobi", "--n", "1", "--trials", "25", *seed],
+                 ["lie", "killing", "--n", "1"],
+                 ["lie", "g1", "--n", "1", "--trials", "10", *seed],
+                 ["example", "heisenberg"],
+                 ["classify", "homogeneity", "--n", "1", *seed]):
+        sub = parse(argv)
+        print(f"== {sub.fn.__name__[4:]} (n={getattr(sub, 'n', '-')}) ==")
+        rc = max(rc, sub.fn(sub))
     return rc
 
 

@@ -464,79 +464,40 @@ def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
     return out
 
 
+# The probe of each slot constant of the closed formula, in report order:
+# (constant, g_- pair, coordinate) of a delta cochain that feeds that slot
+# alone; "p" stands for the pi-partner of the index 1.
+_CLOSED_PROBES = (
+    ("c_eta23p", (("theta", 1, False), ("theta", "p", False)), ("psi", 1)),
+    ("c_eta23m", (("theta", 1, True), ("theta", "p", True)), ("psi", 1)),
+    ("c_eta1", (("theta", 1, False), ("theta", 1, True)), ("psi", 1)),
+    ("c_E1", (("eta", 1), ("theta", 1, False)), ("phiU", 1, False)),
+    ("c_E23p", (("eta", 1), ("theta", 1, False)), ("phiU", "p", True)),
+    ("c_E23m", (("eta", 1), ("theta", 1, True)), ("phiU", "p", False)),
+    ("c_gam", (("eta", 1), ("theta", 1, True)), ("Gam", 1, "p")),
+)
+
+
 def codiff_closed_constants(model: SpModel) -> dict:
-    """Calibrate the slot constants of the closed trace-condition
-    formula against the direct form via delta cochains, and record the
-    printed literals next to them."""
+    """Calibrate the seven slot constants of the closed trace-condition
+    formula against the direct form, and record the printed literals next
+    to them.  Each constant is read against the closed formula's own
+    slot: on the delta cochain K of its probe, at the first nonzero
+    coordinate of the closed formula with that constant 1 and the other
+    six 0, it is the direct value divided by the closed one.  Nothing
+    here checks that the two are proportional: a slot of the wrong shape
+    shows up as direct != closed in ``qcframe verify normality``."""
     n = model.n
     p = model.consts.partner(1)
-
-    def delta(ka, kb, key) -> Cochain2:
-        K = Cochain2(n)
-        K.set_pair(ka, kb, LieCoord(n, {key: gr(1)}))
-        return K
-
-    def ratio(x: LieCoord, y: LieCoord) -> GaussRational:
-        """x = c*y with y != 0; returns c, insisting on proportionality."""
-        if y.is_zero():
-            raise ValueError("reference vector vanishes")
-        k0, v0 = next(iter(y.c.items()))
-        c = x.get(k0) / v0
-        if x != y.scale(c):
-            raise ValueError("probe result not proportional to reference")
-        return c
-
     out = {"n": n}
-    c = model.consts
-    fr = model.dual_frames()
-    psi1 = ("psi", 1)
-    # eta2+i eta3 slot: K(Z_1, Z_p) = Psi_1
-    K = delta(("theta", 1, False), ("theta", p, False), psi1)
-    d = kostant_codiff_direct(K, model)
-    # expected shape: c23p * pi^{ab} K(Z_a,Z_b) on (eta2+i eta3)(A)
-    piK = LieCoord(n, {psi1: 2 * c.pi_up(1, p)})
-    out["c_eta23p"] = ratio(d[("eta", 2)], piK)
-    if ratio(d[("eta", 3)], piK) != I * out["c_eta23p"]:
-        raise ValueError("eta3 slot inconsistent with eta2 slot")
-    # eta2-i eta3 slot
-    K = delta(("theta", 1, True), ("theta", p, True), psi1)
-    d = kostant_codiff_direct(K, model)
-    piKb = LieCoord(n, {psi1: 2 * c.pi_up(1, p).conj()})
-    out["c_eta23m"] = ratio(d[("eta", 2)], piKb)
-    # eta1 slot: K(Z_1, Zbar_1) = Psi_1
-    K = delta(("theta", 1, False), ("theta", 1, True), psi1)
-    d = kostant_codiff_direct(K, model)
-    kz = LieCoord(n, {psi1: -2 * c.g_up(1, 1)})  # K(Z^a,Z_a) - K(Z^ā,Z_ā)
-    out["c_eta1"] = ratio(d[("eta", 1)], kz.scale(I))
-    # E1 slot: K(E_1, Z_1) = Phi^1
-    K = delta(("eta", 1), ("theta", 1, False), ("phiU", 1, False))
-    d = kostant_codiff_direct(K, model)
-    out["c_E1"] = ratio(d[("eta", 1)], fr["Ehat"][0].scale(I))
-    # E2+iE3 slot: K(E_1, Z_1) = Phi^pbar
-    K = delta(("eta", 1), ("theta", 1, False), ("phiU", p, True))
-    d = kostant_codiff_direct(K, model)
-    e23p = (fr["Ehat"][1] + fr["Ehat"][2].scale(I)).scale(c.pi_u_lbar(1, p))
-    out["c_E23p"] = ratio(d[("eta", 1)], e23p)
-    # E2-iE3 slot: K(E_1, Zbar_1) = Phi^p
-    K = delta(("eta", 1), ("theta", 1, True), ("phiU", p, False))
-    d = kostant_codiff_direct(K, model)
-    e23m = (fr["Ehat"][1] + fr["Ehat"][2].scale(-I)).scale(c.pi_ubar_l(1, p))
-    out["c_E23m"] = ratio(d[("eta", 1)], e23m)
-    # Gamma slot: K(E_1, Zbar_1) = Gam_{1 p}
-    K = delta(("eta", 1), ("theta", 1, True), ("Gam", 1, p))
-    d = kostant_codiff_direct(K, model)
-    ref = LieCoord(n)
-    for be in range(1, 2 * n + 1):
-        for si in range(1, 2 * n + 1):
-            for t in range(1, 2 * n + 1):
-                val = c.pi_up(be, si) * c.g_up(t, 1)
-                if val.is_zero() or coframe.gam_key(si, t) != coframe.gam_key(1, p):
-                    continue
-                zlow = LieCoord(n)
-                for u in range(1, 2 * n + 1):
-                    zlow = zlow + fr["Zhatbar"][u - 1].scale(c.g(be, u))
-                ref = ref + zlow.scale(val)
-    out["c_gam"] = ratio(d[("eta", 1)], ref)
+    for name, pair, coord in _CLOSED_PROBES:
+        ka, kb, key = (tuple(p if x == "p" else x for x in k) for k in (*pair, coord))
+        K = Cochain2(n)
+        K.set_pair(ka, kb, LieCoord(n, {key: ONE}))
+        unit = {other: ONE if other == name else ZERO for other, _, _ in _CLOSED_PROBES}
+        closed = kostant_codiff_closed(K, model, unit)
+        ka, key, v = next((ka, key, v) for ka, lc in closed.items() for key, v in lc.c.items())
+        out[name] = kostant_codiff_direct(K, model)[ka].get(key) / v
     out["printed"] = {
         "c_eta23p": str(-gr(Fraction(1, 4 * (2 * n + 7)))),
         "c_eta1": str(gr(Fraction(1, 4 * (2 * n + 7)))),
@@ -731,9 +692,12 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
 
     ``direct_equals_closed`` does not certify the closed constants: on
     admissible components kappa is normal and every slot term of the
-    closed formula vanishes by itself, so a wrong constant leaves it true.
-    The comparison of the two routes on random lemma cochains in
-    ``qcframe verify normality`` is what certifies the seven constants."""
+    closed formula vanishes by itself, so a wrong constant, or a slot of
+    the wrong shape, leaves it true.  ``codiff_closed_constants`` reads
+    each constant against its own closed slot and checks no shape; the
+    comparison of the two routes on random lemma cochains in ``qcframe
+    verify normality`` is what certifies the seven constants and the
+    slots they scale."""
     K = assemble_kappa(compo, model, validate=validate, tamper=tamper)
     direct = kostant_codiff_direct(K, model)
     if closed_consts is None:

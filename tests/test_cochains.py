@@ -16,6 +16,7 @@ from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
                               kostant_codiff_closed, kostant_codiff_direct,
                               random_components, random_lemma_cochain,
                               regularity_ok, trace_conditions, zero_components)
+from qcframe.cli import run
 from qcframe.forms import Form, Poly
 from qcframe.gauss import gr
 from qcframe.model import LieCoord
@@ -218,6 +219,69 @@ def test_codiff_constants_vs_printed(model_for, closed1):
     assert str(closed1["c_gam"]) == "-2"  # matches the printed -2
     assert closed1["printed"]["c_gam"] == "-2"
     assert closed1["printed"]["c_eta23p"] == str(gr(Fraction(-1, 4 * (2 * n + 7))))
+
+
+CLOSED_NAMES = ("c_eta23p", "c_eta23m", "c_eta1", "c_E1", "c_E23p", "c_E23m", "c_gam")
+# the seven constants, in CLOSED_NAMES order, as the hand-derived
+# calibration read them off
+CLOSED_PINNED = {
+    1: ("-1/32", "-1/32", "-1/32", "2", "2", "2", "-2"),
+    2: ("-1/40", "-1/40", "-1/40", "2", "2", "2", "-2"),
+    3: ("-1/48", "-1/48", "-1/48", "2", "2", "2", "-2"),
+}
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (3, None),
+                                          (1, (0, 1)), (2, (1, 1)), (3, (2, 1))])
+def test_closed_constants_pinned(model_for, n, signature):
+    got = codiff_closed_constants(model_for(n, signature))
+    assert list(got) == ["n", *CLOSED_NAMES, "printed"]
+    assert tuple(str(got[k]) for k in CLOSED_NAMES) == CLOSED_PINNED[n]
+
+
+def slot_mismatches(m, monkeypatch):
+    """Run the calibration, recording the probes (K, unit constants) it
+    hands to the closed formula; return every (constant, output key) at
+    which direct(K) != c * closed_unit(K)."""
+    closed = cochains.kostant_codiff_closed
+    probes = []
+
+    def recording(K, model, consts=None):
+        probes.append((K, consts))
+        return closed(K, model, consts)
+
+    monkeypatch.setattr(cochains, "kostant_codiff_closed", recording)
+    consts = codiff_closed_constants(m)
+    monkeypatch.setattr(cochains, "kostant_codiff_closed", closed)
+    names = [next(k for k, v in unit.items() if v == gr(1)) for _, unit in probes]
+    assert names == list(CLOSED_NAMES)
+    bad = []
+    for name, (K, unit) in zip(names, probes):
+        direct, alone = kostant_codiff_direct(K, m), closed(K, m, unit)
+        bad += [(name, ka) for ka in direct if direct[ka] != alone[ka].scale(consts[name])]
+    return bad
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_each_probe_feeds_its_slot_alone(model_for, monkeypatch, n, signature):
+    assert slot_mismatches(model_for(n, signature), monkeypatch) == []
+
+
+def test_flipped_closed_slot_is_caught(model_for, monkeypatch, capsys):
+    """Negative control: a closed formula whose eta3 output is negated
+    fails the slot test on both eta2 +- i eta3 probes, and makes
+    ``verify normality`` fail (exit 1), not stop on an internal error."""
+    closed = cochains.kostant_codiff_closed
+
+    def flipped(K, model, consts=None):
+        out = closed(K, model, consts)
+        out[("eta", 3)] = -out[("eta", 3)]
+        return out
+
+    monkeypatch.setattr(cochains, "kostant_codiff_closed", flipped)
+    assert slot_mismatches(model_for(1), monkeypatch) == [
+        ("c_eta23p", ("eta", 3)), ("c_eta23m", ("eta", 3))]
+    assert run(["verify", "normality", "--n", "1", "--trials", "2"]) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])

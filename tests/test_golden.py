@@ -57,3 +57,10 @@ def test_report_matches_golden(argv, name, code, tmp_path, capsys):
     text = out.read_text()
     assert '"timing_ms"' in text
     assert _without_timing(text) == (GOLDEN / name).read_text()
+
+
+def test_report_stdout_matches_golden(capsys):
+    """The whole battery of ``qcframe report`` prints no timing: its
+    stdout is pinned byte for byte."""
+    assert run(["report", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "report_seed0.txt").read_text()
