@@ -320,15 +320,33 @@ def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
 # assembling the curvature cochain from components
 
 
+# one compiled symbol read: the curvature family whose field it reads (a
+# control family reads its base family), the entry key in a SymTensor
+# (sorted) and in an IndexedTensor (as written; () for a scalar), and
+# whether the value is conjugated
+Read = Tuple[str, Tuple[int, ...], Tuple[int, ...], bool]
+
+
 class KappaPlan(NamedTuple):
     """The coordinate two-forms compiled for evaluation.  A cell is a
     g_- index pair (i, j), i < j, with a coordinate; ``cells`` lists
     them ordered by pair, then by the forms' coordinate order.  Each
     entry of ``monos`` is a symbol monomial with the numbers of the
-    cells it feeds and the coefficient it feeds each with."""
+    cells it feeds and the coefficient it feeds each with.  ``groups``
+    holds the same monomials with their reads compiled, grouped by the
+    families they read: (families, ((reads, cells, coefficients), ...))."""
 
     cells: Tuple[Tuple[Tuple[int, int], Key], ...]
     monos: Tuple[Tuple[Mono, Tuple[int, ...], Tuple[GaussRational, ...]], ...]
+    groups: Tuple[Tuple[Tuple[str, ...], Tuple[Tuple[Tuple[Read, ...], Tuple[int, ...],
+                                                     Tuple[GaussRational, ...]], ...]], ...]
+
+
+def _compile_read(sym: Sym) -> Read:
+    fam = CONTROL_FAMILIES.get(sym.family, sym.family)
+    if fam not in CURVATURE_FAMILIES:
+        raise KeyError(f"not a curvature family: {sym.family}")
+    return fam, tuple(sorted(sym.idx)), tuple(sym.idx), sym.conj
 
 
 def _compile_plan(forms: Dict[Key, Form]) -> KappaPlan:
@@ -341,10 +359,15 @@ def _compile_plan(forms: Dict[Key, Form]) -> KappaPlan:
     coords = list(forms)
     cells = sorted({cell for terms in by_mono.values() for cell, _ in terms})
     number = {cell: k for k, cell in enumerate(cells)}
-    return KappaPlan(
-        tuple((pair, coords[t]) for pair, t in cells),
-        tuple((smono, tuple(number[cell] for cell, _ in terms),
-               tuple(coeff for _, coeff in terms)) for smono, terms in by_mono.items()))
+    monos = tuple((smono, tuple(number[cell] for cell, _ in terms),
+                   tuple(coeff for _, coeff in terms)) for smono, terms in by_mono.items())
+    groups: Dict[Tuple[str, ...], list] = {}
+    for smono, mcells, coeffs in monos:
+        reads = tuple(_compile_read(s) for s in smono)
+        fams = tuple(f for f in CURVATURE_FAMILIES if any(r[0] == f for r in reads))
+        groups.setdefault(fams, []).append((reads, mcells, coeffs))
+    return KappaPlan(tuple((pair, coords[t]) for pair, t in cells), monos,
+                     tuple((fams, tuple(g)) for fams, g in groups.items()))
 
 
 # (n, signature, tamper) -> the coordinate two-forms and their plan
@@ -387,28 +410,58 @@ def kappa_coordinate_forms(n: int, signature: Tuple[int, int] = None,
     return _kappa(n, signature, tamper)[0]
 
 
+def _field_entries(compo: CurvatureComponents, n: int
+                   ) -> Dict[str, Tuple[Mapping[Tuple[int, ...], GaussRational], bool]]:
+    """Each curvature family -> (entries, sorted): the stored entries of
+    its field, a scalar as {(): value}, and whether they are keyed by
+    sorted index.  A zero field has no entries."""
+    out = {}
+    for fam in CURVATURE_FAMILIES:
+        arity = FAMILIES[fam][0]
+        t = getattr(compo, fam.lower())
+        if not arity:
+            out[fam] = ({} if t.is_zero() else {(): t}), True
+            continue
+        if t.n != n or len(t.slots) != arity:
+            raise ValueError(f"{fam} is not an n = {n} array with {arity} slots")
+        out[fam] = t.entries, isinstance(t, SymTensor)
+    return out
+
+
 def assemble_kappa(compo: CurvatureComponents, model: SpModel,
                    validate: bool = True, tamper: Optional[str] = None) -> Cochain2:
     """Evaluate the curvature coordinate two-forms on all basis pairs,
-    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X): each symbol
-    monomial is evaluated once, and only a nonzero one is spread over
-    the cells it feeds.  ``validate=False`` with ``tamper='unsym-S'``
-    admits invalid components, so that symmetry violations surface as
-    nonzero normality residuals instead."""
+    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X).  Each
+    symbol monomial is evaluated once, from the reads the plan compiled:
+    each field's entries are fetched once and read by key, and the
+    monomials of a family group that reads a zero field are skipped
+    with one test.  Only a nonzero monomial is spread over the cells it
+    feeds.  ``validate=False`` with ``tamper='unsym-S'`` admits invalid
+    components, so that symmetry violations surface as nonzero normality
+    residuals instead."""
     if validate:
         compo.validate(model.consts)
     n = model.n
     plan = _kappa(n, model.consts.signature, tamper)[1]
+    fields = _field_entries(compo, n)
     acc: Dict[int, GaussRational] = {}
-    for smono, cells, coeffs in plan.monos:
-        val = ONE
-        for s in smono:
-            val = val * compo.value(s)
-        if val.is_zero():
-            continue
-        for cell, coeff in zip(cells, coeffs):
-            cur = acc.get(cell)
-            acc[cell] = coeff * val if cur is None else cur + coeff * val
+    for fams, monos in plan.groups:
+        if not all(fields[f][0] for f in fams):
+            continue  # a zero family: every monomial of the group vanishes
+        for reads, cells, coeffs in monos:
+            val = ONE
+            for fam, skey, key, conj in reads:
+                entries, by_sorted = fields[fam]
+                v = entries.get(skey if by_sorted else key)
+                if v is None:
+                    break
+                if conj:
+                    v = v.conj()
+                val = v if val is ONE else val * v
+            else:
+                for cell, coeff in zip(cells, coeffs):
+                    cur = acc.get(cell)
+                    acc[cell] = coeff * val if cur is None else cur + coeff * val
     cols: Dict[Tuple[Key, Key], Dict[Key, GaussRational]] = {}
     for cell in sorted(acc):
         v = acc[cell]
@@ -507,44 +560,95 @@ def codiff_closed_constants(model: SpModel) -> dict:
     return out
 
 
-def kostant_codiff_closed(K: Cochain2, model: SpModel,
-                          consts: Optional[dict] = None) -> Cochain1:
-    """The closed trace-condition formula with calibrated slot
-    constants; requires K valued in sp(n) + g_1 + g_2."""
-    if not K.in_lemma_space():
-        raise ValueError("cochain has components outside sp(n)+g_1+g_2")
-    if consts is None:
-        consts = codiff_closed_constants(model)
+# -- term tables -----------------------------------------------------------
+#
+# The closed formula and the trace conditions read K through term lists
+# that depend on the model alone.  Each table is built on first use and
+# kept on the SpModel, as dual_brackets() is; only this module knows their
+# layout.  A pair term (x, y, c, -c) adds c K(x, y); a slot term
+# (alpha, coordinate, coefficient) is read by _read from the row of theta
+# arguments its evaluation names.
+
+
+PairTerms = Tuple[Tuple[Key, Key, GaussRational, GaussRational], ...]
+SlotTerms = Tuple[Tuple[int, Key, GaussRational], ...]
+
+
+def _kept(model: SpModel, attr: str, build):
+    """The table ``build(model)``, built on first use and kept on the
+    model as ``attr``."""
+    table = getattr(model, attr, None)
+    if table is None:
+        table = build(model)
+        setattr(model, attr, table)
+    return table
+
+
+def _pair_term(x: Key, y: Key, coeff: GaussRational):
+    return x, y, coeff, -coeff
+
+
+def _sum_pairs(K: Cochain2, terms: PairTerms) -> Dict[Key, GaussRational]:
+    """sum c K(x, y) over the pair terms (x, y, c, -c)."""
+    acc: Dict[Key, GaussRational] = {}
+    for x, y, coeff, neg in terms:
+        coords, sign = K.entry(x, y)
+        axpy(acc, coeff if sign > 0 else neg, coords)
+    return acc
+
+
+def _thetas(n: int) -> Tuple[Dict[int, Key], Dict[int, Key]]:
+    R = range(1, 2 * n + 1)
+    return ({a: ("theta", a, False) for a in R}, {a: ("theta", a, True) for a in R})
+
+
+class _ClosedTable(NamedTuple):
+    """The closed formula's model-only data: the pair terms of its three
+    eta-slot combinations, the lowered hat frames, the slot terms of its
+    Gamma and Ehat slots, and the frames and keys it writes."""
+
+    kzz: PairTerms
+    pik: PairTerms
+    pikb: PairTerms
+    zlow: Dict[int, Dict[Key, GaussRational]]
+    zlow_bar: Dict[int, Dict[Key, GaussRational]]
+    gam: Dict[int, SlotTerms]
+    gam_bar: Dict[int, SlotTerms]
+    e1: SlotTerms
+    e1_bar: SlotTerms
+    e23p: SlotTerms
+    e23m: SlotTerms
+    ehat: Tuple[Dict[Key, GaussRational], ...]
+    keys: List[Key]
+    th: Dict[int, Key]
+    thb: Dict[int, Key]
+
+
+def _build_closed_table(model: SpModel) -> _ClosedTable:
     n = model.n
     c = model.consts
     fr = model.dual_frames()
     R = range(1, 2 * n + 1)
-    th = {a: ("theta", a, False) for a in R}
-    thb = {a: ("theta", a, True) for a in R}
+    th, thb = _thetas(n)
 
     # the three eta-slot combinations
-    kzz: Dict[Key, GaussRational] = {}
-    piK: Dict[Key, GaussRational] = {}
-    piKb: Dict[Key, GaussRational] = {}
+    kzz = []
+    pik = []
+    pikb = []
     for a in R:
         for s in R:
             coeff = c.g_up(a, s)
             if not coeff.is_zero():
-                coords, sign = K.entry(thb[s], th[a])
-                axpy(kzz, coeff if sign > 0 else -coeff, coords)
+                kzz.append(_pair_term(thb[s], th[a], coeff))
             coeff2 = c.g_up(s, a)
             if not coeff2.is_zero():
-                coords, sign = K.entry(th[s], thb[a])
-                axpy(kzz, -coeff2 if sign > 0 else coeff2, coords)
+                kzz.append(_pair_term(th[s], thb[a], -coeff2))
     for a in R:
         for bq in R:
             coeff = c.pi_up(a, bq)
             if not coeff.is_zero():
-                coords, sign = K.entry(th[a], th[bq])
-                axpy(piK, coeff if sign > 0 else -coeff, coords)
-                coeff = coeff.conj()
-                coords, sign = K.entry(thb[a], thb[bq])
-                axpy(piKb, coeff if sign > 0 else -coeff, coords)
+                pik.append(_pair_term(th[a], th[bq], coeff))
+                pikb.append(_pair_term(thb[a], thb[bq], coeff.conj()))
 
     # the lowered hat frames Zhat_b and Zhat_b̄
     zlow = {}
@@ -562,8 +666,8 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
     # pattern with the barred Gamma coordinate of x, as the terms
     # (alpha, coordinate, coefficient) read from K(e_a, Zbar_alpha),
     # respectively K(e_a, Z_alpha), for each beta
-    gam_terms = {}
-    gam_bar_terms = {}
+    gam = {}
+    gam_bar = {}
     for be in R:
         plain, barred = [], []
         for si in R:
@@ -578,27 +682,47 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
                     plain.append((al, coframe.gam_key(si, t), pi_bs * gat))
                     coeff, key = coframe.gamma_bar(c, si, t)
                     barred.append((al, key, pi_bs.conj() * gat.conj() * coeff))
-        gam_terms[be] = plain
-        gam_bar_terms[be] = barred
+        gam[be] = tuple(plain)
+        gam_bar[be] = tuple(barred)
     # Ehat slots: (alpha, coordinate, coefficient) of the E1 sum over
     # K(e_a, Z_alpha) and over K(e_a, Zbar_alpha), and of the E2 +- i E3 sums
-    e1_terms = [(al, ("phiU", al, False), ONE) for al in R]
-    e1_bar_terms = [(al, ("phiU", al, True), -ONE) for al in R]
-    e23p_terms = []
-    e23m_terms = []
+    e23p = []
+    e23m = []
     for al in R:
         for si in R:
             cu = c.pi_u_lbar(al, si)
             if not cu.is_zero():
-                e23p_terms.append((al, ("phiU", si, True), cu))
+                e23p.append((al, ("phiU", si, True), cu))
             cb = c.pi_ubar_l(al, si)
             if not cb.is_zero():
-                e23m_terms.append((al, ("phiU", si, False), cb))
+                e23m.append((al, ("phiU", si, False), cb))
+    return _ClosedTable(
+        tuple(kzz), tuple(pik), tuple(pikb), zlow, zlow_bar, gam, gam_bar,
+        tuple((al, ("phiU", al, False), ONE) for al in R),
+        tuple((al, ("phiU", al, True), -ONE) for al in R),
+        tuple(e23p), tuple(e23m), tuple(fr["Ehat"][s].c for s in range(3)),
+        gminus_keys(n), th, thb)
 
-    e1, e2, e3 = (fr["Ehat"][s].c for s in range(3))
+
+def kostant_codiff_closed(K: Cochain2, model: SpModel,
+                          consts: Optional[dict] = None) -> Cochain1:
+    """The closed trace-condition formula with calibrated slot
+    constants; requires K valued in sp(n) + g_1 + g_2.  Its term table
+    is built once per model; the constants are read on every call.
+    Without ``consts`` they are calibrated first."""
+    if not K.in_lemma_space():
+        raise ValueError("cochain has components outside sp(n)+g_1+g_2")
+    if consts is None:
+        consts = codiff_closed_constants(model)
+    tab = _kept(model, "_closed_table", _build_closed_table)
+    th, thb = tab.th, tab.thb
+    kzz = _sum_pairs(K, tab.kzz)
+    piK = _sum_pairs(K, tab.pik)
+    piKb = _sum_pairs(K, tab.pikb)
+    e1, e2, e3 = tab.ehat
     c_gam = consts["c_gam"]
     out: Cochain1 = {}
-    for ka in gminus_keys(n):
+    for ka in tab.keys:
         tot: Dict[Key, GaussRational] = {}
         if ka == ("eta", 1):
             axpy(tot, I * consts["c_eta1"], kzz)
@@ -607,21 +731,21 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
             axpy(tot, w * consts["c_eta23p"], piK)
             wm = gr(1) if ka == ("eta", 2) else -I
             axpy(tot, wm * consts["c_eta23m"], piKb)
-        rows = {al: K.entry(ka, th[al]) for al in R}
-        rows_bar = {al: K.entry(ka, thb[al]) for al in R}
-        for be in R:
-            axpy(tot, c_gam * _read(rows_bar, gam_terms[be]), zlow[be])
-            axpy(tot, c_gam * _read(rows, gam_bar_terms[be]), zlow_bar[be])
-        acc1 = _read(rows, e1_terms) + _read(rows_bar, e1_bar_terms)
+        rows = {al: K.entry(ka, k) for al, k in th.items()}
+        rows_bar = {al: K.entry(ka, k) for al, k in thb.items()}
+        for be in th:
+            axpy(tot, c_gam * _read(rows_bar, tab.gam[be]), tab.zlow[be])
+            axpy(tot, c_gam * _read(rows, tab.gam_bar[be]), tab.zlow_bar[be])
+        acc1 = _read(rows, tab.e1) + _read(rows_bar, tab.e1_bar)
         axpy(tot, I * consts["c_E1"] * acc1, e1)
         # the E2 + i E3 and E2 - i E3 slots
-        accp = consts["c_E23p"] * _read(rows, e23p_terms)
-        accm = consts["c_E23m"] * _read(rows_bar, e23m_terms)
+        accp = consts["c_E23p"] * _read(rows, tab.e23p)
+        accm = consts["c_E23m"] * _read(rows_bar, tab.e23m)
         axpy(tot, accp, e2)
         axpy(tot, I * accp, e3)
         axpy(tot, accm, e2)
         axpy(tot, -I * accm, e3)
-        out[ka] = LieCoord.adopt(n, tot)
+        out[ka] = LieCoord.adopt(model.n, tot)
     return out
 
 
@@ -629,51 +753,68 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
 # normality certificate and homogeneity
 
 
-def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
-    """The five contraction identities the curvature cochain satisfies."""
+class _TraceTable(NamedTuple):
+    """The trace conditions' model-only data: the pair terms of the g and
+    pi traces, the slot terms of the Gamma trace (one tuple per alpha),
+    the phi trace and the pi-phi trace, and the g_- keys they run over."""
+
+    t1: PairTerms
+    t2: PairTerms
+    gam: Tuple[SlotTerms, ...]
+    phi: SlotTerms
+    pi_phi: SlotTerms
+    keys: List[Key]
+    th: Dict[int, Key]
+    thb: Dict[int, Key]
+
+
+def _build_trace_table(model: SpModel) -> _TraceTable:
     n = model.n
     c = model.consts
     R = range(1, 2 * n + 1)
-    th = {a: ("theta", a, False) for a in R}
-    thb = {a: ("theta", a, True) for a in R}
-    t1: Dict[Key, GaussRational] = {}
-    t2: Dict[Key, GaussRational] = {}
+    th, thb = _thetas(n)
+    t1 = []
+    t2 = []
     for a in R:
         for bq in R:
             cg = c.g_up(a, bq)
             if not cg.is_zero():
-                coords, sign = K.entry(th[a], thb[bq])
-                axpy(t1, cg if sign > 0 else -cg, coords)
+                t1.append(_pair_term(th[a], thb[bq], cg))
             cp = c.pi_up(a, bq)
             if not cp.is_zero():
-                coords, sign = K.entry(th[a], th[bq])
-                axpy(t2, cp if sign > 0 else -cp, coords)
+                t2.append(_pair_term(th[a], th[bq], cp))
     # the terms (index of the theta argument, coordinate, coefficient):
     # Gamma_trace per alpha and phi_trace read K(Zbar_s, x), pi_phi_trace
     # reads K(Z_beta, x)
-    gam_terms = {al: [(s, coframe.gam_key(al, bq), c.g_up(bq, s))
-                      for bq in R for s in R if not c.g_up(bq, s).is_zero()]
-                 for al in R}
-    phi_terms = [(s, ("phiU", t, True), c.g_up(al, s) * c.g(t, al))
-                 for al in R for s in R for t in R
-                 if not (c.g_up(al, s).is_zero() or c.g(t, al).is_zero())]
-    pi_phi_terms = [(bq, ("phiU", t, True), c.pi_up(al, bq) * c.g(t, al))
-                    for al in R for bq in R for t in R
-                    if not (c.pi_up(al, bq).is_zero() or c.g(t, al).is_zero())]
+    gam = tuple(tuple((s, coframe.gam_key(al, bq), c.g_up(bq, s))
+                      for bq in R for s in R if not c.g_up(bq, s).is_zero())
+                for al in R)
+    phi = tuple((s, ("phiU", t, True), c.g_up(al, s) * c.g(t, al))
+                for al in R for s in R for t in R
+                if not (c.g_up(al, s).is_zero() or c.g(t, al).is_zero()))
+    pi_phi = tuple((bq, ("phiU", t, True), c.pi_up(al, bq) * c.g(t, al))
+                   for al in R for bq in R for t in R
+                   if not (c.pi_up(al, bq).is_zero() or c.g(t, al).is_zero()))
+    return _TraceTable(tuple(t1), tuple(t2), gam, phi, pi_phi, gminus_keys(n), th, thb)
 
+
+def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
+    """The five contraction identities the curvature cochain satisfies,
+    read through a term table built once per model."""
+    tab = _kept(model, "_trace_table", _build_trace_table)
     ok3 = ok4 = ok5 = True
-    for kx in gminus_keys(n):
-        rows = {a: K.entry(th[a], kx) for a in R}
-        rows_bar = {a: K.entry(thb[a], kx) for a in R}
-        if any(not _read(rows_bar, gam_terms[al]).is_zero() for al in R):
+    for kx in tab.keys:
+        rows = {a: K.entry(k, kx) for a, k in tab.th.items()}
+        rows_bar = {a: K.entry(k, kx) for a, k in tab.thb.items()}
+        if any(not _read(rows_bar, terms).is_zero() for terms in tab.gam):
             ok3 = False
-        if not _read(rows_bar, phi_terms).is_zero():
+        if not _read(rows_bar, tab.phi).is_zero():
             ok4 = False
-        if not _read(rows, pi_phi_terms).is_zero():
+        if not _read(rows, tab.pi_phi).is_zero():
             ok5 = False
     return {
-        "g_trace": not t1,
-        "pi_trace": not t2,
+        "g_trace": not _sum_pairs(K, tab.t1),
+        "pi_trace": not _sum_pairs(K, tab.t2),
         "Gamma_trace": ok3,
         "phi_trace": ok4,
         "pi_phi_trace": ok5,
@@ -689,6 +830,9 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
                     validate: bool = True, tamper: Optional[str] = None) -> dict:
     """Assemble kappa, evaluate both codifferential routes and the five
     trace conditions; everything must vanish exactly for valid input.
+    The closed and trace term tables are built on the model's first
+    check and reused; the closed constants are calibrated on every call
+    that does not pass ``closed_consts``.
 
     ``direct_equals_closed`` does not certify the closed constants: on
     admissible components kappa is normal and every slot term of the

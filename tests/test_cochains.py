@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcframe import cochains
+from qcframe import coframe, cochains
 from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
                               broken_components, check_normality,
                               cochain1_is_zero, codiff_closed_constants,
@@ -19,7 +19,7 @@ from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
 from qcframe.cli import run
 from qcframe.forms import Form, Poly
 from qcframe.gauss import gr
-from qcframe.model import LieCoord
+from qcframe.model import LieCoord, SpModel
 from qcframe.rules import build_rules
 from qcframe.tensors import (IndexedTensor, SymTensor, j_average, random_tensor,
                              slots)
@@ -133,6 +133,20 @@ def test_plan_matches_reference_tampered(model_for, n):
     got = assemble_kappa(compo, m, validate=False, tamper="unsym-S")
     _assert_same_cochain(got, _reference_kappa(compo, n, forms))
     assert got.vals != assemble_kappa(compo, m, validate=False).vals
+
+
+def test_assembly_refuses_arrays_of_another_shape(model_for):
+    """The compiled reads take entries by key: an array for another n,
+    or with another number of slots, is refused, not read as zero."""
+    m = model_for(2)
+    compo = random_components(random.Random(12), m.consts)
+    compo.c = IndexedTensor(1, slots("l"), {(1,): gr(1)})
+    with pytest.raises(ValueError, match="C is not an n = 2 array"):
+        assemble_kappa(compo, m, validate=False)
+    compo = random_components(random.Random(12), m.consts)
+    compo.s = IndexedTensor(2, slots("lll"))
+    with pytest.raises(ValueError, match="S is not an n = 2 array with 4 slots"):
+        assemble_kappa(compo, m, validate=False, tamper="unsym-S")
 
 
 def test_plan_evaluates_any_degree(model_for, monkeypatch):
@@ -282,6 +296,62 @@ def test_flipped_closed_slot_is_caught(model_for, monkeypatch, capsys):
     assert slot_mismatches(model_for(1), monkeypatch) == [
         ("c_eta23p", ("eta", 3)), ("c_eta23m", ("eta", 3))]
     assert run(["verify", "normality", "--n", "1", "--trials", "2"]) == 1
+
+
+def _delta_eta1_z1(m):
+    """K(E_1, Z_1) = Gam_{1p}, p the pi-partner of 1: the unbarred Z_1
+    reaches the barred-Gamma slot, which the c_gam probe (Zbar_1) does
+    not."""
+    K = Cochain2(m.n)
+    K.set_pair(("eta", 1), ("theta", 1, False),
+               LieCoord(m.n, {coframe.gam_key(1, m.consts.partner(1)): gr(1)}))
+    return K
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_barred_gamma_slot_is_checked(model_for, monkeypatch, n, signature):
+    """The delta cochain K(E_1, Z_1) = Gam_{1p} has a nonzero codifferential
+    that the closed formula reproduces; on a fresh model whose closed
+    term table has its barred-Gamma terms negated, the two differ."""
+    m = model_for(n, signature)
+    cc = codiff_closed_constants(m)
+    K = _delta_eta1_z1(m)
+    direct = kostant_codiff_direct(K, m)
+    assert not cochain1_is_zero(direct)
+    assert kostant_codiff_closed(K, m, cc) == direct
+    build = cochains._build_closed_table
+
+    def negated(model):
+        table = build(model)
+        return table._replace(gam_bar={be: tuple((al, key, -coeff) for al, key, coeff in terms)
+                                       for be, terms in table.gam_bar.items()})
+
+    monkeypatch.setattr(cochains, "_build_closed_table", negated)
+    fresh = SpModel(n, signature)
+    assert kostant_codiff_direct(K, fresh) == direct
+    assert kostant_codiff_closed(K, fresh, cc) != direct
+
+
+def test_term_tables_built_once_per_model(monkeypatch):
+    """The calibration and two normality checks on one model build one
+    closed and one trace table; a model with another n builds its own."""
+    built = []
+    for name in ("_build_closed_table", "_build_trace_table"):
+        def counting(model, build=getattr(cochains, name), name=name):
+            built.append((name, model.n))
+            return build(model)
+        monkeypatch.setattr(cochains, name, counting)
+    m = SpModel(1)
+    cc = codiff_closed_constants(m)
+    assert built == [("_build_closed_table", 1)]
+    rng = random.Random(90)
+    for _ in range(2):
+        assert check_normality(random_components(rng, m.consts), m, cc)["normal"]
+    assert built == [("_build_closed_table", 1), ("_build_trace_table", 1)]
+    m2 = SpModel(2)
+    assert check_normality(random_components(rng, m2.consts), m2)["normal"]
+    assert check_normality(random_components(rng, m2.consts), m2)["normal"]
+    assert built[2:] == [("_build_closed_table", 2), ("_build_trace_table", 2)]
 
 
 @pytest.mark.parametrize("n", [1, 2])

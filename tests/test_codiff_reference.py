@@ -212,7 +212,7 @@ def reference_trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 # cochains
 
-CASES = [(1, None), (2, None), (2, (1, 1))]
+CASES = [(1, None), (2, None), (2, (1, 1)), (3, None), (3, (2, 1))]
 CLOSED_NAMES = ("c_eta1", "c_eta23p", "c_eta23m", "c_E1", "c_E23p", "c_E23m", "c_gam")
 
 _CLOSED = {}
@@ -270,7 +270,7 @@ def test_matches_reference_on_lemma_cochains(model_for, n, signature):
 
 @pytest.mark.parametrize("n, signature", CASES)
 def test_matches_reference_on_delta_cochains(model_for, n, signature):
-    """Every (pair, lemma coordinate) delta at n = 1; at n = 2 one per
+    """Every (pair, lemma coordinate) delta at n = 1; at n >= 2 one per
     pair, the coordinates taken in turn."""
     m = model_for(n, signature)
     targets = lemma_keys(n)
