@@ -14,16 +14,17 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import InputError, rational_from_json
-from .gauss import I, ONE, ZERO, GaussRational, axpy, gr, random_gauss
+from .gauss import I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
-from .model import LieCoord, SpModel
+from .model import IntRows, LieCoord, SpModel, by_row, int_product_into
 from . import coframe
 from .coframe import Key
 
@@ -220,22 +221,26 @@ def load_components(path: str, consts: StandardConstants) -> CurvatureComponents
 # cochains
 
 
-def gminus_keys(n: int) -> List[Key]:
-    """Ordered basis labels of g_-: E_s then Z_a then Z_ā."""
-    return [k for k in coframe.coord_keys(n) if coframe.grade(k) < 0]
+@lru_cache(maxsize=None)
+def _gminus(n: int) -> Tuple[Tuple[Key, ...], Mapping[Key, int]]:
+    keys = tuple(k for k in coframe.coord_keys(n) if coframe.grade(k) < 0)
+    return keys, MappingProxyType({k: i for i, k in enumerate(keys)})
 
 
-_NO_COORDS: Mapping[Key, GaussRational] = MappingProxyType({})
+def gminus_keys(n: int) -> Tuple[Key, ...]:
+    """Ordered basis labels of g_-: E_s then Z_a then Z_ā, one shared
+    tuple per n."""
+    return _gminus(n)[0]
 
 
 class Cochain2:
     """Antisymmetric map on pairs of g_- basis vectors, stored for
-    index pairs i < j in the gminus_keys order."""
+    index pairs i < j in the gminus_keys order.  ``keys`` and the
+    read-only ``index`` are shared by every cochain of the same n."""
 
     def __init__(self, n: int):
         self.n = n
-        self.keys = gminus_keys(n)
-        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.keys, self.index = _gminus(n)
         self.vals: Dict[Tuple[int, int], LieCoord] = {}
 
     def set_pair(self, ki: Key, kj: Key, value: LieCoord) -> None:
@@ -256,18 +261,6 @@ class Cochain2:
         if i < j:
             return self.vals.get((i, j), LieCoord(self.n))
         return -self.vals.get((j, i), LieCoord(self.n))
-
-    def entry(self, ki: Key, kj: Key) -> Tuple[Mapping[Key, GaussRational], int]:
-        """K(ki, kj) as (coords, sign) with K(ki, kj) = sign * coords:
-        the coordinates stored for the pair, to be read and never
-        modified, and the orientation sign, which the caller folds into
-        its own scalar.  No LieCoord is built or negated."""
-        i, j = self.index[ki], self.index[kj]
-        if i < j:
-            v = self.vals.get((i, j))
-            return (_NO_COORDS if v is None else v.c), 1
-        v = self.vals.get((j, i)) if i > j else None
-        return (_NO_COORDS if v is None else v.c), -1
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         out = Cochain2(self.n)
@@ -476,45 +469,123 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 
 
 # ---------------------------------------------------------------------------
-# the Kostant codifferential
+# the Kostant codifferential and the trace conditions as matrices
 #
-# The evaluations below read K through Cochain2.entry, folding each
-# orientation sign into their own scalars, and sum into one fresh
-# coordinate dict per output key through gauss.axpy.  No stored coordinate
-# of K, dual_frames() or dual_brackets() is modified or copied.
+# Both codifferentials and the trace conditions are linear in K.  Each is
+# a Gaussian-integer matrix over one denominator, built on first use and
+# kept on the SpModel, as dual_brackets() is; only this module knows the
+# layout.  A matrix is stored by its rows: input column -> the entries
+# (output, re, im).  The column of coordinate k of K(e_i, e_j), i < j in
+# the gminus_keys order, is (i * g + j) * dim + k with g the number of g_-
+# keys.  An evaluation clears K into one row, multiplies it by the matrix
+# in one model.int_product_into and decodes the outputs.  Nothing stored
+# in K, dual_frames() or dual_brackets() is modified.
+
+# (denominator, rows) of a kept matrix
+IntMap = Tuple[int, IntRows]
 
 
-def _read(entries, terms) -> GaussRational:
-    """sum coeff * sign * coords[key] over the terms (a, key, coeff), with
-    (coords, sign) = entries[a] from Cochain2.entry."""
-    tot = ZERO
-    for a, key, coeff in terms:
-        coords, sign = entries[a]
-        v = coords.get(key)
-        if v is not None:
-            tot = tot + coeff * v if sign > 0 else tot - coeff * v
-    return tot
+def _kept(model: SpModel, attr: str, build) -> IntMap:
+    """The matrix ``build(model)``, built on first use and kept on the
+    model as ``attr``."""
+    table = getattr(model, attr, None)
+    if table is None:
+        table = build(model)
+        setattr(model, attr, table)
+    return table
+
+
+def _put(acc: Dict[Tuple[int, int], GaussRational], model: SpModel,
+         x: Key, y: Key, key: Key, out: int, coeff: GaussRational) -> None:
+    """Add coeff * K(x, y)[key] to the output ``out`` of a matrix being
+    built as (column, output) -> entry."""
+    if coeff.is_zero():
+        return
+    keys, index = _gminus(model.n)
+    i, j = index[x], index[y]
+    if i == j:
+        return
+    if i > j:
+        i, j, coeff = j, i, -coeff
+    pos = ((i * len(keys) + j) * model.dim + model.key_index[key], out)
+    cur = acc.get(pos)
+    acc[pos] = coeff if cur is None else cur + coeff
+
+
+def _int_map(acc: Dict[Tuple[int, int], GaussRational]) -> IntMap:
+    """The nonzero entries cleared over one denominator, by rows."""
+    acc = {pos: v for pos, v in acc.items() if not v.is_zero()}
+    den, ints = cleared(acc.values())
+    return den, by_row(dict(zip(acc, ints)))
+
+
+def _apply(K: Cochain2, model: SpModel, attr: str, build) -> Tuple[int, Dict[int, List[int]]]:
+    """K times the matrix kept as ``attr``: output -> [re, im] over the
+    returned denominator.  Only the coordinates of K in a column the
+    matrix reads enter the row."""
+    den, rows = _kept(model, attr, build)
+    g, dim, index = len(K.keys), model.dim, model.key_index
+    read = [(col, x) for (i, j), v in K.vals.items() for key, x in v.c.items()
+            if (col := (i * g + j) * dim + index[key]) in rows]
+    dk, ints = cleared([x for _, x in read])
+    acc: Dict[Tuple[int, int], List[int]] = {}
+    int_product_into(acc, {(0, col): v for (col, _), v in zip(read, ints)}, rows, 1)
+    return den * dk, {out: v for (_, out), v in acc.items()}
+
+
+def _cochain1(model: SpModel, den: int, values: Dict[int, List[int]]) -> Cochain1:
+    """The outputs a * dim + k -> [re, im] over den as a Cochain1: g_- keys
+    in order, coordinates ascending."""
+    n, keys, dim, new = model.n, model.keys, model.dim, GaussRational.from_ints
+    gkeys = gminus_keys(n)
+    out: Dict[Key, Dict[Key, GaussRational]] = {ka: {} for ka in gkeys}
+    for pos in sorted(values):
+        re, im = values[pos]
+        if re or im:
+            a, k = divmod(pos, dim)
+            out[gkeys[a]][keys[k]] = new(re, im, den)
+    return {ka: LieCoord.adopt(n, coords) for ka, coords in out.items()}
+
+
+def _build_direct(model: SpModel) -> IntMap:
+    """D_direct: output a * dim + k is coordinate k of the sum over the
+    dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
+    with a column for every coordinate.  The ad matrix of each hat is read
+    off the structure constants once."""
+    sc, scale = model.structure_constants()
+    keys, dim, index, new = model.keys, model.dim, model.key_index, GaussRational.from_ints
+    brackets = model.dual_brackets()
+    ads = {}  # e_b -> 2 ad(hat): column k -> the entries (l, value)
+    for hat, kb, _ in next(iter(brackets.values())):
+        dh, ints = cleared(hat.c.values())
+        ads[kb] = ad = []
+        for k in range(dim):
+            col: Dict[int, List[int]] = {}
+            for key, (hr, hi) in zip(hat.c, ints):
+                for l, cr, ci in sc[index[key]][k]:
+                    cur = col.setdefault(l, [0, 0])
+                    cur[0] += hr * cr - hi * ci
+                    cur[1] += hr * ci + hi * cr
+            ad.append([(l, new(2 * re, 2 * im, dh * scale))
+                       for l, (re, im) in col.items() if re or im])
+    acc: Dict[Tuple[int, int], GaussRational] = {}
+    for a, (ka, rows) in enumerate(brackets.items()):
+        for _, kb, minus in rows:
+            for key, col in zip(keys, ads[kb]):
+                for l, v in col:
+                    _put(acc, model, ka, kb, key, a * dim + l, v)
+            for kx, vx in minus.c.items():
+                for k, key in enumerate(keys):
+                    _put(acc, model, kx, kb, key, a * dim + k, -vx)
+    return _int_map(acc)
 
 
 def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
-    """Literal evaluation of the bracket definition over the trace-dual
-    frames: sum over the dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)]
-    - K([hat, e_a]_-, e_b).  The bracket terms of one e_a are one
-    ``SpModel.bracket_sum``."""
-    n = model.n
-    out: Cochain1 = {}
-    for ka, rows in model.dual_brackets().items():
-        terms = []
-        for hat, kb, _ in rows:
-            coords, sign = K.entry(ka, kb)
-            terms.append((hat.c, coords, 2 * sign))
-        acc = model.bracket_sum(terms)
-        for _, kb, minus in rows:
-            for kx, vx in minus.c.items():
-                coords, sign = K.entry(kx, kb)
-                axpy(acc, -vx if sign > 0 else vx, coords)
-        out[ka] = LieCoord.adopt(n, acc)
-    return out
+    """The bracket definition over the trace-dual frames: sum over the
+    dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
+    for K valued anywhere in g.  Applied as the matrix D_direct, built once
+    per model from ``dual_brackets()`` and the structure constants."""
+    return _cochain1(model, *_apply(K, model, "_direct_map", _build_direct))
 
 
 # The probe of each slot constant of the closed formula, in report order:
@@ -560,115 +631,66 @@ def codiff_closed_constants(model: SpModel) -> dict:
     return out
 
 
-# -- term tables -----------------------------------------------------------
-#
-# The closed formula and the trace conditions read K through term lists
-# that depend on the model alone.  Each table is built on first use and
-# kept on the SpModel, as dual_brackets() is; only this module knows their
-# layout.  A pair term (x, y, c, -c) adds c K(x, y); a slot term
-# (alpha, coordinate, coefficient) is read by _read from the row of theta
-# arguments its evaluation names.
+# -- the closed formula ------------------------------------------------------
+
+# the slot constants in _CLOSED_PROBES order; output (a * dim + k) * 7 + s
+# of the closed matrix is scaled by constant s
+_SLOTS = tuple(name for name, _, _ in _CLOSED_PROBES)
+
+# (slot, barred, terms (alpha, coordinate, c), frame): for each g_- key
+# e_a, the slot's constant times sum c K(e_a, theta_alpha)[coordinate],
+# theta_alpha barred or not, times the frame, added to the output of e_a
+SlotRead = Tuple[str, bool, Tuple[Tuple[int, Key, GaussRational], ...], Dict[Key, GaussRational]]
 
 
-PairTerms = Tuple[Tuple[Key, Key, GaussRational, GaussRational], ...]
-SlotTerms = Tuple[Tuple[int, Key, GaussRational], ...]
+class _ClosedTerms(NamedTuple):
+    """The closed formula as term lists, the data its matrix is built
+    from.  ``eta``: (slot, output key, terms (x, y, c)), the slot's
+    constant times sum c K(x, y) added to that output.  ``gam`` and
+    ``gam_bar``: the Gamma slots, read from K(e_a, Zbar_alpha) and from
+    the barred Gamma coordinates of K(e_a, Z_alpha); ``ehat``: the Ehat
+    slots."""
+
+    eta: Tuple[Tuple[str, Key, Tuple[Tuple[Key, Key, GaussRational], ...]], ...]
+    gam: Tuple[SlotRead, ...]
+    gam_bar: Tuple[SlotRead, ...]
+    ehat: Tuple[SlotRead, ...]
 
 
-def _kept(model: SpModel, attr: str, build):
-    """The table ``build(model)``, built on first use and kept on the
-    model as ``attr``."""
-    table = getattr(model, attr, None)
-    if table is None:
-        table = build(model)
-        setattr(model, attr, table)
-    return table
-
-
-def _pair_term(x: Key, y: Key, coeff: GaussRational):
-    return x, y, coeff, -coeff
-
-
-def _sum_pairs(K: Cochain2, terms: PairTerms) -> Dict[Key, GaussRational]:
-    """sum c K(x, y) over the pair terms (x, y, c, -c)."""
-    acc: Dict[Key, GaussRational] = {}
-    for x, y, coeff, neg in terms:
-        coords, sign = K.entry(x, y)
-        axpy(acc, coeff if sign > 0 else neg, coords)
-    return acc
-
-
-def _thetas(n: int) -> Tuple[Dict[int, Key], Dict[int, Key]]:
-    R = range(1, 2 * n + 1)
-    return ({a: ("theta", a, False) for a in R}, {a: ("theta", a, True) for a in R})
-
-
-class _ClosedTable(NamedTuple):
-    """The closed formula's model-only data: the pair terms of its three
-    eta-slot combinations, the lowered hat frames, the slot terms of its
-    Gamma and Ehat slots, and the frames and keys it writes."""
-
-    kzz: PairTerms
-    pik: PairTerms
-    pikb: PairTerms
-    zlow: Dict[int, Dict[Key, GaussRational]]
-    zlow_bar: Dict[int, Dict[Key, GaussRational]]
-    gam: Dict[int, SlotTerms]
-    gam_bar: Dict[int, SlotTerms]
-    e1: SlotTerms
-    e1_bar: SlotTerms
-    e23p: SlotTerms
-    e23m: SlotTerms
-    ehat: Tuple[Dict[Key, GaussRational], ...]
-    keys: List[Key]
-    th: Dict[int, Key]
-    thb: Dict[int, Key]
-
-
-def _build_closed_table(model: SpModel) -> _ClosedTable:
+def _closed_terms(model: SpModel) -> _ClosedTerms:
     n = model.n
     c = model.consts
     fr = model.dual_frames()
     R = range(1, 2 * n + 1)
-    th, thb = _thetas(n)
+    th = {a: ("theta", a, False) for a in R}
+    thb = {a: ("theta", a, True) for a in R}
 
     # the three eta-slot combinations
-    kzz = []
-    pik = []
-    pikb = []
+    kzz, pik, pikb = [], [], []
     for a in R:
         for s in R:
-            coeff = c.g_up(a, s)
-            if not coeff.is_zero():
-                kzz.append(_pair_term(thb[s], th[a], coeff))
-            coeff2 = c.g_up(s, a)
-            if not coeff2.is_zero():
-                kzz.append(_pair_term(th[s], thb[a], -coeff2))
-    for a in R:
-        for bq in R:
-            coeff = c.pi_up(a, bq)
-            if not coeff.is_zero():
-                pik.append(_pair_term(th[a], th[bq], coeff))
-                pikb.append(_pair_term(thb[a], thb[bq], coeff.conj()))
+            kzz.append((thb[s], th[a], c.g_up(a, s)))
+            kzz.append((th[s], thb[a], -c.g_up(s, a)))
+            pik.append((th[a], th[s], c.pi_up(a, s)))
+            pikb.append((thb[a], thb[s], c.pi_up(a, s).conj()))
 
-    # the lowered hat frames Zhat_b and Zhat_b̄
-    zlow = {}
-    zlow_bar = {}
-    for be in R:
-        acc: Dict[Key, GaussRational] = {}
-        accb: Dict[Key, GaussRational] = {}
-        for t in R:
-            axpy(acc, c.g(be, t), fr["Zhatbar"][t - 1].c)
-            axpy(accb, c.g(t, be), fr["Zhat"][t - 1].c)
-        zlow[be] = acc
-        zlow_bar[be] = accb
+    def times(w, terms):
+        return tuple((x, y, w * v) for x, y, v in terms if not v.is_zero())
+
+    eta = (("c_eta23p", ("eta", 2), times(ONE, pik)), ("c_eta23p", ("eta", 3), times(I, pik)),
+           ("c_eta23m", ("eta", 2), times(ONE, pikb)), ("c_eta23m", ("eta", 3), times(-I, pikb)),
+           ("c_eta1", ("eta", 1), times(I, kzz)))
 
     # Gamma slots: Gamma^{ā}_s(x) = g^{ā t} Gam_{s t}(x) and the conjugate
-    # pattern with the barred Gamma coordinate of x, as the terms
-    # (alpha, coordinate, coefficient) read from K(e_a, Zbar_alpha),
-    # respectively K(e_a, Z_alpha), for each beta
-    gam = {}
-    gam_bar = {}
+    # pattern with the barred Gamma coordinate of x, each for beta times
+    # the lowered hat frame Zhat_b, respectively Zhat_b̄
+    gam, gam_bar = [], []
     for be in R:
+        zlow: Dict[Key, GaussRational] = {}
+        zlow_bar: Dict[Key, GaussRational] = {}
+        for t in R:
+            axpy(zlow, c.g(be, t), fr["Zhatbar"][t - 1].c)
+            axpy(zlow_bar, c.g(t, be), fr["Zhat"][t - 1].c)
         plain, barred = [], []
         for si in R:
             pi_bs = c.pi_up(be, si)
@@ -682,143 +704,117 @@ def _build_closed_table(model: SpModel) -> _ClosedTable:
                     plain.append((al, coframe.gam_key(si, t), pi_bs * gat))
                     coeff, key = coframe.gamma_bar(c, si, t)
                     barred.append((al, key, pi_bs.conj() * gat.conj() * coeff))
-        gam[be] = tuple(plain)
-        gam_bar[be] = tuple(barred)
-    # Ehat slots: (alpha, coordinate, coefficient) of the E1 sum over
-    # K(e_a, Z_alpha) and over K(e_a, Zbar_alpha), and of the E2 +- i E3 sums
-    e23p = []
-    e23m = []
-    for al in R:
-        for si in R:
-            cu = c.pi_u_lbar(al, si)
-            if not cu.is_zero():
-                e23p.append((al, ("phiU", si, True), cu))
-            cb = c.pi_ubar_l(al, si)
-            if not cb.is_zero():
-                e23m.append((al, ("phiU", si, False), cb))
-    return _ClosedTable(
-        tuple(kzz), tuple(pik), tuple(pikb), zlow, zlow_bar, gam, gam_bar,
-        tuple((al, ("phiU", al, False), ONE) for al in R),
-        tuple((al, ("phiU", al, True), -ONE) for al in R),
-        tuple(e23p), tuple(e23m), tuple(fr["Ehat"][s].c for s in range(3)),
-        gminus_keys(n), th, thb)
+        gam.append(("c_gam", True, tuple(plain), zlow))
+        gam_bar.append(("c_gam", False, tuple(barred), zlow_bar))
+
+    # Ehat slots: the E1 sums over K(e_a, Z_alpha) and over K(e_a, Zbar_alpha)
+    # times i Ehat_1, and the E2 + i E3 and E2 - i E3 slots
+    e1, e2, e3 = (fr["Ehat"][s].c for s in range(3))
+    e23p: Dict[Key, GaussRational] = dict(e2)
+    e23m: Dict[Key, GaussRational] = dict(e2)
+    axpy(e23p, I, e3)
+    axpy(e23m, -I, e3)
+    ie1 = {k: I * v for k, v in e1.items()}
+    ehat = (
+        ("c_E1", False, tuple((al, ("phiU", al, False), ONE) for al in R), ie1),
+        ("c_E1", True, tuple((al, ("phiU", al, True), -ONE) for al in R), ie1),
+        ("c_E23p", False, tuple((al, ("phiU", si, True), c.pi_u_lbar(al, si))
+                                for al in R for si in R), e23p),
+        ("c_E23m", True, tuple((al, ("phiU", si, False), c.pi_ubar_l(al, si))
+                               for al in R for si in R), e23m))
+    return _ClosedTerms(eta, tuple(gam), tuple(gam_bar), ehat)
+
+
+def _build_closed(model: SpModel) -> IntMap:
+    """The closed matrix, from the term lists of ``_closed_terms``."""
+    t = _closed_terms(model)
+    dim, index = model.dim, model.key_index
+    gkeys, gindex = _gminus(model.n)
+    slot = {name: s for s, name in enumerate(_SLOTS)}
+    acc: Dict[Tuple[int, int], GaussRational] = {}
+    for name, ka, terms in t.eta:
+        out = gindex[ka] * dim
+        for x, y, v in terms:
+            for k, key in enumerate(model.keys):
+                _put(acc, model, x, y, key, (out + k) * 7 + slot[name], v)
+    for name, barred, terms, frame in t.gam + t.gam_bar + t.ehat:
+        for al, key, v in terms:
+            for zk, zv in frame.items():
+                vz, out = v * zv, index[zk] * 7 + slot[name]
+                for a, ka in enumerate(gkeys):
+                    _put(acc, model, ka, ("theta", al, barred), key, a * dim * 7 + out, vz)
+    return _int_map(acc)
 
 
 def kostant_codiff_closed(K: Cochain2, model: SpModel,
                           consts: Optional[dict] = None) -> Cochain1:
     """The closed trace-condition formula with calibrated slot
-    constants; requires K valued in sp(n) + g_1 + g_2.  Its term table
-    is built once per model; the constants are read on every call.
-    Without ``consts`` they are calibrated first."""
+    constants; requires K valued in sp(n) + g_1 + g_2.  Applied as one
+    matrix built once per model, whose outputs are tagged with the slot
+    constant that scales them; the constants are read on every call and
+    folded in after the product.  Without ``consts`` they are calibrated
+    first."""
     if not K.in_lemma_space():
         raise ValueError("cochain has components outside sp(n)+g_1+g_2")
     if consts is None:
         consts = codiff_closed_constants(model)
-    tab = _kept(model, "_closed_table", _build_closed_table)
-    th, thb = tab.th, tab.thb
-    kzz = _sum_pairs(K, tab.kzz)
-    piK = _sum_pairs(K, tab.pik)
-    piKb = _sum_pairs(K, tab.pikb)
-    e1, e2, e3 = tab.ehat
-    c_gam = consts["c_gam"]
-    out: Cochain1 = {}
-    for ka in tab.keys:
-        tot: Dict[Key, GaussRational] = {}
-        if ka == ("eta", 1):
-            axpy(tot, I * consts["c_eta1"], kzz)
-        if ka in (("eta", 2), ("eta", 3)):
-            w = gr(1) if ka == ("eta", 2) else I
-            axpy(tot, w * consts["c_eta23p"], piK)
-            wm = gr(1) if ka == ("eta", 2) else -I
-            axpy(tot, wm * consts["c_eta23m"], piKb)
-        rows = {al: K.entry(ka, k) for al, k in th.items()}
-        rows_bar = {al: K.entry(ka, k) for al, k in thb.items()}
-        for be in th:
-            axpy(tot, c_gam * _read(rows_bar, tab.gam[be]), tab.zlow[be])
-            axpy(tot, c_gam * _read(rows, tab.gam_bar[be]), tab.zlow_bar[be])
-        acc1 = _read(rows, tab.e1) + _read(rows_bar, tab.e1_bar)
-        axpy(tot, I * consts["c_E1"] * acc1, e1)
-        # the E2 + i E3 and E2 - i E3 slots
-        accp = consts["c_E23p"] * _read(rows, tab.e23p)
-        accm = consts["c_E23m"] * _read(rows_bar, tab.e23m)
-        axpy(tot, accp, e2)
-        axpy(tot, I * accp, e3)
-        axpy(tot, accm, e2)
-        axpy(tot, -I * accm, e3)
-        out[ka] = LieCoord.adopt(model.n, tot)
-    return out
+    den, values = _apply(K, model, "_closed_map", _build_closed)
+    dc, cs = cleared([consts[name] for name in _SLOTS])
+    tot: Dict[int, List[int]] = {}
+    for out, (re, im) in values.items():
+        pos, s = divmod(out, 7)
+        cr, ci = cs[s]
+        cur = tot.setdefault(pos, [0, 0])
+        cur[0] += re * cr - im * ci
+        cur[1] += re * ci + im * cr
+    return _cochain1(model, den * dc, tot)
 
 
 # ---------------------------------------------------------------------------
 # normality certificate and homogeneity
 
 
-class _TraceTable(NamedTuple):
-    """The trace conditions' model-only data: the pair terms of the g and
-    pi traces, the slot terms of the Gamma trace (one tuple per alpha),
-    the phi trace and the pi-phi trace, and the g_- keys they run over."""
-
-    t1: PairTerms
-    t2: PairTerms
-    gam: Tuple[SlotTerms, ...]
-    phi: SlotTerms
-    pi_phi: SlotTerms
-    keys: List[Key]
-    th: Dict[int, Key]
-    thb: Dict[int, Key]
+_TRACES = ("g_trace", "pi_trace", "Gamma_trace", "phi_trace", "pi_phi_trace")
 
 
-def _build_trace_table(model: SpModel) -> _TraceTable:
-    n = model.n
-    c = model.consts
+def _build_trace(model: SpModel) -> IntMap:
+    """T: output 5 * m + t belongs to the trace condition ``_TRACES[t]``,
+    which holds when all of its outputs vanish.  The g and pi traces have
+    one output m per coordinate, the Gamma trace one per g_- key x and
+    alpha, the phi and pi-phi traces one per x."""
+    n, c, index = model.n, model.consts, model.key_index
     R = range(1, 2 * n + 1)
-    th, thb = _thetas(n)
-    t1 = []
-    t2 = []
+    acc: Dict[Tuple[int, int], GaussRational] = {}
     for a in R:
         for bq in R:
-            cg = c.g_up(a, bq)
-            if not cg.is_zero():
-                t1.append(_pair_term(th[a], thb[bq], cg))
-            cp = c.pi_up(a, bq)
-            if not cp.is_zero():
-                t2.append(_pair_term(th[a], th[bq], cp))
-    # the terms (index of the theta argument, coordinate, coefficient):
+            for t, y, coeff in ((0, ("theta", bq, True), c.g_up(a, bq)),
+                                (1, ("theta", bq, False), c.pi_up(a, bq))):
+                if not coeff.is_zero():
+                    for key, k in index.items():
+                        _put(acc, model, ("theta", a, False), y, key, 5 * k + t, coeff)
     # Gamma_trace per alpha and phi_trace read K(Zbar_s, x), pi_phi_trace
     # reads K(Z_beta, x)
-    gam = tuple(tuple((s, coframe.gam_key(al, bq), c.g_up(bq, s))
-                      for bq in R for s in R if not c.g_up(bq, s).is_zero())
-                for al in R)
-    phi = tuple((s, ("phiU", t, True), c.g_up(al, s) * c.g(t, al))
-                for al in R for s in R for t in R
-                if not (c.g_up(al, s).is_zero() or c.g(t, al).is_zero()))
-    pi_phi = tuple((bq, ("phiU", t, True), c.pi_up(al, bq) * c.g(t, al))
-                   for al in R for bq in R for t in R
-                   if not (c.pi_up(al, bq).is_zero() or c.g(t, al).is_zero()))
-    return _TraceTable(tuple(t1), tuple(t2), gam, phi, pi_phi, gminus_keys(n), th, thb)
+    for m, kx in enumerate(gminus_keys(n)):
+        for al in R:
+            for s in R:
+                zbar, z = ("theta", s, True), ("theta", s, False)
+                for bq in R:
+                    _put(acc, model, zbar, kx, coframe.gam_key(al, bq),
+                         5 * (m * 2 * n + al - 1) + 2, c.g_up(bq, s))
+                for t in R:
+                    phi = ("phiU", t, True)
+                    _put(acc, model, zbar, kx, phi, 5 * m + 3, c.g_up(al, s) * c.g(t, al))
+                    _put(acc, model, z, kx, phi, 5 * m + 4, c.pi_up(al, s) * c.g(t, al))
+    return _int_map(acc)
 
 
 def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
     """The five contraction identities the curvature cochain satisfies,
-    read through a term table built once per model."""
-    tab = _kept(model, "_trace_table", _build_trace_table)
-    ok3 = ok4 = ok5 = True
-    for kx in tab.keys:
-        rows = {a: K.entry(k, kx) for a, k in tab.th.items()}
-        rows_bar = {a: K.entry(k, kx) for a, k in tab.thb.items()}
-        if any(not _read(rows_bar, terms).is_zero() for terms in tab.gam):
-            ok3 = False
-        if not _read(rows_bar, tab.phi).is_zero():
-            ok4 = False
-        if not _read(rows, tab.pi_phi).is_zero():
-            ok5 = False
-    return {
-        "g_trace": not _sum_pairs(K, tab.t1),
-        "pi_trace": not _sum_pairs(K, tab.t2),
-        "Gamma_trace": ok3,
-        "phi_trace": ok4,
-        "pi_phi_trace": ok5,
-    }
+    applied as the matrix T, built once per model: a condition holds when
+    all of its outputs vanish."""
+    _, values = _apply(K, model, "_trace_map", _build_trace)
+    broken = {out % 5 for out, (re, im) in values.items() if re or im}
+    return {name: t not in broken for t, name in enumerate(_TRACES)}
 
 
 def cochain1_is_zero(d: Cochain1) -> bool:
@@ -830,9 +826,11 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
                     validate: bool = True, tamper: Optional[str] = None) -> dict:
     """Assemble kappa, evaluate both codifferential routes and the five
     trace conditions; everything must vanish exactly for valid input.
-    The closed and trace term tables are built on the model's first
-    check and reused; the closed constants are calibrated on every call
-    that does not pass ``closed_consts``.
+    Each of the three is one product of K with a matrix kept on the
+    model: the direct and closed matrices are built independently, from
+    the brackets and from the closed term lists, so comparing the two
+    routes compares them.  The closed constants are calibrated on every
+    call that does not pass ``closed_consts``.
 
     ``direct_equals_closed`` does not certify the closed constants: on
     admissible components kappa is normal and every slot term of the
@@ -861,19 +859,22 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
 
 def homogeneity_classify(K: Cochain2) -> Dict[int, Cochain2]:
     """Split K by the grading weight: the piece of K(x, y) in g_k for
-    x in g_i, y in g_j contributes at homogeneity k - i - j."""
+    x in g_i, y in g_j contributes at homogeneity k - i - j.  Each pair's
+    coordinates are split by grade directly; its pieces are written in
+    ascending grade, each keeping the coordinate order of K."""
     out: Dict[int, Cochain2] = {}
+    grade = coframe.grade
     for (i, j), v in K.vals.items():
-        ki, kj = K.keys[i], K.keys[j]
-        gi, gj = coframe.grade(ki), coframe.grade(kj)
-        for part_grade, part in v.decompose().items():
-            if part.is_zero():
-                continue
-            ell = part_grade - gi - gj
+        base = grade(K.keys[i]) + grade(K.keys[j])
+        parts: Dict[int, Dict[Key, GaussRational]] = {}
+        for k, x in v.c.items():
+            parts.setdefault(grade(k), {})[k] = x
+        for part_grade in sorted(parts):
+            ell = part_grade - base
             if ell not in out:
                 out[ell] = Cochain2(K.n)
             # the grades of one pair are distinct: each piece is written once
-            out[ell].vals[(i, j)] = part
+            out[ell].vals[(i, j)] = LieCoord.adopt(K.n, parts[part_grade])
     return out
 
 

@@ -173,7 +173,7 @@ def _cleared_mat(M: SparseMat) -> Tuple[int, IntMat]:
     return den, dict(zip(M, ints))
 
 
-def _by_row(M: IntMat) -> IntRows:
+def by_row(M: IntMat) -> IntRows:
     """Row r -> the entries (col, re, im) of M in that row."""
     rows: IntRows = {}
     for (r, co), (re, im) in M.items():
@@ -184,7 +184,7 @@ def _by_row(M: IntMat) -> IntRows:
 def int_product_into(acc: Dict[Tuple[int, int], List[int]], a: IntMat,
                      b_rows: IntRows, sign: int) -> None:
     """acc += sign * a b in place, the package's one sparse matrix product:
-    b is given by its rows (``_by_row``), acc maps a position to a running
+    b is given by its rows (``by_row``), acc maps a position to a running
     [re, im] and keeps the positions in first-touch order, zeros included."""
     for (r, k), (ar, ai) in a.items():
         row = b_rows.get(k)
@@ -216,7 +216,7 @@ def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
     da, ia = _cleared_mat(a)
     db, ib = _cleared_mat(b)
     acc: Dict[Tuple[int, int], List[int]] = {}
-    int_product_into(acc, ia, _by_row(ib), 1)
+    int_product_into(acc, ia, by_row(ib), 1)
     den = da * db
     new = GaussRational.from_ints
     return {k: new(re, im, den) for k, (re, im) in acc.items() if re or im}
@@ -407,7 +407,7 @@ class SpModel:
             coeffs = iter(coeffs)
             idec = {pos: tuple((k, *next(coeffs)) for k, _ in entries)
                     for pos, entries in dec.items()}
-            self._ints = (D, imats, [_by_row(mat) for mat in imats], E, idec)
+            self._ints = (D, imats, [by_row(mat) for mat in imats], E, idec)
         return self._ints
 
     def _decode_ints(self, M: IntMat) -> Dict[int, Tuple[int, int]]:

@@ -312,46 +312,51 @@ def _delta_eta1_z1(m):
 def test_barred_gamma_slot_is_checked(model_for, monkeypatch, n, signature):
     """The delta cochain K(E_1, Z_1) = Gam_{1p} has a nonzero codifferential
     that the closed formula reproduces; on a fresh model whose closed
-    term table has its barred-Gamma terms negated, the two differ."""
+    matrix is built from term lists with the barred-Gamma terms negated,
+    the two differ."""
     m = model_for(n, signature)
     cc = codiff_closed_constants(m)
     K = _delta_eta1_z1(m)
     direct = kostant_codiff_direct(K, m)
     assert not cochain1_is_zero(direct)
     assert kostant_codiff_closed(K, m, cc) == direct
-    build = cochains._build_closed_table
+    terms = cochains._closed_terms
 
     def negated(model):
-        table = build(model)
-        return table._replace(gam_bar={be: tuple((al, key, -coeff) for al, key, coeff in terms)
-                                       for be, terms in table.gam_bar.items()})
+        table = terms(model)
+        return table._replace(gam_bar=tuple(
+            (slot, barred, tuple((al, key, -coeff) for al, key, coeff in reads), frame)
+            for slot, barred, reads, frame in table.gam_bar))
 
-    monkeypatch.setattr(cochains, "_build_closed_table", negated)
+    monkeypatch.setattr(cochains, "_closed_terms", negated)
     fresh = SpModel(n, signature)
     assert kostant_codiff_direct(K, fresh) == direct
     assert kostant_codiff_closed(K, fresh, cc) != direct
 
 
-def test_term_tables_built_once_per_model(monkeypatch):
-    """The calibration and two normality checks on one model build one
-    closed and one trace table; a model with another n builds its own."""
+def test_matrices_built_once_per_model(monkeypatch):
+    """No matrix is built with the model; the calibration and two
+    normality checks on one model build one direct, one closed and one
+    trace matrix; a model with another n builds its own."""
     built = []
-    for name in ("_build_closed_table", "_build_trace_table"):
+    for name in ("_build_direct", "_build_closed", "_build_trace"):
         def counting(model, build=getattr(cochains, name), name=name):
             built.append((name, model.n))
             return build(model)
         monkeypatch.setattr(cochains, name, counting)
     m = SpModel(1)
+    assert built == []
     cc = codiff_closed_constants(m)
-    assert built == [("_build_closed_table", 1)]
+    assert sorted(built) == [("_build_closed", 1), ("_build_direct", 1)]
     rng = random.Random(90)
     for _ in range(2):
         assert check_normality(random_components(rng, m.consts), m, cc)["normal"]
-    assert built == [("_build_closed_table", 1), ("_build_trace_table", 1)]
+    assert sorted(built) == [("_build_closed", 1), ("_build_direct", 1), ("_build_trace", 1)]
     m2 = SpModel(2)
+    assert len(built) == 3
     assert check_normality(random_components(rng, m2.consts), m2)["normal"]
     assert check_normality(random_components(rng, m2.consts), m2)["normal"]
-    assert built[2:] == [("_build_closed_table", 2), ("_build_trace_table", 2)]
+    assert sorted(built[3:]) == [("_build_closed", 2), ("_build_direct", 2), ("_build_trace", 2)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -510,6 +515,34 @@ def test_homogeneity_slices_sum_and_regularity(model_for, consts1):
             assert total.get(ki, kj) == K.get(ki, kj)
     assert regularity_ok(K)
     assert homogeneity_classify(Cochain2(1)) == {}
+
+
+def _reference_classify(K):
+    """homogeneity_classify as it read through LieCoord.decompose."""
+    out = {}
+    for (i, j), v in K.vals.items():
+        gi, gj = coframe.grade(K.keys[i]), coframe.grade(K.keys[j])
+        for part_grade, part in v.decompose().items():
+            if not part.is_zero():
+                out.setdefault(part_grade - gi - gj, Cochain2(K.n)).vals[(i, j)] = part
+    return out
+
+
+def test_homogeneity_matches_reference_with_key_order(model_for, consts1):
+    """Same pieces, in the same order of homogeneities, pairs and
+    coordinates, on kappa, on a lemma cochain and on a cochain whose
+    pair holds its coordinates out of grade order."""
+    m = model_for(1)
+    rng = random.Random(32)
+    mixed = Cochain2(1)
+    mixed.vals[(0, 3)] = LieCoord.adopt(1, {("psi", 2): gr(1), ("eta", 1): gr(2),
+                                            ("Gam", 1, 2): gr(0, 1), ("psi", 1): gr(3)})
+    for K in (assemble_kappa(random_components(rng, consts1), m),
+              random_lemma_cochain(rng, 1), mixed):
+        got, want = homogeneity_classify(K), _reference_classify(K)
+        assert list(got) == list(want)
+        for ell, piece in want.items():
+            _assert_same_cochain(got[ell], piece)
 
 
 def test_component_file_round_trip(model_for, consts1, tmp_path):

@@ -290,6 +290,58 @@ def test_direct_matches_reference_outside_lemma_space(model_for):
             assert kostant_codiff_direct(K, m) == reference_codiff_direct(K, m)
 
 
+def test_matrices_on_every_unit_cochain(model_for):
+    """At n = 1 every unit cochain: each pair with each coordinate (441)
+    through the direct matrix and the trace conditions, and each pair
+    with each lemma coordinate through the closed matrix.  The nonzero
+    coordinates of the direct outputs are as many as D_direct has
+    entries; the closed constants are seven distinct values, so an
+    output tagged with the wrong slot is seen."""
+    m = model_for(1)
+    consts = {name: gr(k + 2, k - 3) for k, name in enumerate(CLOSED_NAMES)}
+    lemma = set(lemma_keys(1))
+    nonzeros = 0
+    for ki, kj in gminus_pairs(1):
+        for key in m.keys:
+            K = delta(1, ki, kj, key, gr(1))
+            want = reference_codiff_direct(K, m)
+            assert kostant_codiff_direct(K, m) == want, (ki, kj, key)
+            nonzeros += sum(len(v.c) for v in want.values())
+            assert trace_conditions(K, m) == reference_trace_conditions(K, m)
+            if key in lemma:
+                assert kostant_codiff_closed(K, m, consts) == \
+                    reference_codiff_closed(K, m, consts), (ki, kj, key)
+    assert nonzeros == 738
+
+
+@pytest.mark.parametrize("n, entries", [(1, 738), (2, 2612), (3, 6114)])
+def test_direct_matrix_entries_pinned(model_for, n, entries):
+    _, rows = cochains._build_direct(model_for(n))
+    assert sum(len(row) for row in rows.values()) == entries
+
+
+def test_negated_direct_entry_is_seen(model_for, monkeypatch):
+    """Negative control: on a fresh model whose D_direct has one entry
+    negated, in a column the lemma cochain K reads, the direct
+    codifferential of K differs from the reference."""
+    K = random_lemma_cochain(random.Random(5), 1)
+    m = model_for(1)
+    assert kostant_codiff_direct(K, m) == reference_codiff_direct(K, m)
+    build = cochains._build_direct
+
+    def negated(model):
+        den, rows = build(model)
+        col = next(c for (i, j), v in K.vals.items() for key in v.c
+                   if (c := (i * len(K.keys) + j) * model.dim + model.key_index[key]) in rows)
+        out, re, im = rows[col][0]
+        rows[col] = [(out, -re, -im)] + rows[col][1:]
+        return den, rows
+
+    monkeypatch.setattr(cochains, "_build_direct", negated)
+    fresh = SpModel(1)
+    assert kostant_codiff_direct(K, fresh) != reference_codiff_direct(K, fresh)
+
+
 def lemma_cochains(n: int):
     """Sparse lemma-space cochains: a few coordinates on pairs given in
     either order, so that both orientations of a stored pair are read."""

@@ -630,9 +630,10 @@ def test_random_spn_draws_again_when_i_minus_x_is_singular(monkeypatch):
 
 def test_one_solver_and_one_product():
     """No module defines its own matrix product or a private solver:
-    model.int_product_into (behind smat_mul) and model.solve_many are the
-    only ones, and the package has one elimination loop, a ``while`` that
-    searches its pivot with ``min``, in model.solve_many."""
+    model.int_product_into (behind smat_mul and the cochain maps) and
+    model.solve_many are the only ones, and the package has one
+    elimination loop, a ``while`` that searches its pivot with ``min``, in
+    model.solve_many."""
     loops = []
     for path in Path(qcframe.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -644,3 +645,21 @@ def test_one_solver_and_one_product():
                           and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                                   and call.func.id == "min" for call in ast.walk(loop))]
     assert loops == [("model.py", "solve_many")]
+    # cochains.py applies its matrices only through int_product_into, in
+    # _apply, which each of the three maps calls once; it calls no
+    # bracket_sum, and no helper but _apply reads a cochain's values
+    tree = ast.parse((Path(qcframe.__file__).parent / "cochains.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(fn):
+        return [getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(fn) if isinstance(call, ast.Call)]
+
+    assert [name for name, fn in funcs.items() if "int_product_into" in called(fn)] == ["_apply"]
+    for name in ("kostant_codiff_direct", "kostant_codiff_closed", "trace_conditions"):
+        assert called(funcs[name]).count("_apply") == 1, name
+    assert not any(isinstance(node, ast.Attribute) and node.attr in ("bracket_sum", "entry")
+                   for node in ast.walk(tree))
+    assert [name for name, fn in funcs.items() if name.startswith("_") and any(
+        isinstance(node, ast.Attribute) and node.attr == "vals" for node in ast.walk(fn))] \
+        == ["_apply"]
