@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -24,7 +25,7 @@ from .gauss import I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
-from .model import IntRows, LieCoord, SpModel, by_row, int_product_into
+from .model import IntRows, LieCoord, SpModel, int_product_into
 from . import coframe
 from .coframe import Key
 
@@ -221,91 +222,111 @@ def load_components(path: str, consts: StandardConstants) -> CurvatureComponents
 # cochains
 
 
+class _Layout(NamedTuple):
+    """The tables of one n behind ``column``."""
+
+    gkeys: Tuple[Key, ...]
+    gindex: Mapping[Key, int]  # g_- key -> its position i
+    keys: Tuple[Key, ...]
+    index: Mapping[Key, int]  # coordinate key -> its position k
+    pair_grade: Tuple[int, ...]  # pair number i * g + j -> grade(e_i) + grade(e_j)
+    key_grade: Tuple[int, ...]  # coordinate number k -> its grade
+    lemma: Tuple[bool, ...]  # coordinate number k -> in sp(n) + g_1 + g_2
+
+
 @lru_cache(maxsize=None)
-def _gminus(n: int) -> Tuple[Tuple[Key, ...], Mapping[Key, int]]:
-    keys = tuple(k for k in coframe.coord_keys(n) if coframe.grade(k) < 0)
-    return keys, MappingProxyType({k: i for i, k in enumerate(keys)})
+def _layout(n: int) -> _Layout:
+    keys = tuple(coframe.coord_keys(n))
+    grades = tuple(coframe.grade(k) for k in keys)
+    g = sum(grade < 0 for grade in grades)  # the g_- keys lead the coordinate keys
+    index = {k: i for i, k in enumerate(keys)}
+    return _Layout(keys[:g], MappingProxyType({k: index[k] for k in keys[:g]}), keys,
+                   MappingProxyType(index), tuple(a + b for a in grades[:g] for b in grades[:g]),
+                   grades, tuple(k[0] in ("Gam", "phiU", "psi") for k in keys))
 
 
 def gminus_keys(n: int) -> Tuple[Key, ...]:
     """Ordered basis labels of g_-: E_s then Z_a then Z_ā, one shared
     tuple per n."""
-    return _gminus(n)[0]
+    return _layout(n).gkeys
+
+
+def column(n: int, x: Key, y: Key, key: Key) -> Tuple[int, int]:
+    """Where coordinate ``key`` of K(x, y) is stored: (column, sign) with
+    K(x, y)[key] = sign * row[column].  The column is (i * g + j) * dim + k
+    for the gminus_keys positions i < j of x and y, g the number of g_-
+    keys and k the position of key among the dim coordinate keys, the
+    numbering of every cochain row and matrix of this module.  The sign is
+    -1 when x comes after y, and 0 (with column -1) when x == y."""
+    lay = _layout(n)
+    i, j = lay.gindex[x], lay.gindex[y]
+    if i == j:
+        return -1, 0
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    return (i * len(lay.gkeys) + j) * len(lay.keys) + lay.index[key], sign
+
+
+@lru_cache(maxsize=None)
+def _pair_columns(n: int, x: Key, y: Key) -> Tuple[Mapping[int, Key], int]:
+    """Column -> coordinate key over the columns of K(x, y), in key order,
+    and the sign they are read with; ({}, 0) when x == y."""
+    at: Dict[int, Key] = {}
+    for key in _layout(n).keys:
+        col, sign = column(n, x, y, key)
+        at[col] = key
+    return MappingProxyType(at if sign else {}), sign
 
 
 class Cochain2:
-    """Antisymmetric map on pairs of g_- basis vectors, stored for
-    index pairs i < j in the gminus_keys order.  ``keys`` and the
-    read-only ``index`` are shared by every cochain of the same n."""
+    """Antisymmetric map on pairs of g_- basis vectors, stored as one
+    sparse row: ``column(n, x, y, key)`` -> the nonzero value of
+    K(e_i, e_j)[key], i < j, in ascending column order.  ``get`` and
+    ``set_pair`` view it pair by pair."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, row: Optional[Dict[int, GaussRational]] = None):
         self.n = n
-        self.keys, self.index = _gminus(n)
-        self.vals: Dict[Tuple[int, int], LieCoord] = {}
+        self.row: Dict[int, GaussRational] = {} if row is None else row
 
-    def set_pair(self, ki: Key, kj: Key, value: LieCoord) -> None:
-        i, j = self.index[ki], self.index[kj]
-        if i == j:
+    def set_pair(self, x: Key, y: Key, value: LieCoord) -> None:
+        """K(x, y) = value, and so K(y, x) = -value."""
+        at, sign = _pair_columns(self.n, x, y)
+        if not sign:
             raise ValueError("cochain argument pair must be distinct")
-        if i > j:
-            i, j, value = j, i, -value
-        if value.is_zero():
-            self.vals.pop((i, j), None)
-        else:
-            self.vals[(i, j)] = value
+        row = {col: v for col, v in self.row.items() if col not in at}
+        row.update((col, v if sign > 0 else -v) for col, key in at.items()
+                   if (v := value.c.get(key)) is not None)
+        self.row = dict(sorted(row.items()))
 
-    def get(self, ki: Key, kj: Key) -> LieCoord:
-        i, j = self.index[ki], self.index[kj]
-        if i == j:
-            return LieCoord(self.n)
-        if i < j:
-            return self.vals.get((i, j), LieCoord(self.n))
-        return -self.vals.get((j, i), LieCoord(self.n))
-
-    def __add__(self, other: "Cochain2") -> "Cochain2":
-        out = Cochain2(self.n)
-        for (i, j), v in self.vals.items():
-            out.vals[(i, j)] = v
-        for (i, j), v in other.vals.items():
-            cur = out.vals.get((i, j), LieCoord(self.n)) + v
-            if cur.is_zero():
-                out.vals.pop((i, j), None)
-            else:
-                out.vals[(i, j)] = cur
-        return out
-
-    def scale(self, c) -> "Cochain2":
-        out = Cochain2(self.n)
-        for (i, j), v in self.vals.items():
-            sv = v.scale(c)
-            if not sv.is_zero():
-                out.vals[(i, j)] = sv
-        return out
+    def get(self, x: Key, y: Key) -> LieCoord:
+        at, sign = _pair_columns(self.n, x, y)
+        row = self.row  # the view intersection walks the shorter of the two
+        return LieCoord.adopt(self.n, {at[col]: row[col] if sign > 0 else -row[col]
+                                       for col in sorted(at.keys() & row.keys())})
 
     def is_zero(self) -> bool:
-        return not self.vals
+        return not self.row
 
     def in_lemma_space(self) -> bool:
         """Values confined to sp(n) + g_1 + g_2 (no eta/theta/phi0/phi_s)."""
-        for v in self.vals.values():
-            for k in v.c:
-                if k[0] not in ("Gam", "phiU", "psi"):
-                    return False
-        return True
+        lay = _layout(self.n)
+        return all(lay.lemma[col % len(lay.keys)] for col in self.row)
 
 
 Cochain1 = Dict[Key, LieCoord]
 
 
 def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
-    """Random antisymmetric cochain valued in sp(n) + g_1 + g_2."""
+    """Random antisymmetric cochain valued in sp(n) + g_1 + g_2: pair by
+    pair, each lemma coordinate in coord_keys order."""
     out = Cochain2(n)
-    target = [k for k in coframe.coord_keys(n) if k[0] in ("Gam", "phiU", "psi")]
-    ks = gminus_keys(n)
-    for i, ki in enumerate(ks):
-        for kj in ks[i + 1:]:
-            out.set_pair(ki, kj, LieCoord.adopt(n, {
-                k: v for k in target if not (v := random_gauss(rng, span, 2)).is_zero()}))
+    lay = _layout(n)
+    for i, ki in enumerate(lay.gkeys):
+        for kj in lay.gkeys[i + 1:]:
+            for col, lemma in zip(_pair_columns(n, ki, kj)[0], lay.lemma):
+                if lemma and not (v := random_gauss(rng, span, 2)).is_zero():
+                    out.row[col] = v
     return out
 
 
@@ -322,14 +343,12 @@ Read = Tuple[str, Tuple[int, ...], Tuple[int, ...], bool]
 
 class KappaPlan(NamedTuple):
     """The coordinate two-forms compiled for evaluation.  A cell is a
-    g_- index pair (i, j), i < j, with a coordinate; ``cells`` lists
-    them ordered by pair, then by the forms' coordinate order.  Each
-    entry of ``monos`` is a symbol monomial with the numbers of the
-    cells it feeds and the coefficient it feeds each with.  ``groups``
-    holds the same monomials with their reads compiled, grouped by the
-    families they read: (families, ((reads, cells, coefficients), ...))."""
+    g_- pair with a coordinate, numbered by its ``column``.  Each entry
+    of ``monos`` is a symbol monomial with the columns of the cells it
+    feeds and the coefficient it feeds each with.  ``groups`` holds the
+    same monomials with their reads compiled, grouped by the families
+    they read: (families, ((reads, columns, coefficients), ...))."""
 
-    cells: Tuple[Tuple[Tuple[int, int], Key], ...]
     monos: Tuple[Tuple[Mono, Tuple[int, ...], Tuple[GaussRational, ...]], ...]
     groups: Tuple[Tuple[Tuple[str, ...], Tuple[Tuple[Tuple[Read, ...], Tuple[int, ...],
                                                      Tuple[GaussRational, ...]], ...]], ...]
@@ -342,25 +361,24 @@ def _compile_read(sym: Sym) -> Read:
     return fam, tuple(sorted(sym.idx)), tuple(sym.idx), sym.conj
 
 
-def _compile_plan(forms: Dict[Key, Form]) -> KappaPlan:
-    by_mono: Dict[Mono, List[Tuple[Tuple[Tuple[int, int], int], GaussRational]]] = {}
-    for t, form in enumerate(forms.values()):
-        # the g_- keys lead coord_keys: a generator's id is its g_- index
-        for pair, poly in form.terms.items():
+def _compile_plan(n: int, forms: Dict[Key, Form]) -> KappaPlan:
+    gkeys = gminus_keys(n)
+    by_mono: Dict[Mono, List[Tuple[int, GaussRational]]] = {}
+    for coord, form in forms.items():
+        # the g_- keys lead coord_keys: a generator's id is its g_- index,
+        # and a form's pairs are ordered ids, so every sign is 1
+        for (i, j), poly in form.terms.items():
+            col = column(n, gkeys[i], gkeys[j], coord)[0]
             for smono, coeff in poly.terms.items():
-                by_mono.setdefault(smono, []).append(((pair, t), coeff))
-    coords = list(forms)
-    cells = sorted({cell for terms in by_mono.values() for cell, _ in terms})
-    number = {cell: k for k, cell in enumerate(cells)}
-    monos = tuple((smono, tuple(number[cell] for cell, _ in terms),
-                   tuple(coeff for _, coeff in terms)) for smono, terms in by_mono.items())
+                by_mono.setdefault(smono, []).append((col, coeff))
+    monos = tuple((smono, tuple(col for col, _ in terms), tuple(coeff for _, coeff in terms))
+                  for smono, terms in by_mono.items())
     groups: Dict[Tuple[str, ...], list] = {}
-    for smono, mcells, coeffs in monos:
+    for smono, cols, coeffs in monos:
         reads = tuple(_compile_read(s) for s in smono)
         fams = tuple(f for f in CURVATURE_FAMILIES if any(r[0] == f for r in reads))
-        groups.setdefault(fams, []).append((reads, mcells, coeffs))
-    return KappaPlan(tuple((pair, coords[t]) for pair, t in cells), monos,
-                     tuple((fams, tuple(g)) for fams, g in groups.items()))
+        groups.setdefault(fams, []).append((reads, cols, coeffs))
+    return KappaPlan(monos, tuple((fams, tuple(g)) for fams, g in groups.items()))
 
 
 # (n, signature, tamper) -> the coordinate two-forms and their plan
@@ -387,7 +405,7 @@ def _kappa(n: int, signature: Optional[Tuple[int, int]],
             if len(mono) != 2 or any(coframe.grade(curved.ext.keys[g]) >= 0 for g in mono):
                 raise AssertionError("curvature form is not a semibasic two-form")
         out[key] = diff
-    _KAPPA_CACHE[key3] = hit = (out, _compile_plan(out))
+    _KAPPA_CACHE[key3] = hit = (out, _compile_plan(n, out))
     return hit
 
 
@@ -428,7 +446,7 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
     symbol monomial is evaluated once, from the reads the plan compiled:
     each field's entries are fetched once and read by key, and the
     monomials of a family group that reads a zero field are skipped
-    with one test.  Only a nonzero monomial is spread over the cells it
+    with one test.  Only a nonzero monomial is added into the columns it
     feeds.  ``validate=False`` with ``tamper='unsym-S'`` admits invalid
     components, so that symmetry violations surface as nonzero normality
     residuals instead."""
@@ -441,7 +459,7 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
     for fams, monos in plan.groups:
         if not all(fields[f][0] for f in fams):
             continue  # a zero family: every monomial of the group vanishes
-        for reads, cells, coeffs in monos:
+        for reads, cols, coeffs in monos:
             val = ONE
             for fam, skey, key, conj in reads:
                 entries, by_sorted = fields[fam]
@@ -452,20 +470,10 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
                     v = v.conj()
                 val = v if val is ONE else val * v
             else:
-                for cell, coeff in zip(cells, coeffs):
-                    cur = acc.get(cell)
-                    acc[cell] = coeff * val if cur is None else cur + coeff * val
-    cols: Dict[Tuple[Key, Key], Dict[Key, GaussRational]] = {}
-    for cell in sorted(acc):
-        v = acc[cell]
-        if v.is_zero():
-            continue
-        pair, coord = plan.cells[cell]
-        cols.setdefault(pair, {})[coord] = v
-    out = Cochain2(n)
-    for pair, coords in cols.items():
-        out.vals[pair] = LieCoord.adopt(n, coords)
-    return out
+                for col, coeff in zip(cols, coeffs):
+                    cur = acc.get(col)
+                    acc[col] = coeff * val if cur is None else cur + coeff * val
+    return Cochain2(n, {col: v for col in sorted(acc) if not (v := acc[col]).is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +481,12 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 #
 # Both codifferentials and the trace conditions are linear in K.  Each is
 # a Gaussian-integer matrix over one denominator, built on first use and
-# kept on the SpModel, as dual_brackets() is; only this module knows the
-# layout.  A matrix is stored by its rows: input column -> the entries
-# (output, re, im).  The column of coordinate k of K(e_i, e_j), i < j in
-# the gminus_keys order, is (i * g + j) * dim + k with g the number of g_-
-# keys.  An evaluation clears K into one row, multiplies it by the matrix
-# in one model.int_product_into and decodes the outputs.  Nothing stored
-# in K, dual_frames() or dual_brackets() is modified.
+# kept on the SpModel, as dual_brackets() is.  A matrix is stored by its
+# rows: input column -> the entries (output, re, im), its input columns
+# numbered by ``column``, as K's row is.  An evaluation clears K's row,
+# multiplies it by the matrix in one model.int_product_into and decodes
+# the outputs.  Nothing stored in K, dual_frames() or dual_brackets() is
+# modified.
 
 # (denominator, rows) of a kept matrix
 IntMap = Tuple[int, IntRows]
@@ -499,37 +506,36 @@ def _put(acc: Dict[Tuple[int, int], GaussRational], model: SpModel,
          x: Key, y: Key, key: Key, out: int, coeff: GaussRational) -> None:
     """Add coeff * K(x, y)[key] to the output ``out`` of a matrix being
     built as (column, output) -> entry."""
-    if coeff.is_zero():
-        return
-    keys, index = _gminus(model.n)
-    i, j = index[x], index[y]
-    if i == j:
-        return
-    if i > j:
-        i, j, coeff = j, i, -coeff
-    pos = ((i * len(keys) + j) * model.dim + model.key_index[key], out)
-    cur = acc.get(pos)
-    acc[pos] = coeff if cur is None else cur + coeff
+    col, sign = column(model.n, x, y, key)
+    if sign and not coeff.is_zero():
+        cur = acc.get((col, out), ZERO)
+        acc[col, out] = cur + coeff if sign > 0 else cur - coeff
+
+
+def _int_rows(acc: Dict[Tuple[int, int], Tuple[int, int]], den: int) -> IntMap:
+    """The nonzero entries (re + i im) / den of a matrix built as (column,
+    output) -> (re, im), by rows over their lowest common denominator."""
+    g = gcd(den, *(x for v in acc.values() for x in v))
+    rows: IntRows = {}
+    for (col, out), (re, im) in acc.items():
+        if re or im:
+            rows.setdefault(col, []).append((out, re // g, im // g))
+    return den // g, rows
 
 
 def _int_map(acc: Dict[Tuple[int, int], GaussRational]) -> IntMap:
-    """The nonzero entries cleared over one denominator, by rows."""
-    acc = {pos: v for pos, v in acc.items() if not v.is_zero()}
+    """``_int_rows`` of a matrix built with ``GaussRational`` entries."""
     den, ints = cleared(acc.values())
-    return den, by_row(dict(zip(acc, ints)))
+    return _int_rows(dict(zip(acc, ints)), den)
 
 
 def _apply(K: Cochain2, model: SpModel, attr: str, build) -> Tuple[int, Dict[int, List[int]]]:
     """K times the matrix kept as ``attr``: output -> [re, im] over the
-    returned denominator.  Only the coordinates of K in a column the
-    matrix reads enter the row."""
+    returned denominator."""
     den, rows = _kept(model, attr, build)
-    g, dim, index = len(K.keys), model.dim, model.key_index
-    read = [(col, x) for (i, j), v in K.vals.items() for key, x in v.c.items()
-            if (col := (i * g + j) * dim + index[key]) in rows]
-    dk, ints = cleared([x for _, x in read])
+    dk, ints = cleared(K.row.values())
     acc: Dict[Tuple[int, int], List[int]] = {}
-    int_product_into(acc, {(0, col): v for (col, _), v in zip(read, ints)}, rows, 1)
+    int_product_into(acc, {(0, col): v for col, v in zip(K.row, ints)}, rows, 1)
     return den * dk, {out: v for (_, out), v in acc.items()}
 
 
@@ -550,34 +556,42 @@ def _cochain1(model: SpModel, den: int, values: Dict[int, List[int]]) -> Cochain
 def _build_direct(model: SpModel) -> IntMap:
     """D_direct: output a * dim + k is coordinate k of the sum over the
     dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
-    with a column for every coordinate.  The ad matrix of each hat is read
-    off the structure constants once."""
+    with a column for every coordinate.  Built in Python integers: the
+    dual frames and the [hat, e_a]_- are cleared over one denominator, and
+    the ad matrix of each hat is summed from the structure-constant rows."""
     sc, scale = model.structure_constants()
-    keys, dim, index, new = model.keys, model.dim, model.key_index, GaussRational.from_ints
+    n, keys, dim, index = model.n, model.keys, model.dim, model.key_index
     brackets = model.dual_brackets()
-    ads = {}  # e_b -> 2 ad(hat): column k -> the entries (l, value)
-    for hat, kb, _ in next(iter(brackets.values())):
-        dh, ints = cleared(hat.c.values())
-        ads[kb] = ad = []
-        for k in range(dim):
-            col: Dict[int, List[int]] = {}
-            for key, (hr, hi) in zip(hat.c, ints):
-                for l, cr, ci in sc[index[key]][k]:
+    pairs = next(iter(brackets.values()))
+    den, ints = cleared([v for hat, _, _ in pairs for v in hat.c.values()] + [
+        v for rows in brackets.values() for _, _, m in rows for v in m.c.values()])
+    ints = iter(ints)  # read in that order; zip takes from it only while keys remain
+    ads = {}  # e_b -> ad(hat) over den * scale: column k -> {l: [re, im]}
+    for hat, kb, _ in pairs:
+        ads[kb] = ad = [{} for _ in range(dim)]
+        for key, (hr, hi) in zip(hat.c, ints):
+            for col, targets in zip(ad, sc[index[key]]):
+                for l, cr, ci in targets:
                     cur = col.setdefault(l, [0, 0])
                     cur[0] += hr * cr - hi * ci
                     cur[1] += hr * ci + hi * cr
-            ad.append([(l, new(2 * re, 2 * im, dh * scale))
-                       for l, (re, im) in col.items() if re or im])
-    acc: Dict[Tuple[int, int], GaussRational] = {}
+    acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def add(x: Key, y: Key, key: Key, out: int, f: int, re: int, im: int) -> None:
+        col, sign = column(n, x, y, key)
+        if sign and (re or im):
+            cr, ci = acc.get((col, out), (0, 0))
+            acc[col, out] = cr + sign * f * re, ci + sign * f * im
+
     for a, (ka, rows) in enumerate(brackets.items()):
-        for _, kb, minus in rows:
+        for _, kb, m in rows:
             for key, col in zip(keys, ads[kb]):
-                for l, v in col:
-                    _put(acc, model, ka, kb, key, a * dim + l, v)
-            for kx, vx in minus.c.items():
+                for l, (re, im) in col.items():
+                    add(ka, kb, key, a * dim + l, 2, re, im)
+            for kx, (re, im) in zip(m.c, ints):
                 for k, key in enumerate(keys):
-                    _put(acc, model, kx, kb, key, a * dim + k, -vx)
-    return _int_map(acc)
+                    add(kx, kb, key, a * dim + k, -scale, re, im)
+    return _int_rows(acc, den * scale)
 
 
 def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
@@ -729,11 +743,11 @@ def _build_closed(model: SpModel) -> IntMap:
     """The closed matrix, from the term lists of ``_closed_terms``."""
     t = _closed_terms(model)
     dim, index = model.dim, model.key_index
-    gkeys, gindex = _gminus(model.n)
+    gkeys = gminus_keys(model.n)
     slot = {name: s for s, name in enumerate(_SLOTS)}
     acc: Dict[Tuple[int, int], GaussRational] = {}
     for name, ka, terms in t.eta:
-        out = gindex[ka] * dim
+        out = index[ka] * dim  # the g_- keys lead the coordinate keys
         for x, y, v in terms:
             for k, key in enumerate(model.keys):
                 _put(acc, model, x, y, key, (out + k) * 7 + slot[name], v)
@@ -846,36 +860,27 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
         closed_consts = codiff_closed_constants(model)
     closed = kostant_codiff_closed(K, model, closed_consts)
     traces = trace_conditions(K, model)
-    agree = all(direct[k] == closed[k] for k in direct)
-    report = {
+    direct_zero = cochain1_is_zero(direct)
+    return {
         "trace_conditions": traces,
-        "dstar_direct_zero": cochain1_is_zero(direct),
+        "dstar_direct_zero": direct_zero,
         "dstar_closed_zero": cochain1_is_zero(closed),
-        "direct_equals_closed": agree,
-        "normal": cochain1_is_zero(direct) and all(traces.values()),
+        "direct_equals_closed": all(direct[k] == closed[k] for k in direct),
+        "normal": direct_zero and all(traces.values()),
     }
-    return report
 
 
 def homogeneity_classify(K: Cochain2) -> Dict[int, Cochain2]:
     """Split K by the grading weight: the piece of K(x, y) in g_k for
-    x in g_i, y in g_j contributes at homogeneity k - i - j.  Each pair's
-    coordinates are split by grade directly; its pieces are written in
-    ascending grade, each keeping the coordinate order of K."""
-    out: Dict[int, Cochain2] = {}
-    grade = coframe.grade
-    for (i, j), v in K.vals.items():
-        base = grade(K.keys[i]) + grade(K.keys[j])
-        parts: Dict[int, Dict[Key, GaussRational]] = {}
-        for k, x in v.c.items():
-            parts.setdefault(grade(k), {})[k] = x
-        for part_grade in sorted(parts):
-            ell = part_grade - base
-            if ell not in out:
-                out[ell] = Cochain2(K.n)
-            # the grades of one pair are distinct: each piece is written once
-            out[ell].vals[(i, j)] = LieCoord.adopt(K.n, parts[part_grade])
-    return out
+    x in g_i, y in g_j contributes at homogeneity k - i - j, read off the
+    grade tables of ``_layout`` column by column.  The pieces keep K's
+    column order and come in the order of their first columns."""
+    lay = _layout(K.n)
+    rows: Dict[int, Dict[int, GaussRational]] = {}
+    for col, v in K.row.items():
+        pair, k = divmod(col, len(lay.keys))
+        rows.setdefault(lay.key_grade[k] - lay.pair_grade[pair], {})[col] = v
+    return {ell: Cochain2(K.n, row) for ell, row in rows.items()}
 
 
 def regularity_ok(K: Cochain2) -> bool:

@@ -134,13 +134,6 @@ class LieCoord:
     def is_zero(self) -> bool:
         return not self.c
 
-    def decompose(self) -> Dict[int, "LieCoord"]:
-        """The parts in g_-2 .. g_2, keys in the order of ``c``."""
-        parts: Dict[int, Dict[Key, GaussRational]] = {g: {} for g in (-2, -1, 0, 1, 2)}
-        for k, v in self.c.items():
-            parts[coframe.grade(k)][k] = v
-        return {g: LieCoord.adopt(self.n, c) for g, c in parts.items()}
-
     def __repr__(self):
         parts = ", ".join(f"{coframe.label(k)}={v}" for k, v in sorted(
             self.c.items(), key=lambda kv: str(kv[0])))

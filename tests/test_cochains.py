@@ -95,10 +95,19 @@ def _reference_kappa(compo, n, forms):
 
 
 def _assert_same_cochain(got, want):
-    """Equal values, and equal key order in Cochain2.vals and LieCoord.c."""
-    assert list(got.vals) == list(want.vals)
-    for pair, val in want.vals.items():
-        assert list(got.vals[pair].c.items()) == list(val.c.items())
+    """The same stored row: column -> value, in the same order."""
+    assert list(got.row.items()) == list(want.row.items())
+
+
+def _combination(n, *terms):
+    """The cochain sum c K over the (c, K) of terms, pair by pair through
+    ``get`` and ``set_pair``."""
+    out = Cochain2(n)
+    ks = gminus_keys(n)
+    for i, ki in enumerate(ks):
+        for kj in ks[i + 1:]:
+            out.set_pair(ki, kj, sum((K.get(ki, kj).scale(c) for c, K in terms), LieCoord(n)))
+    return out
 
 
 def _family_sets(n, consts):
@@ -132,7 +141,7 @@ def test_plan_matches_reference_tampered(model_for, n):
     compo = broken_components(random.Random(3), m.consts)
     got = assemble_kappa(compo, m, validate=False, tamper="unsym-S")
     _assert_same_cochain(got, _reference_kappa(compo, n, forms))
-    assert got.vals != assemble_kappa(compo, m, validate=False).vals
+    assert got.row != assemble_kappa(compo, m, validate=False).row
 
 
 def test_assembly_refuses_arrays_of_another_shape(model_for):
@@ -160,7 +169,7 @@ def test_plan_evaluates_any_degree(model_for, monkeypatch):
     assert {len(smono) for f in forms.values() for p in f.terms.values()
             for smono in p.terms} == {0, 2}
     monkeypatch.setitem(cochains._KAPPA_CACHE, (1, (1, 0), "squared"),
-                        (forms, cochains._compile_plan(forms)))
+                        (forms, cochains._compile_plan(1, forms)))
     compo = random_components(random.Random(8), m.consts)
     _assert_same_cochain(assemble_kappa(compo, m, tamper="squared"),
                          _reference_kappa(compo, 1, forms))
@@ -197,7 +206,7 @@ def test_codiff_linearity(model_for):
     K1 = random_lemma_cochain(rng, 1)
     K2 = random_lemma_cochain(rng, 1)
     c = gr(Fraction(3, 2), -1)
-    lhs = kostant_codiff_direct(K1 + K2.scale(c), m)
+    lhs = kostant_codiff_direct(_combination(1, (1, K1), (c, K2)), m)
     d1 = kostant_codiff_direct(K1, m)
     d2 = kostant_codiff_direct(K2, m)
     for k in lhs:
@@ -506,9 +515,7 @@ def test_homogeneity_slices_sum_and_regularity(model_for, consts1):
     K = assemble_kappa(random_components(random.Random(31), consts1), m)
     hom = homogeneity_classify(K)
     assert sorted(hom) == [2, 3, 4, 5, 6]
-    total = Cochain2(1)
-    for piece in hom.values():
-        total = total + piece
+    total = _combination(1, *((1, piece) for piece in hom.values()))
     ks = gminus_keys(1)
     for i, ki in enumerate(ks):
         for kj in ks[i + 1:]:
@@ -517,26 +524,42 @@ def test_homogeneity_slices_sum_and_regularity(model_for, consts1):
     assert homogeneity_classify(Cochain2(1)) == {}
 
 
+def _decompose(x):
+    """The parts of the LieCoord x in g_-2 .. g_2, keys in the order of
+    ``c``: ``LieCoord.decompose`` as the package had it."""
+    parts = {g: {} for g in (-2, -1, 0, 1, 2)}
+    for k, v in x.c.items():
+        parts[coframe.grade(k)][k] = v
+    return {g: LieCoord.adopt(x.n, c) for g, c in parts.items()}
+
+
 def _reference_classify(K):
-    """homogeneity_classify as it read through LieCoord.decompose."""
+    """homogeneity_classify as it read through LieCoord.decompose: pair
+    by pair, each pair's parts in ascending grade."""
     out = {}
-    for (i, j), v in K.vals.items():
-        gi, gj = coframe.grade(K.keys[i]), coframe.grade(K.keys[j])
-        for part_grade, part in v.decompose().items():
-            if not part.is_zero():
-                out.setdefault(part_grade - gi - gj, Cochain2(K.n)).vals[(i, j)] = part
+    ks = gminus_keys(K.n)
+    for i, ki in enumerate(ks):
+        for kj in ks[i + 1:]:
+            base = coframe.grade(ki) + coframe.grade(kj)
+            for part_grade, part in _decompose(K.get(ki, kj)).items():
+                if not part.is_zero():
+                    out.setdefault(part_grade - base, Cochain2(K.n)).set_pair(ki, kj, part)
     return out
 
 
 def test_homogeneity_matches_reference_with_key_order(model_for, consts1):
-    """Same pieces, in the same order of homogeneities, pairs and
-    coordinates, on kappa, on a lemma cochain and on a cochain whose
-    pair holds its coordinates out of grade order."""
+    """Same pieces, in the same order of homogeneities and columns, on
+    kappa, on a lemma cochain and on a cochain whose pairs hold
+    coordinates of several grades, given out of grade order and one pair
+    in reverse order."""
     m = model_for(1)
     rng = random.Random(32)
+    ks = gminus_keys(1)
     mixed = Cochain2(1)
-    mixed.vals[(0, 3)] = LieCoord.adopt(1, {("psi", 2): gr(1), ("eta", 1): gr(2),
-                                            ("Gam", 1, 2): gr(0, 1), ("psi", 1): gr(3)})
+    mixed.set_pair(ks[0], ks[3], LieCoord.adopt(1, {("psi", 2): gr(1), ("eta", 1): gr(2),
+                                                    ("Gam", 1, 2): gr(0, 1), ("psi", 1): gr(3)}))
+    mixed.set_pair(ks[5], ks[1], LieCoord.adopt(1, {("phiU", 1, True): gr(2, 1),
+                                                    ("theta", 2, False): gr(-1)}))
     for K in (assemble_kappa(random_components(rng, consts1), m),
               random_lemma_cochain(rng, 1), mixed):
         got, want = homogeneity_classify(K), _reference_classify(K)

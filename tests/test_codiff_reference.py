@@ -23,7 +23,7 @@ from qcframe.cochains import (Cochain1, Cochain2, assemble_kappa, broken_compone
                               kostant_codiff_closed, kostant_codiff_direct,
                               random_components, random_lemma_cochain, trace_conditions)
 from qcframe.coframe import Key
-from qcframe.gauss import gr
+from qcframe.gauss import GaussRational, gr
 from qcframe.model import LieCoord, SpModel
 
 I = gr(0, 1)
@@ -314,6 +314,41 @@ def test_matrices_on_every_unit_cochain(model_for):
     assert nonzeros == 738
 
 
+def test_set_pair_lands_on_the_matrix_columns(model_for):
+    """At n = 1 every unit cell, a g_- pair with a coordinate (441):
+    set_pair(x, y, c) and set_pair(y, x, -c) store the same one-entry
+    row, c at ``column(1, x, y, key)``, and D_direct, the closed matrix
+    and T each map that row to c times their own column of that number,
+    so each cell is read with the orientation of K(x, y) that the
+    references see in ``test_matrices_on_every_unit_cochain``.  D_direct
+    reads 327 of the columns, the closed matrix 140 and T 98, all among
+    those of D_direct."""
+    m = model_for(1)
+    c = gr(2, -1)
+    maps = (("_direct_map", cochains._build_direct), ("_closed_map", cochains._build_closed),
+            ("_trace_map", cochains._build_trace))
+    new = GaussRational.from_ints
+    read = {attr: set() for attr, _ in maps}
+    for x, y in gminus_pairs(1):
+        for key in m.keys:
+            col, sign = cochains.column(1, x, y, key)
+            assert sign == 1 and cochains.column(1, y, x, key) == (col, -1)
+            K, R = Cochain2(1), Cochain2(1)
+            K.set_pair(x, y, LieCoord(1, {key: c}))
+            R.set_pair(y, x, LieCoord(1, {key: -c}))
+            assert list(K.row.items()) == list(R.row.items()) == [(col, c)]
+            assert R.get(x, y) == LieCoord(1, {key: c}) and R.get(y, x) == LieCoord(1, {key: -c})
+            for attr, build in maps:
+                den, rows = cochains._kept(m, attr, build)
+                got_den, got = cochains._apply(R, m, attr, build)
+                assert {out: new(re, im, got_den) for out, (re, im) in got.items()} == \
+                    {out: c * new(re, im, den) for out, re, im in rows.get(col, ())}
+                if col in rows:
+                    read[attr].add(col)
+    assert [len(cols) for cols in read.values()] == [327, 140, 98]
+    assert read["_closed_map"] | read["_trace_map"] <= read["_direct_map"]
+
+
 @pytest.mark.parametrize("n, entries", [(1, 738), (2, 2612), (3, 6114)])
 def test_direct_matrix_entries_pinned(model_for, n, entries):
     _, rows = cochains._build_direct(model_for(n))
@@ -331,8 +366,7 @@ def test_negated_direct_entry_is_seen(model_for, monkeypatch):
 
     def negated(model):
         den, rows = build(model)
-        col = next(c for (i, j), v in K.vals.items() for key in v.c
-                   if (c := (i * len(K.keys) + j) * model.dim + model.key_index[key]) in rows)
+        col = next(c for c in K.row if c in rows)
         out, re, im = rows[col][0]
         rows[col] = [(out, -re, -im)] + rows[col][1:]
         return den, rows
@@ -376,7 +410,7 @@ def test_matches_reference_on_random_lemma_cochains_indefinite(model_for, K):
 
 
 def _cochain_state(K: Cochain2):
-    return {pair: dict(v.c) for pair, v in K.vals.items()}
+    return list(K.row.items())
 
 
 def _model_state(m: SpModel):

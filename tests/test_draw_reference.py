@@ -116,7 +116,7 @@ def _flat(x):
     if isinstance(x, CurvatureComponents):
         return [_flat(getattr(x, fam.lower())) for fam in CURVATURE_FAMILIES]
     if isinstance(x, Cochain2):
-        return [(pair, _items(v.c)) for pair, v in x.vals.items()]
+        return _items(x.row)
     if isinstance(x, LieCoord):
         return _items(x.c)
     if isinstance(x, G1Element):

@@ -646,20 +646,35 @@ def test_one_solver_and_one_product():
                                   and call.func.id == "min" for call in ast.walk(loop))]
     assert loops == [("model.py", "solve_many")]
     # cochains.py applies its matrices only through int_product_into, in
-    # _apply, which each of the three maps calls once; it calls no
-    # bracket_sum, and no helper but _apply reads a cochain's values
+    # _apply, which each of the three maps calls once and which has no
+    # loop statement and no filtered or nested comprehension; it calls no
+    # bracket_sum, no helper but _apply reads a cochain's row, and the
+    # column number (i g + j) dim + k is spelled out in ``column`` alone
     tree = ast.parse((Path(qcframe.__file__).parent / "cochains.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
     def called(fn):
         return [getattr(call.func, "id", getattr(call.func, "attr", None))
                 for call in ast.walk(fn) if isinstance(call, ast.Call)]
 
+    def is_op(node, op):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
     assert [name for name, fn in funcs.items() if "int_product_into" in called(fn)] == ["_apply"]
     for name in ("kostant_codiff_direct", "kostant_codiff_closed", "trace_conditions"):
         assert called(funcs[name]).count("_apply") == 1, name
-    assert not any(isinstance(node, ast.Attribute) and node.attr in ("bracket_sum", "entry")
+    apply = funcs["_apply"]
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(apply))
+    assert all(len(node.generators) == 1 and not node.generators[0].ifs
+               for node in ast.walk(apply)
+               if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)))
+    assert not any(isinstance(node, ast.Attribute) and node.attr in ("bracket_sum", "entry", "vals")
                    for node in ast.walk(tree))
     assert [name for name, fn in funcs.items() if name.startswith("_") and any(
-        isinstance(node, ast.Attribute) and node.attr == "vals" for node in ast.walk(fn))] \
+        isinstance(node, ast.Attribute) and node.attr == "row" for node in ast.walk(fn))] \
         == ["_apply"]
+    # (a * b + c) * d, the shape of the column number
+    assert [fn.name for fn in methods if any(
+        is_op(node, ast.Mult) and is_op(node.left, ast.Add) and is_op(node.left.left, ast.Mult)
+        for node in ast.walk(fn))] == ["column"]

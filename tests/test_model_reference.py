@@ -4,8 +4,8 @@ model's tables against reference evaluators.
 The reference functions below are the ``GaussRational`` loops that
 ``model.validate_spn``, ``g1_compose``, ``g1_inverse``, ``solve_sparse``,
 ``solve_square``, ``smat_mul``, ``SpModel._decoder``, ``to_matrix``,
-``from_matrix``, ``structure_constants``, ``killing_gram`` and
-``LieCoord.decompose`` replaced, kept verbatim apart from their names:
+``from_matrix``, ``structure_constants`` and ``killing_gram`` replaced,
+kept verbatim apart from their names:
 they sum one ``GaussRational`` product per term, they solve one
 right-hand side per elimination, and they write coordinates through
 ``LieCoord.set``.
@@ -18,14 +18,13 @@ from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
-from qcframe import coframe, gauss, model
+from qcframe import gauss, model
 from qcframe.gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
 from qcframe.model import (G1Element, LieCoord, SparseMat, SpModel, TemplateError,
                            g1_compose, g1_inverse, g1_to_matrix, random_coord, random_g1,
                            random_spn, smat_mul, solve_many, solve_sparse, solve_square,
                            validate_spn)
 from qcframe.tensors import StandardConstants, j_average, random_tensor, slots, symmetrize
-from qcframe.cochains import random_lemma_cochain
 
 CASES = [(1, None), (2, None), (2, (1, 1)), (3, (2, 1))]
 TABLE_CASES = [(1, None), (2, None), (3, None), (2, (1, 1)), (3, (2, 1))]
@@ -343,13 +342,6 @@ def reference_killing_gram(self: SpModel) -> Dict[Tuple[int, int], GaussRational
     return gram
 
 
-def reference_decompose(self: LieCoord) -> Dict[int, LieCoord]:
-    out = {g: LieCoord(self.n) for g in (-2, -1, 0, 1, 2)}
-    for k, v in self.c.items():
-        out[coframe.grade(k)].set(k, v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the package code against the references
 
@@ -486,22 +478,6 @@ def test_to_matrix_and_from_matrix_match_reference(n, signature):
                 m.from_matrix(M)
             continue
         assert list(m.from_matrix(M).c.items()) == list(want.c.items())
-
-
-@pytest.mark.parametrize("n,signature", CASES)
-def test_decompose_matches_reference_with_key_order(n, signature):
-    """Every grade's part, keys in the same order, on coordinates of all
-    five grades and on the pairs of a lemma cochain."""
-    m = SpModel(n, signature)
-    rng = random.Random(40 + n)
-    coords = [random_coord(rng, m) for _ in range(3)] + [LieCoord(n)]
-    coords += list(random_lemma_cochain(rng, n).vals.values())
-    for x in coords:
-        got, want = x.decompose(), reference_decompose(x)
-        assert list(got) == list(want)
-        for g, part in want.items():
-            assert list(got[g].c.items()) == list(part.c.items())
-        assert all(got[g].c is not x.c for g in got)
 
 
 def test_smat_mul_matches_reference_with_cancellation():
