@@ -76,15 +76,17 @@ def gamma_bar(c: StandardConstants, s: int, t: int) -> Tuple[GaussRational, Key]
     return gr(m), gam_key(a, b)
 
 
-def conj_key(c: StandardConstants, key: Key):
-    """Conjugate of a coordinate/generator: (coefficient, key)."""
+def conj_key(c: StandardConstants, key: Key) -> Tuple[int, Key]:
+    """Conjugate of a coordinate/generator: (unit, key), the unit an int
+    +1 or -1 (for a Gamma the m_s m_t of ``gamma_bar``)."""
     if is_real_kind(key):
-        return gr(1), key
+        return 1, key
     kind = key[0]
     if kind in ("theta", "phiU"):
-        return gr(1), (kind, key[1], not key[2])
+        return 1, (kind, key[1], not key[2])
     if kind == "Gam":
-        return gamma_bar(c, key[1], key[2])
+        (a, b), m = c.j((key[1], key[2]))
+        return m, gam_key(a, b)
     raise ValueError(f"unknown key {key}")
 
 

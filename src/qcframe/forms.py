@@ -29,25 +29,31 @@ monomial that holds the GaussRational coefficient (``Acc``).  Two
 functions fill it in place: ``gauss.axpy`` adds a multiple of a
 coefficient dict and ``_mul_into`` the product of two; ``from_acc`` wraps
 the finished accumulator, empty buckets dropped, as a Form.
-``Poly.__mul__``, ``Form.wedge``, ``Form.interior`` and ``Form.conj`` run
-on them, and the rule builders of :mod:`qcframe.rules` sum through
-``addmul`` (add form * polynomial * scalar).  ``+`` always returns a new
-object that shares the untouched coefficients, because rule-table forms,
-generator forms and one-symbol polynomials are shared: an Exterior interns
-the last two, so none of them is ever modified in place.
+``Poly.__mul__``, ``Form.wedge`` and ``Form.interior`` run on them
+(``Form.conj`` maps term to term and needs none), and the rule builders of
+:mod:`qcframe.rules` sum through ``addmul`` (add form * polynomial *
+scalar).  ``+`` always returns a new object that shares the untouched
+coefficients, because rule-table forms, generator forms and one-symbol
+polynomials are shared: an Exterior interns the last two, so none of them
+is ever modified in place.
 
 ``differential`` sums in Gaussian integers on integer keys instead.  A
 DRuleSet keeps each rule that ``differential`` reads a second time, as a
 ``View``: its terms with the coefficients cleared (``gauss.cleared``) to
 integer pairs over the rule's own lcm denominator, each generator monomial
 a bitmask and each symbol monomial an id from the rule set's intern table.
+The view of a conjugated symbol is made from the view of the symbol, in
+integers: conjugation relabels generators and symbols by units +1 or -1,
+so each row maps to one row and each (re, im) to +-(re, -im) over the same
+denominator, and the rule Form of the conjugate is decoded from that view.
 The form is cleared, each polynomial coefficient over its own lcm, and
 encoded the same way once on entry; every product is added in place to an
-integer cell ``[re, im]`` over one common denominator, keyed by mask and
-then by id (``_rule_into``), where placing a rule term is an ``&``, an
-``|`` and a bit count; and each cell that does not cancel is decoded and
-becomes one GaussRational at the end: no GaussRational, no gcd and no
-tuple built per product.
+integer cell ``[re, im]`` over one common denominator, in one dict keyed
+by one int, ``id << len(labels) | mask`` (``Cells``, ``_rule_into``), where
+placing a rule term is an ``&``, an ``|``, a bit count and a shift; and
+each cell that does not cancel is decoded and becomes one GaussRational at
+the end, grouped by generator monomial in the order the cells were made:
+no GaussRational, no gcd and no tuple built per product.
 """
 from __future__ import annotations
 
@@ -125,20 +131,23 @@ Acc = Dict[Tuple[int, ...], Terms]  # generator monomial -> its coefficients
 # DRuleSet) and, in parallel, their real and imaginary parts
 Row = Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 View = Tuple[int, Tuple[Row, ...]]  # a rule: (lcm denominator, its rows)
-Cells = Dict[int, List[int]]  # symbol monomial id -> [re, im], zeros kept
+# the terms differential sums: id << len(labels) | mask, for a symbol
+# monomial id and a generator mask, -> [re, im], zeros kept
+Cells = Dict[int, List[int]]
 
 
 def _mul_into(out: Terms, t1: Terms, t2: Terms, neg: bool = False) -> None:
     """out += t1 * t2 (-t1 * t2 if neg) in place, dropping what cancels.
     The product of two nonzero coefficients is nonzero, so a new entry
-    never needs a zero test."""
+    never needs a zero test; the shared ``ONE`` (the coefficient of an
+    interned generator form or symbol) multiplies nothing."""
     for m1, c1 in t1.items():
         if neg:
             c1 = -c1
         for m2, c2 in t2.items():
             # a sorted monomial times the empty one is already sorted
             m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 + m2
-            c = c1 * c2
+            c = c2 if c1 is ONE else c1 * c2
             cur = out.get(m)
             if cur is None:
                 out[m] = c
@@ -150,15 +159,16 @@ def _mul_into(out: Terms, t1: Terms, t2: Terms, neg: bool = False) -> None:
                     out[m] = c
 
 
-def _rule_into(acc: Dict[int, Cells], t1: List[Tuple[int, int, int]],
-               rows: Tuple[Row, ...], xmask: int, i: int, f: int,
-               product: Callable[[int, int], int]) -> None:
+def _rule_into(acc: Cells, t1: List[Tuple[int, int, int]], rows: Tuple[Row, ...],
+               xmask: int, i: int, f: int, product: Callable[[int, int], int],
+               shift: int) -> None:
     """acc += f * (-1)^(i (1 + |r|)) * (r ^ x) * t1, summed over the terms
     r of a rule's rows, in place on Gaussian-integer cells: x is the
     generator monomial ``xmask`` and t1 holds its (symbol monomial id, re,
     im) triples; ``product`` gives the id of the product of two nonempty
-    symbol monomials.  Nothing is reduced and a cell that cancels stays, so
-    each product is four integer products and two sums.
+    symbol monomials.  A term's cell is keyed by ``id << shift | mask``,
+    ``shift`` the number of generators.  Nothing is reduced and a cell that
+    cancels stays, so each product is four integer products and two sums.
 
     r ^ x is r | x unless they share a generator, and its sign is the
     parity of the pairs (a generator of r, a smaller one of x).  The curved
@@ -185,19 +195,17 @@ def _rule_into(acc: Dict[int, Cells], t1: List[Tuple[int, int, int]],
             neg = (xmask & (rmask - 1)).bit_count() & 1
         else:
             neg = (_crossings(rmask, xmask) + (i & 1) * (1 + rmask.bit_count())) & 1
-        key = rmask | xmask
-        out = acc.get(key)
-        if out is None:
-            out = acc[key] = {}
+        mask = rmask | xmask
         if m1 is not None and len(ids) == 1:
             m2, a2, b2 = ids[0], res[0], ims[0]
             m = product(m1, m2) if m1 and m2 else m1 | m2
             re, im = fa * a2 - fb * b2, fa * b2 + fb * a2
             if neg:
                 re, im = -re, -im
-            cell = out.get(m)
+            key = m << shift | mask
+            cell = acc.get(key)
             if cell is None:
-                out[m] = [re, im]
+                acc[key] = [re, im]
             else:
                 cell[0] += re
                 cell[1] += im
@@ -209,9 +217,10 @@ def _rule_into(acc: Dict[int, Cells], t1: List[Tuple[int, int, int]],
                 # id 0 is the empty monomial, the unit of the product
                 m = product(n1, m2) if n1 and m2 else n1 | m2
                 re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                cell = out.get(m)
+                key = m << shift | mask
+                cell = acc.get(key)
                 if cell is None:
-                    out[m] = [re, im]
+                    acc[key] = [re, im]
                 else:
                     cell[0] += re
                     cell[1] += im
@@ -258,10 +267,11 @@ def addmul(acc: Acc, x: "Form", p: Optional["Poly"] = None,
            c: GaussRational = ONE) -> None:
     """acc += x * p * c in place, p None reading as 1: how a sum of many
     products is built.  Neither x nor p is touched, so interned and shared
-    forms and polynomials may be passed."""
+    forms and polynomials may be passed; their coefficients ``ONE``
+    multiply nothing."""
     if c.is_zero():
         return
-    pc = {(): c} if p is None else {m: v * c for m, v in p.terms.items()}
+    pc = {(): c} if p is None else {m: c if v is ONE else v * c for m, v in p.terms.items()}
     for mono, q in x.terms.items():
         _mul_into(_bucket(acc, mono), q.terms, pc)
 
@@ -346,10 +356,13 @@ class Alphabet:
 class Exterior(Alphabet):
     """The exterior algebra on the coframe generators for fixed n.
 
-    Generator forms (``gen``) and one-symbol polynomials (``sym``) are
-    interned per instance, and so is the conjugate of each symbol
-    (``conj_poly`` reads it): asking twice gives the same shared object,
-    which no operation of this module modifies."""
+    Generator forms (``gen``) and one-symbol polynomials (``sym``, and the
+    j-images of ``jsym``) are interned per instance: asking twice gives the
+    same shared object, which no operation of this module modifies.
+    Conjugation relabels by units: each generator and each symbol has a
+    conjugate times +1 or -1 (``_conj_gen``, ``_conj_sym``), so a generator
+    monomial (``conj_mask``) or a symbol monomial (``conj_mono``) goes to
+    one monomial and a unit, tabulated on first use."""
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         self.n = n
@@ -357,14 +370,16 @@ class Exterior(Alphabet):
         self.keys = coframe.coord_keys(n)
         super().__init__(coframe.label(k) for k in self.keys)
         self.gid = {k: i for i, k in enumerate(self.keys)}
-        # conjugation action on generators: gid -> (coefficient, gid)
+        # conjugation action on generators: gid -> (unit, gid)
         self._conj_gen = {}
         for k in self.keys:
-            coeff, k2 = coframe.conj_key(self.consts, k)
-            self._conj_gen[self.gid[k]] = (coeff, self.gid[k2])
+            unit, k2 = coframe.conj_key(self.consts, k)
+            self._conj_gen[self.gid[k]] = (unit, self.gid[k2])
         self._gens: Dict[coframe.Key, Form] = {}
         self._syms: Dict[Tuple[str, Tuple[int, ...], bool], Poly] = {}
-        self._conj_syms: Dict[Sym, Tuple[GaussRational, Sym]] = {}
+        self._jsyms: Dict[Tuple[str, Tuple[int, ...]], Poly] = {}
+        self._conj_syms: Dict[Sym, Tuple[int, Sym]] = {}
+        self._conj_masks: Dict[int, Tuple[int, int]] = {}
 
     # -- symbols -----------------------------------------------------------
 
@@ -373,18 +388,20 @@ class Exterior(Alphabet):
         idx = tuple(idx)
         p = self._syms.get((family, idx, conj))
         if p is None:
-            p = self._syms[family, idx, conj] = self._canonical_sym(family, idx, conj)
+            unit, s = self._canonical_sym(family, idx, conj)
+            p = self._syms[family, idx, conj] = Poly._wrap({(s,): ONE if unit == 1 else -ONE})
         return p
 
-    def _canonical_sym(self, family: str, idx: Tuple[int, ...], conj: bool) -> Poly:
+    def _canonical_sym(self, family: str, idx: Tuple[int, ...], conj: bool) -> Tuple[int, Sym]:
+        """The canonical symbol of (family, idx, conj) and its unit."""
         if family not in FAMILIES:
             raise KeyError(f"unknown symbol family {family!r}")
         arity, symmetric, jreal, real = FAMILIES[family]
         if len(idx) != arity:
             raise ValueError(f"{family} takes {arity} indices, got {idx}")
-        if any(not 1 <= i <= 2 * self.n for i in idx):
+        if idx and (min(idx) < 1 or max(idx) > 2 * self.n):
             raise ValueError(f"index out of range in {family}{idx}")
-        coeff = 1
+        unit = 1
         if symmetric:
             idx = tuple(sorted(idx))
         if conj and real:
@@ -393,38 +410,63 @@ class Exterior(Alphabet):
             # jF = F forces conj(F)[b] = m_{p(b)} F[p(b)], and m_{p(b)} is
             # m_b negated once per index
             target, m = self.consts.j(idx)
-            coeff = -m if len(idx) % 2 else m
+            unit = -m if len(idx) % 2 else m
             idx = tuple(sorted(target))
             conj = False
-        return Poly({(Sym(family, idx, conj),): gr(coeff)})
+        return unit, Sym(family, idx, conj)
 
     def jsym(self, family: str, idx: Iterable[int]) -> Poly:
         """(jF)_{idx} = m conj(F_{p(idx)}), with (p(idx), m) read from
         the j table of the constants."""
-        target, m = self.consts.j(tuple(idx))
-        return self.sym(family, target, conj=True).scale(m)
+        idx = tuple(idx)
+        p = self._jsyms.get((family, idx))
+        if p is None:
+            target, m = self.consts.j(idx)
+            p = self._jsyms[family, idx] = self.sym(family, target, conj=True).scale(m)
+        return p
 
-    def _conj_sym(self, s: Sym) -> Tuple[GaussRational, Sym]:
-        """conj(s) = coeff * s2 as (coeff, s2), tabulated on first use."""
+    def _conj_sym(self, s: Sym) -> Tuple[int, Sym]:
+        """conj(s) = unit * s2 as (unit, s2), tabulated on first use."""
         hit = self._conj_syms.get(s)
         if hit is None:
-            ((s2,), coeff), = self.sym(s.family, s.idx, not s.conj).terms.items()
-            hit = self._conj_syms[s] = (coeff, s2)
+            hit = self._conj_syms[s] = self._canonical_sym(s.family, s.idx, not s.conj)
         return hit
 
-    def conj_poly(self, p: Poly, scale: GaussRational = ONE) -> Poly:
-        """conj(p) * scale: each symbol is swapped for its tabulated
-        conjugate, and the coefficients multiply into one scalar."""
+    def conj_mono(self, mono: Mono) -> Tuple[int, Mono]:
+        """conj(mono) = unit * mono2 as (unit, mono2)."""
+        unit, syms = 1, []
+        for s in mono:
+            k, s2 = self._conj_sym(s)
+            unit *= k
+            syms.append(s2)
+        return unit, tuple(sorted(syms))
+
+    def conj_mask(self, mask: int) -> Tuple[int, int]:
+        """The conjugate of a generator monomial, as bitmasks: (mask2,
+        unit), the unit the product of the generators' units and the sign
+        that sorts their images; tabulated on first use."""
+        hit = self._conj_masks.get(mask)
+        if hit is None:
+            out, neg, rest = 0, 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                unit, g2 = self._conj_gen[low.bit_length() - 1]
+                # the image jumps over the images above it placed so far
+                neg ^= ((out >> (g2 + 1)).bit_count() + (unit < 0)) & 1
+                out |= 1 << g2
+            hit = self._conj_masks[mask] = (out, -1 if neg else 1)
+        return hit
+
+    def conj_poly(self, p: Poly) -> Poly:
+        """conj(p): each symbol monomial is swapped for its conjugate, and
+        its unit folds into the conjugated coefficient."""
         out: Terms = {}
-        conj_sym = self._conj_sym
         for mono, c in p.terms.items():
-            c = c.conj() * scale
-            syms = []
-            for s in mono:
-                k, s2 = conj_sym(s)
-                c = c * k
-                syms.append(s2)
-            m = tuple(sorted(syms))
+            unit, m = self.conj_mono(mono)
+            c = c.conj()
+            if unit < 0:
+                c = -c
             cur = out.get(m)
             if cur is None:
                 out[m] = c
@@ -451,7 +493,7 @@ class Exterior(Alphabet):
         f = self._gens.get(key)
         if f is None:
             k = coframe.gam_key(key[1], key[2]) if key[0] == "Gam" else key
-            f = self._gens[key] = Form(self, {(self.gid[k],): Poly.const(1)})
+            f = self._gens[key] = Form(self, {(self.gid[k],): Poly._wrap({(): ONE})})
         return f
 
     def gam_bar_gen(self, s: int, t: int) -> "Form":
@@ -580,20 +622,15 @@ class Form:
         return sum(len(p.terms) for p in self.terms.values())
 
     def conj(self) -> "Form":
+        """The conjugate, over an Exterior: conjugation relabels generator
+        and symbol monomials one to one, so each term maps to one term."""
         ext = self.ext
-        acc: Acc = {}
+        out = Form(ext)
         for mono, p in self.terms.items():
-            coeff = ONE
-            sign, key = 1, ()
-            for g in mono:
-                c, g2 = ext._conj_gen[g]
-                coeff = coeff * c
-                # re-sort the conjugated generators (a permutation of
-                # the alphabet, so none repeats)
-                s, key = _merge_sign(key, (g2,))
-                sign *= s
-            axpy(_bucket(acc, key), -ONE if sign < 0 else ONE, ext.conj_poly(p, coeff).terms)
-        return from_acc(ext, acc)
+            mask, unit = ext.conj_mask(_mask(mono))
+            q = ext.conj_poly(p)
+            out.terms[_gens(mask)] = q if unit > 0 else -q
+        return out
 
     def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":
         """Homomorphic replacement of symbols.  Conjugated symbols pick
@@ -662,7 +699,14 @@ class DRuleSet:
     The symbol monomials of the views, and those ``differential`` meets,
     are interned per rule set: id 0 is the empty monomial, ``_monos`` maps
     an id back to its tuple, and the product of two nonempty monomials is
-    tabulated by id pair (``_product``)."""
+    tabulated by id pair (``_product``).
+
+    The rule of a conjugated symbol is the conjugate of the rule of the
+    symbol, and it is made in integers: conjugation relabels generator
+    and symbol monomials one to one by units (``Exterior.conj_mask``,
+    ``Exterior.conj_mono``, ``_conj_id``), so the view of ~s has the rows
+    of the view of s, relabeled, each (re, im) turned into +-(re, -im) over
+    the same denominator.  ``sym_rule(~s)`` decodes that view."""
 
     def __init__(self, ext: Alphabet, gen_rules: Dict[int, Form],
                  sym_rules: Optional[Callable[[Sym], Form]] = None):
@@ -675,6 +719,7 @@ class DRuleSet:
         self._ids: Dict[Mono, int] = {(): 0}
         self._monos: List[Mono] = [()]
         self._products: Dict[Tuple[int, int], int] = {}
+        self._conj_ids: Dict[int, Tuple[int, int]] = {}
 
     def gen_rule(self, g: int) -> Form:
         try:
@@ -686,16 +731,12 @@ class DRuleSet:
                 f"no differential rule for generator {self.ext.labels[g]}") from None
 
     def sym_rule(self, s: Sym) -> Form:
-        if s in self._sym_cache:
-            return self._sym_cache[s]
-        if self._sym_rules is None:
-            raise KeyError(f"no differential rule for symbol family {s.family!r}")
-        if s.conj:
-            base = self.sym_rule(Sym(s.family, s.idx, False))
-            out = base.conj()
-        else:
-            out = self._sym_rules(s)
-        self._sym_cache[s] = out
+        out = self._sym_cache.get(s)
+        if out is None:
+            if self._sym_rules is None:
+                raise KeyError(f"no differential rule for symbol family {s.family!r}")
+            out = self._decode(self.view(s)) if s.conj else self._sym_rules(s)
+            self._sym_cache[s] = out
         return out
 
     def _intern(self, mono: Mono) -> int:
@@ -714,25 +755,68 @@ class DRuleSet:
             k = self._products[i, j] = self._intern(tuple(sorted(monos[i] + monos[j])))
         return k
 
+    def _conj_id(self, i: int) -> Tuple[int, int]:
+        """(id of conj(mono), unit) for the monomial with id i."""
+        hit = self._conj_ids.get(i)
+        if hit is None:
+            unit, mono = self.ext.conj_mono(self._monos[i])
+            hit = self._conj_ids[i] = (self._intern(mono), unit)
+        return hit
+
     def view(self, key: Union[int, Sym]) -> View:
         """The rule of a generator index or a symbol as Gaussian integers
         over its lcm denominator."""
         v = self._views.get(key)
         if v is None:
-            rule = self.sym_rule(key) if isinstance(key, Sym) else self.gen_rule(key)
-            den, parts = cleared([c for p in rule.terms.values() for c in p.terms.values()])
-            parts = iter(parts)
-            # equal tuples are stored once: most coefficients repeat
-            share = self._shared.setdefault
-            rows = []
-            for rm, p in rule.terms.items():
-                ids = tuple(map(self._intern, p.terms))
-                res, ims = zip(*islice(parts, len(ids)))
-                mask = _mask(rm)
-                rows.append((share(mask, mask), share(ids, ids), share(res, res),
-                             share(ims, ims)))
-            v = self._views[key] = (den, tuple(rows))
+            if isinstance(key, Sym) and key.conj:
+                v = self._conj_view(self.view(key._replace(conj=False)))
+            else:
+                v = self._clear(self.sym_rule(key) if isinstance(key, Sym)
+                                else self.gen_rule(key))
+            self._views[key] = v
         return v
+
+    def _clear(self, rule: Form) -> View:
+        """A rule Form as a View."""
+        den, parts = cleared([c for p in rule.terms.values() for c in p.terms.values()])
+        parts = iter(parts)
+        # equal tuples are stored once: most coefficients repeat
+        share = self._shared.setdefault
+        rows = []
+        for rm, p in rule.terms.items():
+            ids = tuple(map(self._intern, p.terms))
+            res, ims = zip(*islice(parts, len(ids)))
+            mask = _mask(rm)
+            rows.append((share(mask, mask), share(ids, ids), share(res, res),
+                         share(ims, ims)))
+        return den, tuple(rows)
+
+    def _conj_view(self, view: View) -> View:
+        """The view of the conjugate of a rule, from the rule's view: rows
+        and terms keep their order."""
+        den, rows = view
+        conj_mask, conj_id = self.ext.conj_mask, self._conj_id
+        share = self._shared.setdefault
+        out = []
+        for mask, ids, res, ims in rows:
+            mask, unit = conj_mask(mask)
+            pairs = [conj_id(m) for m in ids]
+            ids = tuple([m for m, _ in pairs])
+            res = tuple([unit * u * a for (_, u), a in zip(pairs, res)])
+            ims = tuple([-unit * u * b for (_, u), b in zip(pairs, ims)])
+            out.append((share(mask, mask), share(ids, ids), share(res, res),
+                        share(ims, ims)))
+        return den, tuple(out)
+
+    def _decode(self, view: View) -> Form:
+        """A view read back as a Form."""
+        den, rows = view
+        monos = self._monos
+        out = Form(self.ext)
+        out.terms = {_gens(mask): Poly._wrap({monos[m]: GaussRational.from_ints(a, b, den)
+                                              for m, a, b in zip(ids, res, ims)})
+                     for mask, ids, res, ims in rows}
+        return out
 
 
 def differential(x: Form, rules: DRuleSet) -> Form:
@@ -746,9 +830,11 @@ def differential(x: Form, rules: DRuleSet) -> Form:
     generator monomials of x as bitmasks and its symbol monomials as ids;
     each rule is read through ``rules.view``; one integer factor per call
     brings both to the lcm of x's denominators times that of the rules x
-    uses; every product is summed into one integer cell per output
-    coefficient; and each cell that does not cancel is decoded and divided
-    once."""
+    uses; every product is summed into one integer cell per output term,
+    keyed by one int, the symbol monomial's id shifted past the generator
+    bits, or'ed with the generator mask; and each cell that does not
+    cancel is decoded and divided once, grouped by generator monomial in
+    the order the cells were made."""
     if x.ext is not rules.ext:
         raise ValueError("the form and the rule set are over different alphabets")
     view = rules.view
@@ -768,7 +854,8 @@ def differential(x: Form, rules: DRuleSet) -> Form:
                       [(intern(m), a, b) for m, (a, b) in zip(p.terms, ints)]))
     rden = lcm(*dens)
     product = rules._product
-    acc: Dict[int, Cells] = {}
+    shift = len(x.ext.labels)
+    acc: Cells = {}
     for mono, xmask, pden, smonos, ints, terms in polys:
         f = xden // pden
         # d(coefficient) ^ mono
@@ -777,18 +864,23 @@ def differential(x: Form, rules: DRuleSet) -> Form:
                 den, rows = view(s)
                 if rows:
                     _rule_into(acc, [(intern(smono[:k] + smono[k + 1:]), a, b)], rows,
-                               xmask, 0, f * (rden // den), product)
+                               xmask, 0, f * (rden // den), product, shift)
         # Leibniz over the generators of the monomial
         for i, g in enumerate(mono):
             den, rows = view(g)
             if rows:
-                _rule_into(acc, terms, rows, xmask ^ (1 << g), i, f * (rden // den), product)
+                _rule_into(acc, terms, rows, xmask ^ (1 << g), i, f * (rden // den), product,
+                           shift)
     den = xden * rden
     monos = rules._monos
+    low = (1 << shift) - 1
+    live = [(key, re, im) for key, (re, im) in acc.items() if re or im]
+    masks = {key & low for key, _, _ in live}
+    if len(masks) > 1:  # in the order of their first cells, cancelled or not
+        masks = [m for m in dict.fromkeys(key & low for key in acc) if m in masks]
+    grouped: Dict[int, Terms] = {m: {} for m in masks}
+    for key, re, im in live:
+        grouped[key & low][monos[key >> shift]] = GaussRational.from_ints(re, im, den)
     out = Form(x.ext)
-    for key, cells in acc.items():
-        coeffs = {monos[m]: GaussRational.from_ints(re, im, den)
-                  for m, (re, im) in cells.items() if re or im}
-        if coeffs:
-            out.terms[_gens(key)] = Poly._wrap(coeffs)
+    out.terms = {_gens(m): Poly._wrap(coeffs) for m, coeffs in grouped.items()}
     return out

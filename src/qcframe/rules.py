@@ -72,7 +72,9 @@ class RuleBuilder:
     ``addmul`` per display term) and returns nothing; ``form`` runs one on
     a fresh accumulator and returns the finished Form.  Methods that
     share ``acc`` add up, as ``symbol_rule`` does with the tilde and
-    semibasic parts.
+    semibasic parts.  Every sum over an index of g, pi or their raised and
+    mixed forms runs over the nonzero entries that ``StandardConstants.row``
+    and ``col`` list, never over all 2n indices.
     """
 
     def __init__(self, n: int, signature: Tuple[int, int] = None,
@@ -140,25 +142,26 @@ class RuleBuilder:
 
     # lowered one-forms ------------------------------------------------------
 
-    def _lowered(self, gen, coeff) -> Form:
+    def _lowered(self, gen, entries) -> Form:
+        """sum of v gen(s) over the (s, v) of a row or column of g"""
         acc: Acc = {}
-        for s in self.R:
-            addmul(acc, gen(s), None, coeff(s))
+        for s, v in entries:
+            addmul(acc, gen(s), None, v)
         return from_acc(self.ext, acc)
 
     def th_lo(self, a):
         """theta_a = g_{s̄ a} theta^{s̄}"""
-        return self._lowered(self.thb, lambda s: self.c.g(a, s))
+        return self._lowered(self.thb, self.c.row("g", a))
 
     def th_lo_bar(self, a):
         """theta_ā = g_{s ā} theta^{s}"""
-        return self._lowered(self.th, lambda s: self.c.g(s, a))
+        return self._lowered(self.th, self.c.col("g", a))
 
     def fu_lo(self, a):
-        return self._lowered(self.fub, lambda s: self.c.g(a, s))
+        return self._lowered(self.fub, self.c.row("g", a))
 
     def fu_lo_bar(self, a):
-        return self._lowered(self.fu, lambda s: self.c.g(s, a))
+        return self._lowered(self.fu, self.c.col("g", a))
 
     # symbol shorthands ------------------------------------------------------
 
@@ -185,36 +188,36 @@ class RuleBuilder:
         if s == 1:
             addmul(acc, -(b.phi0() ^ b.eta(1)) - (b.f(2) ^ b.eta(3)) + (b.f(3) ^ b.eta(2)))
             for al in b.R:
-                for be in b.R:
-                    addmul(acc, b.th(al) ^ b.thb(be), None, 2 * I * b.c.g(al, be))
+                for be, v in b.c.row("g", al):
+                    addmul(acc, b.th(al) ^ b.thb(be), None, 2 * I * v)
         elif s == 2:
             addmul(acc, -(b.phi0() ^ b.eta(2)) - (b.f(3) ^ b.eta(1)) + (b.f(1) ^ b.eta(3)))
             for al in b.R:
-                for be in b.R:
-                    addmul(acc, b.th(al) ^ b.th(be), None, b.c.pi(al, be))
-                    addmul(acc, b.thb(al) ^ b.thb(be), None, b.c.pi_bar(al, be))
+                for be, v in b.c.row("pi", al):
+                    addmul(acc, b.th(al) ^ b.th(be), None, v)
+                for be, v in b.c.row("pi_bar", al):
+                    addmul(acc, b.thb(al) ^ b.thb(be), None, v)
         elif s == 3:
             addmul(acc, -(b.phi0() ^ b.eta(3)) - (b.f(1) ^ b.eta(2)) + (b.f(2) ^ b.eta(1)))
             for al in b.R:
-                for be in b.R:
-                    addmul(acc, b.th(al) ^ b.th(be), None, -I * b.c.pi(al, be))
-                    addmul(acc, b.thb(al) ^ b.thb(be), None, I * b.c.pi_bar(al, be))
+                for be, v in b.c.row("pi", al):
+                    addmul(acc, b.th(al) ^ b.th(be), None, -I * v)
+                for be, v in b.c.row("pi_bar", al):
+                    addmul(acc, b.thb(al) ^ b.thb(be), None, I * v)
         else:
             raise ValueError(s)
 
     def d_theta(self, acc: Acc, a) -> None:
         b = self
         addmul(acc, b.fu(a) ^ b.eta(1), None, -I)
-        for s in b.R:
-            addmul(acc, b.fub(s) ^ b.eta23p(), None, -b.c.pi_u_lbar(a, s))
-        for s in b.R:
-            coeff = b.c.pi_up(a, s)
-            if not coeff.is_zero():
-                for be in b.R:
-                    addmul(acc, b.gam(s, be) ^ b.th(be), None, -coeff)
+        for s, v in b.c.row("pi_u_lbar", a):
+            addmul(acc, b.fub(s) ^ b.eta23p(), None, -v)
+        for s, coeff in b.c.row("pi_up", a):
+            for be in b.R:
+                addmul(acc, b.gam(s, be) ^ b.th(be), None, -coeff)
         addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.th(a), None, -HALF)
-        for be in b.R:
-            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.thb(be), None, -HALF * b.c.pi_u_lbar(a, be))
+        for be, v in b.c.row("pi_u_lbar", a):
+            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.thb(be), None, -HALF * v)
 
     def d_phi0(self, acc: Acc) -> None:
         b = self
@@ -233,49 +236,42 @@ class RuleBuilder:
         elif s == 2:
             addmul(acc, -(b.f(3) ^ b.f(1)) - (b.psi(3) ^ b.eta(1)) + (b.psi(1) ^ b.eta(3)))
             for si in b.R:
-                for be in b.R:
-                    addmul(acc, b.fu(si) ^ b.th(be), None, -2 * b.c.pi(si, be))
-                    addmul(acc, b.fub(si) ^ b.thb(be), None, -2 * b.c.pi_bar(si, be))
+                for be, v in b.c.row("pi", si):
+                    addmul(acc, b.fu(si) ^ b.th(be), None, -2 * v)
+                for be, v in b.c.row("pi_bar", si):
+                    addmul(acc, b.fub(si) ^ b.thb(be), None, -2 * v)
         elif s == 3:
             addmul(acc, -(b.f(1) ^ b.f(2)) - (b.psi(1) ^ b.eta(2)) + (b.psi(2) ^ b.eta(1)))
             for si in b.R:
-                for be in b.R:
-                    addmul(acc, b.fu(si) ^ b.th(be), None, 2 * I * b.c.pi(si, be))
-                    addmul(acc, b.fub(si) ^ b.thb(be), None, -2 * I * b.c.pi_bar(si, be))
+                for be, v in b.c.row("pi", si):
+                    addmul(acc, b.fu(si) ^ b.th(be), None, 2 * I * v)
+                for be, v in b.c.row("pi_bar", si):
+                    addmul(acc, b.fub(si) ^ b.thb(be), None, -2 * I * v)
         else:
             raise ValueError(s)
 
     def d_gamma_flat(self, acc: Acc, a, bq) -> None:
         b = self
         for s in b.R:
-            for t in b.R:
-                coeff = b.c.pi_up(s, t)
-                if not coeff.is_zero():
-                    addmul(acc, b.gam(a, s) ^ b.gam(t, bq), None, -coeff)
-        for s in b.R:
-            m_a = b.c.pi_ubar_l(s, a)
-            if not m_a.is_zero():
-                addmul(acc, (b.fu_lo(bq) ^ b.th_lo_bar(s)) - (b.fu_lo_bar(s) ^ b.th_lo(bq)),
-                       None, 2 * m_a)
-            m_b = b.c.pi_ubar_l(s, bq)
-            if not m_b.is_zero():
-                addmul(acc, (b.fu_lo(a) ^ b.th_lo_bar(s)) - (b.fu_lo_bar(s) ^ b.th_lo(a)),
-                       None, 2 * m_b)
+            for t, coeff in b.c.row("pi_up", s):
+                addmul(acc, b.gam(a, s) ^ b.gam(t, bq), None, -coeff)
+        for x, y in ((a, bq), (bq, a)):
+            for s, m in b.c.col("pi_ubar_l", x):
+                addmul(acc, (b.fu_lo(y) ^ b.th_lo_bar(s)) - (b.fu_lo_bar(s) ^ b.th_lo(y)),
+                       None, 2 * m)
 
     def d_phiu_flat(self, acc: Acc, a) -> None:
         """d phi^a from the flat model display (not used in curved mode)."""
         b = self
         addmul(acc, (b.phi0() - b.f(1).scale(I)) ^ b.fu(a), None, HALF)
-        for g in b.R:
-            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.fub(g), None, -HALF * b.c.pi_u_lbar(a, g))
-        for s in b.R:
-            coeff = b.c.pi_up(a, s)
-            if not coeff.is_zero():
-                for g in b.R:
-                    addmul(acc, b.gam(s, g) ^ b.fu(g), None, -coeff)
+        for g, v in b.c.row("pi_u_lbar", a):
+            addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.fub(g), None, -HALF * v)
+        for s, coeff in b.c.row("pi_up", a):
+            for g in b.R:
+                addmul(acc, b.gam(s, g) ^ b.fu(g), None, -coeff)
         addmul(acc, b.psi(1) ^ b.th(a), None, HALF * I)
-        for g in b.R:
-            addmul(acc, (b.psi(2) + b.psi(3).scale(I)) ^ b.thb(g), None, HALF * b.c.pi_u_lbar(a, g))
+        for g, v in b.c.row("pi_u_lbar", a):
+            addmul(acc, (b.psi(2) + b.psi(3).scale(I)) ^ b.thb(g), None, HALF * v)
 
     def d_psi1_flat(self, acc: Acc) -> None:
         b = self
@@ -288,10 +284,8 @@ class RuleBuilder:
         addmul(acc, (b.phi0() - b.f(1).scale(I)) ^ (b.psi(2) + b.psi(3).scale(I)))
         addmul(acc, (b.f(2) + b.f(3).scale(I)) ^ b.psi(1), None, I)
         for g in b.R:
-            for d in b.R:
-                coeff = b.c.pi(g, d)
-                if not coeff.is_zero():
-                    addmul(acc, b.fu(g) ^ b.fu(d), None, 4 * coeff)
+            for d, coeff in b.c.row("pi", g):
+                addmul(acc, b.fu(g) ^ b.fu(d), None, 4 * coeff)
 
     # ----------------------------------------------------------------------
     # curvature additions
@@ -300,29 +294,25 @@ class RuleBuilder:
         b = self
         for g in b.R:
             for d in b.R:
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, d)
-                    if not coeff.is_zero():
-                        addmul(acc, b.th(g) ^ b.thb(d), b.sy(sfam, a, bq, g, s),
-                               coeff * b.t("gam_S"))
+                for s, coeff in b.c.col("pi_u_lbar", d):
+                    addmul(acc, b.th(g) ^ b.thb(d), b.sy(sfam, a, bq, g, s), coeff * b.t("gam_S"))
+        pairs = b.conj_pairs(a, bq)
         for g in b.R:
             addmul(acc, b.th(g) ^ b.eta(1), b.sy(vfam, a, bq, g), b.t("gam_V1"))
-            for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi_ubar_l(s, a) * b.c.pi_ubar_l(t, bq)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(g) ^ b.eta(1), b.ext.sym(vfam, (s, t, g), conj=True),
-                               coeff * b.t("gam_V1b"))
+            for s, t, coeff in pairs:
+                addmul(acc, b.thb(g) ^ b.eta(1), b.syc(vfam, s, t, g), coeff * b.t("gam_V1b"))
         for g in b.R:
-            for s in b.R:
-                coeff = b.c.pi_u_lbar(s, g)
-                if not coeff.is_zero():
-                    addmul(acc, b.thb(g) ^ b.eta23p(), b.sy(vfam, a, bq, s),
-                           -I * coeff * b.t("gam_V2"))
-            addmul(acc, b.th(g) ^ b.eta23m(), b.ext.jsym(vfam, (a, bq, g)), I * b.t("gam_V3"))
+            for s, coeff in b.c.col("pi_u_lbar", g):
+                addmul(acc, b.thb(g) ^ b.eta23p(), b.sy(vfam, a, bq, s), -I * coeff * b.t("gam_V2"))
+            addmul(acc, b.th(g) ^ b.eta23m(), b.jsy(vfam, a, bq, g), I * b.t("gam_V3"))
         addmul(acc, b.eta23p() ^ b.eta23m(), b.sy("L", a, bq), -I * b.t("gam_L"))
         addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("M", a, bq), b.t("gam_M1"))
         addmul(acc, b.eta(1) ^ b.eta23m(), b.jsy("M", a, bq), b.t("gam_M2"))
+
+    def conj_pairs(self, a, bq):
+        """(s, t, pi^{s̄}_a pi^{t̄}_b) over the nonzero products."""
+        col = self.c.col
+        return [(s, t, u * v) for s, u in col("pi_ubar_l", a) for t, v in col("pi_ubar_l", bq)]
 
     def d_gamma_curved(self, acc: Acc, a, bq, vfam: str = "V", sfam: str = "S") -> None:
         self.d_gamma_flat(acc, a, bq)
@@ -332,79 +322,56 @@ class RuleBuilder:
         """d phi_a, the lowered-index display with curvature terms."""
         b = self
         addmul(acc, (b.phi0() + b.f(1).scale(I)) ^ b.fu_lo(a), None, HALF)
-        for g in b.R:
-            addmul(acc, (b.f(2) - b.f(3).scale(I)) ^ b.fu(g), None, HALF * b.c.pi(a, g))
-        for s in b.R:
-            coeff = b.c.pi_ubar_l(s, a)
-            if not coeff.is_zero():
-                for g in b.R:
-                    addmul(acc, b.gamb(s, g) ^ b.fub(g), None, -coeff)
+        for g, v in b.c.row("pi", a):
+            addmul(acc, (b.f(2) - b.f(3).scale(I)) ^ b.fu(g), None, HALF * v)
+        for s, coeff in b.c.col("pi_ubar_l", a):
+            for g in b.R:
+                addmul(acc, b.gamb(s, g) ^ b.fub(g), None, -coeff)
         addmul(acc, b.psi(1) ^ b.th_lo(a), None, -HALF * I)
-        for g in b.R:
-            addmul(acc, (b.psi(2) - b.psi(3).scale(I)) ^ b.th(g), None, -HALF * b.c.pi(a, g))
+        for g, v in b.c.row("pi", a):
+            addmul(acc, (b.psi(2) - b.psi(3).scale(I)) ^ b.th(g), None, -HALF * v)
         # curvature terms
         for g in b.R:
             for d in b.R:
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, d)
-                    if not coeff.is_zero():
-                        addmul(acc, b.th(g) ^ b.thb(d), b.sy("V", a, g, s),
-                               -I * coeff * b.t("phi_V"))
+                for s, coeff in b.c.col("pi_u_lbar", d):
+                    addmul(acc, b.th(g) ^ b.thb(d), b.sy("V", a, g, s), -I * coeff * b.t("phi_V"))
         for g in b.R:
             addmul(acc, b.th(g) ^ b.eta(1), b.sy("M", a, g), b.t("phi_M1"))
-            for s in b.R:
-                coeff = b.c.pi_ubar_l(s, a)
-                if not coeff.is_zero():
-                    addmul(acc, b.thb(g) ^ b.eta(1), b.ext.sym("L", (s, g), conj=True),
-                           coeff * b.t("phi_L1"))
+            for s, coeff in b.c.col("pi_ubar_l", a):
+                addmul(acc, b.thb(g) ^ b.eta(1), b.syc("L", s, g), coeff * b.t("phi_L1"))
             addmul(acc, b.th(g) ^ b.eta23m(), b.sy("L", a, g), I * b.t("phi_L2"))
-            for s in b.R:
-                coeff = b.c.pi_u_lbar(s, g)
-                if not coeff.is_zero():
-                    addmul(acc, b.thb(g) ^ b.eta23p(), b.sy("M", a, s),
-                           -I * coeff * b.t("phi_M2"))
+            for s, coeff in b.c.col("pi_u_lbar", g):
+                addmul(acc, b.thb(g) ^ b.eta23p(), b.sy("M", a, s), -I * coeff * b.t("phi_M2"))
         addmul(acc, b.eta23p() ^ b.eta23m(), b.sy("C", a), -b.t("phi_C"))
         addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("H", a), b.t("phi_H"))
-        for s in b.R:
-            for t in b.R:
-                coeff = b.c.pi(a, s) * b.c.g_up(s, t)
-                if not coeff.is_zero():
-                    addmul(acc, b.eta(1) ^ b.eta23m(), b.ext.sym("C", (t,), conj=True),
-                           I * coeff * b.t("phi_Cup"))
+        for s, u in b.c.row("pi", a):
+            for t, v in b.c.row("g_up", s):
+                addmul(acc, b.eta(1) ^ b.eta23m(), b.syc("C", t), I * u * v * b.t("phi_Cup"))
 
     def d_phiu_bar_curved(self, acc: Acc, a) -> None:
         """d phi^{ā} by raising the lowered display with g."""
-        for s in self.R:
-            coeff = self.c.g_up(s, a)
-            if not coeff.is_zero():
-                addmul(acc, self.form(self.d_phi_lo_curved, s), None, coeff)
+        for s, coeff in self.c.col("g_up", a):
+            addmul(acc, self.form(self.d_phi_lo_curved, s), None, coeff)
 
     def d_psi1_curved(self, acc: Acc) -> None:
         b = self
         self.d_psi1_flat(acc)
         for g in b.R:
             for d in b.R:
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, d)
-                    if not coeff.is_zero():
-                        addmul(acc, b.th(g) ^ b.thb(d), b.sy("L", g, s),
-                               4 * coeff * b.t("psi1_L"))
+                for s, coeff in b.c.col("pi_u_lbar", d):
+                    addmul(acc, b.th(g) ^ b.thb(d), b.sy("L", g, s), 4 * coeff * b.t("psi1_L"))
         for g in b.R:
             addmul(acc, b.th(g) ^ b.eta(1), b.sy("C", g), 4 * b.t("psi1_C1"))
             addmul(acc, b.thb(g) ^ b.eta(1), b.syc("C", g), 4 * b.t("psi1_C2"))
             # -4i pi_{ḡ s̄} C^{s̄} theta^{ḡ} (eta2+i eta3)
-            for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi_bar(g, s) * b.c.g_up(t, s)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(g) ^ b.eta23p(), b.sy("C", t),
-                               -4 * I * coeff * b.t("psi1_C3"))
-            for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi(g, s) * b.c.g_up(s, t)
-                    if not coeff.is_zero():
-                        addmul(acc, b.th(g) ^ b.eta23m(), b.ext.sym("C", (t,), conj=True),
-                               4 * I * coeff * b.t("psi1_C4"))
+            for s, u in b.c.row("pi_bar", g):
+                for t, v in b.c.col("g_up", s):
+                    addmul(acc, b.thb(g) ^ b.eta23p(), b.sy("C", t),
+                           -4 * I * u * v * b.t("psi1_C3"))
+            for s, u in b.c.row("pi", g):
+                for t, v in b.c.row("g_up", s):
+                    addmul(acc, b.th(g) ^ b.eta23m(), b.syc("C", t),
+                           4 * I * u * v * b.t("psi1_C4"))
         addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("P"), b.t("psi1_P1"))
         addmul(acc, b.eta(1) ^ b.eta23m(), b.syc("P"), b.t("psi1_P2"))
         addmul(acc, b.eta23p() ^ b.eta23m(), b.sy("R"), I * b.t("psi1_R"))
@@ -414,24 +381,15 @@ class RuleBuilder:
         self.d_psi23_flat(acc)
         for g in b.R:
             for d in b.R:
-                for s in b.R:
-                    coeff = b.c.pi_ubar_l(s, g)
-                    if not coeff.is_zero():
-                        addmul(acc, b.th(g) ^ b.thb(d), b.ext.sym("M", (s, d), conj=True),
-                               4 * I * coeff * b.t("psi23_M"))
+                for s, coeff in b.c.col("pi_ubar_l", g):
+                    addmul(acc, b.th(g) ^ b.thb(d), b.syc("M", s, d), 4 * I * coeff * b.t("psi23_M"))
         for g in b.R:
-            for s in b.R:
-                coeff = b.c.pi_ubar_l(s, g)
-                if not coeff.is_zero():
-                    addmul(acc, b.th(g) ^ b.eta(1), b.syc("C", s),
-                           4 * I * coeff * b.t("psi23_C1"))
+            for s, coeff in b.c.col("pi_ubar_l", g):
+                addmul(acc, b.th(g) ^ b.eta(1), b.syc("C", s), 4 * I * coeff * b.t("psi23_C1"))
             addmul(acc, b.thb(g) ^ b.eta(1), b.syc("H", g), -4 * b.t("psi23_H1"))
             addmul(acc, b.thb(g) ^ b.eta23p(), b.syc("C", g), -4 * I * b.t("psi23_C2"))
-            for s in b.R:
-                coeff = b.c.pi_ubar_l(s, g)
-                if not coeff.is_zero():
-                    addmul(acc, b.th(g) ^ b.eta23m(), b.syc("H", s),
-                           -4 * I * coeff * b.t("psi23_H2"))
+            for s, coeff in b.c.col("pi_ubar_l", g):
+                addmul(acc, b.th(g) ^ b.eta23m(), b.syc("H", s), -4 * I * coeff * b.t("psi23_H2"))
         addmul(acc, b.eta(1) ^ b.eta23p(), b.sy("R"), -I * b.t("psi23_R"))
         addmul(acc, b.eta(1) ^ b.eta23m(), b.syc("Q"), b.t("psi23_Q"))
         addmul(acc, b.eta23p() ^ b.eta23m(), b.syc("P"), -b.t("psi23_P"))
@@ -444,48 +402,37 @@ class RuleBuilder:
         b = self
         for k, a in enumerate(idx):
             for t in b.R:
-                for v in b.R:
-                    coeff = b.c.pi_up(t, v)
-                    if not coeff.is_zero():
-                        jdx = idx[:k] + (t,) + idx[k + 1:]
-                        addmul(acc, b.gam(v, a), b.ext.sym(fam, jdx), coeff * c)
+                p = b.sy(fam, *idx[:k], t, *idx[k + 1:])
+                for v, coeff in b.c.row("pi_up", t):
+                    addmul(acc, b.gam(v, a), p, coeff * c)
+
+    def slot_terms(self, acc: Acc, gen, form: str, idx: Tuple[int, ...], sym, fam: str,
+                   c: GaussRational) -> None:
+        """c times the sum over slots k of form_{idx_k t} gen(t) F_{idx
+        without slot k}, the form a table named as in ``row`` and F the
+        family ``fam`` read through ``sym`` (``sy`` or ``jsy``)."""
+        for k, a in enumerate(idx):
+            p = sym(fam, *idx[:k], *idx[k + 1:])
+            for t, v in self.c.row(form, a):
+                addmul(acc, gen(t), p, c * v)
 
     def tilde_star(self, acc: Acc, fam: str, idx: Tuple[int, ...]) -> None:
         b = self
         if fam == "S":
-            a1, a2, a3, a4 = idx
             self.gamma_action(acc, "S", idx, b.t("tS_Gam"))
             addmul(acc, b.phi0(), b.sy("S", *idx), b.t("tS_phi0"))
-            cv, cjv = 2 * I * b.t("tS_V"), 2 * I * b.t("tS_jV")
-            for t in b.R:
-                th, thb = b.th(t), b.thb(t)
-                addmul(acc, th, b.sy("V", a4, a2, a3), cv * b.c.pi(a1, t))
-                addmul(acc, th, b.sy("V", a1, a3, a4), cv * b.c.pi(a2, t))
-                addmul(acc, th, b.sy("V", a1, a2, a4), cv * b.c.pi(a3, t))
-                addmul(acc, th, b.sy("V", a1, a2, a3), cv * b.c.pi(a4, t))
-                addmul(acc, thb, b.jsy("V", a4, a2, a3), cjv * b.c.g(a1, t))
-                addmul(acc, thb, b.jsy("V", a1, a4, a3), cjv * b.c.g(a2, t))
-                addmul(acc, thb, b.jsy("V", a1, a2, a4), cjv * b.c.g(a3, t))
-                addmul(acc, thb, b.jsy("V", a1, a2, a3), cjv * b.c.g(a4, t))
+            b.slot_terms(acc, b.th, "pi", idx, b.sy, "V", 2 * I * b.t("tS_V"))
+            b.slot_terms(acc, b.thb, "g", idx, b.jsy, "V", 2 * I * b.t("tS_jV"))
         elif fam == "V":
             a1, a2, a3 = idx
             self.gamma_action(acc, "V", idx, b.t("tV_Gam"))
             for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi_u_lbar(s, t)
-                    if not coeff.is_zero():
-                        addmul(acc, b.fub(t), b.sy("S", a1, a2, a3, s), I * coeff * b.t("tV_S"))
+                for t, coeff in b.c.row("pi_u_lbar", s):
+                    addmul(acc, b.fub(t), b.sy("S", a1, a2, a3, s), I * coeff * b.t("tV_S"))
             addmul(acc, b.phi0().scale(3) + b.f(1).scale(I), b.sy("V", *idx), HALF * b.t("tV_f01"))
             addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("V", *idx), -HALF * b.t("tV_f23"))
-            cm, cl = -2 * b.t("tV_M"), -2 * b.t("tV_L")
-            for t in b.R:
-                th, thb = b.th(t), b.thb(t)
-                addmul(acc, th, b.sy("M", a2, a3), cm * b.c.pi(a1, t))
-                addmul(acc, th, b.sy("M", a1, a3), cm * b.c.pi(a2, t))
-                addmul(acc, th, b.sy("M", a1, a2), cm * b.c.pi(a3, t))
-                addmul(acc, thb, b.sy("L", a2, a3), cl * b.c.g(a1, t))
-                addmul(acc, thb, b.sy("L", a1, a3), cl * b.c.g(a2, t))
-                addmul(acc, thb, b.sy("L", a1, a2), cl * b.c.g(a3, t))
+            b.slot_terms(acc, b.th, "pi", idx, b.sy, "M", -2 * b.t("tV_M"))
+            b.slot_terms(acc, b.thb, "g", idx, b.sy, "L", -2 * b.t("tV_L"))
         elif fam == "L":
             a1, a2 = idx
             self.gamma_action(acc, "L", idx, b.t("tL_Gam"))
@@ -494,55 +441,39 @@ class RuleBuilder:
             addmul(acc, b.f(2) - b.f(3).scale(I), b.jsy("M", *idx), HALF * b.t("tL_M2"))
             for s in b.R:
                 addmul(acc, b.fu(s), b.sy("V", a1, a2, s), b.t("tL_V1"))
-            for m in b.R:
-                for v in b.R:
-                    coeff = b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
-                    if not coeff.is_zero():
-                        for s in b.R:
-                            addmul(acc, b.fub(s), b.ext.sym("V", (m, v, s), conj=True),
-                                   coeff * b.t("tL_V2"))
-            c1, c2 = 2 * I * b.t("tL_C1"), 2 * I * b.t("tL_C2")
-            for t in b.R:
-                addmul(acc, b.th(t), b.sy("C", a2), c1 * b.c.pi(a1, t))
-                addmul(acc, b.th(t), b.sy("C", a1), c1 * b.c.pi(a2, t))
+            for m, v, coeff in b.conj_pairs(a1, a2):
                 for s in b.R:
-                    addmul(acc, b.thb(t), b.syc("C", s),
-                           c2 * (b.c.g(a1, t) * b.c.pi_ubar_l(s, a2)
-                                 + b.c.g(a2, t) * b.c.pi_ubar_l(s, a1)))
+                    addmul(acc, b.fub(s), b.syc("V", m, v, s), coeff * b.t("tL_V2"))
+            b.slot_terms(acc, b.th, "pi", idx, b.sy, "C", 2 * I * b.t("tL_C1"))
+            c2 = 2 * I * b.t("tL_C2")
+            for x, y in ((a1, a2), (a2, a1)):
+                for t, u in b.c.row("g", x):
+                    for s, v in b.c.col("pi_ubar_l", y):
+                        addmul(acc, b.thb(t), b.syc("C", s), c2 * u * v)
         elif fam == "M":
             a1, a2 = idx
             self.gamma_action(acc, "M", idx, b.t("tM_Gam"))
             addmul(acc, b.phi0().scale(2) + b.f(1).scale(I), b.sy("M", *idx), b.t("tM_f01"))
             addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("L", *idx), -b.t("tM_L"))
             for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi_u_lbar(s, t)
-                    if not coeff.is_zero():
-                        addmul(acc, b.fub(t), b.sy("V", a1, a2, s), -2 * coeff * b.t("tM_V"))
-            ch, cc = 2 * b.t("tM_H"), 2 * I * b.t("tM_C")
-            for t in b.R:
-                addmul(acc, b.th(t), b.sy("H", a2), ch * b.c.pi(a1, t))
-                addmul(acc, b.th(t), b.sy("H", a1), ch * b.c.pi(a2, t))
-                addmul(acc, b.thb(t), b.sy("C", a2), cc * b.c.g(a1, t))
-                addmul(acc, b.thb(t), b.sy("C", a1), cc * b.c.g(a2, t))
+                for t, coeff in b.c.row("pi_u_lbar", s):
+                    addmul(acc, b.fub(t), b.sy("V", a1, a2, s), -2 * coeff * b.t("tM_V"))
+            b.slot_terms(acc, b.th, "pi", idx, b.sy, "H", 2 * b.t("tM_H"))
+            b.slot_terms(acc, b.thb, "g", idx, b.sy, "C", 2 * I * b.t("tM_C"))
         elif fam == "C":
             (a,) = idx
             self.gamma_action(acc, "C", idx, b.t("tC_Gam"))
             addmul(acc, b.phi0().scale(5) + b.f(1).scale(I), b.sy("C", a), HALF * b.t("tC_f01"))
+            for s, v in b.c.col("pi_ubar_l", a):
+                addmul(acc, b.f(2) - b.f(3).scale(I), b.syc("C", s), -v * b.t("tC_f23C"))
             for s in b.R:
-                addmul(acc, b.f(2) - b.f(3).scale(I), b.syc("C", s),
-                       -b.c.pi_ubar_l(s, a) * b.t("tC_f23C"))
-            for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi_u_lbar(s, t)
-                    if not coeff.is_zero():
-                        addmul(acc, b.fub(t), b.sy("L", a, s), -2 * I * coeff * b.t("tC_L"))
+                for t, coeff in b.c.row("pi_u_lbar", s):
+                    addmul(acc, b.fub(t), b.sy("L", a, s), -2 * I * coeff * b.t("tC_L"))
             for t in b.R:
                 addmul(acc, b.fu(t), b.sy("M", a, t), I * b.t("tC_M"))
             addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("H", a), HALF * I * b.t("tC_H"))
-            for t in b.R:
-                addmul(acc, b.th(t), b.sy("P"), -HALF * b.c.pi(a, t) * b.t("tC_P"))
-                addmul(acc, b.thb(t), b.sy("R"), HALF * b.c.g(a, t) * b.t("tC_R"))
+            b.slot_terms(acc, b.th, "pi", idx, b.sy, "P", -HALF * b.t("tC_P"))
+            b.slot_terms(acc, b.thb, "g", idx, b.sy, "R", HALF * b.t("tC_R"))
         elif fam == "H":
             (a,) = idx
             self.gamma_action(acc, "H", idx, b.t("tH_Gam"))
@@ -550,13 +481,10 @@ class RuleBuilder:
             addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("C", a),
                    gr(Fraction(3, 2)) * I * b.t("tH_f23C"))
             for s in b.R:
-                for t in b.R:
-                    coeff = b.c.pi_u_lbar(s, t)
-                    if not coeff.is_zero():
-                        addmul(acc, b.fub(t), b.sy("M", a, s), -3 * coeff * b.t("tH_M"))
-            for t in b.R:
-                addmul(acc, b.th(t), b.sy("Q"), HALF * b.c.pi(a, t) * b.t("tH_Q"))
-                addmul(acc, b.thb(t), b.sy("P"), HALF * I * b.c.g(a, t) * b.t("tH_P"))
+                for t, coeff in b.c.row("pi_u_lbar", s):
+                    addmul(acc, b.fub(t), b.sy("M", a, s), -3 * coeff * b.t("tH_M"))
+            b.slot_terms(acc, b.th, "pi", idx, b.sy, "Q", HALF * b.t("tH_Q"))
+            b.slot_terms(acc, b.thb, "g", idx, b.sy, "P", HALF * I * b.t("tH_P"))
         elif fam == "R":
             addmul(acc, b.phi0(), b.sy("R"), 3 * b.t("tR_phi0"))
             addmul(acc, b.f(2) + b.f(3).scale(I), b.sy("P"), -b.t("tR_P1"))
@@ -575,30 +503,22 @@ class RuleBuilder:
                 addmul(acc, b.fu(t), b.sy("H", t), 4 * I * b.t("tP_H"))
             # printed C term (conjugated C) and its replacement (raised C)
             for t in b.R:
-                for s in b.R:
-                    coeff = b.c.pi_bar(t, s)
-                    if not coeff.is_zero():
-                        addmul(acc, b.fub(t), b.syc("C", s), -12 * coeff * b.t("tP_C"))
-                    for u in b.R:
-                        coeff2 = b.c.pi_bar(t, s) * b.c.g_up(u, s)
-                        if not coeff2.is_zero():
-                            addmul(acc, b.fub(t), b.sy("C", u), -12 * coeff2 * b.t("tP_Cx", 0))
+                for s, v in b.c.row("pi_bar", t):
+                    addmul(acc, b.fub(t), b.syc("C", s), -12 * v * b.t("tP_C"))
+                    for u, w in b.c.col("g_up", s):
+                        addmul(acc, b.fub(t), b.sy("C", u), -12 * v * w * b.t("tP_Cx", 0))
         elif fam == "Q":
             addmul(acc, b.phi0().scale(3) + b.f(1).scale(2 * I), b.sy("Q"), b.t("tQ_f01"))
             addmul(acc, b.f(2) - b.f(3).scale(I), b.sy("P"), -2 * I * b.t("tQ_P"))
             # printed H term (conjugated raised H against pi-bar) and its
             # replacement contraction pi^t_{s̄} phi^{s̄} H_t
             for t in b.R:
-                for s in b.R:
-                    for u in b.R:
-                        coeff = b.c.pi_bar(t, s) * b.c.g_up(u, s)
-                        if not coeff.is_zero():
-                            addmul(acc, b.fub(t), b.syc("H", u), 16 * coeff * b.t("tQ_H"))
+                for s, v in b.c.row("pi_bar", t):
+                    for u, w in b.c.col("g_up", s):
+                        addmul(acc, b.fub(t), b.syc("H", u), 16 * v * w * b.t("tQ_H"))
             for t in b.R:
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(t, s)
-                    if not coeff.is_zero():
-                        addmul(acc, b.fub(s), b.sy("H", t), 16 * coeff * b.t("tQ_Hx", 0))
+                for s, coeff in b.c.row("pi_u_lbar", t):
+                    addmul(acc, b.fub(s), b.sy("H", t), 16 * coeff * b.t("tQ_Hx", 0))
         else:
             raise KeyError(fam)
 
@@ -608,44 +528,36 @@ class RuleBuilder:
         b = self
         if fam == "S":
             for e in b.R:
-                addmul(acc, b.th(e), b.sy("sA", *(idx + (e,))), b.t("xS_A1"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.ext.jsym("sA", idx + (s,)), -coeff * b.t("xS_A2"))
+                addmul(acc, b.th(e), b.sy("sA", *idx, e), b.t("xS_A1"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.jsy("sA", *idx, s), -coeff * b.t("xS_A2"))
             addmul(acc, b.eta(1), b.sy("sB", *idx), b.t("xS_B"))
             addmul(acc, b.eta(1), b.jsy("sB", *idx), b.t("xS_B"))
             addmul(acc, b.eta23p(), b.sy("sC", *idx), I * b.t("xS_C1"))
             addmul(acc, b.eta23m(), b.jsy("sC", *idx), -I * b.t("xS_C2"))
         elif fam == "V":
             for e in b.R:
-                addmul(acc, b.th(e), b.sy("sC", *(idx + (e,))), b.t("xV_C"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sB", *(idx + (s,))), coeff * b.t("xV_B"))
+                addmul(acc, b.th(e), b.sy("sC", *idx, e), b.t("xV_C"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sB", *idx, s), coeff * b.t("xV_B"))
             addmul(acc, b.eta(1), b.sy("sD", *idx), b.t("xV_D"))
             addmul(acc, b.eta23p(), b.sy("sE", *idx), b.t("xV_E"))
             addmul(acc, b.eta23m(), b.sy("sF", *idx), b.t("xV_F"))
         elif fam == "L":
             for e in b.R:
-                addmul(acc, b.th(e), b.jsy("sF", *(idx + (e,))), -b.t("xL_F1"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sF", *(idx + (s,))), -coeff * b.t("xL_F2"))
+                addmul(acc, b.th(e), b.jsy("sF", *idx, e), -b.t("xL_F1"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sF", *idx, s), -coeff * b.t("xL_F2"))
             addmul(acc, b.eta(1), b.jsy("sZ", *idx), I * b.t("xL_Z"))
             addmul(acc, b.eta(1), b.sy("sZ", *idx), -I * b.t("xL_Z"))
             addmul(acc, b.eta23p(), b.sy("sG", *idx), I * b.t("xL_G1"))
             addmul(acc, b.eta23m(), b.jsy("sG", *idx), -I * b.t("xL_G2"))
         elif fam == "M":
             for e in b.R:
-                addmul(acc, b.th(e), b.sy("sE", *(idx + (e,))), -b.t("xM_E"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.jsy("sF", *(idx + (s,))), coeff * b.t("xM_F"))
-                        addmul(acc, b.thb(e), b.sy("sD", *(idx + (s,))), -I * coeff * b.t("xM_D"))
+                addmul(acc, b.th(e), b.sy("sE", *idx, e), -b.t("xM_E"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.jsy("sF", *idx, s), coeff * b.t("xM_F"))
+                    addmul(acc, b.thb(e), b.sy("sD", *idx, s), -I * coeff * b.t("xM_D"))
             addmul(acc, b.eta(1), b.sy("sX", *idx), b.t("xM_X"))
             addmul(acc, b.eta23p(), b.sy("sY", *idx), b.t("xM_Y"))
             addmul(acc, b.eta23m(), b.sy("sZ", *idx), b.t("xM_Z"))
@@ -653,10 +565,8 @@ class RuleBuilder:
             (a,) = idx
             for e in b.R:
                 addmul(acc, b.th(e), b.sy("sG", a, e), b.t("xC_G"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sZ", a, s), -I * coeff * b.t("xC_Z"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sZ", a, s), -I * coeff * b.t("xC_Z"))
             addmul(acc, b.eta(1), b.sy("sN1", a), b.t("xC_N1"))
             addmul(acc, b.eta23p(), b.sy("sN2", a), b.t("xC_N2"))
             addmul(acc, b.eta23m(), b.sy("sN3", a), b.t("xC_N3"))
@@ -664,27 +574,20 @@ class RuleBuilder:
             (a,) = idx
             for e in b.R:
                 addmul(acc, b.th(e), b.sy("sY", a, e), -b.t("xH_Y"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sG", a, s), I * coeff * b.t("xH_G"))
-                        addmul(acc, b.thb(e), b.sy("sX", a, s), -I * coeff * b.t("xH_X"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sG", a, s), I * coeff * b.t("xH_G"))
+                    addmul(acc, b.thb(e), b.sy("sX", a, s), -I * coeff * b.t("xH_X"))
             addmul(acc, b.eta(1), b.sy("sN4", a), b.t("xH_N4"))
             addmul(acc, b.eta23p(), b.sy("sN5", a), b.t("xH_N5"))
             addmul(acc, b.eta23m(), b.sy("sN1", a), b.t("xH_N1"))
-            for s in b.R:
-                coeff = b.c.pi_ubar_l(s, a)
-                if not coeff.is_zero():
-                    addmul(acc, b.eta23m(), b.syc("sN3", s), I * coeff * b.t("xH_N3"))
+            for s, coeff in b.c.col("pi_ubar_l", a):
+                addmul(acc, b.eta23m(), b.syc("sN3", s), I * coeff * b.t("xH_N3"))
         elif fam == "R":
             for e in b.R:
-                for s in b.R:
-                    cu = b.c.pi_ubar_l(s, e)
-                    if not cu.is_zero():
-                        addmul(acc, b.th(e), b.syc("sN3", s), 4 * cu * b.t("xR_N3a"))
-                    cl = b.c.pi_u_lbar(s, e)
-                    if not cl.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sN3", s), 4 * cl * b.t("xR_N3b"))
+                for s, cu in b.c.col("pi_ubar_l", e):
+                    addmul(acc, b.th(e), b.syc("sN3", s), 4 * cu * b.t("xR_N3a"))
+                for s, cl in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sN3", s), 4 * cl * b.t("xR_N3b"))
             addmul(acc, b.eta(1), b.sy("sU3"), I * b.t("xR_U3"))
             addmul(acc, b.eta(1), b.syc("sU3"), -I * b.t("xR_U3"))
             addmul(acc, b.eta23p(), b.sy("sU1") + b.sy("sW3"), -I * b.t("xR_UW1"))
@@ -693,21 +596,17 @@ class RuleBuilder:
             for e in b.R:
                 addmul(acc, b.th(e), b.sy("sN2", e), -4 * b.t("xP_N2"))
                 addmul(acc, b.thb(e), b.syc("sN3", e), -4 * b.t("xP_N3"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sN1", s), -4 * I * coeff * b.t("xP_N1"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sN1", s), -4 * I * coeff * b.t("xP_N1"))
             addmul(acc, b.eta(1), b.sy("sU1"))
             addmul(acc, b.eta23p(), b.sy("sU2"))
             addmul(acc, b.eta23m(), b.sy("sU3"))
         elif fam == "Q":
             for e in b.R:
                 addmul(acc, b.th(e), b.sy("sN5", e), 4 * b.t("xQ_N5"))
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, e)
-                    if not coeff.is_zero():
-                        addmul(acc, b.thb(e), b.sy("sN2", s), 4 * I * coeff * b.t("xQ_N2"))
-                        addmul(acc, b.thb(e), b.sy("sN4", s), 4 * I * coeff * b.t("xQ_N4"))
+                for s, coeff in b.c.col("pi_u_lbar", e):
+                    addmul(acc, b.thb(e), b.sy("sN2", s), 4 * I * coeff * b.t("xQ_N2"))
+                    addmul(acc, b.thb(e), b.sy("sN4", s), 4 * I * coeff * b.t("xQ_N4"))
             addmul(acc, b.eta(1), b.sy("sW1"))
             addmul(acc, b.eta23p(), b.sy("sW2"))
             addmul(acc, b.eta23m(), b.sy("sW3"))
@@ -838,17 +737,25 @@ def star_forms(n: int, signature: Tuple[int, int] = None) -> Dict[Tuple[str, Tup
 
 
 def star_two_path_check(n: int, signature: Tuple[int, int] = None) -> bool:
-    """Path (a): d(symbol) minus the tilde part, through the rule table;
-    path (b): the direct semibasic expansion.  Certifies the two
-    transcriptions agree for every component."""
+    """The starred one-forms two ways, for every component and its
+    conjugate.  Path (a) reads d(symbol) as the kernel reads it,
+    ``differential`` of the symbol through the curved rule table (for a
+    conjugate, through the view conjugated in integers from the symbol's),
+    minus the tilde part; path (b) is the direct semibasic expansion,
+    conjugated by ``Form.conj`` for a conjugate.  Every pair is compared,
+    so one wrong entry of any view makes the result False."""
     rules = build_rules(n, "curved", signature)
+    ext = rules.ext
     b = RuleBuilder(n, signature)
+    ok = True
     for fam in CURVATURE_FAMILIES:
         for idx in _family_indices(n, fam):
-            via_rules = rules.sym_rule(Sym(fam, idx, False)) - b.form(b.tilde_star, fam, idx)
-            if not (via_rules - b.form(b.secondary_part, fam, idx)).is_zero():
-                return False
-    return True
+            # path (a) - path (b) = d(symbol) - (tilde + direct)
+            both = b.form(b.tilde_star, fam, idx) + b.form(b.secondary_part, fam, idx)
+            for conj in (False, True):
+                via_rules = differential(ext.scalar(ext.sym(fam, idx, conj)), rules)
+                ok &= (via_rules - (both.conj() if conj else both)).is_zero()
+    return ok
 
 
 def star_symmetry_check(n: int, signature: Tuple[int, int] = None) -> bool:
@@ -891,88 +798,63 @@ def bianchi_residuals(n: int, signature: Tuple[int, int] = None) -> Dict[str, Fo
         return f
 
     th, thb, eta1, e23p, e23m = b.th, b.thb, b.eta(1), b.eta23p(), b.eta23m()
+    col = b.c.col
     out = {}
     # Gamma combination
     for a1 in b.R:
         for a2 in range(a1, 2 * b.n + 1):
             acc: Acc = {}
+            pairs = b.conj_pairs(a1, a2)
             for g in b.R:
                 for d in b.R:
-                    for s in b.R:
-                        coeff = b.c.pi_u_lbar(s, d)
-                        if not coeff.is_zero():
-                            addmul(acc, st("S", a1, a2, g, s) ^ (th(g) ^ thb(d)), None, coeff)
+                    for s, coeff in col("pi_u_lbar", d):
+                        addmul(acc, st("S", a1, a2, g, s) ^ (th(g) ^ thb(d)), None, coeff)
             for g in b.R:
                 addmul(acc, st("V", a1, a2, g) ^ (th(g) ^ eta1))
-                for m in b.R:
-                    for v in b.R:
-                        coeff = b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
-                        if not coeff.is_zero():
-                            addmul(acc, stc("V", m, v, g) ^ (thb(g) ^ eta1), None, coeff)
-                for s in b.R:
-                    coeff = b.c.pi_u_lbar(s, g)
-                    if not coeff.is_zero():
-                        addmul(acc, st("V", a1, a2, s) ^ (thb(g) ^ e23p), None, -I * coeff)
-                for m in b.R:
-                    for v in b.R:
-                        for x in b.R:
-                            coeff = (b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
-                                     * b.c.pi_ubar_l(x, g))
-                            if not coeff.is_zero():
-                                addmul(acc, stc("V", m, v, x) ^ (th(g) ^ e23m), None, I * coeff)
+                for m, v, coeff in pairs:
+                    addmul(acc, stc("V", m, v, g) ^ (thb(g) ^ eta1), None, coeff)
+                for s, coeff in col("pi_u_lbar", g):
+                    addmul(acc, st("V", a1, a2, s) ^ (thb(g) ^ e23p), None, -I * coeff)
+                for m, v, coeff in pairs:
+                    for x, u in col("pi_ubar_l", g):
+                        addmul(acc, stc("V", m, v, x) ^ (th(g) ^ e23m), None, I * coeff * u)
             addmul(acc, st("L", a1, a2) ^ (e23p ^ e23m), None, -I)
             addmul(acc, st("M", a1, a2) ^ (eta1 ^ e23p))
-            for m in b.R:
-                for v in b.R:
-                    coeff = b.c.pi_ubar_l(m, a1) * b.c.pi_ubar_l(v, a2)
-                    if not coeff.is_zero():
-                        addmul(acc, stc("M", m, v) ^ (eta1 ^ e23m), None, coeff)
+            for m, v, coeff in pairs:
+                addmul(acc, stc("M", m, v) ^ (eta1 ^ e23m), None, coeff)
             out[f"d2Gamma_{a1}{a2}"] = from_acc(b.ext, acc)
     # phi combination
     for a in b.R:
         acc = {}
         for be in b.R:
             for g in b.R:
-                for v in b.R:
-                    coeff = b.c.pi_u_lbar(v, g)
-                    if not coeff.is_zero():
-                        addmul(acc, st("V", a, be, v) ^ (th(be) ^ thb(g)), None, -I * coeff)
+                for v, coeff in col("pi_u_lbar", g):
+                    addmul(acc, st("V", a, be, v) ^ (th(be) ^ thb(g)), None, -I * coeff)
         for be in b.R:
-            for m in b.R:
-                coeff = b.c.pi_ubar_l(m, a)
-                if not coeff.is_zero():
-                    addmul(acc, stc("L", m, be) ^ (thb(be) ^ eta1), None, coeff)
+            for m, coeff in col("pi_ubar_l", a):
+                addmul(acc, stc("L", m, be) ^ (thb(be) ^ eta1), None, coeff)
             addmul(acc, st("M", a, be) ^ (th(be) ^ eta1))
-            for v in b.R:
-                coeff = b.c.pi_u_lbar(v, be)
-                if not coeff.is_zero():
-                    addmul(acc, st("M", a, v) ^ (thb(be) ^ e23p), None, -I * coeff)
+            for v, coeff in col("pi_u_lbar", be):
+                addmul(acc, st("M", a, v) ^ (thb(be) ^ e23p), None, -I * coeff)
             addmul(acc, st("L", a, be) ^ (th(be) ^ e23m), None, I)
         addmul(acc, st("C", a) ^ (e23p ^ e23m), None, -ONE)
-        for m in b.R:
-            coeff = b.c.pi_ubar_l(m, a)
-            if not coeff.is_zero():
-                addmul(acc, stc("C", m) ^ (eta1 ^ e23m), None, I * coeff)
+        for m, coeff in col("pi_ubar_l", a):
+            addmul(acc, stc("C", m) ^ (eta1 ^ e23m), None, I * coeff)
         addmul(acc, st("H", a) ^ (eta1 ^ e23p))
         out[f"d2phi_{a}"] = from_acc(b.ext, acc)
     # psi1 combination
     acc = {}
     for be in b.R:
         for g in b.R:
-            for m in b.R:
-                coeff = b.c.pi_u_lbar(m, g)
-                if not coeff.is_zero():
-                    addmul(acc, st("L", be, m) ^ (th(be) ^ thb(g)), None, 4 * coeff)
+            for m, coeff in col("pi_u_lbar", g):
+                addmul(acc, st("L", be, m) ^ (th(be) ^ thb(g)), None, 4 * coeff)
     for be in b.R:
         addmul(acc, st("C", be) ^ (th(be) ^ eta1), None, gr(4))
         addmul(acc, stc("C", be) ^ (thb(be) ^ eta1), None, gr(4))
-        for m in b.R:
-            coeff = b.c.pi_ubar_l(m, be)
-            if not coeff.is_zero():
-                addmul(acc, stc("C", m) ^ (th(be) ^ e23m), None, 4 * I * coeff)
-            coeff = b.c.pi_u_lbar(m, be)
-            if not coeff.is_zero():
-                addmul(acc, st("C", m) ^ (thb(be) ^ e23p), None, -4 * I * coeff)
+        for m, coeff in col("pi_ubar_l", be):
+            addmul(acc, stc("C", m) ^ (th(be) ^ e23m), None, 4 * I * coeff)
+        for m, coeff in col("pi_u_lbar", be):
+            addmul(acc, st("C", m) ^ (thb(be) ^ e23p), None, -4 * I * coeff)
     addmul(acc, st("P") ^ (eta1 ^ e23p))
     addmul(acc, stc("P") ^ (eta1 ^ e23m))
     addmul(acc, st("R") ^ (e23p ^ e23m), None, I)
@@ -981,16 +863,12 @@ def bianchi_residuals(n: int, signature: Tuple[int, int] = None) -> Dict[str, Fo
     acc = {}
     for be in b.R:
         for g in b.R:
-            for m in b.R:
-                coeff = b.c.pi_ubar_l(m, be)
-                if not coeff.is_zero():
-                    addmul(acc, stc("M", m, g) ^ (th(be) ^ thb(g)), None, 4 * I * coeff)
+            for m, coeff in col("pi_ubar_l", be):
+                addmul(acc, stc("M", m, g) ^ (th(be) ^ thb(g)), None, 4 * I * coeff)
     for be in b.R:
-        for m in b.R:
-            coeff = b.c.pi_ubar_l(m, be)
-            if not coeff.is_zero():
-                addmul(acc, stc("C", m) ^ (th(be) ^ eta1), None, 4 * I * coeff)
-                addmul(acc, stc("H", m) ^ (th(be) ^ e23m), None, -4 * I * coeff)
+        for m, coeff in col("pi_ubar_l", be):
+            addmul(acc, stc("C", m) ^ (th(be) ^ eta1), None, 4 * I * coeff)
+            addmul(acc, stc("H", m) ^ (th(be) ^ e23m), None, -4 * I * coeff)
         addmul(acc, stc("H", be) ^ (thb(be) ^ eta1), None, gr(-4))
         addmul(acc, stc("C", be) ^ (thb(be) ^ e23p), None, gr(-4))
     addmul(acc, st("R") ^ (eta1 ^ e23p), None, -I)

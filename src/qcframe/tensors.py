@@ -210,7 +210,7 @@ class StandardConstants:
     """
 
     __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_g", "_g_up",
-                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_rows", "_j")
+                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_rows", "_cols", "_j")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -252,10 +252,15 @@ class StandardConstants:
         self._pi_up = table(lambda a, b: d[a] * d[b] * pi(a, b).conj())
         self._pi_u_lbar = table(lambda a, b: d[a] * pi(b, a).conj())
         self._pi_ubar_l = table(lambda a, b: d[a] * pi(b, a))
+        tables = {"g": self._g, "g_up": self._g_up, "pi": self._pi, "pi_bar": self._pi_bar,
+                  "pi_up": self._pi_up, "pi_u_lbar": self._pi_u_lbar,
+                  "pi_ubar_l": self._pi_ubar_l}
         self._rows = {name: {a: tuple((b, v) for b in rng if not (v := t[a, b]).is_zero())
                              for a in rng}
-                      for name, t in (("g", self._g), ("pi", self._pi), ("pi_up", self._pi_up),
-                                      ("pi_u_lbar", self._pi_u_lbar))}
+                      for name, t in tables.items()}
+        self._cols = {name: {b: tuple((a, v) for a in rng if not (v := t[a, b]).is_zero())
+                             for b in rng}
+                      for name, t in tables.items()}
         units = {ONE: 1, -ONE: -1}  # a KeyError if some m_a were not a unit
         self._j = {a: (p, units[self._pi_ubar_l[p, a]]) for a, p in self._partner.items()}
 
@@ -276,15 +281,25 @@ class StandardConstants:
             raise self._bad_index(a) from None
 
     def row(self, form: str, a: int) -> Tuple[Tuple[int, GaussRational], ...]:
-        """The nonzero entries (b, value) of row a of g, pi, pi^{ab} or
-        pi^a_b̄, named as their accessors ("g", "pi", "pi_up", "pi_u_lbar"),
-        b ascending: a sum over the row reads only these.  Built once per
-        instance."""
+        """The nonzero entries (b, value) of row a of one of the seven
+        tables, named as its scalar accessor ("g", "g_up", "pi", "pi_bar",
+        "pi_up", "pi_u_lbar", "pi_ubar_l"), b ascending: a sum over the
+        second index reads only these.  Built once per instance."""
         rows = self._rows[form]
         try:
             return rows[a]
         except KeyError:
             raise self._bad_index(a) from None
+
+    def col(self, form: str, b: int) -> Tuple[Tuple[int, GaussRational], ...]:
+        """The nonzero entries (a, value) of column b of a table named as
+        in ``row``, a ascending: a sum over the first index reads only
+        these."""
+        cols = self._cols[form]
+        try:
+            return cols[b]
+        except KeyError:
+            raise self._bad_index(b) from None
 
     def j(self, idx: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
         """(p(idx), m): the partner of each index and the product of the

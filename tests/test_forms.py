@@ -220,8 +220,6 @@ def test_conj_poly_matches_the_product_formula(n, signature):
         want = _conj_poly_reference(e, p)
         assert list(got.terms.items()) == list(want.terms.items())
         assert e.conj_poly(got) == p
-        c = gr(Fraction(1, 2), -1)
-        assert e.conj_poly(p, c) == want.scale(c)
 
 
 def test_j_of_jreal_family_is_identity(ext):

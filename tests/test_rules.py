@@ -1,6 +1,10 @@
+import ast
+import inspect
+
 import pytest
 
-from qcframe.forms import Exterior, Form, Poly, Sym, _gens, differential
+from qcframe import rules as rules_module
+from qcframe.forms import DRuleSet, Exterior, Form, Poly, Sym, _gens, differential
 from qcframe.gauss import GaussRational, gr
 from qcframe.rules import (CORRECTIONS, RuleBuilder, bianchi_residuals,
                            build_rules, d_square_report, star_forms,
@@ -187,6 +191,11 @@ def test_interned_generators_and_symbols_stay_intact(monkeypatch):
             assert form.ext is ext and form.terms == fresh.gen(key).terms, key
         for (fam, idx, conj), p in ext._syms.items():
             assert p.terms == fresh.sym(fam, idx, conj).terms, (fam, idx, conj)
+        # the interned j-images too: each is asked for again and again
+        for (fam, idx), p in ext._jsyms.items():
+            assert ext.jsym(fam, idx) is p
+            assert p.terms == fresh.jsym(fam, idx).terms, (fam, idx)
+    assert sum(len(ext._jsyms) for ext in made) > 100
     # the rules differential read through its integer views are unchanged,
     # and every view still reads back as its rule
     fresh = build_rules(2, "curved")
@@ -283,6 +292,89 @@ def test_bianchi_combinations_zero(n):
 def test_star_two_path_and_symmetry():
     assert star_two_path_check(1)
     assert star_symmetry_check(1)
+
+
+def test_star_two_path_reads_the_conjugate_views(monkeypatch):
+    """Negative control: with one entry of one conjugate view negated (the
+    first one the check builds, that of ~V111), the check is False."""
+    assert star_two_path_check(1)
+    conj_view = DRuleSet._conj_view
+    made = []
+
+    def tampered(self, view):
+        den, rows = conj_view(self, view)
+        if not made:
+            (mask, ids, res, ims), *rest = rows
+            rows = ((mask, ids, (-res[0],) + res[1:], (-ims[0],) + ims[1:]), *rest)
+        made.append(rows)
+        return den, tuple(rows)
+
+    monkeypatch.setattr(DRuleSet, "_conj_view", tampered)
+    assert not star_two_path_check(1)
+    assert len(made) > 1
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_conjugate_views_are_the_conjugate_rules(n, signature):
+    """The view of every conjugated symbol in the curved table, made from
+    the symbol's view in integers, reads back as the Form.conj of the
+    symbol's rule, terms in the same order, over the same denominator."""
+    rules = build_rules(n, "curved", signature)
+    syms = {s for form in rules.gen_rules.values() for p in form.terms.values()
+            for mono in p.terms for s in mono if s.conj}
+    assert len(syms) > 5 * n
+    for s in syms:
+        base = s._replace(conj=False)
+        want = rules.sym_rule(base).conj()
+        got = rules.sym_rule(s)
+        assert [(m, list(p.terms.items())) for m, p in got.terms.items()] == \
+            [(m, list(p.terms.items())) for m, p in want.terms.items()], s
+        assert rules.view(s)[0] == rules.view(base)[0]
+        assert view_form(rules, rules.view(s)) == got
+
+
+# the scalar accessors of the constants: a call of one inside a loop is a
+# dense scan that StandardConstants.row / col replace
+SCALAR_ACCESSORS = {"g", "g_up", "pi", "pi_bar", "pi_up", "pi_u_lbar", "pi_ubar_l"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def dense_reads(source):
+    """(line, accessor) of every scalar-accessor call inside a loop."""
+    found = []
+
+    def visit(node, in_loop):
+        if in_loop and isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in SCALAR_ACCESSORS:
+                found.append((node.lineno, name))
+        in_loop = in_loop or isinstance(node, LOOPS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_rules_contract_over_nonzero_entries_only():
+    """rules.py reads no scalar accessor inside a loop: every sum over an
+    index of g, pi or their raised and mixed forms runs over a row or a
+    column of nonzero entries.  The guard catches one dense loop planted
+    back, as the rule was written before."""
+    source = inspect.getsource(rules_module)
+    assert dense_reads(source) == []
+    sparse = """        for s, coeff in self.c.col("g_up", a):
+            addmul(acc, self.form(self.d_phi_lo_curved, s), None, coeff)
+"""
+    dense = """        for s in self.R:
+            coeff = self.c.g_up(s, a)
+            if not coeff.is_zero():
+                addmul(acc, self.form(self.d_phi_lo_curved, s), None, coeff)
+"""
+    assert source.count(sparse) == 1
+    mutant = source.replace(sparse, dense)
+    assert [name for _, name in dense_reads(mutant)] == ["g_up"]
 
 
 def test_star_r_form_contents():

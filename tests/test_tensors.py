@@ -93,6 +93,27 @@ def test_constants_reject_out_of_range_indices(n, signature):
             c.partner(bad)
 
 
+@pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
+                                         (2, (1, 1)), (3, (2, 1))])
+def test_rows_and_cols_match_a_dense_scan(n, signature):
+    """row and col of each of the seven tables list exactly the nonzero
+    entries of the scalar accessor, the other index ascending; an index
+    outside 1..2n raises ValueError naming it."""
+    c = StandardConstants(n, signature)
+    rng = range(1, 2 * n + 1)
+    for name in ACCESSORS:
+        get = getattr(c, name)
+        for a in rng:
+            assert c.row(name, a) == tuple((b, get(a, b)) for b in rng
+                                           if not get(a, b).is_zero())
+            assert c.col(name, a) == tuple((b, get(b, a)) for b in rng
+                                           if not get(b, a).is_zero())
+        for bad in (0, -1, 2 * n + 1):
+            for read in (c.row, c.col):
+                with pytest.raises(ValueError, match=f"index {bad} outside 1..{2 * n}"):
+                    read(name, bad)
+
+
 def test_constants_examples():
     c = StandardConstants(1)
     assert c.g(1, 1) == gr(1) and c.g(2, 2) == gr(1)
