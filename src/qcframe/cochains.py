@@ -366,8 +366,9 @@ def _compile_plan(n: int, forms: Dict[Key, Form]) -> KappaPlan:
     by_mono: Dict[Mono, List[Tuple[int, GaussRational]]] = {}
     for coord, form in forms.items():
         # the g_- keys lead coord_keys: a generator's id is its g_- index,
-        # and a form's pairs are ordered ids, so every sign is 1
-        for (i, j), poly in form.terms.items():
+        # and a pair's low bit comes first, so every sign is 1
+        for mask, poly in form.terms.items():
+            i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
             col = column(n, gkeys[i], gkeys[j], coord)[0]
             for smono, coeff in poly.terms.items():
                 by_mono.setdefault(smono, []).append((col, coeff))
@@ -401,8 +402,10 @@ def _kappa(n: int, signature: Optional[Tuple[int, int]],
             continue
         gid = curved.ext.gid[key]
         diff = curved.gen_rules[gid] - flat.gen_rules[gid]
-        for mono in diff.terms:
-            if len(mono) != 2 or any(coframe.grade(curved.ext.keys[g]) >= 0 for g in mono):
+        for mask in diff.terms:
+            low, high = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            if mask.bit_count() != 2 or any(coframe.grade(curved.ext.keys[g]) >= 0
+                                            for g in (low, high)):
                 raise AssertionError("curvature form is not a semibasic two-form")
         out[key] = diff
     _KAPPA_CACHE[key3] = hit = (out, _compile_plan(n, out))

@@ -12,9 +12,9 @@ over the Gaussian rationals.  Two alphabets use it:
 
 Everything is kept in a canonical shape at all times:
 
-* wedge monomials are strictly increasing in the alphabet's generator
-  order, with the sign of the sorting permutation absorbed into the
-  coefficient;
+* a wedge monomial is one int, the bitmask with bit g for generator g, so
+  its generators are always in the alphabet's order; the sign of the
+  permutation that sorts a product is absorbed into the coefficient;
 * symbol monomials are sorted tuples of symbols;
 * symbols of totally symmetric families store sorted index tuples;
 * conjugates of j-real families (S, L) and of the real scalar R are
@@ -22,9 +22,14 @@ Everything is kept in a canonical shape at all times:
   function has exactly one name.
 
 Zero detection is therefore trivial: a form is zero iff it has no terms.
+Every operation reads and writes generator monomials as masks: a product
+r ^ x is zero if ``r & x``, is ``r | x`` otherwise, and its sign is the
+parity of the pairs (a generator of r, a smaller one of x) (``_crossings``);
+``_gens`` spells a mask out as generator indices where a loop or the text
+form needs them.
 
 Every product and every sum of many pieces is written into one fresh
-local accumulator, a dict keyed by generator monomial and then by symbol
+local accumulator, a dict keyed by generator mask and then by symbol
 monomial that holds the GaussRational coefficient (``Acc``).  Two
 functions fill it in place: ``gauss.axpy`` adds a multiple of a
 coefficient dict and ``_mul_into`` the product of two; ``from_acc`` wraps
@@ -37,33 +42,31 @@ coefficients, because rule-table forms, generator forms and one-symbol
 polynomials are shared: an Exterior interns the last two, so none of them
 is ever modified in place.
 
-``differential`` sums in Gaussian integers on integer keys instead.  A
-DRuleSet keeps each rule that ``differential`` reads a second time, as a
-``View``: its terms with the coefficients cleared (``gauss.cleared``) to
-integer pairs over the rule's own lcm denominator, each generator monomial
-a bitmask and each symbol monomial an id from the rule set's intern table.
-The view of a conjugated symbol is made from the view of the symbol, in
+``differential`` sums in Gaussian integers instead.  A DRuleSet keeps
+each rule that ``differential`` reads a second time, as a ``View``: its
+terms, generator masks as they are, with the coefficients cleared
+(``gauss.cleared``) to integer pairs over the rule's own lcm denominator
+and each symbol monomial an id from the rule set's intern table.  The
+view of a conjugated symbol is made from the view of the symbol, in
 integers: conjugation relabels generators and symbols by units +1 or -1,
 so each row maps to one row and each (re, im) to +-(re, -im) over the same
 denominator, and the rule Form of the conjugate is decoded from that view.
-The form is cleared, each polynomial coefficient over its own lcm, and
-encoded the same way once on entry; every product is added in place to an
-integer cell ``[re, im]`` over one common denominator, in one dict keyed
-by one int, ``id << len(labels) | mask`` (``Cells``, ``_rule_into``), where
-placing a rule term is an ``&``, an ``|``, a bit count and a shift; and
-each cell that does not cancel is decoded and becomes one GaussRational at
-the end, grouped by generator monomial in the order the cells were made:
-no GaussRational, no gcd and no tuple built per product.
+The form is cleared, each polynomial coefficient over its own lcm, on
+entry; every product is added in place to an integer cell ``[re, im]``
+over one common denominator, in one dict keyed by one int,
+``id << len(labels) | mask`` (``Cells``, ``_rule_into``); and each cell
+that does not cancel becomes one GaussRational at the end, grouped by
+generator mask in the order the cells were made: no GaussRational, no gcd
+and no tuple built per product.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from math import lcm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .gauss import ONE, GaussRational, axpy, cleared, gr
+from .gauss import ONE, GaussRational, axpy, cleared
 from .tensors import StandardConstants
 from . import coframe
 
@@ -124,11 +127,11 @@ class Sym(NamedTuple):
 
 Mono = Tuple[Sym, ...]
 Terms = Dict[Mono, GaussRational]  # the coefficients of one Poly
-Acc = Dict[Tuple[int, ...], Terms]  # generator monomial -> its coefficients
+Acc = Dict[int, Terms]  # generator mask -> its coefficients
 # one term of a rule in Gaussian integers over a denominator known to the
-# caller: its generator monomial as a bitmask (bit g for generator g), then
-# the ids of the symbol monomials of its coefficient (interned by the
-# DRuleSet) and, in parallel, their real and imaginary parts
+# caller: its generator mask, then the ids of the symbol monomials of its
+# coefficient (interned by the DRuleSet) and, in parallel, their real and
+# imaginary parts
 Row = Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 View = Tuple[int, Tuple[Row, ...]]  # a rule: (lcm denominator, its rows)
 # the terms differential sums: id << len(labels) | mask, for a symbol
@@ -228,7 +231,7 @@ def _rule_into(acc: Cells, t1: List[Tuple[int, int, int]], rows: Tuple[Row, ...]
 
 def _crossings(rmask: int, xmask: int) -> int:
     """The number of pairs (a generator of r, a smaller generator of x):
-    the inversions of r ^ x written in order."""
+    the inversions of r ^ x written in order, whose parity is its sign."""
     n = 0
     while xmask:
         low = xmask & -xmask
@@ -237,16 +240,8 @@ def _crossings(rmask: int, xmask: int) -> int:
     return n
 
 
-def _mask(mono: Tuple[int, ...]) -> int:
-    """A generator monomial as a bitmask: bit g for generator g."""
-    m = 0
-    for g in mono:
-        m |= 1 << g
-    return m
-
-
 def _gens(mask: int) -> Tuple[int, ...]:
-    """The generator monomial of a bitmask, in increasing order."""
+    """The generators of a mask, in increasing order."""
     out = []
     while mask:
         low = mask & -mask
@@ -255,7 +250,7 @@ def _gens(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _bucket(acc: Acc, mono: Tuple[int, ...]) -> Terms:
+def _bucket(acc: Acc, mono: int) -> Terms:
     """The coefficient dict of ``mono`` in ``acc``, made on first use."""
     b = acc.get(mono)
     if b is None:
@@ -486,14 +481,14 @@ class Exterior(Alphabet):
     def scalar(self, p: Union[Poly, GaussRational, int, Fraction]) -> "Form":
         if not isinstance(p, Poly):
             p = Poly.const(p)
-        return Form(self, {(): p} if not p.is_zero() else {})
+        return Form(self, {0: p} if not p.is_zero() else {})
 
     def gen(self, key: coframe.Key) -> "Form":
         """Degree-1 generator as a form (a Gamma pair in either order)."""
         f = self._gens.get(key)
         if f is None:
             k = coframe.gam_key(key[1], key[2]) if key[0] == "Gam" else key
-            f = self._gens[key] = Form(self, {(self.gid[k],): Poly._wrap({(): ONE})})
+            f = self._gens[key] = Form(self, {1 << self.gid[k]: Poly._wrap({(): ONE})})
         return f
 
     def gam_bar_gen(self, s: int, t: int) -> "Form":
@@ -502,56 +497,18 @@ class Exterior(Alphabet):
         return self.gen(key).scale(coeff)
 
 
-def _merge_sign(m1: Tuple[int, ...], m2: Tuple[int, ...]):
-    """Merge two strictly increasing tuples; return (sign, merged) or
-    None if a generator repeats."""
-    if len(m2) == 1:
-        # one generator: bisect for its place; it jumps over the rest of m1
-        g = m2[0]
-        i = bisect_left(m1, g)
-        if i < len(m1) and m1[i] == g:
-            return None
-        return (-1 if (len(m1) - i) % 2 else 1), m1[:i] + m2 + m1[i:]
-    if len(m1) == 1:
-        # one generator: it jumps over the first i generators of m2
-        g = m1[0]
-        i = bisect_left(m2, g)
-        if i < len(m2) and m2[i] == g:
-            return None
-        return (-1 if i % 2 else 1), m2[:i] + m1 + m2[i:]
-    out: List[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a == b:
-            return None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining len(m1)-i generators of m1
-            if (len(m1) - i) % 2:
-                sign = -sign
-            out.append(b)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return sign, tuple(out)
-
-
 Vector = Dict[int, Poly]  # generator index -> coefficient of its dual vector
 
 
 class Form:
     """Canonical graded sum of wedge monomials with Poly coefficients
-    over the generators of ``ext`` (an Alphabet)."""
+    over the generators of ``ext`` (an Alphabet), keyed by generator mask."""
 
     __slots__ = ("ext", "terms")
 
-    def __init__(self, ext: Alphabet, terms: Optional[Dict[Tuple[int, ...], Poly]] = None):
+    def __init__(self, ext: Alphabet, terms: Optional[Dict[int, Poly]] = None):
         self.ext = ext
-        self.terms: Dict[Tuple[int, ...], Poly] = {}
+        self.terms: Dict[int, Poly] = {}
         if terms:
             for m, p in terms.items():
                 if not p.is_zero():
@@ -598,11 +555,8 @@ class Form:
         for m1, p1 in self.terms.items():
             t1 = p1.terms
             for m2, p2 in other.terms.items():
-                merged = _merge_sign(m1, m2)
-                if merged is None:
-                    continue
-                sign, mono = merged
-                _mul_into(_bucket(acc, mono), t1, p2.terms, sign < 0)
+                if not m1 & m2:
+                    _mul_into(_bucket(acc, m1 | m2), t1, p2.terms, _crossings(m1, m2) & 1)
         return from_acc(self.ext, acc)
 
     def __xor__(self, other: "Form") -> "Form":  # a ^ b reads as a wedge b
@@ -616,7 +570,7 @@ class Form:
                 and self.terms == other.terms)
 
     def degrees(self):
-        return sorted({len(m) for m in self.terms})
+        return sorted({m.bit_count() for m in self.terms})
 
     def term_count(self) -> int:
         return sum(len(p.terms) for p in self.terms.values())
@@ -627,31 +581,9 @@ class Form:
         ext = self.ext
         out = Form(ext)
         for mono, p in self.terms.items():
-            mask, unit = ext.conj_mask(_mask(mono))
+            mask, unit = ext.conj_mask(mono)
             q = ext.conj_poly(p)
-            out.terms[_gens(mask)] = q if unit > 0 else -q
-        return out
-
-    def substitute(self, mapping: Dict[Sym, Poly]) -> "Form":
-        """Homomorphic replacement of symbols.  Conjugated symbols pick
-        up the conjugate of the mapped value automatically."""
-        ext = self.ext
-        out = Form(ext)
-        for mono, p in self.terms.items():
-            newp = Poly()
-            for smono, c in p.terms.items():
-                factor = Poly.const(c)
-                for s in smono:
-                    if s in mapping:
-                        val = mapping[s]
-                    elif s.conj and Sym(s.family, s.idx, False) in mapping:
-                        val = ext.conj_poly(mapping[Sym(s.family, s.idx, False)])
-                    else:
-                        val = Poly({(s,): gr(1)})
-                    factor = factor * val
-                axpy(newp.terms, ONE, factor.terms)
-            if not newp.is_zero():  # each mono occurs once in self
-                out.terms[mono] = newp
+            out.terms[mask] = q if unit > 0 else -q
         return out
 
     def interior(self, v: Vector) -> "Form":
@@ -659,11 +591,11 @@ class Form:
         index to the coefficient of its dual vector."""
         acc: Acc = {}
         for m, p in self.terms.items():
-            for pos, g in enumerate(m):
+            for pos, g in enumerate(_gens(m)):
                 comp = v.get(g)
                 if comp is None:
                     continue
-                _mul_into(_bucket(acc, m[:pos] + m[pos + 1:]), p.terms, comp.terms, pos % 2)
+                _mul_into(_bucket(acc, m ^ (1 << g)), p.terms, comp.terms, pos % 2)
         return from_acc(self.ext, acc)
 
     def eval_fields(self, *fields: Vector) -> Poly:
@@ -672,7 +604,7 @@ class Form:
         cur = self
         for v in fields:
             cur = cur.interior(v)
-        p = cur.terms.get(())
+        p = cur.terms.get(0)
         return p if p is not None else Poly()
 
     def to_text(self) -> str:
@@ -680,8 +612,8 @@ class Form:
         if not self.terms:
             return "0"
         lines = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            gens = "^".join(self.ext.labels[g] for g in mono) or "1"
+        for mono in sorted(self.terms, key=lambda m: (m.bit_count(), _gens(m))):
+            gens = "^".join(self.ext.labels[g] for g in _gens(mono)) or "1"
             lines.append(f"({self.terms[mono]!r}) {gens}")
         return "\n".join(lines)
 
@@ -786,9 +718,7 @@ class DRuleSet:
         for rm, p in rule.terms.items():
             ids = tuple(map(self._intern, p.terms))
             res, ims = zip(*islice(parts, len(ids)))
-            mask = _mask(rm)
-            rows.append((share(mask, mask), share(ids, ids), share(res, res),
-                         share(ims, ims)))
+            rows.append((share(rm, rm), share(ids, ids), share(res, res), share(ims, ims)))
         return den, tuple(rows)
 
     def _conj_view(self, view: View) -> View:
@@ -813,8 +743,8 @@ class DRuleSet:
         den, rows = view
         monos = self._monos
         out = Form(self.ext)
-        out.terms = {_gens(mask): Poly._wrap({monos[m]: GaussRational.from_ints(a, b, den)
-                                              for m, a, b in zip(ids, res, ims)})
+        out.terms = {mask: Poly._wrap({monos[m]: GaussRational.from_ints(a, b, den)
+                                       for m, a, b in zip(ids, res, ims)})
                      for mask, ids, res, ims in rows}
         return out
 
@@ -826,15 +756,14 @@ def differential(x: Form, rules: DRuleSet) -> Form:
     (-1)^i lead ^ d(g) ^ tail, and for a term r of d(g),
     lead ^ r ^ tail = (-1)^(i |r|) r ^ (lead tail): one sign per rule
     term.  The arithmetic is in Gaussian integers on integer keys: each
-    coefficient of x is cleared over its own lcm denominator, with the
-    generator monomials of x as bitmasks and its symbol monomials as ids;
-    each rule is read through ``rules.view``; one integer factor per call
+    coefficient of x is cleared over its own lcm denominator, with its
+    symbol monomials as ids; each rule is read through ``rules.view``; one integer factor per call
     brings both to the lcm of x's denominators times that of the rules x
     uses; every product is summed into one integer cell per output term,
     keyed by one int, the symbol monomial's id shifted past the generator
     bits, or'ed with the generator mask; and each cell that does not
-    cancel is decoded and divided once, grouped by generator monomial in
-    the order the cells were made."""
+    cancel is decoded and divided once, grouped by generator mask in the
+    order the cells were made."""
     if x.ext is not rules.ext:
         raise ValueError("the form and the rule set are over different alphabets")
     view = rules.view
@@ -842,21 +771,22 @@ def differential(x: Form, rules: DRuleSet) -> Form:
     polys = []
     xden = 1
     dens = set()  # the denominators of the rules x reads
-    for mono, p in x.terms.items():
+    for xmask, p in x.terms.items():
         pden, ints = cleared(p.terms.values())
         xden = lcm(xden, pden)
         for smono in p.terms:
             for s in smono:
                 dens.add(view(s)[0])
-        for g in mono:
+        gens = _gens(xmask)
+        for g in gens:
             dens.add(view(g)[0])
-        polys.append((mono, _mask(mono), pden, p.terms, ints,
+        polys.append((gens, xmask, pden, p.terms, ints,
                       [(intern(m), a, b) for m, (a, b) in zip(p.terms, ints)]))
     rden = lcm(*dens)
     product = rules._product
     shift = len(x.ext.labels)
     acc: Cells = {}
-    for mono, xmask, pden, smonos, ints, terms in polys:
+    for gens, xmask, pden, smonos, ints, terms in polys:
         f = xden // pden
         # d(coefficient) ^ mono
         for smono, (a, b) in zip(smonos, ints):
@@ -866,7 +796,7 @@ def differential(x: Form, rules: DRuleSet) -> Form:
                     _rule_into(acc, [(intern(smono[:k] + smono[k + 1:]), a, b)], rows,
                                xmask, 0, f * (rden // den), product, shift)
         # Leibniz over the generators of the monomial
-        for i, g in enumerate(mono):
+        for i, g in enumerate(gens):
             den, rows = view(g)
             if rows:
                 _rule_into(acc, terms, rows, xmask ^ (1 << g), i, f * (rden // den), product,
@@ -882,5 +812,5 @@ def differential(x: Form, rules: DRuleSet) -> Form:
     for key, re, im in live:
         grouped[key & low][monos[key >> shift]] = GaussRational.from_ints(re, im, den)
     out = Form(x.ext)
-    out.terms = {_gens(m): Poly._wrap(coeffs) for m, coeffs in grouped.items()}
+    out.terms = {m: Poly._wrap(coeffs) for m, coeffs in grouped.items()}
     return out

@@ -34,8 +34,6 @@ COORD_SYMS = tuple(Sym(name, (), False) for name in COORDS)
 # the coordinate differentials dx1..dt3, generator i being d(COORDS[i])
 CHART = Alphabet("d" + name for name in COORDS)
 
-VectorField = Vector  # coordinate direction -> coefficient
-
 
 def coord(i: int) -> Poly:
     """The coordinate COORDS[i] as a polynomial."""
@@ -44,7 +42,7 @@ def coord(i: int) -> Poly:
 
 def dx(i: int) -> Form:
     """The coordinate differential d(COORDS[i])."""
-    return Form(CHART, {(i,): Poly.const(1)})
+    return Form(CHART, {1 << i: Poly.const(1)})
 
 
 _DX = {s: dx(i) for i, s in enumerate(COORD_SYMS)}
@@ -67,7 +65,7 @@ class QcData:
     """Chart-level qc structure: three contact forms, an H-frame with
     metric and quaternionic triple, and (after solving) Reeb fields."""
 
-    def __init__(self, etas: List[Form], frame: List[VectorField],
+    def __init__(self, etas: List[Form], frame: List[Vector],
                  g: List[List[Fraction]], I_mats: List[List[List[int]]],
                  name: str = "chart"):
         self.etas = etas
@@ -75,7 +73,7 @@ class QcData:
         self.g = g                  # 4x4 rational, frame metric
         self.I_mats = I_mats        # three 4x4 integer matrices, frame action
         self.name = name
-        self.reeb: Optional[List[VectorField]] = None
+        self.reeb: Optional[List[Vector]] = None
 
     # -- axioms ------------------------------------------------------------
 
@@ -186,7 +184,7 @@ def heisenberg_qc() -> QcData:
 
     frame = []
     for i in range(4):
-        X: VectorField = {i: Poly.const(1)}
+        X: Vector = {i: Poly.const(1)}
         for s in range(3):
             coeff = sigma[s].eval_fields({i: Poly.const(1)})
             if not coeff.is_zero():
@@ -205,7 +203,7 @@ def _monomials(max_deg: int) -> List[Mono]:
             for combo in itertools.combinations_with_replacement(range(NCOORD), total)]
 
 
-def reeb_fields(qc: QcData) -> List[VectorField]:
+def reeb_fields(qc: QcData) -> List[Vector]:
     """Solve eta_s(xi_t) = delta_st and the contraction antisymmetry
     d eta_s(xi_t, X) = -d eta_t(xi_s, X) for X in the H-frame, as an
     exact linear system over a polynomial ansatz for the xi components,
@@ -228,7 +226,7 @@ def reeb_fields(qc: QcData) -> List[VectorField]:
         eqs: Dict[Mono, Dict[int, GaussRational]] = {m: {} for m in rhs.terms}
         for ff, fld in pieces:
             for i in range(NCOORD):
-                p = ff.terms.get((i,))
+                p = ff.terms.get(1 << i)
                 if p is None:
                     continue
                 for mpos, e2 in enumerate(monos):
@@ -259,7 +257,7 @@ def reeb_fields(qc: QcData) -> List[VectorField]:
     sol, _ = solve_sparse(rows)
     fields = []
     for t in range(3):
-        v: VectorField = {}
+        v: Vector = {}
         for i in range(NCOORD):
             p = Poly({e: sol.get(unknown(t, i, mpos), gr(0))
                       for mpos, e in enumerate(monos)})
@@ -415,11 +413,11 @@ def chart_from_json(doc: dict) -> QcData:
         f = Form(CHART)
         for k, (diff, re, im, expo) in enumerate(ent_list):
             where = f"etas[{s}][{k}]"
-            f = f + Form(CHART, {(index(diff, where),): poly_entry(re, im, expo, where)})
+            f = f + Form(CHART, {1 << index(diff, where): poly_entry(re, im, expo, where)})
         etas.append(f)
     frame = []
     for s, ent_list in enumerate(doc["frame"]):
-        v: VectorField = {}
+        v: Vector = {}
         for k, (ci, re, im, expo) in enumerate(ent_list):
             where = f"frame[{s}][{k}]"
             ci = index(ci, where)

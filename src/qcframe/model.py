@@ -1258,7 +1258,7 @@ def maurer_cartan_check(n: int, signature: Tuple[int, int] = None) -> dict:
     rules = build_rules(n, "flat", signature)
     ext = rules.ext
     # structure constants from the rules: (gi, gj) -> {key: coeff}
-    from_rules: Dict[Tuple[int, int], Dict[Key, GaussRational]] = {}
+    from_rules: Dict[int, Dict[Key, GaussRational]] = {}
     for key in model.keys:
         form = rules.gen_rules[ext.gid[key]]
         for mono, poly in form.terms.items():
@@ -1273,7 +1273,7 @@ def maurer_cartan_check(n: int, signature: Tuple[int, int] = None) -> dict:
             kj = model.keys[j]
             pairs += 1
             br = model.bracket(model.basis(ki), model.basis(kj))
-            want = from_rules.get((i, j), {})
+            want = from_rules.get(1 << i | 1 << j, {})
             for key in set(br.c) | set(want):
                 if want.get(key, gr(0)) != -br.get(key):
                     mismatches += 1

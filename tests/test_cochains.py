@@ -83,7 +83,7 @@ def _reference_kappa(compo, n, forms):
             val = LieCoord(n)
             for coord, form in forms.items():
                 gi, gj = form.ext.gid[ki], form.ext.gid[kj]
-                poly = form.terms.get((min(gi, gj), max(gi, gj)))
+                poly = form.terms.get(1 << gi | 1 << gj)
                 tot = gr(0)
                 for smono, coeff in (poly.terms.items() if poly else ()):
                     for s in smono:

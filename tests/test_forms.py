@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcframe.forms import FAMILIES, Exterior, Form, Poly, Sym, differential
+from qcframe.forms import FAMILIES, Exterior, Form, Poly, differential
 from qcframe.gauss import gr
 from qcframe.rules import build_rules
 from qcframe import coframe
@@ -65,7 +65,7 @@ def _random_form(rng, ext, degree, symbols=False):
             poly = poly * ext.sym(fam, idx, conj=rng.random() < 0.5)
         term = ext.scalar(poly)
         for g in mono:
-            term = term ^ Form(ext, {(g,): Poly.const(1)})
+            term = term ^ Form(ext, {1 << g: Poly.const(1)})
         out = out + term
     return out
 
@@ -145,27 +145,11 @@ def test_substitute_identity_and_zero(curved_rules):
     ext = curved_rules.ext
     rng = random.Random(31)
     f = _random_form(rng, ext, 2, symbols=True)
-    assert f.substitute({}) == f
     from qcframe.rules import substitute_flat
     g = substitute_flat(f)
     for poly in g.terms.values():
         for mono in poly.terms:
             assert not mono  # no symbols left
-
-
-def test_substitute_numeric_matches_evaluation(curved_rules):
-    """substitute-then-read equals evaluate-then-substitute on symbols."""
-    ext = curved_rules.ext
-    rng = random.Random(37)
-    s1 = Sym("C", (1,), False)
-    s2 = Sym("P", (), False)
-    f = (ext.scalar(Poly({(s1,): gr(2)}) + Poly({(s2, s2): gr(0, 1)}))
-         ^ ext.gen(("eta", 1)))
-    vals = {s1: Poly.const(gr(1, 1)), s2: Poly.const(gr(Fraction(1, 2)))}
-    g = f.substitute(vals)
-    expected = gr(2) * gr(1, 1) + gr(0, 1) * gr(Fraction(1, 4))
-    poly = g.terms[(ext.gid[("eta", 1)],)]
-    assert poly.terms[()] == expected
 
 
 def test_symbol_canonicalization_symmetry(ext):

@@ -28,7 +28,7 @@ def qc():
 
 def test_chart_form_d_squared_zero():
     x1, x2 = coord(0), coord(1)
-    f = Form(CHART, {(): x1 * x1 * x2})
+    f = Form(CHART, {0: x1 * x1 * x2})
     assert d(d(f)).is_zero()
     w = dx(0).scale(x2) + dx(3).scale(x1 * x2)
     assert d(d(w)).is_zero()
@@ -37,7 +37,7 @@ def test_chart_form_d_squared_zero():
 def test_chart_d_values():
     """d(x1^2 x2) = 2 x1 x2 dx1 + x1^2 dx2, and d(x2 dx1) = -dx1^dx2."""
     x1, x2 = coord(0), coord(1)
-    f = Form(CHART, {(): x1 * x1 * x2})
+    f = Form(CHART, {0: x1 * x1 * x2})
     assert d(f) == dx(0).scale(x1 * x2).scale(2) + dx(1).scale(x1 * x1)
     assert d(dx(0).scale(x2)) == -(dx(0) ^ dx(1))
     assert d(dx(4)).is_zero()
@@ -73,12 +73,12 @@ def test_heisenberg_defines_no_algebra_of_its_own():
 
 def test_chart_d_wedges_nothing_for_zero_rules(monkeypatch):
     """Every CHART_RULES generator rule is zero, so d of a constant chart
-    form is zero without a single wedge, sign merge or coefficient
-    product: differential merges and multiplies only inside _rule_into."""
+    form is zero without a single wedge, crossing count or coefficient
+    product: differential places and multiplies only inside _rule_into."""
     from qcframe import forms
     two_form = dx(0) ^ dx(1)
     calls = []
-    for name in ("_merge_sign", "_rule_into"):
+    for name in ("_crossings", "_rule_into"):
         fn = getattr(forms, name)
         monkeypatch.setattr(forms, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
@@ -183,10 +183,10 @@ def _chart_doc(qc):
 
     def form_entries(form):
         out = []
-        for gens, poly in form.terms.items():
-            assert len(gens) == 1
+        for mask, poly in form.terms.items():
+            assert mask.bit_count() == 1
             for mono, c in poly.terms.items():
-                out.append([gens[0], str(c.re), str(c.im), expo(mono)])
+                out.append([mask.bit_length() - 1, str(c.re), str(c.im), expo(mono)])
         return out
 
     def field_entries(v):

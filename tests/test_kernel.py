@@ -11,10 +11,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcframe.forms import Alphabet, DRuleSet, Form, Poly, Sym, _merge_sign, differential
+from qcframe.forms import Alphabet, DRuleSet, Form, Poly, Sym, _gens, differential
 from qcframe.gauss import GaussRational, gr
-from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, dx, monomial
-from qcframe.rules import build_rules
+from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, dx, heisenberg_qc, monomial
+from qcframe.rules import build_rules, d_square_report, star_forms
+
+from test_rule_digest import CONFIGS
 
 small = st.integers(-3, 3)
 chart_coeffs = st.builds(lambda re, im, expo: Poly({monomial(expo): gr(re, im)}),
@@ -61,7 +63,7 @@ def synthetic_kernel():
     def form(degrees):
         out = Form(ext)
         for k in degrees:
-            out = out + Form(ext, {tuple(sorted(rng.sample(range(6), k))): poly()})
+            out = out + Form(ext, {sum(1 << g for g in rng.sample(range(6), k)): poly()})
         return out
 
     gen_rules = {g: form((1, 3, 1, 3)) for g in range(6)}
@@ -86,7 +88,7 @@ def homogeneous(ext, coeffs, max_degree=3):
         for _ in range(draw(st.integers(1, 3))):
             gens = draw(st.lists(st.integers(0, ngen - 1), min_size=k, max_size=k,
                                  unique=True))
-            out = out + Form(ext, {tuple(sorted(gens)): draw(coeffs)})
+            out = out + Form(ext, {sum(1 << g for g in gens): draw(coeffs)})
         return k, out
     return build()
 
@@ -107,9 +109,9 @@ def literal_d(x, rules):
             for k, s in enumerate(smono):
                 rest = Poly({smono[:k] + smono[k + 1:]: c})
                 out = out + (rules.sym_rule(s).scale(rest) ^ unit_mono)
-        for i, g in enumerate(mono):
-            lead = Form(ext, {mono[:i]: p})
-            tail = Form(ext, {mono[i + 1:]: Poly.const(1)})
+        for i, g in enumerate(_gens(mono)):
+            lead = Form(ext, {mono & ((1 << g) - 1): p})
+            tail = Form(ext, {mono >> (g + 1) << (g + 1): Poly.const(1)})
             out = out + (lead ^ rules.gen_rule(g) ^ tail).scale(gr((-1) ** i))
     return out
 
@@ -190,7 +192,7 @@ def test_chart_eval_fields_is_the_determinant_pairing(ps):
     """(dx1 ^ dx2)(X, Y) = X1 Y2 - X2 Y1."""
     p, q, r, s = ps
     X, Y = {0: p, 1: q}, {0: r, 1: s}
-    w = Form(CHART, {(0, 1): Poly.const(1)})
+    w = Form(CHART, {1 << 0 | 1 << 1: Poly.const(1)})
     assert w.eval_fields(X, Y) == p * s - q * r
 
 
@@ -205,11 +207,42 @@ def _merge_reference(m1, m2):
     return (-1) ** inversions, tuple(sorted(seq))
 
 
-def test_merge_sign_exhaustive():
-    """Every pair of strictly increasing tuples of length 0-3 on seven
-    letters, against sorting plus permutation parity; this covers the
-    one-generator bisect paths on either side and the general merge."""
-    tuples = [t for k in range(4) for t in itertools.combinations(range(7), k)]
-    for m1 in tuples:
-        for m2 in tuples:
-            assert _merge_sign(m1, m2) == _merge_reference(m1, m2), (m1, m2)
+def test_wedge_sign_exhaustive():
+    """Every pair of monomials of 0-3 generators on seven letters, as
+    unit forms through Form.wedge, against sorting plus permutation
+    parity; then the same on seven letters of which four lie at index 64
+    and above, so masks and crossing counts pass one machine word."""
+    ext = Alphabet(f"a{g}" for g in range(70))
+
+    def unit(gens, sign=1):
+        return Form(ext, {sum(1 << g for g in gens): Poly.const(sign)})
+
+    for letters in (range(7), (0, 5, 63, 64, 65, 68, 69)):
+        tuples = [t for k in range(4) for t in itertools.combinations(letters, k)]
+        for m1 in tuples:
+            for m2 in tuples:
+                merged = _merge_reference(m1, m2)
+                want = Form(ext) if merged is None else unit(merged[1], merged[0])
+                assert unit(m1) ^ unit(m2) == want, (m1, m2)
+
+
+def test_every_term_key_is_a_mask():
+    """One generator-monomial format: every Form the program builds is
+    keyed by int masks, whether made by the rule builders, decoded from
+    an integer view (the conjugate symbol rules), summed by differential
+    or built on the chart."""
+    forms = []
+    for n in (1, 2):
+        for config in CONFIGS.values():
+            forms += build_rules(n, **config).gen_rules.values()
+    curved = build_rules(1, "curved")
+    d_square_report(curved)
+    reached = [key for key in curved._views if isinstance(key, Sym)]
+    assert any(s.conj for s in reached) and any(not s.conj for s in reached)
+    forms += [curved.sym_rule(s) for s in reached]
+    forms += star_forms(1).values()
+    etas = heisenberg_qc().etas
+    forms += etas + [differential(eta, CHART_RULES) for eta in etas]
+    assert len(forms) > 200
+    for f in forms:
+        assert f.terms and all(type(m) is int for m in f.terms), f

@@ -2,21 +2,68 @@
 replaced, kept here verbatim as a reference evaluator.
 
 The reference keys generator monomials by sorted index tuples and symbol
-monomials by tuples of Syms, and places each rule row by bisection.  The
-kernel in ``forms`` keys them by bitmask and by interned id.  Both must
-give the same Form term for term: the same generator monomials, symbol
-monomials and coefficients, inserted in the same order."""
+monomials by tuples of Syms, and places each rule row by bisection or by
+a sorted merge (``_merge_sign``).  The kernel in ``forms`` keys them by
+bitmask and by interned id.  The reference converts at its own boundary:
+it reads the masks of a Form as tuples through ``forms._gens`` and writes
+its tuples back as masks.  Both must give the same Form term for term: the
+same generator monomials, symbol monomials and coefficients, inserted in
+the same order."""
 from bisect import bisect_left
 from math import lcm
+from typing import List, Tuple
 
 import pytest
 
 from qcframe import coframe
-from qcframe.forms import Form, GaussRational, Poly, _merge_sign, differential
+from qcframe.forms import Form, GaussRational, Poly, _gens, differential
 from qcframe.heisenberg import CHART, CHART_RULES, NCOORD, coord, dx, monomial
 from qcframe.rules import build_rules
 
 from test_kernel import synthetic_kernel
+
+
+def mask(gens):
+    """A generator tuple as the mask a Form is keyed by."""
+    return sum(1 << g for g in gens)
+
+
+def _merge_sign(m1: Tuple[int, ...], m2: Tuple[int, ...]):
+    """Merge two strictly increasing tuples; return (sign, merged) or
+    None if a generator repeats."""
+    if len(m2) == 1:
+        # one generator: bisect for its place; it jumps over the rest of m1
+        g = m2[0]
+        i = bisect_left(m1, g)
+        if i < len(m1) and m1[i] == g:
+            return None
+        return (-1 if (len(m1) - i) % 2 else 1), m1[:i] + m2 + m1[i:]
+    if len(m1) == 1:
+        # one generator: it jumps over the first i generators of m2
+        g = m1[0]
+        i = bisect_left(m2, g)
+        if i < len(m2) and m2[i] == g:
+            return None
+        return (-1 if i % 2 else 1), m2[:i] + m1 + m2[i:]
+    out: List[int] = []
+    sign = 1
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        a, b = m1[i], m2[j]
+        if a == b:
+            return None
+        if a < b:
+            out.append(a)
+            i += 1
+        else:
+            # b jumps over the remaining len(m1)-i generators of m1
+            if (len(m1) - i) % 2:
+                sign = -sign
+            out.append(b)
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return sign, tuple(out)
 
 
 class ReferenceKernel:
@@ -44,7 +91,8 @@ class ReferenceKernel:
                 monos = tuple(p.terms)
                 res = tuple([c.a * (den // c.d) for c in cs])
                 ims = tuple([c.b * (den // c.d) for c in cs])
-                rows.append((rm, share(monos, monos), share(res, res), share(ims, ims)))
+                rows.append((_gens(rm), share(monos, monos), share(res, res),
+                             share(ims, ims)))
             v = self._views[key] = (den, tuple(rows))
         return v
 
@@ -56,7 +104,8 @@ class ReferenceKernel:
         xden = lcm(*(c.d for p in x.terms.values() for c in p.terms.values()))
         cleared = []
         dens = set()
-        for mono, p in x.terms.items():
+        for xmask, p in x.terms.items():
+            mono = _gens(xmask)
             terms = []
             for smono, c in p.terms.items():
                 f = xden // c.d
@@ -85,7 +134,7 @@ class ReferenceKernel:
             coeffs = {m: GaussRational.from_ints(re, im, den)
                       for m, (re, im) in cells.items() if re or im}
             if coeffs:
-                out.terms[key] = Poly._wrap(coeffs)
+                out.terms[mask(key)] = Poly._wrap(coeffs)
         return out
 
 
@@ -168,7 +217,7 @@ def test_wide_mask_matches_reference():
     ext = rules.ext
     assert len(ext.labels) == 78
     key = ("Gam", 4, 8)  # the last Gamma rule reaches the high bits
-    assert max(g for m in rules.gen_rule(ext.gid[key]).terms for g in m) > 64
+    assert max(g for m in rules.gen_rule(ext.gid[key]).terms for g in _gens(m)) > 64
     assert_same(rules, [(coframe.label(key), ext.gen(key))])
 
 
@@ -181,8 +230,8 @@ def test_chart_matches_reference():
                               (0, 0, 0, 2, 2, 0, 1)]):
         p = Poly({monomial(expo): GaussRational.from_ints(k + 1, -k, 3)})
         gens = tuple(range(k, min(NCOORD, k + 2 + k)))
-        forms.append((f"{expo} {gens}", Form(CHART, {gens: p})))
-        forms.append((f"{expo} + x2", Form(CHART, {(): p}) + dx(k).scale(coord(2) * p)))
+        forms.append((f"{expo} {gens}", Form(CHART, {mask(gens): p})))
+        forms.append((f"{expo} + x2", Form(CHART, {0: p}) + dx(k).scale(coord(2) * p)))
     assert_same(CHART_RULES, forms)
 
 
@@ -195,10 +244,10 @@ def test_synthetic_matches_reference():
     ext = rules.ext
     forms = []
     for g in range(len(ext.labels)):
-        forms.append((f"a{g}", Form(ext, {(g,): Poly.const(1)})))
+        forms.append((f"a{g}", Form(ext, {1 << g: Poly.const(1)})))
         forms.append((f"d a{g}", rules.gen_rule(g)))
     for g, h, k in [(0, 2, 5), (1, 3, 4), (5, 0, 1)]:
         forms.append((f"a{h} a{k} d a{g}",
-                      Form(ext, {(h, k): Poly.const(1)}) ^ rules.gen_rule(g)))
+                      Form(ext, {1 << h | 1 << k: Poly.const(1)}) ^ rules.gen_rule(g)))
     assert_same(rules, forms)
     assert rules._products
