@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import InputError, rational_from_json
 from .gauss import I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
@@ -310,8 +310,13 @@ class Cochain2:
 
     def in_lemma_space(self) -> bool:
         """Values confined to sp(n) + g_1 + g_2 (no eta/theta/phi0/phi_s)."""
-        lay = _layout(self.n)
-        return all(lay.lemma[col % len(lay.keys)] for col in self.row)
+        return _in_lemma_space(self.n, self.row)
+
+
+def _in_lemma_space(n: int, cols) -> bool:
+    """Every column holds a coordinate of sp(n) + g_1 + g_2."""
+    lay = _layout(n)
+    return all(lay.lemma[col % len(lay.keys)] for col in cols)
 
 
 Cochain1 = Dict[Key, LieCoord]
@@ -346,12 +351,16 @@ class KappaPlan(NamedTuple):
     g_- pair with a coordinate, numbered by its ``column``.  Each entry
     of ``monos`` is a symbol monomial with the columns of the cells it
     feeds and the coefficient it feeds each with.  ``groups`` holds the
-    same monomials with their reads compiled, grouped by the families
-    they read: (families, ((reads, columns, coefficients), ...))."""
+    same monomials with their reads compiled and their coefficients
+    cleared, grouped by the families they read: (families, ((reads,
+    columns, coefficients (re, im) over ``den``), ...)).  ``top`` is the
+    highest degree of a monomial."""
 
     monos: Tuple[Tuple[Mono, Tuple[int, ...], Tuple[GaussRational, ...]], ...]
     groups: Tuple[Tuple[Tuple[str, ...], Tuple[Tuple[Tuple[Read, ...], Tuple[int, ...],
-                                                     Tuple[GaussRational, ...]], ...]], ...]
+                                                     Tuple[Tuple[int, int], ...]], ...]], ...]
+    den: int
+    top: int
 
 
 def _compile_read(sym: Sym) -> Read:
@@ -374,12 +383,17 @@ def _compile_plan(n: int, forms: Dict[Key, Form]) -> KappaPlan:
                 by_mono.setdefault(smono, []).append((col, coeff))
     monos = tuple((smono, tuple(col for col, _ in terms), tuple(coeff for _, coeff in terms))
                   for smono, terms in by_mono.items())
+    den, ints = cleared([coeff for _, _, coeffs in monos for coeff in coeffs])
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    ints = iter([shared.setdefault(c, c) for c in ints])  # each distinct pair stored once
     groups: Dict[Tuple[str, ...], list] = {}
-    for smono, cols, coeffs in monos:
+    for smono, cols, _ in monos:
         reads = tuple(_compile_read(s) for s in smono)
         fams = tuple(f for f in CURVATURE_FAMILIES if any(r[0] == f for r in reads))
-        groups.setdefault(fams, []).append((reads, cols, coeffs))
-    return KappaPlan(monos, tuple((fams, tuple(g)) for fams, g in groups.items()))
+        # zip takes from ints only while columns remain
+        groups.setdefault(fams, []).append((reads, cols, tuple(c for _, c in zip(cols, ints))))
+    return KappaPlan(monos, tuple((fams, tuple(g)) for fams, g in groups.items()), den,
+                     max((len(smono) for smono in by_mono), default=0))
 
 
 # (n, signature, tamper) -> the coordinate two-forms and their plan
@@ -442,41 +456,66 @@ def _field_entries(compo: CurvatureComponents, n: int
     return out
 
 
-def assemble_kappa(compo: CurvatureComponents, model: SpModel,
-                   validate: bool = True, tamper: Optional[str] = None) -> Cochain2:
-    """Evaluate the curvature coordinate two-forms on all basis pairs,
-    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X).  Each
-    symbol monomial is evaluated once, from the reads the plan compiled:
-    each field's entries are fetched once and read by key, and the
-    monomials of a family group that reads a zero field are skipped
-    with one test.  Only a nonzero monomial is added into the columns it
-    feeds.  ``validate=False`` with ``tamper='unsym-S'`` admits invalid
-    components, so that symmetry violations surface as nonzero normality
-    residuals instead."""
+# a cochain row in Python integers: (den, column -> (re, im) over den)
+IntRow = Tuple[int, Dict[int, Tuple[int, int]]]
+
+
+def _kappa_row(compo: CurvatureComponents, model: SpModel,
+               validate: bool = True, tamper: Optional[str] = None) -> IntRow:
+    """The row of ``assemble_kappa`` in Python integers: its nonzero
+    columns, ascending, over one denominator.  The stored entries of every
+    nonzero field are cleared once, together, over their lcm L; a
+    monomial of degree d is the product of its entries times L^(top - d),
+    so that every monomial lands over L^top, and the plan's coefficients
+    are cleared in the plan."""
     if validate:
         compo.validate(model.consts)
     n = model.n
     plan = _kappa(n, model.consts.signature, tamper)[1]
     fields = _field_entries(compo, n)
-    acc: Dict[int, GaussRational] = {}
+    L, ints = cleared([v for entries, _ in fields.values() for v in entries.values()])
+    ints = iter(ints)  # read in field order; zip takes from it only while keys remain
+    table = {fam: (dict(zip(entries, ints)), by_sorted)
+             for fam, (entries, by_sorted) in fields.items()}
+    lift = [L ** (plan.top - d) for d in range(plan.top + 1)]
+    acc: Dict[int, Tuple[int, int]] = {}
     for fams, monos in plan.groups:
-        if not all(fields[f][0] for f in fams):
+        if not all(table[f][0] for f in fams):
             continue  # a zero family: every monomial of the group vanishes
         for reads, cols, coeffs in monos:
-            val = ONE
+            re, im = lift[len(reads)], 0
             for fam, skey, key, conj in reads:
-                entries, by_sorted = fields[fam]
+                entries, by_sorted = table[fam]
                 v = entries.get(skey if by_sorted else key)
                 if v is None:
                     break
+                vr, vi = v
                 if conj:
-                    v = v.conj()
-                val = v if val is ONE else val * v
+                    vi = -vi
+                re, im = re * vr - im * vi, re * vi + im * vr
             else:
-                for col, coeff in zip(cols, coeffs):
+                for col, (cr, ci) in zip(cols, coeffs):
+                    xr, xi = cr * re - ci * im, cr * im + ci * re
                     cur = acc.get(col)
-                    acc[col] = coeff * val if cur is None else cur + coeff * val
-    return Cochain2(n, {col: v for col in sorted(acc) if not (v := acc[col]).is_zero()})
+                    acc[col] = (xr, xi) if cur is None else (cur[0] + xr, cur[1] + xi)
+    return plan.den * L ** plan.top, {col: v for col in sorted(acc) if (v := acc[col]) != (0, 0)}
+
+
+def assemble_kappa(compo: CurvatureComponents, model: SpModel,
+                   validate: bool = True, tamper: Optional[str] = None) -> Cochain2:
+    """Evaluate the curvature coordinate two-forms on all basis pairs,
+    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X).  Each
+    symbol monomial is evaluated once, in Python integers, from the reads
+    and cleared coefficients the plan compiled: each field's entries are
+    fetched and cleared once and read by key, and the monomials of a
+    family group that reads a zero field are skipped with one test.  Only
+    a nonzero monomial is added into the columns it feeds, and each
+    nonzero column is divided once (``_kappa_row``).  ``validate=False``
+    with ``tamper='unsym-S'`` admits invalid components, so that symmetry
+    violations surface as nonzero normality residuals instead."""
+    den, row = _kappa_row(compo, model, validate, tamper)
+    new = GaussRational.from_ints
+    return Cochain2(model.n, {col: new(re, im, den) for col, (re, im) in row.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +571,21 @@ def _int_map(acc: Dict[Tuple[int, int], GaussRational]) -> IntMap:
     return _int_rows(dict(zip(acc, ints)), den)
 
 
-def _apply(K: Cochain2, model: SpModel, attr: str, build) -> Tuple[int, Dict[int, List[int]]]:
+def _apply(K: Union[Cochain2, IntRow], model: SpModel, attr: str,
+           build) -> Tuple[int, Dict[int, List[int]]]:
     """K times the matrix kept as ``attr``: output -> [re, im] over the
-    returned denominator."""
+    returned denominator.  Only K's entries in the matrix's columns are
+    read; those of a ``Cochain2`` are then cleared over their own
+    denominator, an ``IntRow`` is read as it is."""
     den, rows = _kept(model, attr, build)
-    dk, ints = cleared(K.row.values())
+    cochain = isinstance(K, Cochain2)
+    dk, row = (1, K.row) if cochain else K
+    read = {(0, col): v for col, v in row.items() if col in rows}
+    if cochain:
+        dk, ints = cleared(read.values())
+        read = dict(zip(read, ints))
     acc: Dict[Tuple[int, int], List[int]] = {}
-    int_product_into(acc, {(0, col): v for col, v in zip(K.row, ints)}, rows, 1)
+    int_product_into(acc, read, rows, 1)
     return den * dk, {out: v for (_, out), v in acc.items()}
 
 
@@ -763,6 +810,22 @@ def _build_closed(model: SpModel) -> IntMap:
     return _int_map(acc)
 
 
+def _fold_slots(den: int, values: Dict[int, List[int]],
+                consts: dict) -> Tuple[int, Dict[int, List[int]]]:
+    """The slot-tagged outputs (pos * 7 + slot) of the closed matrix,
+    each times its slot constant and summed per pos, over the returned
+    denominator."""
+    dc, cs = cleared([consts[name] for name in _SLOTS])
+    tot: Dict[int, List[int]] = {}
+    for out, (re, im) in values.items():
+        pos, s = divmod(out, 7)
+        cr, ci = cs[s]
+        cur = tot.setdefault(pos, [0, 0])
+        cur[0] += re * cr - im * ci
+        cur[1] += re * ci + im * cr
+    return den * dc, tot
+
+
 def kostant_codiff_closed(K: Cochain2, model: SpModel,
                           consts: Optional[dict] = None) -> Cochain1:
     """The closed trace-condition formula with calibrated slot
@@ -775,16 +838,8 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
         raise ValueError("cochain has components outside sp(n)+g_1+g_2")
     if consts is None:
         consts = codiff_closed_constants(model)
-    den, values = _apply(K, model, "_closed_map", _build_closed)
-    dc, cs = cleared([consts[name] for name in _SLOTS])
-    tot: Dict[int, List[int]] = {}
-    for out, (re, im) in values.items():
-        pos, s = divmod(out, 7)
-        cr, ci = cs[s]
-        cur = tot.setdefault(pos, [0, 0])
-        cur[0] += re * cr - im * ci
-        cur[1] += re * ci + im * cr
-    return _cochain1(model, den * dc, tot)
+    return _cochain1(model, *_fold_slots(*_apply(K, model, "_closed_map", _build_closed),
+                                         consts))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +884,11 @@ def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
     """The five contraction identities the curvature cochain satisfies,
     applied as the matrix T, built once per model: a condition holds when
     all of its outputs vanish."""
-    _, values = _apply(K, model, "_trace_map", _build_trace)
+    return _trace_verdict(_apply(K, model, "_trace_map", _build_trace)[1])
+
+
+def _trace_verdict(values: Dict[int, List[int]]) -> Dict[str, bool]:
+    """Each trace condition -> whether all of its outputs of T vanish."""
     broken = {out % 5 for out, (re, im) in values.items() if re or im}
     return {name: t not in broken for t, name in enumerate(_TRACES)}
 
@@ -838,16 +897,37 @@ def cochain1_is_zero(d: Cochain1) -> bool:
     return all(v.is_zero() for v in d.values())
 
 
+def _is_zero(values: Dict[int, List[int]]) -> bool:
+    return not any(re or im for re, im in values.values())
+
+
+def _equal(da: int, a: Dict[int, List[int]], db: int, b: Dict[int, List[int]]) -> bool:
+    """a / da == b / db output by output, for outputs [re, im] over da
+    and db."""
+    zero = (0, 0)
+    for pos in a.keys() | b.keys():
+        (ar, ai), (br, bi) = a.get(pos, zero), b.get(pos, zero)
+        if ar * db != br * da or ai * db != bi * da:
+            return False
+    return True
+
+
 def check_normality(compo: CurvatureComponents, model: SpModel,
                     closed_consts: Optional[dict] = None,
                     validate: bool = True, tamper: Optional[str] = None) -> dict:
-    """Assemble kappa, evaluate both codifferential routes and the five
-    trace conditions; everything must vanish exactly for valid input.
-    Each of the three is one product of K with a matrix kept on the
-    model: the direct and closed matrices are built independently, from
-    the brackets and from the closed term lists, so comparing the two
-    routes compares them.  The closed constants are calibrated on every
-    call that does not pass ``closed_consts``.
+    """Evaluate kappa, both codifferential routes and the five trace
+    conditions; everything must vanish exactly for valid input.  From the
+    compiled plan to the verdict everything runs in Python integers:
+    kappa is the integer row ``_kappa_row`` (validated when ``validate``
+    is true), the closed formula's lemma-space precondition is tested on
+    its columns, and each of the three is one product of that row with a
+    matrix kept on the model, which reads only the row's entries in its
+    own columns.  No ``Cochain2`` is built and no output is divided: the
+    two routes are compared as integers over their denominators.  The
+    direct and closed matrices are built independently, from the brackets
+    and from the closed term lists, so comparing the two routes compares
+    them.  The closed constants are calibrated on every call that does not
+    pass ``closed_consts``.
 
     ``direct_equals_closed`` does not certify the closed constants: on
     admissible components kappa is normal and every slot term of the
@@ -857,18 +937,20 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
     comparison of the two routes on random lemma cochains in ``qcframe
     verify normality`` is what certifies the seven constants and the
     slots they scale."""
-    K = assemble_kappa(compo, model, validate=validate, tamper=tamper)
-    direct = kostant_codiff_direct(K, model)
+    K = _kappa_row(compo, model, validate, tamper)
+    if not _in_lemma_space(model.n, K[1]):
+        raise ValueError("cochain has components outside sp(n)+g_1+g_2")
+    dd, direct = _apply(K, model, "_direct_map", _build_direct)
     if closed_consts is None:
         closed_consts = codiff_closed_constants(model)
-    closed = kostant_codiff_closed(K, model, closed_consts)
-    traces = trace_conditions(K, model)
-    direct_zero = cochain1_is_zero(direct)
+    dc, closed = _fold_slots(*_apply(K, model, "_closed_map", _build_closed), closed_consts)
+    traces = _trace_verdict(_apply(K, model, "_trace_map", _build_trace)[1])
+    direct_zero = _is_zero(direct)
     return {
         "trace_conditions": traces,
         "dstar_direct_zero": direct_zero,
-        "dstar_closed_zero": cochain1_is_zero(closed),
-        "direct_equals_closed": all(direct[k] == closed[k] for k in direct),
+        "dstar_closed_zero": _is_zero(closed),
+        "direct_equals_closed": _equal(dd, direct, dc, closed),
         "normal": direct_zero and all(traces.values()),
     }
 

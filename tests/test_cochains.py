@@ -18,7 +18,7 @@ from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
                               regularity_ok, trace_conditions, zero_components)
 from qcframe.cli import run
 from qcframe.forms import Form, Poly
-from qcframe.gauss import gr
+from qcframe.gauss import GaussRational, gr
 from qcframe.model import LieCoord, SpModel
 from qcframe.rules import build_rules
 from qcframe.tensors import (IndexedTensor, SymTensor, j_average, random_tensor,
@@ -144,6 +144,57 @@ def test_plan_matches_reference_tampered(model_for, n):
     assert got.row != assemble_kappa(compo, m, validate=False).row
 
 
+def _decoded_row(compo, m, validate=True, tamper=None):
+    """The integer kappa row of ``cochains._kappa_row``, each column
+    divided by its denominator, in its order."""
+    den, row = cochains._kappa_row(compo, m, validate, tamper)
+    return [(col, GaussRational.from_ints(re, im, den)) for col, (re, im) in row.items()]
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+@pytest.mark.parametrize("tamper", [None, "unsym-S"])
+def test_integer_row_matches_assembly_and_reference(model_for, n, signature, tamper):
+    """The integer row, decoded, is the assembled row, which is the
+    reference evaluation: column for column, in order, with no zero
+    column; on admissible and on broken-S components."""
+    m = model_for(n, signature)
+    forms = kappa_coordinate_forms(n, m.consts.signature, tamper)
+    rng = random.Random(31 * n + 7)
+    sets = [(random_components(rng, m.consts), tamper is None),
+            (broken_components(rng, m.consts), False)]
+    for compo, validate in sets:
+        want = list(_reference_kappa(compo, n, forms).row.items())
+        assert list(assemble_kappa(compo, m, validate, tamper).row.items()) == want
+        assert _decoded_row(compo, m, validate, tamper) == want
+        assert all(not v.is_zero() for _, v in want)
+
+
+def test_negated_plan_coefficient_breaks_normality(model_for, monkeypatch):
+    """Negative control: with one integer coefficient of the n = 2 plan
+    negated, in a column D_direct reads, check_normality on admissible
+    components is no longer normal."""
+    m = model_for(2)
+    cc = codiff_closed_constants(m)
+    compo = random_components(random.Random(19), m.consts)
+    assert check_normality(compo, m, cc)["normal"]
+    before = dict(cochains._kappa_row(compo, m)[1])
+    key = (2, (2, 0), None)
+    forms, plan = cochains._KAPPA_CACHE[key]
+    rows = cochains._kept(m, "_direct_map", cochains._build_direct)[1]
+    g, k = next((g, k) for g, (fams, monos) in enumerate(plan.groups)
+                for k, (_, cols, _) in enumerate(monos)
+                if cols[0] in rows and cols[0] in before)
+    fams, monos = plan.groups[g]
+    reads, cols, coeffs = monos[k]
+    (re, im), *rest = coeffs
+    monos = monos[:k] + ((reads, cols, ((-re, -im), *rest)),) + monos[k + 1:]
+    groups = plan.groups[:g] + ((fams, monos),) + plan.groups[g + 1:]
+    monkeypatch.setitem(cochains._KAPPA_CACHE, key, (forms, plan._replace(groups=groups)))
+    assert cochains._kappa_row(compo, m)[1].get(cols[0]) != before[cols[0]]
+    rep = check_normality(compo, m, cc)
+    assert not rep["dstar_direct_zero"] and not rep["normal"]
+
+
 def test_assembly_refuses_arrays_of_another_shape(model_for):
     """The compiled reads take entries by key: an array for another n,
     or with another number of slots, is refused, not read as zero."""
@@ -171,8 +222,9 @@ def test_plan_evaluates_any_degree(model_for, monkeypatch):
     monkeypatch.setitem(cochains._KAPPA_CACHE, (1, (1, 0), "squared"),
                         (forms, cochains._compile_plan(1, forms)))
     compo = random_components(random.Random(8), m.consts)
-    _assert_same_cochain(assemble_kappa(compo, m, tamper="squared"),
-                         _reference_kappa(compo, 1, forms))
+    want = _reference_kappa(compo, 1, forms)
+    _assert_same_cochain(assemble_kappa(compo, m, tamper="squared"), want)
+    assert _decoded_row(compo, m, tamper="squared") == list(want.row.items())
 
 
 @pytest.mark.parametrize("n, monos, terms", [(1, 35, 246), (2, 126, 1029)])

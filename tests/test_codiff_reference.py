@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from qcframe import coframe
 from qcframe import cochains
 from qcframe.cochains import (Cochain1, Cochain2, assemble_kappa, broken_components,
-                              check_normality, codiff_closed_constants, gminus_keys,
+                              check_normality, codiff_closed_constants,
+                              components_to_json, gminus_keys,
                               kostant_codiff_closed, kostant_codiff_direct,
                               random_components, random_lemma_cochain, trace_conditions)
 from qcframe.coframe import Key
@@ -406,6 +407,73 @@ def test_matches_reference_on_random_lemma_cochains_indefinite(model_for, K):
 
 
 # ---------------------------------------------------------------------------
+# check_normality against the public path
+
+
+def public_normality(compo, m: SpModel, consts: dict, validate=True, tamper=None) -> dict:
+    """check_normality's report through the public maps on the assembled
+    kappa."""
+    K = assemble_kappa(compo, m, validate=validate, tamper=tamper)
+    direct = kostant_codiff_direct(K, m)
+    closed = kostant_codiff_closed(K, m, consts)
+    traces = trace_conditions(K, m)
+    return {
+        "trace_conditions": traces,
+        "dstar_direct_zero": cochains.cochain1_is_zero(direct),
+        "dstar_closed_zero": cochains.cochain1_is_zero(closed),
+        "direct_equals_closed": all(direct[k] == closed[k] for k in direct),
+        "normal": cochains.cochain1_is_zero(direct) and all(traces.values()),
+    }
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_check_normality_matches_the_public_path(model_for, n, signature):
+    """The same report, on admissible components and on broken-S
+    components with unsym-S, also with one closed constant flipped so
+    that direct_equals_closed is false on the broken-S cochain."""
+    m = model_for(n, signature)
+    cc = closed_for(m)
+    rng = random.Random(90 + n)
+    for _ in range(2):
+        compo = random_components(rng, m.consts)
+        rep = check_normality(compo, m, cc)
+        assert rep == public_normality(compo, m, cc) and rep["normal"]
+    broken = broken_components(rng, m.consts)
+    for consts in (cc, dict(cc, c_eta1=-cc["c_eta1"])):
+        rep = check_normality(broken, m, consts, validate=False, tamper="unsym-S")
+        assert rep == public_normality(broken, m, consts, validate=False, tamper="unsym-S")
+        assert not rep["normal"]
+        assert rep["direct_equals_closed"] == (consts is cc)
+
+
+def test_check_normality_builds_no_cochain(model_for, monkeypatch):
+    """One check_normality on admissible n = 2 components constructs no
+    Cochain2 and divides no kappa column (no GaussRational.from_ints);
+    assembling the same kappa constructs one and divides every column."""
+    m = model_for(2)
+    cc = closed_for(m)
+    compo = random_components(random.Random(83), m.consts)
+    assert check_normality(compo, m, cc)["normal"]  # the matrices exist
+    cochains_made, divided = [], []
+    init, from_ints = Cochain2.__init__, GaussRational.from_ints
+
+    def counting_init(self, *args, **kwargs):
+        cochains_made.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_from_ints(*args):
+        divided.append(1)
+        return from_ints(*args)
+
+    monkeypatch.setattr(Cochain2, "__init__", counting_init)
+    monkeypatch.setattr(GaussRational, "from_ints", staticmethod(counting_from_ints))
+    assert check_normality(compo, m, cc)["normal"]
+    assert cochains_made == [] and divided == []
+    K = assemble_kappa(compo, m)
+    assert len(cochains_made) == 1 and len(divided) == len(K.row) > 0
+
+
+# ---------------------------------------------------------------------------
 # inputs stay untouched, no LieCoord is negated
 
 
@@ -422,25 +490,32 @@ def _model_state(m: SpModel):
 
 
 def test_check_normality_leaves_inputs_untouched(model_for, monkeypatch):
+    """The integer kappa rows check_normality evaluates, the components
+    and the model's dual frames and brackets are the same after the
+    check as when they were made."""
     m = model_for(2)
     cc = closed_for(m)
     before = _model_state(m)
     seen = []
-    assemble = cochains.assemble_kappa
+    kappa_row = cochains._kappa_row
 
     def recording(*args, **kwargs):
-        K = assemble(*args, **kwargs)
-        seen.append((K, _cochain_state(K)))
-        return K
+        den, row = kappa_row(*args, **kwargs)
+        seen.append((row, list(row.items())))
+        return den, row
 
-    monkeypatch.setattr(cochains, "assemble_kappa", recording)
+    monkeypatch.setattr(cochains, "_kappa_row", recording)
     rng = random.Random(81)
-    assert check_normality(random_components(rng, m.consts), m, cc)["normal"]
+    good = random_components(rng, m.consts)
     broken = broken_components(rng, m.consts)
+    compos = [(c, components_to_json(c, m.consts.signature)) for c in (good, broken)]
+    assert check_normality(good, m, cc)["normal"]
     assert not check_normality(broken, m, cc, validate=False, tamper="unsym-S")["normal"]
     assert len(seen) == 2
-    for K, state in seen:
-        assert _cochain_state(K) == state
+    for row, items in seen:
+        assert list(row.items()) == items
+    for compo, doc in compos:
+        assert components_to_json(compo, m.consts.signature) == doc
     assert _model_state(m) == before
 
 

@@ -647,9 +647,10 @@ def test_one_solver_and_one_product():
     assert loops == [("model.py", "solve_many")]
     # cochains.py applies its matrices only through int_product_into, in
     # _apply, which each of the three maps calls once and which has no
-    # loop statement and no filtered or nested comprehension; it calls no
-    # bracket_sum, no helper but _apply reads a cochain's row, and the
-    # column number (i g + j) dim + k is spelled out in ``column`` alone
+    # loop statement, no nested comprehension and one filtered one, the
+    # column filter ``col in rows``; it calls no bracket_sum, no helper but
+    # _apply reads a cochain's row, and the column number
+    # (i g + j) dim + k is spelled out in ``column`` alone
     tree = ast.parse((Path(qcframe.__file__).parent / "cochains.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     methods = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -666,9 +667,11 @@ def test_one_solver_and_one_product():
         assert called(funcs[name]).count("_apply") == 1, name
     apply = funcs["_apply"]
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(apply))
-    assert all(len(node.generators) == 1 and not node.generators[0].ifs
-               for node in ast.walk(apply)
-               if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)))
+    comps = [node for node in ast.walk(apply)
+             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert all(len(node.generators) == 1 for node in comps)
+    filters = [cond for node in comps for cond in node.generators[0].ifs]
+    assert [ast.unparse(cond) for cond in filters] == ["col in rows"]
     assert not any(isinstance(node, ast.Attribute) and node.attr in ("bracket_sum", "entry", "vals")
                    for node in ast.walk(tree))
     assert [name for name, fn in funcs.items() if name.startswith("_") and any(
