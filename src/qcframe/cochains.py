@@ -893,10 +893,6 @@ def _trace_verdict(values: Dict[int, List[int]]) -> Dict[str, bool]:
     return {name: t not in broken for t, name in enumerate(_TRACES)}
 
 
-def cochain1_is_zero(d: Cochain1) -> bool:
-    return all(v.is_zero() for v in d.values())
-
-
 def _is_zero(values: Dict[int, List[int]]) -> bool:
     return not any(re or im for re, im in values.values())
 

@@ -44,26 +44,31 @@ is ever modified in place.
 
 ``differential`` sums in Gaussian integers instead.  A DRuleSet keeps
 each rule that ``differential`` reads a second time, as a ``View``: its
-terms, generator masks as they are, with the coefficients cleared
-(``gauss.cleared``) to integer pairs over the rule's own lcm denominator
-and each symbol monomial an id from the rule set's intern table.  The
-view of a conjugated symbol is made from the view of the symbol, in
-integers: conjugation relabels generators and symbols by units +1 or -1,
-so each row maps to one row and each (re, im) to +-(re, -im) over the same
-denominator, and the rule Form of the conjugate is decoded from that view.
-The form is cleared, each polynomial coefficient over its own lcm, on
-entry; every product is added in place to an integer cell ``[re, im]``
-over one common denominator, in one dict keyed by one int,
-``id << len(labels) | mask`` (``Cells``, ``_rule_into``); and each cell
-that does not cancel becomes one GaussRational at the end, grouped by
-generator mask in the order the cells were made: no GaussRational, no gcd
-and no tuple built per product.
+lcm denominator (``gauss.cleared``) and one flat integer tuple per term,
+``(rmask, rk, m, re, im)``: the generator mask as it is, the term's cell
+key ``rk = m << len(labels) | rmask``, the id ``m`` of its symbol monomial
+in the rule set's intern table and the coefficient's real and imaginary
+parts over the denominator.  The terms of one generator mask (a row) are
+contiguous, in the rule Form's order.  The view of a conjugated symbol is
+made from the view of the symbol, in integers: conjugation relabels
+generators and symbols by units +1 or -1, so each term maps to one term
+and each (re, im) to +-(re, -im) over the same denominator, and the rule
+Form of the conjugate is decoded from that view.  The form is cleared,
+each polynomial coefficient over its own lcm, on entry; every product is
+added in place to an integer cell ``[re, im]`` over one common
+denominator, in one dict keyed by one int, ``id << len(labels) | mask``
+(``Cells``, ``_rule_into``), which a product with an empty symbol
+monomial gets by or'ing the rule term's ``rk`` with the key of x's term;
+and each cell that does not cancel becomes one GaussRational at the end,
+grouped by generator mask in the order the cells were made: no
+GaussRational, no gcd and no tuple built per product.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .gauss import ONE, GaussRational, axpy, cleared
@@ -114,6 +119,13 @@ CURVATURE_FAMILIES = ("S", "V", "L", "M", "C", "H", "P", "Q", "R")
 CONTROL_FAMILIES = {"Vns": "V", "Sns": "S"}
 
 
+def _sorted_if_symmetric(family: str, idx: Tuple[int, ...]) -> Tuple[int, ...]:
+    """idx sorted if ``family`` is a known totally symmetric family, else
+    as it is."""
+    spec = FAMILIES.get(family)
+    return tuple(sorted(idx)) if spec is not None and spec[1] else idx
+
+
 class Sym(NamedTuple):
     family: str
     idx: Tuple[int, ...]
@@ -129,11 +141,11 @@ Mono = Tuple[Sym, ...]
 Terms = Dict[Mono, GaussRational]  # the coefficients of one Poly
 Acc = Dict[int, Terms]  # generator mask -> its coefficients
 # one term of a rule in Gaussian integers over a denominator known to the
-# caller: its generator mask, then the ids of the symbol monomials of its
-# coefficient (interned by the DRuleSet) and, in parallel, their real and
-# imaginary parts
-Row = Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-View = Tuple[int, Tuple[Row, ...]]  # a rule: (lcm denominator, its rows)
+# caller: (rmask, rk, m, re, im), its generator mask, its cell key
+# m << len(labels) | rmask, the id of its symbol monomial (interned by the
+# DRuleSet) and the real and imaginary parts
+ViewTerm = Tuple[int, int, int, int, int]
+View = Tuple[int, Tuple[ViewTerm, ...]]  # (lcm denominator, terms), a row contiguous
 # the terms differential sums: id << len(labels) | mask, for a symbol
 # monomial id and a generator mask, -> [re, im], zeros kept
 Cells = Dict[int, List[int]]
@@ -162,33 +174,59 @@ def _mul_into(out: Terms, t1: Terms, t2: Terms, neg: bool = False) -> None:
                     out[m] = c
 
 
-def _rule_into(acc: Cells, t1: List[Tuple[int, int, int]], rows: Tuple[Row, ...],
+def _rule_into(acc: Cells, t1: List[Tuple[int, int, int]], terms: Tuple[ViewTerm, ...],
                xmask: int, i: int, f: int, product: Callable[[int, int], int],
                shift: int) -> None:
     """acc += f * (-1)^(i (1 + |r|)) * (r ^ x) * t1, summed over the terms
-    r of a rule's rows, in place on Gaussian-integer cells: x is the
+    r of a rule's view, in place on Gaussian-integer cells: x is the
     generator monomial ``xmask`` and t1 holds its (symbol monomial id, re,
     im) triples; ``product`` gives the id of the product of two nonempty
     symbol monomials.  A term's cell is keyed by ``id << shift | mask``,
-    ``shift`` the number of generators.  Nothing is reduced and a cell that
-    cancels stays, so each product is four integer products and two sums.
+    ``shift`` the number of generators, so a product with an empty
+    monomial (id 0) is keyed by or'ing the rule term's key ``rk`` with
+    ``m1 << shift | xmask``.  Nothing is reduced and a cell that cancels
+    stays, so each product is four integer products and two sums.
 
     r ^ x is r | x unless they share a generator, and its sign is the
     parity of the pairs (a generator of r, a smaller one of x).  The curved
-    d^2 only places rows against one generator h of x (or none), and a
-    symbol rule's one-generator rows against x, so both take one bit count:
-    the generators of r above h, or those of x below the one of r."""
-    if len(t1) == 1:
-        (m1, a1, b1), = t1
-        fa, fb = f * a1, f * b1
-    else:
-        m1 = None
+    d^2 only places terms against one generator h of x (or none), and a
+    symbol rule's one-generator terms against x, so both take one bit
+    count: the generators of r above h, or those of x below the one of r.
+
+    With several terms in t1 the terms of each rule row (one generator
+    mask, contiguous in the view) are walked with t1 outside, so cells are
+    made row by row, and within a row term of t1 by term of t1."""
+    if len(t1) > 1:
+        for rmask, row in groupby(terms, itemgetter(0)):
+            if rmask & xmask:
+                continue
+            mask = rmask | xmask
+            neg = (_crossings(rmask, xmask) + (i & 1) * (1 + rmask.bit_count())) & 1
+            g = -f if neg else f
+            row = tuple(row)
+            for m1, a1, b1 in t1:
+                a1, b1 = a1 * g, b1 * g
+                base = m1 << shift | xmask
+                for _, rk, m2, a2, b2 in row:
+                    # id 0 is the empty monomial, the unit of the product
+                    key = product(m1, m2) << shift | mask if m1 and m2 else rk | base
+                    re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                    cell = acc.get(key)
+                    if cell is None:
+                        acc[key] = [re, im]
+                    else:
+                        cell[0] += re
+                        cell[1] += im
+        return
+    (m1, a1, b1), = t1
+    fa, fb = f * a1, f * b1
+    base = m1 << shift | xmask
     one = not xmask & (xmask - 1)
     if one:
         # with i odd, (-1)^(1 + |r|) turns the count of the generators of
         # r above h into that of those below h, flipped
         sel, flip = (xmask - 1, 1) if i & 1 else (~((xmask << 1) - 1), 0)
-    for rmask, ids, res, ims in rows:
+    for rmask, rk, m2, a2, b2 in terms:
         if rmask & xmask:
             continue
         if one:
@@ -198,35 +236,16 @@ def _rule_into(acc: Cells, t1: List[Tuple[int, int, int]], rows: Tuple[Row, ...]
             neg = (xmask & (rmask - 1)).bit_count() & 1
         else:
             neg = (_crossings(rmask, xmask) + (i & 1) * (1 + rmask.bit_count())) & 1
-        mask = rmask | xmask
-        if m1 is not None and len(ids) == 1:
-            m2, a2, b2 = ids[0], res[0], ims[0]
-            m = product(m1, m2) if m1 and m2 else m1 | m2
-            re, im = fa * a2 - fb * b2, fa * b2 + fb * a2
-            if neg:
-                re, im = -re, -im
-            key = m << shift | mask
-            cell = acc.get(key)
-            if cell is None:
-                acc[key] = [re, im]
-            else:
-                cell[0] += re
-                cell[1] += im
-            continue
-        g = -f if neg else f
-        for n1, a1, b1 in t1:
-            a1, b1 = a1 * g, b1 * g
-            for m2, a2, b2 in zip(ids, res, ims):
-                # id 0 is the empty monomial, the unit of the product
-                m = product(n1, m2) if n1 and m2 else n1 | m2
-                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                key = m << shift | mask
-                cell = acc.get(key)
-                if cell is None:
-                    acc[key] = [re, im]
-                else:
-                    cell[0] += re
-                    cell[1] += im
+        key = product(m1, m2) << shift | rmask | xmask if m1 and m2 else rk | base
+        re, im = fa * a2 - fb * b2, fa * b2 + fb * a2
+        if neg:
+            re, im = -re, -im
+        cell = acc.get(key)
+        if cell is None:
+            acc[key] = [re, im]
+        else:
+            cell[0] += re
+            cell[1] += im
 
 
 def _crossings(rmask: int, xmask: int) -> int:
@@ -383,8 +402,15 @@ class Exterior(Alphabet):
         idx = tuple(idx)
         p = self._syms.get((family, idx, conj))
         if p is None:
-            unit, s = self._canonical_sym(family, idx, conj)
-            p = self._syms[family, idx, conj] = Poly._wrap({(s,): ONE if unit == 1 else -ONE})
+            # every ordering of a symmetric family's indices names one
+            # symbol: it is canonicalized once, under the sorted indices
+            sidx = _sorted_if_symmetric(family, idx)
+            p = self._syms.get((family, sidx, conj))
+            if p is None:
+                unit, s = self._canonical_sym(family, sidx, conj)
+                p = self._syms[family, sidx, conj] = Poly._wrap(
+                    {(s,): ONE if unit == 1 else -ONE})
+            self._syms[family, idx, conj] = p
         return p
 
     def _canonical_sym(self, family: str, idx: Tuple[int, ...], conj: bool) -> Tuple[int, Sym]:
@@ -416,8 +442,14 @@ class Exterior(Alphabet):
         idx = tuple(idx)
         p = self._jsyms.get((family, idx))
         if p is None:
-            target, m = self.consts.j(idx)
-            p = self._jsyms[family, idx] = self.sym(family, target, conj=True).scale(m)
+            # p and m permute with the indices, so a symmetric family's
+            # j-image depends only on the sorted indices
+            sidx = _sorted_if_symmetric(family, idx)
+            p = self._jsyms.get((family, sidx))
+            if p is None:
+                target, m = self.consts.j(sidx)
+                p = self._jsyms[family, sidx] = self.sym(family, target, conj=True).scale(m)
+            self._jsyms[family, idx] = p
         return p
 
     def _conj_sym(self, s: Sym) -> Tuple[int, Sym]:
@@ -636,7 +668,7 @@ class DRuleSet:
     The rule of a conjugated symbol is the conjugate of the rule of the
     symbol, and it is made in integers: conjugation relabels generator
     and symbol monomials one to one by units (``Exterior.conj_mask``,
-    ``Exterior.conj_mono``, ``_conj_id``), so the view of ~s has the rows
+    ``Exterior.conj_mono``, ``_conj_id``), so the view of ~s has the terms
     of the view of s, relabeled, each (re, im) turned into +-(re, -im) over
     the same denominator.  ``sym_rule(~s)`` decodes that view."""
 
@@ -647,7 +679,6 @@ class DRuleSet:
         self._sym_rules = sym_rules
         self._sym_cache: Dict[Sym, Form] = {}
         self._views: Dict[Union[int, Sym], View] = {}
-        self._shared: Dict[Union[int, tuple], Union[int, tuple]] = {}
         self._ids: Dict[Mono, int] = {(): 0}
         self._monos: List[Mono] = [()]
         self._products: Dict[Tuple[int, int], int] = {}
@@ -712,41 +743,35 @@ class DRuleSet:
         """A rule Form as a View."""
         den, parts = cleared([c for p in rule.terms.values() for c in p.terms.values()])
         parts = iter(parts)
-        # equal tuples are stored once: most coefficients repeat
-        share = self._shared.setdefault
-        rows = []
-        for rm, p in rule.terms.items():
-            ids = tuple(map(self._intern, p.terms))
-            res, ims = zip(*islice(parts, len(ids)))
-            rows.append((share(rm, rm), share(ids, ids), share(res, res), share(ims, ims)))
-        return den, tuple(rows)
+        intern, shift = self._intern, len(self.ext.labels)
+        terms = []
+        for rmask, p in rule.terms.items():
+            for mono, (re, im) in zip(p.terms, parts):
+                m = intern(mono)
+                terms.append((rmask, m << shift | rmask, m, re, im))
+        return den, tuple(terms)
 
     def _conj_view(self, view: View) -> View:
-        """The view of the conjugate of a rule, from the rule's view: rows
-        and terms keep their order."""
-        den, rows = view
-        conj_mask, conj_id = self.ext.conj_mask, self._conj_id
-        share = self._shared.setdefault
+        """The view of the conjugate of a rule, from the rule's view: the
+        terms keep their order, so each row stays contiguous."""
+        den, terms = view
+        conj_mask, conj_id, shift = self.ext.conj_mask, self._conj_id, len(self.ext.labels)
         out = []
-        for mask, ids, res, ims in rows:
-            mask, unit = conj_mask(mask)
-            pairs = [conj_id(m) for m in ids]
-            ids = tuple([m for m, _ in pairs])
-            res = tuple([unit * u * a for (_, u), a in zip(pairs, res)])
-            ims = tuple([-unit * u * b for (_, u), b in zip(pairs, ims)])
-            out.append((share(mask, mask), share(ids, ids), share(res, res),
-                        share(ims, ims)))
+        for rmask, _, m, re, im in terms:
+            rmask, unit = conj_mask(rmask)
+            m, u = conj_id(m)
+            u *= unit
+            out.append((rmask, m << shift | rmask, m, u * re, -u * im))
         return den, tuple(out)
 
     def _decode(self, view: View) -> Form:
         """A view read back as a Form."""
-        den, rows = view
+        den, terms = view
         monos = self._monos
-        out = Form(self.ext)
-        out.terms = {mask: Poly._wrap({monos[m]: GaussRational.from_ints(a, b, den)
-                                       for m, a, b in zip(ids, res, ims)})
-                     for mask, ids, res, ims in rows}
-        return out
+        acc: Acc = {}
+        for rmask, _, m, re, im in terms:
+            _bucket(acc, rmask)[monos[m]] = GaussRational.from_ints(re, im, den)
+        return from_acc(self.ext, acc)
 
 
 def differential(x: Form, rules: DRuleSet) -> Form:
@@ -791,15 +816,15 @@ def differential(x: Form, rules: DRuleSet) -> Form:
         # d(coefficient) ^ mono
         for smono, (a, b) in zip(smonos, ints):
             for k, s in enumerate(smono):
-                den, rows = view(s)
-                if rows:
-                    _rule_into(acc, [(intern(smono[:k] + smono[k + 1:]), a, b)], rows,
+                den, rterms = view(s)
+                if rterms:
+                    _rule_into(acc, [(intern(smono[:k] + smono[k + 1:]), a, b)], rterms,
                                xmask, 0, f * (rden // den), product, shift)
         # Leibniz over the generators of the monomial
         for i, g in enumerate(gens):
-            den, rows = view(g)
-            if rows:
-                _rule_into(acc, terms, rows, xmask ^ (1 << g), i, f * (rden // den), product,
+            den, rterms = view(g)
+            if rterms:
+                _rule_into(acc, terms, rterms, xmask ^ (1 << g), i, f * (rden // den), product,
                            shift)
     den = xden * rden
     monos = rules._monos

@@ -759,11 +759,12 @@ def star_two_path_check(n: int, signature: Tuple[int, int] = None) -> bool:
     ok = True
     for fam in CURVATURE_FAMILIES:
         for idx in _family_indices(n, fam):
-            # path (a) - path (b) = d(symbol) - (tilde + direct)
+            # path (a) = d(symbol), path (b) = tilde + direct, compared
+            # as canonical Forms
             both = b.form(b.tilde_star, fam, idx) + b.form(b.secondary_part, fam, idx)
             for conj in (False, True):
                 via_rules = differential(ext.scalar(ext.sym(fam, idx, conj)), rules)
-                ok &= (via_rules - (both.conj() if conj else both)).is_zero()
+                ok &= via_rules == (both.conj() if conj else both)
     return ok
 
 
@@ -773,13 +774,13 @@ def star_symmetry_check(n: int, signature: Tuple[int, int] = None) -> bool:
     import itertools
     for idx in itertools.product(b.R, repeat=4):
         base = b.form(b.secondary_part, "S", tuple(sorted(idx)))
-        if not (b.form(b.secondary_part, "S", tuple(idx)) - base).is_zero():
+        if b.form(b.secondary_part, "S", tuple(idx)) != base:
             return False
     # j S* = S*: (j S*)_idx = m conj(S*_{p(idx)})
     for idx in itertools.combinations_with_replacement(b.R, 4):
         target, m = b.c.j(idx)
         jstar = b.form(b.secondary_part, "S", target).conj().scale(m)
-        if not (jstar - b.form(b.secondary_part, "S", idx)).is_zero():
+        if jstar != b.form(b.secondary_part, "S", idx):
             return False
     return True
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from qcframe import coframe, cochains
-from qcframe.cochains import (Cochain2, CurvatureComponents, assemble_kappa,
-                              broken_components, check_normality,
-                              cochain1_is_zero, codiff_closed_constants,
+from qcframe.cochains import (Cochain1, Cochain2, CurvatureComponents,
+                              assemble_kappa, broken_components,
+                              check_normality, codiff_closed_constants,
                               components_from_json, components_to_json,
                               gminus_keys, homogeneity_classify,
                               kappa_coordinate_forms,
@@ -23,6 +23,10 @@ from qcframe.model import LieCoord, SpModel
 from qcframe.rules import build_rules
 from qcframe.tensors import (IndexedTensor, SymTensor, j_average, random_tensor,
                              slots)
+
+
+def cochain1_is_zero(d: Cochain1) -> bool:
+    return all(v.is_zero() for v in d.values())
 
 
 @pytest.fixture(scope="module")

@@ -410,6 +410,10 @@ def test_matches_reference_on_random_lemma_cochains_indefinite(model_for, K):
 # check_normality against the public path
 
 
+def cochain1_is_zero(d: Cochain1) -> bool:
+    return all(v.is_zero() for v in d.values())
+
+
 def public_normality(compo, m: SpModel, consts: dict, validate=True, tamper=None) -> dict:
     """check_normality's report through the public maps on the assembled
     kappa."""
@@ -419,10 +423,10 @@ def public_normality(compo, m: SpModel, consts: dict, validate=True, tamper=None
     traces = trace_conditions(K, m)
     return {
         "trace_conditions": traces,
-        "dstar_direct_zero": cochains.cochain1_is_zero(direct),
-        "dstar_closed_zero": cochains.cochain1_is_zero(closed),
+        "dstar_direct_zero": cochain1_is_zero(direct),
+        "dstar_closed_zero": cochain1_is_zero(closed),
         "direct_equals_closed": all(direct[k] == closed[k] for k in direct),
-        "normal": cochains.cochain1_is_zero(direct) and all(traces.values()),
+        "normal": cochain1_is_zero(direct) and all(traces.values()),
     }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -156,6 +157,35 @@ def test_symbol_canonicalization_symmetry(ext):
     a = ext.sym("S", (2, 1, 1, 2))
     b = ext.sym("S", (1, 1, 2, 2))
     assert a == b
+
+
+def test_symbol_orderings_are_canonicalized_once(monkeypatch):
+    """Every ordering of a symmetric family's indices is canonicalized
+    once and gets the one cached polynomial (its j-image likewise), equal
+    to what a fresh Exterior gives; an unsymmetrized family keeps one
+    symbol per ordering."""
+    ext, fresh = Exterior(2), Exterior(2)
+    calls = []
+    canonical = Exterior._canonical_sym
+
+    def counted(self, *args):
+        calls.append(args)
+        return canonical(self, *args)
+
+    monkeypatch.setattr(Exterior, "_canonical_sym", counted)
+    cases = [(family, list(itertools.permutations((4, 1, 3, 2)[:FAMILIES[family][0]])))
+             for family in ("S", "V", "M")]
+    for family, orders in cases:
+        for conj in (False, True):
+            calls.clear()
+            polys = [ext.sym(family, idx, conj) for idx in orders]
+            assert len(calls) == 1 and all(p is polys[0] for p in polys), (family, conj)
+            assert polys[0] == fresh.sym(family, orders[0], conj)
+    for family, orders in cases:
+        jimages = [ext.jsym(family, idx) for idx in orders]
+        assert all(p is jimages[0] for p in jimages), family
+        assert jimages[0] == fresh.jsym(family, orders[0])
+    assert ext.sym("Sns", (1, 2, 3, 4)) != ext.sym("Sns", (2, 1, 3, 4))
 
 
 def test_jreal_conj_rewrite(ext):

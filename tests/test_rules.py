@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 
 import pytest
 
@@ -156,13 +157,19 @@ def test_each_correction_is_necessary_n2(tweaks, failing):
 
 
 def view_form(rules, view):
-    """A DRuleSet.view read back as a Form: ids decoded to symbol
-    monomials through the rule set's table."""
-    den, rows = view
-    monos = rules._monos
-    return Form(rules.ext, {mask: Poly({monos[m]: GaussRational.from_ints(a, b, den)
-                                        for m, a, b in zip(ids, res, ims)})
-                            for mask, ids, res, ims in rows})
+    """A DRuleSet.view read back as a Form: each term (rmask, rk, m, re,
+    im) decoded to its symbol monomial through the rule set's table.  The
+    key rk must be m << len(labels) | rmask, and the terms of one
+    generator mask (a row) contiguous."""
+    den, terms = view
+    monos, shift = rules._monos, len(rules.ext.labels)
+    runs = [rmask for rmask, _ in itertools.groupby(t[0] for t in terms)]
+    assert len(runs) == len(set(runs)), "a row of the view is split"
+    rows = {}
+    for rmask, rk, m, a, b in terms:
+        assert rk == m << shift | rmask, (rmask, rk, m)
+        rows.setdefault(rmask, {})[monos[m]] = GaussRational.from_ints(a, b, den)
+    return Form(rules.ext, {mask: Poly(coeffs) for mask, coeffs in rows.items()})
 
 
 def test_interned_generators_and_symbols_stay_intact(monkeypatch):
@@ -302,12 +309,12 @@ def test_star_two_path_reads_the_conjugate_views(monkeypatch):
     made = []
 
     def tampered(self, view):
-        den, rows = conj_view(self, view)
+        den, terms = conj_view(self, view)
         if not made:
-            (mask, ids, res, ims), *rest = rows
-            rows = ((mask, ids, (-res[0],) + res[1:], (-ims[0],) + ims[1:]), *rest)
-        made.append(rows)
-        return den, tuple(rows)
+            (rmask, rk, m, re, im), *rest = terms
+            terms = ((rmask, rk, m, -re, -im), *rest)
+        made.append(terms)
+        return den, tuple(terms)
 
     monkeypatch.setattr(DRuleSet, "_conj_view", tampered)
     assert not star_two_path_check(1)
@@ -329,8 +336,36 @@ def test_conjugate_views_are_the_conjugate_rules(n, signature):
         got = rules.sym_rule(s)
         assert [(m, list(p.terms.items())) for m, p in got.terms.items()] == \
             [(m, list(p.terms.items())) for m, p in want.terms.items()], s
-        assert rules.view(s)[0] == rules.view(base)[0]
+        (den, terms), (base_den, base_terms) = rules.view(s), rules.view(base)
+        assert den == base_den
+        # term for term: each term relabeled in place, rows kept whole
+        assert [rules.ext.conj_mask(t[0])[0] for t in base_terms] == [t[0] for t in terms]
+        assert [rules._conj_id(t[2])[0] for t in base_terms] == [t[2] for t in terms]
         assert view_form(rules, rules.view(s)) == got
+
+
+def test_negated_generator_view_term_breaks_d_square():
+    """Negative control: with one term of one generator rule's view
+    negated, d^2 no longer vanishes, though the rule Form is untouched."""
+    rules = build_rules(1, "curved")
+    assert all(v.is_zero() for v in d_square_report(rules).values())
+    g = rules.ext.gid[("theta", 1, False)]
+    den, ((rmask, rk, m, re, im), *rest) = rules.view(g)
+    rules._views[g] = den, ((rmask, rk, m, -re, -im), *rest)
+    assert any(not v.is_zero() for v in d_square_report(rules).values())
+
+
+@pytest.mark.parametrize("n, views, terms", [(1, 56, 1118), (2, 162, 5343)])
+def test_view_term_count(n, views, terms):
+    """The views d^2 reads hold one entry per term of their rules: the
+    count after the curved d^2 report is pinned, and a second report adds
+    no view."""
+    rules = build_rules(n, "curved")
+    d_square_report(rules)
+    count = (len(rules._views), sum(len(t) for _, t in rules._views.values()))
+    assert count == (views, terms)
+    d_square_report(rules)
+    assert (len(rules._views), sum(len(t) for _, t in rules._views.values())) == count
 
 
 # the scalar accessors of the constants: a call of one inside a loop is a
