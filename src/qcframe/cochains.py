@@ -15,10 +15,10 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import InputError, rational_from_json
 from .gauss import I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
@@ -229,20 +229,15 @@ class _Layout(NamedTuple):
     gindex: Mapping[Key, int]  # g_- key -> its position i
     keys: Tuple[Key, ...]
     index: Mapping[Key, int]  # coordinate key -> its position k
-    pair_grade: Tuple[int, ...]  # pair number i * g + j -> grade(e_i) + grade(e_j)
-    key_grade: Tuple[int, ...]  # coordinate number k -> its grade
-    lemma: Tuple[bool, ...]  # coordinate number k -> in sp(n) + g_1 + g_2
 
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> _Layout:
     keys = tuple(coframe.coord_keys(n))
-    grades = tuple(coframe.grade(k) for k in keys)
-    g = sum(grade < 0 for grade in grades)  # the g_- keys lead the coordinate keys
+    g = sum(coframe.grade(k) < 0 for k in keys)  # the g_- keys lead the coordinate keys
     index = {k: i for i, k in enumerate(keys)}
     return _Layout(keys[:g], MappingProxyType({k: index[k] for k in keys[:g]}), keys,
-                   MappingProxyType(index), tuple(a + b for a in grades[:g] for b in grades[:g]),
-                   grades, tuple(k[0] in ("Gam", "phiU", "psi") for k in keys))
+                   MappingProxyType(index))
 
 
 def gminus_keys(n: int) -> Tuple[Key, ...]:
@@ -279,44 +274,81 @@ def _pair_columns(n: int, x: Key, y: Key) -> Tuple[Mapping[int, Key], int]:
     return MappingProxyType(at if sign else {}), sign
 
 
+# a cochain row in Python integers: (den, column -> (re, im) over den)
+IntRow = Tuple[int, Dict[int, Tuple[int, int]]]
+
+
+def _canonical(den: int, ints: Dict[int, Tuple[int, int]]) -> IntRow:
+    """The row (den, ints), den > 0, divided by the gcd of den and every
+    part: den 1 when ints is empty."""
+    g = den
+    for re, im in ints.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return den, ints
+    return den // g, {col: (re // g, im // g) for col, (re, im) in ints.items()}
+
+
 class Cochain2:
     """Antisymmetric map on pairs of g_- basis vectors, stored as one
-    sparse row: ``column(n, x, y, key)`` -> the nonzero value of
-    K(e_i, e_j)[key], i < j, in ascending column order.  ``get`` and
-    ``set_pair`` view it pair by pair."""
+    canonical Gaussian-integer row: ``ints`` maps ``column(n, x, y, key)``
+    to (re, im), the nonzero value K(e_i, e_j)[key] = (re + i im) / ``den``
+    for i < j, in ascending column order, with den > 0 and
+    gcd(den, every part) == 1, so that equal cochains are stored alike.
+    The constructor takes ``ints`` in column order and reduces it.  ``get``
+    and ``set_pair`` view it pair by pair; ``row`` decodes it whole."""
 
-    def __init__(self, n: int, row: Optional[Dict[int, GaussRational]] = None):
+    def __init__(self, n: int, den: int = 1,
+                 ints: Optional[Dict[int, Tuple[int, int]]] = None):
         self.n = n
-        self.row: Dict[int, GaussRational] = {} if row is None else row
+        self.den, self.ints = _canonical(den, {} if ints is None else ints)
+
+    @property
+    def row(self) -> Dict[int, GaussRational]:
+        """Column -> value, in column order, each value divided out."""
+        den, new = self.den, GaussRational.from_ints
+        return {col: new(re, im, den) for col, (re, im) in self.ints.items()}
 
     def set_pair(self, x: Key, y: Key, value: LieCoord) -> None:
         """K(x, y) = value, and so K(y, x) = -value."""
         at, sign = _pair_columns(self.n, x, y)
         if not sign:
             raise ValueError("cochain argument pair must be distinct")
-        row = {col: v for col, v in self.row.items() if col not in at}
-        row.update((col, v if sign > 0 else -v) for col, key in at.items()
-                   if (v := value.c.get(key)) is not None)
-        self.row = dict(sorted(row.items()))
+        vals = {col: v for col, key in at.items() if (v := value.c.get(key)) is not None}
+        dv, ints = cleared(vals.values())
+        den = lcm(self.den, dv)
+        old, fv = den // self.den, sign * (den // dv)
+        row = {col: (re * old, im * old) for col, (re, im) in self.ints.items() if col not in at}
+        row.update((col, (re * fv, im * fv)) for col, (re, im) in zip(vals, ints) if re or im)
+        self.den, self.ints = _canonical(den, dict(sorted(row.items())))
 
     def get(self, x: Key, y: Key) -> LieCoord:
         at, sign = _pair_columns(self.n, x, y)
-        row = self.row  # the view intersection walks the shorter of the two
-        return LieCoord.adopt(self.n, {at[col]: row[col] if sign > 0 else -row[col]
-                                       for col in sorted(at.keys() & row.keys())})
+        ints, den, new = self.ints, sign * self.den, GaussRational.from_ints
+        # the view intersection walks the shorter of the two
+        return LieCoord.adopt(self.n, {at[col]: new(*ints[col], den)
+                                       for col in sorted(at.keys() & ints.keys())})
 
     def is_zero(self) -> bool:
-        return not self.row
+        return not self.ints
 
     def in_lemma_space(self) -> bool:
         """Values confined to sp(n) + g_1 + g_2 (no eta/theta/phi0/phi_s)."""
-        return _in_lemma_space(self.n, self.row)
+        return self.ints.keys() <= _lemma_columns(self.n)[1]
 
 
-def _in_lemma_space(n: int, cols) -> bool:
-    """Every column holds a coordinate of sp(n) + g_1 + g_2."""
-    lay = _layout(n)
-    return all(lay.lemma[col % len(lay.keys)] for col in cols)
+# the coordinate families of sp(n) + g_1 + g_2
+_LEMMA = ("Gam", "phiU", "psi")
+
+
+@lru_cache(maxsize=None)
+def _lemma_columns(n: int) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
+    """The columns of every sp(n) + g_1 + g_2 coordinate, ascending, and
+    as a set."""
+    gkeys = gminus_keys(n)
+    cols = tuple(col for i, x in enumerate(gkeys) for y in gkeys[i + 1:]
+                 for col, key in _pair_columns(n, x, y)[0].items() if key[0] in _LEMMA)
+    return cols, frozenset(cols)
 
 
 Cochain1 = Dict[Key, LieCoord]
@@ -324,15 +356,11 @@ Cochain1 = Dict[Key, LieCoord]
 
 def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
     """Random antisymmetric cochain valued in sp(n) + g_1 + g_2: pair by
-    pair, each lemma coordinate in coord_keys order."""
-    out = Cochain2(n)
-    lay = _layout(n)
-    for i, ki in enumerate(lay.gkeys):
-        for kj in lay.gkeys[i + 1:]:
-            for col, lemma in zip(_pair_columns(n, ki, kj)[0], lay.lemma):
-                if lemma and not (v := random_gauss(rng, span, 2)).is_zero():
-                    out.row[col] = v
-    return out
+    pair, each lemma coordinate in coord_keys order, the nonzero draws
+    cleared once into the row."""
+    cols = _lemma_columns(n)[0]
+    den, ints = cleared([random_gauss(rng, span, 2) for _ in cols])
+    return Cochain2(n, den, {col: v for col, v in zip(cols, ints) if v != (0, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +440,7 @@ def _kappa(n: int, signature: Optional[Tuple[int, int]],
     flat = build_rules(n, "flat", sig)
     out: Dict[Key, Form] = {}
     for key in coframe.coord_keys(n):
-        if key[0] not in ("Gam", "phiU", "psi"):
+        if key[0] not in _LEMMA:
             continue
         gid = curved.ext.gid[key]
         diff = curved.gen_rules[gid] - flat.gen_rules[gid]
@@ -454,10 +482,6 @@ def _field_entries(compo: CurvatureComponents, n: int
             raise ValueError(f"{fam} is not an n = {n} array with {arity} slots")
         out[fam] = t.entries, isinstance(t, SymTensor)
     return out
-
-
-# a cochain row in Python integers: (den, column -> (re, im) over den)
-IntRow = Tuple[int, Dict[int, Tuple[int, int]]]
 
 
 def _kappa_row(compo: CurvatureComponents, model: SpModel,
@@ -509,13 +533,12 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
     and cleared coefficients the plan compiled: each field's entries are
     fetched and cleared once and read by key, and the monomials of a
     family group that reads a zero field are skipped with one test.  Only
-    a nonzero monomial is added into the columns it feeds, and each
-    nonzero column is divided once (``_kappa_row``).  ``validate=False``
+    a nonzero monomial is added into the columns it feeds
+    (``_kappa_row``), and the row is kept in integers, reduced; no column
+    is divided.  ``validate=False``
     with ``tamper='unsym-S'`` admits invalid components, so that symmetry
     violations surface as nonzero normality residuals instead."""
-    den, row = _kappa_row(compo, model, validate, tamper)
-    new = GaussRational.from_ints
-    return Cochain2(model.n, {col: new(re, im, den) for col, (re, im) in row.items()})
+    return Cochain2(model.n, *_kappa_row(compo, model, validate, tamper))
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +548,9 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 # a Gaussian-integer matrix over one denominator, built on first use and
 # kept on the SpModel, as dual_brackets() is.  A matrix is stored by its
 # rows: input column -> the entries (output, re, im), its input columns
-# numbered by ``column``, as K's row is.  An evaluation clears K's row,
-# multiplies it by the matrix in one model.int_product_into and decodes
-# the outputs.  Nothing stored in K, dual_frames() or dual_brackets() is
+# numbered by ``column``, as K's row is.  An evaluation multiplies K's
+# integer row by the matrix in one model.int_product_into and decodes the
+# outputs.  Nothing stored in K, dual_frames() or dual_brackets() is
 # modified.
 
 # (denominator, rows) of a kept matrix
@@ -575,17 +598,11 @@ def _apply(K: Union[Cochain2, IntRow], model: SpModel, attr: str,
            build) -> Tuple[int, Dict[int, List[int]]]:
     """K times the matrix kept as ``attr``: output -> [re, im] over the
     returned denominator.  Only K's entries in the matrix's columns are
-    read; those of a ``Cochain2`` are then cleared over their own
-    denominator, an ``IntRow`` is read as it is."""
+    read, from the integer row of a ``Cochain2`` or an ``IntRow``."""
     den, rows = _kept(model, attr, build)
-    cochain = isinstance(K, Cochain2)
-    dk, row = (1, K.row) if cochain else K
-    read = {(0, col): v for col, v in row.items() if col in rows}
-    if cochain:
-        dk, ints = cleared(read.values())
-        read = dict(zip(read, ints))
+    dk, row = (K.den, K.ints) if isinstance(K, Cochain2) else K
     acc: Dict[Tuple[int, int], List[int]] = {}
-    int_product_into(acc, read, rows, 1)
+    int_product_into(acc, {(0, col): v for col, v in row.items() if col in rows}, rows, 1)
     return den * dk, {out: v for (_, out), v in acc.items()}
 
 
@@ -934,7 +951,7 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
     verify normality`` is what certifies the seven constants and the
     slots they scale."""
     K = _kappa_row(compo, model, validate, tamper)
-    if not _in_lemma_space(model.n, K[1]):
+    if not K[1].keys() <= _lemma_columns(model.n)[1]:
         raise ValueError("cochain has components outside sp(n)+g_1+g_2")
     dd, direct = _apply(K, model, "_direct_map", _build_direct)
     if closed_consts is None:
@@ -951,17 +968,27 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
     }
 
 
+@lru_cache(maxsize=None)
+def _weights(n: int) -> Tuple[int, ...]:
+    """Column -> its homogeneity k - i - j: the coordinate lies in g_k,
+    the pair's first key in g_i and its second in g_j."""
+    lay = _layout(n)
+    grades = [coframe.grade(k) for k in lay.keys]
+    g = len(lay.gkeys)
+    return tuple(gk - grades[i] - grades[j] for i in range(g) for j in range(g) for gk in grades)
+
+
 def homogeneity_classify(K: Cochain2) -> Dict[int, Cochain2]:
     """Split K by the grading weight: the piece of K(x, y) in g_k for
-    x in g_i, y in g_j contributes at homogeneity k - i - j, read off the
-    grade tables of ``_layout`` column by column.  The pieces keep K's
-    column order and come in the order of their first columns."""
-    lay = _layout(K.n)
-    rows: Dict[int, Dict[int, GaussRational]] = {}
-    for col, v in K.row.items():
-        pair, k = divmod(col, len(lay.keys))
-        rows.setdefault(lay.key_grade[k] - lay.pair_grade[pair], {})[col] = v
-    return {ell: Cochain2(K.n, row) for ell, row in rows.items()}
+    x in g_i, y in g_j contributes at homogeneity k - i - j, read off
+    ``_weights`` column by column.  The pieces keep K's integer columns in
+    K's order, each piece reduced, and come in the order of their first
+    columns."""
+    weight = _weights(K.n)
+    rows: Dict[int, Dict[int, Tuple[int, int]]] = {}
+    for col, v in K.ints.items():
+        rows.setdefault(weight[col], {})[col] = v
+    return {ell: Cochain2(K.n, K.den, row) for ell, row in rows.items()}
 
 
 def regularity_ok(K: Cochain2) -> bool:

@@ -643,14 +643,8 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
         raise ValueError(f"unknown mode {mode!r}")
     if tamper not in (None, "unsym-V", "unsym-S"):
         raise ValueError(f"unknown tamper {tamper!r}")
-    return _build_rules(RuleBuilder(n, signature, tweaks=tweaks, published=published),
-                        mode, tamper)
-
-
-def _build_rules(b: RuleBuilder, mode: str, tamper: Optional[str] = None) -> DRuleSet:
-    """``build_rules`` on the builder b: the table in b's Exterior, its
-    symbol rules built by b."""
-    n, ext = b.n, b.ext
+    b = RuleBuilder(n, signature, tweaks=tweaks, published=published)
+    ext = b.ext
     rules: Dict[int, Form] = {}
 
     def put(key, fill, *args):
@@ -745,17 +739,19 @@ def star_forms(n: int, signature: Tuple[int, int] = None) -> Dict[Tuple[str, Tup
 def star_two_path_check(n: int, signature: Tuple[int, int] = None) -> bool:
     """The starred one-forms two ways, for every component and its
     conjugate.  Path (a) reads d(symbol) as the kernel reads it,
-    ``differential`` of the symbol through the curved rule table (for a
-    conjugate, through the view conjugated in integers from the symbol's),
-    minus the tilde part; path (b) is the direct semibasic expansion,
-    conjugated by ``Form.conj`` for a conjugate.  Both read one
-    ``RuleBuilder``: the table is built on it, and path (b) writes the
-    tilde and semibasic parts itself, as two forms, apart from the
-    table's one-sum symbol rules.  Every pair is compared, so one wrong
-    entry of any view makes the result False."""
+    ``differential`` of the symbol through a rule set that holds the
+    curved symbol rules alone (for a conjugate, through the view
+    conjugated in integers from the symbol's), minus the tilde part; the
+    derivative of a scalar reads no generator rule, so none is built.
+    Path (b) is the direct semibasic expansion, conjugated by
+    ``Form.conj`` for a conjugate.  Both read one ``RuleBuilder``: the
+    symbol rules are its own, and path (b) writes the tilde and semibasic
+    parts itself, as two forms, apart from the one-sum symbol rules.
+    Every pair is compared, so one wrong entry of any view makes the
+    result False."""
     b = RuleBuilder(n, signature)
-    rules = _build_rules(b, "curved")
-    ext = rules.ext
+    ext = b.ext
+    rules = DRuleSet(ext, {}, b.symbol_rule)
     ok = True
     for fam in CURVATURE_FAMILIES:
         for idx in _family_indices(n, fam):

@@ -41,10 +41,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import InputError
-from .gauss import HALF, ONE, ZERO, GaussRational, axpy, gr, random_gauss
+from .gauss import ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
 
 UPPER = "upper"
 LOWER = "lower"
@@ -407,21 +407,28 @@ def conj(t: IndexedTensor) -> IndexedTensor:
 def jmap(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     """The antilinear endomorphism j: contract each slot of the
     conjugated array with the matching mixed pi.  Slot types are
-    preserved; applying j twice gives (-1)^slots.
+    preserved; applying j twice gives (-1)^slots."""
+    out = type(t)(t.n, t.slots)
+    for (key, sign), val in zip(_j_moves(t, c), t.entries.values()):
+        val = val.conj()
+        out.entries[key] = val if sign > 0 else -val
+    return out
+
+
+def _j_moves(t: IndexedTensor, c: StandardConstants):
+    """Where j takes each stored entry of t, in entry order: (key, sign)
+    with (jt)[key] = sign conj(t[idx]).
 
     pi couples each index only to its partner, so the entry at idx goes
     to p(idx) with the unit m of ``c.j(idx)``: an upper slot contributes
     m_b for its index b, a lower slot m_{p(b)} = -m_b, so the sign is m
-    negated once per lower slot."""
-    out = type(t)(t.n, t.slots)
+    negated once per lower slot.  p is a bijection, so every target
+    index (or orbit, for a SymTensor) is hit once."""
     sym = isinstance(t, SymTensor)
     keep = -1 if sum(s.variance == LOWER for s in t.slots) % 2 else 1
-    for idx, val in t.entries.items():
+    for idx in t.entries:
         target, m = c.j(idx)
-        val = val.conj()
-        # p is a bijection, so every target index (or orbit) is hit once
-        out.entries[tuple(sorted(target)) if sym else target] = val if m == keep else -val
-    return out
+        yield tuple(sorted(target)) if sym else target, 1 if m == keep else -1
 
 
 def _orbit(key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
@@ -445,25 +452,48 @@ def symmetrize(t: IndexedTensor) -> SymTensor:
 
     The mean over all k! permutations of an entry's slots equals, for
     each orbit, the sum of the orbit's stored entries over the orbit's
-    size; it is stored once, under the orbit's sorted index, if nonzero."""
+    size; it is stored once, under the orbit's sorted index, if nonzero.
+    The sums run in Gaussian integers over the lcm of t's denominators,
+    and each orbit is divided once."""
     if isinstance(t, SymTensor):
         return t.copy()
-    out = SymTensor(t.n, t.slots)
-    sums: Dict[Tuple[int, ...], GaussRational] = {}
-    for idx, val in t.entries.items():
+    den, ints = cleared(t.entries.values())
+    sums: Dict[Tuple[int, ...], List[int]] = {}
+    for idx, (re, im) in zip(t.entries, ints):
         key = tuple(sorted(idx))
-        sums[key] = sums.get(key, ZERO) + val
-    out.entries = {key: total / _orbit_size(key)
-                   for key, total in sums.items() if not total.is_zero()}
+        cur = sums.get(key)
+        if cur is None:
+            sums[key] = [re, im]
+        else:
+            cur[0] += re
+            cur[1] += im
+    out = SymTensor(t.n, t.slots)
+    new = GaussRational.from_ints
+    out.entries = {key: new(re, im, den * _orbit_size(key))
+                   for key, (re, im) in sums.items() if re or im}
     return out
 
 
 def j_average(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     """Project onto the j-fixed subspace: (t + jt)/2.  Only meaningful
-    where j is an involution, i.e. for an even number of slots."""
+    where j is an involution, i.e. for an even number of slots.  The sum
+    runs in Gaussian integers over the lcm of t's denominators, t's keys
+    first, then those only jt has, and each entry is divided once."""
     if len(t.slots) % 2 != 0:
         raise ValueError("j_average needs an even number of slots")
-    return (t + jmap(t, c)).scale(HALF)
+    den, ints = cleared(t.entries.values())
+    acc = {idx: [re, im] for idx, (re, im) in zip(t.entries, ints)}
+    for (key, sign), (re, im) in zip(_j_moves(t, c), ints):
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = [sign * re, -sign * im]
+        else:
+            cur[0] += sign * re
+            cur[1] -= sign * im
+    out = type(t)(t.n, t.slots)
+    new = GaussRational.from_ints
+    out.entries = {key: new(re, im, 2 * den) for key, (re, im) in acc.items() if re or im}
+    return out
 
 
 def random_tensor(rng: random.Random, n: int, slot_list: Iterable[IndexSlot],

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -731,3 +732,64 @@ def test_lemma_space_detection():
     assert K.in_lemma_space()
     K.set_pair(("eta", 1), ("eta", 2), LieCoord(1, {("eta", 1): gr(1)}))
     assert not K.in_lemma_space()
+
+
+def _storage(K):
+    """The stored integer row, order included."""
+    return K.den, list(K.ints.items())
+
+
+def _assert_reduced(K):
+    """den > 0, no zero entry, ascending columns, gcd(den, every part) 1."""
+    assert K.den > 0 and all(v != (0, 0) for v in K.ints.values())
+    assert list(K.ints) == sorted(K.ints)
+    assert gcd(K.den, *(x for v in K.ints.values() for x in v)) == 1
+
+
+def _rebuilt(K, reverse):
+    """K rebuilt with set_pair from its decoded pair views, each pair given
+    in reverse order (with its negative) when ``reverse``, last pair
+    first."""
+    out = Cochain2(K.n)
+    ks = gminus_keys(K.n)
+    pairs = [(ki, kj) for i, ki in enumerate(ks) for kj in ks[i + 1:]]
+    for ki, kj in (pairs[::-1] if reverse else pairs):
+        if reverse:
+            out.set_pair(kj, ki, -K.get(ki, kj))
+        else:
+            out.set_pair(ki, kj, K.get(ki, kj))
+    return out
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_cochains_store_one_reduced_row(model_for, n, signature):
+    """A cochain from assemble_kappa, the same rebuilt with set_pair from
+    its decoded pair views, and its homogeneity pieces each store a
+    reduced (den, row), so equal cochains store the same row.  kappa's
+    integer row is not reduced as evaluated, and a piece of kappa has a
+    smaller denominator than kappa: neither reduction is vacuous."""
+    m = model_for(n, signature)
+    rng = random.Random(50 + n)
+    compo = random_components(rng, m.consts)
+    kappas = [assemble_kappa(compo, m),
+              assemble_kappa(broken_components(rng, m.consts), m, validate=False,
+                             tamper="unsym-S")]
+    assert cochains._kappa_row(compo, m)[0] > kappas[0].den
+    for K in kappas + [random_lemma_cochain(rng, n)]:
+        _assert_reduced(K)
+        for reverse in (False, True):
+            assert _storage(_rebuilt(K, reverse)) == _storage(K)
+        pieces = homogeneity_classify(K)
+        assert len(pieces) > 1
+        for piece in pieces.values():
+            _assert_reduced(piece)
+            assert _storage(_rebuilt(piece, True)) == _storage(piece)
+    assert any(piece.den < kappas[0].den for piece in homogeneity_classify(kappas[0]).values())
+    assert _storage(Cochain2(n)) == (1, [])
+    # a pair set to zero leaves no entry and the row reduced again
+    K = kappas[0]
+    ks = gminus_keys(n)
+    for i, ki in enumerate(ks):
+        for kj in ks[i + 1:]:
+            K.set_pair(ki, kj, LieCoord(n))
+    assert _storage(K) == (1, [])

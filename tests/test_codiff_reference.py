@@ -453,7 +453,8 @@ def test_check_normality_matches_the_public_path(model_for, n, signature):
 def test_check_normality_builds_no_cochain(model_for, monkeypatch):
     """One check_normality on admissible n = 2 components constructs no
     Cochain2 and divides no kappa column (no GaussRational.from_ints);
-    assembling the same kappa constructs one and divides every column."""
+    assembling the same kappa constructs one and divides no column either:
+    only the decoded view ``row`` divides, once per column."""
     m = model_for(2)
     cc = closed_for(m)
     compo = random_components(random.Random(83), m.consts)
@@ -474,7 +475,8 @@ def test_check_normality_builds_no_cochain(model_for, monkeypatch):
     assert check_normality(compo, m, cc)["normal"]
     assert cochains_made == [] and divided == []
     K = assemble_kappa(compo, m)
-    assert len(cochains_made) == 1 and len(divided) == len(K.row) > 0
+    assert len(cochains_made) == 1 and divided == [] and K.ints
+    assert len(K.row) == len(divided) == len(K.ints)
 
 
 # ---------------------------------------------------------------------------

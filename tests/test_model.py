@@ -648,9 +648,10 @@ def test_one_solver_and_one_product():
     # cochains.py applies its matrices only through int_product_into, in
     # _apply, which each of the three maps calls once and which has no
     # loop statement, no nested comprehension and one filtered one, the
-    # column filter ``col in rows``; it calls no bracket_sum, no helper but
-    # _apply reads a cochain's row, and the column number
-    # (i g + j) dim + k is spelled out in ``column`` alone
+    # column filter ``col in rows``, and clears nothing; it calls no
+    # bracket_sum, no helper but _apply reads a cochain's stored integer
+    # row, nothing in cochains.py reads the decoded view ``row``, and the
+    # column number (i g + j) dim + k is spelled out in ``column`` alone
     tree = ast.parse((Path(qcframe.__file__).parent / "cochains.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     methods = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -672,10 +673,12 @@ def test_one_solver_and_one_product():
     assert all(len(node.generators) == 1 for node in comps)
     filters = [cond for node in comps for cond in node.generators[0].ifs]
     assert [ast.unparse(cond) for cond in filters] == ["col in rows"]
-    assert not any(isinstance(node, ast.Attribute) and node.attr in ("bracket_sum", "entry", "vals")
+    assert "cleared" not in called(apply)
+    assert not any(isinstance(node, ast.Attribute)
+                   and node.attr in ("bracket_sum", "entry", "vals", "row")
                    for node in ast.walk(tree))
     assert [name for name, fn in funcs.items() if name.startswith("_") and any(
-        isinstance(node, ast.Attribute) and node.attr == "row" for node in ast.walk(fn))] \
+        isinstance(node, ast.Attribute) and node.attr == "ints" for node in ast.walk(fn))] \
         == ["_apply"]
     # (a * b + c) * d, the shape of the column number
     assert [fn.name for fn in methods if any(

@@ -321,6 +321,21 @@ def test_star_two_path_reads_the_conjugate_views(monkeypatch):
     assert len(made) > 1
 
 
+def test_star_two_path_builds_no_generator_rule(monkeypatch):
+    """Path (a) differentiates scalar symbols, which reads symbol rules
+    only: with every generator rule of the curved table made to raise,
+    the check still passes, while building the curved table fails."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("generator rule built")
+
+    for name in ("d_eta", "d_phi", "d_phi0", "d_theta", "d_gamma_curved",
+                 "d_phiu_bar_curved", "d_psi1_curved", "d_psi23_curved"):
+        monkeypatch.setattr(RuleBuilder, name, refuse)
+    assert star_two_path_check(1)
+    with pytest.raises(AssertionError, match="generator rule built"):
+        build_rules(1, "curved")
+
+
 @pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
 def test_conjugate_views_are_the_conjugate_rules(n, signature):
     """The view of every conjugated symbol in the curved table, made from

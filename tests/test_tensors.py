@@ -524,6 +524,63 @@ def test_direct_writes_match_the_validating_path(n, signature, spec):
         assert zero_orbits > 0
 
 
+def _gauss_symmetrize(t):
+    """symmetrize as it summed in GaussRational arithmetic, kept as the
+    reference for the integer sums."""
+    if isinstance(t, SymTensor):
+        return t.copy()
+    out = SymTensor(t.n, t.slots)
+    sums = {}
+    for idx, val in t.entries.items():
+        key = tuple(sorted(idx))
+        sums[key] = sums.get(key, ZERO) + val
+    out.entries = {key: total / _orbit_size(key)
+                   for key, total in sums.items() if not total.is_zero()}
+    return out
+
+
+def _gauss_j_average(t, c):
+    """j_average as it summed in GaussRational arithmetic."""
+    return (t + jmap(t, c)).scale(HALF)
+
+
+def _j_cancelled(rng, n, spec, c):
+    """A dense random tensor whose entries at (1, ..., 1) and at its j
+    target are set so that t + jt vanishes at both."""
+    t = random_tensor(rng, n, slots(spec), span=2)
+    idx = (1,) * len(spec)
+    t.set(idx, gr(2, -1))
+    target, = jmap(IndexedTensor(n, t.slots, {idx: gr(2, -1)}), c).entries.items()
+    t.set(target[0], -target[1])
+    return t
+
+
+@pytest.mark.parametrize("n,signature", [(1, None), (2, None), (3, None), (2, (1, 1)),
+                                         (3, (2, 1))])
+@pytest.mark.parametrize("spec", ["ll", "lll", "llll"])
+def test_integer_sums_match_the_gauss_rational_code(n, signature, spec):
+    """symmetrize and j_average give the entries of the GaussRational code
+    they replaced, as the same triples under the same keys in the same
+    order, on dense and sparse input, on input with cancelling orbits,
+    and (j_average) on input whose j image cancels two of its entries."""
+    c = StandardConstants(n, signature)
+    rng = random.Random(f"gauss-{n}-{signature}-{spec}")
+    inputs = _write_inputs(rng, n, spec)
+    cancelled = 0
+    for t in inputs:
+        got, want = symmetrize(t), _gauss_symmetrize(t)
+        assert _stored(got) == _stored(want)
+        cancelled += len({tuple(sorted(i)) for i in t.entries}) - len(got.entries)
+    assert cancelled > 0  # the skew inputs cancel whole orbits
+    if len(spec) % 2:
+        return
+    cancelling = _j_cancelled(rng, n, spec, c)
+    for t in inputs + [symmetrize(cancelling), cancelling]:
+        assert _stored(j_average(t, c)) == _stored(_gauss_j_average(t, c))
+    idx = (1,) * len(spec)
+    assert idx in cancelling.entries and idx not in j_average(cancelling, c).entries
+
+
 def test_set_and_constructor_still_validate():
     """The public writers keep checking the index: out of range, or of the
     wrong length, is refused for plain and symmetric tensors alike."""
