@@ -21,7 +21,8 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import InputError, rational_from_json
-from .gauss import I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
+from .gauss import (I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss,
+                    random_gauss_ints)
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
@@ -357,9 +358,9 @@ Cochain1 = Dict[Key, LieCoord]
 def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
     """Random antisymmetric cochain valued in sp(n) + g_1 + g_2: pair by
     pair, each lemma coordinate in coord_keys order, the nonzero draws
-    cleared once into the row."""
+    written into the row as ``random_gauss_ints`` gives them."""
     cols = _lemma_columns(n)[0]
-    den, ints = cleared([random_gauss(rng, span, 2) for _ in cols])
+    den, ints = random_gauss_ints(rng, span, 2, len(cols))
     return Cochain2(n, den, {col: v for col, v in zip(cols, ints) if v != (0, 0)})
 
 
@@ -597,13 +598,14 @@ def _int_map(acc: Dict[Tuple[int, int], GaussRational]) -> IntMap:
 def _apply(K: Union[Cochain2, IntRow], model: SpModel, attr: str,
            build) -> Tuple[int, Dict[int, List[int]]]:
     """K times the matrix kept as ``attr``: output -> [re, im] over the
-    returned denominator.  Only K's entries in the matrix's columns are
-    read, from the integer row of a ``Cochain2`` or an ``IntRow``."""
+    returned denominator, zeros included.  K's integer row, of a
+    ``Cochain2`` or an ``IntRow``, is the product's one row as stored; only
+    its entries in the matrix's columns are read."""
     den, rows = _kept(model, attr, build)
     dk, row = (K.den, K.ints) if isinstance(K, Cochain2) else K
-    acc: Dict[Tuple[int, int], List[int]] = {}
-    int_product_into(acc, {(0, col): v for col, v in row.items() if col in rows}, rows, 1)
-    return den * dk, {out: v for (_, out), v in acc.items()}
+    out: Dict[int, List[int]] = {}
+    int_product_into({0: out}, {0: row}, rows, 1)
+    return den * dk, out
 
 
 def _cochain1(model: SpModel, den: int, values: Dict[int, List[int]]) -> Cochain1:

@@ -15,9 +15,12 @@ Three helpers serve the rest of the package, so that no other module
 reads the triple: ``axpy`` adds a multiple of one sparse vector of values
 to another in place, ``cleared`` turns a list of values into Gaussian
 integers over their lcm denominator, which ``GaussRational.from_ints``
-turns back, and ``random_gauss`` draws a random value straight into its
-triple, the one path by which the package draws random inputs; it reads
-``getrandbits`` by the loop ``randint`` runs, so it gives its values.
+turns back, and ``random_gauss_ints`` draws random values straight into
+Gaussian integers over the fixed denominator ``lcm(1..den)``, with no
+``gcd`` and no object per value: the one path by which the package draws
+random inputs (``random_gauss`` is its one-value case, reduced).  It
+reads ``getrandbits`` by the loop ``randint`` runs, so it gives the
+values of ``Fraction(randint, randint)`` draws.
 """
 from __future__ import annotations
 
@@ -273,32 +276,47 @@ def axpy(acc: Dict, coeff: GaussRational, coords: Mapping) -> None:
                 acc[k] = v
 
 
-def random_gauss(rng, span: int, den: int, real: bool = False) -> GaussRational:
-    """a/d1 + (b/d2) i, drawn in the order a, d1, b, d2 with a, b in
-    -span..span and d1, d2 in 1..den (``real``: a and d1 only, b = 0).
-    ``rng`` is a ``random.Random``; each draw is the ``getrandbits``
-    rejection loop of its ``randint``, so values and state match it.  An
-    empty range (span < 0, den < 1) raises ValueError before any draw."""
+def random_gauss_ints(rng, span: int, den: int, count: int,
+                      real: bool = False) -> Tuple[int, List[Tuple[int, int]]]:
+    """``count`` values a/d1 + (b/d2) i as Gaussian integers over the fixed
+    denominator L = lcm(1..den), which comes first: one pair (a (L // d1),
+    b (L // d2)) per value, the value ``GaussRational.from_ints(re, im, L)``.
+    Each value is drawn in the order a, d1, b, d2 with a, b in -span..span
+    and d1, d2 in 1..den (``real``: a and d1 only, b = 0).  ``rng`` is a
+    ``random.Random``; each draw is the ``getrandbits`` rejection loop of
+    its ``randint``, so values and state match it.  An empty range
+    (span < 0, den < 1) raises ValueError before any draw."""
     if span < 0 or den < 1:
         raise ValueError(f"empty draw range: span {span}, den {den}")
     bits, width = rng.getrandbits, 2 * span + 1
     kw, kd = width.bit_length(), den.bit_length()
-    a = bits(kw)
-    while a >= width:
+    L = lcm(*range(1, den + 1))
+    scale = [L // d for d in range(1, den + 1)]  # by the draw d - 1
+    out = []
+    for _ in range(count):
         a = bits(kw)
-    d1 = bits(kd)
-    while d1 >= den:
+        while a >= width:
+            a = bits(kw)
         d1 = bits(kd)
-    if real:
-        return _reduced(a - span, 0, d1 + 1)
-    b = bits(kw)
-    while b >= width:
+        while d1 >= den:
+            d1 = bits(kd)
+        if real:
+            out.append(((a - span) * scale[d1], 0))
+            continue
         b = bits(kw)
-    d2 = bits(kd)
-    while d2 >= den:
+        while b >= width:
+            b = bits(kw)
         d2 = bits(kd)
-    d1, d2 = d1 + 1, d2 + 1
-    return _reduced((a - span) * d2, (b - span) * d1, d1 * d2)
+        while d2 >= den:
+            d2 = bits(kd)
+        out.append(((a - span) * scale[d1], (b - span) * scale[d2]))
+    return L, out
+
+
+def random_gauss(rng, span: int, den: int, real: bool = False) -> GaussRational:
+    """One value of ``random_gauss_ints``, reduced."""
+    L, ((re, im),) = random_gauss_ints(rng, span, den, 1, real)
+    return _reduced(re, im, L)
 
 
 def cleared(values: Collection[GaussRational]) -> Tuple[int, List[Tuple[int, int]]]:

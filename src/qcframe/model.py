@@ -24,9 +24,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
+from .gauss import (HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr,
+                    random_gauss_ints)
 from .tensors import StandardConstants, IndexedTensor, slots
 from . import coframe
 from .coframe import Key
@@ -155,64 +156,82 @@ def smat(dense) -> SparseMat:
     return out
 
 
-# Gaussian-integer matrices: position -> (re, im), over a denominator
-# that the caller keeps beside the matrix
-IntMat = Dict[Tuple[int, int], Tuple[int, int]]
+# Gaussian-integer matrices, over a denominator that the caller keeps
+# beside the matrix, stored by rows: row -> {column: (re, im)}, each row
+# laid out as a cochain's integer row is; and the rows of a right factor,
+# row -> its entries (column, re, im), which a product walks
+IntMat = Dict[int, Dict[int, Tuple[int, int]]]
 IntRows = Dict[int, List[Tuple[int, int, int]]]
 
 
+def _nested(entries) -> Dict[int, dict]:
+    """The ((row, col), value) pairs of ``entries`` by rows: row -> {col: value}."""
+    out: Dict[int, dict] = {}
+    for (r, co), v in entries:
+        out.setdefault(r, {})[co] = v
+    return out
+
+
 def _cleared_mat(M: SparseMat) -> Tuple[int, IntMat]:
+    """M cleared to Gaussian integers over its lcm denominator, by rows."""
     den, ints = cleared(M.values())
-    return den, dict(zip(M, ints))
+    return den, _nested(zip(M, ints))
 
 
 def by_row(M: IntMat) -> IntRows:
     """Row r -> the entries (col, re, im) of M in that row."""
-    rows: IntRows = {}
-    for (r, co), (re, im) in M.items():
-        rows.setdefault(r, []).append((co, re, im))
-    return rows
+    return {r: [(co, re, im) for co, (re, im) in row.items()] for r, row in M.items()}
 
 
-def int_product_into(acc: Dict[Tuple[int, int], List[int]], a: IntMat,
+def int_product_into(acc: Dict[int, Dict[int, List[int]]], a: IntMat,
                      b_rows: IntRows, sign: int) -> None:
     """acc += sign * a b in place, the package's one sparse matrix product:
-    b is given by its rows (``by_row``), acc maps a position to a running
-    [re, im] and keeps the positions in first-touch order, zeros included."""
-    for (r, k), (ar, ai) in a.items():
-        row = b_rows.get(k)
-        if row:
-            if sign < 0:
-                ar, ai = -ar, -ai
-            for co, br, bi in row:
-                re, im = ar * br - ai * bi, ar * bi + ai * br
-                cur = acc.get((r, co))
-                if cur is None:
-                    acc[r, co] = [re, im]
-                else:
-                    cur[0] += re
-                    cur[1] += im
+    a is read by its rows as stored, b by its rows (``by_row``), and acc
+    maps a row to {column: running [re, im]}, rows and columns in
+    first-touch order, zeros included; a row of a that meets no row of b
+    adds no row to acc."""
+    for r, a_row in a.items():
+        out = None
+        for k, (ar, ai) in a_row.items():
+            row = b_rows.get(k)
+            if row:
+                if out is None:
+                    out = acc.get(r)
+                    if out is None:
+                        out = acc[r] = {}
+                if sign < 0:
+                    ar, ai = -ar, -ai
+                for co, br, bi in row:
+                    re, im = ar * br - ai * bi, ar * bi + ai * br
+                    cur = out.get(co)
+                    if cur is None:
+                        out[co] = [re, im]
+                    else:
+                        cur[0] += re
+                        cur[1] += im
 
 
-def int_commutator(a: IntMat, a_rows: IntRows, b: IntMat, b_rows: IntRows) -> IntMat:
-    """a b - b a on Gaussian-integer matrices given with their rows, zero
-    entries dropped."""
-    acc: Dict[Tuple[int, int], List[int]] = {}
+def int_commutator(a: IntMat, a_rows: IntRows, b: IntMat, b_rows: IntRows
+                   ) -> Dict[int, Dict[int, List[int]]]:
+    """a b - b a on Gaussian-integer matrices given with their rows, as
+    ``int_product_into`` leaves it: zero entries and empty rows included."""
+    acc: Dict[int, Dict[int, List[int]]] = {}
     int_product_into(acc, a, b_rows, 1)
     int_product_into(acc, b, a_rows, -1)
-    return {k: (re, im) for k, (re, im) in acc.items() if re or im}
+    return acc
 
 
 def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
     """The product a b: both cleared to Gaussian integers, multiplied by
-    ``int_product_into`` and each nonzero entry divided once."""
+    ``int_product_into`` and each nonzero entry divided once, row by row."""
     da, ia = _cleared_mat(a)
     db, ib = _cleared_mat(b)
-    acc: Dict[Tuple[int, int], List[int]] = {}
+    acc: Dict[int, Dict[int, List[int]]] = {}
     int_product_into(acc, ia, by_row(ib), 1)
     den = da * db
     new = GaussRational.from_ints
-    return {k: new(re, im, den) for k, (re, im) in acc.items() if re or im}
+    return {(r, co): new(re, im, den) for r, row in acc.items()
+            for co, (re, im) in row.items() if re or im}
 
 
 def solve_many(rows: Iterable[Tuple[Dict[int, GaussRational], Dict[int, GaussRational]]],
@@ -389,58 +408,71 @@ class SpModel:
     def _template_ints(self):
         """The basis matrices and the decoder, each cleared once to Gaussian
         integers: ``(D, mats, rows, E, dec)`` with ``mats[k]`` basis matrix k
-        times D, ``rows[k]`` its rows, and ``dec[pos]`` the decoder entries
-        ``(k, re, im)`` times E."""
+        times D (an ``IntMat``), ``rows[k]`` its rows, and ``dec`` the
+        decoder times E by rows (``IntRows``), matrix position r m + co ->
+        the coordinates (k, re, im) that read it."""
         if self._ints is None:
-            mats, dec = self._basis_matrices(), self._decoder()
+            mats, dec, m = self._basis_matrices(), self._decoder(), self.m
             D, flat = cleared([v for mat in mats for v in mat.values()])
-            flat = iter(flat)
-            imats = [{pos: next(flat) for pos in mat} for mat in mats]
+            flat = iter(flat)  # zip takes from it only while a matrix has entries
+            imats = [_nested(zip(mat, flat)) for mat in mats]
             E, coeffs = cleared([v for entries in dec.values() for _, v in entries])
             coeffs = iter(coeffs)
-            idec = {pos: tuple((k, *next(coeffs)) for k, _ in entries)
-                    for pos, entries in dec.items()}
+            idec = {r * m + co: [(k, *next(coeffs)) for k, _ in entries]
+                    for (r, co), entries in dec.items()}
             self._ints = (D, imats, [by_row(mat) for mat in imats], E, idec)
         return self._ints
 
-    def _decode_ints(self, M: IntMat) -> Dict[int, Tuple[int, int]]:
+    def _decode_ints(self, M: Dict[int, Dict[int, Sequence[int]]]) -> Dict[int, Tuple[int, int]]:
         """The coordinates (index -> (re, im), indices ascending, zeros
-        dropped) of the Gaussian-integer matrix M, over E times M's
-        denominator; certified by re-encoding through the basis matrices,
-        ``TemplateError`` if M is off the template."""
-        D, mats, _, E, dec = self._template_ints()
+        dropped) of the Gaussian-integer matrix M, given by rows as
+        ``int_product_into`` leaves them (zero entries allowed), over E
+        times M's denominator; certified by re-encoding through the basis
+        matrices, ``TemplateError`` if M is off the template."""
+        D, _, rows, E, dec = self._template_ints()
+        m = self.m
+        want: Dict[int, Sequence[int]] = {}  # M's nonzero entries at r m + co
         acc: Dict[int, List[int]] = {}
-        for pos, (vr, vi) in M.items():
-            for k, cr, ci in dec.get(pos, ()):
-                re, im = vr * cr - vi * ci, vr * ci + vi * cr
-                cur = acc.get(k)
-                if cur is None:
-                    acc[k] = [re, im]
-                else:
-                    cur[0] += re
-                    cur[1] += im
+        for r, row in M.items():
+            base = r * m
+            for co, v in row.items():
+                vr, vi = v
+                if vr or vi:
+                    p = base + co
+                    want[p] = v
+                    for k, cr, ci in dec.get(p, ()):
+                        re, im = vr * cr - vi * ci, vr * ci + vi * cr
+                        cur = acc.get(k)
+                        if cur is None:
+                            acc[k] = [re, im]
+                        else:
+                            cur[0] += re
+                            cur[1] += im
         x = {k: (re, im) for k in sorted(acc) for re, im in (acc[k],) if re or im}
-        back: Dict[Tuple[int, int], List[int]] = {}
+        back: Dict[int, List[int]] = {}
         for k, (xr, xi) in x.items():
-            for pos, (er, ei) in mats[k].items():
-                re, im = xr * er - xi * ei, xr * ei + xi * er
-                cur = back.get(pos)
-                if cur is None:
-                    back[pos] = [re, im]
-                else:
-                    cur[0] += re
-                    cur[1] += im
+            for r, entries in rows[k].items():
+                base = r * m
+                for co, er, ei in entries:
+                    re, im = xr * er - xi * ei, xr * ei + xi * er
+                    p = base + co
+                    cur = back.get(p)
+                    if cur is None:
+                        back[p] = [re, im]
+                    else:
+                        cur[0] += re
+                        cur[1] += im
         # back is over D E times M's denominator: its nonzero entries must
         # be those of M, each times D E
         f, count = D * E, 0
-        for pos, (re, im) in back.items():
+        for p, (re, im) in back.items():
             if re or im:
-                v = M.get(pos)
+                v = want.get(p)
                 if v is None or re != v[0] * f or im != v[1] * f:
                     break
                 count += 1
         else:
-            if count == len(M):
+            if count == len(want):
                 return x
         raise TemplateError("matrix is off the sp(n+1,1) block template")
 
@@ -468,15 +500,15 @@ class SpModel:
         if self._sc is None:
             D, mats, by_row, E, _ = self._template_ints()
             # a b is zero unless a column of a meets a row of b
-            cols = [frozenset(co for _, co in mat) for mat in mats]
+            cols = [frozenset(co for row in mat.values() for co in row) for mat in mats]
             exact = {}
             for i in range(self.dim):
                 for j in range(i + 1, self.dim):
                     if cols[i].isdisjoint(by_row[j]) and cols[j].isdisjoint(by_row[i]):
                         continue
-                    comm = int_commutator(mats[i], by_row[i], mats[j], by_row[j])
-                    if comm:
-                        exact[(i, j)] = self._decode_ints(comm)
+                    x = self._decode_ints(int_commutator(mats[i], by_row[i], mats[j], by_row[j]))
+                    if x:
+                        exact[(i, j)] = x
             den = D * D * E
             g = gcd(den, *(v for x in exact.values() for re_im in x.values() for v in re_im))
             rows = [[()] * self.dim for _ in range(self.dim)]
@@ -755,9 +787,11 @@ class SpModel:
 
 
 def random_coord(rng: random.Random, model: SpModel, span: int = 4) -> LieCoord:
-    """Every coordinate from ``random_gauss``, in ``model.keys`` order."""
-    return LieCoord.adopt(model.n, {k: v for k in model.keys
-                                    if not (v := random_gauss(rng, span, 2)).is_zero()})
+    """Every coordinate from ``random_gauss_ints``, in ``model.keys`` order."""
+    L, ints = random_gauss_ints(rng, span, 2, model.dim)
+    new = GaussRational.from_ints
+    return LieCoord.adopt(model.n, {k: new(re, im, L) for k, (re, im) in zip(model.keys, ints)
+                                    if re or im})
 
 
 def jacobi_residual(model: SpModel, a: LieCoord, b: LieCoord, c: LieCoord) -> LieCoord:
@@ -933,8 +967,11 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
 
 def random_g1(rng: random.Random, c: StandardConstants, span: int = 3) -> G1Element:
     n = c.n
-    r = [random_gauss(rng, span, 2) for _ in range(2 * n)]
-    lam = [random_gauss(rng, span, 2, real=True) for _ in range(3)]
+    new = GaussRational.from_ints
+    L, ints = random_gauss_ints(rng, span, 2, 2 * n)
+    r = [new(re, im, L) for re, im in ints]
+    L, ints = random_gauss_ints(rng, span, 2, 3, real=True)
+    lam = [new(re, 0, L) for re, _ in ints]
     return G1Element(random_spn(rng, c, span), r, lam)
 
 

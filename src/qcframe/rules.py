@@ -14,6 +14,7 @@ reproduces the Bianchi identities and validates every sign above.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -765,18 +766,22 @@ def star_two_path_check(n: int, signature: Tuple[int, int] = None) -> bool:
 
 
 def star_symmetry_check(n: int, signature: Tuple[int, int] = None) -> bool:
-    """S* is totally symmetric and j-real as a form-valued array."""
+    """S* is totally symmetric and j-real as a form-valued array.  Each
+    base, the expansion at a sorted index tuple, is built once; every
+    unsorted tuple's expansion is compared with its base, and then every
+    base with the j image of the base at its partner tuple."""
     b = RuleBuilder(n, signature)
-    import itertools
+    bases = {idx: b.form(b.secondary_part, "S", idx)
+             for idx in itertools.combinations_with_replacement(b.R, 4)}
     for idx in itertools.product(b.R, repeat=4):
-        base = b.form(b.secondary_part, "S", tuple(sorted(idx)))
-        if b.form(b.secondary_part, "S", tuple(idx)) != base:
+        key = tuple(sorted(idx))
+        if idx != key and b.form(b.secondary_part, "S", idx) != bases[key]:
             return False
-    # j S* = S*: (j S*)_idx = m conj(S*_{p(idx)})
-    for idx in itertools.combinations_with_replacement(b.R, 4):
+    # j S* = S*: (j S*)_idx = m conj(S*_{p(idx)}), S*_{p(idx)} a base
+    # since S* is totally symmetric
+    for idx, base in bases.items():
         target, m = b.c.j(idx)
-        jstar = b.form(b.secondary_part, "S", target).conj().scale(m)
-        if jstar != b.form(b.secondary_part, "S", idx):
+        if bases[tuple(sorted(target))].conj().scale(m) != base:
             return False
     return True
 

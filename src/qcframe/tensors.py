@@ -44,7 +44,7 @@ from math import prod
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import InputError
-from .gauss import ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
+from .gauss import ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss_ints
 
 UPPER = "upper"
 LOWER = "lower"
@@ -498,12 +498,13 @@ def j_average(t: IndexedTensor, c: StandardConstants) -> IndexedTensor:
 
 def random_tensor(rng: random.Random, n: int, slot_list: Iterable[IndexSlot],
                   span: int = 5) -> IndexedTensor:
-    """Every entry from ``random_gauss``, in index order; the indices are
-    generated valid, so the nonzero draws are stored without ``set``."""
+    """Every entry from ``random_gauss_ints``, in index order; the indices
+    are generated valid, so the nonzero draws are stored without ``set``."""
     out = IndexedTensor(n, slot_list)
-    out.entries = {idx: v for idx in itertools.product(range(1, 2 * n + 1),
-                                                       repeat=len(out.slots))
-                   if not (v := random_gauss(rng, span, 3)).is_zero()}
+    L, ints = random_gauss_ints(rng, span, 3, (2 * n) ** len(out.slots))
+    new = GaussRational.from_ints
+    out.entries = {idx: new(re, im, L) for idx, (re, im) in zip(
+        itertools.product(range(1, 2 * n + 1), repeat=len(out.slots)), ints) if re or im}
     return out
 
 

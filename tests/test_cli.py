@@ -174,8 +174,9 @@ def test_off_template_product_exit_3(monkeypatch, capsys, tmp_path):
 
     def off_template(*args):
         out = commutator(*args)
-        re, im = out.get((0, 0), (0, 0))
-        out[(0, 0)] = (re + 7, im)
+        row = out.setdefault(0, {})
+        re, im = row.get(0, (0, 0))
+        row[0] = [re + 7, im]
         return out
 
     monkeypatch.setattr(model, "int_commutator", off_template)

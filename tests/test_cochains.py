@@ -793,3 +793,35 @@ def test_cochains_store_one_reduced_row(model_for, n, signature):
         for kj in ks[i + 1:]:
             K.set_pair(ki, kj, LieCoord(n))
     assert _storage(K) == (1, [])
+
+
+def test_apply_reads_the_stored_row(model_for, closed1, monkeypatch):
+    """Each cochain map hands ``int_product_into`` K's stored integer row
+    itself, as the one row of its left operand, and returns the output
+    row that ``int_product_into`` filled: ``_apply`` builds no per-entry
+    container from K's row, on the way in or out.  The outputs are those
+    of the maps on a copy of K."""
+    product, calls = cochains.int_product_into, []
+
+    def spy(acc, a, b_rows, sign):
+        calls.append((acc, a))
+        product(acc, a, b_rows, sign)
+
+    m = model_for(1)
+    K = random_lemma_cochain(random.Random(4), 1)
+    want = [f(Cochain2(1, K.den, dict(K.ints))) for f in (
+        lambda K: kostant_codiff_direct(K, m), lambda K: kostant_codiff_closed(K, m, closed1),
+        lambda K: trace_conditions(K, m))]
+    monkeypatch.setattr(cochains, "int_product_into", spy)
+    assert kostant_codiff_direct(K, m) == want[0]
+    assert kostant_codiff_closed(K, m, closed1) == want[1]
+    assert trace_conditions(K, m) == want[2]
+    assert len(calls) == 3
+    for acc, a in calls:
+        assert list(a) == [0] and a[0] is K.ints
+        assert list(acc) == [0]
+    # the returned output row is the one int_product_into filled
+    calls.clear()
+    den, out = cochains._apply(K, m, "_direct_map", cochains._build_direct)
+    (acc, _), = calls
+    assert acc[0] is out and out

@@ -1,6 +1,7 @@
 """The random draws against reference drawers.
 
-The reference functions below are the draw loops that ``gauss.random_gauss``
+The reference functions below are the draw loops that the draws of
+``gauss`` (``random_gauss_ints`` and its one-value case ``random_gauss``)
 replaced in ``tensors.random_tensor``, ``cochains.random_components``,
 ``cochains.random_lemma_cochain``, ``model.random_coord`` and
 ``model.random_g1``, kept verbatim apart from their names: each value is
@@ -12,6 +13,7 @@ import ast
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -176,17 +178,31 @@ def test_draws_match_reference(n, signature, model_for, monkeypatch):
 def test_draws_reference_catches_another_draw_order(model_for, monkeypatch):
     """Negative control: a drawer that takes a, b, d1, d2 (not a, d1, b, d2)
     gives the same distribution and the same number of draws, but every
-    complex draw site then differs from the reference."""
+    complex draw site then differs from the reference.  It replaces both
+    draw functions wherever the package imports them."""
+
+    def abdd_ints(rng, span, den, count, real=False):
+        L, out = lcm(*range(1, den + 1)), []
+        for _ in range(count):
+            if real:
+                a = rng.randint(-span, span)
+                out.append((a * (L // rng.randint(1, den)), 0))
+                continue
+            a, b = rng.randint(-span, span), rng.randint(-span, span)
+            d1, d2 = rng.randint(1, den), rng.randint(1, den)
+            out.append((a * (L // d1), b * (L // d2)))
+        return L, out
 
     def abdd(rng, span, den, real=False):
-        if real:
-            return _reduced(rng.randint(-span, span), 0, rng.randint(1, den))
-        a, b = rng.randint(-span, span), rng.randint(-span, span)
-        d1, d2 = rng.randint(1, den), rng.randint(1, den)
-        return _reduced(a * d2, b * d1, d1 * d2)
+        L, ((re, im),) = abdd_ints(rng, span, den, 1, real)
+        return _reduced(re, im, L)
 
     for module in (tensors, cochains, model):
-        monkeypatch.setattr(module, "random_gauss", abdd)
+        monkeypatch.setattr(module, "random_gauss_ints", abdd_ints)
+    monkeypatch.setattr(cochains, "random_gauss", abdd)
+    assert [name for module in (tensors, cochains, model)
+            for name in ("random_gauss", "random_gauss_ints")
+            if getattr(module, name, abdd) not in (abdd, abdd_ints)] == []
     names = {name for name, _, _ in _draws(1, None, model_for)}
     assert _mismatches(1, None, model_for, monkeypatch) == names
 
@@ -223,8 +239,8 @@ def _draw_reads(source: str):
 def test_one_draw_path():
     """No module but gauss.py reads ``randint``, ``randrange`` or
     ``getrandbits``, and none builds a random value from ``Fraction``s of
-    ``randint`` draws: ``gauss.random_gauss`` is the one draw path, and it
-    reads ``getrandbits`` only.  Both scans do find what they look for: in
+    ``randint`` draws: ``gauss.random_gauss_ints`` is the one draw path, and
+    it reads ``getrandbits`` only.  Both scans do find what they look for: in
     a planted source string and in the reference drawers above."""
     sources = {path.name: path.read_text()
                for path in Path(qcframe.__file__).parent.glob("*.py")}

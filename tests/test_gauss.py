@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import qcframe.gauss
 from qcframe.gauss import (HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr,
-                           random_gauss)
+                           random_gauss, random_gauss_ints)
 
 
 def test_field_operations_exact():
@@ -301,20 +301,28 @@ def _randint_reference(rng, span, den, real):
         re, Fraction(rng.randint(-span, span), rng.randint(1, den)))
 
 
-def _sequence_mismatches(drawer):
+def _sequence_mismatches(drawer, batch=0):
     """The (span, den, real, seed) cases, span 0..6 and den 1..4, on which
     200 draws of ``drawer`` differ from the ``randint`` reference in a value
-    or in the generator state afterwards."""
+    or in the generator state afterwards.  ``drawer(rng, span, den, real)``
+    gives one value; with ``batch``, ``drawer(rng, span, den, count, real)``
+    gives ``count`` values as (L, pairs), drawn ``batch`` at a time, and
+    each must be the reference value times L = lcm(1..den), over L."""
     bad = set()
     for span, den, real, seed in itertools.product(range(7), range(1, 5), (False, True),
                                                    range(10)):
         rng, ref = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            v, w = drawer(rng, span, den, real), _randint_reference(ref, span, den, real)
-            if (v.a, v.b, v.d) != (w.a, w.b, w.d):
-                bad.add((span, den, real, seed))
-                break
-        if rng.getstate() != ref.getstate():
+        want = [_randint_reference(ref, span, den, real) for _ in range(200)]
+        if batch:
+            L, got = lcm(*range(1, den + 1)), []
+            while len(got) < 200:
+                den_out, pairs = drawer(rng, span, den, min(batch, 200 - len(got)), real)
+                got += [(re, im, den_out) for re, im in pairs]
+            want = [(w.a * (L // w.d), w.b * (L // w.d), L) for w in want]
+        else:
+            got = [(v.a, v.b, v.d) for v in (drawer(rng, span, den, real) for _ in range(200))]
+            want = [(w.a, w.b, w.d) for w in want]
+        if got != want or rng.getstate() != ref.getstate():
             bad.add((span, den, real, seed))
     return bad
 
@@ -361,3 +369,51 @@ def test_random_gauss_draw_count():
         for _ in range(draws // 2):
             ref.randint(-4, 4), ref.randint(1, 3)
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("batch", [7, 200])
+def test_random_gauss_ints_is_the_randint_sequence(batch):
+    """The batched draw gives the randint values and generator state in
+    calls of 7 values (the last one of 4) and of 200, each value as a
+    Gaussian integer over lcm(1..den).  Calls of one value are
+    ``random_gauss``, checked above."""
+    assert _sequence_mismatches(random_gauss_ints, batch) == set()
+
+
+def test_random_gauss_ints_sequence_catches_a_wrong_denominator():
+    """Negative control: a drawer that reports L = lcm(1..den) but scales
+    each part by den // d (the wrong L) gives wrong pairs wherever den is
+    not lcm(1..den), den 3 and 4, unless every numerator is 0 (span 0)."""
+
+    def wrong(rng, span, den, count, real):
+        L, out = lcm(*range(1, den + 1)), []
+        for _ in range(count):
+            a, d1 = rng.randint(-span, span), rng.randint(1, den)
+            b, d2 = (0, 1) if real else (rng.randint(-span, span), rng.randint(1, den))
+            out.append((a * (den // d1), b * (den // d2)))
+        return L, out
+
+    want = {(span, den, real, seed)
+            for span, den, real, seed in itertools.product(range(7), range(1, 5),
+                                                           (False, True), range(10))
+            if span and den in (3, 4)}
+    assert _sequence_mismatches(wrong, 7) == want
+
+
+def test_random_gauss_ints_count_zero_draws_nothing():
+    """count 0 gives L and no pair, and reads no bits: the scripted
+    generator has no output, and a real one keeps its state."""
+    for real in (False, True):
+        assert random_gauss_ints(_Scripted(), 4, 3, 0, real) == (6, [])
+        rng = random.Random(2)
+        state = rng.getstate()
+        assert random_gauss_ints(rng, 4, 3, 0, real) == (6, [])
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("span,den", [(-1, 3), (4, 0), (2, -1), (-3, 0)])
+def test_random_gauss_ints_refuses_an_empty_range(span, den):
+    """An empty range raises before any bits are drawn, for any count."""
+    for real, count in itertools.product((False, True), (0, 1, 5)):
+        with pytest.raises(ValueError, match="empty draw range"):
+            random_gauss_ints(_Scripted(), span, den, count, real)

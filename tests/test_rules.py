@@ -12,6 +12,7 @@ from qcframe.rules import (CORRECTIONS, RuleBuilder, bianchi_residuals,
                            star_symmetry_check, star_two_path_check,
                            substitute_flat)
 from qcframe import coframe
+from qcframe.tensors import StandardConstants
 
 I = gr(0, 1)
 
@@ -299,6 +300,26 @@ def test_bianchi_combinations_zero(n):
 def test_star_two_path_and_symmetry():
     assert star_two_path_check(1)
     assert star_symmetry_check(1)
+
+
+def test_star_symmetry_catches_an_unsorted_expansion(monkeypatch):
+    """Negative control for the total-symmetry half: with the S expansion
+    at the one unsorted index tuple (1, 2, 1, 1) doubled, S* is no longer
+    totally symmetric and the check returns False.  At n = 1 that tuple is
+    the j image of no sorted tuple, so only the symmetry half reads it."""
+    assert all(StandardConstants(1).j(idx)[0] != (1, 2, 1, 1)
+               for idx in itertools.combinations_with_replacement((1, 2), 4))
+    secondary, seen = RuleBuilder.secondary_part, []
+
+    def doubled(self, acc, fam, idx):
+        secondary(self, acc, fam, idx)
+        if fam == "S" and idx == (1, 2, 1, 1):
+            seen.append(idx)
+            secondary(self, acc, fam, idx)
+
+    monkeypatch.setattr(RuleBuilder, "secondary_part", doubled)
+    assert not star_symmetry_check(1)
+    assert seen
 
 
 def test_star_two_path_reads_the_conjugate_views(monkeypatch):
