@@ -254,8 +254,8 @@ def cmd_lie_killing(args):
 
 def cmd_lie_g1(args):
     from .tensors import StandardConstants
-    from .model import (G1Element, random_g1, g1_to_matrix, g1_compose, g1_inverse,
-                        smat, smat_mul)
+    from .linear import smat, smat_mul
+    from .model import G1Element, random_g1, g1_to_matrix, g1_compose, g1_inverse
     r = Runner(args, "lie g1")
     c = StandardConstants(args.n, r.sig)
     rng = random.Random(args.seed)

@@ -26,7 +26,8 @@ from .gauss import (I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
 from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
-from .model import IntRows, LieCoord, SpModel, int_product_into
+from .linear import IntMatrix, equal, int_matrix, is_zero, product_into
+from .model import LieCoord, SpModel
 from . import coframe
 from .coframe import Key
 
@@ -275,11 +276,8 @@ def _pair_columns(n: int, x: Key, y: Key) -> Tuple[Mapping[int, Key], int]:
     return MappingProxyType(at if sign else {}), sign
 
 
-# a cochain row in Python integers: (den, column -> (re, im) over den)
-IntRow = Tuple[int, Dict[int, Tuple[int, int]]]
-
-
-def _canonical(den: int, ints: Dict[int, Tuple[int, int]]) -> IntRow:
+def _canonical(den: int, ints: Dict[int, Tuple[int, int]]
+               ) -> Tuple[int, Dict[int, Tuple[int, int]]]:
     """The row (den, ints), den > 0, divided by the gcd of den and every
     part: den 1 when ints is empty."""
     g = den
@@ -486,7 +484,8 @@ def _field_entries(compo: CurvatureComponents, n: int
 
 
 def _kappa_row(compo: CurvatureComponents, model: SpModel,
-               validate: bool = True, tamper: Optional[str] = None) -> IntRow:
+               validate: bool = True, tamper: Optional[str] = None
+               ) -> Tuple[int, Dict[int, Tuple[int, int]]]:
     """The row of ``assemble_kappa`` in Python integers: its nonzero
     columns, ascending, over one denominator.  The stored entries of every
     nonzero field are cleared once, together, over their lcm L; a
@@ -546,19 +545,15 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 # the Kostant codifferential and the trace conditions as matrices
 #
 # Both codifferentials and the trace conditions are linear in K.  Each is
-# a Gaussian-integer matrix over one denominator, built on first use and
-# kept on the SpModel, as dual_brackets() is.  A matrix is stored by its
-# rows: input column -> the entries (output, re, im), its input columns
-# numbered by ``column``, as K's row is.  An evaluation multiplies K's
-# integer row by the matrix in one model.int_product_into and decodes the
-# outputs.  Nothing stored in K, dual_frames() or dual_brackets() is
-# modified.
-
-# (denominator, rows) of a kept matrix
-IntMap = Tuple[int, IntRows]
+# a ``linear.int_matrix`` built on first use and kept on the SpModel, as
+# dual_brackets() is: input column -> the entries (output, (re, im)), its
+# input columns numbered by ``column``, as K's row is.  An evaluation
+# multiplies K's integer row by the matrix in one ``linear.product_into``
+# and decodes the outputs.  Nothing stored in K, dual_frames() or
+# dual_brackets() is modified.
 
 
-def _kept(model: SpModel, attr: str, build) -> IntMap:
+def _kept(model: SpModel, attr: str, build) -> IntMatrix:
     """The matrix ``build(model)``, built on first use and kept on the
     model as ``attr``."""
     table = getattr(model, attr, None)
@@ -578,33 +573,17 @@ def _put(acc: Dict[Tuple[int, int], GaussRational], model: SpModel,
         acc[col, out] = cur + coeff if sign > 0 else cur - coeff
 
 
-def _int_rows(acc: Dict[Tuple[int, int], Tuple[int, int]], den: int) -> IntMap:
-    """The nonzero entries (re + i im) / den of a matrix built as (column,
-    output) -> (re, im), by rows over their lowest common denominator."""
-    g = gcd(den, *(x for v in acc.values() for x in v))
-    rows: IntRows = {}
-    for (col, out), (re, im) in acc.items():
-        if re or im:
-            rows.setdefault(col, []).append((out, re // g, im // g))
-    return den // g, rows
-
-
-def _int_map(acc: Dict[Tuple[int, int], GaussRational]) -> IntMap:
-    """``_int_rows`` of a matrix built with ``GaussRational`` entries."""
-    den, ints = cleared(acc.values())
-    return _int_rows(dict(zip(acc, ints)), den)
-
-
-def _apply(K: Union[Cochain2, IntRow], model: SpModel, attr: str,
-           build) -> Tuple[int, Dict[int, List[int]]]:
+def _apply(K: Union[Cochain2, Tuple[int, Dict[int, Tuple[int, int]]]], model: SpModel,
+           attr: str, build) -> Tuple[int, Dict[int, List[int]]]:
     """K times the matrix kept as ``attr``: output -> [re, im] over the
     returned denominator, zeros included.  K's integer row, of a
-    ``Cochain2`` or an ``IntRow``, is the product's one row as stored; only
-    its entries in the matrix's columns are read."""
+    ``Cochain2`` or as ``_kappa_row`` gives it, is the product's one row,
+    read in place through ``.items()``; only its entries in the matrix's
+    columns are read."""
     den, rows = _kept(model, attr, build)
     dk, row = (K.den, K.ints) if isinstance(K, Cochain2) else K
     out: Dict[int, List[int]] = {}
-    int_product_into({0: out}, {0: row}, rows, 1)
+    product_into({0: out}, {0: row.items()}, rows)
     return den * dk, out
 
 
@@ -622,7 +601,7 @@ def _cochain1(model: SpModel, den: int, values: Dict[int, List[int]]) -> Cochain
     return {ka: LieCoord.adopt(n, coords) for ka, coords in out.items()}
 
 
-def _build_direct(model: SpModel) -> IntMap:
+def _build_direct(model: SpModel) -> IntMatrix:
     """D_direct: output a * dim + k is coordinate k of the sum over the
     dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
     with a column for every coordinate.  Built in Python integers: the
@@ -660,7 +639,7 @@ def _build_direct(model: SpModel) -> IntMap:
             for kx, (re, im) in zip(m.c, ints):
                 for k, key in enumerate(keys):
                     add(kx, kb, key, a * dim + k, -scale, re, im)
-    return _int_rows(acc, den * scale)
+    return int_matrix(acc, den * scale)
 
 
 def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
@@ -808,7 +787,7 @@ def _closed_terms(model: SpModel) -> _ClosedTerms:
     return _ClosedTerms(eta, tuple(gam), tuple(gam_bar), ehat)
 
 
-def _build_closed(model: SpModel) -> IntMap:
+def _build_closed(model: SpModel) -> IntMatrix:
     """The closed matrix, from the term lists of ``_closed_terms``."""
     t = _closed_terms(model)
     dim, index = model.dim, model.key_index
@@ -826,7 +805,7 @@ def _build_closed(model: SpModel) -> IntMap:
                 vz, out = v * zv, index[zk] * 7 + slot[name]
                 for a, ka in enumerate(gkeys):
                     _put(acc, model, ka, ("theta", al, barred), key, a * dim * 7 + out, vz)
-    return _int_map(acc)
+    return int_matrix(acc)
 
 
 def _fold_slots(den: int, values: Dict[int, List[int]],
@@ -868,7 +847,7 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
 _TRACES = ("g_trace", "pi_trace", "Gamma_trace", "phi_trace", "pi_phi_trace")
 
 
-def _build_trace(model: SpModel) -> IntMap:
+def _build_trace(model: SpModel) -> IntMatrix:
     """T: output 5 * m + t belongs to the trace condition ``_TRACES[t]``,
     which holds when all of its outputs vanish.  The g and pi traces have
     one output m per coordinate, the Gamma trace one per g_- key x and
@@ -896,7 +875,7 @@ def _build_trace(model: SpModel) -> IntMap:
                     phi = ("phiU", t, True)
                     _put(acc, model, zbar, kx, phi, 5 * m + 3, c.g_up(al, s) * c.g(t, al))
                     _put(acc, model, z, kx, phi, 5 * m + 4, c.pi_up(al, s) * c.g(t, al))
-    return _int_map(acc)
+    return int_matrix(acc)
 
 
 def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
@@ -910,21 +889,6 @@ def _trace_verdict(values: Dict[int, List[int]]) -> Dict[str, bool]:
     """Each trace condition -> whether all of its outputs of T vanish."""
     broken = {out % 5 for out, (re, im) in values.items() if re or im}
     return {name: t not in broken for t, name in enumerate(_TRACES)}
-
-
-def _is_zero(values: Dict[int, List[int]]) -> bool:
-    return not any(re or im for re, im in values.values())
-
-
-def _equal(da: int, a: Dict[int, List[int]], db: int, b: Dict[int, List[int]]) -> bool:
-    """a / da == b / db output by output, for outputs [re, im] over da
-    and db."""
-    zero = (0, 0)
-    for pos in a.keys() | b.keys():
-        (ar, ai), (br, bi) = a.get(pos, zero), b.get(pos, zero)
-        if ar * db != br * da or ai * db != bi * da:
-            return False
-    return True
 
 
 def check_normality(compo: CurvatureComponents, model: SpModel,
@@ -960,12 +924,12 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
         closed_consts = codiff_closed_constants(model)
     dc, closed = _fold_slots(*_apply(K, model, "_closed_map", _build_closed), closed_consts)
     traces = _trace_verdict(_apply(K, model, "_trace_map", _build_trace)[1])
-    direct_zero = _is_zero(direct)
+    direct_zero = is_zero(direct)
     return {
         "trace_conditions": traces,
         "dstar_direct_zero": direct_zero,
-        "dstar_closed_zero": _is_zero(closed),
-        "direct_equals_closed": _equal(dd, direct, dc, closed),
+        "dstar_closed_zero": is_zero(closed),
+        "direct_equals_closed": equal(dd, direct, dc, closed),
         "normal": direct_zero and all(traces.values()),
     }
 

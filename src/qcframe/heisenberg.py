@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forms import Alphabet, DRuleSet, Form, Mono, Poly, Sym, Vector, differential
 from . import InputError, int_from_json, rational_from_json
 from .gauss import HALF, I, ZERO, GaussRational, gr
-from .model import SparseMat, smat, smat_mul, solve_sparse, solve_square
+from .linear import SparseMat, smat, smat_mul, solve_sparse, solve_square
 from .tensors import StandardConstants
 
 NCOORD = 7

@@ -12,27 +12,27 @@ anything off the template, so closure failures surface immediately.
 Every bracket goes through one structure-constant table, built on first
 use from the commutators of the basis matrices; each basis pair is
 certified once against the template when the table is built.  The
-table, ``from_matrix`` and ``smat_mul`` work on Gaussian integers: one
-sparse product (``int_product_into``) and one decode-and-certify step
-(``SpModel._decode_ints``) over the basis matrices and the decoder,
-cleared once per model.  The Killing form is held as two sparse Gram
-matrices: the ad-trace one and the closed form with its printed
-coefficients.
+table and ``from_matrix`` work on Gaussian integers, in the matrices of
+``linear``: one decode-and-certify step (``SpModel._decode_ints``), two
+products with the decoder and with the basis matrices, both stored once
+per model.  The Killing form is held as two sparse Gram matrices: the
+ad-trace one and the closed form with its printed coefficients.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gauss import (HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr,
                     random_gauss_ints)
+from .linear import (SparseMat, commutator, int_matrix, product_into, smat, smat_mul,
+                     solve_many, solve_square)
 from .tensors import StandardConstants, IndexedTensor, slots
 from . import coframe
 from .coframe import Key
 
-SparseMat = Dict[Tuple[int, int], GaussRational]
 Terms = Tuple[Tuple[Key, GaussRational], ...]  # (coordinate key, coefficient)
 
 # The scalar blocks of the sp(n+1,1) template, one position (row, column) a
@@ -141,174 +141,6 @@ class LieCoord:
         return f"LieCoord({parts or '0'})"
 
 
-# ---------------------------------------------------------------------------
-# sparse matrix helpers and the one exact linear solver
-
-
-def smat(dense) -> SparseMat:
-    """The sparse form of a dense matrix given as a list of rows."""
-    out: SparseMat = {}
-    for i, row in enumerate(dense):
-        for j, v in enumerate(row):
-            v = GaussRational.of(v)
-            if not v.is_zero():
-                out[i, j] = v
-    return out
-
-
-# Gaussian-integer matrices, over a denominator that the caller keeps
-# beside the matrix, stored by rows: row -> {column: (re, im)}, each row
-# laid out as a cochain's integer row is; and the rows of a right factor,
-# row -> its entries (column, re, im), which a product walks
-IntMat = Dict[int, Dict[int, Tuple[int, int]]]
-IntRows = Dict[int, List[Tuple[int, int, int]]]
-
-
-def _nested(entries) -> Dict[int, dict]:
-    """The ((row, col), value) pairs of ``entries`` by rows: row -> {col: value}."""
-    out: Dict[int, dict] = {}
-    for (r, co), v in entries:
-        out.setdefault(r, {})[co] = v
-    return out
-
-
-def _cleared_mat(M: SparseMat) -> Tuple[int, IntMat]:
-    """M cleared to Gaussian integers over its lcm denominator, by rows."""
-    den, ints = cleared(M.values())
-    return den, _nested(zip(M, ints))
-
-
-def by_row(M: IntMat) -> IntRows:
-    """Row r -> the entries (col, re, im) of M in that row."""
-    return {r: [(co, re, im) for co, (re, im) in row.items()] for r, row in M.items()}
-
-
-def int_product_into(acc: Dict[int, Dict[int, List[int]]], a: IntMat,
-                     b_rows: IntRows, sign: int) -> None:
-    """acc += sign * a b in place, the package's one sparse matrix product:
-    a is read by its rows as stored, b by its rows (``by_row``), and acc
-    maps a row to {column: running [re, im]}, rows and columns in
-    first-touch order, zeros included; a row of a that meets no row of b
-    adds no row to acc."""
-    for r, a_row in a.items():
-        out = None
-        for k, (ar, ai) in a_row.items():
-            row = b_rows.get(k)
-            if row:
-                if out is None:
-                    out = acc.get(r)
-                    if out is None:
-                        out = acc[r] = {}
-                if sign < 0:
-                    ar, ai = -ar, -ai
-                for co, br, bi in row:
-                    re, im = ar * br - ai * bi, ar * bi + ai * br
-                    cur = out.get(co)
-                    if cur is None:
-                        out[co] = [re, im]
-                    else:
-                        cur[0] += re
-                        cur[1] += im
-
-
-def int_commutator(a: IntMat, a_rows: IntRows, b: IntMat, b_rows: IntRows
-                   ) -> Dict[int, Dict[int, List[int]]]:
-    """a b - b a on Gaussian-integer matrices given with their rows, as
-    ``int_product_into`` leaves it: zero entries and empty rows included."""
-    acc: Dict[int, Dict[int, List[int]]] = {}
-    int_product_into(acc, a, b_rows, 1)
-    int_product_into(acc, b, a_rows, -1)
-    return acc
-
-
-def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
-    """The product a b: both cleared to Gaussian integers, multiplied by
-    ``int_product_into`` and each nonzero entry divided once, row by row."""
-    da, ia = _cleared_mat(a)
-    db, ib = _cleared_mat(b)
-    acc: Dict[int, Dict[int, List[int]]] = {}
-    int_product_into(acc, ia, by_row(ib), 1)
-    den = da * db
-    new = GaussRational.from_ints
-    return {(r, co): new(re, im, den) for r, row in acc.items()
-            for co, (re, im) in row.items() if re or im}
-
-
-def solve_many(rows: Iterable[Tuple[Dict[int, GaussRational], Dict[int, GaussRational]]],
-               k: int) -> Tuple[List[Dict[int, GaussRational]], int]:
-    """Solve k exact linear systems that share their coefficients, by one
-    sparse row reduction over the Gaussian rationals.  Row ``(coeffs, rhs)``
-    says ``sum(coeffs[j] * x_j) = rhs[t]`` in system t, for the sparse
-    right-hand side ``rhs`` (column t -> nonzero value, columns 0..k-1).
-    Each row is reduced, in the given order, against the pivots found so
-    far and then pivots on its smallest unknown; the pivots depend on the
-    coefficients alone, so each system is solved as it would be alone.
-
-    Returns one particular solution per system (free unknowns at zero,
-    zero values omitted, unknowns in descending order) and the rank, the
-    number of pivots.  Raises ValueError when a row reduces to 0 = nonzero
-    in any system."""
-    pivots: Dict[int, Dict[int, GaussRational]] = {}
-    rhs_map: Dict[int, Dict[int, GaussRational]] = {}
-    for row, rhs in rows:
-        row, rhs = dict(row), dict(rhs)
-        while row:
-            col = min(row)
-            if col not in pivots:
-                inv = ONE / row[col]
-                pivots[col] = {c2: inv * v2 for c2, v2 in row.items()}
-                rhs_map[col] = {t: inv * v for t, v in rhs.items()}
-                break
-            f = -row[col]
-            axpy(row, f, pivots[col])  # cancels the pivot entry too
-            axpy(rhs, f, rhs_map[col])
-        else:
-            if rhs:
-                raise ValueError("inconsistent linear system")
-    # back substitution with free unknowns at zero
-    done: Dict[int, Dict[int, GaussRational]] = {}
-    sols: List[Dict[int, GaussRational]] = [{} for _ in range(k)]
-    for col in sorted(pivots, reverse=True):
-        val = dict(rhs_map[col])
-        for c2, v2 in pivots[col].items():
-            if c2 != col and c2 in done:
-                axpy(val, -v2, done[c2])
-        done[col] = val
-        for t, v in val.items():
-            sols[t][col] = v
-    return sols, len(pivots)
-
-
-def solve_sparse(rows: Iterable[Tuple[Dict[int, GaussRational], GaussRational]]
-                 ) -> Tuple[Dict[int, GaussRational], int]:
-    """Solve the exact linear system whose rows ``(coeffs, rhs)`` say
-    ``sum(coeffs[j] * x_j) = rhs``: the one-system case of ``solve_many``,
-    with the same particular solution, rank and ValueError."""
-    def column(rhs) -> Dict[int, GaussRational]:
-        rhs = GaussRational.of(rhs)
-        return {} if rhs.is_zero() else {0: rhs}
-
-    (sol,), rank = solve_many(((row, column(rhs)) for row, rhs in rows), 1)
-    return sol, rank
-
-
-def solve_square(A: List[List[GaussRational]],
-                 B: List[List[GaussRational]]) -> List[List[GaussRational]]:
-    """The X with A X = B for a square A, every column of B in one
-    ``solve_many``.  Raises ValueError naming the matrix singular when A is."""
-    k = len(A)
-    rows = [({j: v for j, v in enumerate(r) if not v.is_zero()},
-             {t: v for t, v in enumerate(map(GaussRational.of, b)) if not v.is_zero()})
-            for r, b in zip(A, B)]
-    try:
-        cols, rank = solve_many(rows, len(B[0]))
-    except ValueError:  # only a singular A leaves a column of B out of range
-        rank = -1
-    if rank < k:
-        raise ValueError(f"singular {k}x{k} matrix")
-    return [[col.get(i, ZERO) for col in cols] for i in range(k)]
-
-
 class SpModel:
     """All exact data attached to sp(n+1,1) for fixed n and signature."""
 
@@ -406,66 +238,38 @@ class SpModel:
         return self._dec
 
     def _template_ints(self):
-        """The basis matrices and the decoder, each cleared once to Gaussian
-        integers: ``(D, mats, rows, E, dec)`` with ``mats[k]`` basis matrix k
-        times D (an ``IntMat``), ``rows[k]`` its rows, and ``dec`` the
-        decoder times E by rows (``IntRows``), matrix position r m + co ->
-        the coordinates (k, re, im) that read it."""
+        """The basis matrices and the decoder, each stored once by
+        ``int_matrix``: ``(D, basis, E, dec)``, with row k of ``basis``
+        basis matrix k over D at the positions r m + co, and row r m + co
+        of ``dec`` the coordinates (k, (re, im)) over E that read that
+        position."""
         if self._ints is None:
-            mats, dec, m = self._basis_matrices(), self._decoder(), self.m
-            D, flat = cleared([v for mat in mats for v in mat.values()])
-            flat = iter(flat)  # zip takes from it only while a matrix has entries
-            imats = [_nested(zip(mat, flat)) for mat in mats]
-            E, coeffs = cleared([v for entries in dec.values() for _, v in entries])
-            coeffs = iter(coeffs)
-            idec = {r * m + co: [(k, *next(coeffs)) for k, _ in entries]
-                    for (r, co), entries in dec.items()}
-            self._ints = (D, imats, [by_row(mat) for mat in imats], E, idec)
+            m = self.m
+            D, basis = int_matrix({(k, r * m + co): v for k, mat in enumerate(self._basis_matrices())
+                                   for (r, co), v in mat.items()})
+            E, dec = int_matrix({(r * m + co, k): v for (r, co), entries in self._decoder().items()
+                                 for k, v in entries})
+            self._ints = (D, basis, E, dec)
         return self._ints
 
-    def _decode_ints(self, M: Dict[int, Dict[int, Sequence[int]]]) -> Dict[int, Tuple[int, int]]:
-        """The coordinates (index -> (re, im), indices ascending, zeros
-        dropped) of the Gaussian-integer matrix M, given by rows as
-        ``int_product_into`` leaves them (zero entries allowed), over E
-        times M's denominator; certified by re-encoding through the basis
-        matrices, ``TemplateError`` if M is off the template."""
-        D, _, rows, E, dec = self._template_ints()
-        m = self.m
-        want: Dict[int, Sequence[int]] = {}  # M's nonzero entries at r m + co
-        acc: Dict[int, List[int]] = {}
-        for r, row in M.items():
-            base = r * m
-            for co, v in row.items():
-                vr, vi = v
-                if vr or vi:
-                    p = base + co
-                    want[p] = v
-                    for k, cr, ci in dec.get(p, ()):
-                        re, im = vr * cr - vi * ci, vr * ci + vi * cr
-                        cur = acc.get(k)
-                        if cur is None:
-                            acc[k] = [re, im]
-                        else:
-                            cur[0] += re
-                            cur[1] += im
-        x = {k: (re, im) for k in sorted(acc) for re, im in (acc[k],) if re or im}
-        back: Dict[int, List[int]] = {}
-        for k, (xr, xi) in x.items():
-            for r, entries in rows[k].items():
-                base = r * m
-                for co, er, ei in entries:
-                    re, im = xr * er - xi * ei, xr * ei + xi * er
-                    p = base + co
-                    cur = back.get(p)
-                    if cur is None:
-                        back[p] = [re, im]
-                    else:
-                        cur[0] += re
-                        cur[1] += im
-        # back is over D E times M's denominator: its nonzero entries must
-        # be those of M, each times D E
+    def _decode_ints(self, want: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
+        """The coordinates x (index -> (re, im), indices ascending, zeros
+        dropped) of the Gaussian-integer matrix whose nonzero entries are
+        ``want`` (position r m + co -> (re, im)), over E times its
+        denominator: one product with the decoder.  Certified by re-encoding,
+        one product of x with the basis matrices; ``TemplateError`` if the
+        matrix is off the template."""
+        D, basis, E, dec = self._template_ints()
+        acc: Dict[int, Dict[int, List[int]]] = {}
+        product_into(acc, {0: want.items()}, dec)
+        row = acc.get(0, {})
+        x = {k: (re, im) for k in sorted(row) for re, im in (row[k],) if re or im}
+        back: Dict[int, Dict[int, List[int]]] = {}
+        product_into(back, {0: x.items()}, basis)
+        # back is over D E times want's denominator: its nonzero entries
+        # must be those of want, each times D E
         f, count = D * E, 0
-        for p, (re, im) in back.items():
+        for p, (re, im) in back.get(0, {}).items():
             if re or im:
                 v = want.get(p)
                 if v is None or re != v[0] * f or im != v[1] * f:
@@ -478,9 +282,10 @@ class SpModel:
 
     def from_matrix(self, M: SparseMat) -> LieCoord:
         """The coordinates of M; ``TemplateError`` if M is off the template."""
-        den, ints = _cleared_mat(M)
-        x = self._decode_ints(ints)
-        den *= self._template_ints()[3]  # the decoder's denominator E
+        den, ints = cleared(M.values())
+        m = self.m
+        x = self._decode_ints({r * m + co: v for (r, co), v in zip(M, ints) if v[0] or v[1]})
+        den *= self._template_ints()[2]  # the decoder's denominator E
         keys, new = self.keys, GaussRational.from_ints
         return LieCoord.adopt(self.n, {keys[k]: new(re, im, den) for k, (re, im) in x.items()})
 
@@ -491,24 +296,34 @@ class SpModel:
         [B_i, B_j] = sum_k ((re + i im) / scale) B_k, and the scale.
 
         Built on first use from the basis matrix commutators, all in
-        Gaussian integers over D^2 E (D and E the denominators of the
-        cleared basis matrices and decoder): each pair i < j is decoded and
-        certified by re-encoding (``TemplateError`` if the commutator is off
-        the template); (j, i) is the negation.  The finished table is
-        divided by the gcd of its entries and D^2 E, which leaves the scale
-        the lowest common denominator of the coefficients."""
+        Gaussian integers over D^2 E (D and E the denominators of the basis
+        matrices and the decoder): each pair i < j with a nonzero
+        commutator is decoded and certified by re-encoding
+        (``TemplateError`` if the commutator is off the template); (j, i)
+        is the negation.  The finished table is divided by the gcd of its
+        entries and D^2 E, which leaves the scale the lowest common
+        denominator of the coefficients."""
         if self._sc is None:
-            D, mats, by_row, E, _ = self._template_ints()
+            D, basis, E, _ = self._template_ints()
+            m, dim = self.m, self.dim
+            # the basis matrices by rows: one matrix over D whose row k m + r
+            # is row r of basis matrix k, split into mats[k], matrix k
+            _, stacked = int_matrix({(k * m + r, co): v for k, row in basis.items()
+                                     for p, v in row for r, co in (divmod(p, m),)}, D)
+            mats = [{r: stacked[k * m + r] for r in range(m) if k * m + r in stacked}
+                    for k in range(dim)]
             # a b is zero unless a column of a meets a row of b
-            cols = [frozenset(co for row in mat.values() for co in row) for mat in mats]
+            cols = [frozenset(co for row in a.values() for co, _ in row) for a in mats]
             exact = {}
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    if cols[i].isdisjoint(by_row[j]) and cols[j].isdisjoint(by_row[i]):
+            for i, a in enumerate(mats):
+                for j in range(i + 1, dim):
+                    b = mats[j]
+                    if cols[i].isdisjoint(b) and cols[j].isdisjoint(a):
                         continue
-                    x = self._decode_ints(int_commutator(mats[i], by_row[i], mats[j], by_row[j]))
-                    if x:
-                        exact[(i, j)] = x
+                    want = {r * m + co: v for r, row in commutator(a, b).items()
+                            for co, v in row.items() if v[0] or v[1]}
+                    if want:  # a zero commutator has nothing to certify
+                        exact[i, j] = self._decode_ints(want)
             den = D * D * E
             g = gcd(den, *(v for x in exact.values() for re_im in x.values() for v in re_im))
             rows = [[()] * self.dim for _ in range(self.dim)]

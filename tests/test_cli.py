@@ -170,7 +170,7 @@ def test_off_template_product_exit_3(monkeypatch, capsys, tmp_path):
     """A commutator off the sp(n+1,1) template is an internal defect,
     not a usage error."""
     from qcframe import model
-    commutator = model.int_commutator
+    commutator = model.commutator
 
     def off_template(*args):
         out = commutator(*args)
@@ -179,7 +179,7 @@ def test_off_template_product_exit_3(monkeypatch, capsys, tmp_path):
         row[0] = [re + 7, im]
         return out
 
-    monkeypatch.setattr(model, "int_commutator", off_template)
+    monkeypatch.setattr(model, "commutator", off_template)
     path = tmp_path / "report.json"
     assert run(["lie", "jacobi", "--n", "1", "--trials", "1", "--json", str(path)]) == 3
     assert "internal error" in capsys.readouterr().err

@@ -796,32 +796,69 @@ def test_cochains_store_one_reduced_row(model_for, n, signature):
 
 
 def test_apply_reads_the_stored_row(model_for, closed1, monkeypatch):
-    """Each cochain map hands ``int_product_into`` K's stored integer row
-    itself, as the one row of its left operand, and returns the output
-    row that ``int_product_into`` filled: ``_apply`` builds no per-entry
-    container from K's row, on the way in or out.  The outputs are those
-    of the maps on a copy of K."""
-    product, calls = cochains.int_product_into, []
+    """Each cochain map hands ``product_into`` K's stored integer row
+    itself, read in place through ``.items()``, as the one row of its left
+    operand, and returns the output row that ``product_into`` filled:
+    ``_apply`` builds no per-entry container from K's row, on the way in
+    or out.  The outputs are those of the maps on a copy of K."""
+    product, calls = cochains.product_into, []
 
-    def spy(acc, a, b_rows, sign):
+    def spy(acc, a, b, sign=1):
         calls.append((acc, a))
-        product(acc, a, b_rows, sign)
+        product(acc, a, b, sign)
 
     m = model_for(1)
     K = random_lemma_cochain(random.Random(4), 1)
     want = [f(Cochain2(1, K.den, dict(K.ints))) for f in (
         lambda K: kostant_codiff_direct(K, m), lambda K: kostant_codiff_closed(K, m, closed1),
         lambda K: trace_conditions(K, m))]
-    monkeypatch.setattr(cochains, "int_product_into", spy)
+    monkeypatch.setattr(cochains, "product_into", spy)
     assert kostant_codiff_direct(K, m) == want[0]
     assert kostant_codiff_closed(K, m, closed1) == want[1]
     assert trace_conditions(K, m) == want[2]
     assert len(calls) == 3
     for acc, a in calls:
-        assert list(a) == [0] and a[0] is K.ints
+        assert list(a) == [0] and type(a[0]) is type({}.items())
         assert list(acc) == [0]
-    # the returned output row is the one int_product_into filled
+    # a live view of K.ints itself, not of a copy: it sees an entry added later
+    K.ints[-1] = (0, 0)
+    assert all((-1, (0, 0)) in a[0] for _, a in calls)
+    del K.ints[-1]
+    # the returned output row is the one product_into filled
     calls.clear()
     den, out = cochains._apply(K, m, "_direct_map", cochains._build_direct)
     (acc, _), = calls
     assert acc[0] is out and out
+
+
+@pytest.mark.parametrize("n, signature", [(1, None), (2, None), (2, (1, 1))])
+def test_kept_matrices_stored_once_in_the_pair_layout(n, signature):
+    """The basis matrices, the decoder, D_direct, the closed matrix and T
+    are each stored once, as ``linear.int_matrix`` leaves a matrix: row ->
+    a nonempty tuple of entries (col, (re, im)), nonzero and in distinct
+    columns, over a denominator with gcd(den, every part) == 1.  The basis
+    matrices are the rows of one matrix, basis matrix k at the positions
+    r m + co of row k, and ``_template_ints`` holds nothing else."""
+    m = SpModel(n, signature)
+    kept = m._template_ints()
+    assert len(kept) == 4
+    D, basis, E, dec = kept
+    maps = [cochains._kept(m, attr, build) for attr, build in (
+        ("_direct_map", cochains._build_direct), ("_closed_map", cochains._build_closed),
+        ("_trace_map", cochains._build_trace))]
+    for den, rows in [(D, basis), (E, dec)] + maps:
+        assert type(den) is int and den > 0 and type(rows) is dict and rows
+        parts = []
+        for row in rows.values():
+            assert type(row) is tuple and row
+            for entry in row:
+                assert type(entry) is tuple and len(entry) == 2
+                co, v = entry
+                assert type(co) is int and type(v) is tuple and len(v) == 2 and v != (0, 0)
+                parts += v
+            assert len({co for co, _ in row}) == len(row)
+        assert gcd(den, *parts) == 1
+    assert list(basis) == list(range(m.dim))
+    for k, mat in enumerate(m._basis_matrices()):
+        assert {divmod(p, m.m): GaussRational.from_ints(re, im, D)
+                for p, (re, im) in basis[k]} == mat

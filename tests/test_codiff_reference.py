@@ -343,7 +343,7 @@ def test_set_pair_lands_on_the_matrix_columns(model_for):
                 den, rows = cochains._kept(m, attr, build)
                 got_den, got = cochains._apply(R, m, attr, build)
                 assert {out: new(re, im, got_den) for out, (re, im) in got.items()} == \
-                    {out: c * new(re, im, den) for out, re, im in rows.get(col, ())}
+                    {out: c * new(re, im, den) for out, (re, im) in rows.get(col, ())}
                 if col in rows:
                     read[attr].add(col)
     assert [len(cols) for cols in read.values()] == [327, 140, 98]
@@ -368,8 +368,8 @@ def test_negated_direct_entry_is_seen(model_for, monkeypatch):
     def negated(model):
         den, rows = build(model)
         col = next(c for c in K.row if c in rows)
-        out, re, im = rows[col][0]
-        rows[col] = [(out, -re, -im)] + rows[col][1:]
+        (out, (re, im)), *rest = rows[col]
+        rows[col] = ((out, (-re, -im)), *rest)
         return den, rows
 
     monkeypatch.setattr(cochains, "_build_direct", negated)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,13 +8,13 @@ from pathlib import Path
 import pytest
 
 from qcframe.gauss import ONE, axpy, gr
+from qcframe.linear import smat_mul, solve_sparse, solve_square
 from qcframe.model import (Dual, G1Element, LieCoord, SpModel, TemplateError,
                            commutes_with_j2, g1_compose, g1_inverse,
                            g1_lie_matrix, g1_to_matrix, grading_check,
                            jacobi_residual, maurer_cartan_check,
                            parabolic_member, preserves_pairing, random_coord,
-                           random_g1, random_spn, smat_mul,
-                           solve_sparse, solve_square, validate_spn)
+                           random_g1, random_spn, validate_spn)
 from qcframe.tensors import (IndexedTensor, StandardConstants, SymTensor, j_average,
                              random_tensor, slots, symmetrize)
 import qcframe
@@ -463,7 +464,7 @@ def test_wrong_grade_target_fails_grading():
 
 def test_off_template_commutator_raises(monkeypatch):
     from qcframe import model
-    commutator = model.int_commutator
+    commutator = model.commutator
 
     def off_template(*args):
         out = commutator(*args)
@@ -472,7 +473,7 @@ def test_off_template_commutator_raises(monkeypatch):
         row[0] = [re + 7, im]
         return out
 
-    monkeypatch.setattr(model, "int_commutator", off_template)
+    monkeypatch.setattr(model, "commutator", off_template)
     with pytest.raises(TemplateError):
         SpModel(1).structure_constants()
 
@@ -480,16 +481,17 @@ def test_off_template_commutator_raises(monkeypatch):
 def test_perturbed_decoder_coefficient_fails_reencoding():
     """One cleared decoder coefficient that a commutator reads, off by one:
     the decoded coordinates re-encode to another matrix."""
-    from qcframe import model
+    from qcframe.linear import commutator, int_matrix
     m = SpModel(1)
-    _, mats, rows, _, dec = m._template_ints()
+    _, _, _, dec = m._template_ints()
+    mats = [int_matrix(mat)[1] for mat in m._basis_matrices()]
     # the positions r m + co of the nonzero commutator entries, pair by pair
     nonzero = ([r * m.m + co for r, row in comm.items() for co, (re, im) in row.items() if re or im]
                for i in range(m.dim) for j in range(i + 1, m.dim)
-               for comm in (model.int_commutator(mats[i], rows[i], mats[j], rows[j]),))
+               for comm in (commutator(mats[i], mats[j]),))
     pos = next(p for ps in nonzero for p in ps if dec.get(p))
-    (k, re, im), *rest = dec[pos]
-    dec[pos] = [(k, re + 1, im), *rest]
+    (k, (re, im)), *rest = dec[pos]
+    dec[pos] = ((k, (re + 1, im)), *rest)
     with pytest.raises(TemplateError, match="off the sp"):
         m.structure_constants()
 
@@ -631,24 +633,73 @@ def test_random_spn_draws_again_when_i_minus_x_is_singular(monkeypatch):
     assert len(calls) == 2
 
 
+def _gauss_product_depth(node, depth=0) -> int:
+    """The deepest loop nesting (for statements and comprehensions) at
+    which a Gaussian product ``a * b - c * d`` sits in ``node``, nested
+    functions not counted; -1 when there is none."""
+    best = -1
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub)
+                and all(isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mult)
+                        for s in (child.left, child.right))):
+            best = max(best, depth)
+        best = max(best, _gauss_product_depth(
+            child, depth + isinstance(child, (ast.For, ast.comprehension))))
+    return best
+
+
 def test_one_solver_and_one_product():
     """No module defines its own matrix product or a private solver:
-    model.int_product_into (behind smat_mul and the cochain maps) and
-    model.solve_many are the only ones, and the package has one
-    elimination loop, a ``while`` that searches its pivot with ``min``, in
-    model.solve_many."""
-    loops = []
-    for path in Path(qcframe.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    linear.product_into (behind smat_mul, the table's commutators and
+    decodes, and the cochain maps) and linear.solve_many are the only
+    ones, and the package has one elimination loop, a ``while`` that
+    searches its pivot with ``min``, in linear.solve_many.  A Gaussian
+    product two or more loops deep sits only in linear.product_into and in
+    the hand loops named here; the layouts and converters that the one
+    matrix layout replaced are gone."""
+    loops, deep, defined = [], [], {}
+    for path in sorted(Path(qcframe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 assert node.name != "matmul" and not node.name.startswith("_solve_"), \
                     (path.name, node.name)
+                defined.setdefault(node.name, []).append(path.name)
                 loops += [(path.name, node.name) for loop in ast.walk(node)
                           if isinstance(loop, ast.While)
                           and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                                   and call.func.id == "min" for call in ast.walk(loop))]
-    assert loops == [("model.py", "solve_many")]
-    # cochains.py applies its matrices only through int_product_into, in
+                if _gauss_product_depth(node) >= 2:
+                    deep.append((path.name, node.name))
+        names = {getattr(node, attr) for node in ast.walk(tree)
+                 for attr in ("id", "attr", "name", "module") if isinstance(
+                     getattr(node, attr, None), str)}
+        gone = {"by_row", "_nested", "_cleared_mat", "_int_rows", "_int_map", "IntMat",
+                "IntRows", "IntRow", "IntMap", "int_product_into", "int_commutator",
+                "_is_zero", "_equal"}
+        assert not names & gone, (path.name, names & gone)
+        module = importlib.import_module(f"qcframe.{path.stem}")
+        assert not any(hasattr(module, name) for name in gone), path.name
+    assert loops == [("linear.py", "solve_many")]
+    for name in ("product_into", "commutator", "int_matrix", "solve_many", "solve_sparse",
+                 "solve_square", "smat", "smat_mul"):
+        assert defined[name] == ["linear.py"], name
+    # the hand loops that stay: the monomial evaluation of kappa, D_direct's
+    # ad sum over the table rows, the d^2 kernel, the bracket through the
+    # table and the Killing Gram's j >= i half
+    assert deep == [("cochains.py", "_kappa_row"), ("cochains.py", "_build_direct"),
+                    ("forms.py", "_rule_into"), ("linear.py", "product_into"),
+                    ("model.py", "bracket_sum"), ("model.py", "killing_gram")]
+    # model.py decodes with two products and no multiply of its own
+    tree = ast.parse((Path(qcframe.__file__).parent / "model.py").read_text())
+    decode = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_decode_ints")
+    assert _gauss_product_depth(decode) == -1
+    assert [getattr(call.func, "id", None) for call in ast.walk(decode)
+            if isinstance(call, ast.Call)].count("product_into") == 2
+    # cochains.py applies its matrices only through product_into, in
     # _apply, which each of the three maps calls once and which has no
     # loop statement and no comprehension, and clears nothing; it calls no
     # bracket_sum, no helper but _apply reads a cochain's stored integer
@@ -665,7 +716,8 @@ def test_one_solver_and_one_product():
     def is_op(node, op):
         return isinstance(node, ast.BinOp) and isinstance(node.op, op)
 
-    assert [name for name, fn in funcs.items() if "int_product_into" in called(fn)] == ["_apply"]
+    assert [name for name, fn in funcs.items() if "product_into" in called(fn)] == ["_apply"]
+    assert called(funcs["_apply"]).count("product_into") == 1
     for name in ("kostant_codiff_direct", "kostant_codiff_closed", "trace_conditions"):
         assert called(funcs[name]).count("_apply") == 1, name
     apply = funcs["_apply"]
@@ -683,3 +735,23 @@ def test_one_solver_and_one_product():
     assert [fn.name for fn in methods if any(
         is_op(node, ast.Mult) and is_op(node.left, ast.Add) and is_op(node.left.left, ast.Mult)
         for node in ast.walk(fn))] == ["column"]
+
+
+def test_table_decodes_only_nonzero_commutators(monkeypatch):
+    """A commutator with no nonzero entry has nothing to certify, so the
+    table build decodes exactly one commutator per nonzero entry (i, j),
+    i < j, of the table: 125 at n = 1, of the 134 pairs whose matrices
+    meet, and each decoded matrix is given by its nonzero entries."""
+    calls = []
+    decode = SpModel._decode_ints
+
+    def spy(self, want):
+        assert want and all(re or im for re, im in want.values())
+        calls.append(len(want))
+        return decode(self, want)
+
+    monkeypatch.setattr(SpModel, "_decode_ints", spy)
+    m = SpModel(1)
+    rows, _ = m.structure_constants()
+    assert len(calls) == sum(1 for i in range(m.dim) for j in range(i + 1, m.dim)
+                             if rows[i][j]) == 125

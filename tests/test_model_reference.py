@@ -2,7 +2,7 @@
 model's tables against reference evaluators.
 
 The reference functions below are the ``GaussRational`` loops that
-``model.validate_spn``, ``g1_compose``, ``g1_inverse``, ``solve_sparse``,
+``model.validate_spn``, ``g1_compose``, ``g1_inverse``, ``linear.solve_sparse``,
 ``solve_square``, ``smat_mul``, ``SpModel._decoder``, ``to_matrix``,
 ``from_matrix``, ``structure_constants`` and ``killing_gram`` replaced,
 kept verbatim apart from their names:
@@ -18,12 +18,13 @@ from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
-from qcframe import gauss, model
+from qcframe import gauss, linear, model
 from qcframe.gauss import HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr
-from qcframe.model import (G1Element, LieCoord, SparseMat, SpModel, TemplateError,
+from qcframe.linear import (SparseMat, int_matrix, product_into, smat_mul, solve_many,
+                            solve_sparse, solve_square)
+from qcframe.model import (G1Element, LieCoord, SpModel, TemplateError,
                            g1_compose, g1_inverse, g1_to_matrix, random_coord, random_g1,
-                           random_spn, smat_mul, solve_many, solve_sparse, solve_square,
-                           validate_spn)
+                           random_spn, validate_spn)
 from qcframe.tensors import StandardConstants, j_average, random_tensor, slots, symmetrize
 
 CASES = [(1, None), (2, None), (2, (1, 1)), (3, (2, 1))]
@@ -481,12 +482,21 @@ def test_to_matrix_and_from_matrix_match_reference(n, signature):
 
 
 def test_smat_mul_matches_reference_with_cancellation():
+    """smat_mul, and the one product with each row of its left factor
+    given as a dict row's ``.items()`` (as the cochain maps give it), equal
+    the reference product, item order included."""
     rng = random.Random(5)
     for rows, inner, cols in ((3, 4, 2), (5, 5, 5), (1, 6, 3), (6, 2, 6)):
         for _ in range(6):
             a = _random_smat(rng, rows, inner)
             b = _random_smat(rng, inner, cols)
-            assert list(smat_mul(a, b).items()) == list(reference_smat_mul(a, b).items())
+            want = list(reference_smat_mul(a, b).items())
+            assert list(smat_mul(a, b).items()) == want
+            (da, ia), (db, ib) = int_matrix(a), int_matrix(b)
+            acc = {}
+            product_into(acc, {r: dict(row).items() for r, row in ia.items()}, ib)
+            assert [((r, co), GaussRational.from_ints(re, im, da * db))
+                    for r, row in acc.items() for co, (re, im) in row.items() if re or im] == want
     # (1 + i, 1/2) (2, 4 + 4i)^T = 0: the one entry cancels and is dropped
     a = {(0, 0): gr(1, 1), (0, 1): gr(Fraction(1, 2))}
     b = {(0, 0): gr(2), (1, 0): gr(-4, -4)}
@@ -585,13 +595,14 @@ def test_many_columns_inconsistent_in_one_raises():
 
 def test_one_elimination_per_decoder_and_per_square_solve(monkeypatch):
     calls = []
-    many = model.solve_many
+    many = linear.solve_many
 
     def counting(rows, k):
         calls.append(k)
         return many(rows, k)
 
     monkeypatch.setattr(model, "solve_many", counting)
+    monkeypatch.setattr(linear, "solve_many", counting)
     m = SpModel(1)
     m._decoder()
     assert calls == [m.dim]
