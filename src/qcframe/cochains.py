@@ -375,15 +375,13 @@ Read = Tuple[str, Tuple[int, ...], Tuple[int, ...], bool]
 
 class KappaPlan(NamedTuple):
     """The coordinate two-forms compiled for evaluation.  A cell is a
-    g_- pair with a coordinate, numbered by its ``column``.  Each entry
-    of ``monos`` is a symbol monomial with the columns of the cells it
-    feeds and the coefficient it feeds each with.  ``groups`` holds the
-    same monomials with their reads compiled and their coefficients
-    cleared, grouped by the families they read: (families, ((reads,
-    columns, coefficients (re, im) over ``den``), ...)).  ``top`` is the
-    highest degree of a monomial."""
+    g_- pair with a coordinate, numbered by its ``column``.  ``groups``
+    holds each symbol monomial, with its reads compiled, the columns of
+    the cells it feeds and the coefficient it feeds each with, cleared,
+    grouped by the families it reads: (families, ((reads, columns,
+    coefficients (re, im) over ``den``), ...)).  ``top`` is the highest
+    degree of a monomial."""
 
-    monos: Tuple[Tuple[Mono, Tuple[int, ...], Tuple[GaussRational, ...]], ...]
     groups: Tuple[Tuple[Tuple[str, ...], Tuple[Tuple[Tuple[Read, ...], Tuple[int, ...],
                                                      Tuple[Tuple[int, int], ...]], ...]], ...]
     den: int
@@ -408,18 +406,17 @@ def _compile_plan(n: int, forms: Dict[Key, Form]) -> KappaPlan:
             col = column(n, gkeys[i], gkeys[j], coord)[0]
             for smono, coeff in poly.terms.items():
                 by_mono.setdefault(smono, []).append((col, coeff))
-    monos = tuple((smono, tuple(col for col, _ in terms), tuple(coeff for _, coeff in terms))
-                  for smono, terms in by_mono.items())
-    den, ints = cleared([coeff for _, _, coeffs in monos for coeff in coeffs])
+    den, ints = cleared([coeff for terms in by_mono.values() for _, coeff in terms])
     shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
     ints = iter([shared.setdefault(c, c) for c in ints])  # each distinct pair stored once
     groups: Dict[Tuple[str, ...], list] = {}
-    for smono, cols, _ in monos:
+    for smono, terms in by_mono.items():
         reads = tuple(_compile_read(s) for s in smono)
         fams = tuple(f for f in CURVATURE_FAMILIES if any(r[0] == f for r in reads))
-        # zip takes from ints only while columns remain
-        groups.setdefault(fams, []).append((reads, cols, tuple(c for _, c in zip(cols, ints))))
-    return KappaPlan(monos, tuple((fams, tuple(g)) for fams, g in groups.items()), den,
+        # zip takes from ints only while terms remain
+        groups.setdefault(fams, []).append(
+            (reads, tuple(col for col, _ in terms), tuple(c for _, c in zip(terms, ints))))
+    return KappaPlan(tuple((fams, tuple(g)) for fams, g in groups.items()), den,
                      max((len(smono) for smono in by_mono), default=0))
 
 
@@ -955,6 +952,20 @@ def homogeneity_classify(K: Cochain2) -> Dict[int, Cochain2]:
     for col, v in K.ints.items():
         rows.setdefault(weight[col], {})[col] = v
     return {ell: Cochain2(K.n, K.den, row) for ell, row in rows.items()}
+
+
+def family_homogeneities(model: SpModel) -> Dict[str, List[int]]:
+    """Each curvature family -> the sorted homogeneities of the columns
+    its monomials feed in the compiled plan, read off ``_weights``.  kappa
+    is linear in the components, so this is where every component set's
+    piece of the family sits."""
+    weight = _weights(model.n)
+    table: Dict[str, set] = {fam: set() for fam in CURVATURE_FAMILIES}
+    for fams, monos in _kappa(model.n, model.consts.signature, None)[1].groups:
+        found = {weight[col] for _, cols, _ in monos for col in cols}
+        for fam in fams:
+            table[fam] |= found
+    return {fam: sorted(found) for fam, found in table.items()}
 
 
 def regularity_ok(K: Cochain2) -> bool:

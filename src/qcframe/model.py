@@ -6,16 +6,19 @@ Matrices act on the 2n+4 dimensional space with basis ordered
 {(row, col): GaussRational}.  An element is described either by such a
 matrix or by its coordinates (a LieCoord); the two are related by a
 fixed block template, written once, as the table ``SpModel._template``.
-The decoder is the basis matrices' left inverse; ``from_matrix`` refuses
-anything off the template, so closure failures surface immediately.
+``to_matrix`` evaluates it on one element.  ``SpModel._template_ints``
+reads it into Gaussian integers once per model, in the matrices of
+``linear``: the basis matrices in one pass over the table, and the
+decoder, their left inverse, from one ``solve_many``.  ``from_matrix``
+refuses anything off the template, so closure failures surface
+immediately.
 
 Every bracket goes through one structure-constant table, built on first
-use from the commutators of the basis matrices; each basis pair is
-certified once against the template when the table is built.  The
-table and ``from_matrix`` work on Gaussian integers, in the matrices of
-``linear``: one decode-and-certify step (``SpModel._decode_ints``), two
-products with the decoder and with the basis matrices, both stored once
-per model.  The Killing form is held as two sparse Gram matrices: the
+use from the commutators of those integer basis matrices; each basis
+pair is certified once against the template when the table is built.
+The table and ``from_matrix`` share one decode-and-certify step
+(``SpModel._decode_ints``): two products, with the decoder and with the
+basis matrices.  The Killing form is held as two sparse Gram matrices: the
 ad-trace one and the closed form with its printed coefficients.
 """
 from __future__ import annotations
@@ -155,8 +158,6 @@ class SpModel:
         self.v1, self.v2 = 0, 1
         self.w1, self.w2 = 2 * n + 2, 2 * n + 3
         self._tmpl = None
-        self._mats = None
-        self._dec = None
         self._ints = None
         self._sc = None
         self._gram = None
@@ -209,46 +210,35 @@ class SpModel:
                 M[pos] = val
         return M
 
-    def _basis_matrices(self) -> List[SparseMat]:
-        if self._mats is None:
-            self._mats = [self.to_matrix(self.basis(k)) for k in self.keys]
-        return self._mats
-
-    def _decoder(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, GaussRational], ...]]:
-        """The left inverse of the basis matrices: matrix position -> the
-        coordinates (index, coefficient) that read that entry.  Row k of
-        the inverse solves <B_j, L_k> = delta_jk over the positions, and
-        all ``dim`` rows come from one ``solve_many``; ``TemplateError`` if
-        the basis matrices are linearly dependent."""
-        if self._dec is None:
-            m = self.m
-            rows = [({r * m + co: v for (r, co), v in mat.items()}, {j: ONE})
-                    for j, mat in enumerate(self._basis_matrices())]
+    def _template_ints(self):
+        """The template read once into Gaussian integers, as ``int_matrix``
+        stores a matrix: ``(D, basis, E, dec)``.  Row k of ``basis`` is
+        basis matrix k over D at the positions r m + co, in one pass over
+        ``_template()``, the terms of a key at one position summed.  Row
+        r m + co of ``dec`` holds the coordinates (k, (re, im)) over E
+        that read that position: the decoder, the basis matrices' left
+        inverse, whose row k solves <B_j, L_k> = delta_jk over the
+        positions, all ``dim`` rows from one ``solve_many``.
+        ``TemplateError`` if the basis matrices are linearly dependent."""
+        if self._ints is None:
+            m, index = self.m, self.key_index
+            mats: List[Dict[int, GaussRational]] = [{} for _ in self.keys]
+            for (r, co), ts in self._template():
+                p = r * m + co
+                for key, coeff in ts:
+                    mat = mats[index[key]]
+                    mat[p] = mat[p] + coeff if p in mat else coeff
+            D, basis = int_matrix({(k, p): v for k, mat in enumerate(mats) for p, v in mat.items()})
+            new = GaussRational.from_ints
+            rows = [({p: new(re, im, D) for p, (re, im) in basis.get(j, ())}, {j: ONE})
+                    for j in range(self.dim)]
             try:
                 sols, rank = solve_many(rows, self.dim)
             except ValueError:
                 rank = -1
             if rank < self.dim:
                 raise TemplateError("the sp(n+1,1) basis matrices are linearly dependent")
-            dec: Dict[Tuple[int, int], List[Tuple[int, GaussRational]]] = {}
-            for k, sol in enumerate(sols):
-                for p, v in sol.items():
-                    dec.setdefault(divmod(p, m), []).append((k, v))
-            self._dec = {pos: tuple(coeffs) for pos, coeffs in dec.items()}
-        return self._dec
-
-    def _template_ints(self):
-        """The basis matrices and the decoder, each stored once by
-        ``int_matrix``: ``(D, basis, E, dec)``, with row k of ``basis``
-        basis matrix k over D at the positions r m + co, and row r m + co
-        of ``dec`` the coordinates (k, (re, im)) over E that read that
-        position."""
-        if self._ints is None:
-            m = self.m
-            D, basis = int_matrix({(k, r * m + co): v for k, mat in enumerate(self._basis_matrices())
-                                   for (r, co), v in mat.items()})
-            E, dec = int_matrix({(r * m + co, k): v for (r, co), entries in self._decoder().items()
-                                 for k, v in entries})
+            E, dec = int_matrix({(p, k): v for k, sol in enumerate(sols) for p, v in sol.items()})
             self._ints = (D, basis, E, dec)
         return self._ints
 
@@ -306,12 +296,14 @@ class SpModel:
         if self._sc is None:
             D, basis, E, _ = self._template_ints()
             m, dim = self.m, self.dim
-            # the basis matrices by rows: one matrix over D whose row k m + r
-            # is row r of basis matrix k, split into mats[k], matrix k
-            _, stacked = int_matrix({(k * m + r, co): v for k, row in basis.items()
-                                     for p, v in row for r, co in (divmod(p, m),)}, D)
-            mats = [{r: stacked[k * m + r] for r in range(m) if k * m + r in stacked}
-                    for k in range(dim)]
+            # the basis matrices by rows: mats[k] maps row r of basis matrix
+            # k to its entries (co, (re, im)) over D
+            mats: List[Dict[int, List]] = [{} for _ in range(dim)]
+            for k, row in basis.items():
+                mat = mats[k]
+                for p, v in row:
+                    r, co = divmod(p, m)
+                    mat.setdefault(r, []).append((co, v))
             # a b is zero unless a column of a meets a row of b
             cols = [frozenset(co for row in a.values() for co, _ in row) for a in mats]
             exact = {}

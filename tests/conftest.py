@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import settings
 
-from qcframe.gauss import gr
 from qcframe.model import SpModel
 
 # property tests: a fixed example sequence, no wall-clock deadline and no
@@ -26,12 +25,17 @@ def model_for():
 
 @pytest.fixture
 def dependent_basis(monkeypatch):
-    """Encode eta_1 as eta_2, so two basis matrices of every model coincide."""
-    encode = SpModel.to_matrix
+    """Write eta_1 into the template wherever eta_2 is, with eta_2's
+    coefficient, and nowhere else, so that the eta_1 and eta_2 basis
+    matrices of every model coincide."""
+    template = SpModel._template
+    eta1, eta2 = ("eta", 1), ("eta", 2)
 
-    def to_matrix(self, x):
-        if x.c == {("eta", 1): gr(1)}:
-            x = self.basis(("eta", 2))
-        return encode(self, x)
+    def _template(self):
+        out = []
+        for pos, ts in template(self):
+            ts = tuple(t for t in ts if t[0] != eta1)
+            out.append((pos, ts + tuple((eta1, coeff) for key, coeff in ts if key == eta2)))
+        return tuple(out)
 
-    monkeypatch.setattr(SpModel, "to_matrix", to_matrix)
+    monkeypatch.setattr(SpModel, "_template", _template)

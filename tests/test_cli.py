@@ -95,6 +95,25 @@ def test_example_and_classify(capsys):
     assert run(["classify", "homogeneity", "--n", "1", "--seed", "5"]) == 0
 
 
+def test_classify_fails_on_a_column_moved_to_another_homogeneity(monkeypatch, capsys):
+    """The negative control for the family table read from the plan: one
+    S monomial that feeds a column of homogeneity 3 in place of its first
+    column makes the command exit 1, naming S."""
+    from qcframe import cochains
+    forms, plan = cochains._kappa(1, (1, 0), None)
+    moved = cochains._weights(1).index(3)
+    groups = list(plan.groups)
+    g = next(g for g, (fams, _) in enumerate(groups) if fams == ("S",))
+    fams, ((reads, cols, coeffs), *rest) = groups[g]
+    groups[g] = fams, ((reads, (moved, *cols[1:]), coeffs), *rest)
+    monkeypatch.setitem(cochains._KAPPA_CACHE, (1, (1, 0), None),
+                        (forms, plan._replace(groups=tuple(groups))))
+    assert run(["classify", "homogeneity", "--n", "1", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert '[fail] family S sits at homogeneity [2]  {"found": [2, 3]}' in out
+    assert out.count("[fail]") == 1
+
+
 def test_classify_with_component_file(tmp_path, capsys):
     import random
     from qcframe.cochains import components_to_json, random_components

@@ -12,7 +12,7 @@ from qcframe.cochains import (Cochain1, Cochain2, CurvatureComponents,
                               assemble_kappa, broken_components,
                               check_normality, codiff_closed_constants,
                               components_from_json, components_to_json,
-                              gminus_keys, homogeneity_classify,
+                              family_homogeneities, gminus_keys, homogeneity_classify,
                               kappa_coordinate_forms,
                               kostant_codiff_closed, kostant_codiff_direct,
                               random_components, random_lemma_cochain,
@@ -235,11 +235,18 @@ def test_plan_evaluates_any_degree(model_for, monkeypatch):
 @pytest.mark.parametrize("n, monos, terms", [(1, 35, 246), (2, 126, 1029)])
 def test_kappa_is_degree_one_in_the_components(n, monos, terms):
     """Every symbol monomial of kappa has length 1: kappa is linear in
-    the component arrays."""
+    the component arrays.  Read from the compiled plan's groups, each
+    monomial one read of the one family its group reads, feeding its
+    columns with nonzero integer coefficients."""
     plan = cochains._kappa(n, None, None)[1]
-    assert len(plan.monos) == monos
-    assert sum(len(cells) for _, cells, _ in plan.monos) == terms
-    assert all(len(smono) == 1 for smono, _, _ in plan.monos)
+    compiled = [(fams, entry) for fams, group in plan.groups for entry in group]
+    assert len(compiled) == monos
+    assert sum(len(cols) for _, (_, cols, _) in compiled) == terms
+    assert plan.top == 1
+    for fams, (reads, cols, coeffs) in compiled:
+        assert len(reads) == 1 and fams == (reads[0][0],)
+        assert len(cols) == len(set(cols)) == len(coeffs)
+        assert all(type(re) is int and type(im) is int and (re or im) for re, im in coeffs)
 
 
 def test_kappa_antisymmetry(model_for, consts1):
@@ -565,6 +572,16 @@ def test_homogeneity_families(model_for, consts1):
         setattr(compo, fam, getattr(src, fam))
         K = assemble_kappa(compo, m)
         assert sorted(homogeneity_classify(K)) == want
+        assert family_homogeneities(m)[fam.upper()] == want
+
+
+@pytest.mark.parametrize("n,signature", [(1, None), (2, None), (3, None), (2, (1, 1))])
+def test_family_homogeneities_from_the_plan(n, signature):
+    """The family table read from the compiled plan's columns, family by
+    family in ``CURVATURE_FAMILIES`` order."""
+    assert list(family_homogeneities(SpModel(n, signature)).items()) == [
+        ("S", [2]), ("V", [3]), ("L", [4]), ("M", [4]), ("C", [5]), ("H", [5]),
+        ("P", [6]), ("Q", [6]), ("R", [6])]
 
 
 def test_homogeneity_slices_sum_and_regularity(model_for, consts1):
@@ -859,6 +876,6 @@ def test_kept_matrices_stored_once_in_the_pair_layout(n, signature):
             assert len({co for co, _ in row}) == len(row)
         assert gcd(den, *parts) == 1
     assert list(basis) == list(range(m.dim))
-    for k, mat in enumerate(m._basis_matrices()):
+    for k, mat in enumerate(m.to_matrix(m.basis(key)) for key in m.keys):
         assert {divmod(p, m.m): GaussRational.from_ints(re, im, D)
                 for p, (re, im) in basis[k]} == mat

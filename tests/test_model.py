@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qcframe.gauss import ONE, axpy, gr
+from qcframe.gauss import HALF, ONE, axpy, gr
 from qcframe.linear import smat_mul, solve_sparse, solve_square
 from qcframe.model import (Dual, G1Element, LieCoord, SpModel, TemplateError,
                            commutes_with_j2, g1_compose, g1_inverse,
@@ -425,9 +425,28 @@ def test_bracket_antisymmetric_without_zero_entries(model_for, n):
 
 def test_table_is_built_lazily():
     m = SpModel(1)
-    assert m._sc is None and m._mats is None
+    assert m._sc is None and m._tmpl is None and m._ints is None
     rows, scale = m.structure_constants()
     assert len(rows) == m.dim and scale >= 1
+
+
+def test_table_build_never_calls_to_matrix(monkeypatch):
+    """The table reads the template through ``_template_ints`` alone: a
+    fresh model builds it without evaluating any element by ``to_matrix``."""
+    calls = []
+    to_matrix = SpModel.to_matrix
+
+    def counting(self, x):
+        calls.append(x)
+        return to_matrix(self, x)
+
+    monkeypatch.setattr(SpModel, "to_matrix", counting)
+    for n, signature in ((1, None), (2, (1, 1))):
+        SpModel(n, signature).structure_constants()
+    assert calls == []
+    m = SpModel(1)
+    m.to_matrix(m.basis(("eta", 1)))  # the control: the spy counts a call
+    assert len(calls) == 1
 
 
 def _first_entry(m):
@@ -484,7 +503,7 @@ def test_perturbed_decoder_coefficient_fails_reencoding():
     from qcframe.linear import commutator, int_matrix
     m = SpModel(1)
     _, _, _, dec = m._template_ints()
-    mats = [int_matrix(mat)[1] for mat in m._basis_matrices()]
+    mats = [int_matrix(m.to_matrix(m.basis(key)))[1] for key in m.keys]
     # the positions r m + co of the nonzero commutator entries, pair by pair
     nonzero = ([r * m.m + co for r, row in comm.items() for co, (re, im) in row.items() if re or im]
                for i in range(m.dim) for j in range(i + 1, m.dim)
@@ -497,8 +516,22 @@ def test_perturbed_decoder_coefficient_fails_reencoding():
 
 
 def test_dependent_basis_matrices_raise(dependent_basis):
+    m = SpModel(1)
+    assert m.to_matrix(m.basis(("eta", 1))) == m.to_matrix(m.basis(("eta", 2)))
     with pytest.raises(TemplateError, match="linearly dependent"):
-        SpModel(1).structure_constants()
+        m.structure_constants()
+
+
+def test_split_template_term_sums_at_its_position():
+    """A term written as two halves at one position reads as the whole
+    term: the one-pass basis sums the terms of a key at a position, as
+    ``to_matrix`` does, so the basis, the decoder and the table stay."""
+    m, split = SpModel(1), SpModel(1)
+    (pos, ((key, coeff), *rest)), *others = m._template()
+    split._tmpl = ((pos, ((key, coeff * HALF), (key, coeff * HALF), *rest)), *others)
+    assert split.to_matrix(split.basis(key)) == m.to_matrix(m.basis(key))
+    assert split._template_ints() == m._template_ints()
+    assert split.structure_constants() == m.structure_constants()
 
 
 @pytest.mark.parametrize("n,signature", [(1, None), (2, (1, 1))])

@@ -3,9 +3,10 @@ model's tables against reference evaluators.
 
 The reference functions below are the ``GaussRational`` loops that
 ``model.validate_spn``, ``g1_compose``, ``g1_inverse``, ``linear.solve_sparse``,
-``solve_square``, ``smat_mul``, ``SpModel._decoder``, ``to_matrix``,
-``from_matrix``, ``structure_constants`` and ``killing_gram`` replaced,
-kept verbatim apart from their names:
+``solve_square``, ``smat_mul``, the decoder of ``SpModel._template_ints``,
+``to_matrix``, ``from_matrix``, ``structure_constants`` and
+``killing_gram`` replaced, kept verbatim apart from their names and the
+basis matrices they read, which come from ``reference_to_matrix``:
 they sum one ``GaussRational`` product per term, they solve one
 right-hand side per elimination, and they write coordinates through
 ``LieCoord.set``.
@@ -14,6 +15,7 @@ same solutions, tables and Gram matrices with the same key order, on
 seeded draws in definite and indefinite signature."""
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 import pytest
@@ -91,11 +93,16 @@ def reference_solve_square(A: List[List[GaussRational]],
     return [[col.get(i, ZERO) for col in cols] for i in range(k)]
 
 
+def reference_basis_matrices(m: SpModel) -> List[SparseMat]:
+    """Basis matrix k is ``reference_to_matrix`` of basis element k."""
+    return [reference_to_matrix(m, m.basis(k)) for k in m.keys]
+
+
 def reference_decoder(m: SpModel) -> Dict[Tuple[int, int], Tuple[Tuple[int, GaussRational], ...]]:
     """One elimination per coordinate k."""
     mm = m.m
     rows = [{r * mm + co: v for (r, co), v in mat.items()}
-            for mat in m._basis_matrices()]
+            for mat in reference_basis_matrices(m)]
     dec: Dict[Tuple[int, int], List[Tuple[int, GaussRational]]] = {}
     for k in range(m.dim):
         try:
@@ -283,14 +290,19 @@ def reference_to_matrix(self: SpModel, x: LieCoord) -> SparseMat:
     return {k: v for k, v in M.items() if not v.is_zero()}
 
 
+@lru_cache(maxsize=4)
+def reference_template(m: SpModel):
+    """The reference basis matrices and decoder of m, built once per model."""
+    return reference_basis_matrices(m), reference_decoder(m)
+
+
 def reference_decode(self: SpModel, M: SparseMat) -> Dict[int, GaussRational]:
-    dec = self._decoder()
+    mats, dec = reference_template(self)
     x: Dict[int, GaussRational] = {}
     for pos, v in M.items():
         for k, coeff in dec.get(pos, ()):
             x[k] = x[k] + v * coeff if k in x else v * coeff
     x = {k: x[k] for k in sorted(x) if not x[k].is_zero()}
-    mats = self._basis_matrices()
     back: SparseMat = {}
     for k, v in x.items():
         for pos, e in mats[k].items():
@@ -305,7 +317,7 @@ def reference_from_matrix(self: SpModel, M: SparseMat) -> LieCoord:
 
 
 def reference_structure_constants(self: SpModel):
-    mats = self._basis_matrices()
+    mats = reference_template(self)[0]
     exact = {}
     for i in range(self.dim):
         for j in range(i + 1, self.dim):
@@ -400,8 +412,23 @@ def test_validate_spn_matches_reference(n, signature):
 def test_decoder_matches_reference_with_key_order(n, signature):
     m = SpModel(n, signature)
     want = reference_decoder(m)
-    got = m._decoder()
+    _, _, E, dec = m._template_ints()
+    got = {divmod(p, m.m): tuple((k, GaussRational.from_ints(re, im, E)) for k, (re, im) in row)
+           for p, row in dec.items()}
     assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n,signature", TABLE_CASES)
+def test_one_pass_basis_matches_to_matrix(n, signature):
+    """The template's two readers agree: row k of the integer basis that
+    ``_template_ints`` reads in one pass is ``to_matrix`` of basis element
+    k, entry order included, for every key."""
+    m = SpModel(n, signature)
+    D, basis, _, _ = m._template_ints()
+    assert list(basis) == list(range(m.dim))
+    for k, key in enumerate(m.keys):
+        got = [(divmod(p, m.m), GaussRational.from_ints(re, im, D)) for p, (re, im) in basis[k]]
+        assert got == list(m.to_matrix(m.basis(key)).items())
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 7])
@@ -509,8 +536,7 @@ def test_table_build_reduces_no_gauss_rational(n, signature, monkeypatch):
     """Once the basis matrices and the decoder exist, the table is built in
     Python integers: no GaussRational is reduced."""
     m = SpModel(n, signature)
-    m._basis_matrices()
-    m._decoder()
+    m._template_ints()
     calls = []
     reduced = gauss._reduced
 
@@ -604,7 +630,7 @@ def test_one_elimination_per_decoder_and_per_square_solve(monkeypatch):
     monkeypatch.setattr(model, "solve_many", counting)
     monkeypatch.setattr(linear, "solve_many", counting)
     m = SpModel(1)
-    m._decoder()
+    m._template_ints()
     assert calls == [m.dim]
     calls.clear()
     A = [[gr(2), gr(1), gr(0)], [gr(0), gr(1), gr(3)], [gr(1), gr(0), gr(1)]]
