@@ -25,7 +25,7 @@ from .gauss import (I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss
                     random_gauss_ints)
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
                       j_average, random_tensor, slots, symmetrize)
-from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Mono, Sym
+from .forms import CONTROL_FAMILIES, CURVATURE_FAMILIES, FAMILIES, Form, Sym
 from .linear import IntMatrix, equal, int_matrix, is_zero, product_into
 from .model import LieCoord, SpModel
 from . import coframe
@@ -169,12 +169,18 @@ def components_to_json(c: CurvatureComponents, signature: Tuple[int, int]) -> di
 
 def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
     """Read a component document for the run with constants consts;
-    InputError with a one-line message if it is malformed or is for another
-    n or signature, ValueError if the components are not admissible
-    (``load_components`` reports both as InputError).  The n and the
-    signature are checked before anything is built."""
+    InputError with a one-line message if it is malformed, has a key other
+    than n, signature and the nine families, or is for another n or
+    signature, ValueError if the components are not admissible
+    (``load_components`` reports both as InputError).  The keys, the n and
+    the signature are checked before anything is built."""
     if not isinstance(doc, dict):
         raise InputError("component file: expected a JSON object")
+    known = ("n", "signature", *CURVATURE_FAMILIES)
+    for key in doc:
+        if key not in known:
+            raise InputError(f"component file: unknown key {key!r}; the keys are "
+                             f"{', '.join(known)}")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"component file: n must be an integer, got {n!r}")
@@ -364,40 +370,33 @@ def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
 
 # ---------------------------------------------------------------------------
 # assembling the curvature cochain from components
+#
+# kappa is linear in the components: every coefficient of a coordinate
+# two-form is one curvature symbol times a number.  The compiled plan is a
+# tuple of reads, one per symbol, and one ``linear.int_matrix`` whose row r
+# holds the coefficients of read r at the ``column``s of the cells (g_-
+# pair, coordinate) it feeds; kappa's row is the vector of read values
+# times that matrix.
 
 
-# one compiled symbol read: the curvature family whose field it reads (a
-# control family reads its base family), the entry key in a SymTensor
-# (sorted) and in an IndexedTensor (as written; () for a scalar), and
-# whether the value is conjugated
-Read = Tuple[str, Tuple[int, ...], Tuple[int, ...], bool]
-
-
-class KappaPlan(NamedTuple):
-    """The coordinate two-forms compiled for evaluation.  A cell is a
-    g_- pair with a coordinate, numbered by its ``column``.  ``groups``
-    holds each symbol monomial, with its reads compiled, the columns of
-    the cells it feeds and the coefficient it feeds each with, cleared,
-    grouped by the families it reads: (families, ((reads, columns,
-    coefficients (re, im) over ``den``), ...)).  ``top`` is the highest
-    degree of a monomial."""
-
-    groups: Tuple[Tuple[Tuple[str, ...], Tuple[Tuple[Tuple[Read, ...], Tuple[int, ...],
-                                                     Tuple[Tuple[int, int], ...]], ...]], ...]
-    den: int
-    top: int
-
-
-def _compile_read(sym: Sym) -> Read:
+def _compile_read(sym: Sym) -> Tuple[str, Tuple[int, ...], Tuple[int, ...], bool]:
+    """The read of one symbol: the curvature family whose field it reads
+    (a control family reads its base family), the entry key in a SymTensor
+    (sorted) and in an IndexedTensor (as written; () for a scalar), and
+    whether the value is conjugated."""
     fam = CONTROL_FAMILIES.get(sym.family, sym.family)
     if fam not in CURVATURE_FAMILIES:
         raise KeyError(f"not a curvature family: {sym.family}")
     return fam, tuple(sorted(sym.idx)), tuple(sym.idx), sym.conj
 
 
-def _compile_plan(n: int, forms: Dict[Key, Form]) -> KappaPlan:
+def _compile_plan(n: int, forms: Dict[Key, Form]) -> Tuple[tuple, IntMatrix]:
+    """The reads, in the order their symbols first appear in ``forms``,
+    and the matrix of their coefficients.  A monomial that is not exactly
+    one symbol is refused."""
     gkeys = gminus_keys(n)
-    by_mono: Dict[Mono, List[Tuple[int, GaussRational]]] = {}
+    reads: Dict[Sym, int] = {}
+    entries: Dict[Tuple[int, int], GaussRational] = {}
     for coord, form in forms.items():
         # the g_- keys lead coord_keys: a generator's id is its g_- index,
         # and a pair's low bit comes first, so every sign is 1
@@ -405,28 +404,23 @@ def _compile_plan(n: int, forms: Dict[Key, Form]) -> KappaPlan:
             i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
             col = column(n, gkeys[i], gkeys[j], coord)[0]
             for smono, coeff in poly.terms.items():
-                by_mono.setdefault(smono, []).append((col, coeff))
-    den, ints = cleared([coeff for terms in by_mono.values() for _, coeff in terms])
-    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    ints = iter([shared.setdefault(c, c) for c in ints])  # each distinct pair stored once
-    groups: Dict[Tuple[str, ...], list] = {}
-    for smono, terms in by_mono.items():
-        reads = tuple(_compile_read(s) for s in smono)
-        fams = tuple(f for f in CURVATURE_FAMILIES if any(r[0] == f for r in reads))
-        # zip takes from ints only while terms remain
-        groups.setdefault(fams, []).append(
-            (reads, tuple(col for col, _ in terms), tuple(c for _, c in zip(terms, ints))))
-    return KappaPlan(tuple((fams, tuple(g)) for fams, g in groups.items()), den,
-                     max((len(smono) for smono in by_mono), default=0))
+                if len(smono) != 1:
+                    raise AssertionError(f"curvature form of {coframe.label(coord)} has the "
+                                         f"monomial {smono!r}, not one symbol")
+                entries[reads.setdefault(smono[0], len(reads)), col] = coeff
+    # each row in ascending column order, so kappa's row is sorted from
+    # ascending runs
+    return tuple(map(_compile_read, reads)), int_matrix(dict(sorted(entries.items())))
 
 
-# (n, signature, tamper) -> the coordinate two-forms and their plan
+# (n, signature, tamper) -> the coordinate two-forms, the reads and the
+# matrix of their plan
 _KAPPA_CACHE: Dict[Tuple[int, Tuple[int, int], Optional[str]],
-                   Tuple[Dict[Key, Form], KappaPlan]] = {}
+                   Tuple[Dict[Key, Form], tuple, IntMatrix]] = {}
 
 
 def _kappa(n: int, signature: Optional[Tuple[int, int]],
-           tamper: Optional[str]) -> Tuple[Dict[Key, Form], KappaPlan]:
+           tamper: Optional[str]) -> Tuple[Dict[Key, Form], tuple, IntMatrix]:
     from .rules import build_rules
     sig = tuple(signature) if signature else (n, 0)
     key3 = (n, sig, tamper)
@@ -444,9 +438,10 @@ def _kappa(n: int, signature: Optional[Tuple[int, int]],
             low, high = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
             if mask.bit_count() != 2 or any(coframe.grade(curved.ext.keys[g]) >= 0
                                             for g in (low, high)):
-                raise AssertionError("curvature form is not a semibasic two-form")
+                raise AssertionError(f"curvature form of {coframe.label(key)} is not a "
+                                     "semibasic two-form")
         out[key] = diff
-    _KAPPA_CACHE[key3] = hit = (out, _compile_plan(n, out))
+    _KAPPA_CACHE[key3] = hit = (out, *_compile_plan(n, out))
     return hit
 
 
@@ -485,56 +480,40 @@ def _kappa_row(compo: CurvatureComponents, model: SpModel,
                ) -> Tuple[int, Dict[int, Tuple[int, int]]]:
     """The row of ``assemble_kappa`` in Python integers: its nonzero
     columns, ascending, over one denominator.  The stored entries of every
-    nonzero field are cleared once, together, over their lcm L; a
-    monomial of degree d is the product of its entries times L^(top - d),
-    so that every monomial lands over L^top, and the plan's coefficients
-    are cleared in the plan."""
+    nonzero field are cleared once, together, over their lcm L; the value
+    of each read, conjugated when it says so, is one entry of a vector
+    over L, where a missing entry or a zero field adds nothing, and the
+    row is that vector times the plan's matrix, one ``_apply``."""
     if validate:
         compo.validate(model.consts)
     n = model.n
-    plan = _kappa(n, model.consts.signature, tamper)[1]
+    reads, plan = _kappa(n, model.consts.signature, tamper)[1:]
     fields = _field_entries(compo, n)
     L, ints = cleared([v for entries, _ in fields.values() for v in entries.values()])
     ints = iter(ints)  # read in field order; zip takes from it only while keys remain
     table = {fam: (dict(zip(entries, ints)), by_sorted)
              for fam, (entries, by_sorted) in fields.items()}
-    lift = [L ** (plan.top - d) for d in range(plan.top + 1)]
-    acc: Dict[int, Tuple[int, int]] = {}
-    for fams, monos in plan.groups:
-        if not all(table[f][0] for f in fams):
-            continue  # a zero family: every monomial of the group vanishes
-        for reads, cols, coeffs in monos:
-            re, im = lift[len(reads)], 0
-            for fam, skey, key, conj in reads:
-                entries, by_sorted = table[fam]
-                v = entries.get(skey if by_sorted else key)
-                if v is None:
-                    break
-                vr, vi = v
-                if conj:
-                    vi = -vi
-                re, im = re * vr - im * vi, re * vi + im * vr
-            else:
-                for col, (cr, ci) in zip(cols, coeffs):
-                    xr, xi = cr * re - ci * im, cr * im + ci * re
-                    cur = acc.get(col)
-                    acc[col] = (xr, xi) if cur is None else (cur[0] + xr, cur[1] + xi)
-    return plan.den * L ** plan.top, {col: v for col in sorted(acc) if (v := acc[col]) != (0, 0)}
+    values: Dict[int, Tuple[int, int]] = {}
+    for r, (fam, skey, key, conj) in enumerate(reads):
+        entries, by_sorted = table[fam]
+        v = entries.get(skey if by_sorted else key)
+        if v is not None:
+            values[r] = (v[0], -v[1]) if conj else v
+    den, acc = _apply((L, values), plan)
+    return den, {col: (v[0], v[1]) for col in sorted(acc) if (v := acc[col])[0] or v[1]}
 
 
 def assemble_kappa(compo: CurvatureComponents, model: SpModel,
                    validate: bool = True, tamper: Optional[str] = None) -> Cochain2:
     """Evaluate the curvature coordinate two-forms on all basis pairs,
-    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X).  Each
-    symbol monomial is evaluated once, in Python integers, from the reads
-    and cleared coefficients the plan compiled: each field's entries are
-    fetched and cleared once and read by key, and the monomials of a
-    family group that reads a zero field are skipped with one test.  Only
-    a nonzero monomial is added into the columns it feeds
-    (``_kappa_row``), and the row is kept in integers, reduced; no column
-    is divided.  ``validate=False``
-    with ``tamper='unsym-S'`` admits invalid components, so that symmetry
-    violations surface as nonzero normality residuals instead."""
+    with the convention (a^b)(X, Y) = a(X) b(Y) - a(Y) b(X).  kappa is
+    linear in the components, so this is one product in Python integers:
+    the vector of the plan's reads, each field's entries fetched and
+    cleared once and read by key, times the plan's matrix
+    (``_kappa_row``); the row is kept in integers, reduced, and no column
+    is divided.  ``validate=False`` with ``tamper='unsym-S'`` admits
+    invalid components, so that symmetry violations surface as nonzero
+    normality residuals instead."""
     return Cochain2(model.n, *_kappa_row(compo, model, validate, tamper))
 
 
@@ -570,14 +549,13 @@ def _put(acc: Dict[Tuple[int, int], GaussRational], model: SpModel,
         acc[col, out] = cur + coeff if sign > 0 else cur - coeff
 
 
-def _apply(K: Union[Cochain2, Tuple[int, Dict[int, Tuple[int, int]]]], model: SpModel,
-           attr: str, build) -> Tuple[int, Dict[int, List[int]]]:
-    """K times the matrix kept as ``attr``: output -> [re, im] over the
-    returned denominator, zeros included.  K's integer row, of a
-    ``Cochain2`` or as ``_kappa_row`` gives it, is the product's one row,
-    read in place through ``.items()``; only its entries in the matrix's
-    columns are read."""
-    den, rows = _kept(model, attr, build)
+def _apply(K: Union[Cochain2, Tuple[int, Dict[int, Tuple[int, int]]]],
+           matrix: IntMatrix) -> Tuple[int, Dict[int, List[int]]]:
+    """K times the matrix: output -> [re, im] over the returned
+    denominator, zeros included.  K's integer row, of a ``Cochain2`` or
+    given as (den, row), is the product's one row, read in place through
+    ``.items()``; only its entries in the matrix's rows are read."""
+    den, rows = matrix
     dk, row = (K.den, K.ints) if isinstance(K, Cochain2) else K
     out: Dict[int, List[int]] = {}
     product_into({0: out}, {0: row.items()}, rows)
@@ -644,7 +622,7 @@ def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
     dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
     for K valued anywhere in g.  Applied as the matrix D_direct, built once
     per model from ``dual_brackets()`` and the structure constants."""
-    return _cochain1(model, *_apply(K, model, "_direct_map", _build_direct))
+    return _cochain1(model, *_apply(K, _kept(model, "_direct_map", _build_direct)))
 
 
 # The probe of each slot constant of the closed formula, in report order:
@@ -833,8 +811,8 @@ def kostant_codiff_closed(K: Cochain2, model: SpModel,
         raise ValueError("cochain has components outside sp(n)+g_1+g_2")
     if consts is None:
         consts = codiff_closed_constants(model)
-    return _cochain1(model, *_fold_slots(*_apply(K, model, "_closed_map", _build_closed),
-                                         consts))
+    return _cochain1(model, *_fold_slots(
+        *_apply(K, _kept(model, "_closed_map", _build_closed)), consts))
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +857,7 @@ def trace_conditions(K: Cochain2, model: SpModel) -> Dict[str, bool]:
     """The five contraction identities the curvature cochain satisfies,
     applied as the matrix T, built once per model: a condition holds when
     all of its outputs vanish."""
-    return _trace_verdict(_apply(K, model, "_trace_map", _build_trace)[1])
+    return _trace_verdict(_apply(K, _kept(model, "_trace_map", _build_trace))[1])
 
 
 def _trace_verdict(values: Dict[int, List[int]]) -> Dict[str, bool]:
@@ -916,11 +894,12 @@ def check_normality(compo: CurvatureComponents, model: SpModel,
     K = _kappa_row(compo, model, validate, tamper)
     if not K[1].keys() <= _lemma_columns(model.n)[1]:
         raise ValueError("cochain has components outside sp(n)+g_1+g_2")
-    dd, direct = _apply(K, model, "_direct_map", _build_direct)
+    dd, direct = _apply(K, _kept(model, "_direct_map", _build_direct))
     if closed_consts is None:
         closed_consts = codiff_closed_constants(model)
-    dc, closed = _fold_slots(*_apply(K, model, "_closed_map", _build_closed), closed_consts)
-    traces = _trace_verdict(_apply(K, model, "_trace_map", _build_trace)[1])
+    dc, closed = _fold_slots(*_apply(K, _kept(model, "_closed_map", _build_closed)),
+                             closed_consts)
+    traces = _trace_verdict(_apply(K, _kept(model, "_trace_map", _build_trace))[1])
     direct_zero = is_zero(direct)
     return {
         "trace_conditions": traces,
@@ -956,15 +935,14 @@ def homogeneity_classify(K: Cochain2) -> Dict[int, Cochain2]:
 
 def family_homogeneities(model: SpModel) -> Dict[str, List[int]]:
     """Each curvature family -> the sorted homogeneities of the columns
-    its monomials feed in the compiled plan, read off ``_weights``.  kappa
-    is linear in the components, so this is where every component set's
-    piece of the family sits."""
+    its reads feed, read off ``_weights`` from the rows of the plan's
+    matrix.  kappa is linear in the components, so this is where every
+    component set's piece of the family sits."""
     weight = _weights(model.n)
+    _, reads, (_, rows) = _kappa(model.n, model.consts.signature, None)
     table: Dict[str, set] = {fam: set() for fam in CURVATURE_FAMILIES}
-    for fams, monos in _kappa(model.n, model.consts.signature, None)[1].groups:
-        found = {weight[col] for _, cols, _ in monos for col in cols}
-        for fam in fams:
-            table[fam] |= found
+    for r, row in rows.items():
+        table[reads[r][0]].update(weight[col] for col, _ in row)
     return {fam: sorted(found) for fam, found in table.items()}
 
 

@@ -64,10 +64,9 @@ CORRECTIONS: Dict[str, GaussRational] = {
 class RuleBuilder:
     """Holds an Exterior algebra plus all transcription shorthand.
 
-    ``tweaks`` maps term tags to multipliers; the default multiplier of
-    every tagged display term is its calibrated value (CORRECTIONS),
-    falling back to 1.  Passing ``published=True`` forces every
-    multiplier to 1, i.e. the displays exactly as printed.
+    The multiplier of every tagged display term is its calibrated value
+    (CORRECTIONS), falling back to 1.  Passing ``published=True`` forces
+    every multiplier to 1, i.e. the displays exactly as printed.
 
     Every rule method writes its sum into an accumulator ``acc`` (one
     ``addmul`` per display term) and returns nothing; ``form`` runs one on
@@ -79,13 +78,11 @@ class RuleBuilder:
     """
 
     def __init__(self, n: int, signature: Tuple[int, int] = None,
-                 tweaks: Optional[Dict[str, GaussRational]] = None,
                  published: bool = False):
         self.ext = Exterior(n, signature)
         self.c = self.ext.consts
         self.R = range(1, 2 * n + 1)
         self.n = n
-        self.tweaks = dict(tweaks or {})
         self.published = published
         self._t: Dict[Tuple[str, object], GaussRational] = {}
         eta2, eta3 = self.eta(2), self.eta(3).scale(I)
@@ -94,9 +91,7 @@ class RuleBuilder:
     def t(self, tag: str, default=1) -> GaussRational:
         v = self._t.get((tag, default))
         if v is None:
-            if tag in self.tweaks:
-                v = GaussRational.of(self.tweaks[tag])
-            elif self.published:
+            if self.published:
                 v = GaussRational.of(default)
             else:
                 v = GaussRational.of(CORRECTIONS.get(tag, default))
@@ -628,7 +623,6 @@ class RuleBuilder:
 
 def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
                 tamper: Optional[str] = None,
-                tweaks: Optional[Dict[str, GaussRational]] = None,
                 published: bool = False) -> DRuleSet:
     """Assemble the complete differential rule table.
 
@@ -644,7 +638,7 @@ def build_rules(n: int, mode: str, signature: Tuple[int, int] = None,
         raise ValueError(f"unknown mode {mode!r}")
     if tamper not in (None, "unsym-V", "unsym-S"):
         raise ValueError(f"unknown tamper {tamper!r}")
-    b = RuleBuilder(n, signature, tweaks=tweaks, published=published)
+    b = RuleBuilder(n, signature, published=published)
     ext = b.ext
     rules: Dict[int, Form] = {}
 
@@ -717,7 +711,6 @@ def substitute_flat(form: Form) -> Form:
 # starred forms and the displayed Bianchi combinations
 
 def _family_indices(n: int, fam: str):
-    import itertools
     arity, symmetric = FAMILIES[fam][:2]
     rng = range(1, 2 * n + 1)
     # symmetric families need only sorted tuples

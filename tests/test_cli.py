@@ -96,18 +96,16 @@ def test_example_and_classify(capsys):
 
 
 def test_classify_fails_on_a_column_moved_to_another_homogeneity(monkeypatch, capsys):
-    """The negative control for the family table read from the plan: one
-    S monomial that feeds a column of homogeneity 3 in place of its first
-    column makes the command exit 1, naming S."""
+    """The negative control for the family table read from the plan: the
+    first S read's row of the plan matrix feeding a column of homogeneity 3
+    in place of its first column makes the command exit 1, naming S."""
     from qcframe import cochains
-    forms, plan = cochains._kappa(1, (1, 0), None)
+    forms, reads, (den, rows) = cochains._kappa(1, (1, 0), None)
     moved = cochains._weights(1).index(3)
-    groups = list(plan.groups)
-    g = next(g for g, (fams, _) in enumerate(groups) if fams == ("S",))
-    fams, ((reads, cols, coeffs), *rest) = groups[g]
-    groups[g] = fams, ((reads, (moved, *cols[1:]), coeffs), *rest)
+    r = next(r for r, read in enumerate(reads) if read[0] == "S")
+    (_, coeff), *rest = rows[r]
     monkeypatch.setitem(cochains._KAPPA_CACHE, (1, (1, 0), None),
-                        (forms, plan._replace(groups=tuple(groups))))
+                        (forms, reads, (den, {**rows, r: ((moved, coeff), *rest)})))
     assert run(["classify", "homogeneity", "--n", "1", "--seed", "0"]) == 1
     out = capsys.readouterr().out
     assert '[fail] family S sits at homogeneity [2]  {"found": [2, 3]}' in out
@@ -173,6 +171,24 @@ def test_malformed_component_file_exit_2(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["s", "comment"])
+def test_component_file_with_an_unknown_key_exit_2(key, tmp_path, capsys):
+    """A top-level key other than n, signature and the nine families is
+    refused and named, not ignored: with S written as a lowercase "s" the
+    file would otherwise run with S = 0 and exit 0."""
+    import random
+    from qcframe.cochains import components_to_json, random_components
+    from qcframe.tensors import StandardConstants
+    doc = components_to_json(random_components(random.Random(4), StandardConstants(1)), (1, 0))
+    doc[key] = doc.pop("S")
+    path = tmp_path / "compo.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "homogeneity", "--n", "1", "--components", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: component file: unknown key '{key}'; the keys are n, "
+                          "signature, S, V, L, M, C, H, P, Q, R") and err.count("\n") == 1
 
 
 def test_signature_flag(capsys):

@@ -18,7 +18,7 @@ from qcframe.cochains import (Cochain1, Cochain2, CurvatureComponents,
                               random_components, random_lemma_cochain,
                               regularity_ok, trace_conditions, zero_components)
 from qcframe.cli import run
-from qcframe.forms import Form, Poly
+from qcframe.forms import CURVATURE_FAMILIES, Form, Poly
 from qcframe.gauss import GaussRational, gr
 from qcframe.model import LieCoord, SpModel
 from qcframe.rules import build_rules
@@ -175,7 +175,7 @@ def test_integer_row_matches_assembly_and_reference(model_for, n, signature, tam
 
 
 def test_negated_plan_coefficient_breaks_normality(model_for, monkeypatch):
-    """Negative control: with one integer coefficient of the n = 2 plan
+    """Negative control: with one integer entry of the n = 2 plan matrix
     negated, in a column D_direct reads, check_normality on admissible
     components is no longer normal."""
     m = model_for(2)
@@ -184,18 +184,16 @@ def test_negated_plan_coefficient_breaks_normality(model_for, monkeypatch):
     assert check_normality(compo, m, cc)["normal"]
     before = dict(cochains._kappa_row(compo, m)[1])
     key = (2, (2, 0), None)
-    forms, plan = cochains._KAPPA_CACHE[key]
-    rows = cochains._kept(m, "_direct_map", cochains._build_direct)[1]
-    g, k = next((g, k) for g, (fams, monos) in enumerate(plan.groups)
-                for k, (_, cols, _) in enumerate(monos)
-                if cols[0] in rows and cols[0] in before)
-    fams, monos = plan.groups[g]
-    reads, cols, coeffs = monos[k]
-    (re, im), *rest = coeffs
-    monos = monos[:k] + ((reads, cols, ((-re, -im), *rest)),) + monos[k + 1:]
-    groups = plan.groups[:g] + ((fams, monos),) + plan.groups[g + 1:]
-    monkeypatch.setitem(cochains._KAPPA_CACHE, key, (forms, plan._replace(groups=groups)))
-    assert cochains._kappa_row(compo, m)[1].get(cols[0]) != before[cols[0]]
+    forms, reads, (den, rows) = cochains._KAPPA_CACHE[key]
+    direct = cochains._kept(m, "_direct_map", cochains._build_direct)[1]
+    r, k = next((r, k) for r, row in rows.items() for k, (col, _) in enumerate(row)
+                if col in direct and col in before)
+    row = list(rows[r])
+    col, (re, im) = row[k]
+    row[k] = col, (-re, -im)
+    monkeypatch.setitem(cochains._KAPPA_CACHE, key,
+                        (forms, reads, (den, {**rows, r: tuple(row)})))
+    assert cochains._kappa_row(compo, m)[1].get(col) != before[col]
     rep = check_normality(compo, m, cc)
     assert not rep["dstar_direct_zero"] and not rep["normal"]
 
@@ -214,39 +212,75 @@ def test_assembly_refuses_arrays_of_another_shape(model_for):
         assemble_kappa(compo, m, validate=False, tamper="unsym-S")
 
 
-def test_plan_evaluates_any_degree(model_for, monkeypatch):
-    """Monomials of degree 2 and 0: square every coefficient polynomial
-    and add a constant, and compare with the reference evaluation."""
-    m = model_for(1)
-    forms = {}
-    for coord, form in kappa_coordinate_forms(1).items():
-        terms = {mono: p * p + Poly.const(gr(1, -2)) for mono, p in form.terms.items()}
-        forms[coord] = Form(form.ext, terms)
-    assert {len(smono) for f in forms.values() for p in f.terms.values()
-            for smono in p.terms} == {0, 2}
-    monkeypatch.setitem(cochains._KAPPA_CACHE, (1, (1, 0), "squared"),
-                        (forms, cochains._compile_plan(1, forms)))
-    compo = random_components(random.Random(8), m.consts)
-    want = _reference_kappa(compo, 1, forms)
-    _assert_same_cochain(assemble_kappa(compo, m, tamper="squared"), want)
-    assert _decoded_row(compo, m, tamper="squared") == list(want.row.items())
+def test_plan_refuses_monomials_not_one_symbol():
+    """Negative control for the premise of the plan matrix: a coordinate
+    two-form with a constant monomial (degree 0), or with a product of two
+    symbols (degree 2), is refused when the plan is compiled, naming the
+    coordinate and the monomial."""
+    coord = ("Gam", 1, 1)
+    form = kappa_coordinate_forms(1)[coord]
+    mono, poly = next(iter(form.terms.items()))
+    for degree, extra in ((0, Poly.const(gr(1, -2))), (2, poly * poly)):
+        forms = {**kappa_coordinate_forms(1),
+                 coord: Form(form.ext, {**form.terms, mono: poly + extra})}
+        bad = next(smono for smono in forms[coord].terms[mono].terms if len(smono) == degree)
+        with pytest.raises(AssertionError) as err:
+            cochains._compile_plan(1, forms)
+        assert str(err.value) == (f"curvature form of Gam11 has the monomial {bad!r}, "
+                                  "not one symbol")
 
 
-@pytest.mark.parametrize("n, monos, terms", [(1, 35, 246), (2, 126, 1029)])
-def test_kappa_is_degree_one_in_the_components(n, monos, terms):
+def test_curvature_form_off_g_minus_is_refused(monkeypatch, capsys):
+    """Negative control for the semibasic check: a curved psi_1 rule with
+    a phi0 ^ eta_1 term, phi0 in g_0, makes kappa_coordinate_forms raise,
+    naming psi1, and ``verify normality`` exit 3 as an internal defect."""
+    from qcframe import rules
+    curved = rules.RuleBuilder.d_psi1_curved
+
+    def with_phi0(self, acc):
+        curved(self, acc)
+        rules.addmul(acc, self.phi0() ^ self.eta(1), self.sy("P"))
+
+    monkeypatch.setattr(rules.RuleBuilder, "d_psi1_curved", with_phi0)
+    monkeypatch.setattr(cochains, "_KAPPA_CACHE", {})
+    with pytest.raises(AssertionError, match="^curvature form of psi1 is not a semibasic "
+                                             "two-form$"):
+        kappa_coordinate_forms(1)
+    assert run(["verify", "normality", "--n", "1", "--trials", "1"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "internal error: verify normality: AssertionError: curvature form of psi1 is not a "
+        "semibasic two-form")
+
+
+@pytest.mark.parametrize("n, reads, entries", [(1, 35, 246), (2, 126, 1029)])
+def test_kappa_is_degree_one_in_the_components(n, reads, entries):
     """Every symbol monomial of kappa has length 1: kappa is linear in
-    the component arrays.  Read from the compiled plan's groups, each
-    monomial one read of the one family its group reads, feeding its
-    columns with nonzero integer coefficients."""
-    plan = cochains._kappa(n, None, None)[1]
-    compiled = [(fams, entry) for fams, group in plan.groups for entry in group]
-    assert len(compiled) == monos
-    assert sum(len(cols) for _, (_, cols, _) in compiled) == terms
-    assert plan.top == 1
-    for fams, (reads, cols, coeffs) in compiled:
-        assert len(reads) == 1 and fams == (reads[0][0],)
-        assert len(cols) == len(set(cols)) == len(coeffs)
-        assert all(type(re) is int and type(im) is int and (re or im) for re, im in coeffs)
+    the component arrays.  The compiled plan is one read per symbol of the
+    coordinate two-forms and one matrix, read r's row holding its nonzero
+    integer coefficients at the distinct columns it feeds, each an entry
+    of the forms."""
+    forms, got, (den, rows) = cochains._kappa(n, None, None)
+    syms = {smono for form in forms.values() for p in form.terms.values() for smono in p.terms}
+    assert {len(smono) for smono in syms} == {1}
+    assert len(got) == len(syms) == reads and list(rows) == list(range(reads))
+    assert sorted(got) == sorted(cochains._compile_read(s) for (s,) in syms)
+    assert {fam for fam, _, _, _ in got} == set(CURVATURE_FAMILIES)
+    assert sum(len(row) for row in rows.values()) == entries
+    for row in rows.values():
+        cols = [col for col, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(type(re) is int and type(im) is int and (re or im) for _, (re, im) in row)
+    # every entry is a coefficient of the forms, over the plan's denominator
+    gkeys = gminus_keys(n)
+    want = {}
+    for coord, form in forms.items():
+        for mask, poly in form.terms.items():
+            i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            col = cochains.column(n, gkeys[i], gkeys[j], coord)[0]
+            for (s,), coeff in poly.terms.items():
+                want[cochains._compile_read(s), col] = coeff
+    assert {(got[r], col): GaussRational.from_ints(re, im, den)
+            for r, row in rows.items() for col, (re, im) in row} == want
 
 
 def test_kappa_antisymmetry(model_for, consts1):
@@ -843,7 +877,7 @@ def test_apply_reads_the_stored_row(model_for, closed1, monkeypatch):
     del K.ints[-1]
     # the returned output row is the one product_into filled
     calls.clear()
-    den, out = cochains._apply(K, m, "_direct_map", cochains._build_direct)
+    den, out = cochains._apply(K, cochains._kept(m, "_direct_map", cochains._build_direct))
     (acc, _), = calls
     assert acc[0] is out and out
 

@@ -341,7 +341,7 @@ def test_set_pair_lands_on_the_matrix_columns(model_for):
             assert R.get(x, y) == LieCoord(1, {key: c}) and R.get(y, x) == LieCoord(1, {key: -c})
             for attr, build in maps:
                 den, rows = cochains._kept(m, attr, build)
-                got_den, got = cochains._apply(R, m, attr, build)
+                got_den, got = cochains._apply(R, (den, rows))
                 assert {out: new(re, im, got_den) for out, (re, im) in got.items()} == \
                     {out: c * new(re, im, den) for out, (re, im) in rows.get(col, ())}
                 if col in rows:

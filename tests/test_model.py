@@ -719,10 +719,10 @@ def test_one_solver_and_one_product():
     for name in ("product_into", "commutator", "int_matrix", "solve_many", "solve_sparse",
                  "solve_square", "smat", "smat_mul"):
         assert defined[name] == ["linear.py"], name
-    # the hand loops that stay: the monomial evaluation of kappa, D_direct's
-    # ad sum over the table rows, the d^2 kernel, the bracket through the
-    # table and the Killing Gram's j >= i half
-    assert deep == [("cochains.py", "_kappa_row"), ("cochains.py", "_build_direct"),
+    # the hand loops that stay: D_direct's ad sum over the table rows, the
+    # d^2 kernel, the bracket through the table and the Killing Gram's
+    # j >= i half
+    assert deep == [("cochains.py", "_build_direct"),
                     ("forms.py", "_rule_into"), ("linear.py", "product_into"),
                     ("model.py", "bracket_sum"), ("model.py", "killing_gram")]
     # model.py decodes with two products and no multiply of its own
@@ -733,11 +733,13 @@ def test_one_solver_and_one_product():
     assert [getattr(call.func, "id", None) for call in ast.walk(decode)
             if isinstance(call, ast.Call)].count("product_into") == 2
     # cochains.py applies its matrices only through product_into, in
-    # _apply, which each of the three maps calls once and which has no
-    # loop statement and no comprehension, and clears nothing; it calls no
-    # bracket_sum, no helper but _apply reads a cochain's stored integer
-    # row, nothing in cochains.py reads the decoded view ``row``, and the
-    # column number (i g + j) dim + k is spelled out in ``column`` alone
+    # _apply, which each of the three maps and _kappa_row (kappa's plan
+    # matrix: no grouped plan, degree lift or monomial loop is left) call
+    # once and which has no loop statement and no comprehension, and
+    # clears nothing; it calls no bracket_sum, no helper but _apply reads
+    # a cochain's stored integer row, nothing in cochains.py reads the
+    # decoded view ``row``, and the column number (i g + j) dim + k is
+    # spelled out in ``column`` alone
     tree = ast.parse((Path(qcframe.__file__).parent / "cochains.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     methods = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -751,8 +753,12 @@ def test_one_solver_and_one_product():
 
     assert [name for name, fn in funcs.items() if "product_into" in called(fn)] == ["_apply"]
     assert called(funcs["_apply"]).count("product_into") == 1
-    for name in ("kostant_codiff_direct", "kostant_codiff_closed", "trace_conditions"):
+    for name in ("kostant_codiff_direct", "kostant_codiff_closed", "trace_conditions",
+                 "_kappa_row"):
         assert called(funcs[name]).count("_apply") == 1, name
+    assert not {"KappaPlan", "Read", "groups", "top", "lift"} & {
+        getattr(node, attr) for node in ast.walk(tree) for attr in ("id", "attr", "name")
+        if isinstance(getattr(node, attr, None), str)}
     apply = funcs["_apply"]
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(apply))
     assert not any(isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
