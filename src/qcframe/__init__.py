@@ -13,11 +13,20 @@ class InputError(ValueError):
     a command is an internal defect (exit 3)."""
 
 
+# the largest decimal exponent a string may carry: CPython's default
+# int-string limit, so "1e100000000" is refused before 10^(10^8) is built
+MAX_EXPONENT = 4300
+
+
 def rational_from_json(v, where: str) -> Fraction:
     """An exact rational from a JSON string or integer.  A JSON float is
     refused: it is read as a binary fraction, not the decimal written.  A
-    boolean is refused too, though Python counts it as an integer."""
+    boolean is refused too, though Python counts it as an integer, and so
+    is a string whose exponent exceeds MAX_EXPONENT in size."""
     if isinstance(v, str):
+        exp = v.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exp.isdecimal() and (len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT):
+            raise InputError(f"{where}: the exponent of {v!r} exceeds {MAX_EXPONENT}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

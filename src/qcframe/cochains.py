@@ -90,12 +90,11 @@ def zero_components(n: int) -> CurvatureComponents:
     return CurvatureComponents(n, *(_zero(n, fam) for fam in CURVATURE_FAMILIES))
 
 
-def random_components(rng: random.Random, consts: StandardConstants,
-                      span: int = 4) -> CurvatureComponents:
+def random_components(rng: random.Random, consts: StandardConstants) -> CurvatureComponents:
     """Draw unconstrained entries, then project exactly onto the
     admissible set: total symmetrization, then j-averaging for S and L.
     Every value comes from ``gauss.random_gauss``, numerators in
-    -span..span and denominators up to 3, family by family in
+    -4..4 and denominators up to 3, family by family in
     ``CURVATURE_FAMILIES`` order; the real scalar R is drawn with no
     imaginary part.  The draw is not validated here: ``assemble_kappa``
     (and so ``check_normality``) validates what it is given."""
@@ -104,13 +103,13 @@ def random_components(rng: random.Random, consts: StandardConstants,
     for fam in CURVATURE_FAMILIES:
         arity, symmetric, jreal, real = FAMILIES[fam]
         if arity:
-            t = random_tensor(rng, n, slots("l" * arity), span)
+            t = random_tensor(rng, n, slots("l" * arity), 4)
             if symmetric:
                 t = symmetrize(t)
             if jreal:
                 t = j_average(t, consts)
         else:
-            t = random_gauss(rng, span, 3, real)
+            t = random_gauss(rng, 4, 3, real)
         values.append(t)
     return CurvatureComponents(n, *values)
 
@@ -359,12 +358,13 @@ def _lemma_columns(n: int) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
 Cochain1 = Dict[Key, LieCoord]
 
 
-def random_lemma_cochain(rng: random.Random, n: int, span: int = 3) -> Cochain2:
+def random_lemma_cochain(rng: random.Random, n: int) -> Cochain2:
     """Random antisymmetric cochain valued in sp(n) + g_1 + g_2: pair by
     pair, each lemma coordinate in coord_keys order, the nonzero draws
-    written into the row as ``random_gauss_ints`` gives them."""
+    (numerators in -3..3, denominators up to 2) written into the row as
+    ``random_gauss_ints`` gives them."""
     cols = _lemma_columns(n)[0]
-    den, ints = random_gauss_ints(rng, span, 2, len(cols))
+    den, ints = random_gauss_ints(rng, 3, 2, len(cols))
     return Cochain2(n, den, {col: v for col, v in zip(cols, ints) if v != (0, 0)})
 
 
@@ -581,23 +581,20 @@ def _build_direct(model: SpModel) -> IntMatrix:
     dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
     with a column for every coordinate.  Built in Python integers: the
     dual frames and the [hat, e_a]_- are cleared over one denominator, and
-    the ad matrix of each hat is summed from the structure-constant rows."""
-    sc, scale = model.structure_constants()
+    the ad matrix of each hat is one ``_apply`` of its cleared row with the
+    structure-constant table."""
+    table = model.structure_constants()
+    scale = table[0]
     n, keys, dim, index = model.n, model.keys, model.dim, model.key_index
     brackets = model.dual_brackets()
     pairs = next(iter(brackets.values()))
     den, ints = cleared([v for hat, _, _ in pairs for v in hat.c.values()] + [
         v for rows in brackets.values() for _, _, m in rows for v in m.c.values()])
     ints = iter(ints)  # read in that order; zip takes from it only while keys remain
-    ads = {}  # e_b -> ad(hat) over den * scale: column k -> {l: [re, im]}
+    ads = {}  # e_b -> ad(hat) over den * scale: (k * dim + l, [re, im]), ascending
     for hat, kb, _ in pairs:
-        ads[kb] = ad = [{} for _ in range(dim)]
-        for key, (hr, hi) in zip(hat.c, ints):
-            for col, targets in zip(ad, sc[index[key]]):
-                for l, cr, ci in targets:
-                    cur = col.setdefault(l, [0, 0])
-                    cur[0] += hr * cr - hi * ci
-                    cur[1] += hr * ci + hi * cr
+        ad = _apply((den, {index[key]: v for key, v in zip(hat.c, ints)}), table)[1]
+        ads[kb] = sorted(ad.items())
     acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def add(x: Key, y: Key, key: Key, out: int, f: int, re: int, im: int) -> None:
@@ -608,9 +605,9 @@ def _build_direct(model: SpModel) -> IntMatrix:
 
     for a, (ka, rows) in enumerate(brackets.items()):
         for _, kb, m in rows:
-            for key, col in zip(keys, ads[kb]):
-                for l, (re, im) in col.items():
-                    add(ka, kb, key, a * dim + l, 2, re, im)
+            for pos, (re, im) in ads[kb]:
+                k, l = divmod(pos, dim)
+                add(ka, kb, keys[k], a * dim + l, 2, re, im)
             for kx, (re, im) in zip(m.c, ints):
                 for k, key in enumerate(keys):
                     add(kx, kb, key, a * dim + k, -scale, re, im)

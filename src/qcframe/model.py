@@ -13,25 +13,27 @@ decoder, their left inverse, from one ``solve_many``.  ``from_matrix``
 refuses anything off the template, so closure failures surface
 immediately.
 
-Every bracket goes through one structure-constant table, built on first
-use from the commutators of those integer basis matrices; each basis
-pair is certified once against the template when the table is built.
-The table and ``from_matrix`` share one decode-and-certify step
-(``SpModel._decode_ints``): two products, with the decoder and with the
-basis matrices.  The Killing form is held as two sparse Gram matrices: the
-ad-trace one and the closed form with its printed coefficients.
+Every bracket goes through one structure-constant table, a ``linear``
+matrix built on first use from the commutators of those integer basis
+matrices; each basis pair is certified once against the template when
+the table is built.  The table and ``from_matrix`` share one
+decode-and-certify step (``SpModel._decode_ints``): two products, with
+the decoder and with the basis matrices.  The Killing form is held as
+two sparse Gram matrices: the ad-trace one, one product of the table
+with its index-swapped copy, and the closed form with its printed
+coefficients.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gauss import (HALF, I, ONE, ZERO, GaussRational, axpy, cleared, gr,
                     random_gauss_ints)
-from .linear import (SparseMat, commutator, int_matrix, product_into, smat, smat_mul,
-                     solve_many, solve_square)
+from .linear import (IntMatrix, SparseMat, commutator, int_matrix, product_into, smat,
+                     smat_mul, solve_many, solve_square)
 from .tensors import StandardConstants, IndexedTensor, slots
 from . import coframe
 from .coframe import Key
@@ -281,18 +283,18 @@ class SpModel:
 
     # -- structure constants, bracket and grading ------------------------------
 
-    def structure_constants(self):
-        """The table ``rows[i][j] = ((k, re, im), ...)`` with
-        [B_i, B_j] = sum_k ((re + i im) / scale) B_k, and the scale.
+    def structure_constants(self) -> IntMatrix:
+        """The table ``(scale, rows)`` as ``int_matrix`` stores it: row i
+        holds the entries (j dim + k, (re, im)), j and then k ascending,
+        with [B_i, B_j] = sum_k ((re + i im) / scale) B_k.
 
         Built on first use from the basis matrix commutators, all in
         Gaussian integers over D^2 E (D and E the denominators of the basis
         matrices and the decoder): each pair i < j with a nonzero
         commutator is decoded and certified by re-encoding
         (``TemplateError`` if the commutator is off the template); (j, i)
-        is the negation.  The finished table is divided by the gcd of its
-        entries and D^2 E, which leaves the scale the lowest common
-        denominator of the coefficients."""
+        is the negation.  ``int_matrix`` reduces the table, which leaves
+        the scale the lowest common denominator of the coefficients."""
         if self._sc is None:
             D, basis, E, _ = self._template_ints()
             m, dim = self.m, self.dim
@@ -306,7 +308,8 @@ class SpModel:
                     mat.setdefault(r, []).append((co, v))
             # a b is zero unless a column of a meets a row of b
             cols = [frozenset(co for row in a.values() for co, _ in row) for a in mats]
-            exact = {}
+            # pairs in ascending order: each row's entries land j ascending
+            entries: Dict[Tuple[int, int], Tuple[int, int]] = {}
             for i, a in enumerate(mats):
                 for j in range(i + 1, dim):
                     b = mats[j]
@@ -315,14 +318,10 @@ class SpModel:
                     want = {r * m + co: v for r, row in commutator(a, b).items()
                             for co, v in row.items() if v[0] or v[1]}
                     if want:  # a zero commutator has nothing to certify
-                        exact[i, j] = self._decode_ints(want)
-            den = D * D * E
-            g = gcd(den, *(v for x in exact.values() for re_im in x.values() for v in re_im))
-            rows = [[()] * self.dim for _ in range(self.dim)]
-            for (i, j), x in exact.items():
-                rows[i][j] = tuple((k, re // g, im // g) for k, (re, im) in x.items())
-                rows[j][i] = tuple((k, -re // g, -im // g) for k, (re, im) in x.items())
-            self._sc = (rows, den // g)
+                        for k, (re, im) in self._decode_ints(want).items():
+                            entries[i, j * dim + k] = re, im
+                            entries[j, i * dim + k] = -re, -im
+            self._sc = int_matrix(entries, D * D * E)
         return self._sc
 
     def bracket(self, a: LieCoord, b: LieCoord) -> LieCoord:
@@ -338,30 +337,32 @@ class SpModel:
         own denominator, everything is summed through the structure-constant
         table in Python integers over one common denominator, and each
         nonzero coordinate is divided once."""
-        rows, scale = self.structure_constants()
-        index = self.key_index
+        scale, rows = self.structure_constants()
+        index, dim = self.key_index, self.dim
         parts = []
         for x, y, w in terms:
             if w and x and y:
                 dx, xa = cleared(x.values())
                 dy, yb = cleared(y.values())
-                yb = [(index[k], br, bi) for k, (br, bi) in zip(y, yb)]
-                parts.append((w, dx * dy, x, xa, yb))
+                yv = [None] * dim  # y by coordinate index
+                for k, b in zip(y, yb):
+                    yv[index[k]] = b
+                parts.append((w, dx * dy, x, xa, yv))
         den = lcm(*(dxy for _, dxy, _, _, _ in parts))
-        acc_re, acc_im = [0] * self.dim, [0] * self.dim
-        for w, dxy, x, xa, yb in parts:
+        acc_re, acc_im = [0] * dim, [0] * dim
+        for w, dxy, x, xa, yv in parts:
             f = w * (den // dxy)
             for key, (ar, ai) in zip(x, xa):
                 if f != 1:
                     ar, ai = ar * f, ai * f
-                row = rows[index[key]]
-                for j, br, bi in yb:
-                    targets = row[j]
-                    if targets:
+                for pos, (cr, ci) in rows.get(index[key], ()):
+                    j, k = divmod(pos, dim)
+                    b = yv[j]
+                    if b:
+                        br, bi = b
                         pr, pi = ar * br - ai * bi, ar * bi + ai * br
-                        for k, cr, ci in targets:
-                            acc_re[k] += pr * cr - pi * ci
-                            acc_im[k] += pr * ci + pi * cr
+                        acc_re[k] += pr * cr - pi * ci
+                        acc_im[k] += pr * ci + pi * cr
         den *= scale
         keys = self.keys
         return {keys[k]: GaussRational.from_ints(re, im, den)
@@ -373,38 +374,27 @@ class SpModel:
     # -- Killing form ----------------------------------------------------------
 
     def killing_gram(self) -> Dict[Tuple[int, int], GaussRational]:
-        """Exact Gram matrix B(e_i, e_j) = trace(ad e_i . ad e_j), summed
-        over the integer structure constants and divided by scale^2.  Each
-        ad entry (k, l) of e_i meets only the entries (l, k) of the e_j,
-        read from an index built once."""
+        """Exact Gram matrix B(e_i, e_j) = trace(ad e_i . ad e_j) = sum over
+        k, l of c_ik^l c_jl^k: one product of the structure-constant table
+        with its index-swapped copy, whose row l dim + k holds (j, c_jk^l),
+        divided by scale^2."""
         if self._gram is None:
-            rows, scale = self.structure_constants()
-            # at[(k, l)]: the (j, re, im) with (re + i im) / scale the
-            # coefficient of e_k in [e_j, e_l], j ascending
-            at: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-            for j, row in enumerate(rows):
-                for l, targets in enumerate(row):
-                    for k, cr, ci in targets:
-                        at.setdefault((k, l), []).append((j, cr, ci))
-            den = scale * scale
-            new = GaussRational.from_ints
+            scale, rows = self.structure_constants()
+            dim = self.dim
+            swapped: Dict[int, list] = {}
+            for j, row in rows.items():
+                for pos, v in row:
+                    k, l = divmod(pos, dim)
+                    swapped.setdefault(l * dim + k, []).append((j, v))
+            acc: Dict[int, Dict[int, List[int]]] = {}
+            product_into(acc, rows, swapped)
+            den, new = scale * scale, GaussRational.from_ints
             gram: Dict[Tuple[int, int], GaussRational] = {}
-            for i, row in enumerate(rows):
-                acc: Dict[int, List[int]] = {}
-                for l, targets in enumerate(row):
-                    for k, vr, vi in targets:
-                        for j, wr, wi in at.get((l, k), ()):
-                            if j >= i:
-                                re, im = vr * wr - vi * wi, vr * wi + vi * wr
-                                cur = acc.get(j)
-                                if cur is None:
-                                    acc[j] = [re, im]
-                                else:
-                                    cur[0] += re
-                                    cur[1] += im
-                for j in sorted(acc):
-                    re, im = acc[j]
-                    if re or im:
+            for i in range(dim):
+                out = acc.get(i, {})
+                for j in sorted(out):
+                    re, im = out[j]
+                    if j >= i and (re or im):
                         gram[(i, j)] = gram[(j, i)] = new(re, im, den)
             self._gram = gram
         return self._gram
@@ -593,9 +583,10 @@ class SpModel:
 # Jacobi / grading sweeps
 
 
-def random_coord(rng: random.Random, model: SpModel, span: int = 4) -> LieCoord:
-    """Every coordinate from ``random_gauss_ints``, in ``model.keys`` order."""
-    L, ints = random_gauss_ints(rng, span, 2, model.dim)
+def random_coord(rng: random.Random, model: SpModel) -> LieCoord:
+    """Every coordinate from ``random_gauss_ints``, in ``model.keys`` order:
+    numerators in -4..4, denominators up to 2."""
+    L, ints = random_gauss_ints(rng, 4, 2, model.dim)
     new = GaussRational.from_ints
     return LieCoord.adopt(model.n, {k: new(re, im, L) for k, (re, im) in zip(model.keys, ints)
                                     if re or im})
@@ -612,11 +603,10 @@ def jacobi_residual(model: SpModel, a: LieCoord, b: LieCoord, c: LieCoord) -> Li
 def grading_check(model: SpModel) -> bool:
     """[g_i, g_j] lies in g_{i+j} for every pair of basis elements: a scan
     of the structure-constant table."""
-    grades = [coframe.grade(k) for k in model.keys]
-    rows, _ = model.structure_constants()
+    grades, dim = [coframe.grade(k) for k in model.keys], model.dim
+    _, rows = model.structure_constants()
     return all(grades[k] == grades[i] + grades[j]
-               for i, row in enumerate(rows) for j, targets in enumerate(row)
-               for k, _, _ in targets)
+               for i, row in rows.items() for pos, _ in row for j, k in (divmod(pos, dim),))
 
 
 # ---------------------------------------------------------------------------
@@ -745,14 +735,15 @@ def validate_spn(U, c: StandardConstants) -> bool:
     return True
 
 
-def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
+def random_spn(rng: random.Random, c: StandardConstants):
     """Exact random Sp(n) element via the Cayley transform of a random
-    algebra element built from a symmetric j-invariant array."""
+    algebra element built from a symmetric j-invariant array, its entries
+    drawn with numerators in -3..3."""
     from .tensors import random_tensor, symmetrize, j_average
     n = c.n
     dim = 2 * n
     while True:
-        y = j_average(symmetrize(random_tensor(rng, n, slots("ll"), span)), c)
+        y = j_average(symmetrize(random_tensor(rng, n, slots("ll"), 3)), c)
         x = [[ZERO] * dim for _ in range(dim)]
         for (s, b), val in y.full().entries.items():
             for a in range(1, dim + 1):
@@ -772,14 +763,15 @@ def random_spn(rng: random.Random, c: StandardConstants, span: int = 3):
         raise AssertionError("Cayley transform left Sp(n); algebra element invalid")
 
 
-def random_g1(rng: random.Random, c: StandardConstants, span: int = 3) -> G1Element:
+def random_g1(rng: random.Random, c: StandardConstants) -> G1Element:
+    """r and the real lam with numerators in -3..3 over 1 or 2, then U by ``random_spn``."""
     n = c.n
     new = GaussRational.from_ints
-    L, ints = random_gauss_ints(rng, span, 2, 2 * n)
+    L, ints = random_gauss_ints(rng, 3, 2, 2 * n)
     r = [new(re, im, L) for re, im in ints]
-    L, ints = random_gauss_ints(rng, span, 2, 3, real=True)
+    L, ints = random_gauss_ints(rng, 3, 2, 3, real=True)
     lam = [new(re, 0, L) for re, _ in ints]
-    return G1Element(random_spn(rng, c, span), r, lam)
+    return G1Element(random_spn(rng, c), r, lam)
 
 
 def _u_low(c: StandardConstants, U, b: int, s: int):

@@ -173,6 +173,20 @@ def test_malformed_component_file_exit_2(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_component_file_with_a_huge_exponent_exit_2(tmp_path, capsys):
+    """A value's exponent is bounded before Fraction reads it: P = 1e3000000
+    would build a 3,000,001-digit integer and run on with exit 0."""
+    from qcframe import MAX_EXPONENT, InputError, rational_from_json
+    assert rational_from_json(f"1e-{MAX_EXPONENT}", "v") > 0
+    with pytest.raises(InputError, match="exponent"):
+        rational_from_json(f"1e{MAX_EXPONENT + 1}", "v")
+    path = tmp_path / "compo.json"
+    path.write_text(json.dumps({"n": 1, "P": {"re": "1e3000000", "im": "0"}}))
+    assert run(["classify", "homogeneity", "--n", "1", "--components", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: P.re: the exponent of '1e3000000' exceeds 4300\n"
+
+
 @pytest.mark.parametrize("key", ["s", "comment"])
 def test_component_file_with_an_unknown_key_exit_2(key, tmp_path, capsys):
     """A top-level key other than n, signature and the nine families is

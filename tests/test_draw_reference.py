@@ -96,7 +96,7 @@ def reference_random_g1(rng, c, span=3):
             Fraction(rng.randint(-span, span), rng.randint(1, 2)))
          for _ in range(2 * n)]
     lam = [gr(Fraction(rng.randint(-span, span), rng.randint(1, 2))) for _ in range(3)]
-    return G1Element(random_spn(rng, c, span), r, lam)
+    return G1Element(random_spn(rng, c), r, lam)
 
 
 # ---------------------------------------------------------------------------

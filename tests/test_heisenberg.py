@@ -316,6 +316,18 @@ def test_chart_file_rejects_malformed_entries(qc, part, entry, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_chart_file_refuses_a_huge_exponent(qc, tmp_path, capsys):
+    """A coefficient "1e100000000" is refused by its exponent, before a
+    10^8-digit integer is built."""
+    doc = _chart_doc(qc)
+    doc["etas"][0].append([0, "1e100000000", "0", [0] * 7])
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    assert run(["example", "heisenberg", "--chart", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exponent of '1e100000000' exceeds 4300" in err
+
+
 @pytest.mark.parametrize("part, change", [
     ("I", lambda ms: [[row[:3] for row in m[:3]] for m in ms]),  # 3x3 matrices
     ("I", lambda ms: ms[:2]),                                     # two matrices

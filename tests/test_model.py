@@ -426,7 +426,7 @@ def test_bracket_antisymmetric_without_zero_entries(model_for, n):
 def test_table_is_built_lazily():
     m = SpModel(1)
     assert m._sc is None and m._tmpl is None and m._ints is None
-    rows, scale = m.structure_constants()
+    scale, rows = m.structure_constants()
     assert len(rows) == m.dim and scale >= 1
 
 
@@ -450,8 +450,10 @@ def test_table_build_never_calls_to_matrix(monkeypatch):
 
 
 def _first_entry(m):
-    rows, _ = m.structure_constants()
-    return next((i, j) for i in range(m.dim) for j in range(i + 1, m.dim) if rows[i][j])
+    """(i, j, k) of the table's first coefficient c_ij^k with i < j."""
+    _, rows = m.structure_constants()
+    return next((i, *divmod(pos, m.dim)) for i in range(m.dim) for pos, _ in rows[i]
+                if pos // m.dim > i)
 
 
 def test_perturbed_table_entry_breaks_jacobi():
@@ -459,25 +461,26 @@ def test_perturbed_table_entry_breaks_jacobi():
     rng = random.Random(50)
     triples = [[random_coord(rng, m) for _ in range(3)] for _ in range(3)]
     assert all(jacobi_residual(m, *t).is_zero() for t in triples)
-    rows, scale = m.structure_constants()
-    i, j = _first_entry(m)
-    (k, re, im), *rest = rows[i][j]
-    rows[i][j] = ((k, re + scale, im), *rest)
-    rows[j][i] = tuple((k2, -r2, -i2) for k2, r2, i2 in rows[i][j])
+    gram = m.killing_gram()
+    scale, rows = m.structure_constants()
+    i, j, k = _first_entry(m)
+    for r, pos, d in ((i, j * m.dim + k, scale), (j, i * m.dim + k, -scale)):
+        rows[r] = tuple((p, (re + d, im) if p == pos else (re, im)) for p, (re, im) in rows[r])
     assert m.bracket(m.basis(m.keys[j]), m.basis(m.keys[i])) == \
         -m.bracket(m.basis(m.keys[i]), m.basis(m.keys[j]))
     assert any(not jacobi_residual(m, *t).is_zero() for t in triples)
+    m._gram = None
+    assert m.killing_gram() != gram
 
 
 def test_wrong_grade_target_fails_grading():
     m = SpModel(1)
     assert grading_check(m)
-    rows, _ = m.structure_constants()
-    i, j = _first_entry(m)
-    (k, re, im), *rest = rows[i][j]
+    _, rows = m.structure_constants()
+    i, j, k = _first_entry(m)
     want = coframe.grade(m.keys[i]) + coframe.grade(m.keys[j])
     wrong = next(x for x, key in enumerate(m.keys) if coframe.grade(key) != want)
-    rows[i][j] = ((wrong, re, im), *rest)
+    rows[i] = tuple((j * m.dim + wrong if p == j * m.dim + k else p, v) for p, v in rows[i])
     assert not grading_check(m)
 
 
@@ -686,8 +689,9 @@ def _gauss_product_depth(node, depth=0) -> int:
 def test_one_solver_and_one_product():
     """No module defines its own matrix product or a private solver:
     linear.product_into (behind smat_mul, the table's commutators and
-    decodes, and the cochain maps) and linear.solve_many are the only
-    ones, and the package has one elimination loop, a ``while`` that
+    decodes, the Killing Gram, D_direct's ad matrices and the cochain
+    maps) and linear.solve_many are the only ones, and the package has
+    one elimination loop, a ``while`` that
     searches its pivot with ``min``, in linear.solve_many.  A Gaussian
     product two or more loops deep sits only in linear.product_into and in
     the hand loops named here; the layouts and converters that the one
@@ -719,12 +723,10 @@ def test_one_solver_and_one_product():
     for name in ("product_into", "commutator", "int_matrix", "solve_many", "solve_sparse",
                  "solve_square", "smat", "smat_mul"):
         assert defined[name] == ["linear.py"], name
-    # the hand loops that stay: D_direct's ad sum over the table rows, the
-    # d^2 kernel, the bracket through the table and the Killing Gram's
-    # j >= i half
-    assert deep == [("cochains.py", "_build_direct"),
-                    ("forms.py", "_rule_into"), ("linear.py", "product_into"),
-                    ("model.py", "bracket_sum"), ("model.py", "killing_gram")]
+    # the hand loops that stay: the d^2 kernel and the bracket through the
+    # table
+    assert deep == [("forms.py", "_rule_into"), ("linear.py", "product_into"),
+                    ("model.py", "bracket_sum")]
     # model.py decodes with two products and no multiply of its own
     tree = ast.parse((Path(qcframe.__file__).parent / "model.py").read_text())
     decode = next(node for node in ast.walk(tree)
@@ -791,6 +793,6 @@ def test_table_decodes_only_nonzero_commutators(monkeypatch):
 
     monkeypatch.setattr(SpModel, "_decode_ints", spy)
     m = SpModel(1)
-    rows, _ = m.structure_constants()
-    assert len(calls) == sum(1 for i in range(m.dim) for j in range(i + 1, m.dim)
-                             if rows[i][j]) == 125
+    _, rows = m.structure_constants()
+    assert len(calls) == len({(i, pos // m.dim) for i, row in rows.items() for pos, _ in row
+                              if pos // m.dim > i}) == 125

@@ -478,7 +478,12 @@ def _random_smat(rng, rows, cols, density=0.5) -> SparseMat:
 @pytest.mark.parametrize("n,signature", TABLE_CASES)
 def test_table_and_gram_match_reference(n, signature):
     m, ref = SpModel(n, signature), SpModel(n, signature)
-    assert m.structure_constants() == reference_structure_constants(ref)
+    # the reference table, row i and column j holding (k, re, im) over
+    # scale, as the entries (i, j dim + k) of one int_matrix
+    rows, scale = reference_structure_constants(ref)
+    assert m.structure_constants() == int_matrix(
+        {(i, j * m.dim + k): (re, im) for i, row in enumerate(rows)
+         for j, targets in enumerate(row) for k, re, im in targets}, scale)
     assert list(m.killing_gram().items()) == list(reference_killing_gram(ref).items())
 
 

@@ -67,7 +67,6 @@ N3_CONTROLS = [
 ]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("control, failing, passing", N3_CONTROLS,
                          ids=["unsym-V", "unsym-S", "published"])
 def test_negative_controls_n3(control, failing, passing):
@@ -141,7 +140,7 @@ def test_each_correction_is_necessary(printed, failing, monkeypatch):
 
 
 # the same reversions at n = 2 (11, 14, 16, 3, 3, 3 and 2 generators);
-# the sweep takes about 2 s, within its budget of 5 s, so it is not slow
+# the sweep takes about 2 s, within its budget of 5 s
 GAMMA2 = {f"Gam{a}{b}" for a in range(1, 5) for b in range(a, 5)}
 PHIUP2 = {"phiup1", "phiup2", "phiup3", "phiup4"}
 REVERSIONS_N2 = [
