@@ -18,6 +18,13 @@ class InputError(ValueError):
 MAX_EXPONENT = 4300
 
 
+def excerpt(v) -> str:
+    """repr(v) for an error message; a longer repr is cut after 40
+    characters and followed by its length, so the message stays short."""
+    text = repr(v)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def rational_from_json(v, where: str) -> Fraction:
     """An exact rational from a JSON string or integer.  A JSON float is
     refused: it is read as a binary fraction, not the decimal written.  A
@@ -26,18 +33,18 @@ def rational_from_json(v, where: str) -> Fraction:
     if isinstance(v, str):
         exp = v.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
         if exp.isdecimal() and (len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT):
-            raise InputError(f"{where}: the exponent of {v!r} exceeds {MAX_EXPONENT}")
+            raise InputError(f"{where}: the exponent of {excerpt(v)} exceeds {MAX_EXPONENT}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: {v!r} is not a rational number") from None
+            raise InputError(f"{where}: {excerpt(v)} is not a rational number") from None
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    raise InputError(f"{where}: expected a string or an integer, got {v!r}")
+    raise InputError(f"{where}: expected a string or an integer, got {excerpt(v)}")
 
 
 def int_from_json(v, where: str) -> int:
     """A JSON integer; a float, a boolean or a string is refused."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise InputError(f"{where}: expected an integer, got {v!r}")
+    raise InputError(f"{where}: expected an integer, got {excerpt(v)}")

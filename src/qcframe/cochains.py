@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from . import InputError, rational_from_json
+from . import InputError, excerpt, rational_from_json
 from .gauss import (I, ONE, ZERO, GaussRational, axpy, cleared, gr, random_gauss,
                     random_gauss_ints)
 from .tensors import (IndexedTensor, StandardConstants, SymTensor, jmap,
@@ -138,7 +138,7 @@ def _gr_to_json(v: GaussRational):
 
 def _gr_from_json(d, where: str) -> GaussRational:
     if not isinstance(d, dict) or "re" not in d or "im" not in d:
-        raise InputError(f'{where}: expected an object with "re" and "im", got {d!r}')
+        raise InputError(f'{where}: expected an object with "re" and "im", got {excerpt(d)}')
     return gr(rational_from_json(d["re"], f"{where}.re"),
               rational_from_json(d["im"], f"{where}.im"))
 
@@ -146,7 +146,7 @@ def _gr_from_json(d, where: str) -> GaussRational:
 def _ints_from_json(v, where: str) -> Tuple[int, ...]:
     if not isinstance(v, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in v):
-        raise InputError(f"{where}: expected a list of integers, got {v!r}")
+        raise InputError(f"{where}: expected a list of integers, got {excerpt(v)}")
     return tuple(v)
 
 
@@ -178,11 +178,11 @@ def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
     known = ("n", "signature", *CURVATURE_FAMILIES)
     for key in doc:
         if key not in known:
-            raise InputError(f"component file: unknown key {key!r}; the keys are "
+            raise InputError(f"component file: unknown key {excerpt(key)}; the keys are "
                              f"{', '.join(known)}")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"component file: n must be an integer, got {n!r}")
+        raise InputError(f"component file: n must be an integer, got {excerpt(n)}")
     if n != consts.n:
         raise InputError(f"component file n = {n} does not match n = {consts.n} of this run")
     sig = _ints_from_json(doc.get("signature", [n, 0]), "signature")
@@ -200,11 +200,11 @@ def components_from_json(doc, consts: StandardConstants) -> CurvatureComponents:
         t = IndexedTensor(n, slots("l" * arity))
         entries = doc.get(fam, [])
         if not isinstance(entries, list):
-            raise InputError(f"{fam}: expected a list of entries, got {entries!r}")
+            raise InputError(f"{fam}: expected a list of entries, got {excerpt(entries)}")
         for k, entry in enumerate(entries):
             where = f"{fam}[{k}]"
             if not isinstance(entry, dict):
-                raise InputError(f"{where}: expected an object, got {entry!r}")
+                raise InputError(f"{where}: expected an object, got {excerpt(entry)}")
             idx = _ints_from_json(entry.get("idx"), f"{where}.idx")
             t.set(idx, t.get(*idx) + _gr_from_json(entry, where))
         values.append(symmetrize(t) if symmetric else t)

@@ -42,19 +42,21 @@ coefficients, because rule-table forms, generator forms and one-symbol
 polynomials are shared: an Exterior interns the last two, so none of them
 is ever modified in place.
 
-``differential`` sums in Gaussian integers instead.  A DRuleSet keeps
-each rule that ``differential`` reads a second time, as a ``View``: its
+``differential`` sums in Gaussian integers instead.  It reads each rule
+as a ``View``, which a DRuleSet builds on first use and keeps: its
 lcm denominator (``gauss.cleared``) and one flat integer tuple per term,
 ``(rmask, rk, m, re, im)``: the generator mask as it is, the term's cell
 key ``rk = m << len(labels) | rmask``, the id ``m`` of its symbol monomial
 in the rule set's intern table and the coefficient's real and imaginary
 parts over the denominator.  The terms of one generator mask (a row) are
-contiguous, in the rule Form's order.  The view of a conjugated symbol is
-made from the view of the symbol, in integers: conjugation relabels
-generators and symbols by units +1 or -1, so each term maps to one term
-and each (re, im) to +-(re, -im) over the same denominator, and the rule
-Form of the conjugate is decoded from that view.  The form is cleared,
-each polynomial coefficient over its own lcm, on entry; every product is
+contiguous, in the rule Form's order.  A generator rule is kept as a
+Form too; a symbol rule only as its view, the Form the builder made for
+it dropped once cleared, and decoded again when asked for.  The view of
+a conjugated symbol is made from the view of the symbol, in integers:
+conjugation relabels generators and symbols by units +1 or -1, so each
+term maps to one term and each (re, im) to +-(re, -im) over the same
+denominator.  The form ``differential`` is given is cleared, each
+polynomial coefficient over its own lcm, on entry; every product is
 added in place to an integer cell ``[re, im]`` over one common
 denominator, in one dict keyed by one int, ``id << len(labels) | mask``
 (``Cells``, ``_rule_into``), which a product with an empty symbol
@@ -398,19 +400,14 @@ class Exterior(Alphabet):
     # -- symbols -----------------------------------------------------------
 
     def sym(self, family: str, idx: Iterable[int] = (), conj: bool = False) -> Poly:
-        """Canonicalized one-symbol polynomial (may fold in a sign)."""
-        idx = tuple(idx)
-        p = self._syms.get((family, idx, conj))
+        """Canonicalized one-symbol polynomial (may fold in a sign).  Every
+        ordering of a symmetric family's indices names one symbol, interned
+        once, under the sorted indices."""
+        key = (family, _sorted_if_symmetric(family, tuple(idx)), conj)
+        p = self._syms.get(key)
         if p is None:
-            # every ordering of a symmetric family's indices names one
-            # symbol: it is canonicalized once, under the sorted indices
-            sidx = _sorted_if_symmetric(family, idx)
-            p = self._syms.get((family, sidx, conj))
-            if p is None:
-                unit, s = self._canonical_sym(family, sidx, conj)
-                p = self._syms[family, sidx, conj] = Poly._wrap(
-                    {(s,): ONE if unit == 1 else -ONE})
-            self._syms[family, idx, conj] = p
+            unit, s = self._canonical_sym(*key)
+            p = self._syms[key] = Poly._wrap({(s,): ONE if unit == 1 else -ONE})
         return p
 
     def _canonical_sym(self, family: str, idx: Tuple[int, ...], conj: bool) -> Tuple[int, Sym]:
@@ -438,18 +435,14 @@ class Exterior(Alphabet):
 
     def jsym(self, family: str, idx: Iterable[int]) -> Poly:
         """(jF)_{idx} = m conj(F_{p(idx)}), with (p(idx), m) read from
-        the j table of the constants."""
-        idx = tuple(idx)
-        p = self._jsyms.get((family, idx))
+        the j table of the constants.  p and m permute with the indices,
+        so a symmetric family's j-image is interned once, under the sorted
+        indices."""
+        key = (family, _sorted_if_symmetric(family, tuple(idx)))
+        p = self._jsyms.get(key)
         if p is None:
-            # p and m permute with the indices, so a symmetric family's
-            # j-image depends only on the sorted indices
-            sidx = _sorted_if_symmetric(family, idx)
-            p = self._jsyms.get((family, sidx))
-            if p is None:
-                target, m = self.consts.j(sidx)
-                p = self._jsyms[family, sidx] = self.sym(family, target, conj=True).scale(m)
-            self._jsyms[family, idx] = p
+            target, m = self.consts.j(key[1])
+            p = self._jsyms[key] = self.sym(family, target, conj=True).scale(m)
         return p
 
     def _conj_sym(self, s: Sym) -> Tuple[int, Sym]:
@@ -659,7 +652,10 @@ class DRuleSet:
     symbol may be differentiated).
 
     ``view`` gives either kind of rule as a ``View`` for ``differential``,
-    built on first use and kept; the rule Forms themselves are only read.
+    built on first use and kept.  The generator rule Forms are kept and
+    only read; a symbol rule is kept only as its view, made from the
+    builder's Form (``sym_rules``), which is then dropped, and
+    ``sym_rule`` decodes the view each time it is asked.
     The symbol monomials of the views, and those ``differential`` meets,
     are interned per rule set: id 0 is the empty monomial, ``_monos`` maps
     an id back to its tuple, and the product of two nonempty monomials is
@@ -670,14 +666,13 @@ class DRuleSet:
     and symbol monomials one to one by units (``Exterior.conj_mask``,
     ``Exterior.conj_mono``, ``_conj_id``), so the view of ~s has the terms
     of the view of s, relabeled, each (re, im) turned into +-(re, -im) over
-    the same denominator.  ``sym_rule(~s)`` decodes that view."""
+    the same denominator."""
 
     def __init__(self, ext: Alphabet, gen_rules: Dict[int, Form],
                  sym_rules: Optional[Callable[[Sym], Form]] = None):
         self.ext = ext
         self.gen_rules = gen_rules
         self._sym_rules = sym_rules
-        self._sym_cache: Dict[Sym, Form] = {}
         self._views: Dict[Union[int, Sym], View] = {}
         self._ids: Dict[Mono, int] = {(): 0}
         self._monos: List[Mono] = [()]
@@ -694,13 +689,8 @@ class DRuleSet:
                 f"no differential rule for generator {self.ext.labels[g]}") from None
 
     def sym_rule(self, s: Sym) -> Form:
-        out = self._sym_cache.get(s)
-        if out is None:
-            if self._sym_rules is None:
-                raise KeyError(f"no differential rule for symbol family {s.family!r}")
-            out = self._decode(self.view(s)) if s.conj else self._sym_rules(s)
-            self._sym_cache[s] = out
-        return out
+        """The rule of a symbol, decoded from its view."""
+        return self._decode(self.view(s))
 
     def _intern(self, mono: Mono) -> int:
         """The id of a symbol monomial, assigned on first use."""
@@ -731,11 +721,14 @@ class DRuleSet:
         over its lcm denominator."""
         v = self._views.get(key)
         if v is None:
-            if isinstance(key, Sym) and key.conj:
+            if not isinstance(key, Sym):
+                v = self._clear(self.gen_rule(key))
+            elif self._sym_rules is None:
+                raise KeyError(f"no differential rule for symbol family {key.family!r}")
+            elif key.conj:
                 v = self._conj_view(self.view(key._replace(conj=False)))
             else:
-                v = self._clear(self.sym_rule(key) if isinstance(key, Sym)
-                                else self.gen_rule(key))
+                v = self._clear(self._sym_rules(key))
             self._views[key] = v
         return v
 

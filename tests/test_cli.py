@@ -187,6 +187,16 @@ def test_component_file_with_a_huge_exponent_exit_2(tmp_path, capsys):
         "error: P.re: the exponent of '1e3000000' exceeds 4300\n"
 
 
+def test_component_file_with_a_long_value_exit_2(tmp_path, capsys):
+    """A 10,000-character value is echoed as its first 40 characters and
+    its length, not whole, on the one line of standard error."""
+    path = tmp_path / "compo.json"
+    path.write_text(json.dumps({"n": 1, "P": {"re": "7" * 5000 + "/x" * 2500, "im": "0"}}))
+    assert run(["classify", "homogeneity", "--n", "1", "--components", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: P.re: '{'7' * 39}... (10002 characters) is not a rational number\n"
+
+
 @pytest.mark.parametrize("key", ["s", "comment"])
 def test_component_file_with_an_unknown_key_exit_2(key, tmp_path, capsys):
     """A top-level key other than n, signature and the nine families is

@@ -328,6 +328,19 @@ def test_chart_file_refuses_a_huge_exponent(qc, tmp_path, capsys):
     assert err.startswith("error: ") and "exponent of '1e100000000' exceeds 4300" in err
 
 
+def test_chart_file_echoes_a_long_value_short(qc, tmp_path, capsys):
+    """A 10,000-character coefficient is refused and echoed as its first
+    40 characters and its length, on one short line."""
+    doc = _chart_doc(qc)
+    doc["etas"][0].append([0, "1e" + "9" * 9998, "0", [0] * 7])
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    assert run(["example", "heisenberg", "--chart", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 150
+    assert f"exponent of '1e{'9' * 37}... (10002 characters) exceeds 4300" in err
+
+
 @pytest.mark.parametrize("part, change", [
     ("I", lambda ms: [[row[:3] for row in m[:3]] for m in ms]),  # 3x3 matrices
     ("I", lambda ms: ms[:2]),                                     # two matrices
