@@ -521,12 +521,11 @@ def assemble_kappa(compo: CurvatureComponents, model: SpModel,
 # the Kostant codifferential and the trace conditions as matrices
 #
 # Both codifferentials and the trace conditions are linear in K.  Each is
-# a ``linear.int_matrix`` built on first use and kept on the SpModel, as
-# dual_brackets() is: input column -> the entries (output, (re, im)), its
-# input columns numbered by ``column``, as K's row is.  An evaluation
-# multiplies K's integer row by the matrix in one ``linear.product_into``
-# and decodes the outputs.  Nothing stored in K, dual_frames() or
-# dual_brackets() is modified.
+# a ``linear.int_matrix`` built on first use and kept on the SpModel:
+# input column -> the entries (output, (re, im)), its input columns
+# numbered by ``column``, as K's row is.  An evaluation multiplies K's
+# integer row by the matrix in one ``linear.product_into`` and decodes the
+# outputs.  Nothing stored in K or in dual_frames() is modified.
 
 
 def _kept(model: SpModel, attr: str, build) -> IntMatrix:
@@ -579,22 +578,21 @@ def _cochain1(model: SpModel, den: int, values: Dict[int, List[int]]) -> Cochain
 def _build_direct(model: SpModel) -> IntMatrix:
     """D_direct: output a * dim + k is coordinate k of the sum over the
     dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
-    with a column for every coordinate.  Built in Python integers: the
-    dual frames and the [hat, e_a]_- are cleared over one denominator, and
-    the ad matrix of each hat is one ``_apply`` of its cleared row with the
-    structure-constant table."""
+    a column for every coordinate.  In Python integers: the hats of
+    ``dual_frames()`` are cleared together, the ad matrix of each is one
+    ``_apply`` with the structure constants, and both terms read it."""
     table = model.structure_constants()
-    scale = table[0]
     n, keys, dim, index = model.n, model.keys, model.dim, model.key_index
-    brackets = model.dual_brackets()
-    pairs = next(iter(brackets.values()))
-    den, ints = cleared([v for hat, _, _ in pairs for v in hat.c.values()] + [
-        v for rows in brackets.values() for _, _, m in rows for v in m.c.values()])
+    gkeys, fr = gminus_keys(n), model.dual_frames()
+    pairs = list(zip(fr["Ehat"] + fr["Zhat"] + fr["Zhatbar"], gkeys))
+    den, ints = cleared([v for hat, _ in pairs for v in hat.c.values()])
     ints = iter(ints)  # read in that order; zip takes from it only while keys remain
-    ads = {}  # e_b -> ad(hat) over den * scale: (k * dim + l, [re, im]), ascending
-    for hat, kb, _ in pairs:
+    ads = {}  # e_b -> ad(hat) over den * table[0]: row k -> [(l, re, im)], B_l in [hat, B_k]
+    for hat, kb in pairs:
         ad = _apply((den, {index[key]: v for key, v in zip(hat.c, ints)}), table)[1]
-        ads[kb] = sorted(ad.items())
+        ads[kb] = rows = {}
+        for pos in sorted(ad):
+            rows.setdefault(pos // dim, []).append((pos % dim, *ad[pos]))
     acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def add(x: Key, y: Key, key: Key, out: int, f: int, re: int, im: int) -> None:
@@ -603,22 +601,23 @@ def _build_direct(model: SpModel) -> IntMatrix:
             cr, ci = acc.get((col, out), (0, 0))
             acc[col, out] = cr + sign * f * re, ci + sign * f * im
 
-    for a, (ka, rows) in enumerate(brackets.items()):
-        for _, kb, m in rows:
-            for pos, (re, im) in ads[kb]:
-                k, l = divmod(pos, dim)
-                add(ka, kb, keys[k], a * dim + l, 2, re, im)
-            for kx, (re, im) in zip(m.c, ints):
-                for k, key in enumerate(keys):
-                    add(kx, kb, key, a * dim + k, -scale, re, im)
-    return int_matrix(acc, den * scale)
+    for a, ka in enumerate(gkeys):
+        for kb, rows in ads.items():
+            for k, row in rows.items():
+                for l, re, im in row:
+                    add(ka, kb, keys[k], a * dim + l, 2, re, im)
+            for l, re, im in rows.get(a, ()):  # [hat, e_a]_-: the g_- keys lead keys
+                if l < len(gkeys):
+                    for k, key in enumerate(keys):
+                        add(gkeys[l], kb, key, a * dim + k, -1, re, im)
+    return int_matrix(acc, den * table[0])
 
 
 def kostant_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
     """The bracket definition over the trace-dual frames: sum over the
     dual pairs (hat, e_b) of 2 [hat, K(e_a, e_b)] - K([hat, e_a]_-, e_b),
     for K valued anywhere in g.  Applied as the matrix D_direct, built once
-    per model from ``dual_brackets()`` and the structure constants."""
+    per model from the ad matrices of the dual frames' hats."""
     return _cochain1(model, *_apply(K, _kept(model, "_direct_map", _build_direct)))
 
 

@@ -165,7 +165,6 @@ class SpModel:
         self._gram = None
         self._closed = None
         self._frames = None
-        self._dual_brackets = None
 
     def e(self, a: int) -> int:
         return 1 + a
@@ -551,26 +550,6 @@ class SpModel:
         if self._frames is None:
             self._frames = self._frames_for(self.killing_gram())
         return self._frames
-
-    def dual_brackets(self) -> Dict[Key, List[Tuple[LieCoord, Key, LieCoord]]]:
-        """For every g_- basis key a: the triples (hat, b, [hat, e_a]_-)
-        over the dual pairs (Ehat_s, E_s), (Zhat^c, Z_c), (Zhat^c̄, Z_c̄),
-        where [.]_- is the g_- part.  They do not depend on the cochain, so
-        the Kostant codifferential reads them from here; built on first use."""
-        if self._dual_brackets is None:
-            fr, n = self.dual_frames(), self.n
-            pairs = ([(fr["Ehat"][s], ("eta", s + 1)) for s in range(3)]
-                     + [(fr["Zhat"][a - 1], ("theta", a, False)) for a in range(1, 2 * n + 1)]
-                     + [(fr["Zhatbar"][a - 1], ("theta", a, True)) for a in range(1, 2 * n + 1)])
-            out = {}
-            for ka in self.keys:
-                if coframe.grade(ka) < 0:
-                    a = self.basis(ka)
-                    out[ka] = [(hat, kb, LieCoord(n, {
-                        k: v for k, v in self.bracket(hat, a).c.items()
-                        if coframe.grade(k) < 0})) for hat, kb in pairs]
-            self._dual_brackets = out
-        return self._dual_brackets
 
     def dual_frames_published(self) -> dict:
         """Dual frames taken against the closed-form expression with its

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -358,6 +359,39 @@ def test_closed_constants_pinned(model_for, n, signature):
     got = codiff_closed_constants(model_for(n, signature))
     assert list(got) == ["n", *CLOSED_NAMES, "printed"]
     assert tuple(str(got[k]) for k in CLOSED_NAMES) == CLOSED_PINNED[n]
+
+
+# SHA-256 of the order-free form repr((den, sorted((row, sorted entries))))
+# of D_direct, the closed matrix and T.  At n = 1 every unit cochain is
+# compared with the reference evaluators in test_codiff_reference.py;
+# these pin the three matrices beyond it.
+MATRIX_DIGESTS = {
+    (2, None): ("323d9676f797c386d5b0ce3aae2216a536140f776ff292e6ae976f19bf9d6825",
+                "8318d04b835c62d51ebb1bbefed93a0571e6d7a2ff502c3f5d48124753b127ee",
+                "1aaedef8973e81ea5c0964dda245e6a89cfaae2090ed7a70766689a60beb9070"),
+    (3, None): ("83987b042c5629812501b00d837b211d0967f7c304b1245decfe07f024c64eaf",
+                "eeb065ec1b43eeb91efd5b505eb510b5dedf4fb45ab7d8e3c1fffee8c7a70184",
+                "49d946c8542a90065de60d18d5f067fdd912f2ee89581d9f26277ee96610b5f2"),
+    (2, (1, 1)): ("451c854f5047bf6bd50d4b51a7d2bdc1a4976daa4627ebebce68d33f9baf77d0",
+                  "65a84624ca0b8950bf1610b035eca5c5145da48b0fedb3bd1c154f421e7d4fc5",
+                  "fb03cc20ba0c8bd9cce2d9687614bba00112113430d1d0d7ef43d46f738185ad"),
+}
+
+
+@pytest.mark.parametrize("n, signature", list(MATRIX_DIGESTS))
+def test_kept_matrices_pinned(model_for, n, signature):
+    """D_direct, the closed matrix and T at n >= 2, where the unit
+    cochains are not each compared with the reference, are pinned entry
+    for entry, in any row or entry order."""
+    m = model_for(n, signature)
+    got = []
+    for attr, build in (("_direct_map", cochains._build_direct),
+                        ("_closed_map", cochains._build_closed),
+                        ("_trace_map", cochains._build_trace)):
+        den, rows = cochains._kept(m, attr, build)
+        canon = repr((den, sorted((r, tuple(sorted(row))) for r, row in rows.items())))
+        got.append(hashlib.sha256(canon.encode()).hexdigest())
+    assert tuple(got) == MATRIX_DIGESTS[n, signature]
 
 
 def slot_mismatches(m, monkeypatch):

@@ -3,8 +3,9 @@ evaluators.
 
 The three reference functions below are the loop implementations that
 ``cochains.kostant_codiff_direct``, ``kostant_codiff_closed`` and
-``trace_conditions`` replaced, kept verbatim apart from their names:
-they build a ``LieCoord`` for every term and read K through
+``trace_conditions`` replaced, kept verbatim apart from their names
+and from the direct one bracketing each [hat, e_a]_- itself: they
+build a ``LieCoord`` for every term and read K through
 ``Cochain2.get``.  The package code must give the same results on
 assembled curvature cochains, lemma cochains, delta cochains and the
 broken-S cochain, must leave its inputs untouched, and must negate no
@@ -45,13 +46,20 @@ def reference_codiff_direct(K: Cochain2, model: SpModel) -> Cochain1:
             out = out + K.get(kx, kb).scale(vx)
         return out
 
+    fr = model.dual_frames()
+    pairs = ([(fr["Ehat"][s], ("eta", s + 1)) for s in range(3)]
+             + [(fr["Zhat"][a - 1], ("theta", a, False)) for a in range(1, 2 * n + 1)]
+             + [(fr["Zhatbar"][a - 1], ("theta", a, True)) for a in range(1, 2 * n + 1)])
     out: Cochain1 = {}
-    for ka, rows in model.dual_brackets().items():
-        tot = LieCoord(n)
-        for hat, kb, minus in rows:
-            tot = tot + model.bracket(hat, K.get(ka, kb)).scale(2)
-            tot = tot - k_of(minus, kb)
-        out[ka] = tot
+    for ka in model.keys:
+        if coframe.grade(ka) < 0:
+            tot = LieCoord(n)
+            for hat, kb in pairs:
+                minus = LieCoord(n, {k: v for k, v in model.bracket(hat, model.basis(ka)).c.items()
+                                     if coframe.grade(k) < 0})
+                tot = tot + model.bracket(hat, K.get(ka, kb)).scale(2)
+                tot = tot - k_of(minus, kb)
+            out[ka] = tot
     return out
 
 
@@ -488,17 +496,14 @@ def _cochain_state(K: Cochain2):
 
 
 def _model_state(m: SpModel):
-    frames = {name: [dict(x.c) for x in v] if isinstance(v, list) else v
-              for name, v in m.dual_frames().items()}
-    brackets = {ka: [(dict(hat.c), kb, dict(minus.c)) for hat, kb, minus in rows]
-                for ka, rows in m.dual_brackets().items()}
-    return frames, brackets
+    return {name: [dict(x.c) for x in v] if isinstance(v, list) else v
+            for name, v in m.dual_frames().items()}
 
 
 def test_check_normality_leaves_inputs_untouched(model_for, monkeypatch):
     """The integer kappa rows check_normality evaluates, the components
-    and the model's dual frames and brackets are the same after the
-    check as when they were made."""
+    and the model's dual frames are the same after the check as when they
+    were made."""
     m = model_for(2)
     cc = closed_for(m)
     before = _model_state(m)

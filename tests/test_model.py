@@ -715,7 +715,7 @@ def test_one_solver_and_one_product():
                      getattr(node, attr, None), str)}
         gone = {"by_row", "_nested", "_cleared_mat", "_int_rows", "_int_map", "IntMat",
                 "IntRows", "IntRow", "IntMap", "int_product_into", "int_commutator",
-                "_is_zero", "_equal"}
+                "_is_zero", "_equal", "dual_brackets", "_dual_brackets"}
         assert not names & gone, (path.name, names & gone)
         module = importlib.import_module(f"qcframe.{path.stem}")
         assert not any(hasattr(module, name) for name in gone), path.name
