@@ -701,14 +701,14 @@ def _closed_terms(model: SpModel) -> _ClosedTerms:
     # the three eta-slot combinations
     kzz, pik, pikb = [], [], []
     for a in R:
-        for s in R:
-            kzz.append((thb[s], th[a], c.g_up(a, s)))
-            kzz.append((th[s], thb[a], -c.g_up(s, a)))
-            pik.append((th[a], th[s], c.pi_up(a, s)))
-            pikb.append((thb[a], thb[s], c.pi_up(a, s).conj()))
+        kzz += [(thb[s], th[a], v) for s, v in c.row("g_up", a)]
+        kzz += [(th[s], thb[a], -v) for s, v in c.col("g_up", a)]
+        for s, v in c.row("pi_up", a):
+            pik.append((th[a], th[s], v))
+            pikb.append((thb[a], thb[s], v.conj()))
 
     def times(w, terms):
-        return tuple((x, y, w * v) for x, y, v in terms if not v.is_zero())
+        return tuple((x, y, w * v) for x, y, v in terms)
 
     eta = (("c_eta23p", ("eta", 2), times(ONE, pik)), ("c_eta23p", ("eta", 3), times(I, pik)),
            ("c_eta23m", ("eta", 2), times(ONE, pikb)), ("c_eta23m", ("eta", 3), times(-I, pikb)),
@@ -721,19 +721,14 @@ def _closed_terms(model: SpModel) -> _ClosedTerms:
     for be in R:
         zlow: Dict[Key, GaussRational] = {}
         zlow_bar: Dict[Key, GaussRational] = {}
-        for t in R:
-            axpy(zlow, c.g(be, t), fr["Zhatbar"][t - 1].c)
-            axpy(zlow_bar, c.g(t, be), fr["Zhat"][t - 1].c)
+        for t, v in c.row("g", be):
+            axpy(zlow, v, fr["Zhatbar"][t - 1].c)
+        for t, v in c.col("g", be):
+            axpy(zlow_bar, v, fr["Zhat"][t - 1].c)
         plain, barred = [], []
-        for si in R:
-            pi_bs = c.pi_up(be, si)
-            if pi_bs.is_zero():
-                continue
+        for si, pi_bs in c.row("pi_up", be):
             for al in R:
-                for t in R:
-                    gat = c.g_up(t, al)
-                    if gat.is_zero():
-                        continue
+                for t, gat in c.col("g_up", al):
                     plain.append((al, coframe.gam_key(si, t), pi_bs * gat))
                     coeff, key = coframe.gamma_bar(c, si, t)
                     barred.append((al, key, pi_bs.conj() * gat.conj() * coeff))
@@ -751,10 +746,10 @@ def _closed_terms(model: SpModel) -> _ClosedTerms:
     ehat = (
         ("c_E1", False, tuple((al, ("phiU", al, False), ONE) for al in R), ie1),
         ("c_E1", True, tuple((al, ("phiU", al, True), -ONE) for al in R), ie1),
-        ("c_E23p", False, tuple((al, ("phiU", si, True), c.pi_u_lbar(al, si))
-                                for al in R for si in R), e23p),
-        ("c_E23m", True, tuple((al, ("phiU", si, False), c.pi_ubar_l(al, si))
-                               for al in R for si in R), e23m))
+        ("c_E23p", False, tuple((al, ("phiU", si, True), v)
+                                for al in R for si, v in c.row("pi_u_lbar", al)), e23p),
+        ("c_E23m", True, tuple((al, ("phiU", si, False), v)
+                               for al in R for si, v in c.row("pi_ubar_l", al)), e23m))
     return _ClosedTerms(eta, tuple(gam), tuple(gam_bar), ehat)
 
 
@@ -827,25 +822,25 @@ def _build_trace(model: SpModel) -> IntMatrix:
     R = range(1, 2 * n + 1)
     acc: Dict[Tuple[int, int], GaussRational] = {}
     for a in R:
-        for bq in R:
-            for t, y, coeff in ((0, ("theta", bq, True), c.g_up(a, bq)),
-                                (1, ("theta", bq, False), c.pi_up(a, bq))):
-                if not coeff.is_zero():
-                    for key, k in index.items():
-                        _put(acc, model, ("theta", a, False), y, key, 5 * k + t, coeff)
+        for t, form, barred in ((0, "g_up", True), (1, "pi_up", False)):
+            for bq, coeff in c.row(form, a):
+                for key, k in index.items():
+                    _put(acc, model, ("theta", a, False), ("theta", bq, barred), key,
+                         5 * k + t, coeff)
     # Gamma_trace per alpha and phi_trace read K(Zbar_s, x), pi_phi_trace
     # reads K(Z_beta, x)
     for m, kx in enumerate(gminus_keys(n)):
         for al in R:
             for s in R:
-                zbar, z = ("theta", s, True), ("theta", s, False)
-                for bq in R:
-                    _put(acc, model, zbar, kx, coframe.gam_key(al, bq),
-                         5 * (m * 2 * n + al - 1) + 2, c.g_up(bq, s))
-                for t in R:
-                    phi = ("phiU", t, True)
-                    _put(acc, model, zbar, kx, phi, 5 * m + 3, c.g_up(al, s) * c.g(t, al))
-                    _put(acc, model, z, kx, phi, 5 * m + 4, c.pi_up(al, s) * c.g(t, al))
+                for bq, v in c.col("g_up", s):
+                    _put(acc, model, ("theta", s, True), kx, coframe.gam_key(al, bq),
+                         5 * (m * 2 * n + al - 1) + 2, v)
+            for t, gt in c.col("g", al):
+                phi = ("phiU", t, True)
+                for s, v in c.row("g_up", al):
+                    _put(acc, model, ("theta", s, True), kx, phi, 5 * m + 3, v * gt)
+                for s, v in c.row("pi_up", al):
+                    _put(acc, model, ("theta", s, False), kx, phi, 5 * m + 4, v * gt)
     return int_matrix(acc)
 
 

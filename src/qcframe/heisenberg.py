@@ -359,17 +359,16 @@ def lex_coframe(qc: QcData, mu_root: Fraction = Fraction(1)) -> dict:
     d_etas = [differential(e, CHART_RULES) for e in etas]
     r1 = d_etas[0] + (phi[0] ^ etas[0]) + (phi[2] ^ etas[2]) - (phi[3] ^ etas[1])
     for a in R2:
-        for b in R2:
-            r1 = r1 - (theta[a - 1] ^ thetab[b - 1]).scale(2 * I * c.g(a, b))
+        for b, v in c.row("g", a):
+            r1 = r1 - (theta[a - 1] ^ thetab[b - 1]).scale(2 * I * v)
     r2 = d_etas[1] + (phi[0] ^ etas[1]) + (phi[3] ^ etas[0]) - (phi[1] ^ etas[2])
     r3 = d_etas[2] + (phi[0] ^ etas[2]) + (phi[1] ^ etas[1]) - (phi[2] ^ etas[0])
     for a in R2:
-        for b in R2:
-            pi = c.pi(a, b)
-            pib = c.pi_bar(a, b)
+        for b, pi in c.row("pi", a):
             r2 = r2 - (theta[a - 1] ^ theta[b - 1]).scale(pi)
-            r2 = r2 - (thetab[a - 1] ^ thetab[b - 1]).scale(pib)
             r3 = r3 + (theta[a - 1] ^ theta[b - 1]).scale(I * pi)
+        for b, pib in c.row("pi_bar", a):
+            r2 = r2 - (thetab[a - 1] ^ thetab[b - 1]).scale(pib)
             r3 = r3 - (thetab[a - 1] ^ thetab[b - 1]).scale(I * pib)
     return {
         "phi": phi,
@@ -391,7 +390,9 @@ def chart_from_json(doc: dict) -> QcData:
     matrix and "I" the three integer 4x4 quaternionic matrices.  A
     rational is a JSON string or integer and every other number a JSON
     integer: a float or a boolean is refused.  The exponent vectors are
-    converted to chart monomials on load."""
+    converted to chart monomials on load.  The d/dx1..d/dx4 coefficients
+    of the four fields must be real constants forming an invertible
+    matrix, which ``QcData.omega_forms`` inverts."""
     def poly_entry(re, im, expo, where):
         expo = [int_from_json(e, f"{where}.exponents") for e in expo]
         return Poly({monomial(expo): gr(rational_from_json(re, f"{where}.re"),
@@ -423,6 +424,16 @@ def chart_from_json(doc: dict) -> QcData:
             ci = index(ci, where)
             v[ci] = v.get(ci, Poly()) + poly_entry(re, im, expo, where)
         frame.append(v)
+    amat = []  # omega_forms inverts the matrix dx_i(X_k), i < 4, of real constants
+    for k, v in enumerate(frame):
+        try:
+            amat.append([_constant_value(v.get(i, Poly())) for i in range(4)])
+        except ValueError as ex:
+            raise InputError(f"frame[{k}]: {ex} as each d/dx1..d/dx4 coefficient") from None
+    try:
+        solve_square(amat, [[gr(1)]] * 4)
+    except ValueError:
+        raise InputError("frame: the d/dx1..d/dx4 coefficient matrix is singular") from None
 
     def matrix(rows, entry, where):
         m = [[entry(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]

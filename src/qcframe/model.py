@@ -26,7 +26,6 @@ coefficients.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -144,6 +143,15 @@ class LieCoord:
         parts = ", ".join(f"{coframe.label(k)}={v}" for k, v in sorted(
             self.c.items(), key=lambda kv: str(kv[0])))
         return f"LieCoord({parts or '0'})"
+
+
+def killing_coefficients(n: int) -> Dict[str, GaussRational]:
+    """The printed coefficients of the closed Killing expression, one
+    per block, as ``SpModel.killing_closed_gram`` writes them and
+    ``SpModel.calibration`` reports them."""
+    return {"eta_psi": gr(-(4 * n + 6)), "phi0_phi0": gr(2 * n + 6),
+            "phi_s_phi_s": gr(-(2 * n + 4)), "theta_phiU": gr(-4 * (2 * n + 7)),
+            "Gam_Gam": gr(-7)}
 
 
 class SpModel:
@@ -411,21 +419,22 @@ class SpModel:
                     p = ix[ka], ix[kb]
                     gram[p] = gram.get(p, ZERO) + v
 
+            k = killing_coefficients(n)
             for s in (1, 2, 3):
                 eta, psi, phi = ("eta", s), ("psi", s), ("phi", s)
-                add(gr(-(4 * n + 6)), (eta, psi), (psi, eta))
-                add(gr(-(2 * n + 4)), (phi, phi))
-            add(gr(2 * n + 6), (("phi0",), ("phi0",)))
+                add(k["eta_psi"], (eta, psi), (psi, eta))
+                add(k["phi_s_phi_s"], (phi, phi))
+            add(k["phi0_phi0"], (("phi0",), ("phi0",)))
             for al in range(1, 2 * n + 1):
                 # theta_alpha = g_{s̄ alpha} theta^{s̄}, theta_ᾱ = g_{s ᾱ} theta^s
                 th, thb = ("theta", al, False), ("theta", al, True)
                 fu, fub = ("phiU", al, False), ("phiU", al, True)
-                add(gr(-4 * (2 * n + 7) * c.diag[al - 1]),
+                add(k["theta_phiU"] * gr(c.diag[al - 1]),
                     (thb, fu), (fu, thb), (th, fub), (fub, th))
                 for be in range(1, 2 * n + 1):
                     # Gamma^{a b}(B) = g^{a s̄} g^{b t̄} Gamma_{s̄ t̄}(B)
                     coeff, key = coframe.gamma_bar(c, al, be)
-                    add(gr(-7 * c.diag[al - 1] * c.diag[be - 1]) * coeff,
+                    add(k["Gam_Gam"] * gr(c.diag[al - 1] * c.diag[be - 1]) * coeff,
                         (coframe.gam_key(al, be), key))
             self._closed = {p: v for p, v in gram.items() if not v.is_zero()}
         return self._closed
@@ -459,13 +468,7 @@ class SpModel:
             "theta_phiU": (("theta", 1, False), ("phiU", 1, True)),
             "Gam_Gam": (("Gam", 1, 1), ("Gam", 1 + n, 1 + n)),
         }
-        printed_coeff = {
-            "eta_psi": gr(-(4 * n + 6)),
-            "phi0_phi0": gr(2 * n + 6),
-            "phi_s_phi_s": gr(-(2 * n + 4)),
-            "theta_phiU": gr(-4 * (2 * n + 7)),
-            "Gam_Gam": gr(-7),
-        }
+        printed_coeff = killing_coefficients(n)
         out = {"n": n, "signature": list(self.consts.signature),
                "blocks": {}, "full_match": True}
         for name, (ka, kb) in probes.items():
@@ -494,10 +497,10 @@ class SpModel:
         out["pairings"] = {
             "psi_Ehat": {"trace": str(tf["psi_pairing"]),
                          "published_form": str(pf["psi_pairing"]),
-                         "printed": str(gr(Fraction(-1, 4 * n + 6)))},
+                         "printed": str(ONE / printed_coeff["eta_psi"])},
             "phi_Zhat": {"trace": str(tf["phi_pairing"]),
                          "published_form": str(pf["phi_pairing"]),
-                         "printed": str(gr(Fraction(-1, 4 * (2 * n + 7))))},
+                         "printed": str(ONE / printed_coeff["theta_phiU"])},
         }
         return out
 
@@ -725,10 +728,8 @@ def random_spn(rng: random.Random, c: StandardConstants):
         y = j_average(symmetrize(random_tensor(rng, n, slots("ll"), 3)), c)
         x = [[ZERO] * dim for _ in range(dim)]
         for (s, b), val in y.full().entries.items():
-            for a in range(1, dim + 1):
-                coeff = c.pi_up(a, s)
-                if not coeff.is_zero():
-                    x[a - 1][b - 1] = x[a - 1][b - 1] + coeff * val
+            for a, coeff in c.col("pi_up", s):
+                x[a - 1][b - 1] = x[a - 1][b - 1] + coeff * val
         # U = (I - X)^{-1} (I + X); draw again when I - X is singular
         try:
             U = solve_square([[(ONE if i == j else ZERO) - x[i][j] for j in range(dim)]
@@ -901,31 +902,18 @@ def g1_lie_matrix(n: int, c: StandardConstants, gam: IndexedTensor,
 
     def phi_low(bq):
         # phi_b = g_{s̄ b} phi^s̄
-        acc = gr(0)
-        for s in range(dim):
-            cg = c.g(bq + 1, s + 1)
-            if not cg.is_zero():
-                acc = acc + cg * phi[s].conj()
-        return acc
+        return sum((cg * phi[s - 1].conj() for s, cg in c.row("g", bq + 1)), ZERO)
 
     for a in range(dim):
         M[th0 + a][0] = -(I * phi[a])
-        acc = gr(0)
-        for s in range(dim):
-            cp = c.pi_u_lbar(a + 1, s + 1)
-            if not cp.is_zero():
-                acc = acc + cp * phi[s].conj()
+        acc = sum((cp * phi[s - 1].conj() for s, cp in c.row("pi_u_lbar", a + 1)), ZERO)
         M[th0 + a][1] = -acc
         M[th0 + a][2] = -(I * acc)
         M[thb0 + a][0] = I * phi[a].conj()
         M[thb0 + a][1] = -acc.conj()
         M[thb0 + a][2] = I * acc.conj()
         for bq in range(dim):
-            g_ab = gr(0)
-            for s in range(dim):
-                cp = c.pi_up(a + 1, s + 1)
-                if not cp.is_zero():
-                    g_ab = g_ab + cp * gam.get(s + 1, bq + 1)
+            g_ab = sum((cp * gam.get(s, bq + 1) for s, cp in c.row("pi_up", a + 1)), ZERO)
             M[th0 + a][th0 + bq] = -g_ab
             M[thb0 + a][thb0 + bq] = -g_ab.conj()
     for s in range(3):
@@ -942,11 +930,7 @@ def g1_lie_matrix(n: int, c: StandardConstants, gam: IndexedTensor,
         M[ph0][thb0 + bq] = -2 * pl.conj()
         M[ph0 + 1][th0 + bq] = I * 2 * pl
         M[ph0 + 1][thb0 + bq] = -(I * 2 * pl.conj())
-        pp = gr(0)
-        for s in range(dim):
-            cp = c.pi(s + 1, bq + 1)
-            if not cp.is_zero():
-                pp = pp + cp * phi[s]
+        pp = sum((cp * phi[s - 1] for s, cp in c.col("pi", bq + 1)), ZERO)
         M[ph0 + 2][th0 + bq] = -2 * pp
         M[ph0 + 2][thb0 + bq] = -2 * pp.conj()
         M[ph0 + 3][th0 + bq] = I * 2 * pp
@@ -981,15 +965,8 @@ def parabolic_member(a1: GaussRational, a2: GaussRational, U, r,
     # top-middle: -A (rows) x (U_{b s̄} r^s̄ ; U_{b t̄} pi^t̄_s r^s)
     for bq in range(dim):
         v1 = sum((_u_low(c, U, bq, s) * r[s].conj() for s in range(dim)), ZERO)
-        v2 = gr(0)
-        for t in range(dim):
-            ul = _u_low(c, U, bq, t)
-            if ul.is_zero():
-                continue
-            for s in range(dim):
-                cp = c.pi_ubar_l(t + 1, s + 1)
-                if not cp.is_zero():
-                    v2 = v2 + ul * cp * r[s]
+        v2 = sum((_u_low(c, U, bq, t - 1) * cp * r[s - 1]
+                  for t in range(1, dim + 1) for s, cp in c.row("pi_ubar_l", t)), ZERO)
         for i in range(2):
             M[i][2 + bq] = -(A[i][0] * v1 + A[i][1] * v2)
     rr = _norm2(c, r)
@@ -1002,12 +979,8 @@ def parabolic_member(a1: GaussRational, a2: GaussRational, U, r,
         for bq in range(dim):
             M[2 + a][2 + bq] = U[a][bq]
         M[2 + a][dim + 2] = r[a]
-        acc = gr(0)
-        for s in range(dim):
-            cp = c.pi_u_lbar(a + 1, s + 1)
-            if not cp.is_zero():
-                acc = acc + cp * r[s].conj()
-        M[2 + a][dim + 3] = acc
+        M[2 + a][dim + 3] = sum((cp * r[s - 1].conj() for s, cp in c.row("pi_u_lbar", a + 1)),
+                                ZERO)
     return M
 
 
@@ -1037,11 +1010,9 @@ def j2_matrix(c: StandardConstants):
     J[0][1] = gr(-1)       # v2 -> -conj(v1)
     J[dim + 3][dim + 2] = gr(1)   # w1 -> conj(w2)
     J[dim + 2][dim + 3] = gr(-1)  # w2 -> -conj(w1)
-    for a in range(dim):
-        for bq in range(dim):
-            cp = c.pi_ubar_l(bq + 1, a + 1)
-            if not cp.is_zero():
-                J[2 + bq][2 + a] = cp
+    for bq in range(dim):
+        for a, cp in c.row("pi_ubar_l", bq + 1):
+            J[2 + bq][1 + a] = cp
     return J
 
 

@@ -74,7 +74,7 @@ class RuleBuilder:
     share ``acc`` add up, as ``symbol_rule`` does with the tilde and
     semibasic parts.  Every sum over an index of g, pi or their raised and
     mixed forms runs over the nonzero entries that ``StandardConstants.row``
-    and ``col`` list, never over all 2n indices.
+    and ``col`` list, here as everywhere in the package.
     """
 
     def __init__(self, n: int, signature: Tuple[int, int] = None,

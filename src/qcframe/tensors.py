@@ -15,10 +15,12 @@ it wrong.
 StandardConstants evaluates each closed formula once, when it is built:
 ``g``, ``g_up``, ``pi``, ``pi_bar``, ``pi_up``, ``pi_u_lbar`` and
 ``pi_ubar_l`` become 2n x 2n tables keyed by index pair, and ``partner``
-a table keyed by index.  The entries are a few shared, immutable
-GaussRationals (0 and the units), so an accessor call is one dict
-lookup and builds no new value.  An index outside 1..2n is not in the
-tables and raises ValueError naming it.
+a table keyed by index, all seven in one dict by accessor name.  The
+entries are a few shared, immutable GaussRationals (0 and the units), so
+an accessor call is a lookup and builds no new value.  An index outside
+1..2n is not in the tables and raises ValueError naming it.  The scalar
+accessors read one entry; every sum over a table index, anywhere in the
+package, runs over the nonzero entries that ``row`` and ``col`` list.
 
 The quaternionic structure j acts through one more table: pi couples
 each index a only to its partner p(a), with the unit m_a = pi^{p(a)bar}_a
@@ -193,6 +195,18 @@ class SymTensor(IndexedTensor):
         return out
 
 
+def _entry(name: str, doc: str):
+    """The scalar accessor (a, b) -> entry of the table ``name``."""
+    def read(self, a: int, b: int) -> GaussRational:
+        try:
+            return self._tables[name][a, b]
+        except KeyError:
+            raise self._bad_index(a, b) from None
+
+    read.__name__, read.__doc__ = name, doc
+    return read
+
+
 class StandardConstants:
     """The fixed pairing g and symplectic form pi for given n and signature.
 
@@ -209,8 +223,8 @@ class StandardConstants:
     an int unit; m_{p(a)} = -m_a.
     """
 
-    __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_g", "_g_up",
-                 "_pi", "_pi_bar", "_pi_up", "_pi_u_lbar", "_pi_ubar_l", "_rows", "_cols", "_j")
+    __slots__ = ("n", "signature", "diag", "pi_lower", "_partner", "_tables", "_rows", "_cols",
+                 "_j")
 
     def __init__(self, n: int, signature: Tuple[int, int] = None):
         if n < 1:
@@ -245,24 +259,23 @@ class StandardConstants:
 
         d = [None] + [gr(x) for x in diag]  # d[a] = g_{a ā}
         pi = self.pi_lower.get
-        self._g = table(lambda a, b: d[a] if a == b else ZERO)
-        self._g_up = table(lambda a, b: ONE / d[a] if a == b else ZERO)
-        self._pi = table(pi)
-        self._pi_bar = table(lambda a, b: pi(a, b).conj())
-        self._pi_up = table(lambda a, b: d[a] * d[b] * pi(a, b).conj())
-        self._pi_u_lbar = table(lambda a, b: d[a] * pi(b, a).conj())
-        self._pi_ubar_l = table(lambda a, b: d[a] * pi(b, a))
-        tables = {"g": self._g, "g_up": self._g_up, "pi": self._pi, "pi_bar": self._pi_bar,
-                  "pi_up": self._pi_up, "pi_u_lbar": self._pi_u_lbar,
-                  "pi_ubar_l": self._pi_ubar_l}
+        self._tables = {
+            "g": table(lambda a, b: d[a] if a == b else ZERO),
+            "g_up": table(lambda a, b: ONE / d[a] if a == b else ZERO),
+            "pi": table(pi),
+            "pi_bar": table(lambda a, b: pi(a, b).conj()),
+            "pi_up": table(lambda a, b: d[a] * d[b] * pi(a, b).conj()),
+            "pi_u_lbar": table(lambda a, b: d[a] * pi(b, a).conj()),
+            "pi_ubar_l": table(lambda a, b: d[a] * pi(b, a)),
+        }
         self._rows = {name: {a: tuple((b, v) for b in rng if not (v := t[a, b]).is_zero())
                              for a in rng}
-                      for name, t in tables.items()}
+                      for name, t in self._tables.items()}
         self._cols = {name: {b: tuple((a, v) for a in rng if not (v := t[a, b]).is_zero())
                              for b in rng}
-                      for name, t in tables.items()}
+                      for name, t in self._tables.items()}
         units = {ONE: 1, -ONE: -1}  # a KeyError if some m_a were not a unit
-        self._j = {a: (p, units[self._pi_ubar_l[p, a]]) for a, p in self._partner.items()}
+        self._j = {a: (p, units[self._tables["pi_ubar_l"][p, a]]) for a, p in self._partner.items()}
 
     @property
     def dim(self) -> int:
@@ -315,54 +328,13 @@ class StandardConstants:
     # All return GaussRational (real-valued for these constants), read
     # from the tables; an index outside 1..2n raises ValueError.
 
-    def g(self, a: int, b: int) -> GaussRational:
-        """g_{a b̄} (equally g_{b̄ a} by hermiticity)."""
-        try:
-            return self._g[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
-
-    def g_up(self, a: int, b: int) -> GaussRational:
-        """g^{a b̄}, the inverse pairing."""
-        try:
-            return self._g_up[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
-
-    def pi(self, a: int, b: int) -> GaussRational:
-        """pi_{a b}."""
-        try:
-            return self._pi[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
-
-    def pi_bar(self, a: int, b: int) -> GaussRational:
-        """pi_{ā b̄} = conj(pi_{a b})."""
-        try:
-            return self._pi_bar[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
-
-    def pi_up(self, a: int, b: int) -> GaussRational:
-        """pi^{a b} = g^{a s̄} g^{b t̄} pi_{s̄ t̄}."""
-        try:
-            return self._pi_up[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
-
-    def pi_u_lbar(self, a: int, b: int) -> GaussRational:
-        """pi^{a}_{b̄} = g^{a t̄} pi_{b̄ t̄}  (lower index first)."""
-        try:
-            return self._pi_u_lbar[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
-
-    def pi_ubar_l(self, a: int, b: int) -> GaussRational:
-        """pi^{ā}_{b} = g^{ā t} pi_{b t}  (lower index first)."""
-        try:
-            return self._pi_ubar_l[a, b]
-        except KeyError:
-            raise self._bad_index(a, b) from None
+    g = _entry("g", "g_{a b̄} (equally g_{b̄ a} by hermiticity).")
+    g_up = _entry("g_up", "g^{a b̄}, the inverse pairing.")
+    pi = _entry("pi", "pi_{a b}.")
+    pi_bar = _entry("pi_bar", "pi_{ā b̄} = conj(pi_{a b}).")
+    pi_up = _entry("pi_up", "pi^{a b} = g^{a s̄} g^{b t̄} pi_{s̄ t̄}.")
+    pi_u_lbar = _entry("pi_u_lbar", "pi^{a}_{b̄} = g^{a t̄} pi_{b̄ t̄}  (lower index first).")
+    pi_ubar_l = _entry("pi_ubar_l", "pi^{ā}_{b} = g^{ā t} pi_{b t}  (lower index first).")
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +503,9 @@ def spn_from_y(y: SymTensor, c: StandardConstants) -> IndexedTensor:
         raise ValueError("expects a symmetric Y_{a b}")
     x_mixed = IndexedTensor(y.n, slots("ul"))  # X^a_b, lower index first
     for (s, b), val in y.full().entries.items():
-        for a in range(1, y.dim + 1):
-            coeff = c.pi_up(a, s)
-            if not coeff.is_zero():
-                idx = (a, b)
-                x_mixed.set(idx, x_mixed.entries.get(idx, gr(0)) + coeff * val)
+        for a, coeff in c.col("pi_up", s):
+            idx = (a, b)
+            x_mixed.set(idx, x_mixed.entries.get(idx, gr(0)) + coeff * val)
     # lower the upper slot: X_{b ā}; then present as X_{a b̄} = conj-free
     lowered = lower_slot(x_mixed, 0, c)  # slots (L, l): X with first slot barred
     out = IndexedTensor(y.n, slots("lL"))
@@ -555,9 +525,7 @@ def y_from_spn(x: IndexedTensor, c: StandardConstants) -> IndexedTensor:
     out = IndexedTensor(x.n, slots("ll"))
     for (b, t), val in x.entries.items():
         xtb = c.g(t, t) * val  # X^t_b
-        for s in range(1, x.dim + 1):
-            coeff = -c.pi(s, t)
-            if not coeff.is_zero():
-                idx = (s, b)
-                out.set(idx, out.entries.get(idx, gr(0)) + coeff * xtb)
+        for s, coeff in c.col("pi", t):
+            idx = (s, b)
+            out.set(idx, out.entries.get(idx, gr(0)) - coeff * xtb)
     return out

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qcframe.heisenberg
+from qcframe import InputError
 from qcframe.cli import run
 from qcframe.forms import Form, Poly, differential
 from qcframe.gauss import gr
@@ -356,3 +357,29 @@ def test_chart_file_rejects_misshapen_matrices(qc, part, change, tmp_path):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(doc))
     assert run(["example", "heisenberg", "--chart", str(path)]) == 2
+
+
+def _d_dx1_entry(field):
+    return next(e for e in field if e[0] == 0 and e[3] == [0] * 7)
+
+
+@pytest.mark.parametrize("change", [
+    lambda frame: frame[0].append([0, "1", "0", [1, 0, 0, 0, 0, 0, 0]]),  # d/dx1: 1 + x1
+    lambda frame: _d_dx1_entry(frame[0]).__setitem__(2, "1"),            # d/dx1: 1 + i
+    lambda frame: frame.__setitem__(1, frame[0]),                         # X_2 = X_1
+    lambda frame: frame.__setitem__(slice(None), [[]] * 4),               # all four empty
+], ids=["non-constant", "non-real", "repeated-field", "empty-fields"])
+def test_chart_file_with_an_unusable_frame_exit_2(qc, change, tmp_path, capsys):
+    """omega_forms inverts the real constant matrix dx_i(X_k), i < 4: a
+    frame whose coefficients are not real constants, or whose matrix is
+    singular, is refused on load with one line naming the frame, not
+    reported as an internal defect."""
+    doc = _chart_doc(qc)
+    change(doc["frame"])
+    with pytest.raises(InputError, match="frame"):
+        chart_from_json(doc)
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    assert run(["example", "heisenberg", "--chart", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame") and err.count("\n") == 1 and "Traceback" not in err

@@ -740,9 +740,11 @@ def test_one_solver_and_one_product():
     # once and which has no loop statement and no comprehension, and
     # clears nothing; it calls no bracket_sum, no helper but _apply reads
     # a cochain's stored integer row, nothing in cochains.py reads the
-    # decoded view ``row``, and the column number (i g + j) dim + k is
-    # spelled out in ``column`` alone
-    tree = ast.parse((Path(qcframe.__file__).parent / "cochains.py").read_text())
+    # decoded view ``row`` (the property ``Cochain2.row``; a call such as
+    # ``c.row(...)`` is the constants' nonzero-entry method), and the
+    # column number (i g + j) dim + k is spelled out in ``column`` alone
+    source = (Path(qcframe.__file__).parent / "cochains.py").read_text()
+    tree = ast.parse(source)
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     methods = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
@@ -766,9 +768,17 @@ def test_one_solver_and_one_product():
     assert not any(isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
                    for node in ast.walk(apply))
     assert "cleared" not in called(apply)
-    assert not any(isinstance(node, ast.Attribute)
-                   and node.attr in ("bracket_sum", "entry", "vals", "row")
-                   for node in ast.walk(tree))
+
+    def banned_reads(tree):
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and (node.attr in ("bracket_sum", "entry", "vals")
+                     or node.attr == "row" and id(node) not in calls)]
+
+    assert banned_reads(tree) == []
+    # negative control: the decoded view read back in place of the stored row
+    assert source.count("(K.den, K.ints)") == 1
+    assert banned_reads(ast.parse(source.replace("(K.den, K.ints)", "(K.den, K.row)"))) == ["row"]
     assert [name for name, fn in funcs.items() if name.startswith("_") and any(
         isinstance(node, ast.Attribute) and node.attr == "ints" for node in ast.walk(fn))] \
         == ["_apply"]

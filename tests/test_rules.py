@@ -6,6 +6,8 @@ import tracemalloc
 
 import pytest
 
+from qcframe import cochains as cochains_module
+from qcframe import heisenberg as heisenberg_module
 from qcframe import rules as rules_module
 from qcframe.forms import (DRuleSet, Exterior, Form, Poly, Sym, _sorted_if_symmetric,
                            differential)
@@ -495,6 +497,29 @@ def dense_reads(source):
 
     visit(ast.parse(source), False)
     return found
+
+
+@pytest.mark.parametrize("module", [cochains_module, heisenberg_module])
+def test_modules_read_no_scalar_accessor_in_a_loop(module):
+    """cochains.py and heisenberg.py, like rules.py (below), read no
+    scalar accessor inside a loop: every sum over an index of g, pi or
+    their raised and mixed forms runs over a row or a column of nonzero
+    entries."""
+    assert dense_reads(inspect.getsource(module)) == []
+
+
+def test_cochains_dense_loop_planted_back_is_caught():
+    """The guard catches one dense scan planted back into cochains.py, as
+    the lowered hat frame was summed before."""
+    source = inspect.getsource(cochains_module)
+    sparse = """        for t, v in c.row("g", be):
+            axpy(zlow, v, fr["Zhatbar"][t - 1].c)
+"""
+    dense = """        for t in R:
+            axpy(zlow, c.g(be, t), fr["Zhatbar"][t - 1].c)
+"""
+    assert source.count(sparse) == 1
+    assert [name for _, name in dense_reads(source.replace(sparse, dense))] == ["g"]
 
 
 def test_rules_contract_over_nonzero_entries_only():

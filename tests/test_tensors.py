@@ -93,6 +93,18 @@ def test_constants_reject_out_of_range_indices(n, signature):
             c.partner(bad)
 
 
+def test_constants_keep_one_table_dict_behind_one_accessor():
+    """The seven scalar accessors are one function made once per table,
+    each with its own name and docstring; the tables sit in one dict
+    keyed by those names, with no slot of their own."""
+    fns = [getattr(StandardConstants, name) for name in ACCESSORS]
+    assert len({fn.__code__ for fn in fns}) == 1
+    assert [fn.__name__ for fn in fns] == list(ACCESSORS)
+    assert len({fn.__doc__ for fn in fns}) == len(ACCESSORS)
+    assert not [s for s in StandardConstants.__slots__ if s.lstrip("_") in ACCESSORS]
+    assert list(StandardConstants(2)._tables) == list(ACCESSORS)
+
+
 @pytest.mark.parametrize("n,signature", [(1, (1, 0)), (2, (2, 0)), (3, (3, 0)),
                                          (2, (1, 1)), (3, (2, 1))])
 def test_rows_and_cols_match_a_dense_scan(n, signature):
